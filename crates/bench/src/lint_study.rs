@@ -442,7 +442,7 @@ mod tests {
         };
         let big = LintCounters {
             lines: 200,
-            ..small.clone()
+            ..small
         };
         assert!(big.virtual_ns() > small.virtual_ns());
     }

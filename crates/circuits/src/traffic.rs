@@ -461,7 +461,7 @@ mod tests {
         let plain = generate(
             &TrafficConfig {
                 fit_deadline_slack_ns: 0,
-                ..cfg.clone()
+                ..cfg
             },
             13,
         );

@@ -10,13 +10,14 @@
 //!   every job;
 //! * the cross-validation fold row-selections depend only on `(K, folds,
 //!   seed)`;
-//! * the per-fold Woodbury kernels (`B_F`, `B_Z`, Θ(K²M) each) depend
-//!   only on the fold and the *normalized prior values* — jobs whose
-//!   priors coincide after normalization share them exactly.
+//! * the per-fold Woodbury kernels (`B_F` Θ(K²M), `B_Z` Θ(K²·missing))
+//!   depend only on the fold and the *normalized prior values* — jobs
+//!   whose priors coincide after normalization share them exactly.
 //!
 //! [`BatchFitter`] evaluates the design matrix once, builds each distinct
 //! kernel once, and dispatches the remaining per-job work — grid sweeps
-//! over every `(fold, hyper, family)` cell, then reduction and the final
+//! over every `(fold, hyper, family)` cell, one core factorization per
+//! `(fold, hyper)` serving both families, then reduction and the final
 //! full-data solve — across a scoped worker pool.
 //!
 //! # Determinism

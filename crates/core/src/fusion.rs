@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn from_early_model_roundtrip() {
         let basis = OrthonormalBasis::linear(3);
-        let early_model = PerformanceModel::new(basis.clone(), vec![1.0, 0.3, -0.2, 0.05]).unwrap();
+        let early_model = PerformanceModel::new(basis, vec![1.0, 0.3, -0.2, 0.05]).unwrap();
         let fitter = BmfFitter::from_early_model(&early_model);
         assert_eq!(fitter.basis().len(), 4);
         let train = points(10, 3, 4);

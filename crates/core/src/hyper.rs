@@ -16,7 +16,8 @@
 //!   families, and (through [`crate::batch::BatchFitter`]) every job of
 //!   a batch fit;
 //! * each fold builds one [`MapSweep`], so adding grid points costs only
-//!   a K×K factorization each, not a full Θ(K²M) rebuild.
+//!   a K×K factorization each, not a full Θ(K²M) rebuild — and that one
+//!   factorization serves both prior families, whose cores are identical.
 
 use bmf_linalg::view::matvec_into;
 use bmf_linalg::{Matrix, Vector};
@@ -134,10 +135,16 @@ pub(crate) type FoldErrors = Vec<Vec<Option<f64>>>;
 /// Sweeps one fold over the whole grid for each requested prior family,
 /// reusing `sweep`'s Woodbury kernels for every `(grid, kind)` cell.
 ///
+/// `Gᵀ f_train` is computed once for the fold and the core is factorized
+/// once per grid value, that one factor serving every family: the core
+/// depends on the prior precisions only, not on the mean. A failed
+/// factorization therefore blanks every family's cell at that value.
 /// The fold's responses are gathered into (and every per-cell solve runs
 /// out of) `ws`; the validation sub-matrix is a zero-copy row view of
-/// the shared `g`. `counters.map_solves` is incremented per successful
-/// solve; kernel-build accounting belongs to whoever constructed `sweep`.
+/// the shared `g`. `counters.map_solves` and the ladder counters are
+/// incremented per successful `(grid, kind)` cell, exactly as if each
+/// cell had factorized on its own; kernel-build accounting belongs to
+/// whoever constructed `sweep`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_fold(
     sweep: &MapSweep<'_>,
@@ -167,13 +174,19 @@ pub(crate) fn sweep_fold(
     resize(&mut fs.alpha, g.ncols());
     resize(&mut fs.pred, fold.validate.len());
     let mut errors: FoldErrors = vec![vec![None; grid.len()]; kinds.len()];
+    sweep.project_into(&fs.f_train, map)?;
     for (gi, &h) in grid.iter().enumerate() {
+        let factor = match sweep.factor_into(h, map) {
+            Ok(factor) => factor,
+            Err(BmfError::Linalg(_)) => continue,
+            Err(e) => return Err(e),
+        };
         for (ki, &kind) in kinds.iter().enumerate() {
-            match sweep.solve_kind_into(&fs.f_train, h, kind, map, &mut fs.alpha) {
+            match sweep.solve_factored_into(&factor, kind, map, &mut fs.alpha) {
                 // A degraded cell still contributes its validation error —
                 // the ladder made it solvable — but the escalation is
                 // recorded so the fit can report it.
-                Ok(res) => counters.record_resilience(&res),
+                Ok(()) => counters.record_resilience(&factor.resilience),
                 Err(BmfError::Linalg(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -365,8 +378,11 @@ pub fn cross_validate_hyper(
 /// two families).
 ///
 /// Returns `(zero_mean, nonzero_mean)` outcomes. This is what BMF-PS uses
-/// internally; it is ~2× cheaper than calling
-/// [`cross_validate_hyper`] twice.
+/// internally. The fold kernels and the per-`(fold, grid value)` core
+/// factorization are shared by the two families; only the Θ(KM) solve
+/// and validation run once per family. It therefore costs one
+/// [`cross_validate_hyper`] call plus the second family's solves — well
+/// under calling it twice.
 ///
 /// # Errors
 ///
@@ -403,6 +419,8 @@ pub fn cross_validate_both(
 mod tests {
     use super::*;
     use crate::prior::PriorKind;
+    use crate::workspace::MapScratch;
+    use bmf_linalg::Resilience;
     use bmf_stat::normal::StandardNormal;
     use bmf_stat::rng::seeded;
 
@@ -555,11 +573,154 @@ mod tests {
         ));
     }
 
+    /// One cell solved on its own, as `MapSweep::solve_with_kind` solves
+    /// it (projection, factorization and solve on a fresh scratch), then
+    /// validated like `sweep_fold` validates. Returns the validation
+    /// error and the factorization's ladder outcome.
+    fn per_cell(
+        sweep: &MapSweep<'_>,
+        g: &Matrix,
+        fold: &PlannedFold,
+        f: &Vector,
+        hyper: f64,
+        kind: PriorKind,
+    ) -> Option<(f64, Resilience)> {
+        let f_train: Vec<f64> = fold.train.iter().map(|&i| f[i]).collect();
+        let mut alpha = vec![0.0; g.ncols()];
+        let mut scratch = MapScratch::default();
+        let res = match sweep.solve_kind_into(&f_train, hyper, kind, &mut scratch, &mut alpha) {
+            Ok(res) => res,
+            Err(BmfError::Linalg(_)) => return None,
+            Err(e) => panic!("per-cell solve failed structurally: {e:?}"),
+        };
+        let f_val: Vec<f64> = fold.validate.iter().map(|&i| f[i]).collect();
+        let val_norm = f_val
+            .iter()
+            .map(|x| x * x)
+            .sum::<f64>()
+            .sqrt()
+            .max(f64::MIN_POSITIVE);
+        let mut pred = vec![0.0; fold.validate.len()];
+        matvec_into(g.rows_view(&fold.validate), &alpha, &mut pred).unwrap();
+        let mut s = 0.0;
+        for (p, v) in pred.iter().zip(&f_val) {
+            let d = p - v;
+            s += d * d;
+        }
+        Some((s.sqrt() / val_norm, res))
+    }
+
+    #[test]
+    fn shared_factor_sweep_matches_per_cell_solves() {
+        // 1e-310 overflows the core (B_F/h = ∞), so its factorization
+        // fails; 1e-14 on duplicated rows makes the core numerically
+        // singular, so the ladder escalates.
+        let grid = [1e-310, 1e-14, 1e-3, 1.0, 1e3];
+        let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
+        let (mut degraded, mut blanked) = (0, 0);
+        let (mut with_missing, mut without_missing) = (0, 0);
+        bmf_stat::prop::check("shared-factor sweep == per-cell solves", 24, |rng| {
+            let k = 12 + rng.gen_index(10);
+            let m = 6 + rng.gen_index(18);
+            let mut g = design(k, m, rng.next_u64());
+            if rng.gen_bool(0.5) {
+                for i in (1..k).step_by(2) {
+                    for j in 0..m {
+                        g[(i, j)] = g[(i - 1, j)];
+                    }
+                }
+            }
+            let f = Vector::from(bmf_stat::prop::vec_in(rng, -1.0, 1.0, k));
+            let mut early: Vec<Option<f64>> = bmf_stat::prop::vec_in(rng, -1.0, 1.0, m)
+                .into_iter()
+                .map(Some)
+                .collect();
+            for _ in 0..rng.gen_index(3) {
+                let z = rng.gen_index(m);
+                early[z] = None;
+            }
+            let prior = Prior::new(PriorKind::ZeroMean, early);
+            if prior.num_zero_precision() > 0 {
+                with_missing += 1;
+            } else {
+                without_missing += 1;
+            }
+            let cfg = CvConfig {
+                folds: 3 + rng.gen_index(2),
+                grid: grid.to_vec(),
+                seed: rng.next_u64(),
+            };
+            let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cfg).unwrap();
+
+            let plan = FoldPlan::new(k, cfg.folds, cfg.seed).unwrap();
+            let nzm_prior = prior.with_kind(PriorKind::NonZeroMean);
+            let mut counters = FitCounters::default();
+            let mut expected = FitCounters::default();
+            let mut ws = SolveWorkspace::new();
+            let mut sums = [[0.0f64; 5]; 2];
+            let mut counts = [[0usize; 5]; 2];
+            for fold in &plan.folds {
+                let sweep = MapSweep::from_view(g.rows_view(&fold.train), &nzm_prior).unwrap();
+                let shared =
+                    sweep_fold(&sweep, &g, fold, &f, &grid, &kinds, &mut counters, &mut ws)
+                        .unwrap();
+                for (gi, &h) in grid.iter().enumerate() {
+                    for (ki, &kind) in kinds.iter().enumerate() {
+                        let cell = per_cell(&sweep, &g, fold, &f, h, kind);
+                        assert_eq!(
+                            shared[ki][gi].map(f64::to_bits),
+                            cell.map(|(err, _)| err.to_bits()),
+                            "cell (h={h}, {kind:?})"
+                        );
+                        if let Some((err, res)) = cell {
+                            sums[ki][gi] += err;
+                            counts[ki][gi] += 1;
+                            // Ladder accounting stays per cell.
+                            expected.record_resilience(&res);
+                            expected.map_solves += 1;
+                        }
+                    }
+                    // One shared factorization: both families stand or
+                    // fall together.
+                    assert_eq!(shared[0][gi].is_some(), shared[1][gi].is_some());
+                    if shared[0][gi].is_none() {
+                        blanked += 1;
+                    }
+                }
+            }
+            assert_eq!(counters, expected);
+            degraded += counters.degraded_solves;
+
+            // The public sweep's per-grid means equal the per-cell cells
+            // reduced fold-major.
+            for (ki, outcome) in [&zm, &nzm].into_iter().enumerate() {
+                let want: Vec<(u64, u64)> = grid
+                    .iter()
+                    .enumerate()
+                    .filter(|&(gi, _)| counts[ki][gi] > 0)
+                    .map(|(gi, &h)| {
+                        let mean = sums[ki][gi] / counts[ki][gi] as f64;
+                        (h.to_bits(), mean.to_bits())
+                    })
+                    .collect();
+                let got: Vec<(u64, u64)> = outcome
+                    .errors
+                    .iter()
+                    .map(|&(h, e)| (h.to_bits(), e.to_bits()))
+                    .collect();
+                assert_eq!(got, want);
+            }
+        });
+        assert!(degraded > 0, "no ladder-escalated cell was exercised");
+        assert!(blanked > 0, "no failed factorization was exercised");
+        assert!(with_missing > 0 && without_missing > 0);
+    }
+
     #[test]
     fn fold_plan_selects_each_row_once_as_validation() {
         let g = design(13, 4, 8);
         let plan = FoldPlan::new(13, 5, 3).unwrap();
-        let mut seen = vec![false; 13];
+        let mut seen = [false; 13];
         for fold in &plan.folds {
             let g_train = g.rows_view(&fold.train);
             let g_val = g.rows_view(&fold.validate);

@@ -26,7 +26,7 @@
 use bmf_linalg::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
 use bmf_linalg::{
     factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, lu_solve_into, view, woodbury,
-    LadderPolicy, LinalgError, Matrix, Resilience, Vector,
+    FactorKind, LadderPolicy, LinalgError, Matrix, Resilience, Vector,
 };
 
 use crate::options::FitOptions;
@@ -225,9 +225,15 @@ pub(crate) fn map_estimate_ws(
 /// ```
 ///
 /// after which each hyper-parameter value costs one K×K (or
-/// (K+|Z|)×(K+|Z|)) factorization plus Θ(KM) matvecs, instead of the full
-/// Θ(K²M) rebuild. The produced estimates are identical to
-/// [`map_estimate`] with [`SolverKind::Fast`].
+/// (K+|Z|)×(K+|Z|)) factorization — shared by every response and both
+/// prior families, since the core does not depend on the prior mean —
+/// plus Θ(KM) matvecs per `(response, family)` solve, instead of the
+/// full Θ(K²M) rebuild. A solve therefore runs in three steps:
+/// `project_into` once per response, `factor_into` once per
+/// hyper-parameter value, and `solve_factored_into` per family; the
+/// cross-validation sweep calls them in that nesting, and
+/// [`MapSweep::solve_with_kind`] calls them back to back. The produced
+/// estimates are identical to [`map_estimate`] with [`SolverKind::Fast`].
 #[derive(Debug, Clone)]
 pub struct MapSweep<'g> {
     /// Borrowed view of the design matrix — a fold sweep views a row
@@ -244,8 +250,18 @@ pub struct MapSweep<'g> {
     b_z: Matrix,
     /// Woodbury shift for the missing block.
     tau: f64,
-    /// `Gᵀ f` is *not* cached — `f` may vary per fold; rhs built per call.
-    _private: (),
+}
+
+/// The core system of a [`MapSweep`] assembled and factorized for one
+/// hyper-parameter value. The factor itself lives in the [`MapScratch`]
+/// passed to [`MapSweep::factor_into`]; this records how to solve
+/// against it and how the degradation ladder resolved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CoreFactor {
+    hyper: f64,
+    kind: FactorKind,
+    /// Degradation-ladder outcome of the factorization.
+    pub(crate) resilience: Resilience,
 }
 
 impl<'g> MapSweep<'g> {
@@ -299,17 +315,23 @@ impl<'g> MapSweep<'g> {
         let (b_z, tau) = if missing.is_empty() {
             (Matrix::zeros(0, 0), 1.0)
         } else {
-            let indicator: Vec<f64> = (0..m)
-                .map(|i| {
-                    if bmf_linalg::is_exact_zero(unit[i]) {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
+            // B_Z is the 0/1-indicator-weighted outer gram, summed over
+            // the missing columns only, in ascending order: each skipped
+            // term is an exact ±0 that cannot change a sum started at
+            // +0, so the bits equal the full-width gram's.
             let mut b_z = Matrix::zeros(k, k);
-            outer_gram_diag_into(g, &indicator, b_z.as_view_mut())?;
+            for i in 0..k {
+                let ri = g.row(i);
+                for j in i..k {
+                    let rj = g.row(j);
+                    let mut s = 0.0;
+                    for &z in &missing {
+                        s += ri[z] * rj[z];
+                    }
+                    b_z[(i, j)] = s;
+                    b_z[(j, i)] = s;
+                }
+            }
             let tau = ((0..k).map(|i| b_z[(i, i)]).sum::<f64>() / missing.len() as f64).max(1e-12);
             (b_z, tau)
         };
@@ -328,7 +350,6 @@ impl<'g> MapSweep<'g> {
             b_f,
             b_z,
             tau,
-            _private: (),
         })
     }
 
@@ -368,11 +389,10 @@ impl<'g> MapSweep<'g> {
         self.solve_with_kind(f, hyper, crate::prior::PriorKind::NonZeroMean)
     }
 
-    /// The allocation-free core of [`MapSweep::solve_with_kind`]: all
-    /// intermediates live in `ws`, the coefficients land in `out` (length
-    /// M, fully overwritten). The grid loops of cross-validation call
-    /// this once per `(hyper, family)` cell with one shared workspace.
-    /// Returns the degradation-ladder outcome of the factorization.
+    /// The allocation-free core of [`MapSweep::solve_with_kind`]: the
+    /// three solve steps back to back, all intermediates in `ws`, the
+    /// coefficients in `out` (length M, fully overwritten). Returns the
+    /// degradation-ladder outcome of the factorization.
     pub(crate) fn solve_kind_into(
         &self,
         f: &[f64],
@@ -381,21 +401,15 @@ impl<'g> MapSweep<'g> {
         ws: &mut MapScratch,
         out: &mut [f64],
     ) -> Result<Resilience> {
-        let use_mean = match kind {
-            crate::prior::PriorKind::NonZeroMean => true,
-            crate::prior::PriorKind::ZeroMean => false,
-        };
-        self.solve_inner_into(f, hyper, use_mean, ws, out)
+        self.project_into(f, ws)?;
+        let factor = self.factor_into(hyper, ws)?;
+        self.solve_factored_into(&factor, kind, ws, out)?;
+        Ok(factor.resilience)
     }
 
-    fn solve_inner_into(
-        &self,
-        f: &[f64],
-        hyper: f64,
-        use_mean: bool,
-        ws: &mut MapScratch,
-        out: &mut [f64],
-    ) -> Result<Resilience> {
+    /// Solve step 1, once per response: screens `f` and writes `Gᵀ f`
+    /// into `ws.rhs`, where [`MapSweep::solve_factored_into`] reads it.
+    pub(crate) fn project_into(&self, f: &[f64], ws: &mut MapScratch) -> Result<()> {
         let (k, m) = self.g.shape();
         if f.len() != k {
             return Err(BmfError::SampleShape {
@@ -403,6 +417,17 @@ impl<'g> MapSweep<'g> {
                 detail: format!("{k} design rows vs {} values", f.len()),
             });
         }
+        crate::screen::finite_values("response values", f)?;
+        resize(&mut ws.rhs, m);
+        matvec_transpose_into(self.g, f, &mut ws.rhs)?;
+        Ok(())
+    }
+
+    /// Solve step 2, once per hyper-parameter value: assembles the core
+    /// system for `hyper` into `ws.core` and factorizes it through the
+    /// degradation ladder, and fills `ws.dt_inv`. The factor serves every
+    /// response and prior family solved at this value.
+    pub(crate) fn factor_into(&self, hyper: f64, ws: &mut MapScratch) -> Result<CoreFactor> {
         if !(hyper > 0.0 && hyper.is_finite()) {
             return Err(BmfError::config(
                 "hyper",
@@ -410,36 +435,14 @@ impl<'g> MapSweep<'g> {
                 format!("must be positive and finite, got {hyper}"),
             ));
         }
-        if out.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "map sweep (coefficient buffer)",
-                lhs: (m, 1),
-                rhs: (out.len(), 1),
-            }
-            .into());
-        }
-        crate::screen::finite_values("response values", f)?;
+        let k = self.g.nrows();
         let MapScratch {
-            rhs,
             dt_inv,
-            t,
-            gt,
-            y,
-            u,
-            uy,
             core,
             perm,
             ladder,
-            woodbury: _,
+            ..
         } = ws;
-        // rhs = G^T f + h·A·prior_mean (mean dropped for zero-mean use).
-        resize(rhs, m);
-        matvec_transpose_into(self.g, f, rhs)?;
-        if use_mean {
-            for (r, (&a, &mean)) in rhs.iter_mut().zip(self.a.iter().zip(&self.prior_mean)) {
-                *r += hyper * a * mean;
-            }
-        }
         // D-tilde inverse diag: 1/(h·a_m) finite, 1/tau missing.
         dt_inv.clear();
         dt_inv.extend(self.a.iter().map(|&a| {
@@ -449,10 +452,6 @@ impl<'g> MapSweep<'g> {
                 1.0 / self.tau
             }
         }));
-        t.clear();
-        t.extend(rhs.iter().zip(dt_inv.iter()).map(|(&r, &d)| d * r));
-        resize(gt, k);
-        matvec_into(self.g, t, gt)?;
 
         if self.missing.is_empty() {
             // core = I + B_F / h.
@@ -467,15 +466,11 @@ impl<'g> MapSweep<'g> {
             }
             let (kind, resilience) =
                 factor_spd_ladder(core, perm, ladder, &LadderPolicy::default())?;
-            resize(y, k);
-            y.copy_from_slice(gt);
-            ladder_solve_in_place(kind, core, perm, ladder, y)?;
-            resize(uy, m);
-            matvec_transpose_into(self.g, y, uy)?;
-            for i in 0..m {
-                out[i] = t[i] - dt_inv[i] * uy[i];
-            }
-            return Ok(resilience);
+            return Ok(CoreFactor {
+                hyper,
+                kind,
+                resilience,
+            });
         }
 
         // Augmented system (see bmf_linalg::woodbury docs): W has blocks
@@ -497,22 +492,88 @@ impl<'g> MapSweep<'g> {
             }
         }
         let resilience = factor_lu_ladder(core, perm, ladder, &LadderPolicy::default())?;
-        resize(u, n);
-        u[..k].copy_from_slice(gt);
-        for (jz, &z) in self.missing.iter().enumerate() {
-            u[k + jz] = t[z];
+        Ok(CoreFactor {
+            hyper,
+            kind: FactorKind::Lu,
+            resilience,
+        })
+    }
+
+    /// Solve step 3, per prior family: the MAP coefficients for the
+    /// response projected by [`MapSweep::project_into`] against the core
+    /// factorized by [`MapSweep::factor_into`] (both still in `ws`),
+    /// written to `out` (length M, fully overwritten).
+    pub(crate) fn solve_factored_into(
+        &self,
+        factor: &CoreFactor,
+        kind: crate::prior::PriorKind,
+        ws: &mut MapScratch,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let (k, m) = self.g.shape();
+        if out.len() != m {
+            return Err(LinalgError::DimensionMismatch {
+                op: "map sweep (coefficient buffer)",
+                lhs: (m, 1),
+                rhs: (out.len(), 1),
+            }
+            .into());
         }
-        resize(y, n);
-        lu_solve_into(core, perm, u, y)?;
-        resize(uy, m);
-        matvec_transpose_into(self.g, &y[..k], uy)?;
-        for (jz, &z) in self.missing.iter().enumerate() {
-            uy[z] += y[k + jz];
+        let MapScratch {
+            rhs,
+            dt_inv,
+            t,
+            y,
+            u,
+            uy,
+            core,
+            perm,
+            ladder,
+            woodbury: _,
+        } = ws;
+        // t = D̃⁻¹·(Gᵀf + h·A·prior_mean), the mean dropped for zero-mean
+        // use.
+        t.clear();
+        match kind {
+            crate::prior::PriorKind::NonZeroMean => {
+                let h = factor.hyper;
+                t.extend(
+                    rhs.iter()
+                        .zip(dt_inv.iter())
+                        .zip(self.a.iter().zip(&self.prior_mean))
+                        .map(|((&r, &d), (&a, &mean))| d * (r + h * a * mean)),
+                );
+            }
+            crate::prior::PriorKind::ZeroMean => {
+                t.extend(rhs.iter().zip(dt_inv.iter()).map(|(&r, &d)| d * r));
+            }
+        }
+
+        if self.missing.is_empty() {
+            resize(y, k);
+            matvec_into(self.g, t, y)?;
+            ladder_solve_in_place(factor.kind, core, perm, ladder, y)?;
+            resize(uy, m);
+            matvec_transpose_into(self.g, y, uy)?;
+        } else {
+            let n = k + self.missing.len();
+            resize(u, n);
+            matvec_into(self.g, t, &mut u[..k])?;
+            for (jz, &z) in self.missing.iter().enumerate() {
+                u[k + jz] = t[z];
+            }
+            resize(y, n);
+            lu_solve_into(core, perm, u, y)?;
+            resize(uy, m);
+            matvec_transpose_into(self.g, &y[..k], uy)?;
+            for (jz, &z) in self.missing.iter().enumerate() {
+                uy[z] += y[k + jz];
+            }
         }
         for i in 0..m {
             out[i] = t[i] - dt_inv[i] * uy[i];
         }
-        Ok(resilience)
+        Ok(())
     }
 }
 

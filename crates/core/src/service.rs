@@ -1253,7 +1253,7 @@ mod tests {
         assert!(matches!(bad_prior, Err(BmfError::PriorShape { .. })));
         let bad_values = svc.submit_fit(FitRequest {
             job_id: "j".into(),
-            basis: basis.clone(),
+            basis,
             points: ps,
             prior: vec![Some(1.0); 3],
             values: vec![0.0; 5],

@@ -36,11 +36,10 @@ fn eval(truth: &[f64], p: &[f64]) -> f64 {
             .sum::<f64>()
 }
 
-fn make_batch(
-    r: usize,
-    num_jobs: usize,
-    points: &[Vec<f64>],
-) -> (BatchFitter, Vec<Vec<Option<f64>>>, Vec<Vec<f64>>) {
+/// A batch plus each job's prior and response, in job order.
+type BatchParts = (BatchFitter, Vec<Vec<Option<f64>>>, Vec<Vec<f64>>);
+
+fn make_batch(r: usize, num_jobs: usize, points: &[Vec<f64>]) -> BatchParts {
     let basis = OrthonormalBasis::linear(r);
     let mut fitter = BatchFitter::new(basis);
     let mut priors = Vec::new();

@@ -432,7 +432,7 @@ fn service_front_screens_poisoned_payloads_at_submit() {
     assert!(matches!(res, Err(BmfError::NonFiniteInput { .. })));
 
     // Poisoned prior likewise.
-    let mut bad_early = early.clone();
+    let mut bad_early = early;
     bad_early[2] = Some(f64::INFINITY);
     let res = no_panic("submit_fit with Inf prior", || {
         service.submit_fit(FitRequest {
@@ -446,7 +446,7 @@ fn service_front_screens_poisoned_payloads_at_submit() {
     assert!(matches!(res, Err(BmfError::NonFiniteInput { .. })));
 
     // Poisoned point sets are rejected at registration.
-    let mut bad_points = points.clone();
+    let mut bad_points = points;
     inj.poison_point_nan(&mut bad_points);
     let res = no_panic("register_points with NaN point", || {
         service.register_points(bad_points)

@@ -400,7 +400,7 @@ mod tests {
         let mut plain = a.clone();
         cholesky_in_place(&mut plain).unwrap();
 
-        let mut laddered = a.clone();
+        let mut laddered = a;
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
         let (kind, res) = factor_spd_ladder(
@@ -525,7 +525,7 @@ mod tests {
         let mut plain_perm = Vec::new();
         lu_factor_in_place(&mut plain, &mut plain_perm).unwrap();
 
-        let mut laddered = a.clone();
+        let mut laddered = a;
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
         let res = factor_lu_ladder(

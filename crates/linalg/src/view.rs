@@ -498,8 +498,12 @@ impl<'a> VecMut<'a> {
 
 /// Matrix–vector product `out = a * x`, writing into a caller buffer.
 ///
-/// Bit-identical to [`Matrix::matvec`]: each output element is the same
-/// left-to-right dot-product accumulation.
+/// Each output element is one left-to-right dot-product accumulation,
+/// bit-identical to `row.iter().zip(x).map(|(p, q)| p * q).sum()` (and
+/// so to [`Matrix::matvec`], which wraps this kernel). Rows are processed
+/// four at a time with one accumulator each, so the four add chains
+/// overlap instead of each add waiting on the previous one; no row's sum
+/// is reassociated.
 ///
 /// # Errors
 ///
@@ -521,10 +525,48 @@ pub fn matvec_into(a: MatRef<'_>, x: &[f64], out: &mut [f64]) -> Result<()> {
             rhs: (out.len(), 1),
         });
     }
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = a.row(i).iter().zip(x).map(|(p, q)| p * q).sum();
+    let n = x.len();
+    let blocked = out.len() / 4 * 4;
+    let (head, tail) = out.split_at_mut(blocked);
+    for (b, o) in head.chunks_exact_mut(4).enumerate() {
+        let i = 4 * b;
+        let (r0, r1, r2, r3) = (
+            &a.row(i)[..n],
+            &a.row(i + 1)[..n],
+            &a.row(i + 2)[..n],
+            &a.row(i + 3)[..n],
+        );
+        let mut s = [DOT_START; 4];
+        for j in 0..n {
+            let xj = x[j];
+            s[0] += r0[j] * xj;
+            s[1] += r1[j] * xj;
+            s[2] += r2[j] * xj;
+            s[3] += r3[j] * xj;
+        }
+        o.copy_from_slice(&s);
+    }
+    for (t, o) in tail.iter_mut().enumerate() {
+        *o = dot(a.row(blocked + t), x);
     }
     Ok(())
+}
+
+/// Starting value of [`dot`]'s accumulator: `-0.0`, the neutral element
+/// `Iterator::sum` folds `f64`s from, so every entry equals the `.sum()`
+/// of its products bit for bit, including the sign of an empty or
+/// all-`-0.0` sum.
+const DOT_START: f64 = -0.0;
+
+/// Dot product `Σᵢ a[i]·b[i]` with one accumulator, left to right — the
+/// per-entry sum [`matvec_into`]'s blocked loop reproduces bit for bit.
+/// Iteration stops at the shorter slice.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut s = DOT_START;
+    for (p, q) in a.iter().zip(b) {
+        s += p * q;
+    }
+    s
 }
 
 /// Transposed matrix–vector product `out = aᵀ * x`, writing into a caller
@@ -652,7 +694,11 @@ pub fn gram_into(a: MatRef<'_>, mut out: MatMut<'_>) -> Result<()> {
 /// Outer Gram matrix `out = a * D * aᵀ` for diagonal `D`, writing into a
 /// caller buffer (every element written, so no zero-fill is needed).
 ///
-/// Bit-identical to [`Matrix::outer_gram_diag`].
+/// Every entry is bit-identical to [`dot3`] of its two rows, which the
+/// sequential engine relies on when it grows the same matrix row by
+/// row. Each row's upper-triangle entries are computed four at a time,
+/// one left-to-right accumulator each, so the add chains overlap; no
+/// entry's sum is reassociated.
 ///
 /// # Errors
 ///
@@ -675,11 +721,34 @@ pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) ->
             rhs: out.shape(),
         });
     }
+    let m = diag.len();
     for i in 0..k {
-        let ri = a.row(i);
-        for j in i..k {
-            let rj = a.row(j);
-            let s = dot3(ri, rj, diag);
+        let ri = &a.row(i)[..m];
+        let mut j = i;
+        while j + 4 <= k {
+            let (r0, r1, r2, r3) = (
+                &a.row(j)[..m],
+                &a.row(j + 1)[..m],
+                &a.row(j + 2)[..m],
+                &a.row(j + 3)[..m],
+            );
+            let mut s = [0.0f64; 4];
+            for t in 0..m {
+                // `p * q * d` in dot3's association: (a_i·a_j)·d.
+                let (p, d) = (ri[t], diag[t]);
+                s[0] += p * r0[t] * d;
+                s[1] += p * r1[t] * d;
+                s[2] += p * r2[t] * d;
+                s[3] += p * r3[t] * d;
+            }
+            for (c, &v) in s.iter().enumerate() {
+                out.row_mut(i)[j + c] = v;
+                out.row_mut(j + c)[i] = v;
+            }
+            j += 4;
+        }
+        for j in j..k {
+            let s = dot3(ri, a.row(j), diag);
             out.row_mut(i)[j] = s;
             out.row_mut(j)[i] = s;
         }
@@ -688,11 +757,12 @@ pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) ->
 }
 
 /// Diagonally weighted dot product `Σᵢ a[i]·b[i]·diag[i]`, accumulated
-/// left to right with the exact multiply order of
-/// [`outer_gram_diag_into`]'s inner loop (of which this is the extracted
-/// kernel — one entry of `A·D·Aᵀ`). The sequential fitting engine uses it
-/// to grow the Woodbury core one row at a time with entries bit-identical
-/// to the batch-assembled matrix.
+/// left to right from `+0`, each term `(a[i]·b[i])·diag[i]` — one entry
+/// of `A·D·Aᵀ`, which [`outer_gram_diag_into`] reproduces bit for bit
+/// (its blocked loop keeps this order and association, its remainder
+/// calls this). The sequential fitting engine uses it to grow the
+/// Woodbury core one row at a time with entries bit-identical to the
+/// batch-assembled matrix.
 ///
 /// Iteration stops at the shortest of the three slices, mirroring the
 /// `zip` the matrix kernel has always used; callers screen lengths at

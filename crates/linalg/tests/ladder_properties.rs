@@ -187,7 +187,7 @@ fn lu_ladder_handles_duplicated_row_systems() {
                 .expect("jittered LU must rescue a duplicated-row system");
             assert!(res.rung >= 1, "exact singularity cannot stay on rung 0");
             assert!(res.ridge > 0.0);
-            let mut x = b.clone();
+            let mut x = b;
             ladder_solve_in_place(bmf_linalg::FactorKind::Lu, &f, &perm, &mut scratch, &mut x)
                 .expect("solve");
             assert!(x.iter().all(|v| v.is_finite()));

@@ -8,14 +8,20 @@
 //! and non-contiguous row-subset views. Scratch buffers are deliberately
 //! reused across cases so any stale-state leak shows up as a bit
 //! mismatch.
+//!
+//! The blocked kernels (`matvec_into`, `outer_gram_diag_into`) and the
+//! slice-based `lu_factor_in_place` are additionally pinned to scalar
+//! references written out below — one accumulator per entry, left to
+//! right, and the indexed elimination loop — rather than only to owned
+//! wrappers that run the same code.
 
 use bmf_linalg::woodbury::{
     solve_diag_plus_gram_semidefinite, solve_diag_plus_gram_semidefinite_into, WoodburyScratch,
 };
 use bmf_linalg::{
-    cholesky_in_place, lu_factor_in_place, lu_solve_into, solve_lower, solve_lower_in_place,
-    solve_lower_transpose, solve_lower_transpose_in_place, solve_upper, solve_upper_in_place, view,
-    Cholesky, Lu, MatRef, Matrix, VecRef, Vector,
+    cholesky_in_place, dot3, is_exact_zero, lu_factor_in_place, lu_solve_into, solve_lower,
+    solve_lower_in_place, solve_lower_transpose, solve_lower_transpose_in_place, solve_upper,
+    solve_upper_in_place, view, Cholesky, LinalgError, Lu, MatRef, Matrix, VecRef, Vector,
 };
 use bmf_stat::prop::{check, DEFAULT_CASES};
 use bmf_stat::rng::Rng;
@@ -375,6 +381,233 @@ fn vec_views_bitwise_equal_vector_reductions() {
                 dense.dot(&other).unwrap().to_bits(),
                 "dot differs"
             );
+        },
+    );
+}
+
+/// Scalar reference for one `matvec_into` entry: a single accumulator,
+/// left to right, as `Iterator::sum` folds it.
+fn ref_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(p, q)| p * q).sum()
+}
+
+/// Scalar reference for one `outer_gram_diag_into` entry: a single
+/// accumulator from +0, left to right, each term `(a·b)·d`.
+fn ref_dot3(a: &[f64], b: &[f64], diag: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for ((p, q), d) in a.iter().zip(b).zip(diag) {
+        s += p * q * d;
+    }
+    s
+}
+
+/// Scalar reference for `lu_factor_in_place`: the indexed partial-pivoting
+/// loop, returning the permutation sign or the singular pivot index.
+fn ref_lu_factor(a: &mut Matrix, perm: &mut Vec<usize>) -> Result<f64, usize> {
+    let n = a.nrows();
+    let scale = a
+        .as_slice()
+        .iter()
+        .fold(0.0f64, |m, x| m.max(x.abs()))
+        .max(1.0);
+    let tol = 1e-14 * scale;
+    perm.clear();
+    perm.extend(0..n);
+    let mut sign = 1.0;
+    for k in 0..n {
+        let mut p = k;
+        let mut best = a[(k, k)].abs();
+        for i in (k + 1)..n {
+            let v = a[(i, k)].abs();
+            if v > best {
+                best = v;
+                p = i;
+            }
+        }
+        if best < tol {
+            return Err(k);
+        }
+        if p != k {
+            for j in 0..n {
+                let tmp = a[(k, j)];
+                a[(k, j)] = a[(p, j)];
+                a[(p, j)] = tmp;
+            }
+            perm.swap(k, p);
+            sign = -sign;
+        }
+        let pivot = a[(k, k)];
+        for i in (k + 1)..n {
+            let m = a[(i, k)] / pivot;
+            a[(i, k)] = m;
+            if is_exact_zero(m) {
+                continue;
+            }
+            for j in (k + 1)..n {
+                let ukj = a[(k, j)];
+                a[(i, j)] -= m * ukj;
+            }
+        }
+    }
+    Ok(sign)
+}
+
+/// A row-index table of `len` rows that repeats at least one row when
+/// `len >= 2`, so every blocked kernel sees duplicated view rows.
+fn subset_with_duplicate(rng: &mut Rng, parent_rows: usize, len: usize) -> Vec<usize> {
+    let mut idx = subset(rng, parent_rows, len);
+    if len >= 2 {
+        let (from, to) = (rng.gen_index(len), rng.gen_index(len));
+        idx[to] = idx[from];
+    }
+    idx
+}
+
+/// Elements from `elem` with sprinkled exact `±0.0`, so signed-zero
+/// products reach the accumulators.
+fn with_zeros(rng: &mut Rng, mut v: Vec<f64>) -> Vec<f64> {
+    for x in &mut v {
+        match rng.gen_index(6) {
+            0 => *x = 0.0,
+            1 => *x = -0.0,
+            _ => {}
+        }
+    }
+    v
+}
+
+#[test]
+fn matvec_into_bitwise_equals_scalar_dot_for_every_block_remainder() {
+    check(
+        "matvec_into_bitwise_equals_scalar_dot_for_every_block_remainder",
+        DEFAULT_CASES,
+        |rng| {
+            let parent_rows = 1 + rng.gen_index(6);
+            let cols = rng.gen_index(12);
+            let data = vec_random(rng, parent_rows * cols);
+            let data = with_zeros(rng, data);
+            let m = Matrix::from_row_major(parent_rows, cols, data).unwrap();
+            let x = vec_random(rng, cols);
+            let x = with_zeros(rng, x);
+            // Every remainder of the 4-row block, on a dense view and on a
+            // row subset with duplicated rows.
+            for rows in 0..=9 {
+                let idx = subset_with_duplicate(rng, parent_rows, rows);
+                let v = m.rows_view(&idx);
+                let mut out = vec![f64::NAN; rows];
+                view::matvec_into(v, &x, &mut out).unwrap();
+                let want: Vec<f64> = (0..rows).map(|i| ref_dot(v.row(i), &x)).collect();
+                assert_bits_eq(&out, &want);
+
+                let dense = gather_rows(&m, &idx);
+                let mut out = vec![f64::NAN; rows];
+                view::matvec_into(dense.as_view(), &x, &mut out).unwrap();
+                assert_bits_eq(&out, &want);
+            }
+        },
+    );
+}
+
+#[test]
+fn outer_gram_diag_into_bitwise_equals_dot3_for_every_block_remainder() {
+    check(
+        "outer_gram_diag_into_bitwise_equals_dot3_for_every_block_remainder",
+        DEFAULT_CASES,
+        |rng| {
+            let parent_rows = 1 + rng.gen_index(6);
+            let cols = rng.gen_index(9);
+            let data = vec_random(rng, parent_rows * cols);
+            let data = with_zeros(rng, data);
+            let m = Matrix::from_row_major(parent_rows, cols, data).unwrap();
+            // Positive weights with exact zeros mixed in: the 0/1
+            // indicator weighting of the missing-prior kernel is a case.
+            let diag: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.1..5.0)).collect();
+            let diag = with_zeros(rng, diag);
+            for rows in 0..=9 {
+                let idx = subset_with_duplicate(rng, parent_rows, rows);
+                let v = m.rows_view(&idx);
+                let mut out = Matrix::from_fn(rows, rows, |_, _| f64::NAN);
+                view::outer_gram_diag_into(v, &diag, out.as_view_mut()).unwrap();
+                for i in 0..rows {
+                    for j in i..rows {
+                        let want = ref_dot3(v.row(i), v.row(j), &diag);
+                        // The streaming engine grows this matrix with dot3.
+                        assert_eq!(dot3(v.row(i), v.row(j), &diag).to_bits(), want.to_bits());
+                        assert_eq!(
+                            out[(i, j)].to_bits(),
+                            want.to_bits(),
+                            "({i}, {j}) of {rows}"
+                        );
+                        assert_eq!(
+                            out[(j, i)].to_bits(),
+                            want.to_bits(),
+                            "({j}, {i}) of {rows}"
+                        );
+                    }
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn lu_factor_in_place_bitwise_equals_indexed_reference() {
+    let mut perm = Vec::new();
+    let mut ref_perm = Vec::new();
+    check(
+        "lu_factor_in_place_bitwise_equals_indexed_reference",
+        DEFAULT_CASES,
+        |rng| {
+            let n = 1 + rng.gen_index(9);
+            // No diagonal boost: pivot swaps are the common case.
+            let mut a = matrix(rng, n, n);
+            let signed_zero = |rng: &mut Rng| if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            // Exact-zero multipliers: zero part of the first column below
+            // the diagonal, and sometimes a whole later column. Signed
+            // zeros elsewhere make the skip observable: `-0 - (-0)` is +0.
+            for i in 1..n {
+                if rng.gen_bool(0.4) {
+                    a[(i, 0)] = signed_zero(rng);
+                }
+            }
+            if n > 2 && rng.gen_bool(0.3) {
+                let c = 1 + rng.gen_index(n - 1);
+                for i in 0..n {
+                    a[(i, c)] = signed_zero(rng);
+                }
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && rng.gen_bool(0.1) {
+                        a[(i, j)] = signed_zero(rng);
+                    }
+                }
+            }
+            // Sometimes an exactly singular matrix (a repeated row).
+            if n > 1 && rng.gen_bool(0.2) {
+                let (r, s) = (rng.gen_index(n), rng.gen_index(n));
+                for j in 0..n {
+                    a[(s, j)] = a[(r, j)];
+                }
+            }
+
+            let mut packed = a.clone();
+            let got = lu_factor_in_place(&mut packed, &mut perm);
+            let mut reference = a.clone();
+            let want = ref_lu_factor(&mut reference, &mut ref_perm);
+            match (got, want) {
+                (Ok(sign), Ok(ref_sign)) => {
+                    assert_eq!(sign.to_bits(), ref_sign.to_bits());
+                    assert_eq!(perm, ref_perm);
+                    assert_bits_eq(packed.as_slice(), reference.as_slice());
+                }
+                (Err(LinalgError::Singular { pivot }), Err(ref_pivot)) => {
+                    assert_eq!(pivot, ref_pivot);
+                    // The partially eliminated matrices agree too.
+                    assert_bits_eq(packed.as_slice(), reference.as_slice());
+                }
+                (got, want) => panic!("lu {got:?} vs indexed reference {want:?}"),
+            }
         },
     );
 }

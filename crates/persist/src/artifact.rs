@@ -491,7 +491,8 @@ mod tests {
     fn fingerprint_is_stable_and_content_addressed() {
         let snap = rich_snapshot();
         let a = encode_snapshot(&snap).unwrap();
-        let b = encode_snapshot(&snap.clone()).unwrap();
+        // An independently built, equal snapshot encodes to the same bytes.
+        let b = encode_snapshot(&rich_snapshot()).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             artifact_fingerprint(&a).unwrap(),
@@ -584,7 +585,7 @@ mod tests {
                 "prefix of {cut} bytes must be corrupt"
             );
         }
-        let mut extended = bytes.clone();
+        let mut extended = bytes;
         extended.push(0);
         assert!(matches!(
             decode_snapshot(&extended),

@@ -85,7 +85,7 @@ fn every_single_bit_flip_is_detected() {
 #[test]
 fn payload_damage_is_a_fingerprint_mismatch() {
     let bytes = encode_snapshot(&snapshot()).unwrap();
-    let mut tampered = bytes.clone();
+    let mut tampered = bytes;
     tampered[HEADER_LEN + 2] ^= 0x10;
     assert!(matches!(
         decode_snapshot(&tampered),

@@ -52,7 +52,10 @@ fn scripted_run(vfs: Arc<dyn Vfs>) -> (Vec<(ModelSnapshot, ArtifactId)>, bool) {
 }
 
 /// Byte dump of the whole disk, for determinism comparison.
-fn disk_digest(disk: &MemVfs) -> Vec<(String, Vec<u8>)> {
+/// Every file on a disk with its bytes, in path order.
+type DiskDigest = Vec<(String, Vec<u8>)>;
+
+fn disk_digest(disk: &MemVfs) -> DiskDigest {
     disk.paths()
         .into_iter()
         .map(|p| {
@@ -64,13 +67,7 @@ fn disk_digest(disk: &MemVfs) -> Vec<(String, Vec<u8>)> {
 
 /// Runs the script crashing at op `c`; returns the acknowledged puts,
 /// whether compaction acked, and the post-recovery disk digest.
-fn crash_scenario(
-    c: u64,
-) -> (
-    Vec<(ModelSnapshot, ArtifactId)>,
-    bool,
-    Vec<(String, Vec<u8>)>,
-) {
+fn crash_scenario(c: u64) -> (Vec<(ModelSnapshot, ArtifactId)>, bool, DiskDigest) {
     let disk = Arc::new(MemVfs::new());
     let faulty = Arc::new(FaultVfs::new(
         Arc::clone(&disk),

@@ -10,6 +10,11 @@
 # present in the baseline but missing from the fresh report fails: a
 # gated number must not silently disappear.
 #
+# The `scenario` block is the run's configuration, not a metric. Two
+# reports are only comparable when their scenarios match exactly, so the
+# gate refuses (exit 1, naming every differing key) when they do not, and
+# never gates scenario keys themselves.
+#
 # Usage:
 #   scripts/bench_trend.sh <fresh.json> <committed.json> [--ignore k1,k2]
 #
@@ -60,10 +65,35 @@ flatten() {
 }
 
 fresh_flat=$(flatten "$fresh")
+committed_flat=$(flatten "$committed")
+
+# Refuse to compare runs of different scenarios.
+scenario_diff=$(awk '
+    $1 ~ /^scenario\./ {
+        key = substr($1, 10)
+        if (NR == FNR) { base[key] = $2 } else { fresh[key] = $2 }
+    }
+    END {
+        for (k in base) {
+            if (!(k in fresh)) print k " (baseline " base[k] ", fresh absent)"
+            else if (base[k] != fresh[k]) print k " (baseline " base[k] ", fresh " fresh[k] ")"
+        }
+        for (k in fresh) if (!(k in base)) print k " (baseline absent, fresh " fresh[k] ")"
+    }
+' <(echo "$committed_flat") <(echo "$fresh_flat") | sort)
+if [[ -n "$scenario_diff" ]]; then
+    echo "FAIL: refusing to compare $fresh with $committed: their scenarios differ:" >&2
+    while read -r line; do echo "  scenario.$line" >&2; done <<< "$scenario_diff"
+    echo "Regenerate the baseline from the configuration this gate runs" >&2
+    exit 1
+fi
+
 fail=0
 
 while read -r key base; do
     [[ -n "$key" ]] || continue
+    # Scenario keys were matched above; they are not metrics.
+    [[ "$key" != scenario.* ]] || continue
     skip=0
     IFS=',' read -ra ignored <<< "$ignore"
     for ig in ${ignored[@]+"${ignored[@]}"}; do
@@ -92,7 +122,7 @@ while read -r key base; do
         echo "FAIL: $key regressed beyond ${TOLERANCE}: baseline $base, fresh $new" >&2
         fail=1
     fi
-done <<< "$(flatten "$committed")"
+done <<< "$committed_flat"
 
 if [[ $fail -ne 0 ]]; then
     echo "Trend gate failed: regenerate the baseline only for intentional changes" >&2

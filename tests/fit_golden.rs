@@ -1,0 +1,176 @@
+//! Golden pin of the BMF-PS fit path: two seeded wide problems (K = 60
+//! samples, M = 400 linear terms), one whose priors leave 10 terms
+//! missing (augmented LU Woodbury core) and one fully informed
+//! (Cholesky core), each fitted through `BmfFitter::fit` and through a
+//! 3-job `BatchFitter::fit` at one and two threads.
+//!
+//! Every fit is folded into one FNV-1a hash over the bits of its
+//! coefficients, the chosen hyper-parameter, the CV error, both
+//! families' CV curves, the chosen prior family and every
+//! `FitCounters` field. The constants below were recorded before the
+//! sweep's kernels and factorizations were restructured; a change that
+//! alters any output bit or any work counter fails here.
+
+use bmf_basis::basis::OrthonormalBasis;
+use bmf_core::batch::{BatchFitter, BatchJob};
+use bmf_core::fusion::{BmfFit, BmfFitter};
+use bmf_core::hyper::CvOutcome;
+use bmf_core::options::FitOptions;
+use bmf_core::prior::PriorKind;
+use bmf_stat::fnv::fnv1a_u64;
+use bmf_stat::normal::StandardNormal;
+use bmf_stat::rng::seeded;
+
+const K: usize = 60;
+const VARS: usize = 399;
+const JOBS: usize = 3;
+const MISSING_PER_JOB: usize = 10;
+
+/// Hash of the three serial fits of the missing-prior problem.
+const MISSING_SERIAL: u64 = 0x597b_d4a5_3f21_b23d;
+/// Hash of the three batch fits of the missing-prior problem.
+const MISSING_BATCH: u64 = 0xe22f_b3b3_61e6_87e0;
+/// Hash of the three serial fits of the fully informed problem.
+const INFORMED_SERIAL: u64 = 0x2fc5_e779_aa96_05f3;
+/// Hash of the three batch fits of the fully informed problem.
+const INFORMED_BATCH: u64 = 0xe10e_d7fc_d6c2_b1ae;
+
+struct Problem {
+    points: Vec<Vec<f64>>,
+    jobs: Vec<(Vec<Option<f64>>, Vec<f64>)>,
+}
+
+fn problem(seed: u64, missing: usize) -> Problem {
+    let mut rng = seeded(seed);
+    let mut normal = StandardNormal::new();
+    let points: Vec<Vec<f64>> = (0..K).map(|_| normal.sample_vec(&mut rng, VARS)).collect();
+    let jobs = (0..JOBS)
+        .map(|j| {
+            let truth: Vec<f64> = (0..=VARS)
+                .map(|i| {
+                    let decay = 1.0 / (1.0 + i as f64).powf(1.1);
+                    if i == 0 {
+                        3.0 + j as f64
+                    } else {
+                        decay * normal.sample(&mut rng)
+                    }
+                })
+                .collect();
+            let values: Vec<f64> = points
+                .iter()
+                .map(|p| {
+                    let clean =
+                        truth[0] + p.iter().zip(&truth[1..]).map(|(x, t)| x * t).sum::<f64>();
+                    clean + 0.01 * normal.sample(&mut rng)
+                })
+                .collect();
+            // Each job misses a different stride of terms, so every job
+            // is its own kernel pattern.
+            let early: Vec<Option<f64>> = truth
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let skipped = i > 0 && i % 37 == 3 + j && i / 37 < missing;
+                    (!skipped).then_some(t * (1.0 + 0.2 * normal.sample(&mut rng)))
+                })
+                .collect();
+            (early, values)
+        })
+        .collect();
+    Problem { points, jobs }
+}
+
+fn hash_outcome(mut h: u64, outcome: Option<&CvOutcome>) -> u64 {
+    if let Some(o) = outcome {
+        for &(hyper, err) in &o.errors {
+            h = fnv1a_u64(h, hyper.to_bits());
+            h = fnv1a_u64(h, err.to_bits());
+        }
+    }
+    h
+}
+
+fn hash_fit(mut h: u64, fit: &BmfFit) -> u64 {
+    for c in fit.model.coeffs() {
+        h = fnv1a_u64(h, c.to_bits());
+    }
+    h = fnv1a_u64(h, fit.hyper.to_bits());
+    h = fnv1a_u64(h, fit.cv_error.to_bits());
+    h = fnv1a_u64(
+        h,
+        match fit.prior_kind {
+            PriorKind::ZeroMean => 0,
+            PriorKind::NonZeroMean => 1,
+        },
+    );
+    h = hash_outcome(h, fit.selection.zero_mean.as_ref());
+    h = hash_outcome(h, fit.selection.nonzero_mean.as_ref());
+    let c = &fit.counters;
+    for v in [
+        c.map_solves,
+        c.kernels_built,
+        c.kernel_cache_hits,
+        c.kernel_cache_misses,
+        c.degraded_solves,
+        c.ladder_escalations,
+        c.lu_fallbacks,
+        c.max_ladder_rung as usize,
+    ] {
+        h = fnv1a_u64(h, v as u64);
+    }
+    h
+}
+
+fn serial_hash(p: &Problem) -> u64 {
+    let basis = OrthonormalBasis::linear(VARS);
+    p.jobs.iter().fold(0, |h, (early, values)| {
+        let fit = BmfFitter::new(basis.clone(), early.clone())
+            .unwrap()
+            .fit(&p.points, values)
+            .unwrap();
+        hash_fit(h, &fit)
+    })
+}
+
+fn batch_hash(p: &Problem, threads: usize) -> u64 {
+    let jobs = p
+        .jobs
+        .iter()
+        .map(|(early, values)| BatchJob::new("job", early.clone(), values.clone()))
+        .collect();
+    let report = BatchFitter::new(OrthonormalBasis::linear(VARS))
+        .with_options(FitOptions::new().threads(threads))
+        .with_jobs(jobs)
+        .fit(&p.points)
+        .unwrap();
+    report.fits.iter().fold(0, hash_fit)
+}
+
+fn check(p: &Problem, serial: u64, batch: u64) {
+    assert_eq!(serial_hash(p), serial, "serial BmfFitter::fit hash");
+    for threads in [1, 2] {
+        assert_eq!(
+            batch_hash(p, threads),
+            batch,
+            "batch hash at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn missing_prior_fits_match_golden_bits() {
+    let p = problem(0x5EED_0001, MISSING_PER_JOB);
+    let missing = p.jobs[0].0.iter().filter(|e| e.is_none()).count();
+    assert_eq!(missing, MISSING_PER_JOB);
+    check(&p, MISSING_SERIAL, MISSING_BATCH);
+}
+
+#[test]
+fn fully_informed_fits_match_golden_bits() {
+    let p = problem(0x5EED_0002, 0);
+    assert!(p
+        .jobs
+        .iter()
+        .all(|(early, _)| early.iter().all(Option::is_some)));
+    check(&p, INFORMED_SERIAL, INFORMED_BATCH);
+}
