@@ -130,20 +130,6 @@ pub fn map_estimate_with_report(
     map_estimate_ws(g, f, prior, options.hyper, options.solver, &mut ws)
 }
 
-/// Positional core of [`map_estimate`] without the boundary screening;
-/// kept for in-crate tests that compare solver paths on raw inputs.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn map_estimate_with(
-    g: &Matrix,
-    f: &Vector,
-    prior: &Prior,
-    hyper: f64,
-    solver: SolverKind,
-) -> Result<Vector> {
-    let mut ws = MapScratch::default();
-    map_estimate_ws(g, f, prior, hyper, solver, &mut ws).map(|(alpha, _)| alpha)
-}
-
 /// Workspace-threaded core of [`map_estimate`]: all intermediates live in
 /// `ws` so repeated final solves (e.g. one per batch job) allocate only
 /// their coefficient vector. Returns the coefficients together with the
@@ -232,8 +218,14 @@ pub(crate) fn map_estimate_ws(
 /// `project_into` once per response, `factor_into` once per
 /// hyper-parameter value, and `solve_factored_into` per family; the
 /// cross-validation sweep calls them in that nesting, and
-/// [`MapSweep::solve_with_kind`] calls them back to back. The produced
-/// estimates are identical to [`map_estimate`] with [`SolverKind::Fast`].
+/// [`MapSweep::solve_with_kind`] calls them back to back.
+///
+/// The estimates equal [`map_estimate`] with [`SolverKind::Fast`] to
+/// rounding, not bit for bit, because the two assemble the Woodbury core
+/// and its shift τ in a different order: the sweep forms `B_F/η + I` from
+/// the cached kernel and sums τ over the diagonal of `B_Z`, while
+/// [`bmf_linalg::woodbury`] forms `G(ηA)⁻¹Gᵀ + I` directly and sums τ
+/// column by column.
 #[derive(Debug, Clone)]
 pub struct MapSweep<'g> {
     /// Borrowed view of the design matrix — a fold sweep views a row
@@ -265,15 +257,6 @@ pub(crate) struct CoreFactor {
 }
 
 impl<'g> MapSweep<'g> {
-    /// Builds the sweep cache for a fixed `(G, prior)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Same structural conditions as [`map_estimate`].
-    pub fn new(g: &'g Matrix, prior: &Prior) -> Result<Self> {
-        Self::from_view(g.as_view(), prior)
-    }
-
     /// Builds the sweep cache over a borrowed design-matrix view — the
     /// zero-copy entry point used by the cross-validation engines, whose
     /// per-fold training matrices are row-subset views of one shared `G`.
@@ -364,7 +347,11 @@ impl<'g> MapSweep<'g> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MapSweep::solve`].
+    /// Returns [`BmfError::SampleShape`] on a length mismatch,
+    /// [`BmfError::NonFiniteInput`] when `f` holds NaN or ±∞,
+    /// [`BmfError::Config`] when `hyper` is not positive and finite, and
+    /// [`BmfError::Linalg`] when the (hyper-dependent) core cannot be
+    /// solved even after the degradation ladder.
     // bmf-lint: allow(screen-reachability) -- solve_kind_into screens the response (screen::finite_values) before any arithmetic; the sweep matrices were screened at build time
     pub fn solve_with_kind(
         &self,
@@ -376,17 +363,6 @@ impl<'g> MapSweep<'g> {
         let mut out = vec![0.0; self.g.ncols()];
         self.solve_kind_into(f.as_slice(), hyper, kind, &mut ws, &mut out)?;
         Ok(Vector::from(out))
-    }
-
-    /// Solves the MAP system for one hyper-parameter value and response
-    /// vector `f`, using the prior family this sweep was built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BmfError::SampleShape`] on a length mismatch and
-    /// [`BmfError::Linalg`] when the (hyper-dependent) core is singular.
-    pub fn solve(&self, f: &Vector, hyper: f64) -> Result<Vector> {
-        self.solve_with_kind(f, hyper, crate::prior::PriorKind::NonZeroMean)
     }
 
     /// The allocation-free core of [`MapSweep::solve_with_kind`]: the
@@ -663,6 +639,10 @@ mod tests {
     use bmf_stat::normal::StandardNormal;
     use bmf_stat::rng::seeded;
 
+    fn opts(hyper: f64, solver: SolverKind) -> FitOptions {
+        FitOptions::new().hyper(hyper).solver(solver)
+    }
+
     fn random_design(k: usize, m: usize, seed: u64) -> Matrix {
         let mut rng = seeded(seed);
         let mut s = StandardNormal::new();
@@ -675,8 +655,8 @@ mod tests {
         let f = Vector::from_fn(8, |i| (i as f64).sin());
         let early: Vec<f64> = (0..30).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &early);
-        let a = map_estimate_with(&g, &f, &prior, 0.5, SolverKind::Direct).unwrap();
-        let b = map_estimate_with(&g, &f, &prior, 0.5, SolverKind::Fast).unwrap();
+        let a = map_estimate(&g, &f, &prior, &opts(0.5, SolverKind::Direct)).unwrap();
+        let b = map_estimate(&g, &f, &prior, &opts(0.5, SolverKind::Fast)).unwrap();
         let rel = a.sub(&b).unwrap().norm2() / a.norm2().max(1e-30);
         assert!(rel < 1e-8, "solver disagreement: {rel}");
     }
@@ -689,8 +669,8 @@ mod tests {
         early[3] = None;
         early[17] = None;
         let prior = Prior::new(PriorKind::NonZeroMean, early);
-        let a = map_estimate_with(&g, &f, &prior, 2.0, SolverKind::Direct).unwrap();
-        let b = map_estimate_with(&g, &f, &prior, 2.0, SolverKind::Fast).unwrap();
+        let a = map_estimate(&g, &f, &prior, &opts(2.0, SolverKind::Direct)).unwrap();
+        let b = map_estimate(&g, &f, &prior, &opts(2.0, SolverKind::Fast)).unwrap();
         let rel = a.sub(&b).unwrap().norm2() / a.norm2().max(1e-30);
         assert!(rel < 1e-8, "solver disagreement: {rel}");
     }
@@ -703,7 +683,7 @@ mod tests {
         let early = [1.0, -0.5, 0.25, 2.0, -1.5, 0.75];
         let f = g.matvec(&Vector::from(early.to_vec())).unwrap();
         let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &early);
-        let a = map_estimate_with(&g, &f, &prior, 1e9, SolverKind::Fast).unwrap();
+        let a = map_estimate(&g, &f, &prior, &opts(1e9, SolverKind::Fast)).unwrap();
         for (ai, ei) in a.iter().zip(early.iter()) {
             assert!((ai - ei).abs() < 1e-4, "{ai} vs {ei}");
         }
@@ -716,7 +696,7 @@ mod tests {
         let truth = Vector::from(vec![1.0, -2.0, 0.5, 0.0, 3.0]);
         let f = g.matvec(&truth).unwrap();
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 5]);
-        let a = map_estimate_with(&g, &f, &prior, 1e-10, SolverKind::Direct).unwrap();
+        let a = map_estimate(&g, &f, &prior, &opts(1e-10, SolverKind::Direct)).unwrap();
         for (ai, ti) in a.iter().zip(truth.iter()) {
             assert!((ai - ti).abs() < 1e-5, "{ai} vs {ti}");
         }
@@ -745,7 +725,7 @@ mod tests {
             .map(|(i, t)| t * (1.0 + 0.1 * ((i as f64).sin())))
             .collect();
         let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &early);
-        let a = map_estimate_with(&g, &f, &prior, 1.0, SolverKind::Fast).unwrap();
+        let a = map_estimate(&g, &f, &prior, &opts(1.0, SolverKind::Fast)).unwrap();
         let err: f64 = a
             .iter()
             .zip(&truth)
@@ -766,7 +746,7 @@ mod tests {
             PriorKind::NonZeroMean,
             vec![Some(1.0), Some(0.5), None, Some(0.25)],
         );
-        let a = map_estimate_with(&g, &f, &prior, 1.0, SolverKind::Fast).unwrap();
+        let a = map_estimate(&g, &f, &prior, &opts(1.0, SolverKind::Fast)).unwrap();
         assert!((a[2] + 2.0).abs() < 0.1, "missing-prior coeff {}", a[2]);
     }
 
@@ -779,7 +759,7 @@ mod tests {
             vec![None, None, None, Some(1.0), Some(1.0)],
         );
         assert!(matches!(
-            map_estimate_with(&g, &f, &prior, 1.0, SolverKind::Fast),
+            map_estimate(&g, &f, &prior, &opts(1.0, SolverKind::Fast)),
             Err(BmfError::NotEnoughSamples { .. })
         ));
     }
@@ -789,12 +769,12 @@ mod tests {
         let g = random_design(3, 4, 8);
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 3]); // wrong len
         assert!(matches!(
-            map_estimate_with(&g, &Vector::zeros(3), &prior, 1.0, SolverKind::Fast),
+            map_estimate(&g, &Vector::zeros(3), &prior, &opts(1.0, SolverKind::Fast)),
             Err(BmfError::PriorShape { .. })
         ));
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 4]);
         assert!(matches!(
-            map_estimate_with(&g, &Vector::zeros(5), &prior, 1.0, SolverKind::Fast),
+            map_estimate(&g, &Vector::zeros(5), &prior, &opts(1.0, SolverKind::Fast)),
             Err(BmfError::SampleShape { .. })
         ));
     }
@@ -808,10 +788,10 @@ mod tests {
                 (0..18).map(|i| Some(0.5 / (1.0 + i as f64))).collect();
             early[4] = None;
             let prior = Prior::new(kind, early);
-            let sweep = MapSweep::new(&g, &prior).unwrap();
+            let sweep = MapSweep::from_view(g.as_view(), &prior).unwrap();
             for &h in &[1e-3, 0.1, 1.0, 30.0] {
-                let a = sweep.solve(&f, h).unwrap();
-                let b = map_estimate_with(&g, &f, &prior, h, SolverKind::Direct).unwrap();
+                let a = sweep.solve_with_kind(&f, h, kind).unwrap();
+                let b = map_estimate(&g, &f, &prior, &opts(h, SolverKind::Direct)).unwrap();
                 let rel = a.sub(&b).unwrap().norm2() / b.norm2().max(1e-30);
                 assert!(rel < 1e-7, "sweep mismatch at h={h} kind={kind:?}: {rel}");
             }
@@ -826,9 +806,11 @@ mod tests {
             PriorKind::NonZeroMean,
             &(0..12).map(|i| 1.0 + i as f64 * 0.1).collect::<Vec<_>>(),
         );
-        let sweep = MapSweep::new(&g, &prior).unwrap();
-        let a = sweep.solve(&f, 0.7).unwrap();
-        let b = map_estimate_with(&g, &f, &prior, 0.7, SolverKind::Fast).unwrap();
+        let sweep = MapSweep::from_view(g.as_view(), &prior).unwrap();
+        let a = sweep
+            .solve_with_kind(&f, 0.7, PriorKind::NonZeroMean)
+            .unwrap();
+        let b = map_estimate(&g, &f, &prior, &opts(0.7, SolverKind::Fast)).unwrap();
         assert!(a.sub(&b).unwrap().norm2() < 1e-9 * b.norm2().max(1.0));
     }
 

@@ -447,7 +447,7 @@ impl StopPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_estimate::{map_estimate_with, SolverKind};
+    use crate::map_estimate::{map_estimate, SolverKind};
     use crate::prior::PriorKind;
     use bmf_linalg::Matrix;
     use bmf_stat::normal::StandardNormal;
@@ -476,7 +476,8 @@ mod tests {
             let g = Matrix::from_rows(&rows[..=k].iter().map(|r| r.as_slice()).collect::<Vec<_>>())
                 .unwrap();
             let f = Vector::from(&values[..=k]);
-            let batch = map_estimate_with(&g, &f, &prior, 2.0, SolverKind::Fast).unwrap();
+            let options = FitOptions::new().hyper(2.0).solver(SolverKind::Fast);
+            let batch = map_estimate(&g, &f, &prior, &options).unwrap();
             for (j, (a, b)) in online.iter().zip(batch.iter()).enumerate() {
                 assert_eq!(
                     a.to_bits(),

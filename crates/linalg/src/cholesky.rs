@@ -1,7 +1,4 @@
-use crate::triangular::{
-    solve_lower_in_place, solve_lower_transpose_in_place, solve_lower_transpose_view_in_place,
-    solve_lower_view_in_place,
-};
+use crate::triangular::{solve_lower, solve_lower_transpose};
 use crate::view::MatRef;
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -71,9 +68,7 @@ pub fn cholesky_in_place(a: &mut Matrix) -> Result<()> {
 /// exact sequential-subtraction accumulation of [`cholesky_in_place`]'s
 /// row loop (`s = a[(n,j)]; s -= l[(n,k)] · l[(j,k)] …`), so by induction
 /// a factor grown one row at a time is bit-identical to a fresh
-/// factorization of the full extended matrix. (The previous owned
-/// implementation computed the diagonal as `d − l·l`, which differs in
-/// the last ulps from the in-place kernel's running subtraction.)
+/// factorization of the full extended matrix.
 ///
 /// # Errors
 ///
@@ -231,8 +226,8 @@ impl GrowingCholesky {
     /// numerically zero pivot.
     pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
         let l = self.factor_view()?;
-        solve_lower_view_in_place(l, x)?;
-        solve_lower_transpose_view_in_place(l, x)
+        solve_lower(l, x)?;
+        solve_lower_transpose(l, x)
     }
 
     /// Forward substitution only (`L z = b`, in place) — the half-solve
@@ -242,7 +237,7 @@ impl GrowingCholesky {
     ///
     /// Same conditions as [`GrowingCholesky::solve_in_place`].
     pub fn forward_solve_in_place(&self, x: &mut [f64]) -> Result<()> {
-        solve_lower_view_in_place(self.factor_view()?, x)
+        solve_lower(self.factor_view()?, x)
     }
 
     /// Re-lays the factor into a fresh zeroed buffer with row stride
@@ -306,15 +301,6 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// Wraps an already-factorized lower triangle produced by
-    /// [`cholesky_in_place`], without refactorizing.
-    ///
-    /// The caller is responsible for `l` actually being such a factor;
-    /// solves against an arbitrary matrix will silently produce garbage.
-    pub fn from_factor(l: Matrix) -> Self {
-        Cholesky { l }
-    }
-
     /// Dimension of the factorized matrix.
     pub fn dim(&self) -> usize {
         self.l.nrows()
@@ -345,8 +331,9 @@ impl Cholesky {
     /// Same conditions as [`Cholesky::solve`]. On error `x` may hold
     /// partially substituted values.
     pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
-        solve_lower_in_place(&self.l, x)?;
-        solve_lower_transpose_in_place(&self.l, x)
+        let l = self.l.as_view();
+        solve_lower(l, x)?;
+        solve_lower_transpose(l, x)
     }
 
     /// Solves `A X = B` column by column.
@@ -390,51 +377,6 @@ impl Cholesky {
     /// Log-determinant of `A`, computed as `2 Σ log L[i][i]`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Grows the factorization by one row/column: if this factor is of
-    /// `A`, produce the factor of
-    ///
-    /// ```text
-    /// [ A   w ]
-    /// [ wᵀ  d ]
-    /// ```
-    ///
-    /// in Θ(n²) instead of refactorizing at Θ(n³). This is what lets the
-    /// sequential BMF estimator absorb one new simulation sample at a
-    /// time: the Woodbury core `c⁻¹I + G D⁻¹ Gᵀ` grows exactly this way
-    /// per sample.
-    ///
-    /// The arithmetic routes through [`cholesky_extend_row_into`], so the
-    /// grown factor is **bit-identical** to a fresh factorization of the
-    /// extended matrix. This owned wrapper allocates the enlarged square
-    /// storage per call; growth loops should hold a [`GrowingCholesky`],
-    /// which reuses capacity-doubled storage instead.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] when `w.len() != self.dim()`.
-    /// * [`LinalgError::NonFinite`] when `w` or `d` contain NaN or ±∞ —
-    ///   screened up front so contaminated inputs are not misreported as
-    ///   a loss of positive definiteness (NaN slips through the `s <= 0`
-    ///   pivot check).
-    /// * [`LinalgError::NotPositiveDefinite`] when the extended matrix is
-    ///   not positive definite.
-    pub fn extend(&mut self, w: &Vector, d: f64) -> Result<()> {
-        let n = self.dim();
-        let mut bigger = Matrix::zeros(n + 1, n + 1);
-        let diag = {
-            let (_, new_row) = bigger.as_mut_slice().split_at_mut(n * (n + 1));
-            cholesky_extend_row_into(self.l.as_view(), w.as_slice(), d, &mut new_row[..n])?
-        };
-        for i in 0..n {
-            for j in 0..=i {
-                bigger[(i, j)] = self.l[(i, j)];
-            }
-        }
-        bigger[(n, n)] = diag;
-        self.l = bigger;
-        Ok(())
     }
 }
 
@@ -524,74 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_matches_full_factorization() {
-        // Build a 4x4 SPD matrix, factor the 3x3 leading block, extend.
-        let b = Matrix::from_rows(&[
-            &[1.0, 0.5, 0.0, 0.2],
-            &[0.0, 1.0, 0.7, -0.4],
-            &[0.3, 0.0, 1.0, 0.6],
-            &[0.1, 0.2, 0.0, 1.0],
-            &[0.0, 0.1, 0.2, 0.3],
-        ])
-        .unwrap();
-        let mut a = b.gram();
-        a.add_diagonal_mut(&[0.5; 4]).unwrap();
-
-        let a3 = Matrix::from_fn(3, 3, |i, j| a[(i, j)]);
-        let mut chol = a3.cholesky().unwrap();
-        let w = Vector::from(vec![a[(0, 3)], a[(1, 3)], a[(2, 3)]]);
-        chol.extend(&w, a[(3, 3)]).unwrap();
-
-        let full = a.cholesky().unwrap();
-        let diff = chol.factor().sub(full.factor()).unwrap().norm_frobenius();
-        assert!(diff < 1e-12, "extended factor differs: {diff}");
-    }
-
-    #[test]
-    fn extend_rejects_indefinite_growth() {
-        let mut chol = Matrix::identity(2).cholesky().unwrap();
-        // Appending w = (2, 0), d = 1 gives a matrix with negative Schur
-        // complement (1 - 4 < 0).
-        assert!(matches!(
-            chol.extend(&Vector::from(vec![2.0, 0.0]), 1.0),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-    }
-
-    #[test]
-    fn extend_screens_non_finite_inputs() {
-        // Regression: a NaN-contaminated update used to fall through the
-        // `s <= 0.0` pivot check (NaN compares false) and be stored as a
-        // NaN diagonal — or, with d = -inf, be reported as
-        // NotPositiveDefinite, masking the real cause.
-        let mut chol = Matrix::identity(2).cholesky().unwrap();
-        assert!(matches!(
-            chol.extend(&Vector::from(vec![f64::NAN, 0.0]), 1.0),
-            Err(LinalgError::NonFinite {
-                op: "cholesky extend"
-            })
-        ));
-        assert!(matches!(
-            chol.extend(&Vector::from(vec![0.0, 0.0]), f64::NAN),
-            Err(LinalgError::NonFinite { .. })
-        ));
-        assert!(matches!(
-            chol.extend(&Vector::from(vec![0.0, 0.0]), f64::NEG_INFINITY),
-            Err(LinalgError::NonFinite { .. })
-        ));
-        // The factor must be untouched by the rejected updates.
-        assert_eq!(chol.dim(), 2);
-        chol.extend(&Vector::from(vec![0.5, 0.0]), 2.0).unwrap();
-        assert_eq!(chol.dim(), 3);
-    }
-
-    #[test]
-    fn extend_validates_dimension() {
-        let mut chol = Matrix::identity(2).cholesky().unwrap();
-        assert!(chol.extend(&Vector::zeros(3), 1.0).is_err());
-    }
-
-    #[test]
     fn solve_matrix_solves_each_column() {
         let a = spd3();
         let chol = a.cholesky().unwrap();
@@ -636,20 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_is_bit_identical_to_fresh_factorization() {
-        for seed in 0..8u64 {
-            let n = 3 + (seed % 4) as usize;
-            let a = random_spd(n, 1000 + seed);
-            let lead = Matrix::from_fn(n - 1, n - 1, |i, j| a[(i, j)]);
-            let mut grown = lead.cholesky().unwrap();
-            let w = Vector::from_fn(n - 1, |i| a[(i, n - 1)]);
-            grown.extend(&w, a[(n - 1, n - 1)]).unwrap();
-            let fresh = a.cholesky().unwrap();
-            assert_bits_eq(grown.factor(), fresh.factor(), "owned extend");
-        }
-    }
-
-    #[test]
     fn growing_factor_matches_fresh_factorization_bitwise_at_every_size() {
         for seed in 0..4u64 {
             let n = 9; // crosses the 4 -> 8 -> 16 capacity-doubling boundaries
@@ -688,10 +548,12 @@ mod tests {
         for (g, o) in x_grow.iter().zip(x_owned.iter()) {
             assert_eq!(g.to_bits(), o.to_bits());
         }
-        // Forward half-solve matches a solve_lower against the owned factor.
+        // The forward half-solve over the strided grown factor matches
+        // solve_lower over the dense owned factor.
         let mut z = b.clone();
         grow.forward_solve_in_place(&mut z).unwrap();
-        let z_owned = crate::triangular::solve_lower(owned.factor(), &Vector::from(b)).unwrap();
+        let mut z_owned = b;
+        solve_lower(owned.factor().as_view(), &mut z_owned).unwrap();
         for (g, o) in z.iter().zip(z_owned.iter()) {
             assert_eq!(g.to_bits(), o.to_bits());
         }
@@ -707,9 +569,26 @@ mod tests {
             grow.push_row(&[1.0, 2.0], 1.0),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+        // Non-finite border or corner entries are screened up front, so a
+        // NaN cannot slip through the `s <= 0` pivot check and a -inf
+        // corner is not misreported as a loss of positive definiteness.
         assert!(matches!(
             grow.push_row(&[f64::NAN], 1.0),
-            Err(LinalgError::NonFinite { .. })
+            Err(LinalgError::NonFinite {
+                op: "cholesky extend"
+            })
+        ));
+        assert!(matches!(
+            grow.push_row(&[0.0], f64::NAN),
+            Err(LinalgError::NonFinite {
+                op: "cholesky extend"
+            })
+        ));
+        assert!(matches!(
+            grow.push_row(&[0.0], f64::NEG_INFINITY),
+            Err(LinalgError::NonFinite {
+                op: "cholesky extend"
+            })
         ));
         assert!(matches!(
             grow.push_row(&[4.0], 1.0), // Schur complement 1 - 16/4 < 0

@@ -61,13 +61,9 @@ pub use resilience::{
     factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, FactorKind, LadderPolicy,
     LadderScratch, Resilience,
 };
-pub use triangular::{
-    solve_lower, solve_lower_in_place, solve_lower_transpose, solve_lower_transpose_in_place,
-    solve_lower_transpose_view_in_place, solve_lower_view_in_place, solve_upper,
-    solve_upper_in_place,
-};
+pub use triangular::{solve_lower, solve_lower_transpose, solve_upper};
 pub use vector::Vector;
-pub use view::{dot3, MatMut, MatRef, VecMut, VecRef};
+pub use view::{dot3, MatMut, MatRef};
 
 mod vector;
 

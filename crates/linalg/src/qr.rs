@@ -154,8 +154,9 @@ impl Qr {
         }
         let mut qtb = b.clone();
         self.apply_q_transpose(&mut qtb);
-        let head = Vector::from(&qtb.as_slice()[..n]);
-        solve_upper(&self.r(), &head)
+        let mut x = Vector::from(&qtb.as_slice()[..n]);
+        solve_upper(self.r().as_view(), x.as_mut_slice())?;
+        Ok(x)
     }
 
     /// Squared residual `‖A x − b‖₂²` of the least-squares solution, read

@@ -30,7 +30,7 @@
 
 use crate::cholesky::cholesky_in_place;
 use crate::lu::{lu_factor_in_place, lu_solve_into};
-use crate::triangular::{solve_lower_in_place, solve_lower_transpose_in_place};
+use crate::triangular::{solve_lower, solve_lower_transpose};
 use crate::{LinalgError, Matrix, Result};
 
 /// Tuning knobs for the degradation ladder.
@@ -367,8 +367,9 @@ pub fn ladder_solve_in_place(
 ) -> Result<()> {
     match kind {
         FactorKind::Cholesky => {
-            solve_lower_in_place(factor, x)?;
-            solve_lower_transpose_in_place(factor, x)
+            let l = factor.as_view();
+            solve_lower(l, x)?;
+            solve_lower_transpose(l, x)
         }
         FactorKind::Lu => {
             scratch.rhs.clear();

@@ -1,16 +1,21 @@
 //! Forward and backward substitution for triangular systems.
 //!
-//! These are the inner kernels shared by [`crate::Cholesky`], [`crate::Lu`]
-//! and [`crate::Qr`]. Only the relevant triangle of the input matrix is
-//! read, so a packed factor stored in a full square matrix works unchanged.
+//! One in-place kernel per direction, each over a borrowed [`MatRef`]
+//! factor (dense, strided or row-subset): [`solve_lower`],
+//! [`solve_upper`] and [`solve_lower_transpose`]. They are the inner
+//! sweeps of [`crate::Cholesky`], [`crate::GrowingCholesky`], [`crate::Qr`]
+//! and [`crate::ladder_solve_in_place`]; an owned matrix passes its
+//! [`crate::Matrix::as_view`]. Only the relevant triangle of the factor is
+//! read, so a packed factor stored in a full square matrix works
+//! unchanged.
 
 use crate::view::MatRef;
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Result};
 
 /// Pivots with magnitude below this threshold are treated as exact zeros.
 const PIVOT_TOL: f64 = 1e-300;
 
-fn check_square_view(l: MatRef<'_>, len: usize, op: &'static str) -> Result<()> {
+fn check_square(l: MatRef<'_>, len: usize, op: &'static str) -> Result<()> {
     let (r, c) = l.shape();
     if r != c {
         return Err(LinalgError::NotSquare { rows: r, cols: c });
@@ -25,22 +30,9 @@ fn check_square_view(l: MatRef<'_>, len: usize, op: &'static str) -> Result<()> 
     Ok(())
 }
 
-fn check_square_system(l: &Matrix, len: usize, op: &'static str) -> Result<()> {
-    let (r, c) = l.shape();
-    if r != c {
-        return Err(LinalgError::NotSquare { rows: r, cols: c });
-    }
-    if len != r {
-        return Err(LinalgError::DimensionMismatch {
-            op,
-            lhs: (r, c),
-            rhs: (len, 1),
-        });
-    }
-    Ok(())
-}
-
-/// Solves `L x = b` where `L` is lower triangular (forward substitution).
+/// Solves `L x = b` in place (forward substitution), where `L` is lower
+/// triangular: `x` holds `b` on entry and the solution on return, and
+/// nothing is allocated.
 ///
 /// Only the lower triangle of `l` (including the diagonal) is read.
 ///
@@ -48,47 +40,20 @@ fn check_square_system(l: &Matrix, len: usize, op: &'static str) -> Result<()> {
 ///
 /// Returns [`LinalgError::Singular`] when a diagonal entry is (numerically)
 /// zero, [`LinalgError::NotSquare`] or [`LinalgError::DimensionMismatch`] on
-/// shape violations.
+/// shape violations. On error `x` may hold partially substituted values.
 ///
 /// ```
-/// use bmf_linalg::{solve_lower, Matrix, Vector};
+/// use bmf_linalg::{solve_lower, Matrix};
 /// # fn main() -> Result<(), bmf_linalg::LinalgError> {
 /// let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]])?;
-/// let x = solve_lower(&l, &Vector::from(vec![4.0, 11.0]))?;
-/// assert_eq!(x.as_slice(), &[2.0, 3.0]);
+/// let mut x = [4.0, 11.0];
+/// solve_lower(l.as_view(), &mut x)?;
+/// assert_eq!(x, [2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn solve_lower(l: &Matrix, b: &Vector) -> Result<Vector> {
-    // Clone-as-output: the owned wrappers in this file copy `b` into the
-    // solution vector and substitute in place.
-    let mut x = b.clone();
-    solve_lower_in_place(l, x.as_mut_slice())?;
-    Ok(x)
-}
-
-/// In-place variant of [`solve_lower`]: overwrites `x` (initially `b`)
-/// with the solution of `L x = b`, allocating nothing.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower`]. On error `x` may hold partially
-/// substituted values.
-pub fn solve_lower_in_place(l: &Matrix, x: &mut [f64]) -> Result<()> {
-    check_square_system(l, x.len(), "solve_lower")?;
-    solve_lower_view_in_place(l.as_view(), x)
-}
-
-/// Borrowed-view variant of [`solve_lower_in_place`]: the factor is any
-/// [`MatRef`] (possibly strided, as in a capacity-padded growing factor),
-/// and the loop is **bit-identical** to the owned kernel — same
-/// subtraction order, same pivot tolerance.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower`].
-pub fn solve_lower_view_in_place(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
-    check_square_view(l, x.len(), "solve_lower")?;
+pub fn solve_lower(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
+    check_square(l, x.len(), "solve_lower")?;
     let n = x.len();
     for i in 0..n {
         let row = l.row(i);
@@ -105,30 +70,16 @@ pub fn solve_lower_view_in_place(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
-/// Solves `U x = b` where `U` is upper triangular (backward substitution).
+/// Solves `U x = b` in place (backward substitution), where `U` is upper
+/// triangular, allocating nothing.
 ///
 /// Only the upper triangle of `u` (including the diagonal) is read.
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::Singular`] when a diagonal entry is (numerically)
-/// zero, [`LinalgError::NotSquare`] or [`LinalgError::DimensionMismatch`] on
-/// shape violations.
-pub fn solve_upper(u: &Matrix, b: &Vector) -> Result<Vector> {
-    let mut x = b.clone();
-    solve_upper_in_place(u, x.as_mut_slice())?;
-    Ok(x)
-}
-
-/// In-place variant of [`solve_upper`]: overwrites `x` (initially `b`)
-/// with the solution of `U x = b`, allocating nothing.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_upper`]. On error `x` may hold partially
-/// substituted values.
-pub fn solve_upper_in_place(u: &Matrix, x: &mut [f64]) -> Result<()> {
-    check_square_system(u, x.len(), "solve_upper")?;
+/// Same conditions as [`solve_lower`].
+pub fn solve_upper(u: MatRef<'_>, x: &mut [f64]) -> Result<()> {
+    check_square(u, x.len(), "solve_upper")?;
     let n = x.len();
     for i in (0..n).rev() {
         let row = u.row(i);
@@ -145,7 +96,8 @@ pub fn solve_upper_in_place(u: &Matrix, x: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
-/// Solves `Lᵀ x = b` reading only the lower triangle of `l`.
+/// Solves `Lᵀ x = b` in place reading only the lower triangle of `l`,
+/// allocating nothing.
 ///
 /// This avoids materializing the transpose when completing a Cholesky solve
 /// (`L Lᵀ x = b` ⇒ forward then transposed-forward substitution).
@@ -153,33 +105,8 @@ pub fn solve_upper_in_place(u: &Matrix, x: &mut [f64]) -> Result<()> {
 /// # Errors
 ///
 /// Same conditions as [`solve_lower`].
-pub fn solve_lower_transpose(l: &Matrix, b: &Vector) -> Result<Vector> {
-    let mut x = b.clone();
-    solve_lower_transpose_in_place(l, x.as_mut_slice())?;
-    Ok(x)
-}
-
-/// In-place variant of [`solve_lower_transpose`]: overwrites `x`
-/// (initially `b`) with the solution of `Lᵀ x = b`, allocating nothing.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower_transpose`]. On error `x` may hold
-/// partially substituted values.
-pub fn solve_lower_transpose_in_place(l: &Matrix, x: &mut [f64]) -> Result<()> {
-    check_square_system(l, x.len(), "solve_lower_transpose")?;
-    solve_lower_transpose_view_in_place(l.as_view(), x)
-}
-
-/// Borrowed-view variant of [`solve_lower_transpose_in_place`]:
-/// **bit-identical** to the owned kernel — same subtraction order, same
-/// pivot tolerance — over any [`MatRef`] factor.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower_transpose`].
-pub fn solve_lower_transpose_view_in_place(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
-    check_square_view(l, x.len(), "solve_lower_transpose")?;
+pub fn solve_lower_transpose(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
+    check_square(l, x.len(), "solve_lower_transpose")?;
     let n = x.len();
     for i in (0..n).rev() {
         // Lᵀ[i][j] = L[j][i]; only j >= i contribute.
@@ -199,6 +126,16 @@ pub fn solve_lower_transpose_view_in_place(l: MatRef<'_>, x: &mut [f64]) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Matrix, Vector};
+
+    type Kernel = fn(MatRef<'_>, &mut [f64]) -> Result<()>;
+
+    /// Runs `kernel` on a copy of `b` against the dense view of `m`.
+    fn solved(kernel: Kernel, m: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = b.to_vec();
+        kernel(m.as_view(), &mut x)?;
+        Ok(x)
+    }
 
     #[test]
     fn lower_solve_roundtrip() {
@@ -206,7 +143,7 @@ mod tests {
             Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[1.0, 1.5, 0.0], &[-1.0, 0.5, 3.0]]).unwrap();
         let x_true = Vector::from(vec![1.0, -2.0, 0.5]);
         let b = l.matvec(&x_true).unwrap();
-        let x = solve_lower(&l, &b).unwrap();
+        let x = solved(solve_lower, &l, b.as_slice()).unwrap();
         for (a, t) in x.iter().zip(x_true.iter()) {
             assert!((a - t).abs() < 1e-12);
         }
@@ -218,7 +155,7 @@ mod tests {
             Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[0.0, 1.5, 0.5], &[0.0, 0.0, 3.0]]).unwrap();
         let x_true = Vector::from(vec![0.3, 2.0, -1.0]);
         let b = u.matvec(&x_true).unwrap();
-        let x = solve_upper(&u, &b).unwrap();
+        let x = solved(solve_upper, &u, b.as_slice()).unwrap();
         for (a, t) in x.iter().zip(x_true.iter()) {
             assert!((a - t).abs() < 1e-12);
         }
@@ -227,9 +164,9 @@ mod tests {
     #[test]
     fn lower_transpose_matches_explicit_transpose() {
         let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 1.5]]).unwrap();
-        let b = Vector::from(vec![1.0, 2.0]);
-        let a = solve_lower_transpose(&l, &b).unwrap();
-        let e = solve_upper(&l.transpose(), &b).unwrap();
+        let b = [1.0, 2.0];
+        let a = solved(solve_lower_transpose, &l, &b).unwrap();
+        let e = solved(solve_upper, &l.transpose(), &b).unwrap();
         for (u, v) in a.iter().zip(e.iter()) {
             assert!((u - v).abs() < 1e-14);
         }
@@ -239,7 +176,7 @@ mod tests {
     fn zero_pivot_is_singular() {
         let l = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]).unwrap();
         assert!(matches!(
-            solve_lower(&l, &Vector::zeros(2)),
+            solved(solve_lower, &l, &[0.0; 2]),
             Err(LinalgError::Singular { pivot: 0 })
         ));
     }
@@ -247,16 +184,16 @@ mod tests {
     #[test]
     fn shape_validation() {
         let l = Matrix::zeros(2, 3);
-        assert!(solve_lower(&l, &Vector::zeros(2)).is_err());
+        assert!(solved(solve_lower, &l, &[0.0; 2]).is_err());
         let sq = Matrix::identity(2);
-        assert!(solve_upper(&sq, &Vector::zeros(3)).is_err());
+        assert!(solved(solve_upper, &sq, &[0.0; 3]).is_err());
     }
 
     #[test]
     fn upper_triangle_ignored_by_lower_solve() {
         // Garbage above the diagonal must not affect the result.
         let l = Matrix::from_rows(&[&[2.0, 999.0], &[1.0, 3.0]]).unwrap();
-        let x = solve_lower(&l, &Vector::from(vec![4.0, 11.0])).unwrap();
-        assert_eq!(x.as_slice(), &[2.0, 3.0]);
+        let x = solved(solve_lower, &l, &[4.0, 11.0]).unwrap();
+        assert_eq!(x, [2.0, 3.0]);
     }
 }

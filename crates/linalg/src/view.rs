@@ -1,26 +1,28 @@
-//! Borrowed, strided matrix and vector views plus allocation-free kernels.
+//! Borrowed, strided matrix views plus allocation-free kernels.
 //!
 //! The fitting stack's inner loops (cross-validation sweeps, batch fits)
 //! call the same handful of kernels thousands of times on sub-matrices of
 //! one shared design matrix. Owned [`Matrix`] operations would copy those
-//! sub-matrices and allocate fresh outputs on every call; the types here
-//! let callers describe a sub-matrix *by reference* — including a
+//! sub-matrices and allocate fresh outputs on every call; [`MatRef`] lets
+//! callers describe a sub-matrix *by reference* — including a
 //! non-contiguous row subset, which is exactly what a cross-validation
-//! fold is — and write results into caller-owned buffers.
+//! fold is — and the `_into` kernels write results into caller-owned
+//! buffers ([`MatMut`] for matrix outputs, plain slices for vectors).
 //!
-//! Every `_into` kernel is **bit-identical** to its owned counterpart on
-//! [`Matrix`]: same loop order, same skip conditions, same accumulation
-//! order. The owned methods are thin wrappers over these kernels, and the
-//! property tests in `tests/view_properties.rs` pin the equivalence with
-//! `f64::to_bits` comparisons. See DESIGN.md §9 for the memory model.
+//! Each operation has one implementation: the owned [`Matrix`] methods
+//! call these kernels on dense views. The property tests in
+//! `tests/view_properties.rs` pin, with `f64::to_bits` comparisons, that a
+//! strided or row-subset view gives the same bits as its dense copy and
+//! that the blocked kernels equal scalar one-accumulator references. See
+//! DESIGN.md §9 for the memory model.
 //!
 //! # Aliasing rules
 //!
 //! All views are plain borrows, so Rust's borrow checker enforces the only
 //! rule that matters: an output buffer can never alias an input view.
 //! Every `_into` kernel fully overwrites its output (zero-filling first
-//! where the owned kernel accumulated into a fresh zero matrix), so stale
-//! workspace contents never leak into results.
+//! where it accumulates), so stale workspace contents never leak into
+//! results.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -214,23 +216,6 @@ impl<'a> MatMut<'a> {
         }
     }
 
-    /// Mutably views a dense row-major slice as `nrows × ncols`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `data.len() !=
-    /// nrows * ncols`.
-    pub fn from_slice(data: &'a mut [f64], nrows: usize, ncols: usize) -> Result<Self> {
-        if data.len() != nrows * ncols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "MatMut::from_slice",
-                lhs: (nrows, ncols),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(MatMut { data, nrows, ncols })
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -273,225 +258,6 @@ impl<'a> MatMut<'a> {
             ncols: self.ncols,
             row_stride: self.ncols,
             rows: None,
-        }
-    }
-}
-
-/// An immutable strided vector view.
-#[derive(Debug, Clone, Copy)]
-pub struct VecRef<'a> {
-    data: &'a [f64],
-    len: usize,
-    stride: usize,
-}
-
-impl<'a> VecRef<'a> {
-    /// Views a contiguous slice (stride 1).
-    pub fn from_slice(data: &'a [f64]) -> Self {
-        VecRef {
-            len: data.len(),
-            data,
-            stride: 1,
-        }
-    }
-
-    /// Views `len` elements spaced `stride` apart: element `i` is
-    /// `data[i * stride]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `stride == 0` or
-    /// the last element would run past the end of `data`.
-    pub fn strided(data: &'a [f64], len: usize, stride: usize) -> Result<Self> {
-        let span = if len == 0 { 0 } else { (len - 1) * stride + 1 };
-        if stride == 0 || data.len() < span {
-            return Err(LinalgError::DimensionMismatch {
-                op: "VecRef::strided",
-                lhs: (len, stride),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(VecRef { data, len, stride })
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Element `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn get(&self, i: usize) -> f64 {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        self.data[i * self.stride]
-    }
-
-    /// Iterates over the viewed elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        let (data, stride) = (self.data, self.stride);
-        (0..self.len).map(move |i| data[i * stride])
-    }
-
-    /// Dot product, accumulated in index order exactly like
-    /// [`crate::Vector::dot`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn dot(&self, other: VecRef<'_>) -> Result<f64> {
-        if self.len != other.len {
-            return Err(LinalgError::DimensionMismatch {
-                op: "dot",
-                lhs: (self.len, 1),
-                rhs: (other.len, 1),
-            });
-        }
-        Ok(self.iter().zip(other.iter()).map(|(a, b)| a * b).sum())
-    }
-
-    /// Euclidean norm, accumulated exactly like [`crate::Vector::norm2`].
-    pub fn norm2(&self) -> f64 {
-        self.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Copies the viewed elements into an owned `Vec`.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.iter().collect()
-    }
-}
-
-/// A mutable strided vector view.
-#[derive(Debug)]
-pub struct VecMut<'a> {
-    data: &'a mut [f64],
-    len: usize,
-    stride: usize,
-}
-
-impl<'a> VecMut<'a> {
-    /// Mutably views a contiguous slice (stride 1).
-    pub fn from_slice(data: &'a mut [f64]) -> Self {
-        VecMut {
-            len: data.len(),
-            data,
-            stride: 1,
-        }
-    }
-
-    /// Mutably views `len` elements spaced `stride` apart.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`VecRef::strided`].
-    pub fn strided(data: &'a mut [f64], len: usize, stride: usize) -> Result<Self> {
-        let span = if len == 0 { 0 } else { (len - 1) * stride + 1 };
-        if stride == 0 || data.len() < span {
-            return Err(LinalgError::DimensionMismatch {
-                op: "VecMut::strided",
-                lhs: (len, stride),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(VecMut { data, len, stride })
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Element `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn get(&self, i: usize) -> f64 {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        self.data[i * self.stride]
-    }
-
-    /// Sets element `i` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn set(&mut self, i: usize, value: f64) {
-        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
-        self.data[i * self.stride] = value;
-    }
-
-    /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f64) {
-        for i in 0..self.len {
-            self.data[i * self.stride] = value;
-        }
-    }
-
-    /// Copies from `src` element by element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn copy_from(&mut self, src: VecRef<'_>) -> Result<()> {
-        if self.len != src.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "VecMut::copy_from",
-                lhs: (self.len, 1),
-                rhs: (src.len(), 1),
-            });
-        }
-        for i in 0..self.len {
-            self.data[i * self.stride] = src.get(i);
-        }
-        Ok(())
-    }
-
-    /// In-place `self += alpha * x`, elementwise in index order exactly
-    /// like [`crate::Vector::axpy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn axpy(&mut self, alpha: f64, x: VecRef<'_>) -> Result<()> {
-        if self.len != x.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "axpy",
-                lhs: (self.len, 1),
-                rhs: (x.len(), 1),
-            });
-        }
-        for i in 0..self.len {
-            self.data[i * self.stride] += alpha * x.get(i);
-        }
-        Ok(())
-    }
-
-    /// Multiplies every element by `alpha`.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        for i in 0..self.len {
-            self.data[i * self.stride] *= alpha;
-        }
-    }
-
-    /// Reborrows as an immutable view.
-    pub fn as_ref(&self) -> VecRef<'_> {
-        VecRef {
-            data: self.data,
-            len: self.len,
-            stride: self.stride,
         }
     }
 }
@@ -861,22 +627,6 @@ mod tests {
         let mut out = Matrix::zeros(3, 3);
         outer_gram_diag_into(m.as_view(), &d, out.as_view_mut()).unwrap();
         assert_eq!(out, owned);
-    }
-
-    #[test]
-    fn vec_views_stride_and_reduce() {
-        let data = [1.0, 9.0, 2.0, 9.0, 3.0];
-        let v = VecRef::strided(&data, 3, 2).unwrap();
-        assert_eq!(v.to_vec(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(v.dot(VecRef::from_slice(&[1.0, 1.0, 1.0])).unwrap(), 6.0);
-        assert_eq!(v.norm2(), 14.0f64.sqrt());
-
-        let mut buf = [0.0; 5];
-        let mut w = VecMut::strided(&mut buf, 3, 2).unwrap();
-        w.copy_from(v).unwrap();
-        w.axpy(2.0, VecRef::from_slice(&[1.0, 1.0, 1.0])).unwrap();
-        w.scale_mut(0.5);
-        assert_eq!(buf, [1.5, 0.0, 2.0, 0.0, 2.5]);
     }
 
     #[test]

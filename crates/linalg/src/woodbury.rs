@@ -13,14 +13,20 @@
 //! the paper reports up to 600× speed-ups from exactly this identity, with
 //! *no* approximation.
 //!
-//! Two entry points are provided:
+//! One solver, [`solve_diag_plus_gram_semidefinite_into`], covers both
+//! regimes of the paper:
 //!
-//! * [`solve_diag_plus_gram`] — all prior precisions strictly positive
-//!   (the plain §IV-C case, eq. 53/56). Uses a Cholesky-factorized SPD core.
-//! * [`solve_diag_plus_gram_semidefinite`] — some precisions exactly zero
-//!   (the *missing prior knowledge* case of §IV-B, eq. 50–52, where
-//!   `σ_m = +∞` so only `σ_m⁻¹ = 0` enters). Uses an augmented low-rank
-//!   update that stays exact; see the function docs for the derivation.
+//! * all prior precisions strictly positive (the plain §IV-C case, eq.
+//!   53/56): the K × K core `c⁻¹I + G D⁻¹ Gᵀ` is SPD and Cholesky-factorized;
+//! * some precisions exactly zero (the *missing prior knowledge* case of
+//!   §IV-B, eq. 50–52, where `σ_m = +∞` so only `σ_m⁻¹ = 0` enters): an
+//!   augmented low-rank update that stays exact, factorized by pivoted LU
+//!   (see the function docs for the derivation).
+//!
+//! It reads `G` through a borrowed [`MatRef`] (a cross-validation fold is a
+//! row-subset view of the shared design matrix), keeps every intermediate
+//! in a reusable [`WoodburyScratch`], and writes the solution into a caller
+//! buffer, so repeated solves allocate nothing.
 
 use crate::lu::lu_solve_into;
 use crate::resilience::{
@@ -28,7 +34,7 @@ use crate::resilience::{
     Resilience,
 };
 use crate::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
-use crate::{Cholesky, LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result};
 
 fn validate(prior_precision: &[f64], c: f64, g: MatRef<'_>, rhs: &[f64]) -> Result<()> {
     let (_k, m) = g.shape();
@@ -57,73 +63,7 @@ fn validate(prior_precision: &[f64], c: f64, g: MatRef<'_>, rhs: &[f64]) -> Resu
     Ok(())
 }
 
-/// Solves `(D + c·GᵀG) x = rhs` with `D = diag(prior_precision)` strictly
-/// positive, via the Sherman–Morrison–Woodbury identity:
-///
-/// ```text
-/// x = D⁻¹ rhs − D⁻¹ Gᵀ (c⁻¹ I + G D⁻¹ Gᵀ)⁻¹ G D⁻¹ rhs
-/// ```
-///
-/// Exact (up to rounding); never forms an M × M matrix. Cost Θ(K²M + K³)
-/// versus Θ(M³) for the direct factorization.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] on shape violations.
-/// * [`LinalgError::NonFinite`] when `c ≤ 0`, any precision is negative, or
-///   inputs are not finite.
-/// * [`LinalgError::Singular`] when some precision is exactly zero (use
-///   [`solve_diag_plus_gram_semidefinite`] for that case).
-/// * [`LinalgError::Unsolvable`] if the K × K core cannot be factorized
-///   even after the degradation ladder of [`crate::resilience`] (a core
-///   that merely loses positive definiteness to rounding is instead
-///   solved on a jittered or LU rung and reported as degraded).
-///
-/// # Example
-///
-/// ```
-/// use bmf_linalg::{woodbury, Matrix, Vector};
-///
-/// # fn main() -> Result<(), bmf_linalg::LinalgError> {
-/// let g = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 1.0, -1.0]])?;
-/// let d = vec![1.0, 2.0, 4.0]; // prior precisions
-/// let rhs = Vector::from(vec![1.0, 1.0, 1.0]);
-/// let x = woodbury::solve_diag_plus_gram(&d, 0.5, &g, &rhs)?;
-/// // Verify against the explicit M x M system.
-/// let mut h = g.gram().scaled(0.5);
-/// h.add_diagonal_mut(&d)?;
-/// let direct = h.cholesky()?.solve(&rhs)?;
-/// assert!(x.sub(&direct)?.norm2() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_diag_plus_gram(
-    prior_precision: &[f64],
-    c: f64,
-    g: &Matrix,
-    rhs: &Vector,
-) -> Result<Vector> {
-    validate(prior_precision, c, g.as_view(), rhs.as_slice())?;
-    if let Some(z) = prior_precision
-        .iter()
-        .position(|d| crate::fp::is_exact_zero(*d))
-    {
-        return Err(LinalgError::Singular { pivot: z });
-    }
-    let mut scratch = WoodburyScratch::new();
-    let mut out = vec![0.0; rhs.len()];
-    strictly_positive_into(
-        prior_precision,
-        c,
-        g.as_view(),
-        rhs.as_slice(),
-        &mut scratch,
-        &mut out,
-    )?;
-    Ok(Vector::from(out))
-}
-
-/// Reusable scratch buffers for the allocation-free Woodbury solvers.
+/// Reusable scratch buffers for the allocation-free Woodbury solver.
 ///
 /// A scratch sized once (by its first use at the largest shape) makes
 /// every later [`solve_diag_plus_gram_semidefinite_into`] call
@@ -159,7 +99,7 @@ fn resize(buf: &mut Vec<f64>, n: usize) {
     buf.resize(n, 0.0);
 }
 
-/// The strictly-positive Woodbury path of [`solve_diag_plus_gram`],
+/// The strictly-positive path of [`solve_diag_plus_gram_semidefinite_into`],
 /// writing into `out` using only `scratch` buffers. Assumes `validate`
 /// passed and no precision is zero. The K × K core is factorized through
 /// the degradation ladder; the returned [`Resilience`] records which rung
@@ -204,76 +144,30 @@ fn strictly_positive_into(
     Ok(resilience)
 }
 
-/// A pre-factorized Woodbury core for repeated solves against the same
-/// `(D, c, G)` triple with different right-hand sides.
+/// Solves `(D + c·GᵀG) x = rhs` with `D = diag(prior_precision)`, where
+/// every precision is positive or exactly zero (the missing-prior-knowledge
+/// case of §IV-B), writing the solution into `out`.
 ///
-/// Cross-validation sweeps (§IV-D) solve the same system shape for many
-/// hyper-parameter values and folds; when only the right-hand side changes,
-/// reusing the factorized K × K core turns each additional solve into
-/// Θ(KM) work.
-#[derive(Debug, Clone)]
-pub struct WoodburyCore {
-    d_inv: Vec<f64>,
-    chol: Cholesky,
-    g: Matrix,
-}
-
-impl WoodburyCore {
-    /// Builds and factorizes the K × K core `c⁻¹ I + G D⁻¹ Gᵀ`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve_diag_plus_gram`].
-    pub fn new(prior_precision: &[f64], c: f64, g: &Matrix) -> Result<Self> {
-        let (k, _m) = g.shape();
-        let d_inv: Vec<f64> = prior_precision.iter().map(|d| 1.0 / d).collect();
-        let mut core = g.outer_gram_diag(&d_inv)?;
-        core.add_diagonal_mut(&vec![1.0 / c; k])?;
-        let chol = core.cholesky()?;
-        Ok(WoodburyCore {
-            d_inv,
-            chol,
-            // Owns a copy of G so the factorized core can outlive the
-            // caller's borrow (it is stored across repeated solves, e.g.
-            // by the sequential estimator). One-shot solves go through
-            // the borrow-based `_into` path instead and never copy G.
-            g: g.clone(),
-        })
-    }
-
-    /// Solves `(D + c·GᵀG) x = rhs` using the pre-factorized core.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `rhs.len()` differs
-    /// from the number of columns of `G`.
-    pub fn solve(&self, rhs: &Vector) -> Result<Vector> {
-        let m = self.g.ncols();
-        if rhs.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "woodbury core solve",
-                lhs: (m, 1),
-                rhs: (rhs.len(), 1),
-            });
-        }
-        // t = D⁻¹ rhs
-        let t = Vector::from_fn(m, |i| self.d_inv[i] * rhs[i]);
-        // y = (core)⁻¹ G t
-        let gt = self.g.matvec(&t)?;
-        let y = self.chol.solve(&gt)?;
-        // x = t − D⁻¹ Gᵀ y
-        let gty = self.g.matvec_transpose(&y)?;
-        Ok(Vector::from_fn(m, |i| t[i] - self.d_inv[i] * gty[i]))
-    }
-}
-
-/// Solves `(D + c·GᵀG) x = rhs` where some diagonal precisions are exactly
-/// zero — the missing-prior-knowledge case of §IV-B.
+/// `G` is read through a borrowed [`MatRef`] (which may be a
+/// non-contiguous row subset of a larger design matrix), every
+/// intermediate lives in `ws`, and `out` (length M) is fully overwritten,
+/// so a scratch sized by its largest problem makes later calls
+/// allocation-free. Exact up to rounding; never forms an M × M matrix.
 ///
 /// # Method
 ///
-/// Let `Z = { m : d_m = 0 }` and `E ∈ ℝ^{M×|Z|}` collect the corresponding
-/// identity columns. Pick a positive shift `τ` and write
+/// With no zero precision this is the plain Sherman–Morrison–Woodbury
+/// identity
+///
+/// ```text
+/// x = D⁻¹ rhs − D⁻¹ Gᵀ (c⁻¹ I + G D⁻¹ Gᵀ)⁻¹ G D⁻¹ rhs
+/// ```
+///
+/// at Θ(K²M + K³) cost versus Θ(M³) for the direct factorization, with
+/// the K × K core Cholesky-factorized.
+///
+/// Otherwise let `Z = { m : d_m = 0 }` and `E ∈ ℝ^{M×|Z|}` collect the
+/// corresponding identity columns. Pick a positive shift `τ` and write
 ///
 /// ```text
 /// H = D̃ + U C Uᵀ,   D̃ = D + τ·E Eᵀ,   U = [Gᵀ | E],
@@ -290,51 +184,45 @@ impl WoodburyCore {
 /// `τ` is chosen as the mean of `c·‖G col‖²` over the zero-precision columns
 /// (falling back to 1.0), which keeps `W` well scaled.
 ///
+/// Either inner factorization runs through the degradation ladder of
+/// [`crate::resilience`]; the returned [`Resilience`] reports the rung,
+/// ridge, and reciprocal-condition estimate (rung 0 with zero ridge on
+/// well-posed inputs, bit-identical to the plain factorization). A core
+/// that merely loses positive definiteness to rounding is solved on a
+/// jittered or LU rung and reported as degraded.
+///
 /// # Errors
 ///
-/// * The shape/validity conditions of [`solve_diag_plus_gram`].
+/// * [`LinalgError::DimensionMismatch`] when `prior_precision`, `rhs` or
+///   `out` does not have one entry per column of `G`.
+/// * [`LinalgError::NonFinite`] when `c ≤ 0`, or any precision is
+///   negative or not finite.
 /// * [`LinalgError::Singular`] when the overall system is singular — in
 ///   particular when more coefficients lack priors than there are samples
 ///   (`|Z| > K`).
-pub fn solve_diag_plus_gram_semidefinite(
-    prior_precision: &[f64],
-    c: f64,
-    g: &Matrix,
-    rhs: &Vector,
-) -> Result<Vector> {
-    let mut scratch = WoodburyScratch::new();
-    let mut out = vec![0.0; rhs.len()];
-    solve_diag_plus_gram_semidefinite_into(
-        prior_precision,
-        c,
-        g.as_view(),
-        rhs.as_slice(),
-        &mut scratch,
-        &mut out,
-    )?;
-    Ok(Vector::from(out))
-}
-
-/// Allocation-free variant of [`solve_diag_plus_gram_semidefinite`]:
-/// reads `G` through a borrowed [`MatRef`] view (which may be a
-/// non-contiguous row subset of a larger design matrix), works out of
-/// `scratch`, and writes the solution into `out`.
+/// * [`LinalgError::Unsolvable`] when every ladder rung fails.
 ///
-/// Bit-identical to the owned entry point — it *is* the implementation
-/// the owned entry point wraps. Handles the all-positive case directly
-/// (no delegation), so one scratch serves both regimes.
+/// # Example
 ///
-/// The inner factorization runs through the degradation ladder of
-/// [`crate::resilience`]; the returned [`Resilience`] reports the rung,
-/// ridge, and reciprocal-condition estimate (rung 0 with zero ridge on
-/// well-posed inputs, bit-identical to the pre-ladder behavior).
+/// ```
+/// use bmf_linalg::woodbury::{solve_diag_plus_gram_semidefinite_into, WoodburyScratch};
+/// use bmf_linalg::{Matrix, Vector};
 ///
-/// # Errors
-///
-/// Same conditions as [`solve_diag_plus_gram_semidefinite`], plus
-/// [`LinalgError::DimensionMismatch`] when `out.len()` differs from the
-/// number of columns of `G`, and [`LinalgError::Unsolvable`] when every
-/// ladder rung fails.
+/// # fn main() -> Result<(), bmf_linalg::LinalgError> {
+/// let g = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 1.0, -1.0]])?;
+/// let d = vec![1.0, 2.0, 4.0]; // prior precisions
+/// let rhs = vec![1.0, 1.0, 1.0];
+/// let mut ws = WoodburyScratch::new();
+/// let mut x = vec![0.0; 3];
+/// solve_diag_plus_gram_semidefinite_into(&d, 0.5, g.as_view(), &rhs, &mut ws, &mut x)?;
+/// // Verify against the explicit M x M system.
+/// let mut h = g.gram().scaled(0.5);
+/// h.add_diagonal_mut(&d)?;
+/// let direct = h.cholesky()?.solve(&Vector::from(rhs))?;
+/// assert!(Vector::from(x).sub(&direct)?.norm2() < 1e-10);
+/// # Ok(())
+/// # }
+/// ```
 pub fn solve_diag_plus_gram_semidefinite_into(
     prior_precision: &[f64],
     c: f64,
@@ -446,6 +334,7 @@ pub fn solve_diag_plus_gram_semidefinite_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Vector;
 
     /// Deterministic pseudo-random matrix without external dependencies.
     fn pseudo_random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -460,6 +349,20 @@ mod tests {
         })
     }
 
+    /// One solve on a fresh scratch.
+    fn solve(d: &[f64], c: f64, g: &Matrix, rhs: &Vector) -> Result<Vector> {
+        let mut out = vec![0.0; rhs.len()];
+        solve_diag_plus_gram_semidefinite_into(
+            d,
+            c,
+            g.as_view(),
+            rhs.as_slice(),
+            &mut WoodburyScratch::new(),
+            &mut out,
+        )?;
+        Ok(Vector::from(out))
+    }
+
     fn direct_solve(d: &[f64], c: f64, g: &Matrix, rhs: &Vector) -> Vector {
         let mut h = g.gram().scaled(c);
         h.add_diagonal_mut(d).unwrap();
@@ -471,33 +374,9 @@ mod tests {
         let g = pseudo_random_matrix(6, 20, 42);
         let d: Vec<f64> = (0..20).map(|i| 0.5 + 0.1 * i as f64).collect();
         let rhs = Vector::from_fn(20, |i| (i as f64).sin());
-        let fast = solve_diag_plus_gram(&d, 2.0, &g, &rhs).unwrap();
+        let fast = solve(&d, 2.0, &g, &rhs).unwrap();
         let direct = direct_solve(&d, 2.0, &g, &rhs);
         assert!(fast.sub(&direct).unwrap().norm2() < 1e-9 * direct.norm2().max(1.0));
-    }
-
-    #[test]
-    fn core_reuse_matches_one_shot() {
-        let g = pseudo_random_matrix(4, 12, 7);
-        let d: Vec<f64> = (0..12).map(|i| 1.0 + i as f64 * 0.05).collect();
-        let core = WoodburyCore::new(&d, 1.5, &g).unwrap();
-        for s in 0..3 {
-            let rhs = Vector::from_fn(12, |i| ((i + s) as f64).cos());
-            let a = core.solve(&rhs).unwrap();
-            let b = solve_diag_plus_gram(&d, 1.5, &g, &rhs).unwrap();
-            assert!(a.sub(&b).unwrap().norm2() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn zero_precision_rejected_by_strict_solver() {
-        let g = pseudo_random_matrix(3, 5, 1);
-        let d = vec![1.0, 0.0, 1.0, 1.0, 1.0];
-        let rhs = Vector::zeros(5);
-        assert!(matches!(
-            solve_diag_plus_gram(&d, 1.0, &g, &rhs),
-            Err(LinalgError::Singular { pivot: 1 })
-        ));
     }
 
     #[test]
@@ -507,19 +386,9 @@ mod tests {
         d[3] = 0.0;
         d[10] = 0.0;
         let rhs = Vector::from_fn(15, |i| 1.0 / (1.0 + i as f64));
-        let fast = solve_diag_plus_gram_semidefinite(&d, 0.7, &g, &rhs).unwrap();
+        let fast = solve(&d, 0.7, &g, &rhs).unwrap();
         let direct = direct_solve(&d, 0.7, &g, &rhs);
         assert!(fast.sub(&direct).unwrap().norm2() < 1e-8 * direct.norm2().max(1.0));
-    }
-
-    #[test]
-    fn semidefinite_with_no_zeros_delegates() {
-        let g = pseudo_random_matrix(3, 6, 5);
-        let d = vec![1.0; 6];
-        let rhs = Vector::from_fn(6, |i| i as f64);
-        let a = solve_diag_plus_gram_semidefinite(&d, 1.0, &g, &rhs).unwrap();
-        let b = solve_diag_plus_gram(&d, 1.0, &g, &rhs).unwrap();
-        assert!(a.sub(&b).unwrap().norm2() < 1e-14);
     }
 
     #[test]
@@ -528,7 +397,7 @@ mod tests {
         let d = vec![0.0, 0.0, 0.0, 1.0, 1.0, 1.0]; // 3 zeros > K = 2
         let rhs = Vector::zeros(6);
         assert!(matches!(
-            solve_diag_plus_gram_semidefinite(&d, 1.0, &g, &rhs),
+            solve(&d, 1.0, &g, &rhs),
             Err(LinalgError::Singular { .. })
         ));
     }
@@ -536,14 +405,14 @@ mod tests {
     #[test]
     fn negative_precision_rejected() {
         let g = pseudo_random_matrix(2, 3, 3);
-        assert!(solve_diag_plus_gram(&[1.0, -1.0, 1.0], 1.0, &g, &Vector::zeros(3)).is_err());
+        assert!(solve(&[1.0, -1.0, 1.0], 1.0, &g, &Vector::zeros(3)).is_err());
     }
 
     #[test]
     fn non_positive_c_rejected() {
         let g = pseudo_random_matrix(2, 3, 3);
-        assert!(solve_diag_plus_gram(&[1.0; 3], 0.0, &g, &Vector::zeros(3)).is_err());
-        assert!(solve_diag_plus_gram(&[1.0; 3], -1.0, &g, &Vector::zeros(3)).is_err());
+        assert!(solve(&[1.0; 3], 0.0, &g, &Vector::zeros(3)).is_err());
+        assert!(solve(&[1.0; 3], -1.0, &g, &Vector::zeros(3)).is_err());
     }
 
     #[test]
@@ -552,7 +421,7 @@ mod tests {
         let g = pseudo_random_matrix(3, 40, 1234);
         let d: Vec<f64> = (0..40).map(|i| 0.2 + 0.01 * i as f64).collect();
         let rhs = Vector::from_fn(40, |i| ((i * 7 % 11) as f64) / 11.0);
-        let fast = solve_diag_plus_gram(&d, 3.0, &g, &rhs).unwrap();
+        let fast = solve(&d, 3.0, &g, &rhs).unwrap();
         let direct = direct_solve(&d, 3.0, &g, &rhs);
         assert!(fast.sub(&direct).unwrap().norm2() < 1e-9 * direct.norm2().max(1.0));
     }

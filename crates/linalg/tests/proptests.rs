@@ -6,7 +6,8 @@
 //! within tolerances scaled to the operand magnitudes. On failure the
 //! harness prints the case seed; replay it with `BMF_PROP_CASE_SEED`.
 
-use bmf_linalg::{woodbury, Matrix, Vector};
+use bmf_linalg::woodbury::{solve_diag_plus_gram_semidefinite_into, WoodburyScratch};
+use bmf_linalg::{LinalgError, Matrix, Vector};
 use bmf_stat::prop::{check, DEFAULT_CASES};
 use bmf_stat::rng::Rng;
 
@@ -22,6 +23,20 @@ fn matrix(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
 
 fn vector(rng: &mut Rng, n: usize) -> Vector {
     Vector::from((0..n).map(|_| elem(rng)).collect::<Vec<f64>>())
+}
+
+/// `(D + c·GᵀG) x = rhs` through the Woodbury solver on a fresh scratch.
+fn woodbury_solve(d: &[f64], c: f64, g: &Matrix, rhs: &Vector) -> Result<Vector, LinalgError> {
+    let mut out = vec![0.0; rhs.len()];
+    solve_diag_plus_gram_semidefinite_into(
+        d,
+        c,
+        g.as_view(),
+        rhs.as_slice(),
+        &mut WoodburyScratch::new(),
+        &mut out,
+    )?;
+    Ok(Vector::from(out))
 }
 
 /// An SPD matrix built as BᵀB + I.
@@ -153,7 +168,7 @@ fn woodbury_matches_direct() {
         let d: Vec<f64> = (0..10).map(|_| rng.gen_range(0.1..5.0)).collect();
         let rhs = vector(rng, 10);
         let c = rng.gen_range(0.1..10.0);
-        let fast = woodbury::solve_diag_plus_gram(&d, c, &g, &rhs).unwrap();
+        let fast = woodbury_solve(&d, c, &g, &rhs).unwrap();
         let mut h = g.gram().scaled(c);
         h.add_diagonal_mut(&d).unwrap();
         let direct = h.cholesky().unwrap().solve(&rhs).unwrap();
@@ -173,7 +188,7 @@ fn woodbury_semidefinite_matches_direct() {
             let rhs = vector(rng, 9);
             let zero_at = rng.gen_index(9);
             d[zero_at] = 0.0;
-            let fast = match woodbury::solve_diag_plus_gram_semidefinite(&d, 1.0, &g, &rhs) {
+            let fast = match woodbury_solve(&d, 1.0, &g, &rhs) {
                 Ok(v) => v,
                 // Random G may make the system singular; that is a valid outcome.
                 Err(_) => return,

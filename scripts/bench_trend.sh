@@ -2,13 +2,17 @@
 # Bench trend gate: compare a freshly generated BENCH_*.json against the
 # committed baseline copy and fail on a >20% regression of any metric.
 #
-# Both report styles in this repo are flat: top-level scalars plus
-# one-line `"section": { "key": value, ... }` objects, which is what the
-# flattener below parses. Direction is inferred from the metric name —
-# anything containing "throughput" regresses downward, everything else
-# (latencies, allocation counts, solve counts) regresses upward. A metric
-# present in the baseline but missing from the fresh report fails: a
-# gated number must not silently disappear.
+# Every report style in this repo is flat: top-level scalars, one-line
+# `"section": { "key": value, ... }` objects, and arrays of one-line
+# objects, which is what the flattener below parses. Array rows flatten
+# to `section[i].key` (i counts from 0), so every row is gated.
+#
+# Direction comes from the metric's own name (the part after the last
+# '.'): names matching a glob in HIGHER_IS_BETTER (success counts,
+# recovery rates, speedups, throughputs) regress downward, everything
+# else (latencies, allocation counts, solve counts) regresses upward. A
+# metric present in the baseline but missing from the fresh report
+# fails: a gated number must not silently disappear.
 #
 # The `scenario` block is the run's configuration, not a metric. Two
 # reports are only comparable when their scenarios match exactly, so the
@@ -37,12 +41,34 @@ fi
 
 TOLERANCE=0.20
 
-# Flattens the repo's flat JSON style to "section.key value" lines.
+# Metric names (globs) for which a drop, not a rise, is the regression.
+HIGHER_IS_BETTER=(
+    'recovered*'
+    recovery_rate_permille
+    '*_clean'
+    verified_predictions
+    bitwise_checks
+    fits_ok
+    '*speedup*'
+    '*throughput*'
+)
+
+higher_is_better() {
+    local name="${1##*.}" pat
+    for pat in "${HIGHER_IS_BETTER[@]}"; do
+        # $pat is unquoted so it matches as a glob.
+        [[ "$name" == $pat ]] && return 0
+    done
+    return 1
+}
+
+# Flattens the repo's flat JSON style to "section.key value" lines, and
+# array rows to "section[i].key value" lines.
 flatten() {
     awk '
-        /^[[:space:]]*"[A-Za-z0-9_]+": \{/ {
-            sec = $0
-            sub(/^[[:space:]]*"/, "", sec); sub(/".*/, "", sec)
+        # Prints the "key": value pairs of the one-line object on this
+        # line, each key prefixed with `prefix`.
+        function pairs_of(prefix,    body, n, i, p, kv, pairs) {
             body = $0
             sub(/^[^{]*\{/, "", body); sub(/\}.*$/, "", body)
             n = split(body, pairs, ",")
@@ -50,8 +76,21 @@ flatten() {
                 p = pairs[i]
                 gsub(/[[:space:]"]/, "", p)
                 split(p, kv, ":")
-                if (kv[1] != "") print sec "." kv[1], kv[2]
+                if (kv[1] != "") print prefix "." kv[1], kv[2]
             }
+        }
+        arr != "" && /^[[:space:]]*\]/ { arr = ""; next }
+        arr != "" && /^[[:space:]]*\{/ { pairs_of(arr "[" row++ "]"); next }
+        /^[[:space:]]*"[A-Za-z0-9_]+": \[[[:space:]]*$/ {
+            arr = $0
+            sub(/^[[:space:]]*"/, "", arr); sub(/".*/, "", arr)
+            row = 0
+            next
+        }
+        /^[[:space:]]*"[A-Za-z0-9_]+": \{/ {
+            sec = $0
+            sub(/^[[:space:]]*"/, "", sec); sub(/".*/, "", sec)
+            pairs_of(sec)
             next
         }
         /^[[:space:]]*"[A-Za-z0-9_]+": / {
@@ -110,9 +149,11 @@ while read -r key base; do
         fail=1
         continue
     fi
-    if ! awk -v k="$key" -v b="$base" -v n="$new" -v tol="$TOLERANCE" 'BEGIN {
+    higher=0
+    if higher_is_better "$key"; then higher=1; fi
+    if ! awk -v higher="$higher" -v b="$base" -v n="$new" -v tol="$TOLERANCE" 'BEGIN {
             b += 0; n += 0
-            if (k ~ /throughput/) {
+            if (higher) {
                 worse = (n < b * (1 - tol))
             } else {
                 worse = (n > b * (1 + tol) && n > b)

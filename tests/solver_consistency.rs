@@ -86,12 +86,12 @@ fn sweep_equals_one_shot() {
         if prior.num_missing() > 5 {
             return;
         }
-        let sweep = match MapSweep::new(&g, &prior) {
+        let sweep = match MapSweep::from_view(g.as_view(), &prior) {
             Ok(s) => s,
             Err(_) => return,
         };
         match (
-            sweep.solve(&f, hyper),
+            sweep.solve_with_kind(&f, hyper, PriorKind::NonZeroMean),
             map_estimate(&g, &f, &prior, &FitOptions::new().hyper(hyper)),
         ) {
             (Ok(a), Ok(b)) => {
