@@ -1,64 +1,25 @@
 //! Bench: chaos soak — fault-injected warm starts, overload shedding,
-//! and crash-point recovery.
-//!
-//! Sweeps transient I/O fault rates over warm starts through the
-//! deterministic chaos VFS, hammers a tiny admission queue with
-//! deadline-stamped traffic, crashes a publication script at strided
-//! op indices, and writes the byte-deterministic report to
-//! `BENCH_chaos.json` (or `$BMF_CHAOS_OUT`). Every leg must end with a
-//! clean `fsck`; see `bmf_bench::chaos_study`.
+//! and crash-point recovery; see `bmf_bench::chaos_study`.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench chaos             # full sweep
 //! cargo bench -p bmf-bench --bench chaos -- --smoke  # CI-sized
 //! ```
+//!
+//! `bmf_bench::study::bench_main` runs it: the report `BENCH_chaos.json`
+//! goes to stdout and into `$BMF_BENCH_OUT` (the workspace root when
+//! unset), byte-identical at any `BMF_THREADS`.
 
-use bmf_bench::chaos_study::{output_path, run_chaos, ChaosConfig};
-use bmf_bench::timing::Harness;
+use bmf_bench::chaos_study::{run_chaos, ChaosConfig};
+use bmf_bench::study;
 
 fn main() {
-    let h = Harness::from_cli();
-    if !h.selected("chaos/soak") {
-        return;
-    }
-    let cfg = if h.is_smoke() {
-        ChaosConfig::smoke()
-    } else {
-        ChaosConfig::full()
-    };
-    let wall = std::time::Instant::now();
-    let out = match run_chaos(&cfg) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("chaos bench run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // Wall time is printed, never serialized.
-    println!(
-        "chaos/soak                               {} fault levels in {:.3} s wall",
-        out.sweep.len(),
-        wall.elapsed().as_secs_f64(),
-    );
-    for l in &out.sweep {
-        println!(
-            "chaos/sweep@{:<4}                         {}/{} recovered, {} retries, \
-             p99 {} virtual ns",
-            l.error_permille, l.recovered, l.trials, l.read_retries, l.latency.p99_ns,
-        );
-    }
-    println!(
-        "chaos/overload                           {} served, {} shed, {} expired",
-        out.fits_ok, out.shed_fits, out.expired_fits,
-    );
-    println!(
-        "chaos/crash                              {}/{} crash points recovered clean",
-        out.crash_recovered, out.crash_points,
-    );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("writing {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("chaos/report                             written to {path}");
+    study::bench_main("chaos", |smoke| {
+        let cfg = if smoke {
+            ChaosConfig::smoke()
+        } else {
+            ChaosConfig::full()
+        };
+        run_chaos(&cfg).map(|out| out.json)
+    });
 }

@@ -1,74 +1,25 @@
-//! Bench: the flow-aware analyzer over the real workspace.
-//!
-//! Runs the full `bmf-lint` pipeline (discovery, structural models,
-//! item parse, call graph, file + graph rules, baseline diff) against
-//! this repository and writes the deterministic counter report to
-//! `BENCH_lint.json` (or `$BMF_LINT_OUT`). Wall time is stderr-only;
-//! the JSON carries counters and a virtual cost, so it is byte-identical
-//! across runs and `BMF_THREADS` — see `bmf_bench::lint_study` for the
-//! cost model. The `--smoke` run additionally re-runs the pipeline and
-//! asserts the two reports match byte-for-byte.
+//! Bench: the flow-aware analyzer over this workspace, reported as
+//! counters and a virtual cost; see `bmf_bench::lint_study`.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench lint             # full
-//! cargo bench -p bmf-bench --bench lint -- --smoke  # CI (double-run determinism)
+//! cargo bench -p bmf-bench --bench lint -- --smoke  # CI
 //! ```
+//!
+//! `bmf_bench::study::bench_main` runs it: the report `BENCH_lint.json`
+//! goes to stdout and into `$BMF_BENCH_OUT` (the workspace root when
+//! unset), byte-identical at any `BMF_THREADS`.
 
-use bmf_bench::lint_study::{output_path, run_lint_study, LintStudyConfig};
-use bmf_bench::timing::Harness;
+use bmf_bench::lint_study::{run_lint_study, LintStudyConfig};
+use bmf_bench::study;
 
 fn main() {
-    let h = Harness::from_cli();
-    if !h.selected("lint/study") {
-        return;
-    }
-    let cfg = if h.is_smoke() {
-        LintStudyConfig::smoke()
-    } else {
-        LintStudyConfig::full()
-    };
-    let out = match run_lint_study(&cfg) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("lint study run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let c = &out.counters;
-    println!(
-        "lint/workspace                           {} files, {} lines, {} fn items \
-         ({} pub), {} call sites",
-        c.files, c.lines, c.fn_items, c.pub_fns, c.call_sites
-    );
-    println!(
-        "lint/graph                               {} edges ({} strong, {} weak), \
-         {} panic / {} alloc / {} index sinks, {} vfs ops",
-        c.edges,
-        c.strong_edges,
-        c.edges - c.strong_edges,
-        c.panic_sinks,
-        c.alloc_sinks,
-        c.index_sinks,
-        c.vfs_ops
-    );
-    println!(
-        "lint/findings                            {} total ({} baselined, \
-         {} unbaselined, {} stale entries)",
-        c.findings_total, c.baselined, c.unbaselined, c.stale_entries
-    );
-    println!(
-        "lint/cost                                {:.3} virtual ms over the fixed model",
-        out.virtual_ms
-    );
-    // Machine-dependent, deliberately kept out of the JSON report.
-    eprintln!(
-        "lint/wall                                {:.3} s (not gated)",
-        out.wall_s
-    );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("writing {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("lint/report                              written to {path}");
+    study::bench_main("lint", |smoke| {
+        let cfg = if smoke {
+            LintStudyConfig::smoke()
+        } else {
+            LintStudyConfig::full()
+        };
+        run_lint_study(&cfg).map(|out| out.json)
+    });
 }

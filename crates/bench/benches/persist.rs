@@ -1,62 +1,26 @@
-//! Bench: cold-start fitting vs warm-start from the artifact store.
-//!
-//! Fits a fleet of models through the real service, exports them to a
-//! content-addressed `ArtifactStore`, warm-starts a fresh service from
-//! disk, verifies bit-identical predictions, and writes the virtual-time
-//! cost comparison to `BENCH_persist.json` (or `$BMF_PERSIST_OUT`).
-//! The report is byte-identical at any `BMF_THREADS` — see
-//! `bmf_bench::persist_study` for the cost model.
+//! Bench: cold-start fitting vs warm-start from an artifact store, which
+//! it leaves in `persist-store/` next to its report; see
+//! `bmf_bench::persist_study`.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench persist             # full, 48 models
 //! cargo bench -p bmf-bench --bench persist -- --smoke  # CI, 8 models
 //! ```
+//!
+//! `bmf_bench::study::bench_main` runs it: the report `BENCH_persist.json`
+//! goes to stdout and into `$BMF_BENCH_OUT` (the workspace root when
+//! unset), byte-identical at any `BMF_THREADS`.
 
-use bmf_bench::persist_study::{output_path, run_persist, PersistConfig};
-use bmf_bench::timing::Harness;
+use bmf_bench::persist_study::{run_persist, PersistConfig};
+use bmf_bench::study;
 
 fn main() {
-    let h = Harness::from_cli();
-    if !h.selected("persist/roundtrip") {
-        return;
-    }
-    let cfg = if h.is_smoke() {
-        PersistConfig::smoke()
-    } else {
-        PersistConfig::full()
-    };
-    let wall = std::time::Instant::now();
-    let out = match run_persist(&cfg) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("persist bench run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // Wall time is printed, never serialized.
-    println!(
-        "persist/roundtrip                        {} models in {:.3} s wall, \
-         {} verified predictions",
-        out.artifacts,
-        wall.elapsed().as_secs_f64(),
-        out.verified
-    );
-    println!(
-        "persist/cold_start                       {} virtual ns (fit everything)",
-        out.cold_ns
-    );
-    println!(
-        "persist/warm_start                       {} virtual ns ({} bytes from disk)",
-        out.warm_ns, out.total_bytes
-    );
-    println!(
-        "persist/speedup                          {:.1}x warm over cold",
-        out.cold_ns as f64 / out.warm_ns.max(1) as f64
-    );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("writing {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("persist/report                           written to {path}");
+    study::bench_main("persist", |smoke| {
+        let cfg = if smoke {
+            PersistConfig::smoke()
+        } else {
+            PersistConfig::full()
+        };
+        run_persist(&cfg, &study::out_dir().join("persist-store")).map(|out| out.json)
+    });
 }

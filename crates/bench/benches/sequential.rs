@@ -1,65 +1,27 @@
-//! Bench: streaming posterior engine under virtual-time load.
-//!
-//! Streams late-stage samples through a real `SequentialBmf` (every
-//! posterior mean bitwise-checked against a from-scratch batch refit),
-//! replays a seeded cost-carrying arrival stream against per-job
-//! streams, and writes the incremental-vs-refit speedup curve and
-//! update-latency report to `BENCH_sequential.json` (or
-//! `$BMF_SEQUENTIAL_OUT`). The report is byte-identical at any
-//! `BMF_THREADS` — see `bmf_bench::sequential_study` for the cost
-//! model. With `--features bench` the `--smoke` run additionally
-//! asserts the steady-state zero-allocation budget.
+//! Bench: the streaming posterior engine's incremental-vs-refit speedup
+//! curve and update latency; see `bmf_bench::sequential_study`. With
+//! `--features bench` the `--smoke` run also asserts the steady-state
+//! zero-allocation budget.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench sequential             # full, k=128
 //! cargo bench -p bmf-bench --bench sequential -- --smoke  # CI, k=32
 //! ```
+//!
+//! `bmf_bench::study::bench_main` runs it: the report `BENCH_sequential.json`
+//! goes to stdout and into `$BMF_BENCH_OUT` (the workspace root when
+//! unset), byte-identical at any `BMF_THREADS`.
 
-use bmf_bench::sequential_study::{output_path, run_sequential_study, SeqStudyConfig};
-use bmf_bench::timing::Harness;
+use bmf_bench::sequential_study::{run_sequential_study, SeqStudyConfig};
+use bmf_bench::study;
 
 fn main() {
-    let h = Harness::from_cli();
-    if !h.selected("sequential/study") {
-        return;
-    }
-    let cfg = if h.is_smoke() {
-        SeqStudyConfig::smoke()
-    } else {
-        SeqStudyConfig::full()
-    };
-    let out = match run_sequential_study(&cfg) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("sequential study run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    for p in &out.curve {
-        println!(
-            "sequential/speedup k={:<4}                {:>8.2}x vs per-sample refit \
-             ({} ns incremental, {} ns refit)",
-            p.k, p.speedup_x, p.incremental_total_ns, p.refit_total_ns
-        );
-    }
-    println!(
-        "sequential/latency/update                p50 {} ns   p99 {} ns   max {} ns \
-         ({} arrivals, {} simulated millihours)",
-        out.latency.p50_ns,
-        out.latency.p99_ns,
-        out.latency.max_ns,
-        out.latency.count,
-        out.simulation_millihours
-    );
-    println!(
-        "sequential/throughput                    {:.0} updates/s (virtual), \
-         {} posterior means bitwise-verified vs batch",
-        out.updates_per_s, out.bitwise_checks
-    );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("writing {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("sequential/report                        written to {path}");
+    study::bench_main("sequential", |smoke| {
+        let cfg = if smoke {
+            SeqStudyConfig::smoke()
+        } else {
+            SeqStudyConfig::full()
+        };
+        run_sequential_study(&cfg).map(|out| out.json)
+    });
 }

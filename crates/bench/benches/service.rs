@@ -1,57 +1,26 @@
-//! Bench: fitting-as-a-service under deterministic open-loop load.
-//!
-//! Replays a seeded million-request stream (20k under `--smoke`) of
-//! mixed fit/predict/evict traffic against a real `FitService` and
-//! writes the virtual-time latency/throughput report to
-//! `BENCH_service.json` (or `$BMF_SERVICE_OUT`). The report is
-//! byte-identical at any `BMF_THREADS` — see
-//! `bmf_bench::service_load` for the cost model.
+//! Bench: the fitting service under a deterministic open-loop load of
+//! one million mixed fit/predict/evict requests (20k under `--smoke`);
+//! see `bmf_bench::service_load`.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench service             # full, 1M requests
 //! cargo bench -p bmf-bench --bench service -- --smoke  # CI, 20k requests
 //! ```
+//!
+//! `bmf_bench::study::bench_main` runs it: the report `BENCH_service.json`
+//! goes to stdout and into `$BMF_BENCH_OUT` (the workspace root when
+//! unset), byte-identical at any `BMF_THREADS`.
 
-use bmf_bench::service_load::{output_path, run_load, LoadConfig};
-use bmf_bench::timing::Harness;
+use bmf_bench::service_load::{run_load, LoadConfig};
+use bmf_bench::study;
 
 fn main() {
-    let h = Harness::from_cli();
-    if !h.selected("service/load") {
-        return;
-    }
-    let cfg = if h.is_smoke() {
-        LoadConfig::smoke()
-    } else {
-        LoadConfig::full()
-    };
-    let out = match run_load(&cfg) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("service load run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "service/latency/overall                  p50 {} ns   p99 {} ns   p999 {} ns",
-        out.overall.p50_ns, out.overall.p99_ns, out.overall.p999_ns
-    );
-    println!(
-        "service/latency/fit                      p50 {} ns   p99 {} ns   p999 {} ns",
-        out.fit.p50_ns, out.fit.p99_ns, out.fit.p999_ns
-    );
-    println!(
-        "service/latency/predict                  p50 {} ns   p99 {} ns   p999 {} ns",
-        out.predict.p50_ns, out.predict.p99_ns, out.predict.p999_ns
-    );
-    println!(
-        "service/throughput                       {:.0} requests/s (virtual), {} coalesced into {} batches",
-        out.throughput_rps, out.counters.coalesced_fits, out.counters.batches
-    );
-    let path = output_path();
-    if let Err(e) = std::fs::write(&path, &out.json) {
-        eprintln!("writing {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("service/report                           written to {path}");
+    study::bench_main("service", |smoke| {
+        let cfg = if smoke {
+            LoadConfig::smoke()
+        } else {
+            LoadConfig::full()
+        };
+        run_load(&cfg).map(|out| out.json)
+    });
 }

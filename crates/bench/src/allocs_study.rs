@@ -2,17 +2,21 @@
 //!
 //! Measures heap-allocation events and peak bytes for one cross-validated
 //! [`BmfFitter`] fit and for a batch of fits sharing one sample set, then
-//! writes `BENCH_allocs.json` so the perf trajectory has checked-in
-//! baseline numbers. Run with the counting allocator installed:
+//! writes `BENCH_allocs.json` (through [`crate::study`], into
+//! `$BMF_BENCH_OUT` or the workspace root) so the perf trajectory has
+//! checked-in baseline numbers. Run with the counting allocator
+//! installed:
 //!
 //! ```text
 //! cargo run -p bmf-bench --features bench --release --bin repro -- allocs
 //! ```
 //!
 //! Without the `bench` feature the experiment still runs (wall time is
-//! reported) but every allocation figure is zero.
+//! reported) but every allocation figure is zero, so it writes no
+//! `BENCH_allocs.json`: an all-zero report would pass the trend gate
+//! as a huge improvement.
 
-use std::fmt::Write as _;
+use std::path::Path;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
@@ -25,6 +29,7 @@ use bmf_stat::rng::seeded;
 use crate::alloc::{self, AllocStats};
 use crate::report::Report;
 use crate::scale::Scale;
+use crate::study::{self, Fixed, ReportWriter};
 
 /// One measured configuration.
 struct Row {
@@ -40,18 +45,18 @@ impl Row {
     }
 }
 
-/// Runs the allocation study and writes `BENCH_allocs.json` in the
-/// current directory.
+/// Runs the allocation study and, when the counting allocator is
+/// installed, writes `BENCH_allocs.json` into `out_dir`.
 ///
 /// # Errors
 ///
 /// Propagates fitting errors; IO failure writing the JSON is reported as
 /// a [`BmfError::Config`] so the repro driver surfaces it.
-pub fn allocation_study(scale: Scale, seed: u64) -> Result<Report, BmfError> {
+pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Report, BmfError> {
     // Representative late-stage shape: M = vars + 1 coefficients, K
     // samples a few times the fold count, Auto prior selection over the
     // default 17-point grid.
-    let (num_vars, k, jobs) = match scale {
+    let (num_vars, k, jobs): (usize, usize, usize) = match scale {
         Scale::Ci => (12, 24, 4),
         _ => (16, 32, 8),
     };
@@ -64,16 +69,14 @@ pub fn allocation_study(scale: Scale, seed: u64) -> Result<Report, BmfError> {
         .map(|_| normal.sample_vec(&mut rng, num_vars))
         .collect();
     let truth: Vec<f64> = (0..m).map(|i| 1.5 / (1.0 + i as f64)).collect();
-    let values: Vec<f64> = points
-        .iter()
-        .map(|p| truth[0] + p.iter().zip(&truth[1..]).map(|(x, t)| x * t).sum::<f64>())
-        .collect();
+    let values = study::linear_values(&truth, &points);
     let early: Vec<Option<f64>> = truth
         .iter()
         .enumerate()
         .map(|(i, t)| Some(t * (1.0 + 0.05 * ((i * 3) as f64).sin())))
         .collect();
     let options = FitOptions::new().folds(5).seed(seed);
+    let (folds, grid) = (options.folds, options.grid.len());
 
     // One cross-validated serial fit (warm up once so one-time lazy
     // setup is not charged to the measured fit).
@@ -116,40 +119,43 @@ pub fn allocation_study(scale: Scale, seed: u64) -> Result<Report, BmfError> {
         },
     ];
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"counting_enabled\": {},\n  \"scenario\": {{ \"vars\": {num_vars}, \"terms\": {m}, \"samples\": {k}, \"folds\": 5, \"grid\": 17, \"jobs\": {jobs} }},",
-        alloc::counting_enabled()
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "  \"{}\": {{ \"fits\": {}, \"allocs\": {}, \"allocs_per_fit\": {}, \"peak_bytes\": {}, \"wall_s\": {:.6} }}{comma}",
-            row.name,
-            row.fits,
-            row.stats.count,
-            row.allocs_per_fit(),
-            row.stats.peak_bytes,
-            row.wall_s
-        );
+    let counting = alloc::counting_enabled();
+    if counting {
+        let mut json = ReportWriter::default();
+        json.scalar("counting_enabled", counting);
+        json.section("scenario", |s| {
+            s.field("vars", num_vars);
+            s.field("terms", m);
+            s.field("samples", k);
+            s.field("folds", folds);
+            s.field("grid", grid);
+            s.field("jobs", jobs);
+        });
+        for row in &rows {
+            json.section(row.name, |s| {
+                s.field("fits", row.fits);
+                s.field("allocs", row.stats.count);
+                s.field("allocs_per_fit", row.allocs_per_fit());
+                s.field("peak_bytes", row.stats.peak_bytes);
+                s.field("wall_s", Fixed(row.wall_s, 6));
+            });
+        }
+        study::write_report(out_dir, "allocs", &json.finish()?).map_err(|e| BmfError::Config {
+            parameter: "allocs-out",
+            detail: format!("writing BENCH_allocs.json: {e}"),
+        })?;
     }
-    json.push_str("}\n");
-    std::fs::write("BENCH_allocs.json", &json).map_err(|e| BmfError::Config {
-        parameter: "allocs-out",
-        detail: format!("writing BENCH_allocs.json: {e}"),
-    })?;
 
     let mut report = Report::new("allocs", "Heap allocations per cross-validated fit");
-    if !alloc::counting_enabled() {
+    if !counting {
         report.para(
-            "**Counting allocator disabled** — rebuild with `--features bench` for real numbers.",
+            "**Counting allocator disabled** — rebuild with `--features bench` for real \
+             numbers; `BENCH_allocs.json` is not written.",
         );
     }
     report.para(&format!(
-        "Scenario: M = {m} terms, K = {k} samples, 5 folds × 17 grid points × both prior \
-         families; batch of {jobs} jobs on one shared sample set (1 thread)."
+        "Scenario: M = {m} terms, K = {k} samples, {folds} folds × {grid} grid points × \
+         both prior families; batch of {jobs} jobs on one shared sample set (1 thread)."
     ));
     report.table(
         &[
@@ -174,6 +180,32 @@ pub fn allocation_study(scale: Scale, seed: u64) -> Result<Report, BmfError> {
             })
             .collect::<Vec<_>>(),
     );
-    report.para("Raw numbers written to `BENCH_allocs.json`.");
+    if counting {
+        report.para("Raw numbers written to `BENCH_allocs.json`.");
+    }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn writes_the_json_only_when_counting() {
+        let dir = std::env::temp_dir().join(format!("bmf-allocs-study-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = allocation_study(Scale::Ci, 7, &dir).expect("allocation study");
+        let written = dir.join("BENCH_allocs.json").exists();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            written,
+            alloc::counting_enabled(),
+            "an all-zero report from a build without the counting allocator \
+             must not be written"
+        );
+        assert_eq!(
+            report.body.contains("not written"),
+            !alloc::counting_enabled()
+        );
+    }
 }

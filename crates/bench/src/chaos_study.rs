@@ -24,17 +24,16 @@
 //!   clean. One unclean store is a benchmark failure, not a data
 //!   point.
 //!
-//! As everywhere in this crate, wall time is printed but never
-//! serialized: `BENCH_chaos.json` is computed from counters, seeded
-//! draws, and virtual time only, so it is byte-identical across
-//! machines, runs, and `BMF_THREADS` settings.
+//! As for every study of [`crate::study`], wall time stays out of the
+//! report: `BENCH_chaos.json` is computed from counters, seeded draws,
+//! and virtual time only, so it is byte-identical across machines,
+//! runs, and `BMF_THREADS` settings.
 //!
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`FitService`]: bmf_core::service::FitService
 //! [`FaultVfs`]: bmf_persist::vfs::FaultVfs
 //! [`RetryPolicy`]: bmf_stat::backoff::RetryPolicy
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bmf_basis::basis::OrthonormalBasis;
@@ -51,7 +50,7 @@ use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::persist_study::{IMPORT_NS, WARM_BYTES_PER_NS};
-use crate::service_load::LatencySummary;
+use crate::study::{self, LatencySummary, ReportWriter};
 
 /// Store root inside the in-memory filesystem.
 const ROOT: &str = "chaos/store";
@@ -146,8 +145,6 @@ pub struct ChaosOutcome {
     pub sweep: Vec<SweepLevel>,
     /// Overload leg: fit submissions shed at admission.
     pub shed_fits: u64,
-    /// Overload leg: queued fits expired at their virtual deadline.
-    pub expired_fits: u64,
     /// Overload leg: fits served.
     pub fits_ok: u64,
     /// Crash leg: op indices tested.
@@ -155,18 +152,6 @@ pub struct ChaosOutcome {
     /// Crash leg: recoveries that ended fsck-clean (must equal
     /// `crash_points`).
     pub crash_recovered: usize,
-}
-
-/// Destination for the JSON report: `$BMF_CHAOS_OUT` when set,
-/// `BENCH_chaos.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_CHAOS_OUT") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_chaos.json"),
-        Err(_) => "BENCH_chaos.json".to_string(),
-    }
 }
 
 fn persist_err(e: bmf_persist::PersistError) -> BmfError {
@@ -218,16 +203,7 @@ fn seed_store(cfg: &ChaosConfig) -> Result<(Arc<MemVfs>, u64), BmfError> {
         let truth: Vec<f64> = (0..=r)
             .map(|i| ((i + 11 * j) as f64 * 0.23).cos() * (1.0 + j as f64 * 0.04))
             .collect();
-        let values: Vec<f64> = points
-            .iter()
-            .map(|p| {
-                truth[0]
-                    + p.iter()
-                        .enumerate()
-                        .map(|(i, x)| truth[i + 1] * x)
-                        .sum::<f64>()
-            })
-            .collect();
+        let values = study::linear_values(&truth, &points);
         let prior: Vec<Option<f64>> = truth.iter().map(|t| Some(t * 1.04)).collect();
         service.submit_fit(FitRequest {
             job_id: format!("perf{j:03}"),
@@ -363,17 +339,7 @@ fn overload_leg(cfg: &ChaosConfig) -> Result<bmf_core::service::ServiceCounters,
             let truth: Vec<f64> = (0..=r)
                 .map(|i| ((i + 3 * j) as f64 * 0.37).sin() * (1.0 + j as f64 * 0.06))
                 .collect();
-            let values: Vec<f64> = group_sets[j % traffic.groups]
-                .1
-                .iter()
-                .map(|p| {
-                    truth[0]
-                        + p.iter()
-                            .enumerate()
-                            .map(|(i, x)| truth[i + 1] * x)
-                            .sum::<f64>()
-                })
-                .collect();
+            let values = study::linear_values(&truth, &group_sets[j % traffic.groups].1);
             let prior = truth.iter().map(|t| Some(t * 1.03)).collect();
             (prior, values)
         })
@@ -484,7 +450,9 @@ fn crash_leg(cfg: &ChaosConfig) -> Result<(u64, usize, usize), BmfError> {
 /// # Errors
 ///
 /// Propagates service and persistence failures; an unclean store after
-/// any leg is an error, never a data point.
+/// any leg is an error, never a data point. So is a run that tests no
+/// crash point, sheds nothing, serves no overload fit, or recovers no
+/// warm start.
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
     let (disk, blob_bytes) = seed_store(cfg)?;
     let policy = RetryPolicy::default();
@@ -513,7 +481,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
             level.read_retries += read_retries;
             level.injected += injected;
         }
-        level.latency = LatencySummary::from_sorted(&mut lat);
+        level.latency = LatencySummary::of(&mut lat);
         sweep.push(level);
     }
     // The fault-free level is the control: it must always recover.
@@ -537,78 +505,72 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
     let shed_permille = counters.shed_fits * 1000 / offered.max(1);
     let sweep_trials: usize = sweep.iter().map(|l| l.trials).sum();
     let sweep_ok: usize = sweep.iter().map(|l| l.recovered).sum();
+    let recovery_rate_permille = sweep_ok * 1000 / sweep_trials.max(1);
+    study::ensure("chaos_study", crash_tested > 0, "crash.points_tested > 0")?;
+    study::ensure(
+        "chaos_study",
+        counters.shed_fits > 0,
+        "overload.shed_fits > 0",
+    )?;
+    study::ensure("chaos_study", counters.fits_ok > 0, "overload.fits_ok > 0")?;
+    study::ensure(
+        "chaos_study",
+        recovery_rate_permille > 0,
+        "headline.recovery_rate_permille > 0",
+    )?;
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"jobs\": {}, \"vars\": {}, \"samples\": {}, \"trials\": {}, \
-         \"requests\": {}, \"queue_capacity\": {}, \"deadline_slack_ns\": {}, \
-         \"crash_stride\": {}, \"seed\": {} }},",
-        cfg.jobs,
-        cfg.num_vars.max(1),
-        cfg.samples.max(cfg.num_vars.max(1) + 2),
-        cfg.trials,
-        cfg.requests,
-        cfg.queue_capacity.max(1),
-        cfg.deadline_slack_ns,
-        cfg.crash_stride.max(1),
-        cfg.seed,
-    );
-    let _ = writeln!(
-        json,
-        "  \"seed_store\": {{ \"artifacts\": {}, \"blob_bytes\": {blob_bytes} }},",
-        cfg.jobs
-    );
-    json.push_str("  \"fault_sweep\": [\n");
-    for (i, l) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"error_permille\": {}, \"trials\": {}, \"recovered\": {}, \
-             \"open_retries\": {}, \"read_retries\": {}, \"injected_faults\": {}, \
-             \"warm_p50_ns\": {}, \"warm_p99_ns\": {}, \"warm_max_ns\": {} }}{comma}",
-            l.error_permille,
-            l.trials,
-            l.recovered,
-            l.open_retries,
-            l.read_retries,
-            l.injected,
-            l.latency.p50_ns,
-            l.latency.p99_ns,
-            l.latency.max_ns,
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"overload\": {{ \"offered_fits\": {offered}, \"fits_ok\": {}, \
-         \"shed_fits\": {}, \"shed_permille\": {shed_permille}, \"expired_fits\": {}, \
-         \"shed_appends\": {}, \"predicts\": {}, \"evictions\": {} }},",
-        counters.fits_ok,
-        counters.shed_fits,
-        counters.expired_fits,
-        counters.shed_appends,
-        counters.predicts,
-        counters.evictions,
-    );
-    let _ = writeln!(
-        json,
-        "  \"crash\": {{ \"script_ops\": {crash_ops}, \"points_tested\": {crash_tested}, \
-         \"recovered_clean\": {crash_recovered} }},",
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{ \"recovery_rate_permille\": {}, \"shed_permille\": {shed_permille}, \
-         \"crash_points_clean\": {crash_recovered} }}",
-        sweep_ok * 1000 / sweep_trials.max(1),
-    );
-    json.push_str("}\n");
+    let mut report = ReportWriter::default();
+    report.section("scenario", |s| {
+        s.field("jobs", cfg.jobs);
+        s.field("vars", cfg.num_vars.max(1));
+        s.field("samples", cfg.samples.max(cfg.num_vars.max(1) + 2));
+        s.field("trials", cfg.trials);
+        s.field("requests", cfg.requests);
+        s.field("queue_capacity", cfg.queue_capacity.max(1));
+        s.field("deadline_slack_ns", cfg.deadline_slack_ns);
+        s.field("crash_stride", cfg.crash_stride.max(1));
+        s.field("seed", cfg.seed);
+    });
+    report.section("seed_store", |s| {
+        s.field("artifacts", cfg.jobs);
+        s.field("blob_bytes", blob_bytes);
+    });
+    report.rows("fault_sweep", &sweep, |row, l| {
+        row.field("error_permille", l.error_permille);
+        row.field("trials", l.trials);
+        row.field("recovered", l.recovered);
+        row.field("open_retries", l.open_retries);
+        row.field("read_retries", l.read_retries);
+        row.field("injected_faults", l.injected);
+        row.field("warm_p50_ns", l.latency.p50_ns);
+        row.field("warm_p99_ns", l.latency.p99_ns);
+        row.field("warm_max_ns", l.latency.max_ns);
+    });
+    report.section("overload", |s| {
+        s.field("offered_fits", offered);
+        s.field("fits_ok", counters.fits_ok);
+        s.field("shed_fits", counters.shed_fits);
+        s.field("shed_permille", shed_permille);
+        s.field("expired_fits", counters.expired_fits);
+        s.field("shed_appends", counters.shed_appends);
+        s.field("predicts", counters.predicts);
+        s.field("evictions", counters.evictions);
+    });
+    report.section("crash", |s| {
+        s.field("script_ops", crash_ops);
+        s.field("points_tested", crash_tested);
+        s.field("recovered_clean", crash_recovered);
+    });
+    report.section("headline", |s| {
+        s.field("recovery_rate_permille", recovery_rate_permille);
+        s.field("shed_permille", shed_permille);
+        s.field("crash_points_clean", crash_recovered);
+    });
 
     Ok(ChaosOutcome {
-        json,
+        json: report.finish()?,
         sweep,
         shed_fits: counters.shed_fits,
-        expired_fits: counters.expired_fits,
         fits_ok: counters.fits_ok,
         crash_points: crash_tested,
         crash_recovered,
@@ -651,15 +613,13 @@ mod tests {
         assert!(out.fits_ok > 0, "accepted fits must still be served");
         assert!(out.crash_points > 0);
         assert_eq!(out.crash_recovered, out.crash_points);
-        for key in [
-            "\"fault_sweep\"",
-            "\"overload\"",
-            "\"crash\"",
-            "\"recovery_rate_permille\"",
-            "\"shed_permille\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
+        study::assert_has_keys(
+            &out.json,
+            "scenario seed_store fault_sweep overload crash headline \
+             error_permille recovered read_retries warm_p99_ns shed_fits \
+             shed_permille expired_fits points_tested recovered_clean \
+             recovery_rate_permille",
+        );
         assert!(
             !out.json.contains("wall"),
             "wall time must stay out of the JSON"

@@ -33,5 +33,6 @@ pub mod report;
 pub mod scale;
 pub mod sequential_study;
 pub mod service_load;
+pub mod study;
 pub mod tables;
 pub mod timing;

@@ -4,7 +4,7 @@
 //! Runs the real `bmf-lint` pipeline — workspace discovery, per-file
 //! structural models, item parse, call-graph resolution, every file and
 //! graph rule, baseline diff — over this repository and writes the
-//! deterministic report to `BENCH_lint.json` (or `$BMF_LINT_OUT`).
+//! deterministic report `BENCH_lint.json` through [`crate::study`].
 //!
 //! Wall time is machine-dependent, so it is printed to stderr only; the
 //! JSON report carries **counters** (files, lines, parsed items, graph
@@ -21,13 +21,14 @@
 //! unbaselined or stale finding fails the run loudly, mirroring the CI
 //! lint job's `--deny-stale`.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use bmf_lint::baseline::{self, BaselineEntry};
 use bmf_lint::parse::SinkKind;
 use bmf_lint::rules::graph_rules;
 use bmf_lint::{analyze_workspace, lint_analysis, Analysis};
+
+use crate::study::{workspace_root, Fixed, ReportWriter};
 
 /// Virtual nanoseconds charged per source line lexed and modeled.
 pub const LEX_NS_PER_LINE: u64 = 900;
@@ -58,9 +59,6 @@ pub struct LintStudyConfig {
     /// Fail the study on any unbaselined or stale finding, mirroring the
     /// CI lint job's `--deny-stale` gate.
     pub deny_unbaselined: bool,
-    /// Run the whole pipeline twice and assert the reports are
-    /// byte-identical (the smoke determinism gate).
-    pub verify_determinism: bool,
     /// Whether this is the smoke scenario (recorded in the report).
     pub smoke: bool,
 }
@@ -72,16 +70,13 @@ impl LintStudyConfig {
         LintStudyConfig {
             root: workspace_root(),
             deny_unbaselined: true,
-            verify_determinism: false,
             smoke: false,
         }
     }
 
-    /// CI smoke scenario: same workspace, plus a second pass asserting
-    /// the report reproduces byte-for-byte.
+    /// CI smoke scenario: the same pass, recorded as a smoke run.
     pub fn smoke() -> Self {
         LintStudyConfig {
-            verify_determinism: true,
             smoke: true,
             ..LintStudyConfig::full()
         }
@@ -148,31 +143,6 @@ pub struct LintStudyOutcome {
     pub counters: LintCounters,
     /// Virtual analysis time in milliseconds.
     pub virtual_ms: f64,
-    /// Wall-clock seconds of the (first) analysis pass — stderr-only
-    /// diagnostics, never part of the JSON.
-    pub wall_s: f64,
-}
-
-/// Destination for the JSON report: `$BMF_LINT_OUT` when set (CI writes
-/// fresh copies next to — never over — the committed baseline),
-/// `BENCH_lint.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_LINT_OUT") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_lint.json"),
-        Err(_) => "BENCH_lint.json".to_string(),
-    }
-}
-
-/// The workspace root, anchored at this crate's manifest (cargo runs
-/// bench binaries from the package directory).
-pub fn workspace_root() -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => PathBuf::from(m).join("../.."),
-        Err(_) => PathBuf::from("."),
-    }
 }
 
 /// Runs the configured study against the real analyzer and returns the
@@ -181,50 +151,32 @@ pub fn workspace_root() -> PathBuf {
 /// # Errors
 ///
 /// Returns a description when the workspace cannot be read, the baseline
-/// fails to parse, the burn-down invariant is violated (unbaselined or
-/// stale findings under `deny_unbaselined`), or the double-run
-/// determinism check fails.
+/// fails to parse, or the burn-down invariant is violated (unbaselined
+/// or stale findings under `deny_unbaselined`).
 pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<LintStudyOutcome, String> {
-    let started = std::time::Instant::now();
-    let first = analyze_once(cfg)?;
-    let wall_s = started.elapsed().as_secs_f64();
+    let counters = analyze_once(cfg)?;
 
     if cfg.deny_unbaselined {
-        if first.unbaselined > 0 {
+        if counters.unbaselined > 0 {
             return Err(format!(
                 "lint study: {} unbaselined finding(s) — the workspace burn-down \
                  invariant is violated; run `cargo run -p bmf-lint -- --root .`",
-                first.unbaselined
+                counters.unbaselined
             ));
         }
-        if first.stale_entries > 0 {
+        if counters.stale_entries > 0 {
             return Err(format!(
                 "lint study: {} stale baseline entr(ies) — delete them \
                  (`cargo run -p bmf-lint -- --root . --deny-stale` lists each identity)",
-                first.stale_entries
+                counters.stale_entries
             ));
         }
     }
 
-    let json = render_json(cfg, &first);
-    if cfg.verify_determinism {
-        let second = analyze_once(cfg)?;
-        let json2 = render_json(cfg, &second);
-        if json != json2 {
-            return Err(
-                "lint study: two analysis passes produced different reports — \
-                 the analyzer lost byte-determinism"
-                    .to_string(),
-            );
-        }
-    }
-
-    let virtual_ms = first.virtual_ns() as f64 / 1e6;
     Ok(LintStudyOutcome {
-        json,
-        counters: first,
-        virtual_ms,
-        wall_s,
+        json: render_json(cfg, &counters).map_err(|e| e.to_string())?,
+        virtual_ms: counters.virtual_ns() as f64 / 1e6,
+        counters,
     })
 }
 
@@ -290,67 +242,56 @@ fn count_structure(analysis: &Analysis) -> LintCounters {
     c
 }
 
-fn render_json(cfg: &LintStudyConfig, c: &LintCounters) -> String {
+fn render_json(cfg: &LintStudyConfig, c: &LintCounters) -> Result<String, bmf_core::BmfError> {
     let virtual_ns = c.virtual_ns();
     let virtual_ms = virtual_ns as f64 / 1e6;
     let files_per_s = c.files as f64 / (virtual_ns.max(1) as f64 / 1e9);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"smoke\": {}, \"graph_rules\": {} }},",
-        u64::from(cfg.smoke),
-        graph_rules().len(),
-    );
-    let _ = writeln!(
-        json,
-        "  \"workspace\": {{ \"files\": {}, \"lines\": {}, \"fn_items\": {}, \
-         \"pub_fns\": {}, \"call_sites\": {} }},",
-        c.files, c.lines, c.fn_items, c.pub_fns, c.call_sites,
-    );
-    let _ = writeln!(
-        json,
-        "  \"graph\": {{ \"nodes\": {}, \"edges\": {}, \"strong_edges\": {}, \
-         \"weak_edges\": {} }},",
-        c.fn_items,
-        c.edges,
-        c.strong_edges,
-        c.edges - c.strong_edges,
-    );
-    let _ = writeln!(
-        json,
-        "  \"sinks\": {{ \"panic\": {}, \"alloc\": {}, \"index\": {}, \"vfs_ops\": {} }},",
-        c.panic_sinks, c.alloc_sinks, c.index_sinks, c.vfs_ops,
-    );
-    let _ = writeln!(
-        json,
-        "  \"findings\": {{ \"total\": {}, \"baselined\": {}, \"unbaselined\": {}, \
-         \"stale_entries\": {} }},",
-        c.findings_total, c.baselined, c.unbaselined, c.stale_entries,
-    );
-    let mut per_rule = String::new();
-    for (i, id) in GRAPH_RULE_IDS.iter().enumerate() {
-        if i > 0 {
-            per_rule.push_str(", ");
+    let mut report = ReportWriter::default();
+    report.section("scenario", |s| {
+        s.field("smoke", u64::from(cfg.smoke));
+        s.field("graph_rules", graph_rules().len());
+    });
+    report.section("workspace", |s| {
+        s.field("files", c.files);
+        s.field("lines", c.lines);
+        s.field("fn_items", c.fn_items);
+        s.field("pub_fns", c.pub_fns);
+        s.field("call_sites", c.call_sites);
+    });
+    report.section("graph", |s| {
+        s.field("nodes", c.fn_items);
+        s.field("edges", c.edges);
+        s.field("strong_edges", c.strong_edges);
+        s.field("weak_edges", c.edges - c.strong_edges);
+    });
+    report.section("sinks", |s| {
+        s.field("panic", c.panic_sinks);
+        s.field("alloc", c.alloc_sinks);
+        s.field("index", c.index_sinks);
+        s.field("vfs_ops", c.vfs_ops);
+    });
+    report.section("findings", |s| {
+        s.field("total", c.findings_total);
+        s.field("baselined", c.baselined);
+        s.field("unbaselined", c.unbaselined);
+        s.field("stale_entries", c.stale_entries);
+    });
+    // Rule ids use `-`, which the trend gate cannot parse in a key.
+    report.section("rule_findings", |s| {
+        for (id, n) in GRAPH_RULE_IDS.iter().zip(c.per_graph_rule) {
+            s.field(&id.replace('-', "_"), n);
         }
-        let _ = write!(
-            per_rule,
-            "\"{}\": {}",
-            id.replace('-', "_"),
-            c.per_graph_rule[i]
-        );
-    }
-    let _ = writeln!(json, "  \"rule_findings\": {{ {per_rule} }},");
-    let _ = writeln!(
-        json,
-        "  \"cost_model\": {{ \"lex_ns_per_line\": {LEX_NS_PER_LINE}, \
-         \"resolve_ns_per_call\": {RESOLVE_NS_PER_CALL}, \
-         \"rule_ns_per_edge\": {RULE_NS_PER_EDGE}, \"finding_ns\": {FINDING_NS} }},"
-    );
-    let _ = writeln!(json, "  \"virtual_ms\": {virtual_ms:.3},");
-    let _ = writeln!(json, "  \"files_per_s_throughput\": {files_per_s:.1}");
-    json.push_str("}\n");
-    json
+    });
+    report.section("cost_model", |s| {
+        s.field("lex_ns_per_line", LEX_NS_PER_LINE);
+        s.field("resolve_ns_per_call", RESOLVE_NS_PER_CALL);
+        s.field("rule_ns_per_edge", RULE_NS_PER_EDGE);
+        s.field("finding_ns", FINDING_NS);
+    });
+    report.scalar("virtual_ms", Fixed(virtual_ms, 3));
+    report.scalar("files_per_s_throughput", Fixed(files_per_s, 1));
+    report.finish()
 }
 
 #[cfg(test)]
@@ -401,34 +342,12 @@ mod tests {
     #[test]
     fn json_has_the_gated_keys() {
         let out = run_lint_study(&cfg()).expect("study run");
-        for key in [
-            "\"scenario\"",
-            "\"workspace\"",
-            "\"files\"",
-            "\"graph\"",
-            "\"strong_edges\"",
-            "\"sinks\"",
-            "\"findings\"",
-            "\"unbaselined\"",
-            "\"rule_findings\"",
-            "\"panic_reachability\"",
-            "\"durability_ordering\"",
-            "\"cost_model\"",
-            "\"virtual_ms\"",
-            "\"files_per_s_throughput\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
-        assert!(
-            !out.json.to_lowercase().contains("nan"),
-            "non-finite value leaked into the report"
+        crate::study::assert_has_keys(
+            &out.json,
+            "scenario workspace files graph strong_edges sinks findings \
+             unbaselined rule_findings panic_reachability durability_ordering \
+             cost_model virtual_ms files_per_s_throughput",
         );
-    }
-
-    #[test]
-    fn smoke_double_run_verifies_determinism() {
-        let out = run_lint_study(&LintStudyConfig::smoke()).expect("smoke run");
-        assert!(out.counters.files > 0);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! a probe set — a warm start that changed a single bit is a benchmark
 //! failure, not a data point.
 //!
-//! As everywhere in this crate, wall time is printed but never
-//! serialized: `BENCH_persist.json` is computed from counters and
-//! artifact byte sizes only, so it is byte-identical across machines,
-//! runs, and `BMF_THREADS` settings.
+//! As for every study of [`crate::study`], wall time stays out of the
+//! report: `BENCH_persist.json` is computed from counters and artifact
+//! byte sizes only, so it is byte-identical across machines, runs, and
+//! `BMF_THREADS` settings, and so is the artifact store the bench
+//! leaves in `persist-store/` next to it.
 //!
 //! [`BATCH_BASE_NS`]: crate::service_load::BATCH_BASE_NS
 //! [`KERNEL_NS`]: crate::service_load::KERNEL_NS
@@ -30,7 +31,7 @@
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`ArtifactStore::warm_start`]: bmf_persist::store::ArtifactStore::warm_start
 
-use std::fmt::Write as _;
+use std::path::Path;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::options::FitOptions;
@@ -41,6 +42,7 @@ use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::service_load::{BATCH_BASE_NS, JOB_NS, KERNEL_NS, SOLVE_NS};
+use crate::study::{self, Fixed, ReportWriter};
 
 /// Virtual cost of installing one snapshot into the registry
 /// (validation screens plus shard insertion).
@@ -97,40 +99,12 @@ pub struct PersistOutcome {
     pub cold_ns: u64,
     /// Virtual cost of the warm start (load everything).
     pub warm_ns: u64,
-    /// Artifacts written.
-    pub artifacts: usize,
-    /// Total artifact bytes on disk.
-    pub total_bytes: u64,
     /// Bitwise-verified predictions.
     pub verified: u64,
 }
 
-/// Destination for the JSON report: `$BMF_PERSIST_OUT` when set,
-/// `BENCH_persist.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_PERSIST_OUT") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_persist.json"),
-        Err(_) => "BENCH_persist.json".to_string(),
-    }
-}
-
-/// Directory for the bench's scratch store: `$BMF_PERSIST_DIR` when
-/// set, `target/persist-bench-store` at the workspace root otherwise.
-/// Recreated from scratch on every run.
-pub fn store_dir() -> String {
-    if let Ok(p) = std::env::var("BMF_PERSIST_DIR") {
-        return p;
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../target/persist-bench-store"),
-        Err(_) => "target/persist-bench-store".to_string(),
-    }
-}
-
-/// Runs the cold-fit / export / warm-start / verify cycle and returns
+/// Runs the cold-fit / export / warm-start / verify cycle, with the
+/// artifact store recreated from scratch in `store_dir`, and returns
 /// the deterministic report.
 ///
 /// # Errors
@@ -139,8 +113,10 @@ pub fn store_dir() -> String {
 /// errors routed through [`BmfError::Snapshot`]); a bitwise divergence
 /// between the cold and warm services is reported as
 /// [`BmfError::Snapshot`] too — the persisted snapshot failed its
-/// round-trip contract.
-pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
+/// round-trip contract. A run that verifies no prediction, or whose
+/// warm start is not cheaper than its cold start, fails its headline
+/// check.
+pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutcome, BmfError> {
     let r = cfg.num_vars;
     let samples = cfg.samples.max(r + 2);
     let mut rng = seeded(derive_seed(cfg.seed, 1));
@@ -163,16 +139,7 @@ pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
         let truth: Vec<f64> = (0..=r)
             .map(|i| ((i + 7 * j) as f64 * 0.29).cos() * (1.0 + j as f64 * 0.03))
             .collect();
-        let values: Vec<f64> = points
-            .iter()
-            .map(|p| {
-                truth[0]
-                    + p.iter()
-                        .enumerate()
-                        .map(|(i, x)| truth[i + 1] * x)
-                        .sum::<f64>()
-            })
-            .collect();
+        let values = study::linear_values(&truth, &points);
         let prior: Vec<Option<f64>> = truth.iter().map(|t| Some(t * 1.05)).collect();
         cold.submit_fit(FitRequest {
             job_id: format!("perf{j:03}"),
@@ -195,9 +162,8 @@ pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
         + c.fits_ok * JOB_NS;
 
     // Export everything to a fresh on-disk store.
-    let dir = store_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ArtifactStore::open(&dir).map_err(BmfError::from)?;
+    let _ = std::fs::remove_dir_all(store_dir);
+    let store = ArtifactStore::open(store_dir).map_err(BmfError::from)?;
     let ids = store.export_service(&cold).map_err(BmfError::from)?;
     let mut total_bytes: u64 = 0;
     for &id in &ids {
@@ -225,41 +191,84 @@ pub fn run_persist(cfg: &PersistConfig) -> Result<PersistOutcome, BmfError> {
     }
     let warm_ns = imported * IMPORT_NS + total_bytes / WARM_BYTES_PER_NS;
 
-    let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"jobs\": {}, \"vars\": {r}, \"samples\": {samples}, \
-         \"probes\": {}, \"seed\": {} }},",
-        cfg.jobs, cfg.probes, cfg.seed,
-    );
-    let _ = writeln!(
-        json,
-        "  \"artifacts\": {{ \"count\": {}, \"total_bytes\": {total_bytes}, \
-         \"index_entries\": {} }},",
-        ids.len(),
-        store.index().map_err(BmfError::from)?.len(),
-    );
-    let _ = writeln!(
-        json,
-        "  \"cold_start\": {{ \"virtual_ns\": {cold_ns}, \"batches\": {}, \
-         \"kernels\": {}, \"map_solves\": {}, \"fits\": {} }},",
-        c.batches, c.kernel_cache_misses, c.map_solves, c.fits_ok,
-    );
-    let _ = writeln!(
-        json,
-        "  \"warm_start\": {{ \"virtual_ns\": {warm_ns}, \"imports\": {imported}, \
-         \"verified_predictions\": {verified} }},",
-    );
-    let _ = writeln!(json, "  \"headline\": {{ \"warm_speedup\": {speedup:.3} }}");
-    json.push_str("}\n");
+    study::ensure("persist_study", verified > 0, "verified_predictions > 0")?;
+    study::ensure(
+        "persist_study",
+        0 < warm_ns && warm_ns < cold_ns,
+        "0 < warm_start.virtual_ns < cold_start.virtual_ns",
+    )?;
+
+    let mut report = ReportWriter::default();
+    report.section("scenario", |s| {
+        s.field("jobs", cfg.jobs);
+        s.field("vars", r);
+        s.field("samples", samples);
+        s.field("probes", cfg.probes);
+        s.field("seed", cfg.seed);
+    });
+    let index_entries = store.index().map_err(BmfError::from)?.len();
+    report.section("artifacts", |s| {
+        s.field("count", ids.len());
+        s.field("total_bytes", total_bytes);
+        s.field("index_entries", index_entries);
+    });
+    report.section("cold_start", |s| {
+        s.field("virtual_ns", cold_ns);
+        s.field("batches", c.batches);
+        s.field("kernels", c.kernel_cache_misses);
+        s.field("map_solves", c.map_solves);
+        s.field("fits", c.fits_ok);
+    });
+    report.section("warm_start", |s| {
+        s.field("virtual_ns", warm_ns);
+        s.field("imports", imported);
+        s.field("verified_predictions", verified);
+    });
+    let speedup = cold_ns as f64 / warm_ns as f64;
+    report.section("headline", |s| {
+        s.field("warm_speedup", Fixed(speedup, 3));
+    });
 
     Ok(PersistOutcome {
-        json,
+        json: report.finish()?,
         cold_ns,
         warm_ns,
-        artifacts: ids.len(),
-        total_bytes,
         verified,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny() -> PersistConfig {
+        PersistConfig {
+            jobs: 3,
+            num_vars: 4,
+            samples: 10,
+            probes: 4,
+            ..PersistConfig::smoke()
+        }
+    }
+
+    #[test]
+    fn persist_run_is_byte_deterministic_and_sane() {
+        let dir = std::env::temp_dir().join(format!("bmf-persist-study-{}", std::process::id()));
+        let a = run_persist(&tiny(), &dir.join("a")).expect("persist run");
+        let b = run_persist(&tiny(), &dir.join("b")).expect("persist run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(a.json, b.json);
+        study::assert_has_keys(
+            &a.json,
+            "scenario artifacts cold_start warm_start headline total_bytes \
+             virtual_ns imports verified_predictions warm_speedup",
+        );
+        assert!(
+            0 < a.warm_ns && a.warm_ns < a.cold_ns,
+            "warm {} ns must be positive and cheaper than cold {} ns",
+            a.warm_ns,
+            a.cold_ns
+        );
+        assert_eq!(a.verified, 3 * 4, "every job is verified on every probe");
+    }
 }

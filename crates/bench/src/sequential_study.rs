@@ -2,8 +2,8 @@
 //! (`cargo bench -p bmf-bench --bench sequential`).
 //!
 //! Exercises the real [`bmf_core::sequential::SequentialBmf`] two ways
-//! and writes the deterministic report to `BENCH_sequential.json` (or
-//! `$BMF_SEQUENTIAL_OUT`):
+//! and writes the deterministic report `BENCH_sequential.json` through
+//! [`crate::study`]:
 //!
 //! 1. **Speedup curve over K** — one stream absorbs `k_max` late-stage
 //!    samples; after every sample the study *also* refits the seen
@@ -27,8 +27,6 @@
 //! `Θ(k²·m + k³/3)`. Both arms are charged [`FLOP_NS`] per unit plus a
 //! fixed dispatch base, from counts that depend only on `(k, m)`.
 
-use std::fmt::Write as _;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{generate_arrivals, ArrivalConfig};
 use bmf_core::map_estimate::map_estimate;
@@ -40,6 +38,8 @@ use bmf_core::BmfError;
 use bmf_linalg::{Matrix, Vector};
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
+
+use crate::study::{self, Fixed, LatencySummary, ReportWriter};
 
 /// Virtual nanoseconds charged per fused multiply-add unit of posterior
 /// work.
@@ -142,41 +142,6 @@ pub struct CurvePoint {
     pub speedup_x: f64,
 }
 
-/// Update-latency percentiles over the arrival replay, in virtual ns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UpdateLatency {
-    /// Updates measured.
-    pub count: u64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Worst case.
-    pub max_ns: u64,
-}
-
-impl UpdateLatency {
-    fn from_sorted(lat: &mut [u64]) -> Self {
-        lat.sort_unstable();
-        let pct = |num: u64, den: u64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as u64 * num / den) as usize]
-            }
-        };
-        UpdateLatency {
-            count: lat.len() as u64,
-            p50_ns: pct(50, 100),
-            p99_ns: pct(99, 100),
-            p999_ns: pct(999, 1000),
-            max_ns: lat.last().copied().unwrap_or(0),
-        }
-    }
-}
-
 /// Everything one study run produces.
 #[derive(Debug, Clone)]
 pub struct SeqStudyOutcome {
@@ -185,8 +150,8 @@ pub struct SeqStudyOutcome {
     pub json: String,
     /// The speedup curve, one entry per configured `k`.
     pub curve: Vec<CurvePoint>,
-    /// Update latency over the arrival replay.
-    pub latency: UpdateLatency,
+    /// Update latency over the arrival replay, in virtual ns.
+    pub latency: LatencySummary,
     /// Streamed-vs-batch posterior means proven bit-identical, one per
     /// absorbed curve sample.
     pub bitwise_checks: u64,
@@ -195,22 +160,6 @@ pub struct SeqStudyOutcome {
     /// Simulated silicon cost carried by the replayed arrivals, in
     /// millihours.
     pub simulation_millihours: u64,
-}
-
-/// Destination for the JSON report: `$BMF_SEQUENTIAL_OUT` when set (CI
-/// writes fresh copies next to — never over — the committed baseline),
-/// `BENCH_sequential.json` at the workspace root otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_SEQUENTIAL_OUT") {
-        return p;
-    }
-    // Anchor the default at the workspace root (cargo runs bench
-    // binaries from the package directory), so `cargo bench` writes next
-    // to the committed baseline.
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_sequential.json"),
-        Err(_) => "BENCH_sequential.json".to_string(),
-    }
 }
 
 fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
@@ -230,7 +179,9 @@ fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
 ///
 /// Propagates estimator errors and fails loudly (structured
 /// [`BmfError::Config`]) if any streamed posterior mean is not
-/// bit-identical to the batch refit of the same prefix.
+/// bit-identical to the batch refit of the same prefix, or if a
+/// headline check fails: no bitwise check, a zero update p99, or no
+/// speedup at the deepest curve point.
 pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, BmfError> {
     let basis = OrthonormalBasis::linear(cfg.num_vars.max(1));
     let m = basis.len();
@@ -340,24 +291,63 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
             });
         }
     }
-    let latency = UpdateLatency::from_sorted(&mut latencies);
+    let latency = LatencySummary::of(&mut latencies);
     let updates_per_s = events.len() as f64 / (makespan_ns as f64 / 1e9);
 
     if cfg.assert_allocs {
         assert_steady_state_alloc_free(&basis, &prior, hyper)?;
     }
 
-    let json = render_json(
-        cfg,
-        m,
-        &curve,
-        latency,
-        bitwise_checks,
-        updates_per_s,
-        simulation_millihours,
-    );
+    study::ensure("sequential_study", bitwise_checks > 0, "bitwise_checks > 0")?;
+    study::ensure(
+        "sequential_study",
+        latency.p99_ns > 0,
+        "latency_update.p99_ns > 0",
+    )?;
+    study::ensure(
+        "sequential_study",
+        curve.last().is_some_and(|p| p.speedup_x > 1.0),
+        "speedup > 1 at the deepest curve point",
+    )?;
+
+    let mut report = ReportWriter::default();
+    report.section("scenario", |s| {
+        s.field("seed", cfg.seed);
+        s.field("vars", cfg.num_vars.max(1));
+        s.field("terms", m);
+        s.field("k_max", cfg.k_max);
+        s.field("curve_points", curve.len());
+        s.field("arrivals", cfg.arrivals);
+        s.field("jobs", cfg.jobs.max(1));
+    });
+    report.section("cost_model", |s| {
+        s.field("flop_ns", FLOP_NS);
+        s.field("update_base_ns", UPDATE_BASE_NS);
+        s.field("refit_base_ns", REFIT_BASE_NS);
+    });
+    for p in &curve {
+        report.section(&format!("curve_k{}", p.k), |s| {
+            s.field("incremental_total_ns", p.incremental_total_ns);
+            s.field("refit_total_ns", p.refit_total_ns);
+        });
+    }
+    // "throughput" in the key name tells the trend gate these regress
+    // downward: a shrinking speedup means streaming got more expensive.
+    report.section("speedup", |s| {
+        for p in &curve {
+            s.field(&format!("k{}_x_throughput", p.k), Fixed(p.speedup_x, 3));
+        }
+    });
+    report.section("latency_update", |s| latency.write(s));
+    report.section("arrival_cost", |s| {
+        s.field("simulation_millihours", simulation_millihours);
+        s.field("updates", latency.count);
+    });
+    report.scalar("bitwise_checks", bitwise_checks);
+    report.scalar("updates_per_s_throughput", Fixed(updates_per_s, 3));
+
     Ok(SeqStudyOutcome {
-        json,
+        json: report.finish()?,
         curve,
         latency,
         bitwise_checks,
@@ -419,68 +409,6 @@ fn assert_steady_state_alloc_free(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &SeqStudyConfig,
-    terms: usize,
-    curve: &[CurvePoint],
-    latency: UpdateLatency,
-    bitwise_checks: u64,
-    updates_per_s: f64,
-    simulation_millihours: u64,
-) -> String {
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"seed\": {}, \"vars\": {}, \"terms\": {terms}, \"k_max\": {}, \
-         \"curve_points\": {}, \"arrivals\": {}, \"jobs\": {} }},",
-        cfg.seed,
-        cfg.num_vars.max(1),
-        cfg.k_max,
-        curve.len(),
-        cfg.arrivals,
-        cfg.jobs.max(1),
-    );
-    let _ = writeln!(
-        json,
-        "  \"cost_model\": {{ \"flop_ns\": {FLOP_NS}, \"update_base_ns\": {UPDATE_BASE_NS}, \
-         \"refit_base_ns\": {REFIT_BASE_NS} }},"
-    );
-    for p in curve {
-        let _ = writeln!(
-            json,
-            "  \"curve_k{}\": {{ \"incremental_total_ns\": {}, \"refit_total_ns\": {} }},",
-            p.k, p.incremental_total_ns, p.refit_total_ns,
-        );
-    }
-    // "throughput" in the key name tells the trend gate these regress
-    // downward: a shrinking speedup means streaming got more expensive.
-    let mut speedups = String::new();
-    for (i, p) in curve.iter().enumerate() {
-        if i > 0 {
-            speedups.push_str(", ");
-        }
-        let _ = write!(speedups, "\"k{}_x_throughput\": {:.3}", p.k, p.speedup_x);
-    }
-    let _ = writeln!(json, "  \"speedup\": {{ {speedups} }},");
-    let _ = writeln!(
-        json,
-        "  \"latency_update\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-         \"p999_ns\": {}, \"max_ns\": {} }},",
-        latency.count, latency.p50_ns, latency.p99_ns, latency.p999_ns, latency.max_ns,
-    );
-    let _ = writeln!(
-        json,
-        "  \"arrival_cost\": {{ \"simulation_millihours\": {simulation_millihours}, \
-         \"updates\": {} }},",
-        latency.count,
-    );
-    let _ = writeln!(json, "  \"bitwise_checks\": {bitwise_checks},");
-    let _ = writeln!(json, "  \"updates_per_s_throughput\": {updates_per_s:.3}");
-    json.push_str("}\n");
-    json
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,26 +466,11 @@ mod tests {
     #[test]
     fn json_has_the_gated_keys() {
         let out = run_sequential_study(&tiny()).expect("study run");
-        for key in [
-            "\"scenario\"",
-            "\"cost_model\"",
-            "\"curve_k4\"",
-            "\"curve_k16\"",
-            "\"speedup\"",
-            "\"k16_x_throughput\"",
-            "\"latency_update\"",
-            "\"p50_ns\"",
-            "\"p99_ns\"",
-            "\"arrival_cost\"",
-            "\"simulation_millihours\"",
-            "\"bitwise_checks\"",
-            "\"updates_per_s_throughput\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
-        assert!(
-            !out.json.to_lowercase().contains("nan"),
-            "non-finite value leaked into the report"
+        study::assert_has_keys(
+            &out.json,
+            "scenario cost_model curve_k4 curve_k8 curve_k16 speedup \
+             k16_x_throughput latency_update p50_ns p99_ns max_ns arrival_cost \
+             simulation_millihours bitwise_checks updates_per_s_throughput",
         );
     }
 

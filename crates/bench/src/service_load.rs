@@ -26,8 +26,9 @@
 //!   latency = queueing delay + executor backlog + batch cost;
 //! * predictions and evictions are served lock-light off the registry
 //!   and are charged flat costs (no queueing).
-
-use std::fmt::Write as _;
+//!
+//! The report is written through [`crate::study`]. A run that serves no
+//! fit, or times a zero fit p99 or throughput, fails instead.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{RequestKind, TrafficConfig, TrafficEvent};
@@ -37,6 +38,8 @@ use bmf_core::service::{FitRequest, FitService, ServiceConfig, Ticket};
 use bmf_core::BmfError;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
+
+use crate::study::{self, Fixed, LatencySummary, ReportWriter};
 
 /// Fixed virtual cost charged per coalesced batch run (dispatch, design
 /// matrix reuse, result installation).
@@ -115,43 +118,6 @@ impl LoadConfig {
     }
 }
 
-/// Latency percentiles over one request class, in virtual nanoseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencySummary {
-    /// Requests in this class.
-    pub count: u64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Worst case.
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    /// Order-statistic percentiles over a latency sample (sorts it in
-    /// place). Empty input yields all-zero percentiles.
-    pub fn from_sorted(lat: &mut [u64]) -> Self {
-        lat.sort_unstable();
-        let pct = |num: u64, den: u64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((lat.len() - 1) as u64 * num / den) as usize]
-            }
-        };
-        LatencySummary {
-            count: lat.len() as u64,
-            p50_ns: pct(50, 100),
-            p99_ns: pct(99, 100),
-            p999_ns: pct(999, 1000),
-            max_ns: lat.last().copied().unwrap_or(0),
-        }
-    }
-}
-
 /// Everything one load run produces.
 #[derive(Debug, Clone)]
 pub struct LoadOutcome {
@@ -162,28 +128,10 @@ pub struct LoadOutcome {
     pub overall: LatencySummary,
     /// Latency of fit requests (queueing + batch execution).
     pub fit: LatencySummary,
-    /// Latency of predictions.
-    pub predict: LatencySummary,
     /// Virtual requests per second over the stream makespan.
     pub throughput_rps: f64,
     /// Final service-wide counters.
     pub counters: bmf_core::service::ServiceCounters,
-}
-
-/// Destination for the JSON report: `$BMF_SERVICE_OUT` when set (CI
-/// writes fresh copies next to — never over — the committed baseline),
-/// `BENCH_service.json` in the current directory otherwise.
-pub fn output_path() -> String {
-    if let Ok(p) = std::env::var("BMF_SERVICE_OUT") {
-        return p;
-    }
-    // Anchor the default at the workspace root (cargo runs bench
-    // binaries from the package directory), so `cargo bench` writes next
-    // to the committed baseline.
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(m) => format!("{m}/../../BENCH_service.json"),
-        Err(_) => "BENCH_service.json".to_string(),
-    }
 }
 
 /// One job's fixed payload: its truth never changes across refits, so a
@@ -200,8 +148,9 @@ struct JobPayload {
 ///
 /// # Errors
 ///
-/// Propagates service construction and point-registration errors;
-/// per-request failures are counted, not propagated.
+/// Propagates service construction and point-registration errors and
+/// fails a run that serves no fit or reports a zero fit p99 or
+/// throughput; per-request failures are counted, not propagated.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
     let traffic = TrafficConfig {
         requests: cfg.requests,
@@ -223,6 +172,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         .grid(log_grid(1e-3, 1e3, 9))
         .seed(derive_seed(cfg.seed, 2))
         .threads(0); // consult BMF_THREADS; results are thread-invariant
+    let (folds, grid) = (options.folds, options.grid.len());
     let service = FitService::new(ServiceConfig {
         shards: 8,
         max_coalesce: cfg.max_coalesce.max(1),
@@ -249,17 +199,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
             let truth: Vec<f64> = (0..terms)
                 .map(|i| ((i + 7 * j) as f64 * 0.31).cos() * (1.0 + j as f64 * 0.05))
                 .collect();
-            let values: Vec<f64> = group_sets[group]
-                .1
-                .iter()
-                .map(|p| {
-                    truth[0]
-                        + p.iter()
-                            .enumerate()
-                            .map(|(i, x)| truth.get(i + 1).unwrap_or(&0.0) * x)
-                            .sum::<f64>()
-                })
-                .collect();
+            let values = study::linear_values(&truth, &group_sets[group].1);
             let prior: Vec<Option<f64>> = truth
                 .iter()
                 .enumerate()
@@ -296,7 +236,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         last_completion_ns: 0,
     };
 
-    let wall = std::time::Instant::now();
     for (i, ev) in events.iter().enumerate() {
         engine.step(ev, &probes[i % probes.len()]);
     }
@@ -304,90 +243,62 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
     if let Some(&oldest) = engine.pending.first() {
         engine.drain_at(oldest + engine.window_ns);
     }
-    let wall_s = wall.elapsed().as_secs_f64();
 
     let last_arrival = events.last().map_or(0, |e| e.at_ns);
     let makespan_ns = engine.last_completion_ns.max(last_arrival).max(1);
     let throughput_rps = events.len() as f64 / (makespan_ns as f64 / 1e9);
 
-    let overall = LatencySummary::from_sorted(&mut engine.lat_all);
-    let fit = LatencySummary::from_sorted(&mut engine.lat_fit);
-    let predict = LatencySummary::from_sorted(&mut engine.lat_predict);
+    let overall = LatencySummary::of(&mut engine.lat_all);
+    let fit = LatencySummary::of(&mut engine.lat_fit);
+    let predict = LatencySummary::of(&mut engine.lat_predict);
     let counters = service.counters();
-    let fit_errors = engine.fit_errors;
+    study::ensure("service_load", counters.fits_ok > 0, "fits_ok > 0")?;
+    study::ensure("service_load", fit.p99_ns > 0, "latency_fit.p99_ns > 0")?;
+    study::ensure("service_load", throughput_rps > 0.0, "throughput_rps > 0")?;
 
-    // Wall time is printed, never serialized: the JSON must be
-    // byte-identical across machines and thread counts.
-    println!(
-        "service/load                             {} requests in {wall_s:.3} s wall \
-         ({} batches, {} models live)",
-        events.len(),
-        counters.batches,
-        service.snapshot_count(),
-    );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"scenario\": {{ \"requests\": {}, \"seed\": {}, \"vars\": {}, \"terms\": {terms}, \
-         \"samples\": {}, \"jobs\": {}, \"groups\": {}, \"folds\": 4, \"grid\": 9, \
-         \"max_coalesce\": {}, \"coalesce_window_ns\": {}, \"fit_permille\": {}, \
-         \"evict_permille\": {} }},",
-        cfg.requests,
-        cfg.seed,
-        basis.num_vars(),
-        cfg.samples.max(terms),
-        traffic.jobs,
-        traffic.groups,
-        cfg.max_coalesce.max(1),
-        cfg.coalesce_window_ns.max(1),
-        traffic.fit_permille,
-        traffic.evict_permille,
-    );
-    let _ = writeln!(
-        json,
-        "  \"traffic\": {{ \"fits_ok\": {}, \"fit_errors\": {fit_errors}, \"predicts\": {}, \
-         \"predict_misses\": {}, \"evictions\": {}, \"evict_misses\": {} }},",
-        counters.fits_ok,
-        counters.predicts,
-        counters.predict_misses,
-        counters.evictions,
-        counters.evict_misses,
-    );
-    let _ = writeln!(
-        json,
-        "  \"coalescing\": {{ \"batches\": {}, \"coalesced_fits\": {}, \"max_batch\": {}, \
-         \"isolation_refits\": {}, \"kernel_cache_hits\": {}, \"kernel_cache_misses\": {}, \
-         \"map_solves\": {}, \"degraded_fits\": {} }},",
-        counters.batches,
-        counters.coalesced_fits,
-        counters.max_batch,
-        counters.isolation_refits,
-        counters.kernel_cache_hits,
-        counters.kernel_cache_misses,
-        counters.map_solves,
-        counters.degraded_fits,
-    );
-    for (name, l) in [
-        ("latency_overall", &overall),
-        ("latency_fit", &fit),
-        ("latency_predict", &predict),
-    ] {
-        let _ = writeln!(
-            json,
-            "  \"{name}\": {{ \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"max_ns\": {} }},",
-            l.count, l.p50_ns, l.p99_ns, l.p999_ns, l.max_ns
-        );
-    }
-    let _ = writeln!(json, "  \"throughput_rps\": {throughput_rps:.3}");
-    json.push_str("}\n");
+    let mut report = ReportWriter::default();
+    report.section("scenario", |s| {
+        s.field("requests", cfg.requests);
+        s.field("seed", cfg.seed);
+        s.field("vars", basis.num_vars());
+        s.field("terms", terms);
+        s.field("samples", cfg.samples.max(terms));
+        s.field("jobs", traffic.jobs);
+        s.field("groups", traffic.groups);
+        s.field("folds", folds);
+        s.field("grid", grid);
+        s.field("max_coalesce", cfg.max_coalesce.max(1));
+        s.field("coalesce_window_ns", cfg.coalesce_window_ns.max(1));
+        s.field("fit_permille", traffic.fit_permille);
+        s.field("evict_permille", traffic.evict_permille);
+    });
+    report.section("traffic", |s| {
+        s.field("fits_ok", counters.fits_ok);
+        s.field("fit_errors", engine.fit_errors);
+        s.field("predicts", counters.predicts);
+        s.field("predict_misses", counters.predict_misses);
+        s.field("evictions", counters.evictions);
+        s.field("evict_misses", counters.evict_misses);
+    });
+    report.section("coalescing", |s| {
+        s.field("batches", counters.batches);
+        s.field("coalesced_fits", counters.coalesced_fits);
+        s.field("max_batch", counters.max_batch);
+        s.field("isolation_refits", counters.isolation_refits);
+        s.field("kernel_cache_hits", counters.kernel_cache_hits);
+        s.field("kernel_cache_misses", counters.kernel_cache_misses);
+        s.field("map_solves", counters.map_solves);
+        s.field("degraded_fits", counters.degraded_fits);
+    });
+    report.section("latency_overall", |s| overall.write(s));
+    report.section("latency_fit", |s| fit.write(s));
+    report.section("latency_predict", |s| predict.write(s));
+    report.scalar("throughput_rps", Fixed(throughput_rps, 3));
 
     Ok(LoadOutcome {
-        json,
+        json: report.finish()?,
         overall,
         fit,
-        predict,
         throughput_rps,
         counters,
     })
@@ -565,6 +476,16 @@ mod tests {
     }
 
     #[test]
+    fn a_run_without_fits_fails_its_headline_check() {
+        let cfg = LoadConfig {
+            fit_permille: 0,
+            ..tiny()
+        };
+        let err = run_load(&cfg).expect_err("a run that serves no fit must fail");
+        assert!(err.to_string().contains("fits_ok > 0"), "{err}");
+    }
+
+    #[test]
     fn coalescing_actually_happens() {
         let out = run_load(&tiny()).expect("load run");
         assert!(
@@ -581,32 +502,15 @@ mod tests {
     #[test]
     fn json_has_the_gated_keys() {
         let out = run_load(&tiny()).expect("load run");
-        for key in [
-            "\"latency_overall\"",
-            "\"latency_fit\"",
-            "\"latency_predict\"",
-            "\"p50_ns\"",
-            "\"p99_ns\"",
-            "\"p999_ns\"",
-            "\"throughput_rps\"",
-            "\"coalescing\"",
-        ] {
-            assert!(out.json.contains(key), "missing {key} in report");
-        }
+        study::assert_has_keys(
+            &out.json,
+            "scenario traffic coalescing latency_overall latency_fit \
+             latency_predict throughput_rps p50_ns p99_ns p999_ns max_ns \
+             fits_ok batches",
+        );
         assert!(
             !out.json.contains("wall"),
             "wall time must stay out of the JSON"
         );
-    }
-
-    #[test]
-    fn percentiles_are_order_statistics() {
-        let mut lat: Vec<u64> = (1..=1000).collect();
-        let s = LatencySummary::from_sorted(&mut lat);
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50_ns, 500);
-        assert_eq!(s.p99_ns, 990);
-        assert_eq!(s.p999_ns, 999);
-        assert_eq!(s.max_ns, 1000);
     }
 }

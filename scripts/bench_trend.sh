@@ -2,10 +2,12 @@
 # Bench trend gate: compare a freshly generated BENCH_*.json against the
 # committed baseline copy and fail on a >20% regression of any metric.
 #
-# Every report style in this repo is flat: top-level scalars, one-line
-# `"section": { "key": value, ... }` objects, and arrays of one-line
-# objects, which is what the flattener below parses. Array rows flatten
-# to `section[i].key` (i counts from 0), so every row is gated.
+# Every report is written by bmf_bench::study::ReportWriter in one flat
+# layout: top-level scalars, one-line `"section": { "key": value, ... }`
+# objects, and arrays of one-line objects, which is what the flattener
+# below parses (crates/bench/tests/trend_gate.rs pins the two together).
+# Array rows flatten to `section[i].key` (i counts from 0), so every row
+# is gated.
 #
 # Direction comes from the metric's own name (the part after the last
 # '.'): names matching a glob in HIGHER_IS_BETTER (success counts,
