@@ -10,15 +10,18 @@
 //!   every job;
 //! * the cross-validation fold row-selections depend only on `(K, folds,
 //!   seed)`;
-//! * the per-fold Woodbury kernels (`B_F` Θ(K²M), `B_Z` Θ(K²·missing))
-//!   depend only on the fold and the *normalized prior values* — jobs
-//!   whose priors coincide after normalization share them exactly.
+//! * the Woodbury kernels (`B_F` Θ(K²M), `B_Z` Θ(K²·missing)) depend
+//!   only on the *normalized prior values* — jobs whose priors coincide
+//!   after normalization share them exactly — and, built over all K
+//!   rows, serve every fold as a sub-block read through the fold's
+//!   training rows.
 //!
 //! [`BatchFitter`] evaluates the design matrix once, builds each distinct
-//! kernel once, and dispatches the remaining per-job work — grid sweeps
-//! over every `(fold, hyper, family)` cell, one core factorization per
-//! `(fold, hyper)` serving both families, then reduction and the final
-//! full-data solve — across a scoped worker pool.
+//! prior pattern's kernels once, and dispatches the remaining per-job
+//! work — grid sweeps over every `(fold, hyper, family)` cell, one core
+//! factorization per `(fold, hyper)` serving both families, then
+//! reduction and the final full-data solve — across a scoped worker
+//! pool.
 //!
 //! # Determinism
 //!
@@ -61,8 +64,8 @@ use bmf_basis::basis::OrthonormalBasis;
 use bmf_linalg::Vector;
 
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
-use crate::hyper::{build_fold_sweep, reduce_outcomes, sweep_fold, FoldErrors, FoldPlan};
-use crate::map_estimate::{map_estimate_ws, MapSweep};
+use crate::hyper::{fold_sweep, reduce_outcomes, sweep_fold, FoldErrors, FoldPlan};
+use crate::map_estimate::{map_estimate_ws, SweepKernel};
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
 use crate::prior::{Prior, PriorKind};
@@ -105,8 +108,8 @@ pub struct PhaseTimings {
     /// Design-matrix evaluation, fold planning, and response
     /// normalization (runs once, serially).
     pub prepare: Duration,
-    /// Woodbury kernel factorizations (parallel; one task per distinct
-    /// `(prior pattern, fold)` pair).
+    /// Woodbury kernel builds (parallel; one task per distinct prior
+    /// pattern, each over all K rows, which every fold then indexes).
     pub kernels: Duration,
     /// Cross-validation grid sweeps (parallel; one task per
     /// `(job, fold)` pair, covering every `(hyper, family)` cell).
@@ -292,26 +295,20 @@ impl BatchFitter {
             ..PhaseTimings::default()
         };
 
-        // Phase 2 (parallel): one kernel factorization per distinct
-        // (pattern, fold) pair. `None` marks a fold too small for the
-        // pattern's missing-prior block (skipped, as in the serial path).
+        // Phase 2 (parallel): one kernel build per distinct prior
+        // pattern, over all K rows; every fold reads it through its
+        // training rows.
         let t1 = Instant::now();
-        let kernels: Vec<Result<Option<MapSweep<'_>>>> =
-            run_indexed(threads, num_patterns * num_folds, |task| {
-                let (pi, fi) = (task / num_folds, task % num_folds);
-                let mut scratch = FitCounters::default();
-                build_fold_sweep(
-                    &g,
-                    &plan.folds[fi],
-                    &prepared[pattern_owner[pi]].prior,
-                    &mut scratch,
-                )
-            });
+        let kernels: Vec<Result<SweepKernel>> = run_indexed(threads, num_patterns, |pi| {
+            SweepKernel::new(g.as_view(), &prepared[pattern_owner[pi]].prior)
+        });
         let kernels = first_error(kernels)?;
         timings.kernels = t1.elapsed();
 
         // Phase 3 (parallel): one grid sweep per (job, fold) pair, each
-        // worker reusing its own solve workspace across tasks.
+        // worker reusing its own solve workspace across tasks. `None`
+        // marks a fold too small for the pattern's missing-prior block
+        // (skipped, as in the serial path).
         let t2 = Instant::now();
         let kinds = kinds_for(self.options.selection);
         let swept: Vec<Result<(Option<FoldErrors>, FitCounters)>> = run_indexed_with(
@@ -320,13 +317,13 @@ impl BatchFitter {
             SolveWorkspace::new,
             |ws, task| {
                 let (j, fi) = (task / num_folds, task % num_folds);
-                let Some(sweep) = &kernels[pattern_of_job[j] * num_folds + fi] else {
+                let fold = &plan.folds[fi];
+                let Some(sweep) = fold_sweep(&g, fold, &kernels[pattern_of_job[j]])? else {
                     return Ok((None, FitCounters::default()));
                 };
                 let mut counters = FitCounters::default();
-                let fold = &plan.folds[fi];
                 let errors = sweep_fold(
-                    sweep,
+                    &sweep,
                     &g,
                     fold,
                     &prepared[j].f,
@@ -349,10 +346,12 @@ impl BatchFitter {
                 let job = &prepared[j];
                 let mut counters = FitCounters::default();
                 for fi in 0..num_folds {
-                    counters.merge(&swept[j * num_folds + fi].1);
-                    // Kernel accounting: the first job of each pattern built
-                    // its kernels; later jobs reused them from the cache.
-                    if kernels[pattern_of_job[j] * num_folds + fi].is_some() {
+                    let (errors, fold_counters) = &swept[j * num_folds + fi];
+                    counters.merge(fold_counters);
+                    // Kernel accounting, one per usable fold: the first job
+                    // of each pattern built its kernels; later jobs reused
+                    // them from the cache.
+                    if errors.is_some() {
                         if pattern_owner[pattern_of_job[j]] == j {
                             counters.kernels_built += 1;
                             counters.kernel_cache_misses += 1;

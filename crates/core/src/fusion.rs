@@ -30,17 +30,22 @@ use crate::{BmfError, Result};
 
 /// Lightweight work counters accumulated during a fit.
 ///
-/// Counting is exact, not sampled: every MAP solve and every Woodbury
-/// kernel factorization increments its counter. The batch engine adds
-/// cache accounting — a *hit* is a kernel another job already built for
-/// the same fold and prior, a *miss* is a kernel that had to be built.
+/// Counting is exact, not sampled: every MAP solve and every usable
+/// cross-validation fold increments its counter. The batch engine adds
+/// cache accounting — a *hit* is a fold whose kernels another job with
+/// the same prior already built, a *miss* is one whose kernels this job
+/// had to build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitCounters {
     /// MAP systems solved (one per `(fold, grid, kind)` CV cell plus the
     /// final full-data solve).
     pub map_solves: usize,
-    /// Woodbury kernels factorized (one per usable fold, plus the final
-    /// full-data kernel).
+    /// Fold kernels built: one per usable cross-validation fold (in a
+    /// batch, charged to the first job of each prior pattern; the final
+    /// full-data solve is not counted). The fitting engines build one
+    /// kernel set per prior over all K rows, which every fold reads
+    /// through its training rows; the count stays one per fold, so it
+    /// does not depend on how kernels are shared.
     pub kernels_built: usize,
     /// Batch kernel-cache hits (kernels reused from another job).
     pub kernel_cache_hits: usize,
@@ -272,9 +277,9 @@ impl BmfFitter {
     ///
     /// * [`BmfError::Config`] when the options' grid or fold count is
     ///   invalid (the error names the parameter).
-    /// * [`BmfError::SampleShape`] when points/values disagree or a point
-    ///   has the wrong dimension (panics on dimension inside the basis —
-    ///   length mismatches between points and values are errors).
+    /// * [`BmfError::SampleShape`] when points/values disagree in count or
+    ///   a point has the wrong dimension for the basis (screened before
+    ///   the design matrix is built).
     /// * [`BmfError::NotEnoughSamples`] when K is too small for the folds
     ///   or the missing-prior block.
     /// * [`BmfError::NonFiniteInput`] when a point, value, or prior

@@ -8,23 +8,28 @@
 //! (eq. 59) on the held-out group; average over the N rotations; pick the
 //! grid value with the smallest mean error.
 //!
-//! Two layers of work-sharing keep the sweep cheap:
+//! Three layers of work-sharing keep the sweep cheap:
 //!
 //! * a [`FoldPlan`] computes the per-fold row index tables **once**;
 //!   the fold "sub-matrices" are zero-copy row views of the one shared
 //!   design matrix, reused across every grid point, both prior
 //!   families, and (through [`crate::batch::BatchFitter`]) every job of
 //!   a batch fit;
-//! * each fold builds one [`MapSweep`], so adding grid points costs only
-//!   a K×K factorization each, not a full Θ(K²M) rebuild — and that one
-//!   factorization serves both prior families, whose cores are identical.
+//! * the Θ(K²M) Woodbury kernels are built **once** over every row of
+//!   the design matrix: each entry depends on its two rows alone, so a
+//!   fold's kernels are a sub-block that its [`MapSweep`] reads through
+//!   the fold's training-row table, bit for bit what a per-fold build
+//!   would compute;
+//! * each fold's sweep then costs one factorization per grid point, not
+//!   a kernel rebuild — and that one factorization serves both prior
+//!   families, whose cores are identical.
 
 use bmf_linalg::view::matvec_into;
 use bmf_linalg::{Matrix, Vector};
 use bmf_stat::crossval::KFold;
 
 use crate::fusion::FitCounters;
-use crate::map_estimate::MapSweep;
+use crate::map_estimate::{MapSweep, SweepKernel};
 use crate::options::{validate_folds, validate_grid};
 use crate::prior::{Prior, PriorKind};
 use crate::workspace::{resize, SolveWorkspace};
@@ -206,21 +211,17 @@ pub(crate) fn sweep_fold(
     Ok(errors)
 }
 
-/// Builds the kernel for one fold — a zero-copy row view of the shared
-/// design matrix — or `None` when the fold is too small for the
-/// missing-prior block (the fold is then skipped, matching the
-/// historical behaviour).
-pub(crate) fn build_fold_sweep<'a>(
+/// The sweep for one fold: its training rows of `g`, reading `kernel`
+/// (built over every row of `g`) through the fold's row table, or `None`
+/// when the fold is too small for the missing-prior block (the fold is
+/// then skipped, matching the historical behaviour).
+pub(crate) fn fold_sweep<'a>(
     g: &'a Matrix,
     fold: &'a PlannedFold,
-    prior_nzm: &Prior,
-    counters: &mut FitCounters,
+    kernel: &'a SweepKernel,
 ) -> Result<Option<MapSweep<'a>>> {
-    match MapSweep::from_view(g.rows_view(&fold.train), prior_nzm) {
-        Ok(s) => {
-            counters.kernels_built += 1;
-            Ok(Some(s))
-        }
+    match MapSweep::for_rows(g, &fold.train, kernel) {
+        Ok(s) => Ok(Some(s)),
         Err(BmfError::NotEnoughSamples { .. }) => Ok(None),
         Err(e) => Err(e),
     }
@@ -283,9 +284,11 @@ where
 }
 
 /// Runs the full cross-validation sweep for the requested prior families
-/// over a pre-built [`FoldPlan`], sharing one kernel per fold across
-/// every `(grid, kind)` cell. Fold sub-matrices are row views of the
-/// shared `g`; all per-cell scratch lives in `ws`.
+/// over a pre-built [`FoldPlan`]: one kernel over every row of `g`, which
+/// each fold reads through its training rows for every `(grid, kind)`
+/// cell. Fold sub-matrices are row views of the shared `g`; all per-cell
+/// scratch lives in `ws`. `counters.kernels_built` counts one per usable
+/// fold.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cv_on_plan(
     g: &Matrix,
@@ -301,13 +304,14 @@ pub(crate) fn cv_on_plan(
     // cached; zero-mean solves reuse the same kernels with the mean
     // dropped (the precisions — and thus the Woodbury kernels — are
     // identical for both families).
-    let nzm = prior.with_kind(PriorKind::NonZeroMean);
+    let kernel = SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean))?;
     let mut fold_errors: Vec<Option<FoldErrors>> = Vec::with_capacity(plan.folds.len());
     for fold in &plan.folds {
-        let Some(sweep) = build_fold_sweep(g, fold, &nzm, counters)? else {
+        let Some(sweep) = fold_sweep(g, fold, &kernel)? else {
             fold_errors.push(None);
             continue;
         };
+        counters.kernels_built += 1;
         fold_errors.push(Some(sweep_fold(
             &sweep, g, fold, f, grid, kinds, counters, ws,
         )?));
@@ -654,7 +658,11 @@ mod tests {
 
             let plan = FoldPlan::new(k, cfg.folds, cfg.seed).unwrap();
             let nzm_prior = prior.with_kind(PriorKind::NonZeroMean);
+            // The pattern kernel over all K rows, as the fitting engines
+            // build it once per fit.
+            let kernel = SweepKernel::new(g.as_view(), &nzm_prior).unwrap();
             let mut counters = FitCounters::default();
+            let mut indexed_counters = FitCounters::default();
             let mut expected = FitCounters::default();
             let mut ws = SolveWorkspace::new();
             let mut sums = [[0.0f64; 5]; 2];
@@ -664,13 +672,32 @@ mod tests {
                 let shared =
                     sweep_fold(&sweep, &g, fold, &f, &grid, &kinds, &mut counters, &mut ws)
                         .unwrap();
+                // The same fold through its view of the pattern kernel.
+                let indexed_sweep = fold_sweep(&g, fold, &kernel).unwrap().unwrap();
+                let indexed = sweep_fold(
+                    &indexed_sweep,
+                    &g,
+                    fold,
+                    &f,
+                    &grid,
+                    &kinds,
+                    &mut indexed_counters,
+                    &mut ws,
+                )
+                .unwrap();
                 for (gi, &h) in grid.iter().enumerate() {
                     for (ki, &kind) in kinds.iter().enumerate() {
                         let cell = per_cell(&sweep, &g, fold, &f, h, kind);
+                        let want = cell.map(|(err, _)| err.to_bits());
                         assert_eq!(
                             shared[ki][gi].map(f64::to_bits),
-                            cell.map(|(err, _)| err.to_bits()),
+                            want,
                             "cell (h={h}, {kind:?})"
+                        );
+                        assert_eq!(
+                            indexed[ki][gi].map(f64::to_bits),
+                            want,
+                            "pattern-kernel cell (h={h}, {kind:?})"
                         );
                         if let Some((err, res)) = cell {
                             sums[ki][gi] += err;
@@ -689,6 +716,7 @@ mod tests {
                 }
             }
             assert_eq!(counters, expected);
+            assert_eq!(indexed_counters, expected);
             degraded += counters.degraded_solves;
 
             // The public sweep's per-grid means equal the per-cell cells

@@ -23,6 +23,8 @@
 //!   (zero diagonal precision) through the exact augmented formulation in
 //!   [`bmf_linalg::woodbury`].
 
+use std::borrow::Cow;
+
 use bmf_linalg::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
 use bmf_linalg::{
     factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, lu_solve_into, view, woodbury,
@@ -220,6 +222,14 @@ pub(crate) fn map_estimate_ws(
 /// cross-validation sweep calls them in that nesting, and
 /// [`MapSweep::solve_with_kind`] calls them back to back.
 ///
+/// Every kernel entry is a function of its two design rows alone, so the
+/// kernels of any row subset are a sub-block of the kernels over all
+/// rows. The fitting engines build them once over the full design
+/// matrix (a [`SweepKernel`]) and give each cross-validation fold a
+/// sweep that reads them through the fold's training-row table;
+/// [`MapSweep::from_view`] builds them over its view and reads them
+/// through identity rows. Both give the same bits.
+///
 /// The estimates equal [`map_estimate`] with [`SolverKind::Fast`] to
 /// rounding, not bit for bit, because the two assemble the Woodbury core
 /// and its shift τ in a different order: the sweep forms `B_F/η + I` from
@@ -228,9 +238,25 @@ pub(crate) fn map_estimate_ws(
 /// column by column.
 #[derive(Debug, Clone)]
 pub struct MapSweep<'g> {
-    /// Borrowed view of the design matrix — a fold sweep views a row
-    /// subset of the shared full-data `G` without copying it.
+    /// Borrowed view of the design rows the sweep solves over — a fold
+    /// sweep views a row subset of the shared full-data `G` without
+    /// copying it.
     g: MatRef<'g>,
+    /// The kernels, over the rows `rows` indexes: borrowed from the
+    /// fitting engine's one build, or owned by a standalone sweep.
+    kernel: Cow<'g, SweepKernel>,
+    /// Row `i` of `g` is row `rows[i]` of the kernels.
+    rows: Cow<'g, [usize]>,
+    /// Woodbury shift for the missing block, from the diagonal of `B_Z`
+    /// over this sweep's rows.
+    tau: f64,
+}
+
+/// The Woodbury kernels of one prior over every row of a design matrix,
+/// plus the prior's hyper-independent quantities. Any number of
+/// [`MapSweep`]s read it through their own row tables.
+#[derive(Debug, Clone)]
+pub(crate) struct SweepKernel {
     /// `1/α_E,m²` for finite-prior columns, 0 for missing.
     a: Vec<f64>,
     /// Prior mean per column (0 for zero-mean priors and missing entries).
@@ -240,43 +266,21 @@ pub struct MapSweep<'g> {
     b_f: Matrix,
     /// `G_Z·G_Zᵀ` (empty when nothing is missing).
     b_z: Matrix,
-    /// Woodbury shift for the missing block.
-    tau: f64,
 }
 
-/// The core system of a [`MapSweep`] assembled and factorized for one
-/// hyper-parameter value. The factor itself lives in the [`MapScratch`]
-/// passed to [`MapSweep::factor_into`]; this records how to solve
-/// against it and how the degradation ladder resolved.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CoreFactor {
-    hyper: f64,
-    kind: FactorKind,
-    /// Degradation-ladder outcome of the factorization.
-    pub(crate) resilience: Resilience,
-}
-
-impl<'g> MapSweep<'g> {
-    /// Builds the sweep cache over a borrowed design-matrix view — the
-    /// zero-copy entry point used by the cross-validation engines, whose
-    /// per-fold training matrices are row-subset views of one shared `G`.
+impl SweepKernel {
+    /// Builds the kernels of `prior` over every row of `g`.
     ///
     /// # Errors
     ///
-    /// Same structural conditions as [`map_estimate`].
-    pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
+    /// [`BmfError::PriorShape`] when `prior.len() != g.ncols()`, and
+    /// [`BmfError::NonFiniteInput`] for a non-finite prior.
+    pub(crate) fn new(g: MatRef<'_>, prior: &Prior) -> Result<Self> {
         let (k, m) = g.shape();
         if prior.len() != m {
             return Err(BmfError::PriorShape {
                 basis_terms: m,
                 prior_entries: prior.len(),
-            });
-        }
-        if prior.num_zero_precision() > k {
-            return Err(BmfError::NotEnoughSamples {
-                available: k,
-                required: prior.num_zero_precision(),
-                context: "missing-prior coefficients",
             });
         }
         crate::screen::finite_prior(prior)?;
@@ -295,8 +299,8 @@ impl<'g> MapSweep<'g> {
             .collect();
         let mut b_f = Matrix::zeros(k, k);
         outer_gram_diag_into(g, &a_inv_f, b_f.as_view_mut())?;
-        let (b_z, tau) = if missing.is_empty() {
-            (Matrix::zeros(0, 0), 1.0)
+        let b_z = if missing.is_empty() {
+            Matrix::zeros(0, 0)
         } else {
             // B_Z is the 0/1-indicator-weighted outer gram, summed over
             // the missing columns only, in ascending order: each skipped
@@ -315,8 +319,7 @@ impl<'g> MapSweep<'g> {
                     b_z[(j, i)] = s;
                 }
             }
-            let tau = ((0..k).map(|i| b_z[(i, i)]).sum::<f64>() / missing.len() as f64).max(1e-12);
-            (b_z, tau)
+            b_z
         };
         // Prior means (independent of hyper): alpha_E for NZM, 0 for ZM.
         let rhs1 = prior.rhs_contribution(1.0);
@@ -325,13 +328,84 @@ impl<'g> MapSweep<'g> {
             .zip(&unit)
             .map(|(&r, &d)| if d > 0.0 { r / d } else { 0.0 })
             .collect();
-        Ok(MapSweep {
-            g,
+        Ok(SweepKernel {
             a: unit,
             prior_mean,
             missing,
             b_f,
             b_z,
+        })
+    }
+}
+
+/// The core system of a [`MapSweep`] assembled and factorized for one
+/// hyper-parameter value. The factor itself lives in the [`MapScratch`]
+/// passed to [`MapSweep::factor_into`]; this records how to solve
+/// against it and how the degradation ladder resolved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CoreFactor {
+    hyper: f64,
+    kind: FactorKind,
+    /// Degradation-ladder outcome of the factorization.
+    pub(crate) resilience: Resilience,
+}
+
+impl<'g> MapSweep<'g> {
+    /// Builds the sweep cache over a borrowed design-matrix view: the
+    /// kernels over every row of `g`, read through identity rows.
+    ///
+    /// # Errors
+    ///
+    /// Same structural conditions as [`map_estimate`].
+    pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
+        let kernel = SweepKernel::new(g, prior)?;
+        let rows = (0..g.nrows()).collect();
+        MapSweep::over(g, Cow::Owned(kernel), Cow::Owned(rows))
+    }
+
+    /// The sweep over rows `rows` of `g`, reading `kernel` — built over
+    /// every row of `g` — through that row table. This is how a
+    /// cross-validation fold solves over its training rows without
+    /// building or copying kernels of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::NotEnoughSamples`] when `rows` cannot identify the
+    /// prior's missing coefficients.
+    pub(crate) fn for_rows(
+        g: &'g Matrix,
+        rows: &'g [usize],
+        kernel: &'g SweepKernel,
+    ) -> Result<Self> {
+        MapSweep::over(
+            g.rows_view(rows),
+            Cow::Borrowed(kernel),
+            Cow::Borrowed(rows),
+        )
+    }
+
+    /// Shared by both constructors: checks that the rows identify the
+    /// missing block and sums τ over the rows' `B_Z` diagonal in row
+    /// order.
+    fn over(g: MatRef<'g>, kernel: Cow<'g, SweepKernel>, rows: Cow<'g, [usize]>) -> Result<Self> {
+        let k = g.nrows();
+        let nz = kernel.missing.len();
+        if nz > k {
+            return Err(BmfError::NotEnoughSamples {
+                available: k,
+                required: nz,
+                context: "missing-prior coefficients",
+            });
+        }
+        let tau = if nz == 0 {
+            1.0
+        } else {
+            (rows.iter().map(|&r| kernel.b_z[(r, r)]).sum::<f64>() / nz as f64).max(1e-12)
+        };
+        Ok(MapSweep {
+            g,
+            kernel,
+            rows,
             tau,
         })
     }
@@ -412,6 +486,13 @@ impl<'g> MapSweep<'g> {
             ));
         }
         let k = self.g.nrows();
+        let SweepKernel {
+            a,
+            missing,
+            b_f,
+            b_z,
+            ..
+        } = &*self.kernel;
         let MapScratch {
             dt_inv,
             core,
@@ -421,7 +502,7 @@ impl<'g> MapSweep<'g> {
         } = ws;
         // D-tilde inverse diag: 1/(h·a_m) finite, 1/tau missing.
         dt_inv.clear();
-        dt_inv.extend(self.a.iter().map(|&a| {
+        dt_inv.extend(a.iter().map(|&a| {
             if a > 0.0 {
                 1.0 / (hyper * a)
             } else {
@@ -429,16 +510,19 @@ impl<'g> MapSweep<'g> {
             }
         }));
 
-        if self.missing.is_empty() {
+        // The core's kernel block, gathered through the row table: entry
+        // (i, j) is kernel entry (rows[i], rows[j]).
+        if missing.is_empty() {
             // core = I + B_F / h.
             core.reset_zeros(k, k);
-            core.as_mut_slice().copy_from_slice(self.b_f.as_slice());
             let s = 1.0 / hyper;
-            for x in core.as_mut_slice() {
-                *x *= s;
-            }
-            for i in 0..k {
-                core[(i, i)] += 1.0;
+            for (i, &ri) in self.rows.iter().enumerate() {
+                let src = b_f.row(ri);
+                let dst = core.row_mut(i);
+                for (x, &rj) in dst.iter_mut().zip(self.rows.iter()) {
+                    *x = src[rj] * s;
+                }
+                dst[i] += 1.0;
             }
             let (kind, resilience) =
                 factor_spd_ladder(core, perm, ladder, &LadderPolicy::default())?;
@@ -451,16 +535,17 @@ impl<'g> MapSweep<'g> {
 
         // Augmented system (see bmf_linalg::woodbury docs): W has blocks
         // [I + B_F/h + B_Z/tau,  G_Z/tau; (G_Z/tau)^T, 0].
-        let nz = self.missing.len();
-        let n = k + nz;
+        let n = k + missing.len();
         core.reset_zeros(n, n);
-        for i in 0..k {
-            for j in 0..k {
-                core[(i, j)] = self.b_f[(i, j)] / hyper + self.b_z[(i, j)] / self.tau;
+        for (i, &ri) in self.rows.iter().enumerate() {
+            let (bf, bz) = (b_f.row(ri), b_z.row(ri));
+            let dst = core.row_mut(i);
+            for (x, &rj) in dst[..k].iter_mut().zip(self.rows.iter()) {
+                *x = bf[rj] / hyper + bz[rj] / self.tau;
             }
-            core[(i, i)] += 1.0;
+            dst[i] += 1.0;
         }
-        for (jz, &z) in self.missing.iter().enumerate() {
+        for (jz, &z) in missing.iter().enumerate() {
             for i in 0..k {
                 let v = self.g.get(i, z) / self.tau;
                 core[(i, k + jz)] = v;
@@ -507,6 +592,12 @@ impl<'g> MapSweep<'g> {
             ladder,
             woodbury: _,
         } = ws;
+        let SweepKernel {
+            a,
+            prior_mean,
+            missing,
+            ..
+        } = &*self.kernel;
         // t = D̃⁻¹·(Gᵀf + h·A·prior_mean), the mean dropped for zero-mean
         // use.
         t.clear();
@@ -516,7 +607,7 @@ impl<'g> MapSweep<'g> {
                 t.extend(
                     rhs.iter()
                         .zip(dt_inv.iter())
-                        .zip(self.a.iter().zip(&self.prior_mean))
+                        .zip(a.iter().zip(prior_mean))
                         .map(|((&r, &d), (&a, &mean))| d * (r + h * a * mean)),
                 );
             }
@@ -525,24 +616,24 @@ impl<'g> MapSweep<'g> {
             }
         }
 
-        if self.missing.is_empty() {
+        if missing.is_empty() {
             resize(y, k);
             matvec_into(self.g, t, y)?;
             ladder_solve_in_place(factor.kind, core, perm, ladder, y)?;
             resize(uy, m);
             matvec_transpose_into(self.g, y, uy)?;
         } else {
-            let n = k + self.missing.len();
+            let n = k + missing.len();
             resize(u, n);
             matvec_into(self.g, t, &mut u[..k])?;
-            for (jz, &z) in self.missing.iter().enumerate() {
+            for (jz, &z) in missing.iter().enumerate() {
                 u[k + jz] = t[z];
             }
             resize(y, n);
             lu_solve_into(core, perm, u, y)?;
             resize(uy, m);
             matvec_transpose_into(self.g, &y[..k], uy)?;
-            for (jz, &z) in self.missing.iter().enumerate() {
+            for (jz, &z) in missing.iter().enumerate() {
                 uy[z] += y[k + jz];
             }
         }

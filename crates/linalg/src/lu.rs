@@ -100,17 +100,33 @@ impl Lu {
     }
 }
 
+/// Pivots per panel of [`lu_factor_in_place`]'s blocked elimination.
+const PANEL: usize = 16;
+
+/// Columns per strip of the deferred trailing update: one strip of one
+/// row stays in registers while every pivot of a panel is applied to it.
+const STRIP: usize = 16;
+
 /// Overwrites the square matrix `a` with its packed LU factors
 /// (strictly-lower `L` with implied unit diagonal, upper `U`), fills
 /// `perm` with the row permutation, and returns its sign — allocating
 /// nothing beyond growing `perm` to dimension `n` once.
 ///
-/// Bit-identical to [`Lu::new`] on the same input.
+/// Bit-identical to [`Lu::new`] on the same input, and to the unblocked
+/// indexed elimination: the factorization runs in panels of [`PANEL`]
+/// pivots, eliminating within the panel's columns pivot by pivot and
+/// then applying the panel's pivots to the columns right of it, one row
+/// strip at a time in pivot order; the last panel takes the whole
+/// remainder once fewer than [`PANEL`] + [`STRIP`] columns are left.
+/// Every element still receives the same `x -= m·u` updates in the same
+/// order (an exactly-zero multiplier skips its whole row update, as
+/// before), so pivots, `perm`, the sign and the factors are unchanged.
 ///
 /// # Errors
 ///
-/// Same conditions as [`Lu::new`]. On error `a` holds a partially
-/// eliminated matrix.
+/// Same conditions as [`Lu::new`]. On error `a` holds the partially
+/// eliminated matrix of the unblocked elimination at the failing pivot
+/// (the panel's pending updates are applied before returning).
 pub fn lu_factor_in_place(a: &mut Matrix, perm: &mut Vec<usize>) -> Result<f64> {
     let (n, c) = a.shape();
     if n != c {
@@ -131,45 +147,106 @@ pub fn lu_factor_in_place(a: &mut Matrix, perm: &mut Vec<usize>) -> Result<f64> 
     let mut sign = 1.0;
 
     let data = a.as_mut_slice();
-    for k in 0..n {
-        // Find pivot row.
-        let mut p = k;
-        let mut best = data[k * n + k].abs();
-        for i in (k + 1)..n {
-            let v = data[i * n + k].abs();
-            if v > best {
-                best = v;
-                p = i;
+    let mut k0 = 0;
+    while k0 < n {
+        // Deferral pays only with a full strip right of the panel.
+        let end = if n - k0 < PANEL + STRIP {
+            n
+        } else {
+            k0 + PANEL
+        };
+        for k in k0..end {
+            // Find pivot row.
+            let mut p = k;
+            let mut best = data[k * n + k].abs();
+            for i in (k + 1)..n {
+                let v = data[i * n + k].abs();
+                if v > best {
+                    best = v;
+                    p = i;
+                }
+            }
+            if best < tol {
+                // The columns right of the panel still owe pivots k0..k.
+                update_trailing(data, n, k0, k, end);
+                return Err(LinalgError::Singular { pivot: k });
+            }
+            if p != k {
+                // Whole rows: a row's deferred updates travel with the
+                // multipliers stored in it.
+                let (upper, lower) = data.split_at_mut(p * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                perm.swap(k, p);
+                sign = -sign;
+            }
+            // Eliminate below the pivot within the panel's columns, one
+            // contiguous row slice at a time; the columns right of the
+            // panel wait for `update_trailing`.
+            let (top, below) = data.split_at_mut((k + 1) * n);
+            let pivot_row = &top[k * n..];
+            let pivot = pivot_row[k];
+            let u = &pivot_row[k + 1..end];
+            for row in below.chunks_exact_mut(n) {
+                let m = row[k] / pivot;
+                row[k] = m;
+                if crate::fp::is_exact_zero(m) {
+                    continue;
+                }
+                for (x, &ukj) in row[k + 1..end].iter_mut().zip(u) {
+                    *x -= m * ukj;
+                }
             }
         }
-        if best < tol {
-            return Err(LinalgError::Singular { pivot: k });
+        update_trailing(data, n, k0, end, end);
+        k0 = end;
+    }
+    Ok(sign)
+}
+
+/// Applies the eliminations of the already factored pivots `k0..k1` to
+/// columns `c0..n` of every row below each pivot: row by row downwards,
+/// and within a row strip by strip, each strip taking the pivots in
+/// order. Rows are visited top to bottom, so a pivot row has received
+/// all of the panel's earlier pivots before it serves as `u`; each
+/// element thus sees exactly the `x -= m·u` sequence of the unblocked
+/// elimination.
+fn update_trailing(data: &mut [f64], n: usize, k0: usize, k1: usize, c0: usize) {
+    if k0 >= k1 || c0 >= n {
+        return;
+    }
+    for i in (k0 + 1)..n {
+        let (above, rest) = data.split_at_mut(i * n);
+        let (mults, tail) = rest[..n].split_at_mut(c0);
+        let last = k1.min(i);
+        let mut strips = tail.chunks_exact_mut(STRIP);
+        let mut col = c0;
+        for strip in &mut strips {
+            let mut acc = [0.0f64; STRIP];
+            acc.copy_from_slice(strip);
+            for p in k0..last {
+                let m = mults[p];
+                if crate::fp::is_exact_zero(m) {
+                    continue;
+                }
+                let u = &above[p * n + col..p * n + col + STRIP];
+                for (x, &upj) in acc.iter_mut().zip(u) {
+                    *x -= m * upj;
+                }
+            }
+            strip.copy_from_slice(&acc);
+            col += STRIP;
         }
-        if p != k {
-            let (upper, lower) = data.split_at_mut(p * n);
-            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
-            perm.swap(k, p);
-            sign = -sign;
-        }
-        // Eliminate below the pivot one contiguous row slice at a time:
-        // the same `x -= m·u` per element as indexed code, but free of
-        // bounds checks, so the row update vectorizes.
-        let (top, below) = data.split_at_mut((k + 1) * n);
-        let pivot_row = &top[k * n..];
-        let pivot = pivot_row[k];
-        let u = &pivot_row[k + 1..];
-        for row in below.chunks_exact_mut(n) {
-            let m = row[k] / pivot;
-            row[k] = m;
+        let rem = strips.into_remainder();
+        for p in k0..last {
+            let m = mults[p];
             if crate::fp::is_exact_zero(m) {
                 continue;
             }
-            for (x, &ukj) in row[k + 1..].iter_mut().zip(u) {
-                *x -= m * ukj;
+            for (x, &upj) in rem.iter_mut().zip(&above[p * n + col..(p + 1) * n]) {
+                *x -= m * upj;
             }
         }
     }
-    Ok(sign)
 }
 
 /// Solves `A x = b` against factors produced by [`lu_factor_in_place`],

@@ -10,7 +10,7 @@
 //!   bits as a fresh scratch, so any stale-state leak shows up as a bit
 //!   mismatch;
 //! * the blocked kernels (`matvec_into`, `outer_gram_diag_into`) and the
-//!   slice-based `lu_factor_in_place` equal scalar references written out
+//!   blocked `lu_factor_in_place` equal scalar references written out
 //!   below — one accumulator per entry, left to right, and the indexed
 //!   elimination loop.
 
@@ -503,60 +503,83 @@ fn outer_gram_diag_into_bitwise_equals_dot3_for_every_block_remainder() {
 fn lu_factor_in_place_bitwise_equals_indexed_reference() {
     let mut perm = Vec::new();
     let mut ref_perm = Vec::new();
+    // Singular pivots past the first 16-pivot panel, not on a panel's
+    // first column, with a 16-column strip beyond the panel: the blocked
+    // elimination owes that strip the panel's earlier pivots.
+    let mut singular_mid_later_panel = 0;
     check(
         "lu_factor_in_place_bitwise_equals_indexed_reference",
         DEFAULT_CASES,
         |rng| {
-            let n = 1 + rng.gen_index(9);
-            // No diagonal boost: pivot swaps are the common case.
-            let mut a = matrix(rng, n, n);
-            let signed_zero = |rng: &mut Rng| if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
-            // Exact-zero multipliers: zero part of the first column below
-            // the diagonal, and sometimes a whole later column. Signed
-            // zeros elsewhere make the skip observable: `-0 - (-0)` is +0.
-            for i in 1..n {
-                if rng.gen_bool(0.4) {
-                    a[(i, 0)] = signed_zero(rng);
-                }
-            }
-            if n > 2 && rng.gen_bool(0.3) {
-                let c = 1 + rng.gen_index(n - 1);
-                for i in 0..n {
-                    a[(i, c)] = signed_zero(rng);
-                }
-            }
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && rng.gen_bool(0.1) {
-                        a[(i, j)] = signed_zero(rng);
+            // Every remainder of a 16-pivot panel (and of a 16-column
+            // strip) at 0-4 whole panels: 1 <= n <= 79.
+            let panels = rng.gen_index(5);
+            for n in (16 * panels..16 * (panels + 1)).filter(|&n| n > 0) {
+                // No diagonal boost: pivot swaps are the common case.
+                let mut a = matrix(rng, n, n);
+                let signed_zero = |rng: &mut Rng| if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+                // Exact-zero multipliers: zero part of the first column
+                // below the diagonal, and sometimes a whole later column
+                // (one anywhere, one inside a later panel). Signed zeros
+                // elsewhere make the skip observable: `-0 - (-0)` is +0.
+                for i in 1..n {
+                    if rng.gen_bool(0.4) {
+                        a[(i, 0)] = signed_zero(rng);
                     }
                 }
-            }
-            // Sometimes an exactly singular matrix (a repeated row).
-            if n > 1 && rng.gen_bool(0.2) {
-                let (r, s) = (rng.gen_index(n), rng.gen_index(n));
-                for j in 0..n {
-                    a[(s, j)] = a[(r, j)];
+                if n > 2 && rng.gen_bool(0.3) {
+                    let c = 1 + rng.gen_index(n - 1);
+                    for i in 0..n {
+                        a[(i, c)] = signed_zero(rng);
+                    }
                 }
-            }
+                if n > 17 && rng.gen_bool(0.3) {
+                    let c = 17 + rng.gen_index(n - 17);
+                    for i in 0..n {
+                        a[(i, c)] = signed_zero(rng);
+                    }
+                }
+                for i in 0..n {
+                    for j in 0..n {
+                        if i != j && rng.gen_bool(0.1) {
+                            a[(i, j)] = signed_zero(rng);
+                        }
+                    }
+                }
+                // Sometimes an exactly singular matrix (a repeated row).
+                if n > 1 && rng.gen_bool(0.2) {
+                    let (r, s) = (rng.gen_index(n), rng.gen_index(n));
+                    for j in 0..n {
+                        a[(s, j)] = a[(r, j)];
+                    }
+                }
 
-            let mut packed = a.clone();
-            let got = lu_factor_in_place(&mut packed, &mut perm);
-            let mut reference = a.clone();
-            let want = ref_lu_factor(&mut reference, &mut ref_perm);
-            match (got, want) {
-                (Ok(sign), Ok(ref_sign)) => {
-                    assert_eq!(sign.to_bits(), ref_sign.to_bits());
-                    assert_eq!(perm, ref_perm);
-                    assert_bits_eq(packed.as_slice(), reference.as_slice());
+                let mut packed = a.clone();
+                let got = lu_factor_in_place(&mut packed, &mut perm);
+                let mut reference = a.clone();
+                let want = ref_lu_factor(&mut reference, &mut ref_perm);
+                match (got, want) {
+                    (Ok(sign), Ok(ref_sign)) => {
+                        assert_eq!(sign.to_bits(), ref_sign.to_bits(), "n = {n}");
+                        assert_eq!(perm, ref_perm, "n = {n}");
+                        assert_bits_eq(packed.as_slice(), reference.as_slice());
+                    }
+                    (Err(LinalgError::Singular { pivot }), Err(ref_pivot)) => {
+                        assert_eq!(pivot, ref_pivot, "n = {n}");
+                        // The partially eliminated matrices agree too.
+                        assert_bits_eq(packed.as_slice(), reference.as_slice());
+                        let panel_start = pivot / 16 * 16;
+                        if pivot > 16 && pivot != panel_start && n - panel_start >= 32 {
+                            singular_mid_later_panel += 1;
+                        }
+                    }
+                    (got, want) => panic!("n = {n}: lu {got:?} vs indexed reference {want:?}"),
                 }
-                (Err(LinalgError::Singular { pivot }), Err(ref_pivot)) => {
-                    assert_eq!(pivot, ref_pivot);
-                    // The partially eliminated matrices agree too.
-                    assert_bits_eq(packed.as_slice(), reference.as_slice());
-                }
-                (got, want) => panic!("lu {got:?} vs indexed reference {want:?}"),
             }
         },
+    );
+    assert!(
+        singular_mid_later_panel > 0,
+        "no singular pivot inside a later panel was exercised"
     );
 }
