@@ -10,14 +10,14 @@
 //! Nodes and weights come from the Golub–Welsch algorithm: the
 //! eigenvalues of the Jacobi (three-term-recurrence) matrix of the
 //! probabilists' Hermite family are the nodes, and the squared first
-//! eigenvector components are the weights. This gives the test suite an
+//! eigenvector components are the weights. The Jacobi matrix is
+//! tridiagonal, so an implicit-QL iteration on its (diagonal,
+//! off-diagonal) form carrying only the first components suffices. This gives the test suite an
 //! *exact* (not Monte-Carlo) verification of the basis orthonormality
 //! that the paper's variance bookkeeping relies on, and lets models be
 //! projected onto the basis by quadrature in low dimensions.
 
-use bmf_linalg::{Matrix, SymmetricEigen};
-
-use crate::basis::OrthonormalBasis;
+use bmf_linalg::tridiagonal;
 
 /// A Gauss–Hermite quadrature rule for the standard normal weight.
 ///
@@ -47,21 +47,16 @@ impl GaussHermite {
         assert!(n > 0, "quadrature needs at least one node");
         // Jacobi matrix of probabilists' Hermite: diagonal 0,
         // off-diagonal sqrt(k).
-        let mut j = Matrix::zeros(n, n);
-        for k in 1..n {
-            let b = (k as f64).sqrt();
-            j[(k - 1, k)] = b;
-            j[(k, k - 1)] = b;
-        }
-        // bmf-lint: allow(no-panic-paths) -- the Jacobi matrix is built symmetric three lines up
-        let eig = SymmetricEigen::new(&j).expect("Jacobi matrix is symmetric");
+        let off: Vec<f64> = (1..n).map(|k| (k as f64).sqrt()).collect();
+        let diag = vec![0.0; n];
+        // bmf-lint: allow(no-panic-paths) -- the lengths match by construction and QL converges on this well-separated spectrum
+        let (values, first) = tridiagonal::eigen_first(&diag, &off).expect("Hermite Jacobi matrix");
         // Weights: first-row components squared (total mass 1 for the
         // normalized normal weight).
-        let mut pairs: Vec<(f64, f64)> = (0..n)
-            .map(|i| {
-                let v0 = eig.vectors[(0, i)];
-                (eig.values[i], v0 * v0)
-            })
+        let mut pairs: Vec<(f64, f64)> = values
+            .into_iter()
+            .zip(first)
+            .map(|(x, v0)| (x, v0 * v0))
             .collect();
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         GaussHermite {
@@ -100,54 +95,56 @@ impl GaussHermite {
     }
 }
 
-/// Computes the Gram matrix `E[g_i g_j]` of a basis over `dims ≤ 3`
-/// variables by tensorized Gauss–Hermite quadrature — exact when the
-/// rule order covers twice the basis degree.
-///
-/// Intended for verification at small dimension (the tensor grid has
-/// `n^dims` points).
-///
-/// # Panics
-///
-/// Panics when the basis has more than 3 variables (use Monte-Carlo
-/// checks beyond that).
-pub fn basis_gram_exact(basis: &OrthonormalBasis, points_per_dim: usize) -> Matrix {
-    let d = basis.num_vars();
-    assert!(d <= 3, "tensor quadrature is for small dimensions");
-    let rule = GaussHermite::new(points_per_dim);
-    let m = basis.len();
-    let mut gram = Matrix::zeros(m, m);
-    let n = rule.len();
-    let total = n.pow(d as u32);
-    let mut x = vec![0.0; d];
-    for flat in 0..total {
-        let mut rem = flat;
-        let mut w = 1.0;
-        for xv in x.iter_mut() {
-            let idx = rem % n;
-            rem /= n;
-            *xv = rule.nodes()[idx];
-            w *= rule.weights()[idx];
-        }
-        let row = basis.row(&x);
-        for i in 0..m {
-            for j in i..m {
-                gram[(i, j)] += w * row[i] * row[j];
-            }
-        }
-    }
-    for i in 0..m {
-        for j in (i + 1)..m {
-            gram[(j, i)] = gram[(i, j)];
-        }
-    }
-    gram
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::OrthonormalBasis;
     use crate::hermite::hermite_normalized;
+    use bmf_linalg::Matrix;
+
+    /// Computes the Gram matrix `E[g_i g_j]` of a basis over `dims ≤ 3`
+    /// variables by tensorized Gauss–Hermite quadrature — exact when the
+    /// rule order covers twice the basis degree.
+    ///
+    /// Intended for verification at small dimension (the tensor grid has
+    /// `n^dims` points).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the basis has more than 3 variables (use Monte-Carlo
+    /// checks beyond that).
+    fn basis_gram_exact(basis: &OrthonormalBasis, points_per_dim: usize) -> Matrix {
+        let d = basis.num_vars();
+        assert!(d <= 3, "tensor quadrature is for small dimensions");
+        let rule = GaussHermite::new(points_per_dim);
+        let m = basis.len();
+        let mut gram = Matrix::zeros(m, m);
+        let n = rule.len();
+        let total = n.pow(d as u32);
+        let mut x = vec![0.0; d];
+        for flat in 0..total {
+            let mut rem = flat;
+            let mut w = 1.0;
+            for xv in x.iter_mut() {
+                let idx = rem % n;
+                rem /= n;
+                *xv = rule.nodes()[idx];
+                w *= rule.weights()[idx];
+            }
+            let row = basis.row(&x);
+            for i in 0..m {
+                for j in i..m {
+                    gram[(i, j)] += w * row[i] * row[j];
+                }
+            }
+        }
+        for i in 0..m {
+            for j in (i + 1)..m {
+                gram[(j, i)] = gram[(i, j)];
+            }
+        }
+        gram
+    }
 
     #[test]
     fn weights_sum_to_one_and_nodes_symmetric() {

@@ -10,18 +10,18 @@
 //!   every job;
 //! * the cross-validation fold row-selections depend only on `(K, folds,
 //!   seed)`;
-//! * the Woodbury kernels (`B_F` Θ(K²M), `B_Z` Θ(K²·missing)) depend
-//!   only on the *normalized prior values* — jobs whose priors coincide
-//!   after normalization share them exactly — and, built over all K
-//!   rows, serve every fold as a sub-block read through the fold's
-//!   training rows.
+//! * the Woodbury kernel (`B_F`, Θ(K²M)) and each fold's sample-space
+//!   system depend only on the *normalized prior values* — jobs whose
+//!   priors coincide after normalization share them exactly; the
+//!   kernel, built over all K rows, serves every fold as a sub-block
+//!   read through the fold's rows.
 //!
 //! [`BatchFitter`] evaluates the design matrix once, builds each distinct
-//! prior pattern's kernels once, and dispatches the remaining per-job
-//! work — grid sweeps over every `(fold, hyper, family)` cell, one core
-//! factorization per `(fold, hyper)` serving both families, then
-//! reduction and the final full-data solve — across a scoped worker
-//! pool.
+//! prior pattern's kernels once, and dispatches the remaining work —
+//! one sweep per `(pattern, fold)` that builds the fold's sample-space
+//! system once and evaluates every `(hyper, family)` cell of every job
+//! of that pattern against it, then per-job reduction and the final
+//! full-data solve — across a scoped worker pool.
 //!
 //! # Determinism
 //!
@@ -64,7 +64,7 @@ use bmf_basis::basis::OrthonormalBasis;
 use bmf_linalg::Vector;
 
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
-use crate::hyper::{fold_sweep, reduce_outcomes, sweep_fold, FoldErrors, FoldPlan};
+use crate::hyper::{reduce_outcomes, FoldErrors, FoldPlan};
 use crate::map_estimate::{map_estimate_ws, SweepKernel};
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
@@ -111,8 +111,10 @@ pub struct PhaseTimings {
     /// Woodbury kernel builds (parallel; one task per distinct prior
     /// pattern, each over all K rows, which every fold then indexes).
     pub kernels: Duration,
-    /// Cross-validation grid sweeps (parallel; one task per
-    /// `(job, fold)` pair, covering every `(hyper, family)` cell).
+    /// Cross-validation sweeps (parallel; one task per
+    /// `(prior pattern, fold)` pair, which builds the fold's
+    /// sample-space system once and covers every `(hyper, family)` cell
+    /// of every job of that pattern).
     pub sweep: Duration,
     /// Per-job reduction, prior selection, and the final full-data MAP
     /// solve (parallel; one task per job).
@@ -270,25 +272,27 @@ impl BatchFitter {
         let prepared: Vec<PreparedJob> = self.jobs.iter().map(PreparedJob::new).collect();
 
         // Group jobs by normalized prior bit-pattern: jobs in one group
-        // share every Woodbury kernel exactly (same `A`, same means).
-        let mut pattern_of_job = Vec::with_capacity(prepared.len());
-        let mut pattern_owner: Vec<usize> = Vec::new();
+        // share the Woodbury kernel and every fold system exactly (same
+        // `A`, same means). Job `j` is response `place[j].1` of pattern
+        // `place[j].0`; response 0 owns the pattern.
+        let mut place = Vec::with_capacity(prepared.len());
+        let mut patterns: Vec<(&Prior, Vec<&Vector>)> = Vec::new();
         let mut index: BTreeMap<Vec<Option<u64>>, usize> = BTreeMap::new();
-        for (j, p) in prepared.iter().enumerate() {
+        for p in &prepared {
             let key: Vec<Option<u64>> = p
                 .prior
                 .early_values()
                 .iter()
                 .map(|v| v.map(f64::to_bits))
                 .collect();
-            let next = pattern_owner.len();
-            let pi = *index.entry(key).or_insert_with(|| {
-                pattern_owner.push(j);
-                next
-            });
-            pattern_of_job.push(pi);
+            let pi = *index.entry(key).or_insert(patterns.len());
+            if pi == patterns.len() {
+                patterns.push((&p.prior, Vec::new()));
+            }
+            place.push((pi, patterns[pi].1.len()));
+            patterns[pi].1.push(&p.f);
         }
-        let num_patterns = pattern_owner.len();
+        let num_patterns = patterns.len();
         let threads = self.options.effective_threads();
         let mut timings = PhaseTimings {
             prepare: t0.elapsed(),
@@ -300,39 +304,29 @@ impl BatchFitter {
         // training rows.
         let t1 = Instant::now();
         let kernels: Vec<Result<SweepKernel>> = run_indexed(threads, num_patterns, |pi| {
-            SweepKernel::new(g.as_view(), &prepared[pattern_owner[pi]].prior)
+            SweepKernel::new(g.as_view(), patterns[pi].0)
         });
         let kernels = first_error(kernels)?;
         timings.kernels = t1.elapsed();
 
-        // Phase 3 (parallel): one grid sweep per (job, fold) pair, each
-        // worker reusing its own solve workspace across tasks. `None`
-        // marks a fold too small for the pattern's missing-prior block
-        // (skipped, as in the serial path).
+        // Phase 3 (parallel): one sweep per (pattern, fold) pair, each
+        // building the fold system once for every job of its pattern, and
+        // each worker reusing its own solve workspace across tasks. `None`
+        // marks a fold unusable for the pattern (skipped, as in the
+        // serial path).
         let t2 = Instant::now();
         let kinds = kinds_for(self.options.selection);
-        let swept: Vec<Result<(Option<FoldErrors>, FitCounters)>> = run_indexed_with(
+        let per_job = kinds.len() * self.options.grid.len();
+        let swept: Vec<Result<Option<FoldErrors>>> = run_indexed_with(
             threads,
-            prepared.len() * num_folds,
-            SolveWorkspace::new,
+            num_patterns * num_folds,
+            || SolveWorkspace::for_problem(g.nrows(), g.ncols()),
             |ws, task| {
-                let (j, fi) = (task / num_folds, task % num_folds);
+                let (pi, fi) = (task / num_folds, task % num_folds);
+                let (kernel, responses) = (&kernels[pi], &patterns[pi].1);
                 let fold = &plan.folds[fi];
-                let Some(sweep) = fold_sweep(&g, fold, &kernels[pattern_of_job[j]])? else {
-                    return Ok((None, FitCounters::default()));
-                };
-                let mut counters = FitCounters::default();
-                let errors = sweep_fold(
-                    &sweep,
-                    &g,
-                    fold,
-                    &prepared[j].f,
-                    &self.options.grid,
-                    &kinds,
-                    &mut counters,
-                    ws,
-                )?;
-                Ok((Some(errors), counters))
+                ws.fold
+                    .sweep(&g, kernel, fold, responses, &self.options.grid, &kinds)
             },
         );
         let swept = first_error(swept)?;
@@ -344,15 +338,20 @@ impl BatchFitter {
         let fits: Vec<Result<BmfFit>> =
             run_indexed_with(threads, prepared.len(), SolveWorkspace::new, |ws, j| {
                 let job = &prepared[j];
+                let (pi, slot) = place[j];
+                let job_cells = |fi: usize| {
+                    swept[pi * num_folds + fi]
+                        .as_deref()
+                        .map(|e| &e[slot * per_job..(slot + 1) * per_job])
+                };
                 let mut counters = FitCounters::default();
                 for fi in 0..num_folds {
-                    let (errors, fold_counters) = &swept[j * num_folds + fi];
-                    counters.merge(fold_counters);
                     // Kernel accounting, one per usable fold: the first job
                     // of each pattern built its kernels; later jobs reused
                     // them from the cache.
-                    if errors.is_some() {
-                        if pattern_owner[pattern_of_job[j]] == j {
+                    if let Some(cells) = job_cells(fi) {
+                        counters.map_solves += cells.iter().flatten().count();
+                        if slot == 0 {
                             counters.kernels_built += 1;
                             counters.kernel_cache_misses += 1;
                         } else {
@@ -366,7 +365,7 @@ impl BatchFitter {
                 let outcomes = reduce_outcomes(
                     &self.options.grid,
                     kinds.len(),
-                    (0..num_folds).map(|fi| swept[j * num_folds + fi].0.as_ref()),
+                    (0..num_folds).map(job_cells),
                     job.f.len(),
                     num_folds,
                 )?;

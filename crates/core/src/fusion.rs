@@ -37,8 +37,8 @@ use crate::{BmfError, Result};
 /// had to build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitCounters {
-    /// MAP systems solved (one per `(fold, grid, kind)` CV cell plus the
-    /// final full-data solve).
+    /// MAP systems solved: one per solved `(fold, grid, kind)` CV cell
+    /// (blank cells do not count) plus the final full-data solve.
     pub map_solves: usize,
     /// Fold kernels built: one per usable cross-validation fold (in a
     /// batch, charged to the first job of each prior pattern; the final
@@ -51,13 +51,14 @@ pub struct FitCounters {
     pub kernel_cache_hits: usize,
     /// Batch kernel-cache misses (kernels this job had to build).
     pub kernel_cache_misses: usize,
-    /// Solves that needed the degradation ladder (rung > 0).
+    /// Final full-data solves that left rung 0 of the degradation
+    /// ladder; CV cells never enter it (DESIGN.md §10).
     pub degraded_solves: usize,
-    /// Total ladder rungs climbed, summed over all solves.
+    /// Total ladder rungs climbed, summed over the final solves.
     pub ladder_escalations: usize,
-    /// SPD solves rescued by the final LU rung of the ladder.
+    /// Final SPD solves rescued by the last LU rung of the ladder.
     pub lu_fallbacks: usize,
-    /// Worst ladder rung used by any solve of this fit.
+    /// Worst ladder rung used by a final solve of this fit.
     pub max_ladder_rung: u32,
 }
 
@@ -91,8 +92,9 @@ impl FitCounters {
 ///
 /// `rung`/`ridge`/`rcond` describe the *final* full-data MAP solve — the
 /// one that produced the returned coefficients; `degraded_solves` and
-/// `max_rung` aggregate over every solve of the fit, including the
-/// cross-validation cells. A clean fit reports `rung == 0`,
+/// `max_rung` aggregate over every ladder solve the counters saw (one
+/// per fit; a batch report sums its jobs). Cross-validation cells never
+/// enter the ladder. A clean fit reports `rung == 0`,
 /// `ridge == 0.0`, and `degraded_solves == 0`, and its coefficients are
 /// bit-identical to a build without the ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +105,7 @@ pub struct ResilienceReport {
     pub ridge: f64,
     /// Reciprocal-condition estimate of the final solve's factorization.
     pub rcond: f64,
-    /// Solves (CV cells + final) that needed the ladder at all.
+    /// Final solves that needed the ladder at all.
     pub degraded_solves: usize,
     /// Worst ladder rung used anywhere in the fit.
     pub max_rung: u32,

@@ -10,29 +10,36 @@
 //!
 //! Three layers of work-sharing keep the sweep cheap:
 //!
-//! * a [`FoldPlan`] computes the per-fold row index tables **once**;
-//!   the fold "sub-matrices" are zero-copy row views of the one shared
-//!   design matrix, reused across every grid point, both prior
-//!   families, and (through [`crate::batch::BatchFitter`]) every job of
-//!   a batch fit;
-//! * the Θ(K²M) Woodbury kernels are built **once** over every row of
-//!   the design matrix: each entry depends on its two rows alone, so a
-//!   fold's kernels are a sub-block that its [`MapSweep`] reads through
-//!   the fold's training-row table, bit for bit what a per-fold build
-//!   would compute;
-//! * each fold's sweep then costs one factorization per grid point, not
-//!   a kernel rebuild — and that one factorization serves both prior
-//!   families, whose cores are identical.
+//! * a [`FoldPlan`] computes the per-fold row index tables **once**,
+//!   reused across every grid point, both prior families, and (through
+//!   [`crate::batch::BatchFitter`]) every job of a batch fit;
+//! * the Θ(K²M) Woodbury kernel `B_F` and the K-vector `Gμ` are built
+//!   **once** per prior pattern over every row of the design matrix;
+//!   each entry depends on its rows alone, so a fold reads its
+//!   sub-blocks through its row tables;
+//! * each `(pattern, fold)` pair then builds one sample-space system
+//!   (see [`crate::map_estimate::MapSweep`]): the fold's missing-prior
+//!   columns are profiled out by a Householder QR, and the rest is
+//!   reduced to a tridiagonal `T̂` once. Every `(grid, family)` cell is
+//!   an O(n) factorization of `T̂ + ηI` — shared by both families —
+//!   plus an `n_v × n` product; no cell touches an M-length vector.
+//!
+//! `T̂ + ηI` is symmetric positive definite for every η > 0, so the
+//! cells run outside the degradation ladder. A fold is skipped (like a
+//! fold too small for the missing-prior block) when its `G_Z` is rank
+//! deficient; a grid value is blanked for both families when `T̂ + ηI`
+//! is singular to working precision (a pivot not positive and finite,
+//! or a pivot ratio at the ladder's `rcond_floor`); a family's cell is
+//! blanked when its validation error is not finite.
 
-use bmf_linalg::view::matvec_into;
-use bmf_linalg::{Matrix, Vector};
-use bmf_stat::crossval::KFold;
+use bmf_linalg::{LinalgError, Matrix, Vector};
+use bmf_stat::crossval::{Fold, KFold};
 
 use crate::fusion::FitCounters;
-use crate::map_estimate::{MapSweep, SweepKernel};
+use crate::map_estimate::SweepKernel;
 use crate::options::{validate_folds, validate_grid};
 use crate::prior::{Prior, PriorKind};
-use crate::workspace::{resize, SolveWorkspace};
+use crate::workspace::SolveWorkspace;
 use crate::{BmfError, Result};
 
 /// Cross-validation configuration.
@@ -92,24 +99,13 @@ pub struct CvOutcome {
     pub errors: Vec<(f64, f64)>,
 }
 
-/// One fold's row selection, as indices into the shared design matrix.
-///
-/// The fitting engines view `G` through these index tables
-/// ([`Matrix::rows_view`]) instead of materializing per-fold copies —
-/// the fold "sub-matrices" are zero-copy and always in sync with the
-/// one shared `G`.
-#[derive(Debug, Clone)]
-pub(crate) struct PlannedFold {
-    /// Row indices used for training in this fold.
-    pub(crate) train: Vec<usize>,
-    /// Row indices held out for validation.
-    pub(crate) validate: Vec<usize>,
-}
-
-/// The per-fold row selections for one `(K, folds, seed)` triple.
+/// The per-fold row selections for one `(K, folds, seed)` triple, as
+/// indices into the shared design matrix: the fitting engines read `G`
+/// (and the pattern kernels) through these tables instead of
+/// materializing per-fold copies.
 #[derive(Debug, Clone)]
 pub(crate) struct FoldPlan {
-    pub(crate) folds: Vec<PlannedFold>,
+    pub(crate) folds: Vec<Fold>,
 }
 
 impl FoldPlan {
@@ -120,119 +116,30 @@ impl FoldPlan {
             required: folds,
             context: "cross-validation folds",
         })?;
-        let folds = kfold
-            .iter()
-            .map(|fold| PlannedFold {
-                train: fold.train,
-                validate: fold.validate,
-            })
-            .collect();
-        Ok(FoldPlan { folds })
+        Ok(FoldPlan {
+            folds: kfold.folds(),
+        })
     }
 }
 
-/// Validation errors of one fold: `errors[kind][grid]`, `None` where the
-/// (hyper-dependent) solve failed structurally. A fold that is too small
-/// for the missing-prior block is represented as `None` at the fold
-/// level (see [`sweep_fold`]).
-pub(crate) type FoldErrors = Vec<Vec<Option<f64>>>;
-
-/// Sweeps one fold over the whole grid for each requested prior family,
-/// reusing `sweep`'s Woodbury kernels for every `(grid, kind)` cell.
-///
-/// `Gᵀ f_train` is computed once for the fold and the core is factorized
-/// once per grid value, that one factor serving every family: the core
-/// depends on the prior precisions only, not on the mean. A failed
-/// factorization therefore blanks every family's cell at that value.
-/// The fold's responses are gathered into (and every per-cell solve runs
-/// out of) `ws`; the validation sub-matrix is a zero-copy row view of
-/// the shared `g`. `counters.map_solves` and the ladder counters are
-/// incremented per successful `(grid, kind)` cell, exactly as if each
-/// cell had factorized on its own; kernel-build accounting belongs to
-/// whoever constructed `sweep`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_fold(
-    sweep: &MapSweep<'_>,
-    g: &Matrix,
-    fold: &PlannedFold,
-    f: &Vector,
-    grid: &[f64],
-    kinds: &[PriorKind],
-    counters: &mut FitCounters,
-    ws: &mut SolveWorkspace,
-) -> Result<FoldErrors> {
-    // Split the workspace so the fold buffers and the MAP scratch can be
-    // borrowed simultaneously (the solver never touches fold buffers).
-    let SolveWorkspace { map, fold: fs } = ws;
-    fs.f_train.clear();
-    fs.f_train.extend(fold.train.iter().map(|&i| f[i]));
-    fs.f_val.clear();
-    fs.f_val.extend(fold.validate.iter().map(|&i| f[i]));
-    let g_val = g.rows_view(&fold.validate);
-    let val_norm = fs
-        .f_val
-        .iter()
-        .map(|x| x * x)
-        .sum::<f64>()
-        .sqrt()
-        .max(f64::MIN_POSITIVE);
-    resize(&mut fs.alpha, g.ncols());
-    resize(&mut fs.pred, fold.validate.len());
-    let mut errors: FoldErrors = vec![vec![None; grid.len()]; kinds.len()];
-    sweep.project_into(&fs.f_train, map)?;
-    for (gi, &h) in grid.iter().enumerate() {
-        let factor = match sweep.factor_into(h, map) {
-            Ok(factor) => factor,
-            Err(BmfError::Linalg(_)) => continue,
-            Err(e) => return Err(e),
-        };
-        for (ki, &kind) in kinds.iter().enumerate() {
-            match sweep.solve_factored_into(&factor, kind, map, &mut fs.alpha) {
-                // A degraded cell still contributes its validation error —
-                // the ladder made it solvable — but the escalation is
-                // recorded so the fit can report it.
-                Ok(()) => counters.record_resilience(&factor.resilience),
-                Err(BmfError::Linalg(_)) => continue,
-                Err(e) => return Err(e),
-            }
-            counters.map_solves += 1;
-            matvec_into(g_val, &fs.alpha, &mut fs.pred)?;
-            // Fused validation error: bit-identical to
-            // `pred.sub(f_val).norm2() / val_norm` (axpy with -1.0 is an
-            // exact IEEE subtraction, and the sum runs in index order).
-            let mut s = 0.0;
-            for (p, v) in fs.pred.iter().zip(&fs.f_val) {
-                let d = p - v;
-                s += d * d;
-            }
-            errors[ki][gi] = Some(s.sqrt() / val_norm);
-        }
-    }
-    Ok(errors)
-}
-
-/// The sweep for one fold: its training rows of `g`, reading `kernel`
-/// (built over every row of `g`) through the fold's row table, or `None`
-/// when the fold is too small for the missing-prior block (the fold is
-/// then skipped, matching the historical behaviour).
-pub(crate) fn fold_sweep<'a>(
-    g: &'a Matrix,
-    fold: &'a PlannedFold,
-    kernel: &'a SweepKernel,
-) -> Result<Option<MapSweep<'a>>> {
-    match MapSweep::for_rows(g, &fold.train, kernel) {
-        Ok(s) => Ok(Some(s)),
-        Err(BmfError::NotEnoughSamples { .. }) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
+/// Validation errors of one sweep: per response, per prior family, per
+/// grid value (`[response][kind][grid]`, flat), `None` where the cell
+/// was blanked. A fold skipped as unusable is `None` at the fold level
+/// (see [`crate::map_estimate::FoldSystem::sweep`]).
+pub(crate) type FoldErrors = Vec<Option<f64>>;
 
 /// Reduces per-fold error tables into one [`CvOutcome`] per prior family.
 ///
-/// Accumulation runs fold-major in fold order, so the result is
-/// bit-identical to the historical single-pass loop — and to any
-/// parallel schedule that produced `fold_errors`, since the reduction
-/// order is fixed here.
+/// Each item is one fold's cells for one response (`[kind][grid]`,
+/// flat), or `None` for a skipped fold. Accumulation runs fold-major in
+/// fold order, so the result is independent of the schedule that
+/// produced the tables.
+///
+/// # Errors
+///
+/// * [`BmfError::NotEnoughSamples`] when no fold was usable.
+/// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when the usable
+///   folds solved no cell of some family.
 pub(crate) fn reduce_outcomes<'a, I>(
     grid: &[f64],
     num_kinds: usize,
@@ -241,39 +148,46 @@ pub(crate) fn reduce_outcomes<'a, I>(
     required: usize,
 ) -> Result<Vec<CvOutcome>>
 where
-    I: IntoIterator<Item = Option<&'a FoldErrors>>,
+    I: IntoIterator<Item = Option<&'a [Option<f64>]>>,
 {
-    let mut sums = vec![vec![0.0f64; grid.len()]; num_kinds];
-    let mut counts = vec![vec![0usize; grid.len()]; num_kinds];
+    let mut sums = vec![0.0f64; num_kinds * grid.len()];
+    let mut counts = vec![0usize; num_kinds * grid.len()];
+    let mut usable = false;
     for fe in fold_errors.into_iter().flatten() {
-        for ki in 0..num_kinds {
-            for (gi, cell) in fe[ki].iter().enumerate() {
-                if let Some(err) = cell {
-                    sums[ki][gi] += err;
-                    counts[ki][gi] += 1;
-                }
+        usable = true;
+        for ((sum, count), cell) in sums.iter_mut().zip(counts.iter_mut()).zip(fe) {
+            if let Some(err) = cell {
+                *sum += err;
+                *count += 1;
             }
         }
+    }
+    if !usable {
+        return Err(BmfError::NotEnoughSamples {
+            available,
+            required,
+            context: "cross-validation (all folds degenerate)",
+        });
     }
     let mut outcomes = Vec::with_capacity(num_kinds);
     for ki in 0..num_kinds {
         let mut errors = Vec::with_capacity(grid.len());
         let mut best: Option<(f64, f64)> = None;
         for (gi, &h) in grid.iter().enumerate() {
-            if counts[ki][gi] == 0 {
+            let (sum, count) = (sums[ki * grid.len() + gi], counts[ki * grid.len() + gi]);
+            if count == 0 {
                 continue;
             }
-            let mean = sums[ki][gi] / counts[ki][gi] as f64;
+            let mean = sum / count as f64;
             errors.push((h, mean));
             if best.is_none_or(|(_, e)| mean < e) {
                 best = Some((h, mean));
             }
         }
-        let (best_hyper, best_error) = best.ok_or(BmfError::NotEnoughSamples {
-            available,
-            required,
-            context: "cross-validation (all folds degenerate)",
-        })?;
+        let (best_hyper, best_error) = best.ok_or(BmfError::Linalg(LinalgError::Unsolvable {
+            op: "cross-validation sweep",
+            rcond: 0.0,
+        }))?;
         outcomes.push(CvOutcome {
             best_hyper,
             best_error,
@@ -284,11 +198,10 @@ where
 }
 
 /// Runs the full cross-validation sweep for the requested prior families
-/// over a pre-built [`FoldPlan`]: one kernel over every row of `g`, which
-/// each fold reads through its training rows for every `(grid, kind)`
-/// cell. Fold sub-matrices are row views of the shared `g`; all per-cell
-/// scratch lives in `ws`. `counters.kernels_built` counts one per usable
-/// fold.
+/// over a pre-built [`FoldPlan`]: one kernel over every row of `g`, then
+/// one fold-system sweep per fold, all scratch in `ws`.
+/// `counters.kernels_built` counts one per usable fold and
+/// `counters.map_solves` one per solved cell.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cv_on_plan(
     g: &Matrix,
@@ -300,33 +213,37 @@ pub(crate) fn cv_on_plan(
     counters: &mut FitCounters,
     ws: &mut SolveWorkspace,
 ) -> Result<Vec<CvOutcome>> {
-    // Kernels are built from the nonzero-mean view so prior means are
-    // cached; zero-mean solves reuse the same kernels with the mean
-    // dropped (the precisions — and thus the Woodbury kernels — are
-    // identical for both families).
+    // The kernel is built from the nonzero-mean view so prior means are
+    // cached; zero-mean cells reuse it with the mean dropped (the
+    // precisions — and thus the kernel — are identical for both
+    // families).
     let kernel = SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean))?;
     let mut fold_errors: Vec<Option<FoldErrors>> = Vec::with_capacity(plan.folds.len());
     for fold in &plan.folds {
-        let Some(sweep) = fold_sweep(g, fold, &kernel)? else {
-            fold_errors.push(None);
-            continue;
-        };
-        counters.kernels_built += 1;
-        fold_errors.push(Some(sweep_fold(
-            &sweep, g, fold, f, grid, kinds, counters, ws,
-        )?));
+        let errors = ws.fold.sweep(g, &kernel, fold, &[f], grid, kinds)?;
+        if let Some(cells) = &errors {
+            counters.kernels_built += 1;
+            counters.map_solves += cells.iter().flatten().count();
+        }
+        fold_errors.push(errors);
     }
-    let available = f.len();
     reduce_outcomes(
         grid,
         kinds.len(),
-        fold_errors.iter().map(Option::as_ref),
-        available,
+        fold_errors.iter().map(Option::as_deref),
+        f.len(),
         plan.folds.len(),
     )
 }
 
-fn validate_cv(g: &Matrix, f: &Vector, prior: &Prior, config: &CvConfig) -> Result<()> {
+/// Validates the inputs, plans the folds and sweeps `kinds`.
+pub(crate) fn cross_validate(
+    g: &Matrix,
+    f: &Vector,
+    prior: &Prior,
+    config: &CvConfig,
+    kinds: &[PriorKind],
+) -> Result<Vec<CvOutcome>> {
     validate_grid(&config.grid)?;
     validate_folds(config.folds)?;
     let k = g.nrows();
@@ -338,7 +255,28 @@ fn validate_cv(g: &Matrix, f: &Vector, prior: &Prior, config: &CvConfig) -> Resu
     crate::screen::finite_matrix("design matrix", g)?;
     crate::screen::finite_values("response values", f.as_slice())?;
     crate::screen::finite_prior(prior)?;
-    Ok(())
+    let plan = FoldPlan::new(k, config.folds, config.seed)?;
+    let (mut counters, mut ws) = (
+        FitCounters::default(),
+        SolveWorkspace::for_problem(k, g.ncols()),
+    );
+    cv_on_plan(
+        g,
+        &plan,
+        f,
+        prior,
+        &config.grid,
+        kinds,
+        &mut counters,
+        &mut ws,
+    )
+}
+
+/// The outcomes of [`cross_validate`], one per family, in `kinds` order.
+fn outcomes<const N: usize>(outcomes: Vec<CvOutcome>) -> Result<[CvOutcome; N]> {
+    outcomes.try_into().map_err(|_| BmfError::Internal {
+        detail: "cross-validation produced fewer outcomes than prior kinds",
+    })
 }
 
 /// Cross-validates the MAP hyper-parameter on an explicit design matrix,
@@ -348,32 +286,19 @@ fn validate_cv(g: &Matrix, f: &Vector, prior: &Prior, config: &CvConfig) -> Resu
 ///
 /// * [`BmfError::Config`] for an empty or non-positive grid (`"grid"`),
 ///   or fewer than 2 folds (`"folds"`).
-/// * [`BmfError::NotEnoughSamples`] when `K < folds` or a fold leaves too
-///   few samples to identify the missing-prior coefficients.
-/// * [`BmfError::Linalg`] when every grid value fails structurally.
+/// * [`BmfError::NotEnoughSamples`] when `K < folds`, or when no fold is
+///   usable. A fold with fewer training rows than missing-prior
+///   coefficients, or whose missing-prior columns are rank deficient over
+///   its training rows, is skipped, not an error.
+/// * [`BmfError::Linalg`] when the usable folds solved no cell.
 pub fn cross_validate_hyper(
     g: &Matrix,
     f: &Vector,
     prior: &Prior,
     config: &CvConfig,
 ) -> Result<CvOutcome> {
-    validate_cv(g, f, prior, config)?;
-    let plan = FoldPlan::new(g.nrows(), config.folds, config.seed)?;
-    let mut counters = FitCounters::default();
-    let mut ws = SolveWorkspace::for_problem(g.nrows(), g.ncols());
-    let mut outcomes = cv_on_plan(
-        g,
-        &plan,
-        f,
-        prior,
-        &config.grid,
-        &[prior.kind()],
-        &mut counters,
-        &mut ws,
-    )?;
-    outcomes.pop().ok_or(BmfError::Internal {
-        detail: "cross-validation produced no outcome for the requested prior kind",
-    })
+    let [out] = outcomes(cross_validate(g, f, prior, config, &[prior.kind()])?)?;
+    Ok(out)
 }
 
 /// Cross-validates *both* prior families over the grid in one pass,
@@ -382,49 +307,34 @@ pub fn cross_validate_hyper(
 /// two families).
 ///
 /// Returns `(zero_mean, nonzero_mean)` outcomes. This is what BMF-PS uses
-/// internally. The fold kernels and the per-`(fold, grid value)` core
-/// factorization are shared by the two families; only the Θ(KM) solve
-/// and validation run once per family. It therefore costs one
-/// [`cross_validate_hyper`] call plus the second family's solves — well
-/// under calling it twice.
+/// internally. The kernel, each fold's sample-space system and the
+/// per-`(fold, grid value)` factorization are shared by the two
+/// families; only the projection and the O(n·n_v) validation run once
+/// per family. It therefore costs one [`cross_validate_hyper`] call plus
+/// the second family's cells — well under calling it twice.
 ///
 /// # Errors
 ///
-/// Same conditions as [`cross_validate_hyper`].
+/// Same conditions as [`cross_validate_hyper`]; the [`BmfError::Linalg`]
+/// case applies when either family solved no cell.
 pub fn cross_validate_both(
     g: &Matrix,
     f: &Vector,
     prior: &Prior,
     config: &CvConfig,
 ) -> Result<(CvOutcome, CvOutcome)> {
-    validate_cv(g, f, prior, config)?;
-    let plan = FoldPlan::new(g.nrows(), config.folds, config.seed)?;
-    let mut counters = FitCounters::default();
-    let mut ws = SolveWorkspace::for_problem(g.nrows(), g.ncols());
-    let mut outcomes = cv_on_plan(
-        g,
-        &plan,
-        f,
-        prior,
-        &config.grid,
-        &[PriorKind::ZeroMean, PriorKind::NonZeroMean],
-        &mut counters,
-        &mut ws,
-    )?;
-    let missing = BmfError::Internal {
-        detail: "cross-validation produced fewer outcomes than prior kinds",
-    };
-    let nzm = outcomes.pop().ok_or(missing.clone())?;
-    let zm = outcomes.pop().ok_or(missing)?;
+    let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
+    let [zm, nzm] = outcomes(cross_validate(g, f, prior, config, &kinds)?)?;
     Ok((zm, nzm))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map_estimate::{map_estimate_with_report, SolverKind};
+    use crate::options::FitOptions;
     use crate::prior::PriorKind;
-    use crate::workspace::MapScratch;
-    use bmf_linalg::Resilience;
+    use bmf_linalg::view::matvec_into;
     use bmf_stat::normal::StandardNormal;
     use bmf_stat::rng::seeded;
 
@@ -577,57 +487,116 @@ mod tests {
         ));
     }
 
-    /// One cell solved on its own, as `MapSweep::solve_with_kind` solves
-    /// it (projection, factorization and solve on a fresh scratch), then
-    /// validated like `sweep_fold` validates. Returns the validation
-    /// error and the factorization's ladder outcome.
-    fn per_cell(
-        sweep: &MapSweep<'_>,
+    /// The independent reference for one cell: `map_estimate` with the
+    /// direct solver on the fold's gathered training rows, validated on
+    /// its validation rows. `None` when the reference failed or left
+    /// rung 0 of the degradation ladder.
+    fn reference_cell(
         g: &Matrix,
-        fold: &PlannedFold,
+        fold: &Fold,
         f: &Vector,
+        prior: &Prior,
         hyper: f64,
         kind: PriorKind,
-    ) -> Option<(f64, Resilience)> {
-        let f_train: Vec<f64> = fold.train.iter().map(|&i| f[i]).collect();
-        let mut alpha = vec![0.0; g.ncols()];
-        let mut scratch = MapScratch::default();
-        let res = match sweep.solve_kind_into(&f_train, hyper, kind, &mut scratch, &mut alpha) {
-            Ok(res) => res,
-            Err(BmfError::Linalg(_)) => return None,
-            Err(e) => panic!("per-cell solve failed structurally: {e:?}"),
-        };
-        let f_val: Vec<f64> = fold.validate.iter().map(|&i| f[i]).collect();
-        let val_norm = f_val
-            .iter()
-            .map(|x| x * x)
-            .sum::<f64>()
-            .sqrt()
-            .max(f64::MIN_POSITIVE);
-        let mut pred = vec![0.0; fold.validate.len()];
-        matvec_into(g.rows_view(&fold.validate), &alpha, &mut pred).unwrap();
-        let mut s = 0.0;
-        for (p, v) in pred.iter().zip(&f_val) {
-            let d = p - v;
-            s += d * d;
+    ) -> Option<f64> {
+        let g_train = g.rows_view(&fold.train).to_matrix();
+        let f_train: Vector = fold.train.iter().map(|&i| f[i]).collect();
+        let opts = FitOptions::new().hyper(hyper).solver(SolverKind::Direct);
+        let (alpha, res) =
+            map_estimate_with_report(&g_train, &f_train, &prior.with_kind(kind), &opts).ok()?;
+        if res.rung > 0 {
+            return None;
         }
-        Some((s.sqrt() / val_norm, res))
+        let mut pred = vec![0.0; fold.validate.len()];
+        matvec_into(g.rows_view(&fold.validate), alpha.as_slice(), &mut pred).unwrap();
+        let (mut s, mut v2) = (0.0, 0.0);
+        for (p, &i) in pred.iter().zip(&fold.validate) {
+            s += (p - f[i]) * (p - f[i]);
+            v2 += f[i] * f[i];
+        }
+        Some(s.sqrt() / v2.sqrt().max(f64::MIN_POSITIVE))
+    }
+
+    /// Sweeps every fold of `plan` on its own and checks each cell
+    /// against [`reference_cell`]; returns the per-fold tables and the
+    /// number of cells compared at the 1e-6 tolerance.
+    ///
+    /// The sweep solves the dual (sample-space) system `T̂ + ηI`, whose
+    /// condition number is bounded by `κ = 1 + tr(B_F(T,T))/η`; the
+    /// reference solves the primal one. Where `κ` is so large that
+    /// rounding alone moves the dual solution by more than 1e-6 (η far
+    /// below the kernel's scale on a rank-deficient `S`), no 1e-6
+    /// agreement is possible from either side, so each cell is held to
+    /// `1e-6 + 8ε·κ` relative. A cell may be blank only when
+    /// `κ ≥ 0.5/rcond_floor`: the sweep refuses `T̂ + ηI` when its pivot
+    /// ratio falls to `rcond_floor`, which needs `η ≲ rcond_floor·tr`.
+    fn check_against_reference(
+        g: &Matrix,
+        plan: &FoldPlan,
+        f: &Vector,
+        prior: &Prior,
+        grid: &[f64],
+    ) -> (Vec<Option<FoldErrors>>, usize) {
+        let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
+        let kernel =
+            SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean)).unwrap();
+        let a = prior.precisions(1.0);
+        let mut ws = SolveWorkspace::new();
+        let mut compared = 0;
+        let tables: Vec<Option<FoldErrors>> = plan
+            .folds
+            .iter()
+            .map(|fold| {
+                let cells = ws.fold.sweep(g, &kernel, fold, &[f], grid, &kinds).unwrap();
+                let cells = cells?;
+                let trace: f64 = fold
+                    .train
+                    .iter()
+                    .flat_map(|&i| (0..g.ncols()).map(move |j| (i, j)))
+                    .filter(|&(_, j)| a[j] > 0.0)
+                    .map(|(i, j)| g[(i, j)] * g[(i, j)] / a[j])
+                    .sum();
+                for (ki, &kind) in kinds.iter().enumerate() {
+                    for (gi, &h) in grid.iter().enumerate() {
+                        let Some(want) = reference_cell(g, fold, f, prior, h, kind) else {
+                            continue;
+                        };
+                        let kappa = 1.0 + trace / h;
+                        let rounding = 8.0 * f64::EPSILON * kappa;
+                        let Some(got) = cells[ki * grid.len() + gi] else {
+                            let floor = bmf_linalg::LadderPolicy::default().rcond_floor;
+                            assert!(kappa >= 0.5 / floor, "cell (h={h}, {kind:?}) blank");
+                            continue;
+                        };
+                        assert!(
+                            (got - want).abs() <= (1e-6 + rounding) * want.abs(),
+                            "cell (h={h}, {kind:?}): {got} vs reference {want}"
+                        );
+                        if rounding < 1e-6 {
+                            compared += 1;
+                        }
+                    }
+                }
+                Some(cells)
+            })
+            .collect();
+        (tables, compared)
     }
 
     #[test]
-    fn shared_factor_sweep_matches_per_cell_solves() {
-        // 1e-310 overflows the core (B_F/h = ∞), so its factorization
-        // fails; 1e-14 on duplicated rows makes the core numerically
-        // singular, so the ladder escalates.
+    fn sample_space_sweep_matches_direct_map_estimates() {
+        // 1e-310 is below every pivot's rounding on duplicated rows, so
+        // T̂ + ηI is singular to working precision there.
         let grid = [1e-310, 1e-14, 1e-3, 1.0, 1e3];
         let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
-        let (mut degraded, mut blanked) = (0, 0);
+        let (mut compared, mut blanked) = (0, 0);
         let (mut with_missing, mut without_missing) = (0, 0);
-        bmf_stat::prop::check("shared-factor sweep == per-cell solves", 24, |rng| {
+        bmf_stat::prop::check("sample-space sweep == direct solves", 24, |rng| {
             let k = 12 + rng.gen_index(10);
             let m = 6 + rng.gen_index(18);
             let mut g = design(k, m, rng.next_u64());
-            if rng.gen_bool(0.5) {
+            let duplicated = rng.gen_bool(0.5);
+            if duplicated {
                 for i in (1..k).step_by(2) {
                     for j in 0..m {
                         g[(i, j)] = g[(i - 1, j)];
@@ -655,71 +624,39 @@ mod tests {
                 seed: rng.next_u64(),
             };
             let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cfg).unwrap();
-
             let plan = FoldPlan::new(k, cfg.folds, cfg.seed).unwrap();
-            let nzm_prior = prior.with_kind(PriorKind::NonZeroMean);
-            // The pattern kernel over all K rows, as the fitting engines
-            // build it once per fit.
-            let kernel = SweepKernel::new(g.as_view(), &nzm_prior).unwrap();
-            let mut counters = FitCounters::default();
-            let mut indexed_counters = FitCounters::default();
-            let mut expected = FitCounters::default();
-            let mut ws = SolveWorkspace::new();
+            let (tables, n) = check_against_reference(&g, &plan, &f, &prior, &grid);
+            compared += n;
             let mut sums = [[0.0f64; 5]; 2];
             let mut counts = [[0usize; 5]; 2];
-            for fold in &plan.folds {
-                let sweep = MapSweep::from_view(g.rows_view(&fold.train), &nzm_prior).unwrap();
-                let shared =
-                    sweep_fold(&sweep, &g, fold, &f, &grid, &kinds, &mut counters, &mut ws)
-                        .unwrap();
-                // The same fold through its view of the pattern kernel.
-                let indexed_sweep = fold_sweep(&g, fold, &kernel).unwrap().unwrap();
-                let indexed = sweep_fold(
-                    &indexed_sweep,
-                    &g,
-                    fold,
-                    &f,
-                    &grid,
-                    &kinds,
-                    &mut indexed_counters,
-                    &mut ws,
-                )
-                .unwrap();
-                for (gi, &h) in grid.iter().enumerate() {
-                    for (ki, &kind) in kinds.iter().enumerate() {
-                        let cell = per_cell(&sweep, &g, fold, &f, h, kind);
-                        let want = cell.map(|(err, _)| err.to_bits());
-                        assert_eq!(
-                            shared[ki][gi].map(f64::to_bits),
-                            want,
-                            "cell (h={h}, {kind:?})"
-                        );
-                        assert_eq!(
-                            indexed[ki][gi].map(f64::to_bits),
-                            want,
-                            "pattern-kernel cell (h={h}, {kind:?})"
-                        );
-                        if let Some((err, res)) = cell {
+            let mut solved = 0;
+            for cells in tables.iter().flatten() {
+                for ki in 0..kinds.len() {
+                    for gi in 0..grid.len() {
+                        if let Some(err) = cells[ki * grid.len() + gi] {
                             sums[ki][gi] += err;
                             counts[ki][gi] += 1;
-                            // Ladder accounting stays per cell.
-                            expected.record_resilience(&res);
-                            expected.map_solves += 1;
+                            solved += 1;
                         }
                     }
-                    // One shared factorization: both families stand or
-                    // fall together.
-                    assert_eq!(shared[0][gi].is_some(), shared[1][gi].is_some());
-                    if shared[0][gi].is_none() {
-                        blanked += 1;
-                    }
+                }
+                // At η = 1e-310 on duplicated rows a failed factorization
+                // blanks both families together.
+                if duplicated {
+                    assert_eq!(cells[0].is_none(), cells[grid.len()].is_none());
+                    blanked += usize::from(cells[0].is_none());
                 }
             }
-            assert_eq!(counters, expected);
-            assert_eq!(indexed_counters, expected);
-            degraded += counters.degraded_solves;
+            // `map_solves` counts one per solved cell (plus nothing else:
+            // this is the sweep alone).
+            let mut counters = FitCounters::default();
+            let mut ws = SolveWorkspace::new();
+            cv_on_plan(&g, &plan, &f, &prior, &grid, &kinds, &mut counters, &mut ws).unwrap();
+            assert_eq!(counters.map_solves, solved);
+            assert_eq!(counters.kernels_built, tables.iter().flatten().count());
+            assert_eq!(counters.degraded_solves, 0);
 
-            // The public sweep's per-grid means equal the per-cell cells
+            // The public sweep's per-grid means equal the per-fold cells
             // reduced fold-major.
             for (ki, outcome) in [&zm, &nzm].into_iter().enumerate() {
                 let want: Vec<(u64, u64)> = grid
@@ -739,9 +676,138 @@ mod tests {
                 assert_eq!(got, want);
             }
         });
-        assert!(degraded > 0, "no ladder-escalated cell was exercised");
+        assert!(compared > 0, "no cell was compared with the reference");
         assert!(blanked > 0, "no failed factorization was exercised");
         assert!(with_missing > 0 && without_missing > 0);
+    }
+
+    /// A seeded 12-row problem over `m` columns whose first `missing`
+    /// entries lack a prior.
+    fn edge_problem(m: usize, missing: usize, seed: u64) -> (Matrix, Vector, Prior) {
+        let g = design(12, m, seed);
+        let f = Vector::from_fn(12, |i| (i as f64 * 0.7).sin());
+        let early = (0..m)
+            .map(|j| (j >= missing).then_some(0.5 / (1.0 + j as f64)))
+            .collect();
+        (g, f, Prior::new(PriorKind::ZeroMean, early))
+    }
+
+    #[test]
+    fn edge_shapes_match_direct_map_estimates() {
+        let grid = [1e-3, 1.0, 1e3];
+        // 3 folds of 12 rows train on 8: |Z| = 8 leaves n = 0, |Z| = 7
+        // leaves n = 1.
+        let plan = FoldPlan::new(12, 3, 5).unwrap();
+        assert!(plan.folds.iter().all(|fold| fold.train.len() == 8));
+        for (m, missing) in [(14, 8), (14, 7), (20, 0)] {
+            let (g, f, prior) = edge_problem(m, missing, m as u64);
+            let (tables, compared) = check_against_reference(&g, &plan, &f, &prior, &grid);
+            assert!(tables.iter().all(Option::is_some));
+            assert_eq!(compared, 3 * 2 * grid.len(), "m={m}, missing={missing}");
+        }
+        // With n = 0 every grid value gives the same (interpolating) fit.
+        let (g, f, prior) = edge_problem(14, 8, 14);
+        let (tables, _) = check_against_reference(&g, &plan, &f, &prior, &grid);
+        for family in tables
+            .iter()
+            .flatten()
+            .flat_map(|cells| cells.chunks(grid.len()))
+        {
+            assert!(family.iter().all(|c| *c == family[0]));
+        }
+        // An all-zero prior has no finite-prior column at all.
+        let g = design(12, 5, 9);
+        let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[0.0; 5]);
+        assert_eq!(prior.num_zero_precision(), 5);
+        let f = Vector::from_fn(12, |i| i as f64 - 4.0);
+        let (tables, compared) = check_against_reference(&g, &plan, &f, &prior, &grid);
+        assert!(tables.iter().all(Option::is_some));
+        assert_eq!(compared, 3 * 2 * grid.len());
+    }
+
+    #[test]
+    fn rank_deficient_fold_is_skipped() {
+        // The missing column is zero everywhere except on fold 0's
+        // validation rows, so fold 0's training rows cannot identify it.
+        let (k, m) = (15, 8);
+        let cfg = CvConfig {
+            folds: 3,
+            grid: log_grid(1e-2, 1e2, 5),
+            seed: 11,
+        };
+        let plan = FoldPlan::new(k, cfg.folds, cfg.seed).unwrap();
+        let mut g = design(k, m, 12);
+        for i in 0..k {
+            if !plan.folds[0].validate.contains(&i) {
+                g[(i, 0)] = 0.0;
+            }
+        }
+        let f = Vector::from_fn(k, |i| (i as f64).cos());
+        let mut early: Vec<Option<f64>> = (0..m).map(|j| Some(1.0 / (1.0 + j as f64))).collect();
+        early[0] = None;
+        let prior = Prior::new(PriorKind::ZeroMean, early);
+        let (tables, compared) = check_against_reference(&g, &plan, &f, &prior, &cfg.grid);
+        assert!(tables[0].is_none());
+        assert!(tables[1..].iter().all(Option::is_some));
+        assert!(compared > 0);
+        let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cfg).unwrap();
+        assert_eq!(zm.errors.len(), cfg.grid.len());
+        assert_eq!(nzm.errors.len(), cfg.grid.len());
+    }
+
+    #[test]
+    fn unsolvable_grid_is_a_linalg_error() {
+        // Every fold is usable, but η = 1e-310 lies below the rounding of
+        // each fold's singular T̂ (6 columns, 8 training rows): no cell
+        // solves, which is a linear-algebra failure, not a sample
+        // shortage.
+        let f = Vector::from_fn(12, |i| (i as f64).sin());
+        let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[0.5; 6]);
+        let cfg = CvConfig {
+            folds: 3,
+            grid: vec![1e-310],
+            seed: 1,
+        };
+        for seed in 0..20 {
+            let g = design(12, 6, seed);
+            assert!(matches!(
+                cross_validate_both(&g, &f, &prior, &cfg),
+                Err(BmfError::Linalg(LinalgError::Unsolvable {
+                    op: "cross-validation sweep",
+                    ..
+                }))
+            ));
+        }
+    }
+
+    #[test]
+    fn reduce_outcomes_reports_why_nothing_was_solved() {
+        let grid = [1.0, 2.0];
+        // No usable fold at all.
+        let none: Vec<Option<&[Option<f64>]>> = vec![None, None, None];
+        assert!(matches!(
+            reduce_outcomes(&grid, 2, none, 12, 3),
+            Err(BmfError::NotEnoughSamples {
+                available: 12,
+                required: 3,
+                ..
+            })
+        ));
+        // Usable folds whose cells all failed for one family.
+        let cells = [Some(0.5), Some(0.25), None, None];
+        let usable: Vec<Option<&[Option<f64>]>> = vec![Some(&cells[..]), None, Some(&cells[..])];
+        assert!(matches!(
+            reduce_outcomes(&grid, 2, usable, 12, 3),
+            Err(BmfError::Linalg(LinalgError::Unsolvable {
+                op: "cross-validation sweep",
+                ..
+            }))
+        ));
+        // The solved family alone reduces fine.
+        let one: Vec<Option<&[Option<f64>]>> = vec![Some(&cells[..2]), None];
+        let out = reduce_outcomes(&grid, 1, one, 12, 2).unwrap();
+        assert_eq!(out[0].errors, vec![(1.0, 0.5), (2.0, 0.25)]);
+        assert_eq!(out[0].best_hyper, 2.0);
     }
 
     #[test]

@@ -23,16 +23,16 @@
 //!   (zero diagonal precision) through the exact augmented formulation in
 //!   [`bmf_linalg::woodbury`].
 
-use std::borrow::Cow;
-
 use bmf_linalg::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
 use bmf_linalg::{
-    factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, lu_solve_into, view, woodbury,
-    FactorKind, LadderPolicy, LinalgError, Matrix, Resilience, Vector,
+    factor_spd_ladder, ladder_solve_in_place, qr_in_place, solve_lower, tridiagonal, view,
+    woodbury, LadderPolicy, LinalgError, Matrix, Reflectors, Resilience, Vector,
 };
+use bmf_stat::crossval::Fold;
 
+use crate::hyper::FoldErrors;
 use crate::options::FitOptions;
-use crate::prior::Prior;
+use crate::prior::{Prior, PriorKind};
 use crate::workspace::{resize, MapScratch};
 use crate::{BmfError, Result};
 
@@ -200,61 +200,24 @@ pub(crate) fn map_estimate_ws(
 }
 
 /// Pre-computed quantities for sweeping the hyper-parameter over a fixed
-/// design matrix and prior *structure*.
-///
-/// Cross-validation (§IV-D) solves the same MAP system for many values of
-/// `σ₀²`/`η`. Because the prior precision scales *linearly* with the
-/// hyper-parameter (`D(h) = h·A`, `A = diag(α_E,m⁻²)`), the expensive
-/// Woodbury kernels can be computed once:
-///
-/// ```text
-/// B_F = G_F·A_F⁻¹·G_Fᵀ   (finite-prior columns)
-/// B_Z = G_Z·G_Zᵀ          (missing-prior columns)
-/// ```
-///
-/// after which each hyper-parameter value costs one K×K (or
-/// (K+|Z|)×(K+|Z|)) factorization — shared by every response and both
-/// prior families, since the core does not depend on the prior mean —
-/// plus Θ(KM) matvecs per `(response, family)` solve, instead of the
-/// full Θ(K²M) rebuild. A solve therefore runs in three steps:
-/// `project_into` once per response, `factor_into` once per
-/// hyper-parameter value, and `solve_factored_into` per family; the
-/// cross-validation sweep calls them in that nesting, and
-/// [`MapSweep::solve_with_kind`] calls them back to back.
-///
-/// Every kernel entry is a function of its two design rows alone, so the
-/// kernels of any row subset are a sub-block of the kernels over all
-/// rows. The fitting engines build them once over the full design
-/// matrix (a [`SweepKernel`]) and give each cross-validation fold a
-/// sweep that reads them through the fold's training-row table;
-/// [`MapSweep::from_view`] builds them over its view and reads them
-/// through identity rows. Both give the same bits.
-///
-/// The estimates equal [`map_estimate`] with [`SolverKind::Fast`] to
-/// rounding, not bit for bit, because the two assemble the Woodbury core
-/// and its shift τ in a different order: the sweep forms `B_F/η + I` from
-/// the cached kernel and sums τ over the diagonal of `B_Z`, while
-/// [`bmf_linalg::woodbury`] forms `G(ηA)⁻¹Gᵀ + I` directly and sums τ
-/// column by column.
+/// design matrix and prior *structure* (§IV-D), in sample space: the
+/// missing coefficients are profiled out through a Householder QR
+/// `G_Z = [Q_Z N]·R`, and the ridge kernel left over, `S = Nᵀ B_F N`, is
+/// reduced once to `S = H T̂ Hᵀ`. Each hyper-parameter value then costs
+/// one O(n) factorization of `T̂ + hI`, shared by both prior families,
+/// plus the back-projection (DESIGN.md §8). The estimates equal
+/// [`map_estimate`] to rounding, not bit for bit.
 #[derive(Debug, Clone)]
 pub struct MapSweep<'g> {
-    /// Borrowed view of the design rows the sweep solves over — a fold
-    /// sweep views a row subset of the shared full-data `G` without
-    /// copying it.
     g: MatRef<'g>,
-    /// The kernels, over the rows `rows` indexes: borrowed from the
-    /// fitting engine's one build, or owned by a standalone sweep.
-    kernel: Cow<'g, SweepKernel>,
-    /// Row `i` of `g` is row `rows[i]` of the kernels.
-    rows: Cow<'g, [usize]>,
-    /// Woodbury shift for the missing block, from the diagonal of `B_Z`
-    /// over this sweep's rows.
-    tau: f64,
+    kernel: SweepKernel,
+    /// The system over every row of `g`, with no validation rows.
+    system: FoldSystem,
 }
 
-/// The Woodbury kernels of one prior over every row of a design matrix,
+/// The Woodbury kernel of one prior over every row of a design matrix,
 /// plus the prior's hyper-independent quantities. Any number of
-/// [`MapSweep`]s read it through their own row tables.
+/// [`FoldSystem`]s read it through their own row tables.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepKernel {
     /// `1/α_E,m²` for finite-prior columns, 0 for missing.
@@ -264,12 +227,12 @@ pub(crate) struct SweepKernel {
     missing: Vec<usize>,
     /// `G_F·A_F⁻¹·G_Fᵀ`.
     b_f: Matrix,
-    /// `G_Z·G_Zᵀ` (empty when nothing is missing).
-    b_z: Matrix,
+    /// `G·prior_mean`, the nonzero-mean prior's prediction at every row.
+    pub(crate) g_mu: Vec<f64>,
 }
 
 impl SweepKernel {
-    /// Builds the kernels of `prior` over every row of `g`.
+    /// Builds the kernel of `prior` over every row of `g`.
     ///
     /// # Errors
     ///
@@ -299,28 +262,6 @@ impl SweepKernel {
             .collect();
         let mut b_f = Matrix::zeros(k, k);
         outer_gram_diag_into(g, &a_inv_f, b_f.as_view_mut())?;
-        let b_z = if missing.is_empty() {
-            Matrix::zeros(0, 0)
-        } else {
-            // B_Z is the 0/1-indicator-weighted outer gram, summed over
-            // the missing columns only, in ascending order: each skipped
-            // term is an exact ±0 that cannot change a sum started at
-            // +0, so the bits equal the full-width gram's.
-            let mut b_z = Matrix::zeros(k, k);
-            for i in 0..k {
-                let ri = g.row(i);
-                for j in i..k {
-                    let rj = g.row(j);
-                    let mut s = 0.0;
-                    for &z in &missing {
-                        s += ri[z] * rj[z];
-                    }
-                    b_z[(i, j)] = s;
-                    b_z[(j, i)] = s;
-                }
-            }
-            b_z
-        };
         // Prior means (independent of hyper): alpha_E for NZM, 0 for ZM.
         let rhs1 = prior.rhs_contribution(1.0);
         let prior_mean: Vec<f64> = rhs1
@@ -328,319 +269,335 @@ impl SweepKernel {
             .zip(&unit)
             .map(|(&r, &d)| if d > 0.0 { r / d } else { 0.0 })
             .collect();
+        let mut g_mu = vec![0.0; k];
+        matvec_into(g, &prior_mean, &mut g_mu)?;
         Ok(SweepKernel {
             a: unit,
             prior_mean,
             missing,
             b_f,
-            b_z,
+            g_mu,
         })
     }
 }
 
-/// The core system of a [`MapSweep`] assembled and factorized for one
-/// hyper-parameter value. The factor itself lives in the [`MapScratch`]
-/// passed to [`MapSweep::factor_into`]; this records how to solve
-/// against it and how the degradation ladder resolved.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CoreFactor {
-    hyper: f64,
-    kind: FactorKind,
-    /// Degradation-ladder outcome of the factorization.
-    pub(crate) resilience: Resilience,
+/// The sample-space system ([`MapSweep`]) of one prior pattern over
+/// training rows `T` and validation rows `V`, built into reusable
+/// buffers, `n = |T| − |Z|`:
+///
+/// * `gz`/`gz_tau`: the QR of `G_Z(T)`, stored transposed (`Rᵀ` in the
+///   leading lower triangle);
+/// * `c`: `C = QᵀB_F(T,T)Q`, whose `[Z, N]` block stays in use;
+/// * `s`/`h_tau`/`d`/`e`: `S = C[N,N]` reduced to `T̂ = (d, e)`, `H`'s
+///   reflectors packed in `s`;
+/// * `ev`: `E = G_Z(V) R⁻¹`;
+/// * `vt`: `Qᵀ B_F(T,V)`, whose rows past |Z| hold
+///   `Wᵀ = Hᵀ((B_F(V,T)Q)[·,N] − E·C[Z,N])ᵀ`.
+///
+/// A validation prediction is `(Gμ)_V + E·Q_Zᵀy + W·x`: no cell touches
+/// an M-length vector. The cell scratch: per family, the projected
+/// response `[Q_Zᵀy; HᵀNᵀy]` (`proj`) and the η-independent residual
+/// `(Gμ)_V + E·Q_Zᵀy − f_V` (`r0`); the LDLᵀ pivots and multipliers
+/// (`piv`); the solution `x` and `W·x` (`x`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldSystem {
+    gz: Matrix,
+    gz_tau: Vec<f64>,
+    c: Matrix,
+    s: Matrix,
+    h_tau: Vec<f64>,
+    d: Vec<f64>,
+    e: Vec<f64>,
+    ev: Matrix,
+    vt: Matrix,
+    /// One row of scratch.
+    w: Vec<f64>,
+    proj: Matrix,
+    r0: Matrix,
+    pub(crate) piv: Vec<f64>,
+    pub(crate) x: Vec<f64>,
 }
 
-impl<'g> MapSweep<'g> {
-    /// Builds the sweep cache over a borrowed design-matrix view: the
-    /// kernels over every row of `g`, read through identity rows.
+impl FoldSystem {
+    /// Builds the system of `kernel` (over every row of `g`) for training
+    /// rows `train` and validation rows `val`.
     ///
     /// # Errors
     ///
-    /// Same structural conditions as [`map_estimate`].
-    pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
-        let kernel = SweepKernel::new(g, prior)?;
-        let rows = (0..g.nrows()).collect();
-        MapSweep::over(g, Cow::Owned(kernel), Cow::Owned(rows))
-    }
-
-    /// The sweep over rows `rows` of `g`, reading `kernel` — built over
-    /// every row of `g` — through that row table. This is how a
-    /// cross-validation fold solves over its training rows without
-    /// building or copying kernels of its own.
-    ///
-    /// # Errors
-    ///
-    /// [`BmfError::NotEnoughSamples`] when `rows` cannot identify the
-    /// prior's missing coefficients.
-    pub(crate) fn for_rows(
-        g: &'g Matrix,
-        rows: &'g [usize],
-        kernel: &'g SweepKernel,
-    ) -> Result<Self> {
-        MapSweep::over(
-            g.rows_view(rows),
-            Cow::Borrowed(kernel),
-            Cow::Borrowed(rows),
-        )
-    }
-
-    /// Shared by both constructors: checks that the rows identify the
-    /// missing block and sums τ over the rows' `B_Z` diagonal in row
-    /// order.
-    fn over(g: MatRef<'g>, kernel: Cow<'g, SweepKernel>, rows: Cow<'g, [usize]>) -> Result<Self> {
-        let k = g.nrows();
-        let nz = kernel.missing.len();
-        if nz > k {
+    /// * [`BmfError::NotEnoughSamples`] when `train` has fewer rows than
+    ///   the prior has missing coefficients.
+    /// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when `G_Z(T)`
+    ///   is rank deficient: `min|R_jj| ≤ rcond_floor·max|R_jj|`, with the
+    ///   degradation ladder's floor.
+    pub(crate) fn build(
+        &mut self,
+        g: MatRef<'_>,
+        kernel: &SweepKernel,
+        train: &[usize],
+        val: &[usize],
+    ) -> Result<()> {
+        let (nt, nv, nz) = (train.len(), val.len(), kernel.missing.len());
+        if nz > nt {
             return Err(BmfError::NotEnoughSamples {
-                available: k,
+                available: nt,
                 required: nz,
                 context: "missing-prior coefficients",
             });
         }
-        let tau = if nz == 0 {
-            1.0
-        } else {
-            (rows.iter().map(|&r| kernel.b_z[(r, r)]).sum::<f64>() / nz as f64).max(1e-12)
-        };
-        Ok(MapSweep {
-            g,
-            kernel,
-            rows,
-            tau,
-        })
+        let n = nt - nz;
+        resize(&mut self.w, nt.max(nv));
+        self.c.reset_zeros(nt, nt);
+        self.vt.reset_zeros(nt, nv);
+        for (i, &ri) in train.iter().enumerate() {
+            let src = kernel.b_f.row(ri);
+            for (x, &rj) in self.c.row_mut(i).iter_mut().zip(train) {
+                *x = src[rj];
+            }
+            for (x, &rv) in self.vt.row_mut(i).iter_mut().zip(val) {
+                *x = src[rv];
+            }
+        }
+        self.gz.reset_zeros(nz, nt);
+        for (zi, &z) in kernel.missing.iter().enumerate() {
+            for (x, &ri) in self.gz.row_mut(zi).iter_mut().zip(train) {
+                *x = g.get(ri, z);
+            }
+        }
+        qr_in_place(&mut self.gz, &mut self.gz_tau)?;
+        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+        for j in 0..nz {
+            lo = lo.min(self.gz[(j, j)].abs());
+            hi = hi.max(self.gz[(j, j)].abs());
+        }
+        // With nothing missing, lo stays ∞ and the check passes.
+        if lo <= LadderPolicy::default().rcond_floor * hi || lo.is_nan() {
+            let rcond = if hi > 0.0 { lo / hi } else { 0.0 };
+            let op = "cross-validation fold (missing-prior columns)";
+            return Err(LinalgError::Unsolvable { op, rcond }.into());
+        }
+        let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
+        q.congruence_in_place(&mut self.c, &mut self.w[..nt])?;
+        q.apply_qt_in_place(self.vt.as_mut_slice(), &mut self.w[..nv])?;
+        // S = C[N,N], symmetrized so the reduction sees one matrix.
+        self.s.reset_zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                self.s[(i, j)] = 0.5 * (self.c[(nz + i, nz + j)] + self.c[(nz + j, nz + i)]);
+            }
+        }
+        // E = G_Z(V) R⁻¹, row by row against Rᵀ (gz's leading lower
+        // triangle); then Wᵀ before its Hᵀ: (Qᵀ B_F(T,V))[N,·] − C[N,Z] Eᵀ.
+        let rt = MatRef::strided(self.gz.as_slice(), nz, nz, nt)?;
+        self.ev.reset_zeros(nv, nz);
+        for (r, &rv) in val.iter().enumerate() {
+            let row = self.ev.row_mut(r);
+            for (x, &z) in row.iter_mut().zip(&kernel.missing) {
+                *x = g.get(rv, z);
+            }
+            solve_lower(rt, row)?;
+        }
+        let (_, wt) = self.vt.as_mut_slice().split_at_mut(nz * nv);
+        for (j, row) in wt.chunks_exact_mut(nv.max(1)).enumerate() {
+            matvec_into(
+                self.ev.as_view(),
+                &self.c.row(nz + j)[..nz],
+                &mut self.w[..nv],
+            )?;
+            for (x, ce) in row.iter_mut().zip(&self.w) {
+                *x -= ce;
+            }
+        }
+        tridiagonal::tridiagonalize_in_place(
+            &mut self.s,
+            &mut self.d,
+            &mut self.e,
+            &mut self.h_tau,
+            &mut self.w,
+        )?;
+        // The reduction resized `w` to n; the rows of Wᵀ are nv long.
+        resize(&mut self.w, nv);
+        let h = Reflectors::new(&self.s, &self.h_tau, 1);
+        h.apply_qt_in_place(wt, &mut self.w)?;
+        Ok(())
+    }
+
+    /// Sweeps one `(prior pattern, fold)` pair: builds the system of
+    /// `kernel` for `fold` once, then evaluates every `(grid, kind)` cell
+    /// of every response in `responses` (all of that pattern) against it.
+    ///
+    /// Returns `None` when the fold is unusable (see [`FoldSystem::build`]:
+    /// too few training rows, or a rank-deficient `G_Z`). A grid value
+    /// whose `T̂ + ηI` is singular to working precision (a pivot not
+    /// positive and finite, or a pivot ratio at the ladder's
+    /// `rcond_floor`) is blank for every family; a cell whose error is
+    /// not finite is blank. The result depends only on the inputs, never
+    /// on the scratch.
+    pub(crate) fn sweep(
+        &mut self,
+        g: &Matrix,
+        kernel: &SweepKernel,
+        fold: &Fold,
+        responses: &[&Vector],
+        grid: &[f64],
+        kinds: &[PriorKind],
+    ) -> Result<Option<FoldErrors>> {
+        match self.build(g.as_view(), kernel, &fold.train, &fold.validate) {
+            Ok(()) => {}
+            Err(
+                BmfError::NotEnoughSamples { .. }
+                | BmfError::Linalg(LinalgError::Unsolvable { .. }),
+            ) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        let (nz, n, nv) = (self.gz.nrows(), self.d.len(), fold.validate.len());
+        let cells = kinds.len() * grid.len();
+        let mut errors: FoldErrors = vec![None; responses.len() * cells];
+        let (proj, r0) = (&mut self.proj, &mut self.r0);
+        proj.reset_zeros(kinds.len(), fold.train.len());
+        r0.reset_zeros(kinds.len(), nv);
+        resize(&mut self.piv, n + n.saturating_sub(1));
+        resize(&mut self.x, n + nv);
+        let (piv, l) = self.piv.split_at_mut(n);
+        let (x, wx) = self.x.split_at_mut(n);
+        let wt = MatRef::from_row_major(&self.vt.as_slice()[nz * nv..], n, nv)?;
+        let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
+        let h = Reflectors::new(&self.s, &self.h_tau, 1);
+        let (g_mu, floor) = (&kernel.g_mu, LadderPolicy::default().rcond_floor);
+        for (ri, f) in responses.iter().enumerate() {
+            let val_norm = fold
+                .validate
+                .iter()
+                .map(|&i| f[i] * f[i])
+                .sum::<f64>()
+                .sqrt()
+                .max(f64::MIN_POSITIVE);
+            // Per family: y = f_T − (Gμ)_T (f_T for zero-mean), projected,
+            // and the η-independent residual (Gμ)_V + E·Q_Zᵀy − f_V.
+            for (ki, &kind) in kinds.iter().enumerate() {
+                let nzm = kind == PriorKind::NonZeroMean;
+                let y = proj.row_mut(ki);
+                for (yi, &t) in y.iter_mut().zip(&fold.train) {
+                    *yi = if nzm { f[t] - g_mu[t] } else { f[t] };
+                }
+                q.apply_qt_in_place(y, &mut [0.0])?;
+                h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
+                let base = r0.row_mut(ki);
+                matvec_into(self.ev.as_view(), &proj.row(ki)[..nz], base)?;
+                for (b, &v) in base.iter_mut().zip(&fold.validate) {
+                    *b += if nzm { g_mu[v] - f[v] } else { -f[v] };
+                }
+            }
+            for (gi, &eta) in grid.iter().enumerate() {
+                // Lengths are set above, so an error is a refused system.
+                if tridiagonal::ldl_shifted_into(&self.d, &self.e, eta, floor, piv, l).is_err() {
+                    continue;
+                }
+                for ki in 0..kinds.len() {
+                    x.copy_from_slice(&proj.row(ki)[nz..]);
+                    tridiagonal::ldl_solve_in_place(piv, l, x)?;
+                    matvec_transpose_into(wt, x, wx)?;
+                    let mut s = 0.0;
+                    for (a, b) in r0.row(ki).iter().zip(wx.iter()) {
+                        let d = a + b;
+                        s += d * d;
+                    }
+                    let err = s.sqrt() / val_norm;
+                    if err.is_finite() {
+                        errors[ri * cells + ki * grid.len() + gi] = Some(err);
+                    }
+                }
+            }
+        }
+        Ok(Some(errors))
+    }
+}
+
+impl<'g> MapSweep<'g> {
+    /// Builds the sweep over a borrowed design-matrix view: the kernel
+    /// and the sample-space system over every row of `g`.
+    ///
+    /// # Errors
+    ///
+    /// The structural conditions of [`map_estimate`], and
+    /// [`BmfError::Linalg`] when the missing-prior columns of `g` are
+    /// rank deficient.
+    pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
+        let kernel = SweepKernel::new(g, prior)?;
+        let rows: Vec<usize> = (0..g.nrows()).collect();
+        let mut system = FoldSystem::default();
+        system.build(g, &kernel, &rows, &[])?;
+        Ok(MapSweep { g, kernel, system })
     }
 
     /// Solves the MAP system for one hyper-parameter value and response
-    /// vector `f`, overriding the prior family: `Some(kind)` forces the
-    /// zero-mean (`prior_mean = 0`) or nonzero-mean behaviour regardless
-    /// of the prior this sweep was built from.
-    ///
-    /// This lets prior selection (§IV-D) share one sweep — and thus the
-    /// expensive Θ(K²M) kernels — between both families, since the prior
-    /// *precisions* are identical and only the mean differs.
+    /// vector `f`, with the prior family `kind` (zero-mean drops the
+    /// prior mean) whatever the prior this sweep was built from: both
+    /// families share the sweep, since their precisions are identical.
     ///
     /// # Errors
     ///
     /// Returns [`BmfError::SampleShape`] on a length mismatch,
     /// [`BmfError::NonFiniteInput`] when `f` holds NaN or ±∞,
     /// [`BmfError::Config`] when `hyper` is not positive and finite, and
-    /// [`BmfError::Linalg`] when the (hyper-dependent) core cannot be
-    /// solved even after the degradation ladder.
-    // bmf-lint: allow(screen-reachability) -- solve_kind_into screens the response (screen::finite_values) before any arithmetic; the sweep matrices were screened at build time
-    pub fn solve_with_kind(
-        &self,
-        f: &Vector,
-        hyper: f64,
-        kind: crate::prior::PriorKind,
-    ) -> Result<Vector> {
-        let mut ws = MapScratch::default();
-        let mut out = vec![0.0; self.g.ncols()];
-        self.solve_kind_into(f.as_slice(), hyper, kind, &mut ws, &mut out)?;
-        Ok(Vector::from(out))
-    }
-
-    /// The allocation-free core of [`MapSweep::solve_with_kind`]: the
-    /// three solve steps back to back, all intermediates in `ws`, the
-    /// coefficients in `out` (length M, fully overwritten). Returns the
-    /// degradation-ladder outcome of the factorization.
-    pub(crate) fn solve_kind_into(
-        &self,
-        f: &[f64],
-        hyper: f64,
-        kind: crate::prior::PriorKind,
-        ws: &mut MapScratch,
-        out: &mut [f64],
-    ) -> Result<Resilience> {
-        self.project_into(f, ws)?;
-        let factor = self.factor_into(hyper, ws)?;
-        self.solve_factored_into(&factor, kind, ws, out)?;
-        Ok(factor.resilience)
-    }
-
-    /// Solve step 1, once per response: screens `f` and writes `Gᵀ f`
-    /// into `ws.rhs`, where [`MapSweep::solve_factored_into`] reads it.
-    pub(crate) fn project_into(&self, f: &[f64], ws: &mut MapScratch) -> Result<()> {
+    /// [`BmfError::Linalg`] when `T̂ + hyper·I` is singular to working
+    /// precision.
+    pub fn solve_with_kind(&self, f: &Vector, hyper: f64, kind: PriorKind) -> Result<Vector> {
         let (k, m) = self.g.shape();
         if f.len() != k {
             return Err(BmfError::SampleShape {
-                // bmf-lint: allow(no-alloc-in-into-kernels) -- error construction: allocates only on the failure path
                 detail: format!("{k} design rows vs {} values", f.len()),
             });
         }
-        crate::screen::finite_values("response values", f)?;
-        resize(&mut ws.rhs, m);
-        matvec_transpose_into(self.g, f, &mut ws.rhs)?;
-        Ok(())
-    }
-
-    /// Solve step 2, once per hyper-parameter value: assembles the core
-    /// system for `hyper` into `ws.core` and factorizes it through the
-    /// degradation ladder, and fills `ws.dt_inv`. The factor serves every
-    /// response and prior family solved at this value.
-    pub(crate) fn factor_into(&self, hyper: f64, ws: &mut MapScratch) -> Result<CoreFactor> {
+        crate::screen::finite_values("response values", f.as_slice())?;
         if !(hyper > 0.0 && hyper.is_finite()) {
-            return Err(BmfError::config(
-                "hyper",
-                // bmf-lint: allow(no-alloc-in-into-kernels) -- error construction: allocates only on the failure path
-                format!("must be positive and finite, got {hyper}"),
-            ));
+            let detail = format!("must be positive and finite, got {hyper}");
+            return Err(BmfError::config("hyper", detail));
         }
-        let k = self.g.nrows();
-        let SweepKernel {
-            a,
-            missing,
-            b_f,
-            b_z,
-            ..
-        } = &*self.kernel;
-        let MapScratch {
-            dt_inv,
-            core,
-            perm,
-            ladder,
-            ..
-        } = ws;
-        // D-tilde inverse diag: 1/(h·a_m) finite, 1/tau missing.
-        dt_inv.clear();
-        dt_inv.extend(a.iter().map(|&a| {
-            if a > 0.0 {
-                1.0 / (hyper * a)
-            } else {
-                1.0 / self.tau
-            }
-        }));
-
-        // The core's kernel block, gathered through the row table: entry
-        // (i, j) is kernel entry (rows[i], rows[j]).
-        if missing.is_empty() {
-            // core = I + B_F / h.
-            core.reset_zeros(k, k);
-            let s = 1.0 / hyper;
-            for (i, &ri) in self.rows.iter().enumerate() {
-                let src = b_f.row(ri);
-                let dst = core.row_mut(i);
-                for (x, &rj) in dst.iter_mut().zip(self.rows.iter()) {
-                    *x = src[rj] * s;
-                }
-                dst[i] += 1.0;
-            }
-            let (kind, resilience) =
-                factor_spd_ladder(core, perm, ladder, &LadderPolicy::default())?;
-            return Ok(CoreFactor {
-                hyper,
-                kind,
-                resilience,
-            });
+        let nzm = kind == PriorKind::NonZeroMean;
+        let (kernel, sys) = (&self.kernel, &self.system);
+        let (nz, n) = (sys.gz.nrows(), sys.d.len());
+        // y → [Q_Zᵀy; Hᵀ Nᵀ y] → [Q_Zᵀy; x] → [Q_Zᵀy; H x].
+        let mut y: Vec<f64> = f
+            .iter()
+            .zip(&kernel.g_mu)
+            .map(|(fi, mu)| if nzm { fi - mu } else { *fi })
+            .collect();
+        let q = Reflectors::new(&sys.gz, &sys.gz_tau, 0);
+        let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
+        q.apply_qt_in_place(&mut y, &mut [0.0])?;
+        h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
+        let (mut piv, mut l) = (vec![0.0; n], vec![0.0; n.saturating_sub(1)]);
+        let floor = LadderPolicy::default().rcond_floor;
+        tridiagonal::ldl_shifted_into(&sys.d, &sys.e, hyper, floor, &mut piv, &mut l)?;
+        let (uz, x) = y.split_at_mut(nz);
+        tridiagonal::ldl_solve_in_place(&piv, &l, x)?;
+        h.apply_q_in_place(x, &mut [0.0])?;
+        // α_Z = R⁻¹(Q_Zᵀy − C[Z,N] H x), with R = (Rᵀ)ᵀ from `gz`.
+        let mut alpha_z = vec![0.0; nz];
+        matvec_into(
+            MatRef::strided(&sys.c.as_slice()[nz..], nz, n, k)?,
+            x,
+            &mut alpha_z,
+        )?;
+        for (t, u) in alpha_z.iter_mut().zip(uz.iter()) {
+            *t = u - *t;
         }
-
-        // Augmented system (see bmf_linalg::woodbury docs): W has blocks
-        // [I + B_F/h + B_Z/tau,  G_Z/tau; (G_Z/tau)^T, 0].
-        let n = k + missing.len();
-        core.reset_zeros(n, n);
-        for (i, &ri) in self.rows.iter().enumerate() {
-            let (bf, bz) = (b_f.row(ri), b_z.row(ri));
-            let dst = core.row_mut(i);
-            for (x, &rj) in dst[..k].iter_mut().zip(self.rows.iter()) {
-                *x = bf[rj] / hyper + bz[rj] / self.tau;
-            }
-            dst[i] += 1.0;
-        }
-        for (jz, &z) in missing.iter().enumerate() {
-            for i in 0..k {
-                let v = self.g.get(i, z) / self.tau;
-                core[(i, k + jz)] = v;
-                core[(k + jz, i)] = v;
+        let rt = MatRef::strided(sys.gz.as_slice(), nz, nz, k)?;
+        bmf_linalg::solve_lower_transpose(rt, &mut alpha_z)?;
+        // α_F = μ_F + A_F⁻¹ G_Fᵀ N H x, with N H x = Q [0; H x].
+        uz.fill(0.0);
+        q.apply_q_in_place(&mut y, &mut [0.0])?;
+        let mut out = vec![0.0; m];
+        matvec_transpose_into(self.g, &y, &mut out)?;
+        for (i, o) in out.iter_mut().enumerate() {
+            if kernel.a[i] > 0.0 {
+                *o = *o / kernel.a[i] + if nzm { kernel.prior_mean[i] } else { 0.0 };
             }
         }
-        let resilience = factor_lu_ladder(core, perm, ladder, &LadderPolicy::default())?;
-        Ok(CoreFactor {
-            hyper,
-            kind: FactorKind::Lu,
-            resilience,
-        })
-    }
-
-    /// Solve step 3, per prior family: the MAP coefficients for the
-    /// response projected by [`MapSweep::project_into`] against the core
-    /// factorized by [`MapSweep::factor_into`] (both still in `ws`),
-    /// written to `out` (length M, fully overwritten).
-    pub(crate) fn solve_factored_into(
-        &self,
-        factor: &CoreFactor,
-        kind: crate::prior::PriorKind,
-        ws: &mut MapScratch,
-        out: &mut [f64],
-    ) -> Result<()> {
-        let (k, m) = self.g.shape();
-        if out.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "map sweep (coefficient buffer)",
-                lhs: (m, 1),
-                rhs: (out.len(), 1),
-            }
-            .into());
+        for (&z, &v) in kernel.missing.iter().zip(&alpha_z) {
+            out[z] = v;
         }
-        let MapScratch {
-            rhs,
-            dt_inv,
-            t,
-            y,
-            u,
-            uy,
-            core,
-            perm,
-            ladder,
-            woodbury: _,
-        } = ws;
-        let SweepKernel {
-            a,
-            prior_mean,
-            missing,
-            ..
-        } = &*self.kernel;
-        // t = D̃⁻¹·(Gᵀf + h·A·prior_mean), the mean dropped for zero-mean
-        // use.
-        t.clear();
-        match kind {
-            crate::prior::PriorKind::NonZeroMean => {
-                let h = factor.hyper;
-                t.extend(
-                    rhs.iter()
-                        .zip(dt_inv.iter())
-                        .zip(a.iter().zip(prior_mean))
-                        .map(|((&r, &d), (&a, &mean))| d * (r + h * a * mean)),
-                );
-            }
-            crate::prior::PriorKind::ZeroMean => {
-                t.extend(rhs.iter().zip(dt_inv.iter()).map(|(&r, &d)| d * r));
-            }
-        }
-
-        if missing.is_empty() {
-            resize(y, k);
-            matvec_into(self.g, t, y)?;
-            ladder_solve_in_place(factor.kind, core, perm, ladder, y)?;
-            resize(uy, m);
-            matvec_transpose_into(self.g, y, uy)?;
-        } else {
-            let n = k + missing.len();
-            resize(u, n);
-            matvec_into(self.g, t, &mut u[..k])?;
-            for (jz, &z) in missing.iter().enumerate() {
-                u[k + jz] = t[z];
-            }
-            resize(y, n);
-            lu_solve_into(core, perm, u, y)?;
-            resize(uy, m);
-            matvec_transpose_into(self.g, &y[..k], uy)?;
-            for (jz, &z) in missing.iter().enumerate() {
-                uy[z] += y[k + jz];
-            }
-        }
-        for i in 0..m {
-            out[i] = t[i] - dt_inv[i] * uy[i];
-        }
-        Ok(())
+        Ok(Vector::from(out))
     }
 }
 

@@ -10,7 +10,7 @@
 use bmf_linalg::{Matrix, Vector};
 
 use crate::fusion::FitCounters;
-use crate::hyper::{cross_validate_hyper, cv_on_plan, CvConfig, CvOutcome, FoldPlan};
+use crate::hyper::{cross_validate, cv_on_plan, CvConfig, CvOutcome, FoldPlan};
 use crate::prior::{Prior, PriorKind};
 use crate::workspace::SolveWorkspace;
 use crate::{BmfError, Result};
@@ -47,7 +47,7 @@ pub struct SelectionOutcome {
 /// # Errors
 ///
 /// Propagates the conditions of
-/// [`cross_validate_hyper`].
+/// [`crate::hyper::cross_validate_hyper`].
 pub fn select_prior(
     g: &Matrix,
     f: &Vector,
@@ -55,16 +55,8 @@ pub fn select_prior(
     selection: PriorSelection,
     config: &CvConfig,
 ) -> Result<SelectionOutcome> {
-    match selection {
-        PriorSelection::Fixed(kind) => {
-            let out = cross_validate_hyper(g, f, &prior.with_kind(kind), config)?;
-            choose(selection, kind_outcomes(kind, out))
-        }
-        PriorSelection::Auto => {
-            let (zm, nzm) = crate::hyper::cross_validate_both(g, f, prior, config)?;
-            choose(selection, (Some(zm), Some(nzm)))
-        }
-    }
+    let outcomes = cross_validate(g, f, prior, config, &kinds_for(selection))?;
+    choose_from_list(selection, outcomes)
 }
 
 /// The prior-family list a selection policy cross-validates, in the

@@ -17,21 +17,21 @@
 use bmf_linalg::woodbury::WoodburyScratch;
 use bmf_linalg::{LadderScratch, Matrix};
 
+use crate::map_estimate::FoldSystem;
+
 /// Caller-owned scratch for a whole cross-validated fit.
 ///
 /// One workspace serves every `(fold, grid, family)` cell of a sweep and
 /// the final full-data solve; buffers grow to the high-water mark of the
-/// problem (`O(M + (K + missing)²)`) on first use and are reused
-/// thereafter. The two sub-scratches are split so a fold sweep can
-/// borrow its gathered responses while the MAP solver borrows its own
-/// buffers mutably.
+/// problem (`O(M + K²)`) on first use and are reused thereafter. The two
+/// sub-scratches are split so a fold sweep and the MAP solver never
+/// contend for a buffer.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace {
-    /// Buffers for individual MAP solves (shared by the direct, fast,
-    /// and swept solvers).
+    /// Buffers for the final full-data MAP solve (direct or fast).
     pub(crate) map: MapScratch,
-    /// Fold-local gathers and validation predictions.
-    pub(crate) fold: FoldScratch,
+    /// The fold system and its per-cell vectors.
+    pub(crate) fold: FoldSystem,
 }
 
 impl SolveWorkspace {
@@ -46,42 +46,22 @@ impl SolveWorkspace {
     pub fn for_problem(k: usize, m: usize) -> Self {
         let mut ws = Self::new();
         ws.map.rhs.reserve(m);
-        ws.map.dt_inv.reserve(m);
-        ws.map.t.reserve(m);
-        ws.map.y.reserve(k + m);
-        ws.map.u.reserve(k + m);
-        ws.map.uy.reserve(m);
-        ws.fold.f_train.reserve(k);
-        ws.fold.f_val.reserve(k);
-        ws.fold.alpha.reserve(m);
-        ws.fold.pred.reserve(k);
+        ws.fold.piv.reserve(2 * k);
+        ws.fold.x.reserve(2 * k);
         ws
     }
 }
 
-/// Scratch for one MAP solve: the right-hand side, the Woodbury
-/// intermediates of the sweep solver, and the assembled core system.
+/// Scratch for one MAP solve: the right-hand side and the assembled core
+/// system.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MapScratch {
-    /// `Gᵀf + prior contribution` (length M); the sweep solver keeps
-    /// just `Gᵀf` here for a whole fold and adds the prior mean per cell.
+    /// `Gᵀf + prior contribution` (length M).
     pub(crate) rhs: Vec<f64>,
-    /// Inverse modified prior precisions (length M).
-    pub(crate) dt_inv: Vec<f64>,
-    /// `D̃⁻¹·rhs` (length M).
-    pub(crate) t: Vec<f64>,
-    /// Core-system right-hand side `G·t`, then its solution (length K or
-    /// K + missing).
-    pub(crate) y: Vec<f64>,
-    /// Augmented right-hand side `[G·t; t_Z]` (length K + missing).
-    pub(crate) u: Vec<f64>,
-    /// `Gᵀ·y₁` back-projection (length M).
-    pub(crate) uy: Vec<f64>,
-    /// The assembled core system (K×K, (K+missing)², or M×M for the
-    /// direct solver), factorized in place.
+    /// The assembled M×M system of the direct solver, factorized in
+    /// place.
     pub(crate) core: Matrix,
-    /// LU pivot permutation for the augmented core (and for the LU rung
-    /// of the degradation ladder).
+    /// LU pivot permutation for the LU rung of the degradation ladder.
     pub(crate) perm: Vec<usize>,
     /// Snapshot/rhs buffers for the solver degradation ladder.
     pub(crate) ladder: LadderScratch,
@@ -135,19 +115,6 @@ impl SeqWorkspace {
     }
 }
 
-/// Fold-local buffers for one cross-validation sweep.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FoldScratch {
-    /// Response gathered over the fold's training rows.
-    pub(crate) f_train: Vec<f64>,
-    /// Response gathered over the fold's validation rows.
-    pub(crate) f_val: Vec<f64>,
-    /// MAP coefficients for the current grid cell (length M).
-    pub(crate) alpha: Vec<f64>,
-    /// Predictions on the validation rows.
-    pub(crate) pred: Vec<f64>,
-}
-
 /// Clears and zero-fills `buf` to length `n`, reusing its capacity.
 pub(crate) fn resize(buf: &mut Vec<f64>, n: usize) {
     buf.clear();
@@ -162,8 +129,7 @@ mod tests {
     fn for_problem_reserves_without_len() {
         let ws = SolveWorkspace::for_problem(8, 32);
         assert!(ws.map.rhs.capacity() >= 32);
-        assert!(ws.map.y.capacity() >= 40);
-        assert!(ws.fold.f_train.capacity() >= 8);
+        assert!(ws.fold.x.capacity() >= 16);
         assert!(ws.map.rhs.is_empty());
     }
 

@@ -14,7 +14,8 @@
 //!   solver"),
 //! * [`Lu`] — partially pivoted LU for general square systems (used by the
 //!   mini-SPICE MNA solver),
-//! * [`Qr`] — Householder QR for overdetermined least squares,
+//! * [`Qr`] — Householder QR for overdetermined least squares, and
+//!   [`tridiagonal`] reduction with shifted solves, on shared [`Reflectors`],
 //! * [`woodbury`] — the low-rank update solver of eq. (53)–(58).
 //!
 //! # Example
@@ -39,7 +40,6 @@
 
 mod cholesky;
 pub mod complex;
-pub mod eigen;
 mod error;
 pub mod fp;
 mod lu;
@@ -47,16 +47,16 @@ mod matrix;
 mod qr;
 pub mod resilience;
 mod triangular;
+pub mod tridiagonal;
 pub mod view;
 pub mod woodbury;
 
 pub use cholesky::{cholesky_extend_row_into, cholesky_in_place, Cholesky, GrowingCholesky};
-pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use fp::{is_exact_nonzero, is_exact_zero};
 pub use lu::{lu_factor_in_place, lu_solve_into, Lu};
 pub use matrix::Matrix;
-pub use qr::Qr;
+pub use qr::{qr_in_place, Qr, Reflectors};
 pub use resilience::{
     factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, FactorKind, LadderPolicy,
     LadderScratch, Resilience,

@@ -8,9 +8,11 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// and the active-set refits inside orthogonal matching pursuit. It avoids
 /// forming the normal equations `GᵀG`, whose condition number is squared.
 ///
-/// The factorization stores the Householder reflectors in the strict lower
-/// trapezoid of the working matrix plus a separate vector of scalar
-/// coefficients, LAPACK-`dgeqrf` style; `Q` is only ever applied, never
+/// The factorization is stored transposed: row `k` of the packed `n × m`
+/// matrix holds `R`'s column `k` on and left of the diagonal and the
+/// Householder reflector `k` right of it, LAPACK-`dgeqrf` style but with
+/// every reflector contiguous, plus a separate vector of scalar
+/// coefficients. `Q` is only ever applied ([`Reflectors`]), never
 /// materialized.
 ///
 /// # Example
@@ -30,10 +32,191 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Qr {
-    /// Packed reflectors (below diagonal) and R (upper triangle).
-    qr: Matrix,
+    /// Packed factor, transposed: `R` on and below the diagonal,
+    /// reflectors right of it.
+    qrt: Matrix,
     /// Householder scalars τ, one per reflector.
     tau: Vec<f64>,
+}
+
+/// Turns `x` into the reflector `I − τ v vᵀ`, `v = [1; tail]`, mapping
+/// it to `β e₁`: `x` becomes `[β; tail]` and `τ` is returned (0, with
+/// `x` unchanged, for a zero `x`).
+pub(crate) fn householder_in_place(x: &mut [f64]) -> f64 {
+    let mut norm2 = 0.0;
+    for v in x.iter() {
+        norm2 += v * v;
+    }
+    let norm = norm2.sqrt();
+    if crate::fp::is_exact_zero(norm) {
+        return 0.0;
+    }
+    let alpha = x[0];
+    let beta = -alpha.signum() * norm;
+    // v = x - beta e1, normalized so v[0] = 1.
+    let v0 = alpha - beta;
+    let inv_v0 = 1.0 / v0;
+    for v in &mut x[1..] {
+        *v *= inv_v0;
+    }
+    x[0] = beta;
+    -v0 / beta
+}
+
+/// Applies the reflector `I − τ v vᵀ`, `v = [1; tail]`, from the left
+/// to the row-major `(tail.len() + 1) × w.len()` block `m`; `w` is
+/// scratch. Every column accumulates `vᵀ m` head first, in row order, so
+/// a one-column block gives the bits of the classic column loop.
+fn reflect(tail: &[f64], tau: f64, m: &mut [f64], w: &mut [f64]) {
+    let c = w.len();
+    let (head, rest) = m.split_at_mut(c);
+    w.copy_from_slice(head);
+    for (v, row) in tail.iter().zip(rest.chunks_exact(c)) {
+        for (wj, x) in w.iter_mut().zip(row) {
+            *wj += v * x;
+        }
+    }
+    for wj in w.iter_mut() {
+        *wj *= tau;
+    }
+    for (x, wj) in head.iter_mut().zip(w.iter()) {
+        *x -= wj;
+    }
+    for (v, row) in tail.iter().zip(rest.chunks_exact_mut(c)) {
+        for (x, wj) in row.iter_mut().zip(w.iter()) {
+            *x -= wj * v;
+        }
+    }
+}
+
+/// Factorizes `A = Q R` in place, where `at` holds `Aᵀ` (`n × m`, one
+/// row per column of `A`, `m ≥ n`): on return `at` is the packed
+/// transposed factor [`Qr`] stores and `tau` holds one scalar per
+/// reflector. Allocation-free once `tau` has capacity `n`.
+///
+/// # Errors
+///
+/// [`LinalgError::DimensionMismatch`] when `at` has more rows than
+/// columns.
+pub fn qr_in_place(at: &mut Matrix, tau: &mut Vec<f64>) -> Result<()> {
+    let (n, m) = at.shape();
+    if m < n {
+        return Err(LinalgError::DimensionMismatch {
+            op: "qr (requires rows >= cols)",
+            lhs: (m, n),
+            rhs: (n, n),
+        });
+    }
+    tau.clear();
+    tau.resize(n, 0.0);
+    for k in 0..n {
+        let (done, trailing) = at.as_mut_slice().split_at_mut((k + 1) * m);
+        let col = &mut done[k * m + k..];
+        let t = householder_in_place(col);
+        tau[k] = t;
+        if crate::fp::is_exact_zero(t) {
+            continue;
+        }
+        // Apply the reflector to the trailing columns: A := (I - tau v vᵀ) A.
+        for other in trailing.chunks_exact_mut(m) {
+            reflect(&col[1..], t, &mut other[k..], &mut [0.0]);
+        }
+    }
+    Ok(())
+}
+
+/// Householder reflectors `H_k = I − τ_k v_k v_kᵀ`, `Q = H_0 H_1 ⋯`,
+/// packed one per row of `packed`: reflector `k`'s head sits at index
+/// `k + offset`, its tail right of it. [`Qr`] packs with offset 0, the
+/// tridiagonal reduction with offset 1. The applications act on the
+/// rows of a row-major block (a vector is a one-column block), with one
+/// block row of scratch `w`, and allocate nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Reflectors<'a> {
+    /// One reflector per row, as in the type docs.
+    pub packed: &'a Matrix,
+    /// `τ_k`, one per reflector.
+    pub tau: &'a [f64],
+    /// Head index of reflector 0.
+    pub offset: usize,
+}
+
+impl<'a> Reflectors<'a> {
+    /// Views `tau.len()` reflectors of `packed`, the first headed at
+    /// `offset` (see the type docs).
+    pub fn new(packed: &'a Matrix, tau: &'a [f64], offset: usize) -> Self {
+        Reflectors {
+            packed,
+            tau,
+            offset,
+        }
+    }
+
+    fn apply(
+        &self,
+        order: impl Iterator<Item = usize>,
+        m: &mut [f64],
+        w: &mut [f64],
+    ) -> Result<()> {
+        let (rows, dim, c) = (self.packed.nrows(), self.packed.ncols(), w.len());
+        let heads_fit = self.tau.is_empty() || self.tau.len() - 1 + self.offset < dim;
+        if rows < self.tau.len() || !heads_fit || m.len() != dim * c {
+            return Err(LinalgError::DimensionMismatch {
+                op: "householder reflectors",
+                lhs: (rows, dim),
+                rhs: (m.len(), c),
+            });
+        }
+        if c == 0 {
+            return Ok(());
+        }
+        for k in order {
+            let t = self.tau[k];
+            if crate::fp::is_exact_zero(t) {
+                continue;
+            }
+            let h = k + self.offset;
+            reflect(&self.packed.row(k)[h + 1..], t, &mut m[h * c..], w);
+        }
+        Ok(())
+    }
+
+    /// `M := Qᵀ M` for the row-major block `m` (`packed.ncols()` rows of
+    /// `w.len()`).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] on a shape mismatch.
+    pub fn apply_qt_in_place(&self, m: &mut [f64], w: &mut [f64]) -> Result<()> {
+        self.apply(0..self.tau.len(), m, w)
+    }
+
+    /// `M := Q M`, shaped as for [`Reflectors::apply_qt_in_place`].
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] on a shape mismatch.
+    pub fn apply_q_in_place(&self, m: &mut [f64], w: &mut [f64]) -> Result<()> {
+        self.apply((0..self.tau.len()).rev(), m, w)
+    }
+
+    /// `S := Qᵀ S Q` for a symmetric `S`: `Qᵀ S`, transposed to `S Q`,
+    /// then `Qᵀ (S Q)`. `w` has one entry per column of `S`.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] on a shape mismatch.
+    pub fn congruence_in_place(&self, s: &mut Matrix, w: &mut [f64]) -> Result<()> {
+        self.apply_qt_in_place(s.as_mut_slice(), w)?;
+        for i in 0..s.nrows() {
+            for j in (i + 1)..s.ncols() {
+                let (a, b) = (s[(i, j)], s[(j, i)]);
+                s[(i, j)] = b;
+                s[(j, i)] = a;
+            }
+        }
+        self.apply_qt_in_place(s.as_mut_slice(), w)
+    }
 }
 
 impl Qr {
@@ -50,91 +233,42 @@ impl Qr {
         if m == 0 || n == 0 {
             return Err(LinalgError::Empty { op: "qr" });
         }
-        if m < n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "qr (requires rows >= cols)",
-                lhs: (m, n),
-                rhs: (n, n),
-            });
-        }
         if !a.is_finite() {
             return Err(LinalgError::NonFinite { op: "qr" });
         }
-        // Clone-as-output: the copy becomes the owned factor storage.
-        let mut qr = a.clone();
-        let mut tau = vec![0.0; n];
-        for k in 0..n {
-            // Build the Householder reflector annihilating qr[k+1.., k].
-            let mut norm2 = 0.0;
-            for i in k..m {
-                norm2 += qr[(i, k)] * qr[(i, k)];
-            }
-            let norm = norm2.sqrt();
-            if crate::fp::is_exact_zero(norm) {
-                tau[k] = 0.0;
-                continue;
-            }
-            let alpha = qr[(k, k)];
-            let beta = -alpha.signum() * norm;
-            // v = x - beta e1, normalized so v[0] = 1.
-            let v0 = alpha - beta;
-            tau[k] = -v0 / beta;
-            let inv_v0 = 1.0 / v0;
-            for i in (k + 1)..m {
-                qr[(i, k)] *= inv_v0;
-            }
-            qr[(k, k)] = beta;
-            // Apply the reflector to the trailing columns:
-            // A := (I - tau v vᵀ) A.
-            for j in (k + 1)..n {
-                let mut s = qr[(k, j)];
-                for i in (k + 1)..m {
-                    s += qr[(i, k)] * qr[(i, j)];
-                }
-                s *= tau[k];
-                qr[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = qr[(i, k)];
-                    qr[(i, j)] -= s * vik;
-                }
-            }
-        }
-        Ok(Qr { qr, tau })
+        let mut qrt = a.transpose();
+        let mut tau = Vec::with_capacity(n);
+        qr_in_place(&mut qrt, &mut tau)?;
+        Ok(Qr { qrt, tau })
     }
 
     /// Number of rows of the factorized matrix.
     pub fn nrows(&self) -> usize {
-        self.qr.nrows()
+        self.qrt.ncols()
     }
 
     /// Number of columns of the factorized matrix.
     pub fn ncols(&self) -> usize {
-        self.qr.ncols()
+        self.qrt.nrows()
     }
 
-    /// Applies `Qᵀ` to `b` in place.
-    fn apply_q_transpose(&self, b: &mut Vector) {
-        let (m, n) = self.qr.shape();
-        for k in 0..n {
-            if crate::fp::is_exact_zero(self.tau[k]) {
-                continue;
-            }
-            let mut s = b[k];
-            for i in (k + 1)..m {
-                s += self.qr[(i, k)] * b[i];
-            }
-            s *= self.tau[k];
-            b[k] -= s;
-            for i in (k + 1)..m {
-                b[i] -= s * self.qr[(i, k)];
-            }
-        }
+    /// The reflectors whose product is `Q` (`m × m`).
+    pub fn reflectors(&self) -> Reflectors<'_> {
+        Reflectors::new(&self.qrt, &self.tau, 0)
+    }
+
+    /// `Qᵀ b`; a `b` of the wrong length is a dimension mismatch.
+    fn q_transpose(&self, b: &Vector) -> Result<Vector> {
+        let mut qtb = b.clone();
+        self.reflectors()
+            .apply_qt_in_place(qtb.as_mut_slice(), &mut [0.0])?;
+        Ok(qtb)
     }
 
     /// Copies out the upper-triangular factor `R` (n × n).
     pub fn r(&self) -> Matrix {
-        let n = self.qr.ncols();
-        Matrix::from_fn(n, n, |i, j| if j >= i { self.qr[(i, j)] } else { 0.0 })
+        let n = self.qrt.nrows();
+        Matrix::from_fn(n, n, |i, j| if j >= i { self.qrt[(j, i)] } else { 0.0 })
     }
 
     /// Solves the least-squares problem `min ‖A x − b‖₂`.
@@ -144,17 +278,8 @@ impl Qr {
     /// * [`LinalgError::DimensionMismatch`] when `b.len() != A.nrows()`.
     /// * [`LinalgError::Singular`] when `A` is (numerically) rank deficient.
     pub fn solve_least_squares(&self, b: &Vector) -> Result<Vector> {
-        let (m, n) = self.qr.shape();
-        if b.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "qr solve_least_squares",
-                lhs: (m, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut qtb = b.clone();
-        self.apply_q_transpose(&mut qtb);
-        let mut x = Vector::from(&qtb.as_slice()[..n]);
+        let qtb = self.q_transpose(b)?;
+        let mut x = Vector::from(&qtb.as_slice()[..self.ncols()]);
         solve_upper(self.r().as_view(), x.as_mut_slice())?;
         Ok(x)
     }
@@ -167,17 +292,8 @@ impl Qr {
     /// Returns [`LinalgError::DimensionMismatch`] when `b.len() !=
     /// A.nrows()`.
     pub fn residual_norm2_squared(&self, b: &Vector) -> Result<f64> {
-        let (m, n) = self.qr.shape();
-        if b.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "qr residual",
-                lhs: (m, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut qtb = b.clone();
-        self.apply_q_transpose(&mut qtb);
-        Ok(qtb.as_slice()[n..].iter().map(|x| x * x).sum())
+        let qtb = self.q_transpose(b)?;
+        Ok(qtb.as_slice()[self.ncols()..].iter().map(|x| x * x).sum())
     }
 }
 

@@ -262,6 +262,12 @@ impl<'a> MatMut<'a> {
     }
 }
 
+/// Clears and zero-fills `buf` to length `n`, reusing its capacity.
+pub(crate) fn resize(buf: &mut Vec<f64>, n: usize) {
+    buf.clear();
+    buf.resize(n, 0.0);
+}
+
 /// Matrix–vector product `out = a * x`, writing into a caller buffer.
 ///
 /// Each output element is one left-to-right dot-product accumulation,

@@ -33,7 +33,7 @@ use crate::resilience::{
     factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, LadderPolicy, LadderScratch,
     Resilience,
 };
-use crate::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
+use crate::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, resize, MatRef};
 use crate::{LinalgError, Matrix, Result};
 
 fn validate(prior_precision: &[f64], c: f64, g: MatRef<'_>, rhs: &[f64]) -> Result<()> {
@@ -92,11 +92,6 @@ impl WoodburyScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-fn resize(buf: &mut Vec<f64>, n: usize) {
-    buf.clear();
-    buf.resize(n, 0.0);
 }
 
 /// The strictly-positive path of [`solve_diag_plus_gram_semidefinite_into`],

@@ -1,14 +1,18 @@
 //! Golden pin of the BMF-PS fit path: two seeded wide problems (K = 60
 //! samples, M = 400 linear terms), one whose priors leave 10 terms
-//! missing (augmented LU Woodbury core) and one fully informed
-//! (Cholesky core), each fitted through `BmfFitter::fit` and through a
-//! 3-job `BatchFitter::fit` at one and two threads.
+//! missing (augmented LU Woodbury core in the final solve) and one fully
+//! informed (Cholesky core), each fitted through `BmfFitter::fit` and
+//! through a 3-job `BatchFitter::fit` at one and two threads.
 //!
-//! Every fit is folded into one FNV-1a hash over the bits of its
-//! coefficients, the chosen hyper-parameter, the CV error, both
-//! families' CV curves, the chosen prior family and every
-//! `FitCounters` field. The constants below were recorded before the
-//! sweep's kernels and factorizations were restructured; a change that
+//! Every fit is folded into two FNV-1a hashes. The full hash covers the
+//! bits of its coefficients, the chosen hyper-parameter, the CV error,
+//! both families' CV curves, the chosen prior family and every
+//! `FitCounters` field; it was last recorded when the cross-validation
+//! sweep moved to the sample-space tridiagonal system, which changes the
+//! CV curves at rounding level. The pick hash covers the same fits
+//! without any CV error; it was recorded before that change and held
+//! through it, so the (family, hyper-parameter) picks, the final
+//! coefficients and the work counters were untouched. A change that
 //! alters any output bit or any work counter fails here.
 
 use bmf_basis::basis::OrthonormalBasis;
@@ -27,13 +31,22 @@ const JOBS: usize = 3;
 const MISSING_PER_JOB: usize = 10;
 
 /// Hash of the three serial fits of the missing-prior problem.
-const MISSING_SERIAL: u64 = 0x597b_d4a5_3f21_b23d;
+const MISSING_SERIAL: u64 = 0x7904_9691_8825_1dd1;
 /// Hash of the three batch fits of the missing-prior problem.
-const MISSING_BATCH: u64 = 0xe22f_b3b3_61e6_87e0;
+const MISSING_BATCH: u64 = 0x0131_965a_7825_fa54;
 /// Hash of the three serial fits of the fully informed problem.
-const INFORMED_SERIAL: u64 = 0x2fc5_e779_aa96_05f3;
+const INFORMED_SERIAL: u64 = 0x7514_16e6_e2f1_c352;
 /// Hash of the three batch fits of the fully informed problem.
-const INFORMED_BATCH: u64 = 0xe10e_d7fc_d6c2_b1ae;
+const INFORMED_BATCH: u64 = 0xa5f7_b6a6_a48f_0727;
+
+/// Pick hashes: the same fits over their coefficients, chosen family,
+/// chosen hyper-parameter and `FitCounters` only, leaving out every CV
+/// error. A sweep that moves the CV curves at rounding level, but picks
+/// the same (family, hyper-parameter) and does the same work, keeps them.
+const MISSING_SERIAL_PICKS: u64 = 0x4adf_d8fb_3fe3_c9c8;
+const MISSING_BATCH_PICKS: u64 = 0xc534_e29a_f3a4_b355;
+const INFORMED_SERIAL_PICKS: u64 = 0x2d7e_3403_945d_b821;
+const INFORMED_BATCH_PICKS: u64 = 0x69e2_5182_a166_c63c;
 
 struct Problem {
     points: Vec<Vec<f64>>,
@@ -90,21 +103,35 @@ fn hash_outcome(mut h: u64, outcome: Option<&CvOutcome>) -> u64 {
     h
 }
 
+fn kind_bits(kind: PriorKind) -> u64 {
+    match kind {
+        PriorKind::ZeroMean => 0,
+        PriorKind::NonZeroMean => 1,
+    }
+}
+
 fn hash_fit(mut h: u64, fit: &BmfFit) -> u64 {
     for c in fit.model.coeffs() {
         h = fnv1a_u64(h, c.to_bits());
     }
     h = fnv1a_u64(h, fit.hyper.to_bits());
     h = fnv1a_u64(h, fit.cv_error.to_bits());
-    h = fnv1a_u64(
-        h,
-        match fit.prior_kind {
-            PriorKind::ZeroMean => 0,
-            PriorKind::NonZeroMean => 1,
-        },
-    );
+    h = fnv1a_u64(h, kind_bits(fit.prior_kind));
     h = hash_outcome(h, fit.selection.zero_mean.as_ref());
     h = hash_outcome(h, fit.selection.nonzero_mean.as_ref());
+    hash_counters(h, fit)
+}
+
+fn hash_picks(mut h: u64, fit: &BmfFit) -> u64 {
+    for c in fit.model.coeffs() {
+        h = fnv1a_u64(h, c.to_bits());
+    }
+    h = fnv1a_u64(h, fit.hyper.to_bits());
+    h = fnv1a_u64(h, kind_bits(fit.prior_kind));
+    hash_counters(h, fit)
+}
+
+fn hash_counters(mut h: u64, fit: &BmfFit) -> u64 {
     let c = &fit.counters;
     for v in [
         c.map_solves,
@@ -121,18 +148,29 @@ fn hash_fit(mut h: u64, fit: &BmfFit) -> u64 {
     h
 }
 
-fn serial_hash(p: &Problem) -> u64 {
-    let basis = OrthonormalBasis::linear(VARS);
-    p.jobs.iter().fold(0, |h, (early, values)| {
-        let fit = BmfFitter::new(basis.clone(), early.clone())
-            .unwrap()
-            .fit(&p.points, values)
-            .unwrap();
-        hash_fit(h, &fit)
+/// Folds fits into their (full, pick) hash pair.
+fn hash_fits<'a>(fits: impl IntoIterator<Item = &'a BmfFit>) -> (u64, u64) {
+    fits.into_iter().fold((0, 0), |(full, picks), fit| {
+        (hash_fit(full, fit), hash_picks(picks, fit))
     })
 }
 
-fn batch_hash(p: &Problem, threads: usize) -> u64 {
+fn serial_hash(p: &Problem) -> (u64, u64) {
+    let basis = OrthonormalBasis::linear(VARS);
+    let fits: Vec<BmfFit> = p
+        .jobs
+        .iter()
+        .map(|(early, values)| {
+            BmfFitter::new(basis.clone(), early.clone())
+                .unwrap()
+                .fit(&p.points, values)
+                .unwrap()
+        })
+        .collect();
+    hash_fits(&fits)
+}
+
+fn batch_hash(p: &Problem, threads: usize) -> (u64, u64) {
     let jobs = p
         .jobs
         .iter()
@@ -143,17 +181,20 @@ fn batch_hash(p: &Problem, threads: usize) -> u64 {
         .with_jobs(jobs)
         .fit(&p.points)
         .unwrap();
-    report.fits.iter().fold(0, hash_fit)
+    hash_fits(&report.fits)
 }
 
-fn check(p: &Problem, serial: u64, batch: u64) {
-    assert_eq!(serial_hash(p), serial, "serial BmfFitter::fit hash");
+/// Checks both hash pairs; the pick hashes first, so a fit whose
+/// (family, hyper-parameter) pick or work counters moved is reported as
+/// such rather than as a CV-curve change.
+fn check(p: &Problem, serial: (u64, u64), batch: (u64, u64)) {
+    let (serial_full, serial_picks) = serial_hash(p);
+    assert_eq!(serial_picks, serial.1, "serial BmfFitter::fit pick hash");
+    assert_eq!(serial_full, serial.0, "serial BmfFitter::fit hash");
     for threads in [1, 2] {
-        assert_eq!(
-            batch_hash(p, threads),
-            batch,
-            "batch hash at {threads} threads"
-        );
+        let (batch_full, batch_picks) = batch_hash(p, threads);
+        assert_eq!(batch_picks, batch.1, "batch pick hash at {threads} threads");
+        assert_eq!(batch_full, batch.0, "batch hash at {threads} threads");
     }
 }
 
@@ -162,7 +203,11 @@ fn missing_prior_fits_match_golden_bits() {
     let p = problem(0x5EED_0001, MISSING_PER_JOB);
     let missing = p.jobs[0].0.iter().filter(|e| e.is_none()).count();
     assert_eq!(missing, MISSING_PER_JOB);
-    check(&p, MISSING_SERIAL, MISSING_BATCH);
+    check(
+        &p,
+        (MISSING_SERIAL, MISSING_SERIAL_PICKS),
+        (MISSING_BATCH, MISSING_BATCH_PICKS),
+    );
 }
 
 #[test]
@@ -172,5 +217,9 @@ fn fully_informed_fits_match_golden_bits() {
         .jobs
         .iter()
         .all(|(early, _)| early.iter().all(Option::is_some)));
-    check(&p, INFORMED_SERIAL, INFORMED_BATCH);
+    check(
+        &p,
+        (INFORMED_SERIAL, INFORMED_SERIAL_PICKS),
+        (INFORMED_BATCH, INFORMED_BATCH_PICKS),
+    );
 }
