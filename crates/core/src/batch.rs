@@ -3,8 +3,9 @@
 //! A characterization run rarely fits a single metric. The same K
 //! late-stage simulations yield gain *and* bandwidth *and* offset *and*
 //! power — N responses measured at the same sample points, each with its
-//! own early-stage prior. Fitting them through [`BmfFitter`] in a loop
-//! repeats work that depends only on the shared inputs:
+//! own early-stage prior. Fitting them through
+//! [`BmfFitter`](crate::fusion::BmfFitter) in a loop repeats work that
+//! depends only on the shared inputs:
 //!
 //! * the design matrix `G` (Θ(K·M·basis) to evaluate) is identical for
 //!   every job;
@@ -29,8 +30,10 @@
 //! Workers only compute pure functions of their task inputs and write
 //! into per-task slots; every reduction (fold error accumulation, error
 //! propagation, counter totals) happens after the join, in a fixed
-//! order. A one-job batch reproduces [`BmfFitter::fit`] exactly, because
-//! both run the same primitive kernels in the same order.
+//! order. This engine is the only one:
+//! [`BmfFitter::fit`](crate::fusion::BmfFitter::fit) is a one-job call of
+//! it on one worker, so a one-job batch equals a single fit by
+//! construction.
 //!
 //! ```
 //! use bmf_basis::basis::OrthonormalBasis;
@@ -56,21 +59,20 @@
 //! # }
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bmf_basis::basis::OrthonormalBasis;
-use bmf_linalg::Vector;
+use bmf_linalg::{Matrix, Vector};
 
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
 use crate::hyper::{reduce_outcomes, FoldErrors, FoldPlan};
-use crate::map_estimate::{map_estimate_ws, SweepKernel};
+use crate::map_estimate::{map_estimate_ws, FoldSystem, SweepKernel};
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
 use crate::prior::{Prior, PriorKind};
-use crate::select::{choose_from_list, kinds_for};
-use crate::workspace::SolveWorkspace;
+use crate::select::{decide, kinds_for};
+use crate::workspace::MapScratch;
 use crate::{BmfError, Result};
 
 /// One batch job: a response vector plus its early-stage prior, fitted
@@ -150,8 +152,8 @@ pub struct BatchReport {
 
 /// Parallel batch fitter: N jobs over one shared sample-point set.
 ///
-/// Construction mirrors [`BmfFitter`]; see the [module docs](self) for
-/// the sharing and determinism story.
+/// Construction mirrors [`BmfFitter`](crate::fusion::BmfFitter); see the
+/// [module docs](self) for the sharing and determinism story.
 #[derive(Debug, Clone)]
 pub struct BatchFitter {
     basis: OrthonormalBasis,
@@ -196,9 +198,8 @@ impl BatchFitter {
         self.jobs.push(job);
     }
 
-    /// Replaces the whole job list (chainable). The service-layer
-    /// coalescer uses this to hand a pre-assembled request group to the
-    /// batch engine in one move instead of pushing job by job.
+    /// Replaces the whole job list (chainable), handing a pre-assembled
+    /// group to the batch in one move instead of pushing job by job.
     pub fn with_jobs(mut self, jobs: Vec<BatchJob>) -> Self {
         self.jobs = jobs;
         self
@@ -230,215 +231,268 @@ impl BatchFitter {
     /// * [`BmfError::SampleShape`] when a job's value count disagrees
     ///   with the point count.
     /// * [`BmfError::NotEnoughSamples`] / [`BmfError::Linalg`] as for
-    ///   [`BmfFitter::fit`]. When several jobs fail, the error of the
-    ///   lowest-indexed failing task is returned — independent of the
-    ///   thread schedule.
+    ///   [`BmfFitter::fit`](crate::fusion::BmfFitter::fit). When several
+    ///   jobs fail, the error of the lowest-indexed failing task is
+    ///   returned — independent of the thread schedule.
     pub fn fit(&self, points: &[Vec<f64>]) -> Result<BatchReport> {
-        validate_grid(&self.options.grid)?;
-        validate_folds(self.options.folds)?;
-        if self.jobs.is_empty() {
-            return Err(BmfError::config("jobs", "batch needs at least one job"));
-        }
-        crate::screen::points(points, self.basis.num_vars())?;
-        for job in &self.jobs {
-            if job.prior.len() != self.basis.len() {
-                return Err(BmfError::PriorShape {
-                    basis_terms: self.basis.len(),
-                    prior_entries: job.prior.len(),
-                });
-            }
-            if job.values.len() != points.len() {
-                return Err(BmfError::SampleShape {
-                    detail: format!(
-                        "job `{}` has {} values but the batch has {} points",
-                        job.label,
-                        job.values.len(),
-                        points.len()
-                    ),
-                });
-            }
-            crate::screen::finite_values("response values", &job.values)?;
-            crate::screen::finite_early("prior early coefficients", &job.prior)?;
-        }
-
-        // Phase 1 (serial): shared design matrix, fold plan, and per-job
-        // normalization.
-        let t0 = Instant::now();
-        let g = self
-            .basis
-            .design_matrix(points.iter().map(|p| p.as_slice()));
-        let plan = FoldPlan::new(g.nrows(), self.options.folds, self.options.seed)?;
-        let num_folds = plan.folds.len();
-        let prepared: Vec<PreparedJob> = self.jobs.iter().map(PreparedJob::new).collect();
-
-        // Group jobs by normalized prior bit-pattern: jobs in one group
-        // share the Woodbury kernel and every fold system exactly (same
-        // `A`, same means). Job `j` is response `place[j].1` of pattern
-        // `place[j].0`; response 0 owns the pattern.
-        let mut place = Vec::with_capacity(prepared.len());
-        let mut patterns: Vec<(&Prior, Vec<&Vector>)> = Vec::new();
-        let mut index: BTreeMap<Vec<Option<u64>>, usize> = BTreeMap::new();
-        for p in &prepared {
-            let key: Vec<Option<u64>> = p
-                .prior
-                .early_values()
-                .iter()
-                .map(|v| v.map(f64::to_bits))
-                .collect();
-            let pi = *index.entry(key).or_insert(patterns.len());
-            if pi == patterns.len() {
-                patterns.push((&p.prior, Vec::new()));
-            }
-            place.push((pi, patterns[pi].1.len()));
-            patterns[pi].1.push(&p.f);
-        }
-        let num_patterns = patterns.len();
+        let jobs: Vec<JobRef<'_>> = self.jobs.iter().map(JobRef::from).collect();
         let threads = self.options.effective_threads();
-        let mut timings = PhaseTimings {
-            prepare: t0.elapsed(),
-            ..PhaseTimings::default()
+        fit_jobs(&self.basis, points, &jobs, &self.options, threads)
+    }
+}
+
+/// One job as the engine reads it, borrowed from a [`BatchJob`], a
+/// [`BmfFitter::fit`] call or a service request.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobRef<'a> {
+    pub(crate) label: &'a str,
+    pub(crate) prior: &'a [Option<f64>],
+    pub(crate) values: &'a [f64],
+}
+
+impl<'a> From<&'a BatchJob> for JobRef<'a> {
+    fn from(job: &'a BatchJob) -> Self {
+        JobRef {
+            label: &job.label,
+            prior: &job.prior,
+            values: &job.values,
+        }
+    }
+}
+
+/// One prior pattern of a sweep: the scaled prior (nonzero-mean view, so
+/// its kernel caches the prior means) and the response of every job
+/// that shares it.
+pub(crate) type Pattern<'a> = (&'a Prior, Vec<&'a Vector>);
+
+/// The fitting engine: every cross-validated fit runs through here —
+/// [`BatchFitter::fit`], [`BmfFitter::fit`] (one job on one worker) and
+/// the service's coalesced runs and isolation refits. Screens the jobs,
+/// then runs phase 1 (design matrix, fold plan, normalization and
+/// grouping by prior pattern), [`sweep`], and per job the reduction,
+/// the prior choice and the final full-data solve.
+pub(crate) fn fit_jobs(
+    basis: &OrthonormalBasis,
+    points: &[Vec<f64>],
+    jobs: &[JobRef<'_>],
+    options: &FitOptions,
+    threads: usize,
+) -> Result<BatchReport> {
+    validate_grid(&options.grid)?;
+    validate_folds(options.folds)?;
+    if jobs.is_empty() {
+        return Err(BmfError::config("jobs", "batch needs at least one job"));
+    }
+    crate::screen::points(points, basis.num_vars())?;
+    for job in jobs {
+        if job.prior.len() != basis.len() {
+            return Err(BmfError::PriorShape {
+                basis_terms: basis.len(),
+                prior_entries: job.prior.len(),
+            });
+        }
+        if job.values.len() != points.len() {
+            return Err(BmfError::SampleShape {
+                detail: format!(
+                    "job `{}` has {} values but the batch has {} points",
+                    job.label,
+                    job.values.len(),
+                    points.len()
+                ),
+            });
+        }
+        crate::screen::finite_values("response values", job.values)?;
+        crate::screen::finite_early("prior early coefficients", job.prior)?;
+    }
+
+    // Phase 1 (serial): shared design matrix, fold plan, and per-job
+    // normalization.
+    let t0 = Instant::now();
+    let g = basis.design_matrix(points.iter().map(|p| p.as_slice()));
+    let plan = FoldPlan::new(g.nrows(), options.folds, options.seed)?;
+    let num_folds = plan.folds.len();
+    let prepared: Vec<PreparedJob> = jobs.iter().map(PreparedJob::new).collect();
+
+    // Group jobs by normalized prior bit-pattern, in first-occurrence
+    // order: jobs in one group share the Woodbury kernel and every fold
+    // system exactly (same `A`, same means). Job `j` is response
+    // `place[j].1` of pattern `place[j].0`; response 0 owns the pattern.
+    let mut place = Vec::with_capacity(prepared.len());
+    let mut patterns: Vec<Pattern<'_>> = Vec::new();
+    for p in &prepared {
+        let pi = match patterns.iter().position(|(q, _)| same_bits(q, &p.prior)) {
+            Some(pi) => pi,
+            None => {
+                patterns.push((&p.prior, Vec::new()));
+                patterns.len() - 1
+            }
         };
+        place.push((pi, patterns[pi].1.len()));
+        patterns[pi].1.push(&p.f);
+    }
+    let mut timings = PhaseTimings {
+        prepare: t0.elapsed(),
+        ..PhaseTimings::default()
+    };
+    let kinds = kinds_for(options.selection);
+    let swept = sweep(
+        &g,
+        &plan,
+        &patterns,
+        &options.grid,
+        kinds,
+        threads,
+        &mut timings,
+    )?;
 
-        // Phase 2 (parallel): one kernel build per distinct prior
-        // pattern, over all K rows; every fold reads it through its
-        // training rows.
-        let t1 = Instant::now();
-        let kernels: Vec<Result<SweepKernel>> = run_indexed(threads, num_patterns, |pi| {
-            SweepKernel::new(g.as_view(), patterns[pi].0)
-        });
-        let kernels = first_error(kernels)?;
-        timings.kernels = t1.elapsed();
-
-        // Phase 3 (parallel): one sweep per (pattern, fold) pair, each
-        // building the fold system once for every job of its pattern, and
-        // each worker reusing its own solve workspace across tasks. `None`
-        // marks a fold unusable for the pattern (skipped, as in the
-        // serial path).
-        let t2 = Instant::now();
-        let kinds = kinds_for(self.options.selection);
-        let per_job = kinds.len() * self.options.grid.len();
-        let swept: Vec<Result<Option<FoldErrors>>> = run_indexed_with(
-            threads,
-            num_patterns * num_folds,
-            || SolveWorkspace::for_problem(g.nrows(), g.ncols()),
-            |ws, task| {
-                let (pi, fi) = (task / num_folds, task % num_folds);
-                let (kernel, responses) = (&kernels[pi], &patterns[pi].1);
-                let fold = &plan.folds[fi];
-                ws.fold
-                    .sweep(&g, kernel, fold, responses, &self.options.grid, &kinds)
-            },
-        );
-        let swept = first_error(swept)?;
-        timings.sweep = t2.elapsed();
-
-        // Phase 4 (parallel): per-job reduction (fold-major, fixed
-        // order), prior selection, and the final full-data solve.
-        let t3 = Instant::now();
-        let fits: Vec<Result<BmfFit>> =
-            run_indexed_with(threads, prepared.len(), SolveWorkspace::new, |ws, j| {
-                let job = &prepared[j];
-                let (pi, slot) = place[j];
-                let job_cells = |fi: usize| {
-                    swept[pi * num_folds + fi]
-                        .as_deref()
-                        .map(|e| &e[slot * per_job..(slot + 1) * per_job])
-                };
-                let mut counters = FitCounters::default();
-                for fi in 0..num_folds {
-                    // Kernel accounting, one per usable fold: the first job
-                    // of each pattern built its kernels; later jobs reused
-                    // them from the cache.
-                    if let Some(cells) = job_cells(fi) {
-                        counters.map_solves += cells.iter().flatten().count();
-                        if slot == 0 {
-                            counters.kernels_built += 1;
-                            counters.kernel_cache_misses += 1;
-                        } else {
-                            counters.kernel_cache_hits += 1;
-                        }
+    // Phase 4 (parallel): per-job reduction (fold-major, fixed order),
+    // prior selection, and the final full-data solve.
+    let t3 = Instant::now();
+    let per_job = kinds.len() * options.grid.len();
+    let fits: Vec<Result<BmfFit>> =
+        run_indexed_with(threads, prepared.len(), MapScratch::default, |ws, j| {
+            let job = &prepared[j];
+            let (pi, slot) = place[j];
+            let job_cells = |fi: usize| {
+                swept[pi * num_folds + fi]
+                    .as_deref()
+                    .map(|e| &e[slot * per_job..(slot + 1) * per_job])
+            };
+            let mut counters = FitCounters::default();
+            for fi in 0..num_folds {
+                // Kernel accounting, one per usable fold: the first job
+                // of each pattern built its kernels; later jobs reused
+                // them from the cache.
+                if let Some(cells) = job_cells(fi) {
+                    counters.map_solves += cells.iter().flatten().count();
+                    if slot == 0 {
+                        counters.kernels_built += 1;
+                        counters.kernel_cache_misses += 1;
+                    } else {
+                        counters.kernel_cache_hits += 1;
                     }
                 }
-                // Error tables are reduced straight from the shared sweep
-                // results — fold-major in fold order, so the accumulation is
-                // bit-identical to the serial path.
-                let outcomes = reduce_outcomes(
-                    &self.options.grid,
-                    kinds.len(),
-                    (0..num_folds).map(job_cells),
-                    job.f.len(),
-                    num_folds,
-                )?;
-                let selection = choose_from_list(self.options.selection, outcomes)?;
-                let chosen = job.prior.with_kind(selection.kind);
-                let (alpha, final_res) = map_estimate_ws(
-                    &g,
-                    &job.f,
-                    &chosen,
-                    selection.hyper,
-                    self.options.solver,
-                    &mut ws.map,
-                )?;
-                counters.map_solves += 1;
-                counters.record_resilience(&final_res);
-                let coeffs: Vec<f64> = alpha.iter().map(|a| a * job.scale).collect();
-                // Clone: once per job (not per grid cell) — each returned
-                // model owns its basis.
-                let model = PerformanceModel::new(self.basis.clone(), coeffs)?;
-                Ok(BmfFit {
-                    model,
-                    prior_kind: selection.kind,
-                    hyper: selection.hyper,
-                    cv_error: selection.cv_error,
-                    selection,
-                    resilience: ResilienceReport::new(&final_res, &counters),
-                    counters,
-                })
-            });
-        let fits = first_error(fits)?;
-        timings.solve = t3.elapsed();
+            }
+            let outcomes = reduce_outcomes(
+                &options.grid,
+                kinds.len(),
+                (0..num_folds).map(job_cells),
+                job.f.len(),
+                num_folds,
+            )?;
+            let selection = decide(options.selection, outcomes)?;
+            let chosen = job.prior.with_kind(selection.kind);
+            let (alpha, final_res) =
+                map_estimate_ws(&g, &job.f, &chosen, selection.hyper, options.solver, ws)?;
+            counters.map_solves += 1;
+            counters.record_resilience(&final_res);
+            let coeffs: Vec<f64> = alpha.iter().map(|a| a * job.scale).collect();
+            // Clone: once per job (not per grid cell) — each returned
+            // model owns its basis.
+            let model = PerformanceModel::new(basis.clone(), coeffs)?;
+            Ok(BmfFit {
+                model,
+                prior_kind: selection.kind,
+                hyper: selection.hyper,
+                cv_error: selection.cv_error,
+                selection,
+                resilience: ResilienceReport::new(&final_res, &counters),
+                counters,
+            })
+        });
+    let fits = first_error(fits)?;
+    timings.solve = t3.elapsed();
 
-        let mut counters = FitCounters::default();
-        for fit in &fits {
-            counters.merge(&fit.counters);
-        }
-        // Batch-wide resilience: worst final-solve rung/ridge, smallest
-        // rcond, totals from the merged counters.
-        let mut resilience = ResilienceReport {
-            degraded_solves: counters.degraded_solves,
-            max_rung: counters.max_ladder_rung,
-            ..ResilienceReport::default()
-        };
-        for fit in &fits {
-            resilience.rung = resilience.rung.max(fit.resilience.rung);
-            resilience.ridge = resilience.ridge.max(fit.resilience.ridge);
-            resilience.rcond = resilience.rcond.min(fit.resilience.rcond);
-        }
-        Ok(BatchReport {
-            // Clone: the report owns its labels so the fitter's job list
-            // stays reusable for further fits.
-            labels: self.jobs.iter().map(|j| j.label.clone()).collect(),
-            fits,
-            counters,
-            resilience,
-            timings,
-            threads,
-        })
+    let mut counters = FitCounters::default();
+    for fit in &fits {
+        counters.merge(&fit.counters);
     }
+    // Batch-wide resilience: worst final-solve rung/ridge, smallest
+    // rcond, totals from the merged counters.
+    let mut resilience = ResilienceReport {
+        degraded_solves: counters.degraded_solves,
+        max_rung: counters.max_ladder_rung,
+        ..ResilienceReport::default()
+    };
+    for fit in &fits {
+        resilience.rung = resilience.rung.max(fit.resilience.rung);
+        resilience.ridge = resilience.ridge.max(fit.resilience.ridge);
+        resilience.rcond = resilience.rcond.min(fit.resilience.rcond);
+    }
+    Ok(BatchReport {
+        labels: jobs.iter().map(|j| j.label.to_owned()).collect(),
+        fits,
+        counters,
+        resilience,
+        timings,
+        threads,
+    })
+}
+
+/// The engine's kernel and sweep phases, which the cross-validation
+/// entry points also call with one pattern. Phase 2 builds one kernel
+/// per pattern over all K rows; phase 3 runs one sweep per
+/// `(pattern, fold)`, which builds the fold system once for every
+/// response of its pattern, each worker reusing its own [`FoldSystem`].
+/// Returns the tables pattern-major (`[pattern · folds + fold]`), `None`
+/// for a fold unusable for the pattern.
+pub(crate) fn sweep(
+    g: &Matrix,
+    plan: &FoldPlan,
+    patterns: &[Pattern<'_>],
+    grid: &[f64],
+    kinds: &[PriorKind],
+    threads: usize,
+    timings: &mut PhaseTimings,
+) -> Result<Vec<Option<FoldErrors>>> {
+    let t1 = Instant::now();
+    let kernels: Vec<Result<SweepKernel>> = run_indexed(threads, patterns.len(), |pi| {
+        SweepKernel::new(g.as_view(), patterns[pi].0)
+    });
+    let kernels = first_error(kernels)?;
+    timings.kernels = t1.elapsed();
+
+    let t2 = Instant::now();
+    let num_folds = plan.folds.len();
+    let swept = run_indexed_with(
+        threads,
+        patterns.len() * num_folds,
+        FoldSystem::default,
+        |fold_system, task| {
+            let (pi, fi) = (task / num_folds, task % num_folds);
+            let (kernel, responses) = (&kernels[pi], &patterns[pi].1);
+            fold_system.sweep(g, kernel, &plan.folds[fi], responses, grid, kinds)
+        },
+    );
+    let swept = first_error(swept)?;
+    timings.sweep = t2.elapsed();
+    Ok(swept)
+}
+
+/// Whether two priors carry bit-identical early values.
+fn same_bits(a: &Prior, b: &Prior) -> bool {
+    let (a, b) = (a.early_values().iter(), b.early_values().iter());
+    a.map(|v| v.map(f64::to_bits))
+        .eq(b.map(|v| v.map(f64::to_bits)))
 }
 
 /// A job after normalization: the dimensionless response and the
 /// correspondingly scaled prior (nonzero-mean view, as the kernels are
 /// built from it).
-struct PreparedJob {
+pub(crate) struct PreparedJob {
     scale: f64,
-    f: Vector,
-    prior: Prior,
+    pub(crate) f: Vector,
+    pub(crate) prior: Prior,
 }
 
 impl PreparedJob {
-    fn new(job: &BatchJob) -> Self {
-        let scale = response_scale(&job.values);
+    /// Scales the response to unit RMS and the prior with it: raw units
+    /// (hertz, watts) would put the intercept prior variance decades
+    /// above the rest, wrecking the conditioning and the meaning of the
+    /// fixed grid. Coefficients are rescaled on the way out; the reported
+    /// `hyper` lives in the normalized space.
+    pub(crate) fn new(job: &JobRef<'_>) -> Self {
+        let scale = response_scale(job.values);
         let f = Vector::from_fn(job.values.len(), |i| job.values[i] / scale);
         let prior = Prior::new(
             PriorKind::NonZeroMean,
@@ -467,9 +521,10 @@ where
 
 /// [`run_indexed`] with per-worker mutable state: `init` runs once on
 /// each worker (and once on the serial path) and the resulting state is
-/// passed to every task that worker claims. Used to give each worker its
-/// own [`SolveWorkspace`], so scratch buffers are reused across tasks
-/// without any cross-thread sharing. Determinism is unaffected: every
+/// passed to every task that worker claims. Used to give each sweep
+/// worker its own [`FoldSystem`] and each solve worker its own
+/// [`MapScratch`], so scratch buffers are reused across tasks without
+/// any cross-thread sharing. Determinism is unaffected: every
 /// workspace-filling kernel fully overwrites its output, so a task's
 /// result never depends on which worker (or how warm a workspace) ran
 /// it.

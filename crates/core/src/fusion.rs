@@ -10,31 +10,32 @@
 //!    cross-validation (§IV-D), then solve the MAP estimate with the fast
 //!    low-rank solver (step 5).
 //!
-//! Configuration lives in one [`FitOptions`] value shared with
+//! [`BmfFitter::fit`] runs this flow as a one-job call of the batch
+//! engine ([`crate::batch`]) on one worker, so a single fit and every job
+//! of a batch run the same code. Configuration lives in one
+//! [`FitOptions`] value shared with
 //! [`BatchFitter`](crate::batch::BatchFitter) and
 //! [`map_estimate`](crate::map_estimate::map_estimate), so a tuned setup
 //! carries across entry points unchanged.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_basis::expansion::ExpandedBasis;
-use bmf_linalg::{Resilience, Vector};
+use bmf_linalg::Resilience;
 
-use crate::hyper::FoldPlan;
-use crate::map_estimate::map_estimate_ws;
+use crate::batch::{fit_jobs, JobRef};
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
 use crate::prior::{Prior, PriorKind};
-use crate::select::{select_prior_on_plan, SelectionOutcome};
-use crate::workspace::SolveWorkspace;
+use crate::select::SelectionOutcome;
 use crate::{BmfError, Result};
 
 /// Lightweight work counters accumulated during a fit.
 ///
 /// Counting is exact, not sampled: every MAP solve and every usable
-/// cross-validation fold increments its counter. The batch engine adds
-/// cache accounting — a *hit* is a fold whose kernels another job with
-/// the same prior already built, a *miss* is one whose kernels this job
-/// had to build.
+/// cross-validation fold increments its counter. Cache accounting: a
+/// *hit* is a fold whose kernels another job of the batch with the same
+/// prior already built, a *miss* is one whose kernels this job had to
+/// build. A single fit is a one-job batch, so it counts misses only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitCounters {
     /// MAP systems solved: one per solved `(fold, grid, kind)` CV cell
@@ -47,9 +48,11 @@ pub struct FitCounters {
     /// through its training rows; the count stays one per fold, so it
     /// does not depend on how kernels are shared.
     pub kernels_built: usize,
-    /// Batch kernel-cache hits (kernels reused from another job).
+    /// Kernel-cache hits (kernels reused from another job of the batch).
     pub kernel_cache_hits: usize,
-    /// Batch kernel-cache misses (kernels this job had to build).
+    /// Kernel-cache misses (kernels this job had to build). A single
+    /// [`BmfFitter::fit`] counts one per usable fold, like
+    /// [`FitCounters::kernels_built`].
     pub kernel_cache_misses: usize,
     /// Final full-data solves that left rung 0 of the degradation
     /// ladder; CV cells never enter it (DESIGN.md §10).
@@ -299,82 +302,18 @@ impl BmfFitter {
         crate::screen::finite_early("prior early coefficients", &self.prior_values)?;
         validate_grid(&self.options.grid)?;
         validate_folds(self.options.folds)?;
-        let g = self
-            .basis
-            .design_matrix(points.iter().map(|p| p.as_slice()));
-        let plan = FoldPlan::new(g.nrows(), self.options.folds, self.options.seed)?;
-        let mut counters = FitCounters::default();
-        fit_prepared(
-            &g,
-            &plan,
-            &self.basis,
-            &self.prior_values,
+        let job = JobRef {
+            label: "",
+            prior: &self.prior_values,
             values,
-            &self.options,
-            &mut counters,
-        )
+        };
+        // A one-job run of the batch engine on one worker:
+        // `FitOptions::threads` sizes batch pools only.
+        let report = fit_jobs(&self.basis, points, &[job], &self.options, 1)?;
+        report.fits.into_iter().next().ok_or(BmfError::Internal {
+            detail: "a one-job fit returned no fit",
+        })
     }
-}
-
-/// The shared fitting core: normalizes the response, selects prior family
-/// and hyper-parameter over a pre-built [`FoldPlan`], and solves the
-/// final full-data MAP system. [`BmfFitter::fit`] calls it with a fresh
-/// plan; [`crate::batch::BatchFitter`] runs the same primitives with the
-/// plan (and design matrix) shared across all jobs, so a one-job batch is
-/// bit-identical to this path.
-pub(crate) fn fit_prepared(
-    g: &bmf_linalg::Matrix,
-    plan: &FoldPlan,
-    basis: &OrthonormalBasis,
-    prior_values: &[Option<f64>],
-    values: &[f64],
-    options: &FitOptions,
-    counters: &mut FitCounters,
-) -> Result<BmfFit> {
-    // Normalize the response (and the prior with it) so the problem is
-    // dimensionless: raw physical units (hertz, watts) would otherwise
-    // put the intercept prior variance tens of decades above the other
-    // coefficients, wrecking both the conditioning of the MAP system
-    // and the meaning of the fixed hyper-parameter grid. The relative
-    // error (eq. 59) and the returned coefficients are unaffected —
-    // coefficients are rescaled on the way out. The reported `hyper`
-    // lives in the normalized space.
-    let scale = response_scale(values);
-    let f = Vector::from_fn(values.len(), |i| values[i] / scale);
-    let prior = Prior::new(
-        PriorKind::ZeroMean,
-        prior_values.iter().map(|v| v.map(|a| a / scale)).collect(),
-    );
-
-    let mut ws = SolveWorkspace::for_problem(g.nrows(), g.ncols());
-    let selection = select_prior_on_plan(
-        g,
-        plan,
-        &f,
-        &prior,
-        options.selection,
-        &options.grid,
-        counters,
-        &mut ws,
-    )?;
-    let chosen = prior.with_kind(selection.kind);
-    let (alpha, final_res) =
-        map_estimate_ws(g, &f, &chosen, selection.hyper, options.solver, &mut ws.map)?;
-    counters.map_solves += 1;
-    counters.record_resilience(&final_res);
-    let coeffs: Vec<f64> = alpha.iter().map(|a| a * scale).collect();
-    // Clone: once per fit (not per grid cell) — the returned model owns
-    // its basis.
-    let model = PerformanceModel::new(basis.clone(), coeffs)?;
-    Ok(BmfFit {
-        model,
-        prior_kind: selection.kind,
-        hyper: selection.hyper,
-        cv_error: selection.cv_error,
-        selection,
-        counters: *counters,
-        resilience: ResilienceReport::new(&final_res, counters),
-    })
 }
 
 /// RMS of the response values, used to normalize the fitting problem.

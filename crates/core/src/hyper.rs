@@ -8,11 +8,13 @@
 //! (eq. 59) on the held-out group; average over the N rotations; pick the
 //! grid value with the smallest mean error.
 //!
-//! Three layers of work-sharing keep the sweep cheap:
+//! The sweep is the kernel and sweep phases of the batch engine
+//! ([`crate::batch`]); the entry points here run them with one prior
+//! pattern on one worker. Three layers of work-sharing keep it cheap:
 //!
 //! * a [`FoldPlan`] computes the per-fold row index tables **once**,
-//!   reused across every grid point, both prior families, and (through
-//!   [`crate::batch::BatchFitter`]) every job of a batch fit;
+//!   reused across every grid point, both prior families, and every job
+//!   of a batch fit;
 //! * the Θ(K²M) Woodbury kernel `B_F` and the K-vector `Gμ` are built
 //!   **once** per prior pattern over every row of the design matrix;
 //!   each entry depends on its rows alone, so a fold reads its
@@ -35,11 +37,9 @@
 use bmf_linalg::{LinalgError, Matrix, Vector};
 use bmf_stat::crossval::{Fold, KFold};
 
-use crate::fusion::FitCounters;
-use crate::map_estimate::SweepKernel;
+use crate::batch::{sweep, PhaseTimings};
 use crate::options::{validate_folds, validate_grid};
 use crate::prior::{Prior, PriorKind};
-use crate::workspace::SolveWorkspace;
 use crate::{BmfError, Result};
 
 /// Cross-validation configuration.
@@ -197,46 +197,9 @@ where
     Ok(outcomes)
 }
 
-/// Runs the full cross-validation sweep for the requested prior families
-/// over a pre-built [`FoldPlan`]: one kernel over every row of `g`, then
-/// one fold-system sweep per fold, all scratch in `ws`.
-/// `counters.kernels_built` counts one per usable fold and
-/// `counters.map_solves` one per solved cell.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cv_on_plan(
-    g: &Matrix,
-    plan: &FoldPlan,
-    f: &Vector,
-    prior: &Prior,
-    grid: &[f64],
-    kinds: &[PriorKind],
-    counters: &mut FitCounters,
-    ws: &mut SolveWorkspace,
-) -> Result<Vec<CvOutcome>> {
-    // The kernel is built from the nonzero-mean view so prior means are
-    // cached; zero-mean cells reuse it with the mean dropped (the
-    // precisions — and thus the kernel — are identical for both
-    // families).
-    let kernel = SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean))?;
-    let mut fold_errors: Vec<Option<FoldErrors>> = Vec::with_capacity(plan.folds.len());
-    for fold in &plan.folds {
-        let errors = ws.fold.sweep(g, &kernel, fold, &[f], grid, kinds)?;
-        if let Some(cells) = &errors {
-            counters.kernels_built += 1;
-            counters.map_solves += cells.iter().flatten().count();
-        }
-        fold_errors.push(errors);
-    }
-    reduce_outcomes(
-        grid,
-        kinds.len(),
-        fold_errors.iter().map(Option::as_deref),
-        f.len(),
-        plan.folds.len(),
-    )
-}
-
-/// Validates the inputs, plans the folds and sweeps `kinds`.
+/// Validates the inputs, plans the folds and sweeps `kinds` through the
+/// batch engine's kernel and sweep phases, with one pattern on one
+/// worker.
 pub(crate) fn cross_validate(
     g: &Matrix,
     f: &Vector,
@@ -256,19 +219,20 @@ pub(crate) fn cross_validate(
     crate::screen::finite_values("response values", f.as_slice())?;
     crate::screen::finite_prior(prior)?;
     let plan = FoldPlan::new(k, config.folds, config.seed)?;
-    let (mut counters, mut ws) = (
-        FitCounters::default(),
-        SolveWorkspace::for_problem(k, g.ncols()),
-    );
-    cv_on_plan(
-        g,
-        &plan,
-        f,
-        prior,
+    // The kernel is built from the nonzero-mean view so prior means are
+    // cached; zero-mean cells reuse it with the mean dropped (the
+    // precisions — and thus the kernel — are identical for both
+    // families).
+    let prior = prior.with_kind(PriorKind::NonZeroMean);
+    let patterns = [(&prior, vec![f])];
+    let mut timings = PhaseTimings::default();
+    let swept = sweep(g, &plan, &patterns, &config.grid, kinds, 1, &mut timings)?;
+    reduce_outcomes(
         &config.grid,
-        kinds,
-        &mut counters,
-        &mut ws,
+        kinds.len(),
+        swept.iter().map(Option::as_deref),
+        k,
+        plan.folds.len(),
     )
 }
 
@@ -331,9 +295,12 @@ pub fn cross_validate_both(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_estimate::{map_estimate_with_report, SolverKind};
+    use crate::batch::{JobRef, PreparedJob};
+    use crate::fusion::BmfFitter;
+    use crate::map_estimate::{map_estimate_with_report, FoldSystem, SolverKind, SweepKernel};
     use crate::options::FitOptions;
-    use crate::prior::PriorKind;
+    use bmf_basis::basis::OrthonormalBasis;
+    use bmf_basis::multi_index::MultiIndex;
     use bmf_linalg::view::matvec_into;
     use bmf_stat::normal::StandardNormal;
     use bmf_stat::rng::seeded;
@@ -541,13 +508,14 @@ mod tests {
         let kernel =
             SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean)).unwrap();
         let a = prior.precisions(1.0);
-        let mut ws = SolveWorkspace::new();
+        let mut fold_system = FoldSystem::default();
         let mut compared = 0;
         let tables: Vec<Option<FoldErrors>> = plan
             .folds
             .iter()
             .map(|fold| {
-                let cells = ws.fold.sweep(g, &kernel, fold, &[f], grid, &kinds).unwrap();
+                let cells = fold_system.sweep(g, &kernel, fold, &[f], grid, &kinds);
+                let cells = cells.unwrap();
                 let cells = cells?;
                 let trace: f64 = fold
                     .train
@@ -589,7 +557,7 @@ mod tests {
         // T̂ + ηI is singular to working precision there.
         let grid = [1e-310, 1e-14, 1e-3, 1.0, 1e3];
         let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
-        let (mut compared, mut blanked) = (0, 0);
+        let (mut compared, mut blanked, mut accounted) = (0, 0, 0);
         let (mut with_missing, mut without_missing) = (0, 0);
         bmf_stat::prop::check("sample-space sweep == direct solves", 24, |rng| {
             let k = 12 + rng.gen_index(10);
@@ -629,14 +597,12 @@ mod tests {
             compared += n;
             let mut sums = [[0.0f64; 5]; 2];
             let mut counts = [[0usize; 5]; 2];
-            let mut solved = 0;
             for cells in tables.iter().flatten() {
                 for ki in 0..kinds.len() {
                     for gi in 0..grid.len() {
                         if let Some(err) = cells[ki * grid.len() + gi] {
                             sums[ki][gi] += err;
                             counts[ki][gi] += 1;
-                            solved += 1;
                         }
                     }
                 }
@@ -647,14 +613,43 @@ mod tests {
                     blanked += usize::from(cells[0].is_none());
                 }
             }
-            // `map_solves` counts one per solved cell (plus nothing else:
-            // this is the sweep alone).
-            let mut counters = FitCounters::default();
-            let mut ws = SolveWorkspace::new();
-            cv_on_plan(&g, &plan, &f, &prior, &grid, &kinds, &mut counters, &mut ws).unwrap();
-            assert_eq!(counters.map_solves, solved);
-            assert_eq!(counters.kernels_built, tables.iter().flatten().count());
-            assert_eq!(counters.degraded_solves, 0);
+            // The engine's counters for a one-job fit of these inputs:
+            // one MAP solve per solved cell plus the final solve, and one
+            // kernel build, a cache miss, per usable fold. The expected
+            // counts come from the engine's own sweep of the normalized
+            // job. `m` linear terms over the rows of `g` evaluate to `g`.
+            let basis = OrthonormalBasis::from_terms(m, (0..m).map(MultiIndex::linear).collect());
+            let points: Vec<Vec<f64>> = (0..k).map(|i| g.row(i).to_vec()).collect();
+            let rows = basis.design_matrix(points.iter().map(Vec::as_slice));
+            assert_eq!(rows.as_slice(), g.as_slice());
+            let fit = BmfFitter::new(basis, prior.early_values().to_vec())
+                .unwrap()
+                .with_options(FitOptions::from(&cfg))
+                .fit(&points, f.as_slice());
+            let job = JobRef {
+                label: "",
+                prior: prior.early_values(),
+                values: f.as_slice(),
+            };
+            let normalized = PreparedJob::new(&job);
+            let patterns = [(&normalized.prior, vec![&normalized.f])];
+            let mut timings = PhaseTimings::default();
+            let engine = sweep(&g, &plan, &patterns, &grid, &kinds, 1, &mut timings).unwrap();
+            let usable = engine.iter().flatten().count();
+            let solved = engine.iter().flatten().flatten().flatten().count();
+            match fit {
+                Ok(fit) => {
+                    assert_eq!(fit.counters.map_solves, solved + 1);
+                    assert_eq!(fit.counters.kernels_built, usable);
+                    assert_eq!(fit.counters.kernel_cache_misses, usable);
+                    assert_eq!(fit.counters.kernel_cache_hits, 0);
+                    accounted += 1;
+                }
+                // When CV picks η = 1e-310, which the sample-space cells
+                // solve, the primal final solve can overflow: a
+                // structured error, with no counters to check.
+                Err(e) => assert!(matches!(e, BmfError::Linalg(_)), "{e:?}"),
+            }
 
             // The public sweep's per-grid means equal the per-fold cells
             // reduced fold-major.
@@ -678,6 +673,7 @@ mod tests {
         });
         assert!(compared > 0, "no cell was compared with the reference");
         assert!(blanked > 0, "no failed factorization was exercised");
+        assert!(accounted > 0, "no one-job fit was accounted");
         assert!(with_missing > 0 && without_missing > 0);
     }
 

@@ -31,7 +31,7 @@ use bmf_linalg::{
 use bmf_stat::crossval::Fold;
 
 use crate::hyper::FoldErrors;
-use crate::options::FitOptions;
+use crate::options::{validate_hyper, FitOptions};
 use crate::prior::{Prior, PriorKind};
 use crate::workspace::{resize, MapScratch};
 use crate::{BmfError, Result};
@@ -119,12 +119,7 @@ pub fn map_estimate_with_report(
     prior: &Prior,
     options: &FitOptions,
 ) -> Result<(Vector, Resilience)> {
-    if !(options.hyper > 0.0 && options.hyper.is_finite()) {
-        return Err(BmfError::config(
-            "hyper",
-            format!("must be positive and finite, got {}", options.hyper),
-        ));
-    }
+    validate_hyper(options.hyper)?;
     crate::screen::finite_matrix("design matrix", g)?;
     crate::screen::finite_values("response values", f.as_slice())?;
     crate::screen::finite_prior(prior)?;
@@ -314,8 +309,8 @@ pub(crate) struct FoldSystem {
     w: Vec<f64>,
     proj: Matrix,
     r0: Matrix,
-    pub(crate) piv: Vec<f64>,
-    pub(crate) x: Vec<f64>,
+    piv: Vec<f64>,
+    x: Vec<f64>,
 }
 
 impl FoldSystem {
@@ -549,10 +544,7 @@ impl<'g> MapSweep<'g> {
             });
         }
         crate::screen::finite_values("response values", f.as_slice())?;
-        if !(hyper > 0.0 && hyper.is_finite()) {
-            let detail = format!("must be positive and finite, got {hyper}");
-            return Err(BmfError::config("hyper", detail));
-        }
+        validate_hyper(hyper)?;
         let nzm = kind == PriorKind::NonZeroMean;
         let (kernel, sys) = (&self.kernel, &self.system);
         let (nz, n) = (sys.gz.nrows(), sys.d.len());
@@ -616,11 +608,13 @@ impl<'g> MapSweep<'g> {
 ///
 /// # Errors
 ///
-/// * The structural conditions of [`map_estimate`].
+/// * The structural conditions of [`map_estimate`], and
+///   [`BmfError::Config`] when `hyper` is not positive and finite.
 /// * [`BmfError::Config`] when the prior has missing entries
 ///   (their posterior variance requires the augmented path — use
 ///   [`posterior_covariance`] at small M).
 pub fn posterior_variance_diag(g: &Matrix, prior: &Prior, hyper: f64) -> Result<Vec<f64>> {
+    validate_hyper(hyper)?;
     let (k, m) = g.shape();
     if prior.len() != m {
         return Err(BmfError::PriorShape {
@@ -664,8 +658,10 @@ pub fn posterior_variance_diag(g: &Matrix, prior: &Prior, hyper: f64) -> Result<
 ///
 /// # Errors
 ///
-/// Same conditions as [`map_estimate`].
+/// Same conditions as [`map_estimate`], including
+/// [`BmfError::Config`] when `hyper` is not positive and finite.
 pub fn posterior_covariance(g: &Matrix, prior: &Prior, hyper: f64) -> Result<Matrix> {
+    validate_hyper(hyper)?;
     let m = g.ncols();
     if prior.len() != m {
         return Err(BmfError::PriorShape {

@@ -50,10 +50,13 @@ pub struct FitOptions {
     pub grid: Vec<f64>,
     /// Seed for the cross-validation fold shuffle.
     pub seed: u64,
-    /// Worker threads for batch fitting. `0` (the default) resolves to
-    /// the `BMF_THREADS` environment variable if set, otherwise to
+    /// Worker threads of the batch engine
+    /// ([`BatchFitter`](crate::batch::BatchFitter) and the service's
+    /// runs). `0` (the default) resolves to the `BMF_THREADS`
+    /// environment variable if set, otherwise to
     /// [`std::thread::available_parallelism`]. Results are bit-identical
-    /// for every thread count.
+    /// for every thread count. [`BmfFitter::fit`](crate::fusion::BmfFitter::fit)
+    /// always runs on one worker.
     pub threads: usize,
     /// Fixed hyper-parameter used by
     /// [`map_estimate`](crate::map_estimate::map_estimate) when no
@@ -134,13 +137,7 @@ impl FitOptions {
     pub fn validate(&self) -> Result<()> {
         validate_grid(&self.grid)?;
         validate_folds(self.folds)?;
-        if !(self.hyper > 0.0 && self.hyper.is_finite()) {
-            return Err(BmfError::config(
-                "hyper",
-                format!("must be positive and finite, got {}", self.hyper),
-            ));
-        }
-        Ok(())
+        validate_hyper(self.hyper)
     }
 
     /// The number of worker threads a batch fit will actually use:
@@ -227,6 +224,18 @@ pub(crate) fn validate_grid(grid: &[f64]) -> Result<()> {
         return Err(BmfError::config(
             "grid",
             "hyper-parameter grid must be non-empty, positive, and finite",
+        ));
+    }
+    Ok(())
+}
+
+/// Validates a fixed hyper-parameter (shared by [`FitOptions::validate`],
+/// the MAP and posterior entry points and the sequential estimator).
+pub(crate) fn validate_hyper(hyper: f64) -> Result<()> {
+    if !(hyper > 0.0 && hyper.is_finite()) {
+        return Err(BmfError::config(
+            "hyper",
+            format!("must be positive and finite, got {hyper}"),
         ));
     }
     Ok(())

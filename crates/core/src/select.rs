@@ -9,10 +9,8 @@
 
 use bmf_linalg::{Matrix, Vector};
 
-use crate::fusion::FitCounters;
-use crate::hyper::{cross_validate, cv_on_plan, CvConfig, CvOutcome, FoldPlan};
+use crate::hyper::{cross_validate, CvConfig, CvOutcome};
 use crate::prior::{Prior, PriorKind};
-use crate::workspace::SolveWorkspace;
 use crate::{BmfError, Result};
 
 /// How the prior family is chosen.
@@ -55,98 +53,50 @@ pub fn select_prior(
     selection: PriorSelection,
     config: &CvConfig,
 ) -> Result<SelectionOutcome> {
-    let outcomes = cross_validate(g, f, prior, config, &kinds_for(selection))?;
-    choose_from_list(selection, outcomes)
+    let outcomes = cross_validate(g, f, prior, config, kinds_for(selection))?;
+    decide(selection, outcomes)
 }
 
 /// The prior-family list a selection policy cross-validates, in the
 /// fixed engine order (zero-mean before nonzero-mean).
-pub(crate) fn kinds_for(selection: PriorSelection) -> Vec<PriorKind> {
+pub(crate) fn kinds_for(selection: PriorSelection) -> &'static [PriorKind] {
     match selection {
-        PriorSelection::Fixed(kind) => vec![kind],
-        PriorSelection::Auto => vec![PriorKind::ZeroMean, PriorKind::NonZeroMean],
+        PriorSelection::Fixed(PriorKind::ZeroMean) => &[PriorKind::ZeroMean],
+        PriorSelection::Fixed(PriorKind::NonZeroMean) => &[PriorKind::NonZeroMean],
+        PriorSelection::Auto => &[PriorKind::ZeroMean, PriorKind::NonZeroMean],
     }
 }
 
-fn kind_outcomes(kind: PriorKind, out: CvOutcome) -> (Option<CvOutcome>, Option<CvOutcome>) {
-    match kind {
-        PriorKind::ZeroMean => (Some(out), None),
-        PriorKind::NonZeroMean => (None, Some(out)),
-    }
-}
-
-/// Picks the winning `(kind, hyper)` from per-family CV outcomes —
-/// the decision rule of BMF-PS, shared by [`select_prior`],
-/// [`crate::fusion::BmfFitter`], and [`crate::batch::BatchFitter`].
-pub(crate) fn choose(
+/// The decision rule of BMF-PS: packs the per-family outcomes (in
+/// [`kinds_for`] order) and keeps the family with the lower CV error,
+/// zero-mean on a tie.
+pub(crate) fn decide(
     selection: PriorSelection,
-    outcomes: (Option<CvOutcome>, Option<CvOutcome>),
+    outcomes: Vec<CvOutcome>,
 ) -> Result<SelectionOutcome> {
-    let (zero_mean, nonzero_mean) = outcomes;
-    let (kind, hyper, cv_error) = match (selection, &zero_mean, &nonzero_mean) {
-        (PriorSelection::Fixed(kind), Some(out), None)
-        | (PriorSelection::Fixed(kind), None, Some(out)) => (kind, out.best_hyper, out.best_error),
-        (_, Some(zm), Some(nzm)) => {
-            if zm.best_error <= nzm.best_error {
-                (PriorKind::ZeroMean, zm.best_hyper, zm.best_error)
-            } else {
-                (PriorKind::NonZeroMean, nzm.best_hyper, nzm.best_error)
-            }
-        }
-        _ => {
+    let mut outcomes = outcomes.into_iter();
+    let (zero_mean, nonzero_mean) = match selection {
+        PriorSelection::Fixed(PriorKind::ZeroMean) => (outcomes.next(), None),
+        PriorSelection::Fixed(PriorKind::NonZeroMean) => (None, outcomes.next()),
+        PriorSelection::Auto => (outcomes.next(), outcomes.next()),
+    };
+    let (kind, best) = match (&zero_mean, &nonzero_mean) {
+        (Some(zm), Some(nzm)) if zm.best_error > nzm.best_error => (PriorKind::NonZeroMean, nzm),
+        (Some(zm), _) => (PriorKind::ZeroMean, zm),
+        (None, Some(nzm)) => (PriorKind::NonZeroMean, nzm),
+        (None, None) => {
             return Err(BmfError::Internal {
-                detail: "selection policy and CV outcome arity disagree",
+                detail: "cross-validation produced fewer outcomes than prior kinds",
             })
         }
     };
     Ok(SelectionOutcome {
         kind,
-        hyper,
-        cv_error,
+        hyper: best.best_hyper,
+        cv_error: best.best_error,
         zero_mean,
         nonzero_mean,
     })
-}
-
-/// Plan-based selection used by the fitting engines: cross-validates the
-/// families `selection` requires over a pre-built [`FoldPlan`] (viewing
-/// fold sub-matrices of the shared `g` and sharing Woodbury kernels),
-/// counting work into `counters`, with all scratch in `ws`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn select_prior_on_plan(
-    g: &Matrix,
-    plan: &FoldPlan,
-    f: &Vector,
-    prior: &Prior,
-    selection: PriorSelection,
-    grid: &[f64],
-    counters: &mut FitCounters,
-    ws: &mut SolveWorkspace,
-) -> Result<SelectionOutcome> {
-    let kinds = kinds_for(selection);
-    let outcomes = cv_on_plan(g, plan, f, prior, grid, &kinds, counters, ws)?;
-    choose_from_list(selection, outcomes)
-}
-
-/// Packs the per-family outcome list produced by
-/// [`cv_on_plan`] (ordered as [`kinds_for`] orders the families) and
-/// applies the decision rule.
-pub(crate) fn choose_from_list(
-    selection: PriorSelection,
-    mut outcomes: Vec<CvOutcome>,
-) -> Result<SelectionOutcome> {
-    let missing = BmfError::Internal {
-        detail: "cross-validation produced fewer outcomes than prior kinds",
-    };
-    let packed = match selection {
-        PriorSelection::Fixed(kind) => kind_outcomes(kind, outcomes.pop().ok_or(missing)?),
-        PriorSelection::Auto => {
-            let nzm = outcomes.pop().ok_or(missing.clone())?;
-            let zm = outcomes.pop().ok_or(missing)?;
-            (Some(zm), Some(nzm))
-        }
-    };
-    choose(selection, packed)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use bmf_basis::basis::OrthonormalBasis;
 use bmf_linalg::view::{dot3, matvec_into, matvec_transpose_into, MatRef};
 use bmf_linalg::{GrowingCholesky, LinalgError, Vector};
 
-use crate::options::FitOptions;
+use crate::options::{validate_hyper, FitOptions};
 use crate::prior::{Prior, PriorKind};
 use crate::snapshot::ModelSnapshot;
 use crate::workspace::{resize, SeqWorkspace};
@@ -93,12 +93,7 @@ impl SequentialBmf {
     ///   `"hyper"`) when the hyper-parameter is not positive and finite.
     /// * [`BmfError::NonFiniteInput`] when a prior coefficient is NaN/±∞.
     pub fn new(prior: &Prior, hyper: f64) -> Result<Self> {
-        if !(hyper > 0.0 && hyper.is_finite()) {
-            return Err(BmfError::config(
-                "hyper",
-                format!("must be positive and finite, got {hyper}"),
-            ));
-        }
+        validate_hyper(hyper)?;
         crate::screen::finite_prior(prior)?;
         if prior.num_zero_precision() > 0 {
             return Err(BmfError::config(

@@ -4,8 +4,9 @@
 //! A characterization *flow* is not one fit — it is a stream of
 //! requests: fit this metric from those samples, predict a performance
 //! number for that candidate, drop the stale model for a re-spun block.
-//! [`FitService`] turns [`BatchFitter`](crate::batch::BatchFitter) into
-//! that long-lived engine:
+//! [`FitService`] turns the batch engine behind
+//! [`BatchFitter`](crate::batch::BatchFitter) into that long-lived
+//! engine:
 //!
 //! * a **sharded snapshot registry** holds fitted models — as
 //!   [`ModelSnapshot`] handles carrying full provenance — keyed by job
@@ -20,7 +21,7 @@
 //!   queue to the existing `std::thread::scope` worker pool inside the
 //!   batch engine;
 //! * a **coalescer** groups queued requests that share a registered point
-//!   set and basis into one `BatchFitter` run, so the shared design
+//!   set and basis into one batch-engine run, so the shared design
 //!   matrix, fold plan, and Woodbury kernel cache are paid once per
 //!   group instead of once per request;
 //! * **admission control** bounds both queues
@@ -44,19 +45,21 @@
 //!
 //! For a fixed submission sequence, results are **bit-identical to
 //! direct library calls at any pool size**: the coalescer only regroups
-//! requests, and the batch engine guarantees each job's fit is
-//! bit-identical to a serial [`BmfFitter`](crate::fusion::BmfFitter)
-//! run. Group processing order is fixed by content fingerprints
-//! (`BTreeMap`), never by arrival timing or thread schedule, and drained
-//! outcomes are returned in ticket (submission) order.
+//! requests, and each job's fit is bit-identical to a direct
+//! [`BmfFitter`](crate::fusion::BmfFitter) run, which is a one-job run
+//! of the same engine. Group processing order is fixed by content
+//! fingerprints (`BTreeMap`), never by arrival timing or thread
+//! schedule, and drained outcomes are returned in ticket (submission)
+//! order.
 //!
 //! # Failure isolation
 //!
 //! Requests are screened at submission (shape + finiteness), so a
 //! malformed request is rejected before it can poison a batch. When a
 //! coalesced batch still fails numerically, the coalescer degrades to
-//! per-request fits — a one-job batch reproduces the serial path exactly
-//! — so one pathological request cannot fail its neighbors; only the
+//! per-request fits — a one-job run of the engine is exactly a direct
+//! [`BmfFitter::fit`](crate::fusion::BmfFitter::fit) — so one
+//! pathological request cannot fail its neighbors; only the
 //! guilty ticket carries the structured error. Every fitted outcome
 //! surfaces its own [`ResilienceReport`], preserving the PR 4 panic-free
 //! discipline end to end.
@@ -101,7 +104,7 @@ use bmf_basis::basis::OrthonormalBasis;
 
 use bmf_stat::fnv::{fnv1a, fnv1a_u64};
 
-use crate::batch::{BatchFitter, BatchJob, BatchReport, PhaseTimings};
+use crate::batch::{fit_jobs, BatchReport, JobRef, PhaseTimings};
 use crate::fusion::{BmfFit, FitCounters, ResilienceReport};
 use crate::options::FitOptions;
 use crate::prior::Prior;
@@ -188,6 +191,17 @@ pub struct FitRequest {
     pub prior: Vec<Option<f64>>,
     /// Late-stage response values, one per shared sample point.
     pub values: Vec<f64>,
+}
+
+impl FitRequest {
+    /// The request as the batch engine reads it.
+    fn job(&self) -> JobRef<'_> {
+        JobRef {
+            label: &self.job_id,
+            prior: &self.prior,
+            values: &self.values,
+        }
+    }
 }
 
 /// A successfully served fit.
@@ -1058,40 +1072,21 @@ impl FitService {
     /// per-request isolation refits.
     fn run_chunk(&self, rows: &[Vec<f64>], chunk: Vec<Pending>, report: &mut DrainReport) {
         let Some(first) = chunk.first() else { return };
-        let jobs: Vec<BatchJob> = chunk
-            .iter()
-            // Clone: the batch engine owns its jobs while the request
-            // (job id) must survive into the outcome.
-            .map(|p| {
-                BatchJob::new(
-                    p.request.job_id.clone(),
-                    p.request.prior.clone(),
-                    p.request.values.clone(),
-                )
-            })
-            .collect();
-        let fitter = BatchFitter::new(first.request.basis.clone())
-            .with_options(self.config.options.clone())
-            .with_jobs(jobs);
-        match fitter.fit(rows) {
+        let options = &self.config.options;
+        let threads = options.effective_threads();
+        let jobs: Vec<JobRef<'_>> = chunk.iter().map(|p| p.request.job()).collect();
+        match fit_jobs(&first.request.basis, rows, &jobs, options, threads) {
             Ok(batch) => self.absorb(chunk, batch, false, report),
             Err(_) => {
                 // Whole-batch failure: refit each request alone so only
-                // the guilty ticket errors. A one-job batch runs the same
-                // kernels in the same order as the direct serial path, so
-                // surviving neighbors stay bit-identical to it.
+                // the guilty ticket errors. A one-job run of the engine is
+                // exactly what `BmfFitter::fit` runs, so surviving
+                // neighbors stay bit-identical to it.
                 for p in chunk {
                     self.counters
                         .isolation_refits
                         .fetch_add(1, Ordering::Relaxed);
-                    let solo = BatchFitter::new(p.request.basis.clone())
-                        .with_options(self.config.options.clone())
-                        .with_jobs(vec![BatchJob::new(
-                            p.request.job_id.clone(),
-                            p.request.prior.clone(),
-                            p.request.values.clone(),
-                        )]);
-                    match solo.fit(rows) {
+                    match fit_jobs(&p.request.basis, rows, &[p.request.job()], options, threads) {
                         Ok(batch) => self.absorb(vec![p], batch, true, report),
                         Err(e) => {
                             self.counters.fits_failed.fetch_add(1, Ordering::Relaxed);

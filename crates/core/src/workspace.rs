@@ -1,12 +1,13 @@
 //! Reusable solve workspaces for the fitting stack (DESIGN.md §9).
 //!
 //! Cross-validation solves the same MAP system hundreds of times per fit
-//! (`folds × grid × families` cells plus the final full-data solve).
-//! Before this module each solve allocated its own right-hand side,
-//! Woodbury intermediates, and fold-local response copies; now a single
-//! [`SolveWorkspace`] owns every scratch buffer and is threaded through
-//! the grid loops, so steady-state fitting performs no per-solve heap
-//! allocation.
+//! (`folds × grid × families` cells plus the final full-data solve), so
+//! every solve writes into caller-owned scratch instead of allocating
+//! its own right-hand side and intermediates. The batch engine
+//! (`crate::batch`) gives each sweep worker one fold system
+//! (`FoldSystem`, in `map_estimate`) and each solve worker one
+//! `MapScratch`; a [`SeqWorkspace`] serves one stream of the sequential
+//! estimator.
 //!
 //! Safety model: every kernel that writes into a workspace buffer fully
 //! overwrites it (see `bmf_linalg::view`), so stale contents from a
@@ -16,41 +17,6 @@
 
 use bmf_linalg::woodbury::WoodburyScratch;
 use bmf_linalg::{LadderScratch, Matrix};
-
-use crate::map_estimate::FoldSystem;
-
-/// Caller-owned scratch for a whole cross-validated fit.
-///
-/// One workspace serves every `(fold, grid, family)` cell of a sweep and
-/// the final full-data solve; buffers grow to the high-water mark of the
-/// problem (`O(M + K²)`) on first use and are reused thereafter. The two
-/// sub-scratches are split so a fold sweep and the MAP solver never
-/// contend for a buffer.
-#[derive(Debug, Clone, Default)]
-pub struct SolveWorkspace {
-    /// Buffers for the final full-data MAP solve (direct or fast).
-    pub(crate) map: MapScratch,
-    /// The fold system and its per-cell vectors.
-    pub(crate) fold: FoldSystem,
-}
-
-impl SolveWorkspace {
-    /// Creates an empty workspace; buffers are sized lazily by the first
-    /// solve that uses them.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a workspace pre-sized for a `K × M` design matrix, so not
-    /// even the first solve allocates mid-loop.
-    pub fn for_problem(k: usize, m: usize) -> Self {
-        let mut ws = Self::new();
-        ws.map.rhs.reserve(m);
-        ws.fold.piv.reserve(2 * k);
-        ws.fold.x.reserve(2 * k);
-        ws
-    }
-}
 
 /// Scratch for one MAP solve: the right-hand side and the assembled core
 /// system.
@@ -72,8 +38,8 @@ pub(crate) struct MapScratch {
 /// Caller-owned scratch for the sequential (streaming) estimator.
 ///
 /// Threaded through [`SequentialBmf`](crate::sequential::SequentialBmf)
-/// exactly like [`SolveWorkspace`] is threaded through the batch stack:
-/// one workspace serves every `add_sample` / `coefficients_into` /
+/// like `MapScratch` is threaded through the batch engine's final
+/// solves: one workspace serves every `add_sample` / `coefficients_into` /
 /// `suggest_next` call on a stream, buffers grow to the high-water mark
 /// (`O(M + K)`) and are reused thereafter. With
 /// [`SeqWorkspace::for_problem`] sized up front, steady-state streaming
@@ -124,14 +90,6 @@ pub(crate) fn resize(buf: &mut Vec<f64>, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn for_problem_reserves_without_len() {
-        let ws = SolveWorkspace::for_problem(8, 32);
-        assert!(ws.map.rhs.capacity() >= 32);
-        assert!(ws.fold.x.capacity() >= 16);
-        assert!(ws.map.rhs.is_empty());
-    }
 
     #[test]
     fn resize_reuses_capacity() {
