@@ -89,11 +89,11 @@ fn fit_batch(s: &Setup) -> usize {
 }
 
 /// Allocation budget per cross-validated batch fit, asserted in `--smoke`
-/// runs with the counting allocator installed. The workspace refactor
-/// measures ~87 allocations per fit (BENCH_allocs.json); the budget
-/// leaves headroom for shape variation while still failing loudly if
-/// per-grid-point allocations creep back in (the pre-view baseline was
-/// ~2342 per fit).
+/// runs with the counting allocator installed. `repro allocs` measures
+/// ~49 allocations per fit of its 8-job batch (BENCH_allocs.json); the
+/// budget leaves headroom for shape variation while still failing loudly
+/// if per-grid-point allocations creep back in (the pre-view baseline
+/// was ~2342 per fit).
 const SMOKE_ALLOC_BUDGET_PER_FIT: u64 = 256;
 
 fn smoke_alloc_guard(num_vars: usize, samples: usize) {

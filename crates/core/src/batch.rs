@@ -11,18 +11,27 @@
 //!   every job;
 //! * the cross-validation fold row-selections depend only on `(K, folds,
 //!   seed)`;
-//! * the Woodbury kernel (`B_F`, Θ(K²M)) and each fold's sample-space
-//!   system depend only on the *normalized prior values* — jobs whose
-//!   priors coincide after normalization share them exactly; the
-//!   kernel, built over all K rows, serves every fold as a sub-block
-//!   read through the fold's rows.
+//! * the floor gram `Γ = G·diag(1_F)·Gᵀ`, Θ(K²M), depends only on the
+//!   points and the prior's *missing columns*: one per finite-column set
+//!   serves every prior pattern with that set whose entries mostly sit
+//!   on the prior floor, as an OMP early model's do;
+//! * the Woodbury kernel — `B_F = c₀·Γ + G_S·diag(a⁻¹_S − c₀)·G_Sᵀ`,
+//!   Θ(K²|S|) over the few entries above the floor `c₀`, or for a dense
+//!   prior `G·diag(A⁻¹)·Gᵀ` directly — and each fold's sample-space
+//!   system depend only on the *normalized prior values*: jobs whose
+//!   priors coincide after normalization share them exactly; the kernel,
+//!   built over all K rows, serves every fold as a sub-block read
+//!   through the fold's rows.
 //!
-//! [`BatchFitter`] evaluates the design matrix once, builds each distinct
-//! prior pattern's kernels once, and dispatches the remaining work —
-//! one sweep per `(pattern, fold)` that builds the fold's sample-space
-//! system once and evaluates every `(hyper, family)` cell of every job
-//! of that pattern against it, then per-job reduction and the final
-//! full-data solve — across a scoped worker pool.
+//! [`BatchFitter`] evaluates the design matrix once, builds each floor
+//! gram once (in row bands every worker shares) and each distinct prior
+//! pattern's kernel once, and dispatches the remaining work — one sweep
+//! per `(pattern, fold)` that builds the fold's sample-space system once
+//! and evaluates every `(hyper, family)` cell of every job of that
+//! pattern against it, one full-data system per missing-prior pattern,
+//! then per-job reduction and the final solve (that system's
+//! back-projection, or the Woodbury solve of a fully informed prior) —
+//! across a scoped worker pool.
 //!
 //! # Determinism
 //!
@@ -59,15 +68,20 @@
 //! # }
 //! ```
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bmf_basis::basis::OrthonormalBasis;
+use bmf_linalg::view::{mirror_upper_into, outer_gram_diag_band_into};
 use bmf_linalg::{Matrix, Vector};
 
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
 use crate::hyper::{reduce_outcomes, FoldErrors, FoldPlan};
-use crate::map_estimate::{map_estimate_ws, FoldSystem, SweepKernel};
+use crate::map_estimate::{
+    finite_indicator, map_estimate_ws, FoldSystem, PriorTerms, SolverKind, SweepKernel,
+};
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
 use crate::prior::{Prior, PriorKind};
@@ -110,16 +124,21 @@ pub struct PhaseTimings {
     /// Design-matrix evaluation, fold planning, and response
     /// normalization (runs once, serially).
     pub prepare: Duration,
-    /// Woodbury kernel builds (parallel; one task per distinct prior
-    /// pattern, each over all K rows, which every fold then indexes).
+    /// Kernel builds (parallel): the floor gram of each finite-column
+    /// set, one row band per worker, then one task per distinct prior
+    /// pattern forming its kernel over all K rows from its gram, which
+    /// every fold then indexes.
     pub kernels: Duration,
     /// Cross-validation sweeps (parallel; one task per
     /// `(prior pattern, fold)` pair, which builds the fold's
     /// sample-space system once and covers every `(hyper, family)` cell
-    /// of every job of that pattern).
+    /// of every job of that pattern), plus, for the fast solver, one
+    /// task per missing-prior pattern building its full-data system.
     pub sweep: Duration,
     /// Per-job reduction, prior selection, and the final full-data MAP
-    /// solve (parallel; one task per job).
+    /// solve (parallel; one task per job): the back-projection of the
+    /// pattern's full-data system for a missing prior, `map_estimate`'s
+    /// solve otherwise.
     pub solve: Duration,
 }
 
@@ -335,15 +354,9 @@ pub(crate) fn fit_jobs(
         ..PhaseTimings::default()
     };
     let kinds = kinds_for(options.selection);
-    let swept = sweep(
-        &g,
-        &plan,
-        &patterns,
-        &options.grid,
-        kinds,
-        threads,
-        &mut timings,
-    )?;
+    let full = options.solver == SolverKind::Fast;
+    let swept = sweep(&g, &plan, &patterns, &options.grid, kinds, full, threads)?;
+    (timings.kernels, timings.sweep) = (swept.kernels_time, swept.sweep_time);
 
     // Phase 4 (parallel): per-job reduction (fold-major, fixed order),
     // prior selection, and the final full-data solve.
@@ -354,7 +367,7 @@ pub(crate) fn fit_jobs(
             let job = &prepared[j];
             let (pi, slot) = place[j];
             let job_cells = |fi: usize| {
-                swept[pi * num_folds + fi]
+                swept.errors[pi * num_folds + fi]
                     .as_deref()
                     .map(|e| &e[slot * per_job..(slot + 1) * per_job])
             };
@@ -381,9 +394,20 @@ pub(crate) fn fit_jobs(
                 num_folds,
             )?;
             let selection = decide(options.selection, outcomes)?;
-            let chosen = job.prior.with_kind(selection.kind);
-            let (alpha, final_res) =
-                map_estimate_ws(&g, &job.f, &chosen, selection.hyper, options.solver, ws)?;
+            // A missing prior back-projects its pattern's full-data
+            // system, as `map_estimate`'s fast solver does; any other
+            // final solve is `map_estimate`'s own.
+            let (alpha, final_res) = match &swept.full[pi] {
+                Some(system) => {
+                    let system = system.as_ref().map_err(Clone::clone)?;
+                    let (f, hyper) = (job.f.as_slice(), selection.hyper);
+                    system.solve(g.as_view(), &swept.terms[pi], f, hyper, selection.kind)?
+                }
+                None => {
+                    let chosen = job.prior.with_kind(selection.kind);
+                    map_estimate_ws(&g, &job.f, &chosen, selection.hyper, options.solver, ws)?
+                }
+            };
             counters.map_solves += 1;
             counters.record_resilience(&final_res);
             let coeffs: Vec<f64> = alpha.iter().map(|a| a * job.scale).collect();
@@ -429,44 +453,182 @@ pub(crate) fn fit_jobs(
     })
 }
 
+/// What [`sweep`] leaves for the final solves.
+pub(crate) struct Swept {
+    /// The error tables, pattern-major (`[pattern · folds + fold]`),
+    /// `None` for a fold unusable for the pattern.
+    pub(crate) errors: Vec<Option<FoldErrors>>,
+    /// Each pattern's hyper-independent prior quantities.
+    pub(crate) terms: Vec<PriorTerms>,
+    /// Each pattern's full-data system when it was asked for and the
+    /// prior misses a column (the build's error, for that pattern's jobs
+    /// to report), `None` otherwise.
+    pub(crate) full: Vec<Option<Result<FoldSystem>>>,
+    /// Wall time of the kernel phase.
+    pub(crate) kernels_time: Duration,
+    /// Wall time of the sweep phase.
+    pub(crate) sweep_time: Duration,
+}
+
+/// One task of the sweep phase.
+enum SweepTask {
+    /// A `(pattern, fold)` sweep.
+    Cells(Option<FoldErrors>),
+    /// A pattern's full-data system (boxed: it is the large variant).
+    Full(Box<Result<FoldSystem>>),
+}
+
 /// The engine's kernel and sweep phases, which the cross-validation
-/// entry points also call with one pattern. Phase 2 builds one kernel
-/// per pattern over all K rows; phase 3 runs one sweep per
+/// entry points also call with one pattern. Phase 2 builds one floor
+/// gram per finite-column set, split into row bands that every worker
+/// shares, then each pattern's kernel over all K rows from its gram
+/// ([`PriorTerms::kernel`]); phase 3 runs one sweep per
 /// `(pattern, fold)`, which builds the fold system once for every
 /// response of its pattern, each worker reusing its own [`FoldSystem`].
-/// Returns the tables pattern-major (`[pattern · folds + fold]`), `None`
-/// for a fold unusable for the pattern.
+/// With `full` set, phase 3 also builds the full-data system of every
+/// pattern whose prior misses a column, for the fast final solve.
 pub(crate) fn sweep(
     g: &Matrix,
     plan: &FoldPlan,
     patterns: &[Pattern<'_>],
     grid: &[f64],
     kinds: &[PriorKind],
+    full: bool,
     threads: usize,
-    timings: &mut PhaseTimings,
-) -> Result<Vec<Option<FoldErrors>>> {
+) -> Result<Swept> {
     let t1 = Instant::now();
-    let kernels: Vec<Result<SweepKernel>> = run_indexed(threads, patterns.len(), |pi| {
-        SweepKernel::new(g.as_view(), patterns[pi].0)
+    let terms = run_indexed(threads, patterns.len(), |pi| {
+        PriorTerms::new(g.as_view(), patterns[pi].0)
     });
-    let kernels = first_error(kernels)?;
-    timings.kernels = t1.elapsed();
+    let terms = first_error(terms)?;
+    // Patterns that read a floor gram, grouped by missing columns in
+    // first-occurrence order: one gram per group.
+    let mut sets: Vec<&[usize]> = Vec::new();
+    let set_of: Vec<Option<usize>> = terms
+        .iter()
+        .map(|t| {
+            let z = t.missing();
+            let si = sets.iter().position(|&s| s == z);
+            t.uses_floor_gram().then(|| {
+                si.unwrap_or_else(|| {
+                    sets.push(z);
+                    sets.len() - 1
+                })
+            })
+        })
+        .collect();
+    let grams = floor_grams(g, &sets, threads)?;
+    let b_f = run_indexed(threads, patterns.len(), |pi| {
+        terms[pi].kernel(g.as_view(), set_of[pi].map(|si| &grams[si]))
+    });
+    drop(grams);
+    let kernels: Vec<SweepKernel> = terms
+        .into_iter()
+        .zip(first_error(b_f)?)
+        .map(|(terms, b_f)| SweepKernel { terms, b_f })
+        .collect();
+    let kernels_time = t1.elapsed();
 
+    // Full-data systems first: each is a fold's work over every row, so
+    // starting them early balances the pool.
     let t2 = Instant::now();
     let num_folds = plan.folds.len();
-    let swept = run_indexed_with(
+    let needs_full: Vec<usize> = (0..patterns.len())
+        .filter(|&pi| full && !kernels[pi].terms.missing().is_empty())
+        .collect();
+    let tasks = run_indexed_with(
         threads,
-        patterns.len() * num_folds,
+        needs_full.len() + patterns.len() * num_folds,
         FoldSystem::default,
         |fold_system, task| {
+            if let Some(&pi) = needs_full.get(task) {
+                let system = FoldSystem::full(g.as_view(), &kernels[pi]);
+                return Ok(SweepTask::Full(Box::new(system)));
+            }
+            let task = task - needs_full.len();
             let (pi, fi) = (task / num_folds, task % num_folds);
             let (kernel, responses) = (&kernels[pi], &patterns[pi].1);
-            fold_system.sweep(g, kernel, &plan.folds[fi], responses, grid, kinds)
+            fold_system
+                .sweep(g, kernel, &plan.folds[fi], responses, grid, kinds)
+                .map(SweepTask::Cells)
         },
     );
-    let swept = first_error(swept)?;
-    timings.sweep = t2.elapsed();
+    let mut swept = Swept {
+        errors: Vec::with_capacity(patterns.len() * num_folds),
+        terms: Vec::new(),
+        full: (0..patterns.len()).map(|_| None).collect(),
+        kernels_time,
+        sweep_time: Duration::ZERO,
+    };
+    let mut full_of = needs_full.iter();
+    for task in first_error(tasks)? {
+        match task {
+            SweepTask::Full(system) => {
+                if let Some(&pi) = full_of.next() {
+                    swept.full[pi] = Some(*system);
+                }
+            }
+            SweepTask::Cells(cells) => swept.errors.push(cells),
+        }
+    }
+    swept.terms = kernels.into_iter().map(|k| k.terms).collect();
+    swept.sweep_time = t2.elapsed();
     Ok(swept)
+}
+
+/// The floor gram `Γ = G·diag(1_F)·Gᵀ` of every finite-column set, each
+/// given by its missing columns. Each gram is split into equal-area row
+/// bands of its upper triangle, one per worker; every band task writes
+/// its rows of the one gram, and the lower triangle is mirrored after
+/// the join. Each entry is one sequential `dot3` sum, so no bit depends
+/// on the split or the thread count.
+fn floor_grams(g: &Matrix, sets: &[&[usize]], threads: usize) -> Result<Vec<Matrix>> {
+    let (k, m) = g.shape();
+    let bands = equal_area_bands(k, threads);
+    let weights: Vec<Vec<f64>> = sets.iter().map(|z| finite_indicator(m, z)).collect();
+    let mut grams: Vec<Matrix> = sets.iter().map(|_| Matrix::zeros(k, k)).collect();
+    let mut parts = Vec::with_capacity(sets.len() * bands.len());
+    for (si, gram) in grams.iter_mut().enumerate() {
+        let mut rest = gram.as_mut_slice();
+        for rows in &bands {
+            let (band, tail) = rest.split_at_mut(rows.len() * k);
+            parts.push((si, rows.clone(), Mutex::new(band)));
+            rest = tail;
+        }
+    }
+    let done = run_indexed(threads, parts.len(), |i| {
+        let (si, rows, band) = &parts[i];
+        // Each index is claimed once, so the lock is never contended.
+        let mut band = band.lock().map_err(|_| BmfError::Internal {
+            detail: "a floor-gram band lock was poisoned",
+        })?;
+        outer_gram_diag_band_into(g.as_view(), &weights[*si], rows.clone(), &mut band)?;
+        Ok(())
+    });
+    first_error(done)?;
+    drop(parts);
+    for gram in &mut grams {
+        mirror_upper_into(gram.as_view_mut())?;
+    }
+    Ok(grams)
+}
+
+/// Splits the rows of a `k × k` upper triangle (row `i` holds `k − i`
+/// entries) into at most `n` contiguous bands of near-equal area.
+fn equal_area_bands(k: usize, n: usize) -> Vec<Range<usize>> {
+    let n = n.clamp(1, k.max(1));
+    let total = k * (k + 1) / 2;
+    let mut bands = Vec::with_capacity(n);
+    let (mut start, mut area) = (0, 0);
+    for i in 0..k {
+        area += k - i;
+        if bands.len() + 1 < n && area * n >= (bands.len() + 1) * total {
+            bands.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    bands.push(start..k);
+    bands
 }
 
 /// Whether two priors carry bit-identical early values.
@@ -587,6 +749,149 @@ fn first_error<T>(results: Vec<Result<T>>) -> Result<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmf_linalg::view::outer_gram_diag_into;
+    use bmf_stat::prop::vec_in;
+    use bmf_stat::rng::Rng;
+
+    /// An OMP-like prior: most entries exactly zero (on the floor), a
+    /// few of unit scale, `missing` absent.
+    fn sparse_prior(rng: &mut Rng, m: usize, missing: &[usize]) -> Prior {
+        let early = (0..m)
+            .map(|j| {
+                let v = if rng.gen_index(6) == 0 {
+                    rng.gen_range(-2.0..2.0)
+                } else {
+                    0.0
+                };
+                (!missing.contains(&j)).then_some(v)
+            })
+            .collect();
+        Prior::new(PriorKind::NonZeroMean, early)
+    }
+
+    /// The kernel without the floor gram: `G·diag(A_F⁻¹)·Gᵀ`, with
+    /// `A⁻¹ = 0` on the missing columns.
+    fn direct_kernel(g: &Matrix, prior: &Prior) -> Matrix {
+        let a_inv: Vec<f64> = prior
+            .precisions(1.0)
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
+            .collect();
+        let mut out = Matrix::zeros(g.nrows(), g.nrows());
+        outer_gram_diag_into(g.as_view(), &a_inv, out.as_view_mut()).unwrap();
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernel_oracle_floor_gram_kernels_match_direct_kernels() {
+        // Patterns on the direct path, and on the floor-gram path.
+        let mut path_hits = [0usize; 2];
+        bmf_stat::prop::check("floor-gram kernels == direct kernels", 24, |rng| {
+            let k = 1 + rng.gen_index(24);
+            let m = 8 + rng.gen_index(64);
+            let g = Matrix::from_row_major(k, m, vec_in(rng, -2.0, 2.0, k * m)).unwrap();
+            let z1: Vec<usize> = (0..rng.gen_index(4)).map(|_| rng.gen_index(m)).collect();
+            let z2: Vec<usize> = (0..1 + rng.gen_index(4))
+                .map(|_| rng.gen_index(m))
+                .collect();
+            // Dense: distinct magnitudes, no entry on the floor.
+            let dense: Vec<Option<f64>> = (0..m)
+                .map(|j| (!z1.contains(&j)).then(|| rng.gen_range(0.1..3.0)))
+                .collect();
+            let patterns = [
+                sparse_prior(rng, m, &z1),
+                sparse_prior(rng, m, &z2),
+                Prior::new(PriorKind::NonZeroMean, dense),
+                // Degenerate: every entry zero, so every precision is 0.
+                Prior::from_coeffs(PriorKind::NonZeroMean, &vec![0.0; m]),
+                // No finite column at all.
+                Prior::new(PriorKind::NonZeroMean, vec![None; m]),
+            ];
+            let terms: Vec<PriorTerms> = patterns
+                .iter()
+                .map(|p| PriorTerms::new(g.as_view(), p).unwrap())
+                .collect();
+            // Every pattern gets the floor gram of its missing columns,
+            // whether or not its kernel reads it.
+            let mut sets: Vec<&[usize]> = Vec::new();
+            let set_of: Vec<usize> = terms
+                .iter()
+                .map(|t| {
+                    let z = t.missing();
+                    sets.iter().position(|&s| s == z).unwrap_or_else(|| {
+                        sets.push(z);
+                        sets.len() - 1
+                    })
+                })
+                .collect();
+            // (gram bits, kernel bits) at the first worker count.
+            type Bits = (Vec<Vec<u64>>, Vec<Vec<u64>>);
+            let mut first: Option<Bits> = None;
+            for threads in [1, 2, 5] {
+                let grams = floor_grams(&g, &sets, threads).unwrap();
+                let kernels: Vec<Matrix> = terms
+                    .iter()
+                    .zip(&set_of)
+                    .map(|(t, &si)| t.kernel(g.as_view(), Some(&grams[si])).unwrap())
+                    .collect();
+                let got = (
+                    grams.iter().map(bits).collect(),
+                    kernels.iter().map(bits).collect(),
+                );
+                match &first {
+                    None => first = Some(got),
+                    Some(want) => assert_eq!(&got, want, "bits moved at {threads} workers"),
+                }
+                if threads > 1 {
+                    continue;
+                }
+                for (p, kernel) in patterns.iter().zip(&kernels) {
+                    // The one-pattern build runs the same arithmetic.
+                    let alone = SweepKernel::new(g.as_view(), p).unwrap();
+                    assert_eq!(bits(&alone.b_f), bits(kernel));
+                    let want = direct_kernel(&g, p);
+                    let scale = want.as_slice().iter().fold(0.0f64, |s, x| s.max(x.abs()));
+                    for (x, y) in kernel.as_slice().iter().zip(want.as_slice()) {
+                        assert!((x - y).abs() <= 1e-13 * scale, "{x} vs {y} (max {scale})");
+                    }
+                }
+            }
+            // The sparse priors read the gram, the dense one does not.
+            for (t, want) in terms.iter().zip([true, true, false, false, false]) {
+                if t.uses_floor_gram() == want {
+                    path_hits[usize::from(want)] += 1;
+                }
+            }
+        });
+        assert!(
+            path_hits.iter().all(|&n| n > 0),
+            "a kernel path went untested"
+        );
+    }
+
+    #[test]
+    fn equal_area_bands_cover_the_rows_in_order() {
+        for k in [0usize, 1, 2, 7, 300] {
+            for n in [1usize, 2, 3, 5, 16] {
+                let bands = equal_area_bands(k, n);
+                assert!(!bands.is_empty() && bands.len() <= n.max(1));
+                assert_eq!(bands[0].start, 0);
+                assert_eq!(bands.last().map(|b| b.end), Some(k));
+                for w in bands.windows(2) {
+                    assert_eq!(w[0].end, w[1].start);
+                }
+            }
+        }
+        // Two bands of a 300-row triangle split its 45 150 entries
+        // within two rows' worth: the cut overshoots by under a row.
+        let bands = equal_area_bands(300, 2);
+        let area = |r: &Range<usize>| r.clone().map(|i| 300 - i).sum::<usize>();
+        assert!(area(&bands[0]).abs_diff(area(&bands[1])) <= 2 * 300);
+    }
 
     #[test]
     fn run_indexed_preserves_task_order() {

@@ -96,10 +96,14 @@ impl FitCounters {
 /// `rung`/`ridge`/`rcond` describe the *final* full-data MAP solve — the
 /// one that produced the returned coefficients; `degraded_solves` and
 /// `max_rung` aggregate over every ladder solve the counters saw (one
-/// per fit; a batch report sums its jobs). Cross-validation cells never
-/// enter the ladder. A clean fit reports `rung == 0`,
-/// `ridge == 0.0`, and `degraded_solves == 0`, and its coefficients are
-/// bit-identical to a build without the ladder.
+/// per fit; a batch report sums its jobs). A fully informed fast solve
+/// climbs the Cholesky ladder of its Woodbury core (`rcond` from the
+/// factor diagonal); a missing-prior fast solve climbs the ridge rungs of
+/// the shifted-LDLᵀ ladder of `T̂ + ηI`, with the ridge added to η and
+/// `rcond` the pivot ratio (DESIGN.md §10). Cross-validation cells never
+/// enter the ladder. A clean fit reports `rung == 0`, `ridge == 0.0`, and
+/// `degraded_solves == 0`, and its coefficients are bit-identical to a
+/// build without the ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceReport {
     /// Ladder rung used by the final full-data solve (0 = clean).

@@ -15,10 +15,12 @@
 //! * a [`FoldPlan`] computes the per-fold row index tables **once**,
 //!   reused across every grid point, both prior families, and every job
 //!   of a batch fit;
-//! * the Θ(K²M) Woodbury kernel `B_F` and the K-vector `Gμ` are built
-//!   **once** per prior pattern over every row of the design matrix;
-//!   each entry depends on its rows alone, so a fold reads its
-//!   sub-blocks through its row tables;
+//! * the Woodbury kernel `B_F` and the K-vector `Gμ` are built **once**
+//!   per prior pattern over every row of the design matrix — for a prior
+//!   mostly on its floor, from one Θ(K²M) floor gram per set of missing
+//!   columns plus a Θ(K²|S|) term over its entries above the floor; each
+//!   entry depends on its rows alone, so a fold reads its sub-blocks
+//!   through its row tables;
 //! * each `(pattern, fold)` pair then builds one sample-space system
 //!   (see [`crate::map_estimate::MapSweep`]): the fold's missing-prior
 //!   columns are profiled out by a Householder QR, and the rest is
@@ -37,7 +39,7 @@
 use bmf_linalg::{LinalgError, Matrix, Vector};
 use bmf_stat::crossval::{Fold, KFold};
 
-use crate::batch::{sweep, PhaseTimings};
+use crate::batch::sweep;
 use crate::options::{validate_folds, validate_grid};
 use crate::prior::{Prior, PriorKind};
 use crate::{BmfError, Result};
@@ -225,12 +227,11 @@ pub(crate) fn cross_validate(
     // families).
     let prior = prior.with_kind(PriorKind::NonZeroMean);
     let patterns = [(&prior, vec![f])];
-    let mut timings = PhaseTimings::default();
-    let swept = sweep(g, &plan, &patterns, &config.grid, kinds, 1, &mut timings)?;
+    let swept = sweep(g, &plan, &patterns, &config.grid, kinds, false, 1)?;
     reduce_outcomes(
         &config.grid,
         kinds.len(),
-        swept.iter().map(Option::as_deref),
+        swept.errors.iter().map(Option::as_deref),
         k,
         plan.folds.len(),
     )
@@ -558,6 +559,7 @@ mod tests {
         let grid = [1e-310, 1e-14, 1e-3, 1.0, 1e3];
         let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
         let (mut compared, mut blanked, mut accounted) = (0, 0, 0);
+        let mut missing_accounted = 0;
         let (mut with_missing, mut without_missing) = (0, 0);
         bmf_stat::prop::check("sample-space sweep == direct solves", 24, |rng| {
             let k = 12 + rng.gen_index(10);
@@ -633,8 +635,8 @@ mod tests {
             };
             let normalized = PreparedJob::new(&job);
             let patterns = [(&normalized.prior, vec![&normalized.f])];
-            let mut timings = PhaseTimings::default();
-            let engine = sweep(&g, &plan, &patterns, &grid, &kinds, 1, &mut timings).unwrap();
+            let engine = sweep(&g, &plan, &patterns, &grid, &kinds, false, 1);
+            let engine = engine.unwrap().errors;
             let usable = engine.iter().flatten().count();
             let solved = engine.iter().flatten().flatten().flatten().count();
             match fit {
@@ -643,12 +645,26 @@ mod tests {
                     assert_eq!(fit.counters.kernels_built, usable);
                     assert_eq!(fit.counters.kernel_cache_misses, usable);
                     assert_eq!(fit.counters.kernel_cache_hits, 0);
+                    // One final solve, on the rung the report names.
+                    let rung = fit.resilience.rung;
+                    assert_eq!(fit.counters.degraded_solves, usize::from(rung > 0));
+                    assert_eq!(fit.counters.ladder_escalations, rung as usize);
+                    assert_eq!(fit.counters.max_ladder_rung, rung);
                     accounted += 1;
+                    if prior.num_zero_precision() > 0 {
+                        missing_accounted += 1;
+                    }
                 }
                 // When CV picks η = 1e-310, which the sample-space cells
-                // solve, the primal final solve can overflow: a
-                // structured error, with no counters to check.
-                Err(e) => assert!(matches!(e, BmfError::Linalg(_)), "{e:?}"),
+                // solve, the Woodbury final solve of a strictly positive
+                // prior can overflow: a structured error, with no
+                // counters to check. A missing prior's final solve runs
+                // in sample space like the cells, on the degradation
+                // ladder, so it always fits.
+                Err(e) => {
+                    assert_eq!(prior.num_zero_precision(), 0, "{e:?}");
+                    assert!(matches!(e, BmfError::Linalg(_)), "{e:?}");
+                }
             }
 
             // The public sweep's per-grid means equal the per-fold cells
@@ -674,6 +690,7 @@ mod tests {
         assert!(compared > 0, "no cell was compared with the reference");
         assert!(blanked > 0, "no failed factorization was exercised");
         assert!(accounted > 0, "no one-job fit was accounted");
+        assert!(missing_accounted > 0, "no missing-prior fit was accounted");
         assert!(with_missing > 0 && without_missing > 0);
     }
 

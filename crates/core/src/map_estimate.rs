@@ -19,14 +19,27 @@
 //! * [`SolverKind::Direct`] — assemble the M × M posterior precision and
 //!   factorize with Cholesky: Θ(M³). The paper's "conventional solver".
 //! * [`SolverKind::Fast`] — the Sherman–Morrison–Woodbury low-rank update
-//!   (eq. 53–58): Θ(K²M) with K ≪ M. Handles missing-prior coefficients
-//!   (zero diagonal precision) through the exact augmented formulation in
-//!   [`bmf_linalg::woodbury`].
+//!   (eq. 53–58): Θ(K²M) with K ≪ M. With every precision positive it is
+//!   [`bmf_linalg::woodbury`]'s K × K Cholesky core. Missing-prior
+//!   coefficients (zero diagonal precision, §IV-B) leave `D⁻¹` undefined,
+//!   so such a prior is solved in sample space instead ([`MapSweep`]'s
+//!   system): a Householder QR of the missing columns `G_Z` profiles
+//!   them out exactly, the kernel `B_F = G_F A_F⁻¹ G_Fᵀ` left over is
+//!   reduced to a tridiagonal `T̂` once, and the coefficients come back
+//!   through one `Gᵀ` product. This is the batch engine's final solve,
+//!   so an engine fit equals this module's estimate bit for bit.
+//!
+//! For a prior whose entries mostly sit on its floor `c₀` (an OMP early
+//! model's), the kernel's Θ(K²M) part is the floor gram
+//! `Γ = G·diag(1_F)·Gᵀ` of the finite columns, and the prior adds
+//! `G_S·diag(a⁻¹_S − c₀)·G_Sᵀ` over its entries above the floor
+//! (DESIGN.md §8), which the batch engine exploits by sharing one `Γ`
+//! among priors; a dense prior's kernel is formed directly.
 
 use bmf_linalg::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
 use bmf_linalg::{
-    factor_spd_ladder, ladder_solve_in_place, qr_in_place, solve_lower, tridiagonal, view,
-    woodbury, LadderPolicy, LinalgError, Matrix, Reflectors, Resilience, Vector,
+    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, qr_in_place, solve_lower,
+    tridiagonal, view, woodbury, LadderPolicy, LinalgError, Matrix, Reflectors, Resilience, Vector,
 };
 use bmf_stat::crossval::Fold;
 
@@ -131,6 +144,14 @@ pub fn map_estimate_with_report(
 /// `ws` so repeated final solves (e.g. one per batch job) allocate only
 /// their coefficient vector. Returns the coefficients together with the
 /// degradation-ladder outcome of the factorization.
+///
+/// The fast solver takes one of two paths. With every precision strictly
+/// positive it is the Woodbury identity on the K × K core, whose entries
+/// are the `dot3` sums [`crate::sequential::SequentialBmf`] grows row by
+/// row. With a missing prior it is the sample-space solve of the batch
+/// engine's final solve ([`FoldSystem::solve`] on the full-data
+/// system of the prior's kernel), so an engine fit's coefficients equal
+/// this function's bit for bit.
 pub(crate) fn map_estimate_ws(
     g: &Matrix,
     f: &Vector,
@@ -151,13 +172,26 @@ pub(crate) fn map_estimate_ws(
             detail: format!("{k} design rows vs {} values", f.len()),
         });
     }
-    if prior.num_zero_precision() > k {
+    let missing = prior.num_zero_precision();
+    if missing > k {
         return Err(BmfError::NotEnoughSamples {
             available: k,
-            required: prior.num_zero_precision(),
+            required: missing,
             context: "missing-prior coefficients",
         });
     }
+    if solver == SolverKind::Fast && missing > 0 {
+        let kernel = SweepKernel::new(g.as_view(), prior)?;
+        let system = FoldSystem::full(g.as_view(), &kernel)?;
+        return system.solve(
+            g.as_view(),
+            &kernel.terms,
+            f.as_slice(),
+            hyper,
+            prior.kind(),
+        );
+    }
+    let mut out = vec![0.0; m];
 
     let precisions = prior.precisions(hyper);
     resize(&mut ws.rhs, m);
@@ -165,8 +199,6 @@ pub(crate) fn map_estimate_ws(
     for (r, b0) in ws.rhs.iter_mut().zip(prior.rhs_contribution(hyper)) {
         *r += b0;
     }
-
-    let mut out = vec![0.0; m];
     let resilience = match solver {
         SolverKind::Direct => {
             ws.core.reset_zeros(m, m);
@@ -182,7 +214,7 @@ pub(crate) fn map_estimate_ws(
             ladder_solve_in_place(kind, &ws.core, &ws.perm, &mut ws.ladder, &mut out)?;
             res
         }
-        SolverKind::Fast => woodbury::solve_diag_plus_gram_semidefinite_into(
+        SolverKind::Fast => woodbury::solve_diag_plus_gram_into(
             &precisions,
             1.0,
             g.as_view(),
@@ -200,34 +232,39 @@ pub(crate) fn map_estimate_ws(
 /// `G_Z = [Q_Z N]·R`, and the ridge kernel left over, `S = Nᵀ B_F N`, is
 /// reduced once to `S = H T̂ Hᵀ`. Each hyper-parameter value then costs
 /// one O(n) factorization of `T̂ + hI`, shared by both prior families,
-/// plus the back-projection (DESIGN.md §8). The estimates equal
-/// [`map_estimate`] to rounding, not bit for bit.
+/// plus the back-projection (DESIGN.md §8). This is the batch engine's
+/// final solve for a prior with missing entries, so for such a prior
+/// the estimates equal [`map_estimate`]'s (fast solver) bit for bit; for
+/// a strictly positive one they equal it to rounding.
 #[derive(Debug, Clone)]
 pub struct MapSweep<'g> {
     g: MatRef<'g>,
-    kernel: SweepKernel,
+    terms: PriorTerms,
     /// The system over every row of `g`, with no validation rows.
     system: FoldSystem,
 }
 
-/// The Woodbury kernel of one prior over every row of a design matrix,
-/// plus the prior's hyper-independent quantities. Any number of
-/// [`FoldSystem`]s read it through their own row tables.
+/// A prior's hyper-independent quantities over every row of a design
+/// matrix: what the back-projection of [`FoldSystem::solve`] reads
+/// besides the system itself.
 #[derive(Debug, Clone)]
-pub(crate) struct SweepKernel {
+pub(crate) struct PriorTerms {
     /// `1/α_E,m²` for finite-prior columns, 0 for missing.
     a: Vec<f64>,
+    /// The floor `c₀ = min_F a⁻¹` when the kernel is formed from the
+    /// floor gram (see [`PriorTerms::kernel`]), `None` when it is formed
+    /// directly.
+    floor: Option<f64>,
     /// Prior mean per column (0 for zero-mean priors and missing entries).
     prior_mean: Vec<f64>,
     missing: Vec<usize>,
-    /// `G_F·A_F⁻¹·G_Fᵀ`.
-    b_f: Matrix,
     /// `G·prior_mean`, the nonzero-mean prior's prediction at every row.
     pub(crate) g_mu: Vec<f64>,
 }
 
-impl SweepKernel {
-    /// Builds the kernel of `prior` over every row of `g`.
+impl PriorTerms {
+    /// Screens `prior` against `g` and computes its quantities over every
+    /// row of `g`.
     ///
     /// # Errors
     ///
@@ -243,36 +280,151 @@ impl SweepKernel {
         }
         crate::screen::finite_prior(prior)?;
         // Unit-hyper precisions give A directly.
-        let unit = prior.precisions(1.0);
-        let missing: Vec<usize> = unit
+        let a = prior.precisions(1.0);
+        let missing = a
             .iter()
             .enumerate()
             .filter_map(|(i, &d)| bmf_linalg::is_exact_zero(d).then_some(i))
             .collect();
-        // A^-1 over finite columns (0 on missing columns so they drop out
-        // of B_F).
-        let a_inv_f: Vec<f64> = unit
+        // Prior means (independent of hyper): α_E for NZM, 0 for ZM and
+        // missing entries — `rhs_contribution(1)/A` entrywise, in its
+        // arithmetic.
+        let nzm = prior.kind() == PriorKind::NonZeroMean;
+        let prior_mean: Vec<f64> = a
             .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
-            .collect();
-        let mut b_f = Matrix::zeros(k, k);
-        outer_gram_diag_into(g, &a_inv_f, b_f.as_view_mut())?;
-        // Prior means (independent of hyper): alpha_E for NZM, 0 for ZM.
-        let rhs1 = prior.rhs_contribution(1.0);
-        let prior_mean: Vec<f64> = rhs1
-            .iter()
-            .zip(&unit)
-            .map(|(&r, &d)| if d > 0.0 { r / d } else { 0.0 })
+            .zip(prior.early_values())
+            .map(|(&d, e)| match e {
+                Some(v) if nzm && d > 0.0 => d * v / d,
+                _ => 0.0,
+            })
             .collect();
         let mut g_mu = vec![0.0; k];
         matvec_into(g, &prior_mean, &mut g_mu)?;
-        Ok(SweepKernel {
-            a: unit,
+        // The floor gram pays while at most half the finite columns lie
+        // above the floor: an early model from OMP leaves a few dozen of
+        // thousands there, a dense prior leaves nearly all.
+        let finite = a.iter().filter(|&&d| d > 0.0);
+        let c0 = finite.clone().fold(f64::INFINITY, |c, &d| c.min(1.0 / d));
+        let above = finite.clone().filter(|&&d| 1.0 / d > c0).count();
+        let floor = (2 * above <= finite.count() && c0.is_finite()).then_some(c0);
+        Ok(PriorTerms {
+            a,
+            floor,
             prior_mean,
             missing,
-            b_f,
             g_mu,
         })
+    }
+
+    /// Whether [`PriorTerms::kernel`] reads the floor gram.
+    pub(crate) fn uses_floor_gram(&self) -> bool {
+        self.floor.is_some()
+    }
+
+    /// The prior's missing (zero-precision) columns.
+    pub(crate) fn missing(&self) -> &[usize] {
+        &self.missing
+    }
+
+    /// The Woodbury kernel `B_F = G_F·A_F⁻¹·G_Fᵀ` of this prior over every
+    /// row of `g`. When most finite columns sit on the floor `c₀ = min_F
+    /// a⁻¹` ([`PriorTerms::uses_floor_gram`]) it is formed from `gram`,
+    /// the floor gram `Γ = G·diag(1_F)·Gᵀ` of the finite columns `F`:
+    ///
+    /// ```text
+    /// B_F = c₀·Γ + G_S·diag(a⁻¹_S − c₀)·G_Sᵀ,   S = {m : a⁻¹_m > c₀}
+    /// ```
+    ///
+    /// Both terms are PSD, so nothing cancels, and the prior costs
+    /// Θ(K²|S|) on top of the shared `Γ`. Otherwise it is
+    /// `G·diag(A⁻¹)·Gᵀ` directly, Θ(K²M), and `gram` is not read.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::Linalg`] when the floor gram is wanted and `gram` is
+    /// not K × K.
+    pub(crate) fn kernel(&self, g: MatRef<'_>, gram: Option<&Matrix>) -> Result<Matrix> {
+        let k = g.nrows();
+        let mut b_f = Matrix::zeros(k, k);
+        let Some(c0) = self.floor else {
+            // A⁻¹ over the finite columns; missing ones drop out of B_F.
+            let a_inv: Vec<f64> = self
+                .a
+                .iter()
+                .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
+                .collect();
+            outer_gram_diag_into(g, &a_inv, b_f.as_view_mut())?;
+            return Ok(b_f);
+        };
+        let gram = gram.filter(|m| m.shape() == (k, k)).ok_or({
+            LinalgError::DimensionMismatch {
+                op: "floor gram (K x K)",
+                lhs: (k, k),
+                rhs: gram.map_or((0, 0), Matrix::shape),
+            }
+        })?;
+        let support = || {
+            let finite = self.a.iter().enumerate().filter(|(_, &d)| d > 0.0);
+            finite.filter(|(_, &d)| 1.0 / d > c0)
+        };
+        let mut g_s = Matrix::zeros(k, support().count());
+        let mut excess = Vec::with_capacity(g_s.ncols());
+        for (t, (j, &d)) in support().enumerate() {
+            excess.push(1.0 / d - c0);
+            for i in 0..k {
+                g_s[(i, t)] = g.get(i, j);
+            }
+        }
+        outer_gram_diag_into(g_s.as_view(), &excess, b_f.as_view_mut())?;
+        for (b, &x) in b_f.as_mut_slice().iter_mut().zip(gram.as_slice()) {
+            *b += c0 * x;
+        }
+        Ok(b_f)
+    }
+}
+
+/// The Woodbury kernel `B_F = G_F·A_F⁻¹·G_Fᵀ` of one prior over every row
+/// of a design matrix, plus the prior's [`PriorTerms`]. Any number of
+/// [`FoldSystem`]s read it through their own row tables.
+#[derive(Debug, Clone)]
+pub(crate) struct SweepKernel {
+    pub(crate) terms: PriorTerms,
+    pub(crate) b_f: Matrix,
+}
+
+/// The weights `1_F` of the floor gram `Γ = G·diag(1_F)·Gᵀ`: 1 on the
+/// finite columns of a design matrix with `m` columns, 0 on `missing`.
+/// A weight of exactly 1 leaves each product's bits alone and a weight
+/// of 0 adds a signed zero to a sum that starts at `+0`, so every entry
+/// of `Γ` is the plain sum of its finite columns' products.
+pub(crate) fn finite_indicator(m: usize, missing: &[usize]) -> Vec<f64> {
+    let mut ones = vec![1.0; m];
+    for &z in missing {
+        ones[z] = 0.0;
+    }
+    ones
+}
+
+impl SweepKernel {
+    /// Builds the kernel of `prior` over every row of `g`, the floor gram
+    /// of its finite columns included, on the calling thread: the same
+    /// arithmetic as the batch engine's banded gram and
+    /// [`PriorTerms::kernel`], so the same bits.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::PriorShape`] when `prior.len() != g.ncols()`, and
+    /// [`BmfError::NonFiniteInput`] for a non-finite prior.
+    pub(crate) fn new(g: MatRef<'_>, prior: &Prior) -> Result<Self> {
+        let (k, m) = g.shape();
+        let terms = PriorTerms::new(g, prior)?;
+        let mut gram = Matrix::zeros(k, k);
+        if terms.uses_floor_gram() {
+            let weights = finite_indicator(m, &terms.missing);
+            outer_gram_diag_into(g, &weights, gram.as_view_mut())?;
+        }
+        let b_f = terms.kernel(g, terms.uses_floor_gram().then_some(&gram))?;
+        Ok(SweepKernel { terms, b_f })
     }
 }
 
@@ -294,6 +446,10 @@ impl SweepKernel {
 /// response `[Q_Zᵀy; HᵀNᵀy]` (`proj`) and the η-independent residual
 /// `(Gμ)_V + E·Q_Zᵀy − f_V` (`r0`); the LDLᵀ pivots and multipliers
 /// (`piv`); the solution `x` and `W·x` (`x`).
+///
+/// Over every row with no validation rows ([`FoldSystem::full`]) it is
+/// the full-data system the final solve of a missing-prior fit
+/// back-projects ([`FoldSystem::solve`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FoldSystem {
     gz: Matrix,
@@ -331,7 +487,7 @@ impl FoldSystem {
         train: &[usize],
         val: &[usize],
     ) -> Result<()> {
-        let (nt, nv, nz) = (train.len(), val.len(), kernel.missing.len());
+        let (nt, nv, nz) = (train.len(), val.len(), kernel.terms.missing.len());
         if nz > nt {
             return Err(BmfError::NotEnoughSamples {
                 available: nt,
@@ -353,7 +509,7 @@ impl FoldSystem {
             }
         }
         self.gz.reset_zeros(nz, nt);
-        for (zi, &z) in kernel.missing.iter().enumerate() {
+        for (zi, &z) in kernel.terms.missing.iter().enumerate() {
             for (x, &ri) in self.gz.row_mut(zi).iter_mut().zip(train) {
                 *x = g.get(ri, z);
             }
@@ -367,7 +523,7 @@ impl FoldSystem {
         // With nothing missing, lo stays ∞ and the check passes.
         if lo <= LadderPolicy::default().rcond_floor * hi || lo.is_nan() {
             let rcond = if hi > 0.0 { lo / hi } else { 0.0 };
-            let op = "cross-validation fold (missing-prior columns)";
+            let op = "sample-space system (missing-prior columns)";
             return Err(LinalgError::Unsolvable { op, rcond }.into());
         }
         let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
@@ -386,7 +542,7 @@ impl FoldSystem {
         self.ev.reset_zeros(nv, nz);
         for (r, &rv) in val.iter().enumerate() {
             let row = self.ev.row_mut(r);
-            for (x, &z) in row.iter_mut().zip(&kernel.missing) {
+            for (x, &z) in row.iter_mut().zip(&kernel.terms.missing) {
                 *x = g.get(rv, z);
             }
             solve_lower(rt, row)?;
@@ -414,6 +570,111 @@ impl FoldSystem {
         let h = Reflectors::new(&self.s, &self.h_tau, 1);
         h.apply_qt_in_place(wt, &mut self.w)?;
         Ok(())
+    }
+
+    /// Builds the system of `kernel` over every row of `g`, with no
+    /// validation rows, and keeps only what [`FoldSystem::solve`]
+    /// reads: the QR of `G_Z`, `C`'s first |Z| rows (its `[Z, N]` block),
+    /// and `H` with `T̂`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FoldSystem::build`].
+    pub(crate) fn full(g: MatRef<'_>, kernel: &SweepKernel) -> Result<Self> {
+        let rows: Vec<usize> = (0..g.nrows()).collect();
+        let mut sys = FoldSystem::default();
+        sys.build(g, kernel, &rows, &[])?;
+        let (nz, nt) = (sys.gz.nrows(), rows.len());
+        let c = Matrix::from_row_major(nz, nt, sys.c.as_slice()[..nz * nt].to_vec())?;
+        Ok(FoldSystem {
+            gz: sys.gz,
+            gz_tau: sys.gz_tau,
+            c,
+            s: sys.s,
+            h_tau: sys.h_tau,
+            d: sys.d,
+            e: sys.e,
+            ..FoldSystem::default()
+        })
+    }
+
+    /// Solves the full-data MAP system of a [`FoldSystem::full`] system
+    /// for the response `f` at `hyper`, with the prior family `kind`
+    /// (zero-mean drops the prior mean of `terms`, which must come from
+    /// the kernel the system was built from), returning the M
+    /// coefficients:
+    ///
+    /// ```text
+    /// y → [Q_Zᵀy; x = (T̂ + hI)⁻¹ HᵀNᵀy],   α_Z = R⁻¹(Q_Zᵀy − C[Z,N]·H x),
+    /// α_F = μ_F + A_F⁻¹ G_Fᵀ N H x
+    /// ```
+    ///
+    /// `T̂ + hI` is factorized through
+    /// [`factor_shifted_ldl_ladder`]: a refused factorization is
+    /// retried at `h + ridge` on the ladder's jitter rungs, and the
+    /// returned [`Resilience`] reports the rung, the ridge and the pivot
+    /// ratio. This is the one back-projection: the batch engine's final
+    /// solve, [`map_estimate`]'s fast solver for a prior with missing
+    /// entries, and [`MapSweep::solve_with_kind`] all call it.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::SampleShape`] when `f` is not one value per row, and
+    /// [`BmfError::Linalg`] when every ladder rung is refused.
+    pub(crate) fn solve(
+        &self,
+        g: MatRef<'_>,
+        terms: &PriorTerms,
+        f: &[f64],
+        hyper: f64,
+        kind: PriorKind,
+    ) -> Result<(Vector, Resilience)> {
+        let (nz, n, nt) = (self.gz.nrows(), self.d.len(), self.c.ncols());
+        if f.len() != nt || terms.g_mu.len() != nt {
+            return Err(BmfError::SampleShape {
+                detail: format!("{nt} system rows vs {} values", f.len()),
+            });
+        }
+        let nzm = kind == PriorKind::NonZeroMean;
+        // y → [Q_Zᵀy; Hᵀ Nᵀ y] → [Q_Zᵀy; x] → [Q_Zᵀy; H x].
+        let mut y: Vec<f64> = f
+            .iter()
+            .zip(&terms.g_mu)
+            .map(|(fi, mu)| if nzm { fi - mu } else { *fi })
+            .collect();
+        let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
+        let h = Reflectors::new(&self.s, &self.h_tau, 1);
+        q.apply_qt_in_place(&mut y, &mut [0.0])?;
+        h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
+        let (mut piv, mut l) = (vec![0.0; n], vec![0.0; n.saturating_sub(1)]);
+        let policy = LadderPolicy::default();
+        let res = factor_shifted_ldl_ladder(&self.d, &self.e, hyper, &mut piv, &mut l, &policy)?;
+        let (uz, x) = y.split_at_mut(nz);
+        tridiagonal::ldl_solve_in_place(&piv, &l, x)?;
+        h.apply_q_in_place(x, &mut [0.0])?;
+        // α_Z = R⁻¹(Q_Zᵀy − C[Z,N] H x), with R = (Rᵀ)ᵀ from `gz`.
+        let mut alpha_z = vec![0.0; nz];
+        let c_zn = MatRef::strided(&self.c.as_slice()[nz..], nz, n, nt)?;
+        matvec_into(c_zn, x, &mut alpha_z)?;
+        for (t, u) in alpha_z.iter_mut().zip(uz.iter()) {
+            *t = u - *t;
+        }
+        let rt = MatRef::strided(self.gz.as_slice(), nz, nz, nt)?;
+        bmf_linalg::solve_lower_transpose(rt, &mut alpha_z)?;
+        // α_F = μ_F + A_F⁻¹ G_Fᵀ N H x, with N H x = Q [0; H x].
+        uz.fill(0.0);
+        q.apply_q_in_place(&mut y, &mut [0.0])?;
+        let mut out = vec![0.0; g.ncols()];
+        matvec_transpose_into(g, &y, &mut out)?;
+        for (i, o) in out.iter_mut().enumerate() {
+            if terms.a[i] > 0.0 {
+                *o = *o / terms.a[i] + if nzm { terms.prior_mean[i] } else { 0.0 };
+            }
+        }
+        for (&z, &v) in terms.missing.iter().zip(&alpha_z) {
+            out[z] = v;
+        }
+        Ok((Vector::from(out), res))
     }
 
     /// Sweeps one `(prior pattern, fold)` pair: builds the system of
@@ -457,7 +718,7 @@ impl FoldSystem {
         let wt = MatRef::from_row_major(&self.vt.as_slice()[nz * nv..], n, nv)?;
         let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
         let h = Reflectors::new(&self.s, &self.h_tau, 1);
-        let (g_mu, floor) = (&kernel.g_mu, LadderPolicy::default().rcond_floor);
+        let (g_mu, floor) = (&kernel.terms.g_mu, LadderPolicy::default().rcond_floor);
         for (ri, f) in responses.iter().enumerate() {
             let val_norm = fold
                 .validate
@@ -518,26 +779,26 @@ impl<'g> MapSweep<'g> {
     /// rank deficient.
     pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
         let kernel = SweepKernel::new(g, prior)?;
-        let rows: Vec<usize> = (0..g.nrows()).collect();
-        let mut system = FoldSystem::default();
-        system.build(g, &kernel, &rows, &[])?;
-        Ok(MapSweep { g, kernel, system })
+        let system = FoldSystem::full(g, &kernel)?;
+        let terms = kernel.terms;
+        Ok(MapSweep { g, terms, system })
     }
 
     /// Solves the MAP system for one hyper-parameter value and response
     /// vector `f`, with the prior family `kind` (zero-mean drops the
     /// prior mean) whatever the prior this sweep was built from: both
     /// families share the sweep, since their precisions are identical.
+    /// A `T̂ + hyper·I` singular to working precision is solved on a ridge
+    /// rung of the degradation ladder ([`factor_shifted_ldl_ladder`]).
     ///
     /// # Errors
     ///
     /// Returns [`BmfError::SampleShape`] on a length mismatch,
     /// [`BmfError::NonFiniteInput`] when `f` holds NaN or ±∞,
     /// [`BmfError::Config`] when `hyper` is not positive and finite, and
-    /// [`BmfError::Linalg`] when `T̂ + hyper·I` is singular to working
-    /// precision.
+    /// [`BmfError::Linalg`] when every ladder rung is refused.
     pub fn solve_with_kind(&self, f: &Vector, hyper: f64, kind: PriorKind) -> Result<Vector> {
-        let (k, m) = self.g.shape();
+        let k = self.g.nrows();
         if f.len() != k {
             return Err(BmfError::SampleShape {
                 detail: format!("{k} design rows vs {} values", f.len()),
@@ -545,51 +806,9 @@ impl<'g> MapSweep<'g> {
         }
         crate::screen::finite_values("response values", f.as_slice())?;
         validate_hyper(hyper)?;
-        let nzm = kind == PriorKind::NonZeroMean;
-        let (kernel, sys) = (&self.kernel, &self.system);
-        let (nz, n) = (sys.gz.nrows(), sys.d.len());
-        // y → [Q_Zᵀy; Hᵀ Nᵀ y] → [Q_Zᵀy; x] → [Q_Zᵀy; H x].
-        let mut y: Vec<f64> = f
-            .iter()
-            .zip(&kernel.g_mu)
-            .map(|(fi, mu)| if nzm { fi - mu } else { *fi })
-            .collect();
-        let q = Reflectors::new(&sys.gz, &sys.gz_tau, 0);
-        let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
-        q.apply_qt_in_place(&mut y, &mut [0.0])?;
-        h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
-        let (mut piv, mut l) = (vec![0.0; n], vec![0.0; n.saturating_sub(1)]);
-        let floor = LadderPolicy::default().rcond_floor;
-        tridiagonal::ldl_shifted_into(&sys.d, &sys.e, hyper, floor, &mut piv, &mut l)?;
-        let (uz, x) = y.split_at_mut(nz);
-        tridiagonal::ldl_solve_in_place(&piv, &l, x)?;
-        h.apply_q_in_place(x, &mut [0.0])?;
-        // α_Z = R⁻¹(Q_Zᵀy − C[Z,N] H x), with R = (Rᵀ)ᵀ from `gz`.
-        let mut alpha_z = vec![0.0; nz];
-        matvec_into(
-            MatRef::strided(&sys.c.as_slice()[nz..], nz, n, k)?,
-            x,
-            &mut alpha_z,
-        )?;
-        for (t, u) in alpha_z.iter_mut().zip(uz.iter()) {
-            *t = u - *t;
-        }
-        let rt = MatRef::strided(sys.gz.as_slice(), nz, nz, k)?;
-        bmf_linalg::solve_lower_transpose(rt, &mut alpha_z)?;
-        // α_F = μ_F + A_F⁻¹ G_Fᵀ N H x, with N H x = Q [0; H x].
-        uz.fill(0.0);
-        q.apply_q_in_place(&mut y, &mut [0.0])?;
-        let mut out = vec![0.0; m];
-        matvec_transpose_into(self.g, &y, &mut out)?;
-        for (i, o) in out.iter_mut().enumerate() {
-            if kernel.a[i] > 0.0 {
-                *o = *o / kernel.a[i] + if nzm { kernel.prior_mean[i] } else { 0.0 };
-            }
-        }
-        for (&z, &v) in kernel.missing.iter().zip(&alpha_z) {
-            out[z] = v;
-        }
-        Ok(Vector::from(out))
+        let (g, terms) = (self.g, &self.terms);
+        let (alpha, _) = self.system.solve(g, terms, f.as_slice(), hyper, kind)?;
+        Ok(alpha)
     }
 }
 
@@ -610,9 +829,10 @@ impl<'g> MapSweep<'g> {
 ///
 /// * The structural conditions of [`map_estimate`], and
 ///   [`BmfError::Config`] when `hyper` is not positive and finite.
-/// * [`BmfError::Config`] when the prior has missing entries
-///   (their posterior variance requires the augmented path — use
-///   [`posterior_covariance`] at small M).
+/// * [`BmfError::Config`] when the prior has missing entries (the
+///   Woodbury identity needs `D⁻¹`, and the sample-space solver yields
+///   coefficients, not variances — use [`posterior_covariance`] at
+///   small M).
 pub fn posterior_variance_diag(g: &Matrix, prior: &Prior, hyper: f64) -> Result<Vec<f64>> {
     validate_hyper(hyper)?;
     let (k, m) = g.shape();

@@ -18,8 +18,9 @@
 use bmf_linalg::woodbury::WoodburyScratch;
 use bmf_linalg::{LadderScratch, Matrix};
 
-/// Scratch for one MAP solve: the right-hand side and the assembled core
-/// system.
+/// Scratch for one MAP solve on the direct or Woodbury path: the
+/// right-hand side and the assembled core system. (A missing-prior fast
+/// solve reads its pattern's full-data system instead.)
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MapScratch {
     /// `Gᵀf + prior contribution` (length M).

@@ -58,7 +58,7 @@ pub use lu::{lu_factor_in_place, lu_solve_into, Lu};
 pub use matrix::Matrix;
 pub use qr::{qr_in_place, Qr, Reflectors};
 pub use resilience::{
-    factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, FactorKind, LadderPolicy,
+    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, FactorKind, LadderPolicy,
     LadderScratch, Resilience,
 };
 pub use triangular::{solve_lower, solve_lower_transpose, solve_upper};

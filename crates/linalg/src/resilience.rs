@@ -1,4 +1,5 @@
-//! Solver degradation ladder: Cholesky → jittered Cholesky → pivoted LU.
+//! Solver degradation ladder: Cholesky → jittered Cholesky → pivoted LU,
+//! and its jitter rungs for shifted tridiagonal systems.
 //!
 //! The BMF fitting stack solves symmetric (semi-)definite systems whose
 //! conditioning is controlled by data the library does not choose: tiny
@@ -9,9 +10,9 @@
 //! finally falls back to pivoted LU, reporting exactly how far it had to
 //! escalate:
 //!
-//! * **Rung 0** — plain Cholesky (or plain LU for indefinite systems).
-//!   Accepted whenever the factorization succeeds, so inputs that solved
-//!   before the ladder existed produce bit-identical results.
+//! * **Rung 0** — plain Cholesky. Accepted whenever the factorization
+//!   succeeds, so inputs that solved before the ladder existed produce
+//!   bit-identical results.
 //! * **Rungs 1..=J** — restore the matrix and retry with a ridge
 //!   `initial_ridge_rel · scale · growth^(rung-1)` added to the diagonal,
 //!   where `scale` is the mean absolute diagonal of the original matrix.
@@ -19,6 +20,11 @@
 //!   when the reciprocal-condition estimate clears
 //!   [`LadderPolicy::rcond_floor`]; otherwise the system is declared
 //!   [`LinalgError::Unsolvable`].
+//!
+//! [`factor_shifted_ldl_ladder`] climbs the same jitter rungs for
+//! `T + ηI` with a symmetric tridiagonal `T` (the sample-space final
+//! solve of a missing-prior fit), adding the ridge to the shift; it has
+//! no LU rung.
 //!
 //! Any rung above 0 is a *degraded* solve: the caller gets an answer to a
 //! deliberately perturbed (or less numerically stable) problem, and the
@@ -31,6 +37,7 @@
 use crate::cholesky::cholesky_in_place;
 use crate::lu::{lu_factor_in_place, lu_solve_into};
 use crate::triangular::{solve_lower, solve_lower_transpose};
+use crate::tridiagonal::ldl_shifted_into;
 use crate::{LinalgError, Matrix, Result};
 
 /// Tuning knobs for the degradation ladder.
@@ -182,14 +189,11 @@ fn restore(a: &mut Matrix, scratch: &LadderScratch) {
     a.as_mut_slice().copy_from_slice(&scratch.backup);
 }
 
-/// Mean absolute diagonal of the snapshot, the ridge scale. Falls back to
-/// 1.0 for an all-zero diagonal so the ridge is still nonzero.
-fn ridge_scale(scratch: &LadderScratch, n: usize) -> f64 {
-    let mut acc = 0.0;
-    for i in 0..n {
-        acc += scratch.backup[i * n + i].abs();
-    }
-    let mean = acc / n as f64;
+/// Mean absolute value of the `n` diagonal entries `diag`, the ridge
+/// scale. Falls back to 1.0 for an all-zero (or non-finite) diagonal so
+/// the ridge is still nonzero.
+fn ridge_scale(diag: impl Iterator<Item = f64>, n: usize) -> f64 {
+    let mean = diag.fold(0.0, |acc, x| acc + x.abs()) / n as f64;
     if mean > 0.0 && mean.is_finite() {
         mean
     } else {
@@ -240,7 +244,7 @@ pub fn factor_spd_ladder(
         Err(e) => return Err(e),
     }
     if n > 0 {
-        let scale = ridge_scale(scratch, n);
+        let scale = ridge_scale((0..n).map(|i| scratch.backup[i * n + i]), n);
         let mut ridge = policy.initial_ridge_rel * scale;
         for rung in 1..=policy.max_jitter_rungs {
             restore(a, scratch);
@@ -295,62 +299,79 @@ pub fn factor_spd_ladder(
     }
 }
 
-/// LU-based ladder for square systems that are indefinite by construction
-/// (the augmented missing-prior systems of §IV-B): rung 0 is plain pivoted
-/// LU; rungs `1..=max_jitter_rungs` retry with a geometric diagonal ridge.
-/// The factor in `a` is always LU — solve with [`lu_solve_into`] against
-/// `perm`, or via [`ladder_solve_in_place`] with [`FactorKind::Lu`].
+/// Factors the shifted symmetric tridiagonal `T + shift·I = L D Lᵀ`
+/// (see [`ldl_shifted_into`], with [`LadderPolicy::rcond_floor`] as its
+/// pivot-ratio gate) through the jitter rungs of the ladder: rung 0 is
+/// the plain factorization; when it is refused, rungs
+/// `1..=max_jitter_rungs` retry at `shift + ridge`, with
+/// `ridge = initial_ridge_rel · scale · ridge_growth^(rung−1)` and
+/// `scale` the mean absolute diagonal of `T + shift·I` (1.0 when that is
+/// zero or not finite). There is no LU rung: a refused factorization
+/// means `T + shift·I` is singular to working precision, which a ridge
+/// repairs. `piv` and `l` receive the accepted factor; solve against it
+/// with [`crate::tridiagonal::ldl_solve_in_place`]. The
+/// reciprocal-condition estimate is `min/max` of the pivots,
+/// `(min/max L_ii)²` of the equivalent Cholesky factor.
 ///
 /// # Errors
 ///
-/// * [`LinalgError::NotSquare`] / [`LinalgError::NonFinite`] — invalid
-///   input; no escalation.
-/// * [`LinalgError::Unsolvable`] — singular at every rung.
-pub fn factor_lu_ladder(
-    a: &mut Matrix,
-    perm: &mut Vec<usize>,
-    scratch: &mut LadderScratch,
+/// * [`LinalgError::DimensionMismatch`] on inconsistent lengths; no
+///   escalation.
+/// * [`LinalgError::Unsolvable`] when every rung is refused.
+pub fn factor_shifted_ldl_ladder(
+    d: &[f64],
+    e: &[f64],
+    shift: f64,
+    piv: &mut [f64],
+    l: &mut [f64],
     policy: &LadderPolicy,
 ) -> Result<Resilience> {
-    let (n, c) = a.shape();
-    if n != c {
-        return Err(LinalgError::NotSquare { rows: n, cols: c });
+    let floor = policy.rcond_floor;
+    let refused = |r: Result<()>| match r {
+        Ok(()) => Ok(false),
+        Err(LinalgError::NotPositiveDefinite { .. } | LinalgError::Unsolvable { .. }) => Ok(true),
+        Err(e) => Err(e),
+    };
+    if !refused(ldl_shifted_into(d, e, shift, floor, piv, l))? {
+        return Ok(Resilience::clean(pivot_ratio(piv)));
     }
-    snapshot(a, scratch);
-    match lu_factor_in_place(a, perm) {
-        Ok(_sign) => return Ok(Resilience::clean(rcond_from_lu(a))),
-        Err(LinalgError::Singular { .. }) => {}
-        Err(e) => return Err(e),
-    }
+    let n = d.len();
     if n > 0 {
-        let scale = ridge_scale(scratch, n);
+        let scale = ridge_scale(d.iter().map(|x| x + shift), n);
         let mut ridge = policy.initial_ridge_rel * scale;
         for rung in 1..=policy.max_jitter_rungs {
-            restore(a, scratch);
-            add_ridge(a, ridge);
-            match lu_factor_in_place(a, perm) {
-                Ok(_sign) => {
-                    return Ok(Resilience {
-                        rung,
-                        ridge,
-                        rcond: rcond_from_lu(a),
-                        lu_fallback: false,
-                    })
-                }
-                Err(LinalgError::Singular { .. }) => ridge *= policy.ridge_growth,
-                Err(e) => return Err(e),
+            if !refused(ldl_shifted_into(d, e, shift + ridge, floor, piv, l))? {
+                return Ok(Resilience {
+                    rung,
+                    ridge,
+                    rcond: pivot_ratio(piv),
+                    lu_fallback: false,
+                });
             }
+            ridge *= policy.ridge_growth;
         }
     }
     Err(LinalgError::Unsolvable {
-        op: "lu ladder",
+        op: "shifted ldl ladder",
         rcond: 0.0,
     })
 }
 
+/// `min/max` of positive pivots, 1.0 for none.
+fn pivot_ratio(piv: &[f64]) -> f64 {
+    let (lo, hi) = piv.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &p| {
+        (lo.min(p), hi.max(p))
+    });
+    if piv.is_empty() {
+        1.0
+    } else {
+        lo / hi
+    }
+}
+
 /// Solves `A x = b` in place against a factor produced by
-/// [`factor_spd_ladder`] or [`factor_lu_ladder`], overwriting `x` (which
-/// holds `b` on entry) with the solution.
+/// [`factor_spd_ladder`], overwriting `x` (which holds `b` on entry) with
+/// the solution.
 ///
 /// # Errors
 ///
@@ -382,6 +403,7 @@ pub fn ladder_solve_in_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tridiagonal::ldl_solve_in_place;
     use crate::Vector;
 
     fn spd(n: usize) -> Matrix {
@@ -518,58 +540,63 @@ mod tests {
         assert!(matches!(err, LinalgError::NonFinite { .. }));
     }
 
-    #[test]
-    fn lu_ladder_clean_path_matches_plain_lu() {
-        let a =
-            Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[3.0, 1.0, -1.0], &[1.0, 0.0, 4.0]]).unwrap();
-        let mut plain = a.clone();
-        let mut plain_perm = Vec::new();
-        lu_factor_in_place(&mut plain, &mut plain_perm).unwrap();
+    /// `(d, e)` of the symmetric tridiagonal with diagonal `d` and unit
+    /// off-diagonal.
+    fn unit_tridiagonal(d: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        (d.to_vec(), vec![1.0; d.len().saturating_sub(1)])
+    }
 
-        let mut laddered = a;
-        let mut perm = Vec::new();
-        let mut scratch = LadderScratch::new();
-        let res = factor_lu_ladder(
-            &mut laddered,
-            &mut perm,
-            &mut scratch,
-            &LadderPolicy::default(),
-        )
-        .unwrap();
+    #[test]
+    fn ldl_ladder_clean_path_matches_plain_ldl() {
+        let (d, e) = unit_tridiagonal(&[4.0, 3.0, 5.0, 2.5]);
+        let (mut piv, mut l) = (vec![0.0; 4], vec![0.0; 3]);
+        ldl_shifted_into(&d, &e, 0.5, 1e-14, &mut piv, &mut l).unwrap();
+        let (mut lpiv, mut ll) = (vec![f64::NAN; 4], vec![f64::NAN; 3]);
+        let policy = LadderPolicy::default();
+        let res = factor_shifted_ldl_ladder(&d, &e, 0.5, &mut lpiv, &mut ll, &policy).unwrap();
         assert_eq!(res.rung, 0);
-        assert_eq!(perm, plain_perm);
-        let same = plain
-            .as_slice()
-            .iter()
-            .zip(laddered.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same);
+        assert_eq!(res.ridge, 0.0);
+        assert!(!res.lu_fallback);
+        assert!(res.rcond > 0.0 && res.rcond <= 1.0);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lpiv), bits(&piv));
+        assert_eq!(bits(&ll), bits(&l));
     }
 
     #[test]
-    fn lu_ladder_rescues_exactly_singular_system() {
-        // Duplicated rows: exactly singular, a diagonal ridge separates
-        // them.
-        let mut a =
-            Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], &[0.0, 1.0, 0.0]]).unwrap();
-        let mut perm = Vec::new();
-        let mut scratch = LadderScratch::new();
-        let res =
-            factor_lu_ladder(&mut a, &mut perm, &mut scratch, &LadderPolicy::default()).unwrap();
+    fn ldl_ladder_rescues_exactly_singular_system() {
+        // [[1, 1], [1, 1]] is singular: the second pivot is exactly 0 at
+        // shift 0, and a ridge separates the eigenvalues from it.
+        let (d, e) = unit_tridiagonal(&[1.0, 1.0]);
+        let (mut piv, mut l) = (vec![0.0; 2], vec![0.0; 1]);
+        let policy = LadderPolicy::default();
+        let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy).unwrap();
         assert!(res.is_degraded());
-        assert!(res.ridge > 0.0);
+        // The pivot ratio, ≈ 2·ridge, must clear the floor: rung 1's
+        // 1e-10 does.
+        assert_eq!(res.rung, 1);
+        assert_eq!(res.ridge, policy.initial_ridge_rel);
+        let mut x = vec![1.0, 1.0];
+        ldl_solve_in_place(&piv, &l, &mut x).unwrap();
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]
-    fn zero_matrix_lu_ladder_is_degraded_not_unsolvable() {
-        // ridge·I is trivially nonsingular, so the ladder reports a
-        // degraded solve of the regularized system.
-        let mut a = Matrix::zeros(3, 3);
-        let mut perm = Vec::new();
-        let mut scratch = LadderScratch::new();
-        let res =
-            factor_lu_ladder(&mut a, &mut perm, &mut scratch, &LadderPolicy::default()).unwrap();
+    fn zero_ldl_ladder_is_degraded_not_unsolvable() {
+        // T = 0 at shift 0: ridge·I is trivially definite, so the ladder
+        // reports a degraded solve of the regularized system, on a ridge
+        // relative to the fallback scale 1.0.
+        let (d, e) = (vec![0.0; 3], vec![0.0; 2]);
+        let (mut piv, mut l) = (vec![0.0; 3], vec![0.0; 2]);
+        let policy = LadderPolicy::default();
+        let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy).unwrap();
         assert!(res.is_degraded());
+        assert_eq!(res.ridge, policy.initial_ridge_rel);
+        assert_eq!(res.rcond, 1.0);
+        // A negative-definite T no bounded ridge repairs is unsolvable.
+        let d = vec![-1.0; 3];
+        let err = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy).unwrap_err();
+        assert!(matches!(err, LinalgError::Unsolvable { .. }));
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! where it accumulates), so stale workspace contents never leak into
 //! results.
 
+use std::ops::Range;
+
 use crate::{LinalgError, Matrix, Result};
 
 /// An immutable view of a row-major `f64` matrix.
@@ -453,14 +455,7 @@ pub fn gram_into(a: MatRef<'_>, mut out: MatMut<'_>) -> Result<()> {
             }
         }
     }
-    // Mirror the upper triangle.
-    for i in 0..m {
-        for j in (i + 1)..m {
-            let v = out.row_mut(i)[j];
-            out.row_mut(j)[i] = v;
-        }
-    }
-    Ok(())
+    mirror_upper_into(out)
 }
 
 /// Outer Gram matrix `out = a * D * aᵀ` for diagonal `D`, writing into a
@@ -468,23 +463,15 @@ pub fn gram_into(a: MatRef<'_>, mut out: MatMut<'_>) -> Result<()> {
 ///
 /// Every entry is bit-identical to [`dot3`] of its two rows, which the
 /// sequential engine relies on when it grows the same matrix row by
-/// row. Each row's upper-triangle entries are computed four at a time,
-/// one left-to-right accumulator each, so the add chains overlap; no
-/// entry's sum is reassociated.
+/// row: the upper triangle is [`outer_gram_diag_band_into`] over every
+/// row, mirrored into the lower one.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::DimensionMismatch`] when `diag.len() !=
 /// a.ncols()` (op `"outer_gram_diag"`) or `out` is not
 /// `a.nrows() × a.nrows()`.
-pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) -> Result<()> {
-    if diag.len() != a.ncols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "outer_gram_diag",
-            lhs: a.shape(),
-            rhs: (diag.len(), 1),
-        });
-    }
+pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], out: MatMut<'_>) -> Result<()> {
     let k = a.nrows();
     if out.shape() != (k, k) {
         return Err(LinalgError::DimensionMismatch {
@@ -493,8 +480,48 @@ pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) ->
             rhs: out.shape(),
         });
     }
+    outer_gram_diag_band_into(a, diag, 0..k, out.data)?;
+    mirror_upper_into(out)
+}
+
+/// Rows `rows` of the upper triangle of `a * D * aᵀ`: entry `(i, j)`,
+/// `i ∈ rows`, `j ≥ i`, lands at `band[(i − rows.start)·K + j]` with
+/// `K = a.nrows()`; entries left of the diagonal are not written.
+///
+/// Each entry is one left-to-right [`dot3`] sum of its two rows, bit for
+/// bit, so a matrix assembled from any split of its rows into bands (on
+/// any number of threads) has the same bits. Each row's entries are
+/// computed four at a time, one accumulator each, so the add chains
+/// overlap; no entry's sum is reassociated.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::DimensionMismatch`] when `diag.len() !=
+/// a.ncols()` (op `"outer_gram_diag"`), or `rows` runs past `K` or
+/// `band` does not hold `rows.len()` rows of `K`.
+pub fn outer_gram_diag_band_into(
+    a: MatRef<'_>,
+    diag: &[f64],
+    rows: Range<usize>,
+    band: &mut [f64],
+) -> Result<()> {
+    if diag.len() != a.ncols() {
+        return Err(LinalgError::DimensionMismatch {
+            op: "outer_gram_diag",
+            lhs: a.shape(),
+            rhs: (diag.len(), 1),
+        });
+    }
+    let k = a.nrows();
+    if rows.end > k || rows.start > rows.end || band.len() != rows.len() * k {
+        return Err(LinalgError::DimensionMismatch {
+            op: "outer_gram_diag_band_into (band)",
+            lhs: (rows.len(), k),
+            rhs: (band.len(), rows.end),
+        });
+    }
     let m = diag.len();
-    for i in 0..k {
+    for (i, out) in rows.zip(band.chunks_exact_mut(k.max(1))) {
         let ri = &a.row(i)[..m];
         let mut j = i;
         while j + 4 <= k {
@@ -513,16 +540,31 @@ pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) ->
                 s[2] += p * r2[t] * d;
                 s[3] += p * r3[t] * d;
             }
-            for (c, &v) in s.iter().enumerate() {
-                out.row_mut(i)[j + c] = v;
-                out.row_mut(j + c)[i] = v;
-            }
+            out[j..j + 4].copy_from_slice(&s);
             j += 4;
         }
-        for j in j..k {
-            let s = dot3(ri, a.row(j), diag);
-            out.row_mut(i)[j] = s;
-            out.row_mut(j)[i] = s;
+        for (o, j) in out[j..].iter_mut().zip(j..) {
+            *o = dot3(ri, a.row(j), diag);
+        }
+    }
+    Ok(())
+}
+
+/// Copies the strict upper triangle of the square `out` onto its lower
+/// triangle, completing a matrix whose upper triangle was written by
+/// [`outer_gram_diag_band_into`].
+///
+/// # Errors
+///
+/// Returns [`LinalgError::NotSquare`] when `out` is not square.
+pub fn mirror_upper_into(out: MatMut<'_>) -> Result<()> {
+    let (k, c) = out.shape();
+    if k != c {
+        return Err(LinalgError::NotSquare { rows: k, cols: c });
+    }
+    for i in 0..k {
+        for j in (i + 1)..k {
+            out.data[j * k + i] = out.data[i * k + j];
         }
     }
     Ok(())
@@ -530,10 +572,11 @@ pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) ->
 
 /// Diagonally weighted dot product `Σᵢ a[i]·b[i]·diag[i]`, accumulated
 /// left to right from `+0`, each term `(a[i]·b[i])·diag[i]` — one entry
-/// of `A·D·Aᵀ`, which [`outer_gram_diag_into`] reproduces bit for bit
-/// (its blocked loop keeps this order and association, its remainder
-/// calls this). The sequential fitting engine uses it to grow the
-/// Woodbury core one row at a time with entries bit-identical to the
+/// of `A·D·Aᵀ`, which [`outer_gram_diag_band_into`] (and so
+/// [`outer_gram_diag_into`]) reproduces bit for bit in any split into
+/// row bands: its blocked loop keeps this order and association, its
+/// remainder calls this. The sequential fitting engine uses it to grow
+/// the Woodbury core one row at a time with entries bit-identical to the
 /// batch-assembled matrix.
 ///
 /// Iteration stops at the shortest of the three slices, mirroring the

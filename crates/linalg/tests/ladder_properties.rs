@@ -10,11 +10,14 @@
 //!   input — re-running the ladder on the same matrix reproduces them
 //!   exactly, which is what makes seeded fault-injection reproducible;
 //! * well-conditioned inputs never engage the ladder: rung 0, zero
-//!   ridge, and a solution bit-identical across repeated runs.
+//!   ridge, and a solution bit-identical across repeated runs;
+//! * an exactly singular shifted tridiagonal is rescued by the shifted
+//!   LDLᵀ ladder's ridge rungs, deterministically.
 
+use bmf_linalg::tridiagonal::ldl_solve_in_place;
 use bmf_linalg::{
-    factor_lu_ladder, factor_spd_ladder, ladder_solve_in_place, LadderPolicy, LadderScratch,
-    Matrix, Vector,
+    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, LadderPolicy,
+    LadderScratch, Matrix, Vector,
 };
 use bmf_stat::prop::{check, DEFAULT_CASES};
 use bmf_stat::rng::Rng;
@@ -162,34 +165,43 @@ fn well_conditioned_spd_never_engages_the_ladder() {
 }
 
 #[test]
-fn lu_ladder_handles_duplicated_row_systems() {
+fn ldl_ladder_handles_exactly_singular_tridiagonals() {
     check(
-        "lu_ladder_handles_duplicated_row_systems",
+        "ldl_ladder_handles_exactly_singular_tridiagonals",
         DEFAULT_CASES,
         |rng| {
+            // A diagonally dominant tridiagonal with one zero row and
+            // column: pivot k is exactly zero at shift 0, so rung 0 is
+            // refused deterministically, while the rest of the spectrum
+            // stays well conditioned.
             let n = 3 + (rng.next_u64() % 4) as usize;
-            let mut a = matrix(rng, n, n);
-            // Duplicate a row: the system becomes exactly singular.
-            let src = rng.gen_index(n);
-            let dst = (src + 1) % n;
-            for j in 0..n {
-                let v = a[(src, j)];
-                a[(dst, j)] = v;
+            let mut e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut d: Vec<f64> = (0..n).map(|_| rng.gen_range(3.0..10.0)).collect();
+            let k = rng.gen_index(n);
+            d[k] = 0.0;
+            if k > 0 {
+                e[k - 1] = 0.0;
             }
-            let b = vector(rng, n);
-            let mut f = a.clone();
-            let mut perm = Vec::new();
-            let mut scratch = LadderScratch::new();
+            if k + 1 < n {
+                e[k] = 0.0;
+            }
             let policy = LadderPolicy::default();
-            // The ladder must come back with a structured outcome either
-            // way; a duplicated-row system is rescuable by a jittered LU.
-            let res = factor_lu_ladder(&mut f, &mut perm, &mut scratch, &policy)
-                .expect("jittered LU must rescue a duplicated-row system");
+            let (mut piv, mut l) = (vec![0.0; n], vec![0.0; n - 1]);
+            let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy)
+                .expect("a ridge must rescue an exactly singular tridiagonal");
             assert!(res.rung >= 1, "exact singularity cannot stay on rung 0");
             assert!(res.ridge > 0.0);
-            let mut x = b;
-            ladder_solve_in_place(bmf_linalg::FactorKind::Lu, &f, &perm, &mut scratch, &mut x)
-                .expect("solve");
+            assert!(!res.lu_fallback);
+            // The rung, ridge and factor are a pure function of the input.
+            let (mut piv2, mut l2) = (vec![f64::NAN; n], vec![f64::NAN; n - 1]);
+            let again = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv2, &mut l2, &policy)
+                .expect("same input, same outcome");
+            assert_eq!(again, res);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&piv2), bits(&piv));
+            assert_eq!(bits(&l2), bits(&l));
+            let mut x = vector(rng, n);
+            ldl_solve_in_place(&piv, &l, &mut x).expect("solve");
             assert!(x.iter().all(|v| v.is_finite()));
         },
     );

@@ -12,9 +12,11 @@
 //! * the blocked kernels (`matvec_into`, `outer_gram_diag_into`) and the
 //!   blocked `lu_factor_in_place` equal scalar references written out
 //!   below — one accumulator per entry, left to right, and the indexed
-//!   elimination loop.
+//!   elimination loop;
+//! * `outer_gram_diag_band_into` over any split into row bands,
+//!   mirrored, equals the whole `outer_gram_diag_into` product.
 
-use bmf_linalg::woodbury::{solve_diag_plus_gram_semidefinite_into, WoodburyScratch};
+use bmf_linalg::woodbury::{solve_diag_plus_gram_into, WoodburyScratch};
 use bmf_linalg::{
     cholesky_in_place, dot3, is_exact_zero, lu_factor_in_place, lu_solve_into, solve_lower,
     solve_lower_transpose, view, Cholesky, LinalgError, Lu, MatRef, Matrix, Vector,
@@ -256,7 +258,7 @@ fn lu_in_place_bitwise_equals_owned_solve() {
 /// reused scratch and a row-subset view must reproduce bit for bit.
 fn woodbury_fresh(d: &[f64], g: MatRef<'_>, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let mut out = vec![f64::NAN; rhs.len()];
-    solve_diag_plus_gram_semidefinite_into(d, 1.0, g, rhs, &mut WoodburyScratch::new(), &mut out)?;
+    solve_diag_plus_gram_into(d, 1.0, g, rhs, &mut WoodburyScratch::new(), &mut out)?;
     Ok(out)
 }
 
@@ -274,8 +276,9 @@ fn woodbury_into_bitwise_equals_owned_with_reused_scratch() {
             let m = k + 1 + rng.gen_index(8);
             let g = matrix(rng, k, m);
             let mut d: Vec<f64> = (0..m).map(|_| rng.gen_range(0.1..5.0)).collect();
-            // Sometimes a semidefinite system (zero precisions), sometimes
-            // strictly positive — both paths share the scratch.
+            // Sometimes a zero precision, which the solver refuses,
+            // sometimes strictly positive: a refusal must leave the shared
+            // scratch as usable as a fresh one.
             for _ in 0..rng.gen_index(3) {
                 let z = rng.gen_index(m);
                 d[z] = 0.0;
@@ -285,14 +288,8 @@ fn woodbury_into_bitwise_equals_owned_with_reused_scratch() {
             let fresh = woodbury_fresh(&d, g.as_view(), &rhs);
             out.clear();
             out.resize(m, f64::NAN);
-            let reused = solve_diag_plus_gram_semidefinite_into(
-                &d,
-                1.0,
-                g.as_view(),
-                &rhs,
-                &mut scratch,
-                &mut out,
-            );
+            let reused =
+                solve_diag_plus_gram_into(&d, 1.0, g.as_view(), &rhs, &mut scratch, &mut out);
             match (fresh, reused) {
                 (Ok(a), Ok(_res)) => assert_bits_eq(&out, &a),
                 (Err(_), Err(_)) => {}
@@ -320,15 +317,8 @@ fn woodbury_into_on_row_subset_equals_owned_on_copy() {
 
             let on_copy = woodbury_fresh(&d, copied.as_view(), &rhs).unwrap();
             let mut out = vec![f64::NAN; m];
-            solve_diag_plus_gram_semidefinite_into(
-                &d,
-                1.0,
-                g.rows_view(&idx),
-                &rhs,
-                &mut scratch,
-                &mut out,
-            )
-            .unwrap();
+            solve_diag_plus_gram_into(&d, 1.0, g.rows_view(&idx), &rhs, &mut scratch, &mut out)
+                .unwrap();
             assert_bits_eq(&out, &on_copy);
         },
     );
@@ -495,6 +485,37 @@ fn outer_gram_diag_into_bitwise_equals_dot3_for_every_block_remainder() {
                     }
                 }
             }
+        },
+    );
+}
+
+#[test]
+fn outer_gram_diag_bands_bitwise_equal_the_whole_product() {
+    check(
+        "outer_gram_diag_bands_bitwise_equal_the_whole_product",
+        DEFAULT_CASES,
+        |rng| {
+            let k = rng.gen_index(14);
+            let cols = rng.gen_index(11);
+            let m = matrix(rng, k, cols);
+            let diag: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.1..5.0)).collect();
+            let diag = with_zeros(rng, diag);
+            let mut whole = Matrix::zeros(k, k);
+            view::outer_gram_diag_into(m.as_view(), &diag, whole.as_view_mut()).unwrap();
+            // Random cut points, each band written into its rows of one
+            // matrix, then the lower triangle mirrored.
+            let mut cuts: Vec<usize> = (0..rng.gen_index(4))
+                .map(|_| rng.gen_index(k + 1))
+                .collect();
+            cuts.extend([0, k]);
+            cuts.sort_unstable();
+            let mut banded = Matrix::from_fn(k, k, |_, _| f64::NAN);
+            for w in cuts.windows(2) {
+                let band = &mut banded.as_mut_slice()[w[0] * k..w[1] * k];
+                view::outer_gram_diag_band_into(m.as_view(), &diag, w[0]..w[1], band).unwrap();
+            }
+            view::mirror_upper_into(banded.as_view_mut()).unwrap();
+            assert_bits_eq(banded.as_slice(), whole.as_slice());
         },
     );
 }

@@ -1,32 +1,49 @@
 //! Golden pin of the BMF-PS fit path: two seeded wide problems (K = 60
 //! samples, M = 400 linear terms), one whose priors leave 10 terms
-//! missing (augmented LU Woodbury core in the final solve) and one fully
-//! informed (Cholesky core), each fitted through `BmfFitter::fit` and
-//! through a 3-job `BatchFitter::fit` at one and two threads.
+//! missing (sample-space final solve: the back-projection of the
+//! pattern's full-data system) and one fully informed (Woodbury
+//! Cholesky core), each fitted through `BmfFitter::fit` and through a
+//! 3-job `BatchFitter::fit` at one and two threads.
 //!
-//! Every fit is folded into two FNV-1a hashes. The full hash covers the
-//! bits of its coefficients, the chosen hyper-parameter, the CV error,
-//! both families' CV curves, the chosen prior family and every
-//! `FitCounters` field; it was last recorded when the cross-validation
-//! sweep moved to the sample-space tridiagonal system, which changes the
-//! CV curves at rounding level. The pick hash covers the same fits
-//! without any CV error; it was recorded before that change and held
-//! through it, so the (family, hyper-parameter) picks, the final
-//! coefficients and the work counters were untouched. A change that
-//! alters any output bit or any work counter fails here.
+//! Every fit is folded into three FNV-1a hashes:
 //!
-//! Each problem has one constant pair. `BmfFitter::fit` is a one-job run
-//! of the batch engine, so serial ≡ batch holds by construction: the
-//! three serial fits hash to the batch constants, kernel-cache misses
-//! included (a single fit counts one miss per usable fold, as the first
-//! job of each prior pattern in a batch does).
+//! * the full hash: the bits of its coefficients, the chosen
+//!   hyper-parameter, the CV error, both families' CV curves, the chosen
+//!   prior family and every `FitCounters` field;
+//! * the pick hash: the same without any CV error;
+//! * the choice hash: the chosen family, the hyper-parameter bits and
+//!   every `FitCounters` field, with no coefficient and no CV error.
+//!
+//! The choice hashes were recorded before the kernels moved to one
+//! shared floor gram per point set and the missing-prior final solve to
+//! sample space, and held through that change, as did both hashes of
+//! the fully informed problem: its final solve kept the Woodbury core,
+//! and its dense priors keep forming their kernels directly (the floor
+//! gram serves priors whose entries mostly sit on the floor, as an OMP
+//! early model's do). The missing-prior full and pick hashes were
+//! re-pinned then, because the sample-space final solve moves those
+//! coefficients at rounding level. A change that alters any output bit
+//! or any work counter fails here.
+//!
+//! Two oracles pin the final solve itself: every fit's coefficients
+//! equal `map_estimate`'s bit for bit (with sparsified priors too, which
+//! read the floor gram), and the missing-prior fast solver agrees with
+//! the direct one within 1e-10.
+//!
+//! `BmfFitter::fit` is a one-job run of the batch engine, so serial ≡
+//! batch holds by construction: the three serial fits hash to the batch
+//! constants, kernel-cache misses included (a single fit counts one miss
+//! per usable fold, as the first job of each prior pattern in a batch
+//! does).
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
-use bmf_core::fusion::{BmfFit, BmfFitter};
+use bmf_core::fusion::{response_scale, BmfFit, BmfFitter};
 use bmf_core::hyper::CvOutcome;
+use bmf_core::map_estimate::{map_estimate, SolverKind};
 use bmf_core::options::FitOptions;
-use bmf_core::prior::PriorKind;
+use bmf_core::prior::{Prior, PriorKind};
+use bmf_linalg::Vector;
 use bmf_stat::fnv::fnv1a_u64;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::seeded;
@@ -37,7 +54,7 @@ const JOBS: usize = 3;
 const MISSING_PER_JOB: usize = 10;
 
 /// Hash of the three fits of the missing-prior problem.
-const MISSING_BATCH: u64 = 0x0131_965a_7825_fa54;
+const MISSING_BATCH: u64 = 0xb569_b04f_2416_a500;
 /// Hash of the three fits of the fully informed problem.
 const INFORMED_BATCH: u64 = 0xa5f7_b6a6_a48f_0727;
 
@@ -45,8 +62,15 @@ const INFORMED_BATCH: u64 = 0xa5f7_b6a6_a48f_0727;
 /// chosen hyper-parameter and `FitCounters` only, leaving out every CV
 /// error. A sweep that moves the CV curves at rounding level, but picks
 /// the same (family, hyper-parameter) and does the same work, keeps them.
-const MISSING_BATCH_PICKS: u64 = 0xc534_e29a_f3a4_b355;
+const MISSING_BATCH_PICKS: u64 = 0x5e36_2cd3_a97d_a1b1;
 const INFORMED_BATCH_PICKS: u64 = 0x69e2_5182_a166_c63c;
+
+/// Choice hashes: each fit's chosen family, hyper-parameter and
+/// `FitCounters`, with no coefficient and no CV error. A change that
+/// moves coefficients or CV curves at rounding level, but makes the same
+/// choices with the same work, keeps them.
+const MISSING_BATCH_CHOICES: u64 = 0x2744_9a3e_ea1c_7bed;
+const INFORMED_BATCH_CHOICES: u64 = 0x1955_6177_2bd4_c7f9;
 
 struct Problem {
     points: Vec<Vec<f64>>,
@@ -131,6 +155,12 @@ fn hash_picks(mut h: u64, fit: &BmfFit) -> u64 {
     hash_counters(h, fit)
 }
 
+fn hash_choices(mut h: u64, fit: &BmfFit) -> u64 {
+    h = fnv1a_u64(h, kind_bits(fit.prior_kind));
+    h = fnv1a_u64(h, fit.hyper.to_bits());
+    hash_counters(h, fit)
+}
+
 fn hash_counters(mut h: u64, fit: &BmfFit) -> u64 {
     let c = &fit.counters;
     for v in [
@@ -148,14 +178,22 @@ fn hash_counters(mut h: u64, fit: &BmfFit) -> u64 {
     h
 }
 
-/// Folds fits into their (full, pick) hash pair.
-fn hash_fits<'a>(fits: impl IntoIterator<Item = &'a BmfFit>) -> (u64, u64) {
-    fits.into_iter().fold((0, 0), |(full, picks), fit| {
-        (hash_fit(full, fit), hash_picks(picks, fit))
-    })
+/// Folds fits into their (full, pick, choice) hashes.
+fn hash_fits<'a>(fits: impl IntoIterator<Item = &'a BmfFit>) -> Hashes {
+    fits.into_iter()
+        .fold((0, 0, 0), |(full, picks, choices), fit| {
+            (
+                hash_fit(full, fit),
+                hash_picks(picks, fit),
+                hash_choices(choices, fit),
+            )
+        })
 }
 
-fn serial_hash(p: &Problem) -> (u64, u64) {
+/// `(full, pick, choice)` hashes of a problem's fits.
+type Hashes = (u64, u64, u64);
+
+fn serial_hash(p: &Problem) -> Hashes {
     let basis = OrthonormalBasis::linear(VARS);
     let fits: Vec<BmfFit> = p
         .jobs
@@ -170,7 +208,7 @@ fn serial_hash(p: &Problem) -> (u64, u64) {
     hash_fits(&fits)
 }
 
-fn batch_hash(p: &Problem, threads: usize) -> (u64, u64) {
+fn batch_hash(p: &Problem, threads: usize) -> Hashes {
     let jobs = p
         .jobs
         .iter()
@@ -185,15 +223,21 @@ fn batch_hash(p: &Problem, threads: usize) -> (u64, u64) {
 }
 
 /// Checks the serial fits and the batch at one and two threads against
-/// the one constant pair; the pick hashes first, so a fit whose
-/// (family, hyper-parameter) pick or work counters moved is reported as
-/// such rather than as a CV-curve change.
-fn check(p: &Problem, (full, picks): (u64, u64)) {
-    let (serial_full, serial_picks) = serial_hash(p);
+/// the problem's constants: the choice hash first, then the pick hash,
+/// so a fit whose (family, hyper-parameter) choice or work counters
+/// moved is reported as such, and a coefficient change is told apart
+/// from a CV-curve change.
+fn check(p: &Problem, (full, picks, choices): Hashes) {
+    let (serial_full, serial_picks, serial_choices) = serial_hash(p);
+    assert_eq!(serial_choices, choices, "serial BmfFitter::fit choice hash");
     assert_eq!(serial_picks, picks, "serial BmfFitter::fit pick hash");
     assert_eq!(serial_full, full, "serial BmfFitter::fit hash");
     for threads in [1, 2] {
-        let (batch_full, batch_picks) = batch_hash(p, threads);
+        let (batch_full, batch_picks, batch_choices) = batch_hash(p, threads);
+        assert_eq!(
+            batch_choices, choices,
+            "batch choice hash at {threads} threads"
+        );
         assert_eq!(batch_picks, picks, "batch pick hash at {threads} threads");
         assert_eq!(batch_full, full, "batch hash at {threads} threads");
     }
@@ -204,7 +248,10 @@ fn missing_prior_fits_match_golden_bits() {
     let p = problem(0x5EED_0001, MISSING_PER_JOB);
     let missing = p.jobs[0].0.iter().filter(|e| e.is_none()).count();
     assert_eq!(missing, MISSING_PER_JOB);
-    check(&p, (MISSING_BATCH, MISSING_BATCH_PICKS));
+    check(
+        &p,
+        (MISSING_BATCH, MISSING_BATCH_PICKS, MISSING_BATCH_CHOICES),
+    );
 }
 
 #[test]
@@ -214,5 +261,93 @@ fn fully_informed_fits_match_golden_bits() {
         .jobs
         .iter()
         .all(|(early, _)| early.iter().all(Option::is_some)));
-    check(&p, (INFORMED_BATCH, INFORMED_BATCH_PICKS));
+    check(
+        &p,
+        (INFORMED_BATCH, INFORMED_BATCH_PICKS, INFORMED_BATCH_CHOICES),
+    );
+}
+
+/// An OMP-like copy of `early`: every seventh term kept, the others
+/// exactly zero, so they sit on the prior floor and the kernel is formed
+/// from the shared floor gram.
+fn sparsified(early: &[Option<f64>]) -> Vec<Option<f64>> {
+    early
+        .iter()
+        .enumerate()
+        .map(|(i, e)| e.map(|a| if i % 7 == 0 { a } else { 0.0 }))
+        .collect()
+}
+
+/// The final-solve contract: a fit's coefficients are `map_estimate`'s
+/// (fast solver) at the fit's chosen family and hyper-parameter, in the
+/// normalized space the fit reports its hyper-parameter in, bit for bit.
+/// A missing prior takes the sample-space path in both, a fully informed
+/// one the Woodbury core in both. Each prior also runs sparsified, whose
+/// kernel reads the floor gram; a two-thread batch, which splits that
+/// gram into two row bands, must give the same bits.
+#[test]
+fn final_solve_equals_map_estimate_bit_for_bit() {
+    let basis = OrthonormalBasis::linear(VARS);
+    for (seed, missing) in [(0x5EED_0001, MISSING_PER_JOB), (0x5EED_0002, 0)] {
+        let p = problem(seed, missing);
+        let (early, values) = &p.jobs[0];
+        for early in [early.clone(), sparsified(early)] {
+            let fit = BmfFitter::new(basis.clone(), early.clone())
+                .unwrap()
+                .fit(&p.points, values)
+                .unwrap();
+            let g = basis.design_matrix(p.points.iter().map(|x| x.as_slice()));
+            let scale = response_scale(values);
+            let f = Vector::from_fn(values.len(), |i| values[i] / scale);
+            let prior = Prior::new(
+                PriorKind::NonZeroMean,
+                early.iter().map(|v| v.map(|a| a / scale)).collect(),
+            );
+            let alpha = map_estimate(
+                &g,
+                &f,
+                &prior.with_kind(fit.prior_kind),
+                &FitOptions::new().hyper(fit.hyper),
+            )
+            .unwrap();
+            let want: Vec<u64> = alpha.iter().map(|a| (a * scale).to_bits()).collect();
+            let got: Vec<u64> = fit.model.coeffs().iter().map(|c| c.to_bits()).collect();
+            assert_eq!(got, want, "missing = {missing}");
+            let batch = BatchFitter::new(basis.clone())
+                .with_options(FitOptions::new().threads(2))
+                .job(BatchJob::new("job", early, values.clone()))
+                .fit(&p.points)
+                .unwrap();
+            let banded: Vec<u64> = batch.fits[0]
+                .model
+                .coeffs()
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            assert_eq!(banded, want, "two-thread batch, missing = {missing}");
+        }
+    }
+}
+
+/// The fast solver of a missing-prior problem agrees with the direct
+/// M × M Cholesky solve within 1e-10 relative, for both families over
+/// four decades of the hyper-parameter.
+#[test]
+fn missing_prior_fast_solver_matches_direct() {
+    let basis = OrthonormalBasis::linear(VARS);
+    let p = problem(0x5EED_0001, MISSING_PER_JOB);
+    let g = basis.design_matrix(p.points.iter().map(|x| x.as_slice()));
+    let (early, values) = &p.jobs[0];
+    let f = Vector::from(values.clone());
+    for kind in [PriorKind::ZeroMean, PriorKind::NonZeroMean] {
+        let prior = Prior::new(kind, early.clone());
+        assert_eq!(prior.num_zero_precision(), MISSING_PER_JOB);
+        for hyper in [1e-4, 1e-2, 1.0, 1e2] {
+            let opts = FitOptions::new().hyper(hyper);
+            let fast = map_estimate(&g, &f, &prior, &opts).unwrap();
+            let direct = map_estimate(&g, &f, &prior, &opts.solver(SolverKind::Direct)).unwrap();
+            let rel = fast.sub(&direct).unwrap().norm2() / direct.norm2();
+            assert!(rel <= 1e-10, "{kind:?} at {hyper}: {rel:e}");
+        }
+    }
 }
