@@ -49,7 +49,7 @@ impl GaussHermite {
         // off-diagonal sqrt(k).
         let off: Vec<f64> = (1..n).map(|k| (k as f64).sqrt()).collect();
         let diag = vec![0.0; n];
-        // bmf-lint: allow(no-panic-paths) -- the lengths match by construction and QL converges on this well-separated spectrum
+        // bmf-lint: allow(panic-reachability) -- the lengths match by construction and QL converges on this well-separated spectrum
         let (values, first) = tridiagonal::eigen_first(&diag, &off).expect("Hermite Jacobi matrix");
         // Weights: first-row components squared (total mass 1 for the
         // normalized normal weight).

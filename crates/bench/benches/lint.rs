@@ -1,5 +1,5 @@
 //! Bench: the flow-aware analyzer over this workspace, reported as
-//! counters and a virtual cost; see `bmf_bench::lint_study`.
+//! deterministic counters; see `bmf_bench::lint_study`.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench lint             # full

@@ -735,7 +735,7 @@ where
         .into_iter()
         // The atomic cursor hands out each index in 0..n exactly once, so
         // every slot is filled by construction.
-        // bmf-lint: allow(no-panic-paths) -- the atomic cursor fills every slot; an empty one is unreachable by construction
+        // bmf-lint: allow(panic-reachability) -- the atomic cursor fills every slot; an empty one is unreachable by construction
         .map(|s| s.unwrap_or_else(|| unreachable!("every task index is claimed exactly once")))
         .collect()
 }

@@ -28,7 +28,7 @@
 //! lists sorted, so the graph — and the `--emit=callgraph` dump built
 //! from it — is byte-deterministic for a given workspace state.
 
-use crate::parse::{Callee, FnItem};
+use crate::scan::{Callee, FnItem};
 use std::collections::BTreeMap;
 
 /// The workspace call graph over parsed function items.
@@ -331,7 +331,6 @@ fn resolve_method(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
     use crate::scan::FileModel;
     use crate::SourceFile;
 
@@ -342,8 +341,7 @@ mod tests {
                 path: path.to_string(),
                 text: src.to_string(),
             };
-            let model = FileModel::build(&file.text);
-            nodes.extend(parse_file(&file, &model));
+            FileModel::build(file, &mut nodes);
         }
         CallGraph::build(nodes)
     }

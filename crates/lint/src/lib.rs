@@ -5,17 +5,16 @@
 //! `_into`/`_in_place` kernels — that used to be policed by grep lines
 //! and scattered clippy attributes. This crate replaces that with a
 //! token-level analyzer (no false positives from comments or string
-//! literals) and a rule engine with a committed, diff-aware baseline:
-//! pre-existing justified findings are pinned in `lint-baseline.toml`,
-//! and only *new* findings fail the gate.
+//! literals), a workspace call graph, and one rule engine. Any finding
+//! fails the gate: the only way to accept one is an inline suppression
+//! next to the code it justifies.
 //!
-//! Pipeline: [`lexer`] tokenizes, [`scan::FileModel`] recovers structure
-//! (test spans, fn bodies, inner attributes, suppressions), [`parse`]
-//! lifts function items with their calls and sinks, [`callgraph`]
-//! resolves a workspace-wide call graph, [`rules`] (file rules and
-//! flow-aware graph rules over [`reach`]) produce
-//! [`findings::Finding`]s, [`baseline`] diffs them against the pinned
-//! set, and [`report`] renders human or JSON output.
+//! Pipeline: [`lexer`] tokenizes, [`scan::FileModel`] models each file in
+//! one pass (test spans, inner attributes, suppressions, and the fn items
+//! with their calls and sinks), [`callgraph`] resolves a workspace-wide
+//! call graph over the items, every [`rules::Rule`] checks the whole
+//! [`Analysis`] and produces [`findings::Finding`]s, and [`report`]
+//! renders human or JSON output.
 //!
 //! Inline suppressions take the form
 //! `// bmf-lint: allow(<rule>) -- <reason>` on the offending line or the
@@ -29,18 +28,17 @@
 //!     "fn f(x: Option<u32>) -> u32 { x.unwrap() }",
 //! );
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].rule, "no-panic-paths");
+//! assert_eq!(findings[0].rule, "panic-reachability");
+//! assert_eq!((findings[0].line, findings[0].col), (1, 33));
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod findings;
 pub mod lexer;
-pub mod parse;
 pub mod reach;
 pub mod report;
 pub mod rules;
@@ -48,14 +46,15 @@ pub mod scan;
 pub mod workspace;
 
 use findings::{line_snippet, Finding};
-use rules::{all_rule_ids, all_rules, graph_rules};
-use scan::FileModel;
+use rules::all_rules;
+use scan::{FileModel, FnItem};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 /// One source file presented to the rules: its workspace-relative path
 /// (rules scope themselves by crate from it) and its full text.
+#[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -63,46 +62,32 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// One analyzed file: its source plus the structural model.
-pub struct AnalyzedFile {
-    /// The source file.
-    pub source: SourceFile,
-    /// The token/structure model the rules query.
-    pub model: FileModel,
-}
-
 /// The whole-workspace analysis: every file's model plus the call graph
-/// over the parsed function items. File rules see one file at a time;
-/// graph rules see this.
+/// over their fn items. Every rule checks this.
 pub struct Analysis {
-    /// Analyzed files, in deterministic (sorted-path) order.
-    pub files: Vec<AnalyzedFile>,
-    /// The workspace call graph.
+    /// Per-file models, in deterministic (sorted-path) order.
+    pub files: Vec<FileModel>,
+    /// The workspace call graph; its nodes are the files' fn items, in
+    /// file order.
     pub graph: callgraph::CallGraph,
     by_path: BTreeMap<String, usize>,
 }
 
 impl Analysis {
-    /// Builds the analysis: per-file models, parsed items, call graph.
+    /// Builds the analysis: one model per file, then the call graph.
     pub fn build(sources: Vec<SourceFile>) -> Analysis {
-        let files: Vec<AnalyzedFile> = sources
+        let mut items = Vec::new();
+        let files: Vec<FileModel> = sources
             .into_iter()
-            .map(|source| {
-                let model = FileModel::build(&source.text);
-                AnalyzedFile { source, model }
-            })
+            .map(|source| FileModel::build(source, &mut items))
             .collect();
-        let mut nodes = Vec::new();
-        for f in &files {
-            nodes.extend(parse::parse_file(&f.source, &f.model));
-        }
         let by_path = files
             .iter()
             .enumerate()
             .map(|(i, f)| (f.source.path.clone(), i))
             .collect();
         Analysis {
-            graph: callgraph::CallGraph::build(nodes),
+            graph: callgraph::CallGraph::build(items),
             files,
             by_path,
         }
@@ -110,21 +95,25 @@ impl Analysis {
 
     /// The structural model for a workspace-relative path, if analyzed.
     pub fn model_for(&self, path: &str) -> Option<&FileModel> {
-        self.by_path.get(path).map(|&i| &self.files[i].model)
+        self.by_path.get(path).map(|&i| &self.files[i])
+    }
+
+    /// The innermost non-test fn item of `file` whose body contains the
+    /// byte offset.
+    pub fn enclosing_fn(&self, file: &FileModel, byte: usize) -> Option<&FnItem> {
+        // Items are in body-start order, so the innermost enclosing body
+        // is the last one starting at or before `byte` that contains it.
+        let fns = &self.graph.nodes[file.fns.clone()];
+        let upto = fns.partition_point(|f| f.body.0 <= byte);
+        fns[..upto].iter().rev().find(|f| byte < f.body.1)
     }
 }
 
-/// Runs every file rule and every graph rule over the analysis, applies
-/// suppressions, and appends `malformed-suppression` findings. Sorted by
-/// `(file, line, col, rule)`.
+/// Runs every rule over the analysis, applies suppressions, and appends
+/// `malformed-suppression` findings. Sorted by `(file, line, col, rule)`.
 pub fn lint_analysis(analysis: &Analysis) -> Vec<Finding> {
     let mut raw = Vec::new();
-    for f in &analysis.files {
-        for rule in all_rules() {
-            rule.check(&f.source, &f.model, &mut raw);
-        }
-    }
-    for rule in graph_rules() {
+    for rule in all_rules() {
         rule.check(analysis, &mut raw);
     }
     let mut out: Vec<Finding> = raw
@@ -136,29 +125,31 @@ pub fn lint_analysis(analysis: &Analysis) -> Vec<Finding> {
         })
         .collect();
 
-    let known = all_rule_ids();
     for f in &analysis.files {
-        for m in &f.model.malformed {
+        let malformed = f
+            .malformed
+            .iter()
+            .map(|m| (m.line, m.col, m.problem.clone()));
+        let unknown = f
+            .suppressions
+            .iter()
+            .filter(|s| !all_rules().iter().any(|r| r.id() == s.rule))
+            .map(|s| {
+                (
+                    s.line,
+                    1,
+                    format!("suppression names unknown rule `{}`", s.rule),
+                )
+            });
+        for (line, col, message) in malformed.chain(unknown) {
             out.push(Finding {
                 rule: "malformed-suppression".to_string(),
                 file: f.source.path.clone(),
-                line: m.line,
-                col: m.col,
-                message: m.problem.clone(),
-                snippet: line_snippet(&f.source.text, m.line),
+                line,
+                col,
+                message,
+                snippet: line_snippet(&f.source.text, line),
             });
-        }
-        for s in &f.model.suppressions {
-            if !known.contains(&s.rule.as_str()) {
-                out.push(Finding {
-                    rule: "malformed-suppression".to_string(),
-                    file: f.source.path.clone(),
-                    line: s.line,
-                    col: 1,
-                    message: format!("suppression names unknown rule `{}`", s.rule),
-                    snippet: line_snippet(&f.source.text, s.line),
-                });
-            }
         }
     }
     out.sort_by_key(Finding::sort_key);
@@ -169,8 +160,8 @@ pub fn lint_analysis(analysis: &Analysis) -> Vec<Finding> {
 /// path label. Returns the surviving findings, sorted by
 /// `(file, line, col, rule)`: rule output minus well-formed suppressions,
 /// plus a `malformed-suppression` finding for every suppression comment
-/// that lacks its reason or names an unknown rule. Graph rules run over
-/// the one-file call graph, so fixtures exercise them too.
+/// that lacks its reason or names an unknown rule. The call-graph rules
+/// run over the one-file graph, so fixtures exercise them too.
 pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     let analysis = Analysis::build(vec![SourceFile {
         path: path.to_string(),
@@ -214,7 +205,7 @@ mod tests {
 
     #[test]
     fn suppression_silences_a_finding() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // bmf-lint: allow(no-panic-paths) -- demo\n    x.unwrap()\n}\n";
+        let src = "fn f(x: Option<u32>) -> u32 {\n    // bmf-lint: allow(panic-reachability) -- demo\n    x.unwrap()\n}\n";
         let findings = lint_source("crates/core/src/example.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }

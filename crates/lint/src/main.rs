@@ -1,9 +1,8 @@
-//! The `bmf-lint` binary: lints the workspace against the committed
-//! baseline and exits nonzero on new findings.
+//! The `bmf-lint` binary: lints the workspace and exits nonzero on any
+//! finding.
 //!
 //! ```text
-//! bmf-lint [--root DIR] [--baseline FILE] [--format human|json]
-//!          [--write-baseline] [--deny-stale] [--list-rules]
+//! bmf-lint [--root DIR] [--format human|json] [--list-rules]
 //!          [--emit callgraph] [--explain RULE]
 //! ```
 //!
@@ -12,187 +11,131 @@
 //! are byte-deterministic. `--explain <rule>` prints the long-form
 //! description of one rule.
 //!
-//! Exit codes: `0` clean, `1` new findings (or stale baseline entries
-//! under `--deny-stale`), `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error. A reader
+//! that closes the output early (`bmf-lint --emit=callgraph | head`)
+//! ends the write quietly and leaves the exit code as it was.
 
 #![forbid(unsafe_code)]
 
-use bmf_lint::baseline::{self, BaselineEntry};
 use bmf_lint::report;
-use bmf_lint::rules::{all_rules, explain_rule, graph_rules};
+use bmf_lint::rules::{all_rules, explain_rule};
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "bmf-lint [--root DIR] [--format human|json] [--list-rules]\n\
+                     \x20        [--emit callgraph] [--explain RULE]\n";
+
 struct Options {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: bool,
-    write_baseline: bool,
-    deny_stale: bool,
     list_rules: bool,
     emit_callgraph: bool,
     explain: Option<String>,
+    help: bool,
 }
 
+/// Splits `--flag=value` into its parts; a bare `--flag` takes the next
+/// argument as its value when it needs one.
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        baseline: None,
         json: false,
-        write_baseline: false,
-        deny_stale: false,
         list_rules: false,
         emit_callgraph: false,
         explain: None,
+        help: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => {
-                opts.root = PathBuf::from(args.next().ok_or("--root needs a directory")?);
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a file")?));
-            }
-            "--format" => match args.next().as_deref() {
-                Some("json") => opts.json = true,
-                Some("human") => opts.json = false,
-                other => return Err(format!("--format must be human or json, got {other:?}")),
-            },
-            _ if arg.starts_with("--format=") => match &arg["--format=".len()..] {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+            _ => (arg, None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .ok_or(format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--root" => opts.root = PathBuf::from(value()?),
+            "--format" => match value()?.as_str() {
                 "json" => opts.json = true,
                 "human" => opts.json = false,
                 other => return Err(format!("--format must be human or json, got `{other}`")),
             },
-            "--write-baseline" => opts.write_baseline = true,
-            "--deny-stale" => opts.deny_stale = true,
-            "--list-rules" => opts.list_rules = true,
-            "--emit" => match args.next().as_deref() {
-                Some("callgraph") => opts.emit_callgraph = true,
-                other => return Err(format!("--emit supports callgraph, got {other:?}")),
-            },
-            _ if arg.starts_with("--emit=") => match &arg["--emit=".len()..] {
+            "--emit" => match value()?.as_str() {
                 "callgraph" => opts.emit_callgraph = true,
                 other => return Err(format!("--emit supports callgraph, got `{other}`")),
             },
-            "--explain" => {
-                opts.explain = Some(args.next().ok_or("--explain needs a rule name")?);
-            }
-            _ if arg.starts_with("--explain=") => {
-                opts.explain = Some(arg["--explain=".len()..].to_string());
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bmf-lint [--root DIR] [--baseline FILE] [--format human|json]\n\
-                     \x20        [--write-baseline] [--deny-stale] [--list-rules]\n\
-                     \x20        [--emit callgraph] [--explain RULE]"
-                );
-                std::process::exit(0);
-            }
+            "--explain" => opts.explain = Some(value()?),
+            "--list-rules" => opts.list_rules = true,
+            "--help" | "-h" => opts.help = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(opts)
 }
 
-fn run(opts: &Options) -> Result<bool, String> {
+/// Runs the requested mode: the text to print, and whether it is clean.
+fn run(opts: &Options) -> Result<(String, bool), String> {
+    if opts.help {
+        return Ok((USAGE.to_string(), true));
+    }
     if opts.list_rules {
-        for rule in all_rules() {
-            println!("{:28} {}", rule.id(), rule.describe());
-        }
-        for rule in graph_rules() {
-            println!("{:28} {}", rule.id(), rule.describe());
-        }
-        return Ok(true);
+        let lines: String = all_rules()
+            .iter()
+            .map(|r| format!("{:28} {}\n", r.id(), r.describe()))
+            .collect();
+        return Ok((lines, true));
     }
     if let Some(rule) = &opts.explain {
-        let Some(text) = explain_rule(rule) else {
-            return Err(format!("no rule named `{rule}` (see --list-rules)"));
-        };
-        print!("{rule}: {text}");
-        return Ok(true);
+        let text = explain_rule(rule)
+            .ok_or_else(|| format!("no rule named `{rule}` (see --list-rules)"))?;
+        return Ok((format!("{rule}: {text}"), true));
     }
     if opts.emit_callgraph {
-        let analysis = bmf_lint::analyze_workspace(&opts.root)?;
-        let rendered = if opts.json {
-            analysis.graph.to_json()
+        let graph = bmf_lint::analyze_workspace(&opts.root)?.graph;
+        let dump = if opts.json {
+            graph.to_json()
         } else {
-            analysis.graph.to_dot()
+            graph.to_dot()
         };
-        print!("{rendered}");
-        return Ok(true);
+        return Ok((dump, true));
     }
-
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.toml"));
     let findings = bmf_lint::lint_workspace(&opts.root)?;
-
-    if opts.write_baseline {
-        let entries: Vec<BaselineEntry> = findings
-            .iter()
-            .map(|f| BaselineEntry {
-                rule: f.rule.clone(),
-                file: f.file.clone(),
-                fingerprint: f.fingerprint(),
-                note: "TODO: justify or fix".to_string(),
-            })
-            .collect();
-        std::fs::write(&baseline_path, baseline::render(&entries))
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "bmf-lint: wrote {} entr(ies) to {} — fill in the notes",
-            entries.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
-    let pinned = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
-        baseline::parse(&text).map_err(|e| format!("{}: {e}", baseline_path.display()))?
-    } else {
-        Vec::new()
-    };
-
-    let diff = baseline::diff(findings, &pinned);
     let rendered = if opts.json {
-        report::json(&diff)
+        report::json(&findings)
     } else {
-        report::human(&diff)
+        report::human(&findings)
     };
-    print!("{rendered}");
-
-    let failed = !diff.new.is_empty() || (opts.deny_stale && !diff.stale.is_empty());
-    if opts.deny_stale {
-        // Name the offending entries on stderr so a failing CI log says
-        // exactly which pins to delete, whatever --format is in effect.
-        for e in &diff.stale {
-            eprintln!(
-                "bmf-lint: stale baseline entry: rule={} file={} fingerprint={}",
-                e.rule, e.file, e.fingerprint
-            );
-        }
-    }
-    Ok(!failed)
+    Ok((rendered, findings.is_empty()))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
+    let (text, clean) = match parse_args().and_then(|opts| run(&opts)) {
+        Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("bmf-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    match run(&opts) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
         Err(e) => {
-            eprintln!("bmf-lint: {e}");
-            ExitCode::from(2)
+            eprintln!("bmf-lint: cannot write the report: {e}");
+            return ExitCode::from(2);
         }
+    }
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -1,8 +1,29 @@
-//! Reachability over the call graph: multi-source shortest distance to a
-//! sink set, with a deterministic witness successor per node so rules
-//! can print one concrete call chain per finding.
+//! Reachability over the call graph, and the two rules built on it:
+//! `panic-reachability` and `alloc-reachability`.
+//!
+//! The engine is a multi-source reverse BFS to a sink set, with a
+//! deterministic witness successor per node, so every finding can print
+//! one concrete call chain. The two rules are one body, [`ReachRule`],
+//! parameterized by sink kind, edge set, scope and root predicate. Each
+//! reports two kinds of finding, so a violation is reported once:
+//!
+//! - **own sink**: every live sink in the body of a function whose own
+//!   sinks count (any in-scope fn for panics, a kernel for allocations),
+//!   at the sink's line and column;
+//! - **through calls**: a root (a `pub fn`, or a kernel) with no live sink
+//!   of its own that reaches one through calls, at its `fn` line, with
+//!   the witness chain in the message.
+//!
+//! A sink is live unless an inline suppression for the rule covers its
+//! line; suppressing at a root's `fn` line accepts that root's
+//! through-calls finding only. Sinks outside fn bodies (constant
+//! initializers) are out of scope.
 
 use crate::callgraph::CallGraph;
+use crate::findings::{line_snippet, Finding};
+use crate::rules::{in_crates, Rule, FITTING_CRATES};
+use crate::scan::{FnItem, Sink, SinkKind};
+use crate::Analysis;
 
 /// Which edges a reverse BFS traverses.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -87,11 +108,190 @@ impl Reachability {
     }
 }
 
+/// A reachability rule; see the module docs.
+pub struct ReachRule {
+    id: &'static str,
+    describe: &'static str,
+    explain: &'static str,
+    kind: SinkKind,
+    edges: EdgeSet,
+    /// Fns the rule sees: traversal neither enters nor reports outside.
+    in_scope: fn(&FnItem) -> bool,
+    /// Fns whose own live sinks are findings.
+    owns: fn(&FnItem) -> bool,
+    /// Fns reported when they reach a sink only through calls.
+    is_root: fn(&FnItem) -> bool,
+    /// What an own-sink finding calls its fn, and the fix it suggests.
+    owner: &'static str,
+    advice: &'static str,
+    /// What a through-calls finding calls its root.
+    root: &'static str,
+}
+
+/// The fitting stack promises "structured error or degraded `Ok`, never a
+/// panic" (DESIGN.md §10).
+pub const PANIC_REACHABILITY: ReachRule = ReachRule {
+    id: "panic-reachability",
+    describe: "panic constructs in fitting-stack fns, and pub fns reaching one through calls",
+    explain: "The fitting stack promises `structured error or degraded Ok, never a panic` \
+              (DESIGN.md §10). Every `panic!`/`unreachable!`/`todo!`/`unimplemented!`/`.unwrap()`/\
+              `.expect()` in a non-test fitting-crate fn is reported where it is written, \
+              whatever the fn's visibility (trait impls such as `Display::fmt` and \
+              `Drop::drop` included). Every `pub fn` with no panic construct of its own \
+              that reaches one through the workspace call graph is reported at its `fn` \
+              line with one concrete call chain. Traversal follows every edge: weak \
+              method fan-out is how trait dispatch like `.evaluate(..)` is caught. An \
+              inline suppression on the sink line neutralizes the sink for every caller; \
+              one on a `pub fn` line accepts that entry point only. The graph \
+              over-approximates method calls, so treat a through-calls finding as \
+              `possibly panics` and fix or justify rather than ignore.",
+    kind: SinkKind::Panic,
+    edges: EdgeSet::All,
+    in_scope: |n| in_crates(&n.file, FITTING_CRATES),
+    owns: |_| true,
+    is_root: |n| n.is_pub,
+    owner: "fitting-stack fn",
+    advice: "return a structured error or handle the failing arm explicitly",
+    root: "pub fn",
+};
+
+/// `*_into`/`*_in_place` kernels and `GrowingCholesky` (the streaming
+/// engine's row-growth factor) write into caller-provided storage and
+/// allocate nothing (DESIGN.md §9).
+pub const ALLOC_REACHABILITY: ReachRule = ReachRule {
+    id: "alloc-reachability",
+    describe: "allocations in zero-allocation kernels (*_into/*_in_place/GrowingCholesky), \
+               direct or through calls",
+    explain: "`*_into`/`*_in_place` functions and `GrowingCholesky` methods advertise \
+              `writes into caller-provided storage, allocates nothing` — the contract \
+              behind the ~20x allocation reduction pinned by the alloc-budget benches. \
+              An allocating construct (`Vec::new`, `vec!`, `format!`, `.to_vec()`, \
+              `.clone()`, `.collect()`, `.push(..)`, ...) written in a kernel is reported \
+              where it is written; a kernel that delegates to an allocating helper is \
+              reported at its `fn` line with the witness chain. The sanctioned growth \
+              path is exempt: traversal does not descend into `reserve*`/`with_capacity*` \
+              helpers, where amortized allocation is the documented design. Traversal \
+              follows strong edges only (path calls, bare calls, impl-narrowed \
+              `self.m(..)`): weak method fan-out through ubiquitous names like `len` or \
+              `iter` would connect every kernel to some legal builder. Suppress on the \
+              allocating line for allocations that are provably outside the hot loop.",
+    kind: SinkKind::Alloc,
+    edges: EdgeSet::Strong,
+    in_scope: |n| {
+        in_crates(&n.file, FITTING_CRATES)
+            && !n.name.starts_with("reserve")
+            && !n.name.starts_with("with_capacity")
+    },
+    owns: is_kernel,
+    is_root: is_kernel,
+    owner: "zero-allocation kernel",
+    advice: "write into caller-provided scratch instead",
+    root: "kernel fn",
+};
+
+fn is_kernel(n: &FnItem) -> bool {
+    n.name.ends_with("_into")
+        || n.name.ends_with("_in_place")
+        || (n.self_ty == "GrowingCholesky" && !n.name.starts_with("reserve"))
+}
+
+impl ReachRule {
+    /// The sinks of `node` this rule follows that no suppression covers.
+    fn live_sinks<'a>(&self, analysis: &Analysis, node: &'a FnItem) -> Vec<&'a Sink> {
+        let Some(model) = analysis.model_for(&node.file) else {
+            return Vec::new();
+        };
+        node.sinks
+            .iter()
+            .filter(|s| s.kind == self.kind && !model.suppressed(self.id, s.line))
+            .collect()
+    }
+}
+
+impl Rule for ReachRule {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+
+    fn describe(&self) -> &'static str {
+        self.describe
+    }
+
+    fn explain(&self) -> &'static str {
+        self.explain
+    }
+
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
+        let g = &analysis.graph;
+        let allowed: Vec<bool> = g.nodes.iter().map(|n| (self.in_scope)(n)).collect();
+        let live: Vec<Vec<&Sink>> = g
+            .nodes
+            .iter()
+            .zip(&allowed)
+            .map(|(n, &ok)| {
+                if ok {
+                    self.live_sinks(analysis, n)
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let is_sink: Vec<bool> = live.iter().map(|s| !s.is_empty()).collect();
+        let r = to_sinks(g, &is_sink, &allowed, self.edges);
+        for (i, n) in g.nodes.iter().enumerate() {
+            if (self.owns)(n) {
+                let text = analysis.model_for(&n.file).map_or("", |m| &m.source.text);
+                for s in &live[i] {
+                    out.push(Finding {
+                        rule: self.id.to_string(),
+                        file: n.file.clone(),
+                        line: s.line,
+                        col: s.col,
+                        message: format!(
+                            "{} in {} `{}`; {}",
+                            s.what, self.owner, n.qualified, self.advice
+                        ),
+                        snippet: line_snippet(text, s.line),
+                    });
+                }
+            }
+            if !allowed[i] || is_sink[i] || !(self.is_root)(n) {
+                continue;
+            }
+            let witness = r.witness(i);
+            let Some(&sink_node) = witness.last() else {
+                continue;
+            };
+            let Some(sink) = live[sink_node].first() else {
+                continue;
+            };
+            let chain: Vec<&str> = witness
+                .iter()
+                .map(|&k| g.nodes[k].qualified.as_str())
+                .collect();
+            out.push(Finding {
+                rule: self.id.to_string(),
+                file: n.file.clone(),
+                line: n.line,
+                col: 1,
+                message: format!(
+                    "{} `{}` can reach {} at {}:{} via {}",
+                    self.root,
+                    n.qualified,
+                    sink.what,
+                    g.nodes[sink_node].file,
+                    sink.line,
+                    chain.join(" -> ")
+                ),
+                snippet: format!("<{} {}>", self.root, n.qualified),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::parse::parse_file;
     use crate::scan::FileModel;
     use crate::SourceFile;
 
@@ -100,8 +300,9 @@ mod tests {
             path: "crates/core/src/a.rs".to_string(),
             text: src.to_string(),
         };
-        let model = FileModel::build(&file.text);
-        CallGraph::build(parse_file(&file, &model))
+        let mut items = Vec::new();
+        FileModel::build(file, &mut items);
+        CallGraph::build(items)
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Reporters: human-readable text and machine-readable JSON.
 //!
 //! Both renderings are byte-deterministic for a given workspace state:
-//! findings are pre-sorted by `(file, line, col, rule)`, stale entries by
-//! their baseline sort key, and the JSON writer emits keys in a fixed
-//! order with no floating-point values. CI diffs the JSON bytes across
-//! runs, so determinism here is itself under test.
+//! findings are pre-sorted by `(file, line, col, rule)`, and the JSON
+//! writer emits keys in a fixed order with no floating-point values. CI
+//! diffs the JSON bytes across runs, so determinism here is itself under
+//! test.
 
-use crate::baseline::{BaselineDiff, BaselineEntry};
 use crate::findings::Finding;
 
 /// Renders the human report: one `file:line:col: [rule] message` block per
-/// new finding, stale-entry notices, and a one-line summary.
-pub fn human(diff: &BaselineDiff) -> String {
+/// finding and a one-line summary.
+pub fn human(findings: &[Finding]) -> String {
     let mut out = String::new();
-    for f in &diff.new {
+    for f in findings {
         out.push_str(&format!(
             "{}:{}:{}: [{}] {}\n",
             f.file, f.line, f.col, f.rule, f.message
@@ -22,83 +21,39 @@ pub fn human(diff: &BaselineDiff) -> String {
             out.push_str(&format!("    | {}\n", f.snippet));
         }
     }
-    for e in &diff.stale {
-        out.push_str(&format!(
-            "stale baseline entry: rule={} file={} fingerprint={} ({}) — the pinned finding \
-             is gone; delete the entry\n",
-            e.rule, e.file, e.fingerprint, e.note
-        ));
-    }
-    out.push_str(&format!(
-        "bmf-lint: {} new finding(s), {} baselined, {} stale baseline entr(ies)\n",
-        diff.new.len(),
-        diff.baselined,
-        diff.stale.len()
-    ));
+    out.push_str(&format!("bmf-lint: {} finding(s)\n", findings.len()));
     out
 }
 
 /// Renders the JSON report. Schema:
 ///
 /// ```json
-/// {"version":1,
-///  "new":[{"rule":..,"file":..,"line":..,"col":..,"message":..,
-///          "snippet":..,"fingerprint":..}],
-///  "baselined":N,
-///  "stale":[{"rule":..,"file":..,"fingerprint":..,"note":..}]}
+/// {"version":2,
+///  "findings":[{"rule":..,"file":..,"line":..,"col":..,"message":..,
+///               "snippet":..}]}
 /// ```
-pub fn json(diff: &BaselineDiff) -> String {
-    let mut out = String::from("{\"version\":1,\"new\":[");
-    for (i, f) in diff.new.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_finding(f));
-    }
-    out.push_str(&format!("],\"baselined\":{},\"stale\":[", diff.baselined));
-    for (i, e) in diff.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_stale(e));
-    }
-    out.push_str("]}");
-    out.push('\n');
-    out
+pub fn json(findings: &[Finding]) -> String {
+    let rendered: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{},\
+                 \"snippet\":{}}}",
+                escape_str(&f.rule),
+                escape_str(&f.file),
+                f.line,
+                f.col,
+                escape_str(&f.message),
+                escape_str(&f.snippet)
+            )
+        })
+        .collect();
+    format!("{{\"version\":2,\"findings\":[{}]}}\n", rendered.join(","))
 }
 
-fn json_finding(f: &Finding) -> String {
-    format!(
-        "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{},\"snippet\":{},\
-         \"fingerprint\":{}}}",
-        escape(&f.rule),
-        escape(&f.file),
-        f.line,
-        f.col,
-        escape(&f.message),
-        escape(&f.snippet),
-        escape(&f.fingerprint())
-    )
-}
-
-fn json_stale(e: &BaselineEntry) -> String {
-    format!(
-        "{{\"rule\":{},\"file\":{},\"fingerprint\":{},\"note\":{}}}",
-        escape(&e.rule),
-        escape(&e.file),
-        escape(&e.fingerprint),
-        escape(&e.note)
-    )
-}
-
-/// Crate-internal alias so other emitters (the call-graph dump) share
-/// the exact same JSON string escaping.
+/// Minimal JSON string escaping (quotes, backslash, control characters),
+/// shared with the call-graph dump.
 pub(crate) fn escape_str(s: &str) -> String {
-    escape(s)
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -119,7 +74,6 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::BaselineDiff;
 
     #[test]
     fn json_escapes_and_is_stable() {
@@ -131,13 +85,9 @@ mod tests {
             message: "quote \" and backslash \\".to_string(),
             snippet: "if x == 0.0 {\t}".to_string(),
         };
-        let diff = BaselineDiff {
-            new: vec![f],
-            baselined: 2,
-            stale: vec![],
-        };
-        let a = json(&diff);
-        let b = json(&diff);
+        let findings = [f];
+        let a = json(&findings);
+        let b = json(&findings);
         assert_eq!(a, b);
         assert!(a.contains("\\\""));
         assert!(a.contains("\\\\"));
@@ -147,12 +97,6 @@ mod tests {
 
     #[test]
     fn human_summarizes_counts() {
-        let diff = BaselineDiff {
-            new: vec![],
-            baselined: 4,
-            stale: vec![],
-        };
-        let text = human(&diff);
-        assert!(text.contains("0 new finding(s), 4 baselined, 0 stale"));
+        assert_eq!(human(&[]), "bmf-lint: 0 finding(s)\n");
     }
 }

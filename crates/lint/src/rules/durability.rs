@@ -23,9 +23,9 @@
 //! identifier), which matches how `store.rs` is written; a protocol
 //! split across helpers is checked where its events actually occur.
 
-use super::GraphRule;
+use super::Rule;
 use crate::findings::Finding;
-use crate::parse::{Callee, FnItem};
+use crate::scan::{Callee, FnItem};
 use crate::Analysis;
 
 /// See the module docs.
@@ -158,7 +158,7 @@ fn check_fn(node: &FnItem, out: &mut Vec<Finding>) {
     }
 }
 
-impl GraphRule for DurabilityOrdering {
+impl Rule for DurabilityOrdering {
     fn id(&self) -> &'static str {
         "durability-ordering"
     }

@@ -8,11 +8,10 @@
 //! `approx_eq`, or `ulps_eq` — whose whole purpose is to centralize the
 //! exact comparison behind a documented name.
 
-use super::{finding_at, in_crates, Rule, FITTING_CRATES};
+use super::{files_in, finding_at, Rule, FITTING_CRATES};
 use crate::findings::Finding;
 use crate::lexer::{is_float_literal, TokenKind};
-use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::Analysis;
 
 /// See the module docs.
 pub struct NoFloatEq;
@@ -30,44 +29,43 @@ impl Rule for NoFloatEq {
         "`==`/`!=` against a float literal outside approved `is_*` predicate helpers"
     }
 
-    fn check(&self, file: &SourceFile, model: &FileModel, out: &mut Vec<Finding>) {
-        if !in_crates(&file.path, FITTING_CRATES) {
-            return;
-        }
-        for ci in 0..model.code.len() {
-            let op = model.code_text(&file.text, ci);
-            if op != "==" && op != "!=" {
-                continue;
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
+        for file in files_in(analysis, FITTING_CRATES) {
+            for ci in 0..file.code.len() {
+                let op = file.text(ci);
+                if op != "==" && op != "!=" {
+                    continue;
+                }
+                let Some(tok) = file.tok(ci) else {
+                    continue;
+                };
+                if file.in_test(tok.start) {
+                    continue;
+                }
+                let float_neighbor = [ci.wrapping_sub(1), ci + 1].iter().any(|&ni| {
+                    file.tok(ni).is_some_and(|t| {
+                        t.kind == TokenKind::Number && is_float_literal(file.text(ni))
+                    })
+                });
+                if !float_neighbor {
+                    continue;
+                }
+                if analysis
+                    .enclosing_fn(file, tok.start)
+                    .is_some_and(|f| is_approved_helper(&f.name))
+                {
+                    continue;
+                }
+                out.push(finding_at(
+                    self.id(),
+                    file,
+                    tok,
+                    format!(
+                        "float literal compared with `{op}`; use a named predicate \
+                         (e.g. `is_exact_zero`) so the exact-comparison intent is explicit"
+                    ),
+                ));
             }
-            let Some(tok) = model.code_tok(ci) else {
-                continue;
-            };
-            if model.in_test(tok.start) {
-                continue;
-            }
-            let float_neighbor = [ci.wrapping_sub(1), ci + 1].iter().any(|&ni| {
-                model.code_tok(ni).is_some_and(|t| {
-                    t.kind == TokenKind::Number && is_float_literal(t.text(&file.text))
-                })
-            });
-            if !float_neighbor {
-                continue;
-            }
-            if model
-                .enclosing_fn(tok.start)
-                .is_some_and(|f| is_approved_helper(&f.name))
-            {
-                continue;
-            }
-            out.push(finding_at(
-                self.id(),
-                file,
-                tok,
-                format!(
-                    "float literal compared with `{op}`; use a named predicate \
-                     (e.g. `is_exact_zero`) so the exact-comparison intent is explicit"
-                ),
-            ));
         }
     }
 }

@@ -4,10 +4,9 @@
 //! whose counting global allocator needs a single `unsafe impl
 //! GlobalAlloc` and therefore uses `deny` with a local, documented allow.
 
-use super::{crate_of, finding_at, Rule};
+use super::{crate_of, Rule};
 use crate::findings::Finding;
-use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::Analysis;
 
 /// See the module docs.
 pub struct ForbidUnsafeMissing;
@@ -24,35 +23,27 @@ impl Rule for ForbidUnsafeMissing {
         "crate lib.rs lacking #![forbid(unsafe_code)] (bmf-bench allowlisted)"
     }
 
-    fn check(&self, file: &SourceFile, model: &FileModel, out: &mut Vec<Finding>) {
-        let is_lib_root = file.path == "src/lib.rs"
-            || (file.path.starts_with("crates/") && file.path.ends_with("/src/lib.rs"));
-        if !is_lib_root {
-            return;
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
+        for file in &analysis.files {
+            let path = &file.source.path;
+            let is_lib_root = path == "src/lib.rs"
+                || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"));
+            if !is_lib_root
+                || crate_of(path).is_some_and(|c| ALLOWLIST.contains(&c))
+                || file.inner_attrs.iter().any(|a| a == "forbid(unsafe_code)")
+            {
+                continue;
+            }
+            // Anchor the finding on the first code token.
+            let (line, col) = file.tok(0).map_or((1, 1), |t| (t.line, t.col));
+            out.push(Finding {
+                rule: self.id().to_string(),
+                file: path.clone(),
+                line,
+                col,
+                message: "library crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+                snippet: format!("<crate root {path}>"),
+            });
         }
-        if crate_of(&file.path).is_some_and(|c| ALLOWLIST.contains(&c)) {
-            return;
-        }
-        if model.inner_attrs.iter().any(|a| a == "forbid(unsafe_code)") {
-            return;
-        }
-        // Anchor the finding on the first token so the snippet (and thus
-        // the baseline fingerprint) is stable under doc-comment edits.
-        let anchor = crate::lexer::Token {
-            kind: crate::lexer::TokenKind::Punct,
-            start: 0,
-            end: 0,
-            line: 1,
-            col: 1,
-        };
-        let tok = model.code_tok(0).unwrap_or(&anchor);
-        let mut f = finding_at(
-            self.id(),
-            file,
-            tok,
-            "library crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        );
-        f.snippet = format!("<crate root {}>", file.path);
-        out.push(f);
     }
 }

@@ -9,8 +9,7 @@
 
 use super::{each_nontest_ident, finding_at, Rule};
 use crate::findings::Finding;
-use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::Analysis;
 
 /// See the module docs.
 pub struct NoLossyCastInKernels;
@@ -42,34 +41,37 @@ impl Rule for NoLossyCastInKernels {
         "float<->int `as` casts inside bmf_linalg kernel functions"
     }
 
-    fn check(&self, file: &SourceFile, model: &FileModel, out: &mut Vec<Finding>) {
-        if !file.path.starts_with("crates/linalg/src/") {
-            return;
-        }
-        for ci in each_nontest_ident(file, model, "as") {
-            let target = model.code_text(&file.text, ci + 1);
-            if !NUMERIC_TYPES.contains(&target) {
-                continue;
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
+        let linalg = analysis
+            .files
+            .iter()
+            .filter(|f| f.source.path.starts_with("crates/linalg/src/"));
+        for file in linalg {
+            for ci in each_nontest_ident(file, "as") {
+                let target = file.text(ci + 1);
+                if !NUMERIC_TYPES.contains(&target) {
+                    continue;
+                }
+                let Some(tok) = file.tok(ci) else {
+                    continue;
+                };
+                let Some(f) = analysis.enclosing_fn(file, tok.start) else {
+                    continue;
+                };
+                if !is_kernel_fn(&f.name) {
+                    continue;
+                }
+                out.push(finding_at(
+                    self.id(),
+                    file,
+                    tok,
+                    format!(
+                        "numeric `as {target}` cast inside kernel `{}`; use an exact \
+                         conversion (`From`/`try_into`) or hoist the cast out of the kernel",
+                        f.name
+                    ),
+                ));
             }
-            let Some(tok) = model.code_tok(ci) else {
-                continue;
-            };
-            let Some(f) = model.enclosing_fn(tok.start) else {
-                continue;
-            };
-            if !is_kernel_fn(&f.name) {
-                continue;
-            }
-            out.push(finding_at(
-                self.id(),
-                file,
-                tok,
-                format!(
-                    "numeric `as {target}` cast inside kernel `{}`; use an exact conversion \
-                     (`From`/`try_into`) or hoist the cast out of the kernel",
-                    f.name
-                ),
-            ));
         }
     }
 }

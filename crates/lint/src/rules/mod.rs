@@ -1,49 +1,32 @@
 //! The rule catalog.
 //!
-//! Two kinds of rules coexist. *File rules* ([`Rule`]) are token-pattern
-//! matchers over one [`FileModel`]. *Graph rules* ([`GraphRule`]) run
-//! once over the whole [`crate::Analysis`] — the parsed items and the
-//! workspace call graph — and catch violations that cross function and
-//! crate boundaries. Rules are scoped by crate (derived from the
-//! workspace-relative path): the fitting-stack guarantees apply to the
-//! library crates, the determinism rules additionally police `bmf-lint`
-//! itself, and the tool crate `bmf-bench` is exempt from panic-freedom
-//! (benchmark binaries may abort).
+//! Every rule implements [`Rule`] and checks the whole
+//! [`crate::Analysis`]: token-pattern rules walk each file's
+//! [`FileModel`], flow-aware rules walk the workspace call graph and
+//! catch violations that cross function and crate boundaries. Rules are
+//! scoped by crate (derived from the workspace-relative path): the
+//! fitting-stack guarantees apply to the library crates, the determinism
+//! rules additionally police `bmf-lint` itself, and the tool crate
+//! `bmf-bench` is exempt from panic-freedom (benchmark binaries may
+//! abort).
 
-pub mod alloc_kernels;
-pub mod alloc_reach;
 pub mod durability;
 pub mod float_eq;
 pub mod forbid_unsafe;
 pub mod lossy_cast;
 pub mod nondet;
-pub mod panic_paths;
-pub mod panic_reach;
 pub mod partial_cmp;
 pub mod screen_reach;
 
 use crate::findings::{line_snippet, Finding};
-use crate::lexer::Token;
+use crate::lexer::{Token, TokenKind};
+use crate::reach::{ALLOC_REACHABILITY, PANIC_REACHABILITY};
 use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::Analysis;
 
-/// A file-scoped lint rule: an identifier plus a check over one file.
+/// A lint rule: an identifier plus a check over the whole analysis.
 pub trait Rule {
-    /// The rule's stable name, as used in baselines and suppressions.
-    fn id(&self) -> &'static str;
-    /// One-line description for `--list-rules` and the docs.
-    fn describe(&self) -> &'static str;
-    /// Long-form description for `--explain <rule>`.
-    fn explain(&self) -> &'static str {
-        self.describe()
-    }
-    /// Appends findings for `file` to `out`.
-    fn check(&self, file: &SourceFile, model: &FileModel, out: &mut Vec<Finding>);
-}
-
-/// A workspace-scoped rule over the call graph.
-pub trait GraphRule {
-    /// The rule's stable name, as used in baselines and suppressions.
+    /// The rule's stable name, as used in suppressions.
     fn id(&self) -> &'static str;
     /// One-line description for `--list-rules` and the docs.
     fn describe(&self) -> &'static str;
@@ -52,53 +35,30 @@ pub trait GraphRule {
         self.describe()
     }
     /// Appends findings over the whole analysis to `out`.
-    fn check(&self, analysis: &crate::Analysis, out: &mut Vec<Finding>);
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>);
 }
 
-/// Every file rule, in catalog order.
-pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(panic_paths::NoPanicPaths),
-        Box::new(float_eq::NoFloatEq),
-        Box::new(partial_cmp::NoPartialCmpUnwrap),
-        Box::new(lossy_cast::NoLossyCastInKernels),
-        Box::new(alloc_kernels::NoAllocInIntoKernels),
-        Box::new(forbid_unsafe::ForbidUnsafeMissing),
-        Box::new(nondet::NoNondeterministicSources),
+/// Every rule, in catalog order.
+pub fn all_rules() -> &'static [&'static dyn Rule] {
+    &[
+        &float_eq::NoFloatEq,
+        &partial_cmp::NoPartialCmpUnwrap,
+        &lossy_cast::NoLossyCastInKernels,
+        &forbid_unsafe::ForbidUnsafeMissing,
+        &nondet::NoNondeterministicSources,
+        &PANIC_REACHABILITY,
+        &ALLOC_REACHABILITY,
+        &screen_reach::ScreenReachability,
+        &durability::DurabilityOrdering,
     ]
-}
-
-/// Every graph rule, in catalog order.
-pub fn graph_rules() -> Vec<Box<dyn GraphRule>> {
-    vec![
-        Box::new(panic_reach::PanicReachability::default()),
-        Box::new(alloc_reach::AllocReachability),
-        Box::new(screen_reach::ScreenReachability),
-        Box::new(durability::DurabilityOrdering),
-    ]
-}
-
-/// Every rule id across both catalogs (suppression validation,
-/// `--explain` lookup).
-pub fn all_rule_ids() -> Vec<&'static str> {
-    let mut ids: Vec<&'static str> = all_rules().iter().map(|r| r.id()).collect();
-    ids.extend(graph_rules().iter().map(|r| r.id()));
-    ids
 }
 
 /// The long-form description for `--explain <rule>`, if the rule exists.
 pub fn explain_rule(id: &str) -> Option<String> {
-    for r in all_rules() {
-        if r.id() == id {
-            return Some(format!("{}\n\n{}\n", r.describe(), r.explain()));
-        }
-    }
-    for r in graph_rules() {
-        if r.id() == id {
-            return Some(format!("{}\n\n{}\n", r.describe(), r.explain()));
-        }
-    }
-    None
+    all_rules()
+        .iter()
+        .find(|r| r.id() == id)
+        .map(|r| format!("{}\n\n{}\n", r.describe(), r.explain()))
 }
 
 /// Crates carrying the panic-free / screened fitting-stack guarantees.
@@ -130,34 +90,44 @@ pub(crate) fn in_crates(path: &str, crates: &[&str]) -> bool {
     crate_of(path).is_some_and(|c| crates.contains(&c))
 }
 
+/// The analyzed files belonging to one of `crates`.
+pub(crate) fn files_in<'a>(
+    analysis: &'a Analysis,
+    crates: &'a [&str],
+) -> impl Iterator<Item = &'a FileModel> + 'a {
+    analysis
+        .files
+        .iter()
+        .filter(move |f| in_crates(&f.source.path, crates))
+}
+
 /// Builds a finding at `tok`, filling in the snippet from the source.
 pub(crate) fn finding_at(
     rule: &'static str,
-    file: &SourceFile,
+    file: &FileModel,
     tok: &Token,
     message: String,
 ) -> Finding {
     Finding {
         rule: rule.to_string(),
-        file: file.path.clone(),
+        file: file.source.path.clone(),
         line: tok.line,
         col: tok.col,
         message,
-        snippet: line_snippet(&file.text, tok.line),
+        snippet: line_snippet(&file.source.text, tok.line),
     }
 }
 
-/// Shared iteration helper: yields each code-index whose token is an
-/// identifier equal to `word`, skipping test spans.
+/// Yields each code-index whose token is an identifier equal to `word`,
+/// skipping test spans.
 pub(crate) fn each_nontest_ident<'m>(
-    file: &'m SourceFile,
-    model: &'m FileModel,
+    file: &'m FileModel,
     word: &'m str,
 ) -> impl Iterator<Item = usize> + 'm {
-    (0..model.code.len()).filter(move |&ci| {
-        model.code_text(&file.text, ci) == word
-            && model.code_tok(ci).is_some_and(|t| {
-                t.kind == crate::lexer::TokenKind::Ident && !model.in_test(t.start)
-            })
+    (0..file.code.len()).filter(move |&ci| {
+        file.text(ci) == word
+            && file
+                .tok(ci)
+                .is_some_and(|t| t.kind == TokenKind::Ident && !file.in_test(t.start))
     })
 }

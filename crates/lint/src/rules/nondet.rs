@@ -9,10 +9,9 @@
 //! `BmfFit`/`BatchReport` are diagnostics that never feed back into
 //! numerical results.
 
-use super::{each_nontest_ident, finding_at, in_crates, Rule, DETERMINISM_CRATES};
+use super::{each_nontest_ident, files_in, finding_at, Rule, DETERMINISM_CRATES};
 use crate::findings::Finding;
-use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::Analysis;
 
 /// See the module docs.
 pub struct NoNondeterministicSources;
@@ -45,19 +44,18 @@ impl Rule for NoNondeterministicSources {
         "SystemTime/RandomState/HashMap/HashSet in result-producing library code"
     }
 
-    fn check(&self, file: &SourceFile, model: &FileModel, out: &mut Vec<Finding>) {
-        if !in_crates(&file.path, DETERMINISM_CRATES) {
-            return;
-        }
-        for (word, why) in BANNED {
-            for ci in each_nontest_ident(file, model, word) {
-                if let Some(tok) = model.code_tok(ci) {
-                    out.push(finding_at(
-                        self.id(),
-                        file,
-                        tok,
-                        format!("`{word}` in library code: {why}"),
-                    ));
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
+        for file in files_in(analysis, DETERMINISM_CRATES) {
+            for (word, why) in BANNED {
+                for ci in each_nontest_ident(file, word) {
+                    if let Some(tok) = file.tok(ci) {
+                        out.push(finding_at(
+                            self.id(),
+                            file,
+                            tok,
+                            format!("`{word}` in library code: {why}"),
+                        ));
+                    }
                 }
             }
         }

@@ -4,10 +4,10 @@
 //! should use `f64::total_cmp`, which is total, deterministic, and
 //! panic-free.
 
-use super::{each_nontest_ident, finding_at, in_crates, Rule, DETERMINISM_CRATES};
+use super::{each_nontest_ident, files_in, finding_at, Rule, DETERMINISM_CRATES};
 use crate::findings::Finding;
 use crate::scan::FileModel;
-use crate::SourceFile;
+use crate::Analysis;
 
 /// See the module docs.
 pub struct NoPartialCmpUnwrap;
@@ -21,50 +21,50 @@ impl Rule for NoPartialCmpUnwrap {
         "`.partial_cmp(..).unwrap()/.expect(..)`; use `f64::total_cmp` instead"
     }
 
-    fn check(&self, file: &SourceFile, model: &FileModel, out: &mut Vec<Finding>) {
-        if !in_crates(&file.path, DETERMINISM_CRATES) {
-            return;
+    fn check(&self, analysis: &Analysis, out: &mut Vec<Finding>) {
+        for file in files_in(analysis, DETERMINISM_CRATES) {
+            check_file(self.id(), file, out);
         }
-        for ci in each_nontest_ident(file, model, "partial_cmp") {
-            if ci == 0 || model.code_text(&file.text, ci - 1) != "." {
-                continue;
-            }
-            if model.code_text(&file.text, ci + 1) != "(" {
-                continue;
-            }
-            // Walk over the balanced argument list.
-            let mut depth = 0i32;
-            let mut cur = ci + 1;
-            while cur < model.code.len() {
-                match model.code_text(&file.text, cur) {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
+    }
+}
+
+fn check_file(id: &'static str, file: &FileModel, out: &mut Vec<Finding>) {
+    for ci in each_nontest_ident(file, "partial_cmp") {
+        if ci == 0 || file.text(ci - 1) != "." || file.text(ci + 1) != "(" {
+            continue;
+        }
+        // Walk over the balanced argument list.
+        let mut depth = 0i32;
+        let mut cur = ci + 1;
+        while cur < file.code.len() {
+            match file.text(cur) {
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
                     }
-                    _ => {}
                 }
-                cur += 1;
+                _ => {}
             }
-            let dot = cur + 1;
-            let method = model.code_text(&file.text, dot + 1);
-            if model.code_text(&file.text, dot) == "."
-                && (method == "unwrap" || method == "expect")
-                && model.code_text(&file.text, dot + 2) == "("
-            {
-                if let Some(tok) = model.code_tok(ci) {
-                    out.push(finding_at(
-                        self.id(),
-                        file,
-                        tok,
-                        format!(
-                            "`.partial_cmp(..).{method}(..)` panics on NaN; \
-                             use `f64::total_cmp` for a total, panic-free order"
-                        ),
-                    ));
-                }
+            cur += 1;
+        }
+        let dot = cur + 1;
+        let method = file.text(dot + 1);
+        if file.text(dot) == "."
+            && (method == "unwrap" || method == "expect")
+            && file.text(dot + 2) == "("
+        {
+            if let Some(tok) = file.tok(ci) {
+                out.push(finding_at(
+                    id,
+                    file,
+                    tok,
+                    format!(
+                        "`.partial_cmp(..).{method}(..)` panics on NaN; \
+                         use `f64::total_cmp` for a total, panic-free order"
+                    ),
+                ));
             }
         }
     }

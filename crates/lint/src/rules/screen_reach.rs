@@ -21,9 +21,9 @@
 //! one `if` arm counts for the whole body (DESIGN.md §16 records this
 //! as the rule's main approximation).
 
-use super::GraphRule;
+use super::Rule;
 use crate::findings::Finding;
-use crate::parse::{Callee, FnItem};
+use crate::scan::{Callee, FnItem};
 use crate::Analysis;
 
 /// See the module docs.
@@ -145,7 +145,7 @@ fn compute_sfe(analysis: &Analysis) -> Vec<bool> {
     sfe
 }
 
-impl GraphRule for ScreenReachability {
+impl Rule for ScreenReachability {
     fn id(&self) -> &'static str {
         "screen-reachability"
     }

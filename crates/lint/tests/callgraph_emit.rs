@@ -50,3 +50,25 @@ fn workspace_emits_are_byte_stable() {
     assert_eq!(a.graph.to_json(), b.graph.to_json());
     assert!(!a.graph.nodes.is_empty());
 }
+
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    // `bmf-lint --emit=callgraph | head`: the reader goes away long
+    // before the multi-hundred-KB dump is written. The binary must end
+    // quietly with its own exit code, not panic on the broken pipe.
+    use std::process::{Command, Stdio};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bmf-lint"))
+        .arg("--root")
+        .arg(&root)
+        .arg("--emit=callgraph")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bmf-lint");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for bmf-lint");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

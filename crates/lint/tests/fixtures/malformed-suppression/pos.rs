@@ -1,7 +1,7 @@
 // Positive fixture: a suppression without its mandatory reason, and one
 // naming a rule that does not exist.
 
-// bmf-lint: allow(no-panic-paths)
+// bmf-lint: allow(panic-reachability)
 pub fn missing_reason() {}
 
 // bmf-lint: allow(not-a-rule) -- the rule name is wrong

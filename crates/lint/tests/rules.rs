@@ -5,7 +5,7 @@
 //! scopes itself to.
 
 use bmf_lint::lint_source;
-use bmf_lint::rules::{all_rules, graph_rules};
+use bmf_lint::rules::all_rules;
 
 struct Case {
     rule: &'static str,
@@ -15,12 +15,6 @@ struct Case {
 }
 
 const CASES: &[Case] = &[
-    Case {
-        rule: "no-panic-paths",
-        label: "crates/core/src/fixture.rs",
-        pos: include_str!("fixtures/no-panic-paths/pos.rs"),
-        neg: include_str!("fixtures/no-panic-paths/neg.rs"),
-    },
     Case {
         rule: "no-float-eq",
         label: "crates/core/src/fixture.rs",
@@ -38,12 +32,6 @@ const CASES: &[Case] = &[
         label: "crates/linalg/src/fixture.rs",
         pos: include_str!("fixtures/no-lossy-cast-in-kernels/pos.rs"),
         neg: include_str!("fixtures/no-lossy-cast-in-kernels/neg.rs"),
-    },
-    Case {
-        rule: "no-alloc-in-into-kernels",
-        label: "crates/core/src/fixture.rs",
-        pos: include_str!("fixtures/no-alloc-in-into-kernels/pos.rs"),
-        neg: include_str!("fixtures/no-alloc-in-into-kernels/neg.rs"),
     },
     Case {
         rule: "forbid-unsafe-missing",
@@ -100,12 +88,8 @@ fn case(rule: &str) -> &'static Case {
 
 #[test]
 fn every_catalog_rule_has_a_fixture_pair() {
-    let ids: Vec<&str> = all_rules()
-        .iter()
-        .map(|r| r.id())
-        .chain(graph_rules().iter().map(|r| r.id()))
-        .collect();
-    for id in ids {
+    for rule in all_rules() {
+        let id = rule.id();
         let c = case(id);
         assert!(
             !c.pos.is_empty() && !c.neg.is_empty(),
@@ -146,50 +130,76 @@ fn negative_fixtures_are_completely_clean() {
 #[test]
 fn rule_scoping_follows_crate_paths() {
     // The same offending source is invisible outside the crates a rule
-    // guards: bmf-bench may panic, and kernel-cast policing is
-    // linalg-only.
-    let panic_src = case("no-panic-paths").pos;
-    assert!(lint_source("crates/bench/src/fixture.rs", panic_src).is_empty());
+    // guards: bmf-bench may panic or allocate, and kernel-cast policing
+    // is linalg-only.
+    for rule in ["panic-reachability", "alloc-reachability"] {
+        let src = case(rule).pos;
+        assert!(lint_source("crates/bench/src/fixture.rs", src).is_empty());
+    }
     let cast_src = case("no-lossy-cast-in-kernels").pos;
     assert!(lint_source("crates/core/src/fixture.rs", cast_src).is_empty());
-    // Graph rules scope the same way: a transitive panic in bench code
-    // and a broken durability corridor outside bmf_persist::store are
-    // both out of jurisdiction.
-    let reach_src = case("panic-reachability").pos;
-    assert!(lint_source("crates/bench/src/fixture.rs", reach_src).is_empty());
+    // A broken durability corridor outside bmf_persist::store is out of
+    // jurisdiction too.
     let durability_src = case("durability-ordering").pos;
     assert!(lint_source("crates/persist/src/vfs.rs", durability_src).is_empty());
 }
 
+/// `(line, col)` of every finding `rule` raises on its positive fixture.
+fn spans(rule: &str) -> Vec<(u32, u32)> {
+    let c = case(rule);
+    lint_source(c.label, c.pos)
+        .iter()
+        .filter(|f| f.rule == rule)
+        .map(|f| (f.line, f.col))
+        .collect()
+}
+
 #[test]
 fn panic_reachability_sees_what_the_token_rule_misses() {
-    // The acceptance fixture for the flow-aware upgrade: the entry point
-    // `fit` at line 6 is token-clean, so `no-panic-paths` anchors only at
-    // the helper's unwrap, while `panic-reachability` anchors at the
-    // `pub fn` itself and names the witness chain.
+    // The rule reports every panic construct where it is written, as the
+    // retired per-file token rule did, whatever the visibility of its fn:
+    // a private helper (16), a pub fn (21), `Display::fmt` (32),
+    // `Drop::drop` (42) and a `pub(crate)` helper no pub fn calls (47).
+    // The entry point `fit` (7), which the token rule could not see, is
+    // reported once, at its `fn` line, with the witness chain.
+    assert_eq!(
+        spans("panic-reachability"),
+        vec![(7, 1), (16, 25), (21, 9), (32, 36), (42, 27), (47, 7)]
+    );
     let c = case("panic-reachability");
     let findings = lint_source(c.label, c.pos);
-    let entry_line = 6;
+    let entry = &findings[0];
+    assert_eq!(entry.snippet, "<pub fn core::fixture::fit>");
     assert!(
-        !findings
-            .iter()
-            .any(|f| f.rule == "no-panic-paths" && f.line == entry_line),
-        "token rule unexpectedly fired on the panic-free entry point"
-    );
-    let reach: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == "panic-reachability")
-        .collect();
-    assert_eq!(reach.len(), 1, "{findings:#?}");
-    assert_eq!(reach[0].line, entry_line);
-    assert_eq!(reach[0].snippet, "<pub fn core::fixture::fit>");
-    assert!(
-        reach[0]
+        entry
             .message
             .contains("core::fixture::fit -> core::fixture::prepare -> core::fixture::head"),
         "witness chain missing: {}",
-        reach[0].message
+        entry.message
     );
+    assert_eq!(findings[1].snippet, "xs.first().copied().unwrap()");
+}
+
+#[test]
+fn alloc_reachability_reports_own_and_reached_allocations() {
+    // The kernel's own `vec!` at the allocation (8); the kernel that only
+    // calls an allocating helper at its `fn` line (14).
+    assert_eq!(spans("alloc-reachability"), vec![(8, 15), (14, 1)]);
+}
+
+#[test]
+fn each_violation_is_reported_once() {
+    let label = "crates/core/src/fixture.rs";
+    let panics = lint_source(label, "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n");
+    assert_eq!(panics.len(), 1, "{panics:#?}");
+    assert_eq!((panics[0].line, panics[0].col), (1, 37));
+    let allocs = lint_source(
+        label,
+        "pub fn acc_into(out: &mut [f64]) {\n    let tmp = vec![0.0; 4];\n    out[0] = tmp[0];\n}\n",
+    );
+    assert_eq!(allocs.len(), 1, "{allocs:#?}");
+    assert_eq!(allocs[0].rule, "alloc-reachability");
+    assert_eq!((allocs[0].line, allocs[0].col), (2, 15));
 }
 
 #[test]

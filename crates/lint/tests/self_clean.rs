@@ -1,44 +1,17 @@
-//! Self-application gate: linting the committed workspace against the
-//! committed `lint-baseline.toml` must produce zero new findings and
-//! zero stale entries. This is the same check CI runs via the binary;
-//! having it in `cargo test` means a plain test run catches a violation
-//! before the hermeticity script does.
+//! Self-application gate: linting the committed workspace must produce
+//! zero findings. This is the same check CI runs via the binary; having
+//! it in `cargo test` means a plain test run catches a violation before
+//! the hermeticity script does.
 
 use std::path::Path;
 
 #[test]
-fn workspace_is_clean_against_committed_baseline() {
+fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let findings = bmf_lint::lint_workspace(&root).expect("lint workspace");
-    let text =
-        std::fs::read_to_string(root.join("lint-baseline.toml")).expect("read lint-baseline.toml");
-    let entries = bmf_lint::baseline::parse(&text).expect("parse lint-baseline.toml");
-    let diff = bmf_lint::baseline::diff(findings, &entries);
     assert!(
-        diff.new.is_empty(),
-        "new lint findings — fix them or (with justification) baseline them:\n{:#?}",
-        diff.new
+        findings.is_empty(),
+        "lint findings — fix them or justify each with an inline \
+         `// bmf-lint: allow(<rule>) -- <reason>`:\n{findings:#?}"
     );
-    assert!(
-        diff.stale.is_empty(),
-        "stale baseline entries — the pinned findings are fixed, delete the entries:\n{:#?}",
-        diff.stale
-    );
-    assert_eq!(
-        diff.baselined,
-        entries.len(),
-        "every baseline entry must match exactly once"
-    );
-}
-
-#[test]
-fn committed_baseline_is_canonically_rendered() {
-    // `--write-baseline` output with the notes filled in is the canonical
-    // form; hand edits must preserve entry order and key layout so diffs
-    // of the file stay reviewable.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text =
-        std::fs::read_to_string(root.join("lint-baseline.toml")).expect("read lint-baseline.toml");
-    let entries = bmf_lint::baseline::parse(&text).expect("parse lint-baseline.toml");
-    assert_eq!(text, bmf_lint::baseline::render(&entries));
 }

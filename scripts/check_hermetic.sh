@@ -55,10 +55,10 @@ done
 # Replaces the old awk panic-scan with the token-level in-tree linter
 # (crates/lint). It enforces panic-freedom of the fitting stack plus the
 # determinism, float-comparison, cast, allocation, and screening rules
-# described in DESIGN.md §11. Pre-existing justified findings live in
-# lint-baseline.toml; only NEW findings (or stale baseline entries) fail.
-if ! cargo run -q -p bmf-lint --offline --locked -- --root . --deny-stale; then
-    echo "FAIL: bmf-lint found new (or stale-baselined) findings (above)" >&2
+# described in DESIGN.md §11 and §16. Any finding fails; an inline
+# `// bmf-lint: allow(<rule>) -- <reason>` is the only way to accept one.
+if ! cargo run -q -p bmf-lint --offline --locked -- --root .; then
+    echo "FAIL: bmf-lint reported findings (above)" >&2
     fail=1
 fi
 
