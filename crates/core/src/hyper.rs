@@ -15,18 +15,19 @@
 //! * a [`FoldPlan`] computes the per-fold row index tables **once**,
 //!   reused across every grid point, both prior families, and every job
 //!   of a batch fit;
-//! * the Woodbury kernel `B_F` and the K-vector `Gμ` are built **once**
-//!   per prior pattern over every row of the design matrix — for a prior
-//!   mostly on its floor, from one Θ(K²M) floor gram per set of missing
-//!   columns plus a Θ(K²|S|) term over its entries above the floor; each
-//!   entry depends on its rows alone, so a fold reads its sub-blocks
-//!   through its row tables;
-//! * each `(pattern, fold)` pair then builds one sample-space system
-//!   (see [`crate::map_estimate::MapSweep`]): the fold's missing-prior
-//!   columns are profiled out by a Householder QR, and the rest is
-//!   reduced to a tridiagonal `T̂` once. Every `(grid, family)` cell is
-//!   an O(n) factorization of `T̂ + ηI` — shared by both families —
-//!   plus an `n_v × n` product; no cell touches an M-length vector.
+//! * each base — for a prior mostly on its floor, one Θ(K²M) floor gram
+//!   per set of missing columns; for a dense prior, its own kernel
+//!   `B_F` — and each pattern's K-vector `Gμ` are built **once** over
+//!   every row of the design matrix; each entry depends on its rows
+//!   alone, so a fold reads its sub-blocks through its row tables;
+//! * each `(base, fold)` pair then profiles the fold's missing-prior
+//!   columns out once (a Householder QR and a compact-WY congruence of
+//!   the base), and each pattern on the base adds its rank-|S| term to
+//!   get its sample-space system (see
+//!   [`crate::map_estimate::MapSweep`]), reduced to a tridiagonal `T̂`
+//!   once. Every `(grid, family)` cell is an O(n) factorization of
+//!   `T̂ + ηI` — shared by both families — plus an `n_v × n` product;
+//!   no cell touches an M-length vector.
 //!
 //! `T̂ + ηI` is symmetric positive definite for every η > 0, so the
 //! cells run outside the degradation ladder. A fold is skipped (like a
@@ -127,7 +128,7 @@ impl FoldPlan {
 /// Validation errors of one sweep: per response, per prior family, per
 /// grid value (`[response][kind][grid]`, flat), `None` where the cell
 /// was blanked. A fold skipped as unusable is `None` at the fold level
-/// (see [`crate::map_estimate::FoldSystem::sweep`]).
+/// (see [`crate::map_estimate::FoldWork::sweep`]).
 pub(crate) type FoldErrors = Vec<Option<f64>>;
 
 /// Reduces per-fold error tables into one [`CvOutcome`] per prior family.
@@ -298,7 +299,7 @@ mod tests {
     use super::*;
     use crate::batch::{JobRef, PreparedJob};
     use crate::fusion::BmfFitter;
-    use crate::map_estimate::{map_estimate_with_report, FoldSystem, SolverKind, SweepKernel};
+    use crate::map_estimate::{map_estimate_with_report, FoldWork, SolverKind, SweepKernel};
     use crate::options::FitOptions;
     use bmf_basis::basis::OrthonormalBasis;
     use bmf_basis::multi_index::MultiIndex;
@@ -509,15 +510,17 @@ mod tests {
         let kernel =
             SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean)).unwrap();
         let a = prior.precisions(1.0);
-        let mut fold_system = FoldSystem::default();
+        let mut work = FoldWork::new(grid, &kinds);
         let mut compared = 0;
         let tables: Vec<Option<FoldErrors>> = plan
             .folds
             .iter()
             .map(|fold| {
-                let cells = fold_system.sweep(g, &kernel, fold, &[f], grid, &kinds);
-                let cells = cells.unwrap();
-                let cells = cells?;
+                let responses = [f];
+                let pattern = std::iter::once((&kernel.terms, &responses[..]));
+                let (base, missing) = (&kernel.base, kernel.terms.missing());
+                let cells = work.sweep(g, base, missing, pattern, fold);
+                let cells = cells.unwrap()?;
                 let trace: f64 = fold
                     .train
                     .iter()

@@ -33,10 +33,18 @@
 //! model's), the kernel's Θ(K²M) part is the floor gram
 //! `Γ = G·diag(1_F)·Gᵀ` of the finite columns, and the prior adds
 //! `G_S·diag(a⁻¹_S − c₀)·G_Sᵀ` over its entries above the floor
-//! (DESIGN.md §8), which the batch engine exploits by sharing one `Γ`
-//! among priors; a dense prior's kernel is formed directly.
+//! (DESIGN.md §8). The sample-space systems are built from a base every
+//! such prior with the same missing columns shares ([`FoldBase`]: the
+//! QR of the missing columns and `QᵀΓQ` by a compact-WY congruence), and
+//! each prior adds only its rank-|S| term ([`FoldSystem`]); a dense
+//! prior's kernel is formed directly and is its own base.
 
-use bmf_linalg::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, MatRef};
+use std::ops::Range;
+
+use bmf_linalg::view::{
+    gram_runs_band_into, matvec_into, matvec_transpose_into, mirror_upper_into,
+    outer_gram_diag_into, sub_products_into, MatRef,
+};
 use bmf_linalg::{
     factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, qr_in_place, solve_lower,
     tridiagonal, view, woodbury, LadderPolicy, LinalgError, Matrix, Reflectors, Resilience, Vector,
@@ -182,9 +190,11 @@ pub(crate) fn map_estimate_ws(
     }
     if solver == SolverKind::Fast && missing > 0 {
         let kernel = SweepKernel::new(g.as_view(), prior)?;
-        let system = FoldSystem::full(g.as_view(), &kernel)?;
+        let base = FoldBase::full(g.as_view(), &kernel.base, kernel.terms.missing())?;
+        let system = FoldSystem::full(g.as_view(), &base, &kernel.terms)?;
         return system.solve(
             g.as_view(),
+            &base,
             &kernel.terms,
             f.as_slice(),
             hyper,
@@ -240,21 +250,30 @@ pub(crate) fn map_estimate_ws(
 pub struct MapSweep<'g> {
     g: MatRef<'g>,
     terms: PriorTerms,
+    /// The base's projection over every row of `g`.
+    base: FoldBase,
     /// The system over every row of `g`, with no validation rows.
     system: FoldSystem,
 }
 
 /// A prior's hyper-independent quantities over every row of a design
-/// matrix: what the back-projection of [`FoldSystem::solve`] reads
-/// besides the system itself.
+/// matrix: what its fold systems add to their shared base, and what the
+/// back-projection of [`FoldSystem::solve`] reads besides the system.
 #[derive(Debug, Clone)]
 pub(crate) struct PriorTerms {
     /// `1/α_E,m²` for finite-prior columns, 0 for missing.
     a: Vec<f64>,
-    /// The floor `c₀ = min_F a⁻¹` when the kernel is formed from the
-    /// floor gram (see [`PriorTerms::kernel`]), `None` when it is formed
-    /// directly.
-    floor: Option<f64>,
+    /// Whether the base is the floor gram of the finite columns (see
+    /// [`PriorTerms::uses_floor_gram`]) rather than the prior's own
+    /// kernel.
+    floor: bool,
+    /// The base's weight `c₀`: the floor `min_F a⁻¹` on the floor gram,
+    /// 1 on the prior's own kernel.
+    c0: f64,
+    /// The columns above the floor (`S`, ascending; empty on the prior's
+    /// own kernel) and their excess `a⁻¹ − c₀`.
+    support: Vec<usize>,
+    excess: Vec<f64>,
     /// Prior mean per column (0 for zero-mean priors and missing entries).
     prior_mean: Vec<f64>,
     missing: Vec<usize>,
@@ -306,19 +325,42 @@ impl PriorTerms {
         let finite = a.iter().filter(|&&d| d > 0.0);
         let c0 = finite.clone().fold(f64::INFINITY, |c, &d| c.min(1.0 / d));
         let above = finite.clone().filter(|&&d| 1.0 / d > c0).count();
-        let floor = (2 * above <= finite.count() && c0.is_finite()).then_some(c0);
+        let floor = 2 * above <= finite.count() && c0.is_finite();
+        let (mut support, mut excess) = (Vec::new(), Vec::new());
+        if floor {
+            for (j, &d) in a.iter().enumerate() {
+                if d > 0.0 && 1.0 / d > c0 {
+                    support.push(j);
+                    excess.push(1.0 / d - c0);
+                }
+            }
+        }
         Ok(PriorTerms {
             a,
             floor,
+            c0: if floor { c0 } else { 1.0 },
+            support,
+            excess,
             prior_mean,
             missing,
             g_mu,
         })
     }
 
-    /// Whether [`PriorTerms::kernel`] reads the floor gram.
+    /// Whether this prior's base is the floor gram `Γ = G·diag(1_F)·Gᵀ`
+    /// of its finite columns `F`, which every such prior with the same
+    /// missing columns shares: most finite columns sit on the floor
+    /// `c₀ = min_F a⁻¹`, so
+    ///
+    /// ```text
+    /// B_F = c₀·Γ + G_S·diag(a⁻¹_S − c₀)·G_Sᵀ,   S = {m : a⁻¹_m > c₀}
+    /// ```
+    ///
+    /// and each fold system adds the prior's rank-|S| term to the
+    /// shared base's. Otherwise the base is the prior's own kernel
+    /// ([`PriorTerms::own_kernel`]), with `c₀ = 1` and `S = ∅`.
     pub(crate) fn uses_floor_gram(&self) -> bool {
-        self.floor.is_some()
+        self.floor
     }
 
     /// The prior's missing (zero-precision) columns.
@@ -326,90 +368,57 @@ impl PriorTerms {
         &self.missing
     }
 
-    /// The Woodbury kernel `B_F = G_F·A_F⁻¹·G_Fᵀ` of this prior over every
-    /// row of `g`. When most finite columns sit on the floor `c₀ = min_F
-    /// a⁻¹` ([`PriorTerms::uses_floor_gram`]) it is formed from `gram`,
-    /// the floor gram `Γ = G·diag(1_F)·Gᵀ` of the finite columns `F`:
-    ///
-    /// ```text
-    /// B_F = c₀·Γ + G_S·diag(a⁻¹_S − c₀)·G_Sᵀ,   S = {m : a⁻¹_m > c₀}
-    /// ```
-    ///
-    /// Both terms are PSD, so nothing cancels, and the prior costs
-    /// Θ(K²|S|) on top of the shared `Γ`. Otherwise it is
-    /// `G·diag(A⁻¹)·Gᵀ` directly, Θ(K²M), and `gram` is not read.
+    /// The Woodbury kernel `B_F = G·diag(A⁻¹)·Gᵀ` of a prior that does
+    /// not use the floor gram, over every row of `g`, Θ(K²M): the
+    /// prior's own base. Missing columns drop out (`A⁻¹ = 0` there).
     ///
     /// # Errors
     ///
-    /// [`BmfError::Linalg`] when the floor gram is wanted and `gram` is
-    /// not K × K.
-    pub(crate) fn kernel(&self, g: MatRef<'_>, gram: Option<&Matrix>) -> Result<Matrix> {
+    /// [`BmfError::Linalg`] when `g` does not match the prior.
+    pub(crate) fn own_kernel(&self, g: MatRef<'_>) -> Result<Matrix> {
         let k = g.nrows();
         let mut b_f = Matrix::zeros(k, k);
-        let Some(c0) = self.floor else {
-            // A⁻¹ over the finite columns; missing ones drop out of B_F.
-            let a_inv: Vec<f64> = self
-                .a
-                .iter()
-                .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
-                .collect();
-            outer_gram_diag_into(g, &a_inv, b_f.as_view_mut())?;
-            return Ok(b_f);
-        };
-        let gram = gram.filter(|m| m.shape() == (k, k)).ok_or({
-            LinalgError::DimensionMismatch {
-                op: "floor gram (K x K)",
-                lhs: (k, k),
-                rhs: gram.map_or((0, 0), Matrix::shape),
-            }
-        })?;
-        let support = || {
-            let finite = self.a.iter().enumerate().filter(|(_, &d)| d > 0.0);
-            finite.filter(|(_, &d)| 1.0 / d > c0)
-        };
-        let mut g_s = Matrix::zeros(k, support().count());
-        let mut excess = Vec::with_capacity(g_s.ncols());
-        for (t, (j, &d)) in support().enumerate() {
-            excess.push(1.0 / d - c0);
-            for i in 0..k {
-                g_s[(i, t)] = g.get(i, j);
-            }
-        }
-        outer_gram_diag_into(g_s.as_view(), &excess, b_f.as_view_mut())?;
-        for (b, &x) in b_f.as_mut_slice().iter_mut().zip(gram.as_slice()) {
-            *b += c0 * x;
-        }
+        let a_inv: Vec<f64> = self
+            .a
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
+            .collect();
+        outer_gram_diag_into(g, &a_inv, b_f.as_view_mut())?;
         Ok(b_f)
     }
 }
 
-/// The Woodbury kernel `B_F = G_F·A_F⁻¹·G_Fᵀ` of one prior over every row
-/// of a design matrix, plus the prior's [`PriorTerms`]. Any number of
-/// [`FoldSystem`]s read it through their own row tables.
+/// The ascending runs of `0..m` between the `missing` columns
+/// (ascending): the finite columns the floor gram sums over.
+pub(crate) fn finite_runs(m: usize, missing: &[usize]) -> Vec<Range<usize>> {
+    let mut runs = Vec::with_capacity(missing.len() + 1);
+    let mut start = 0;
+    for &z in missing {
+        if z > start {
+            runs.push(start..z);
+        }
+        start = z + 1;
+    }
+    if m > start {
+        runs.push(start..m);
+    }
+    runs
+}
+
+/// One prior's base over every row of a design matrix, plus the prior's
+/// [`PriorTerms`]: the floor gram of its finite columns, or its own
+/// kernel. Any number of [`FoldBase`]s read it through their own row
+/// tables.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepKernel {
     pub(crate) terms: PriorTerms,
-    pub(crate) b_f: Matrix,
-}
-
-/// The weights `1_F` of the floor gram `Γ = G·diag(1_F)·Gᵀ`: 1 on the
-/// finite columns of a design matrix with `m` columns, 0 on `missing`.
-/// A weight of exactly 1 leaves each product's bits alone and a weight
-/// of 0 adds a signed zero to a sum that starts at `+0`, so every entry
-/// of `Γ` is the plain sum of its finite columns' products.
-pub(crate) fn finite_indicator(m: usize, missing: &[usize]) -> Vec<f64> {
-    let mut ones = vec![1.0; m];
-    for &z in missing {
-        ones[z] = 0.0;
-    }
-    ones
+    pub(crate) base: Matrix,
 }
 
 impl SweepKernel {
-    /// Builds the kernel of `prior` over every row of `g`, the floor gram
-    /// of its finite columns included, on the calling thread: the same
-    /// arithmetic as the batch engine's banded gram and
-    /// [`PriorTerms::kernel`], so the same bits.
+    /// Builds the base of `prior` over every row of `g` on the calling
+    /// thread: the batch engine's banded floor gram in one band, or the
+    /// prior's own kernel, so the same bits.
     ///
     /// # Errors
     ///
@@ -418,76 +427,63 @@ impl SweepKernel {
     pub(crate) fn new(g: MatRef<'_>, prior: &Prior) -> Result<Self> {
         let (k, m) = g.shape();
         let terms = PriorTerms::new(g, prior)?;
-        let mut gram = Matrix::zeros(k, k);
-        if terms.uses_floor_gram() {
-            let weights = finite_indicator(m, &terms.missing);
-            outer_gram_diag_into(g, &weights, gram.as_view_mut())?;
-        }
-        let b_f = terms.kernel(g, terms.uses_floor_gram().then_some(&gram))?;
-        Ok(SweepKernel { terms, b_f })
+        let base = if terms.uses_floor_gram() {
+            let mut gram = Matrix::zeros(k, k);
+            let runs = finite_runs(m, &terms.missing);
+            gram_runs_band_into(g, &runs, 0..k, gram.as_mut_slice())?;
+            mirror_upper_into(gram.as_view_mut())?;
+            gram
+        } else {
+            terms.own_kernel(g)?
+        };
+        Ok(SweepKernel { terms, base })
     }
 }
 
-/// The sample-space system ([`MapSweep`]) of one prior pattern over
-/// training rows `T` and validation rows `V`, built into reusable
-/// buffers, `n = |T| − |Z|`:
+/// What every prior pattern with the same base shares in one fold: for
+/// training rows `T` and validation rows `V`, with `B` the base (a floor
+/// gram or a prior's own kernel) and `Z` the missing columns,
 ///
 /// * `gz`/`gz_tau`: the QR of `G_Z(T)`, stored transposed (`Rᵀ` in the
-///   leading lower triangle);
-/// * `c`: `C = QᵀB_F(T,T)Q`, whose `[Z, N]` block stays in use;
-/// * `s`/`h_tau`/`d`/`e`: `S = C[N,N]` reduced to `T̂ = (d, e)`, `H`'s
-///   reflectors packed in `s`;
-/// * `ev`: `E = G_Z(V) R⁻¹`;
-/// * `vt`: `Qᵀ B_F(T,V)`, whose rows past |Z| hold
-///   `Wᵀ = Hᵀ((B_F(V,T)Q)[·,N] − E·C[Z,N])ᵀ`.
+///   leading lower triangle), whose `Q = [Q_Z N]`;
+/// * `cb`: `QᵀB(T,T)Q`, by the compact-WY congruence;
+/// * `vb`: `QᵀB(T,V)`;
+/// * `ev`: `E = G_Z(V) R⁻¹`.
 ///
-/// A validation prediction is `(Gμ)_V + E·Q_Zᵀy + W·x`: no cell touches
-/// an M-length vector. The cell scratch: per family, the projected
-/// response `[Q_Zᵀy; HᵀNᵀy]` (`proj`) and the η-independent residual
-/// `(Gμ)_V + E·Q_Zᵀy − f_V` (`r0`); the LDLᵀ pivots and multipliers
-/// (`piv`); the solution `x` and `W·x` (`x`).
-///
-/// Over every row with no validation rows ([`FoldSystem::full`]) it is
-/// the full-data system the final solve of a missing-prior fit
-/// back-projects ([`FoldSystem::solve`]).
+/// A pattern's [`FoldSystem`] adds its own rank-|S| term to these.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FoldSystem {
+pub(crate) struct FoldBase {
     gz: Matrix,
     gz_tau: Vec<f64>,
-    c: Matrix,
-    s: Matrix,
-    h_tau: Vec<f64>,
-    d: Vec<f64>,
-    e: Vec<f64>,
+    cb: Matrix,
+    vb: Matrix,
     ev: Matrix,
-    vt: Matrix,
-    /// One row of scratch.
+    /// Scratch: one row, and the congruence's.
     w: Vec<f64>,
-    proj: Matrix,
-    r0: Matrix,
-    piv: Vec<f64>,
-    x: Vec<f64>,
+    wy: Vec<f64>,
 }
 
-impl FoldSystem {
-    /// Builds the system of `kernel` (over every row of `g`) for training
-    /// rows `train` and validation rows `val`.
+impl FoldBase {
+    /// Builds the base of the kernel `base` (over every row of `g`) with
+    /// missing columns `missing` for training rows `train` and validation
+    /// rows `val`.
     ///
     /// # Errors
     ///
     /// * [`BmfError::NotEnoughSamples`] when `train` has fewer rows than
-    ///   the prior has missing coefficients.
+    ///   there are missing columns.
     /// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when `G_Z(T)`
     ///   is rank deficient: `min|R_jj| ≤ rcond_floor·max|R_jj|`, with the
     ///   degradation ladder's floor.
     pub(crate) fn build(
         &mut self,
         g: MatRef<'_>,
-        kernel: &SweepKernel,
+        base: &Matrix,
+        missing: &[usize],
         train: &[usize],
         val: &[usize],
     ) -> Result<()> {
-        let (nt, nv, nz) = (train.len(), val.len(), kernel.terms.missing.len());
+        let (nt, nv, nz) = (train.len(), val.len(), missing.len());
         if nz > nt {
             return Err(BmfError::NotEnoughSamples {
                 available: nt,
@@ -495,21 +491,8 @@ impl FoldSystem {
                 context: "missing-prior coefficients",
             });
         }
-        let n = nt - nz;
-        resize(&mut self.w, nt.max(nv));
-        self.c.reset_zeros(nt, nt);
-        self.vt.reset_zeros(nt, nv);
-        for (i, &ri) in train.iter().enumerate() {
-            let src = kernel.b_f.row(ri);
-            for (x, &rj) in self.c.row_mut(i).iter_mut().zip(train) {
-                *x = src[rj];
-            }
-            for (x, &rv) in self.vt.row_mut(i).iter_mut().zip(val) {
-                *x = src[rv];
-            }
-        }
         self.gz.reset_zeros(nz, nt);
-        for (zi, &z) in kernel.terms.missing.iter().enumerate() {
+        for (zi, &z) in missing.iter().enumerate() {
             for (x, &ri) in self.gz.row_mut(zi).iter_mut().zip(train) {
                 *x = g.get(ri, z);
             }
@@ -526,37 +509,178 @@ impl FoldSystem {
             let op = "sample-space system (missing-prior columns)";
             return Err(LinalgError::Unsolvable { op, rcond }.into());
         }
+        gather(base.as_view(), train, train, &mut self.cb);
+        gather(base.as_view(), train, val, &mut self.vb);
         let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
-        q.congruence_in_place(&mut self.c, &mut self.w[..nt])?;
-        q.apply_qt_in_place(self.vt.as_mut_slice(), &mut self.w[..nv])?;
-        // S = C[N,N], symmetrized so the reduction sees one matrix.
-        self.s.reset_zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                self.s[(i, j)] = 0.5 * (self.c[(nz + i, nz + j)] + self.c[(nz + j, nz + i)]);
-            }
-        }
+        q.congruence_in_place(&mut self.cb, &mut self.wy)?;
+        resize(&mut self.w, nv);
+        q.apply_qt_in_place(self.vb.as_mut_slice(), &mut self.w)?;
         // E = G_Z(V) R⁻¹, row by row against Rᵀ (gz's leading lower
-        // triangle); then Wᵀ before its Hᵀ: (Qᵀ B_F(T,V))[N,·] − C[N,Z] Eᵀ.
+        // triangle).
         let rt = MatRef::strided(self.gz.as_slice(), nz, nz, nt)?;
         self.ev.reset_zeros(nv, nz);
         for (r, &rv) in val.iter().enumerate() {
             let row = self.ev.row_mut(r);
-            for (x, &z) in row.iter_mut().zip(&kernel.terms.missing) {
+            for (x, &z) in row.iter_mut().zip(missing) {
                 *x = g.get(rv, z);
             }
             solve_lower(rt, row)?;
         }
-        let (_, wt) = self.vt.as_mut_slice().split_at_mut(nz * nv);
-        for (j, row) in wt.chunks_exact_mut(nv.max(1)).enumerate() {
-            matvec_into(
-                self.ev.as_view(),
-                &self.c.row(nz + j)[..nz],
-                &mut self.w[..nv],
-            )?;
-            for (x, ce) in row.iter_mut().zip(&self.w) {
-                *x -= ce;
+        Ok(())
+    }
+
+    /// Builds the base over every row of `g`, with no validation rows.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FoldBase::build`].
+    pub(crate) fn full(g: MatRef<'_>, base: &Matrix, missing: &[usize]) -> Result<Self> {
+        let rows: Vec<usize> = (0..g.nrows()).collect();
+        let mut full = FoldBase::default();
+        full.build(g, base, missing, &rows, &[])?;
+        Ok(full)
+    }
+
+    /// Keeps only what [`FoldSystem::solve`] reads: the QR of `G_Z`.
+    pub(crate) fn into_projection(self) -> Self {
+        FoldBase {
+            gz: self.gz,
+            gz_tau: self.gz_tau,
+            ..FoldBase::default()
+        }
+    }
+
+    /// The missing-column reflectors `Q`.
+    fn q(&self) -> Reflectors<'_> {
+        Reflectors::new(&self.gz, &self.gz_tau, 0)
+    }
+}
+
+/// The sample-space system ([`MapSweep`]) of one prior pattern in one
+/// fold, built from the fold's [`FoldBase`] into reusable buffers,
+/// `n = |T| − |Z|`. With `U = QᵀG_S(T)` and `D = diag(a⁻¹_S − c₀)`
+/// (`c₀ = 1`, `S = ∅` on a prior's own kernel):
+///
+/// * `s`/`h_tau`/`d`/`e`: `S = c₀·cb[N,N] + U_N D U_Nᵀ` reduced to
+///   `T̂ = (d, e)`, `H`'s reflectors packed in `s`;
+/// * `c_nz`: `C[N,Z] = c₀·cb[N,Z] + U_N D U_Zᵀ`;
+/// * `wt`: `Wᵀ = Hᵀ(c₀·vb[N,·] + U_N D G_S(V)ᵀ − C[N,Z]·Eᵀ)`.
+///
+/// A validation prediction is `(Gμ)_V + E·Q_Zᵀy + W·x`: no cell touches
+/// an M-length vector. The cell scratch: per family, the projected
+/// response `[Q_Zᵀy; HᵀNᵀy]` (`proj`) and the η-independent residual
+/// `(Gμ)_V + E·Q_Zᵀy − f_V` (`r0`); the LDLᵀ pivots and multipliers
+/// (`piv`); the solution `x` and `W·x` (`x`).
+///
+/// Over every row with no validation rows ([`FoldSystem::full`]) it is
+/// the full-data system the final solve of a missing-prior fit
+/// back-projects ([`FoldSystem::solve`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldSystem {
+    c_nz: Matrix,
+    s: Matrix,
+    h_tau: Vec<f64>,
+    d: Vec<f64>,
+    e: Vec<f64>,
+    wt: Matrix,
+    /// `U`, then `−U·D` (`nud`), and `G_S(V)` (`gsv`).
+    u: Matrix,
+    nud: Matrix,
+    gsv: Matrix,
+    /// One row of scratch.
+    w: Vec<f64>,
+    proj: Matrix,
+    r0: Matrix,
+    piv: Vec<f64>,
+    x: Vec<f64>,
+}
+
+/// `out = src[rows, cols]`.
+fn gather(src: MatRef<'_>, rows: &[usize], cols: &[usize], out: &mut Matrix) {
+    out.reset_zeros(rows.len(), cols.len());
+    for (i, &r) in rows.iter().enumerate() {
+        let row = src.row(r);
+        for (x, &c) in out.row_mut(i).iter_mut().zip(cols) {
+            *x = row[c];
+        }
+    }
+}
+
+/// Rows `rows` of the row-major `m` as a view.
+fn rows_of(m: &Matrix, rows: Range<usize>) -> Result<MatRef<'_>> {
+    let c = m.ncols();
+    let data = &m.as_slice()[rows.start * c..rows.end * c];
+    Ok(MatRef::from_row_major(data, rows.len(), c)?)
+}
+
+impl FoldSystem {
+    /// Builds the system of the prior `terms` on the fold base `base`,
+    /// which was built for training rows `train` and validation rows
+    /// `val`.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::Linalg`] when `base` does not match the rows.
+    pub(crate) fn build(
+        &mut self,
+        g: MatRef<'_>,
+        base: &FoldBase,
+        terms: &PriorTerms,
+        train: &[usize],
+        val: &[usize],
+    ) -> Result<()> {
+        let (nt, nv, nz, ns) = (train.len(), val.len(), base.gz.nrows(), terms.support.len());
+        let n = nt - nz;
+        let c0 = terms.c0;
+        // U = Qᵀ G_S(T), then −U·D.
+        gather(g, train, &terms.support, &mut self.u);
+        gather(g, val, &terms.support, &mut self.gsv);
+        resize(&mut self.w, ns);
+        base.q()
+            .apply_qt_in_place(self.u.as_mut_slice(), &mut self.w)?;
+        self.nud.reset_zeros(nt, ns);
+        let nud_rows = self.nud.as_mut_slice().chunks_exact_mut(ns.max(1));
+        for (x, u) in nud_rows.zip(self.u.as_slice().chunks_exact(ns.max(1))) {
+            for ((x, u), d) in x.iter_mut().zip(u).zip(&terms.excess) {
+                *x = -(u * d);
             }
+        }
+        // c₀ times the base: S = c₀·cb[N,N] on the upper triangle,
+        // C[N,Z] = c₀·cb[N,Z] and Wᵀ = c₀·vb[N,·]; then the pattern's
+        // U_N D U_Nᵀ, U_N D U_Zᵀ and U_N D G_S(V)ᵀ, and Wᵀ's −C[N,Z]·Eᵀ.
+        self.s.reset_zeros(n, n);
+        self.c_nz.reset_zeros(n, nz);
+        self.wt.reset_zeros(n, nv);
+        for j in 0..n {
+            let (cz, cn) = base.cb.row(nz + j).split_at(nz);
+            let scaled = |out: &mut [f64], src: &[f64]| {
+                for (x, &b) in out.iter_mut().zip(src) {
+                    *x = c0 * b;
+                }
+            };
+            scaled(&mut self.s.row_mut(j)[j..], &cn[j..]);
+            scaled(self.c_nz.row_mut(j), cz);
+            scaled(self.wt.row_mut(j), base.vb.row(nz + j));
+        }
+        if ns > 0 {
+            let nud_n = rows_of(&self.nud, nz..nt)?;
+            sub_products_into(nud_n, rows_of(&self.u, nz..nt)?, true, self.s.as_view_mut())?;
+            sub_products_into(
+                nud_n,
+                rows_of(&self.u, 0..nz)?,
+                false,
+                self.c_nz.as_view_mut(),
+            )?;
+            sub_products_into(nud_n, self.gsv.as_view(), false, self.wt.as_view_mut())?;
+        }
+        mirror_upper_into(self.s.as_view_mut())?;
+        if nz > 0 {
+            sub_products_into(
+                self.c_nz.as_view(),
+                base.ev.as_view(),
+                false,
+                self.wt.as_view_mut(),
+            )?;
         }
         tridiagonal::tridiagonalize_in_place(
             &mut self.s,
@@ -568,28 +692,23 @@ impl FoldSystem {
         // The reduction resized `w` to n; the rows of Wᵀ are nv long.
         resize(&mut self.w, nv);
         let h = Reflectors::new(&self.s, &self.h_tau, 1);
-        h.apply_qt_in_place(wt, &mut self.w)?;
+        h.apply_qt_in_place(self.wt.as_mut_slice(), &mut self.w)?;
         Ok(())
     }
 
-    /// Builds the system of `kernel` over every row of `g`, with no
-    /// validation rows, and keeps only what [`FoldSystem::solve`]
-    /// reads: the QR of `G_Z`, `C`'s first |Z| rows (its `[Z, N]` block),
-    /// and `H` with `T̂`.
+    /// Builds the system of `terms` on the full-data base `base` (from
+    /// [`FoldBase::full`]), and keeps only what [`FoldSystem::solve`]
+    /// reads: `C[N,Z]`, and `H` with `T̂`.
     ///
     /// # Errors
     ///
     /// As for [`FoldSystem::build`].
-    pub(crate) fn full(g: MatRef<'_>, kernel: &SweepKernel) -> Result<Self> {
+    pub(crate) fn full(g: MatRef<'_>, base: &FoldBase, terms: &PriorTerms) -> Result<Self> {
         let rows: Vec<usize> = (0..g.nrows()).collect();
         let mut sys = FoldSystem::default();
-        sys.build(g, kernel, &rows, &[])?;
-        let (nz, nt) = (sys.gz.nrows(), rows.len());
-        let c = Matrix::from_row_major(nz, nt, sys.c.as_slice()[..nz * nt].to_vec())?;
+        sys.build(g, base, terms, &rows, &[])?;
         Ok(FoldSystem {
-            gz: sys.gz,
-            gz_tau: sys.gz_tau,
-            c,
+            c_nz: sys.c_nz,
             s: sys.s,
             h_tau: sys.h_tau,
             d: sys.d,
@@ -598,11 +717,11 @@ impl FoldSystem {
         })
     }
 
-    /// Solves the full-data MAP system of a [`FoldSystem::full`] system
-    /// for the response `f` at `hyper`, with the prior family `kind`
-    /// (zero-mean drops the prior mean of `terms`, which must come from
-    /// the kernel the system was built from), returning the M
-    /// coefficients:
+    /// Solves the full-data MAP system of a [`FoldSystem::full`] system on
+    /// the full-data `base` for the response `f` at `hyper`, with the
+    /// prior family `kind` (zero-mean drops the prior mean of `terms`,
+    /// which must be the prior the system was built from), returning the
+    /// M coefficients:
     ///
     /// ```text
     /// y → [Q_Zᵀy; x = (T̂ + hI)⁻¹ HᵀNᵀy],   α_Z = R⁻¹(Q_Zᵀy − C[Z,N]·H x),
@@ -624,12 +743,13 @@ impl FoldSystem {
     pub(crate) fn solve(
         &self,
         g: MatRef<'_>,
+        base: &FoldBase,
         terms: &PriorTerms,
         f: &[f64],
         hyper: f64,
         kind: PriorKind,
     ) -> Result<(Vector, Resilience)> {
-        let (nz, n, nt) = (self.gz.nrows(), self.d.len(), self.c.ncols());
+        let (nz, n, nt) = (base.gz.nrows(), self.d.len(), base.gz.ncols());
         if f.len() != nt || terms.g_mu.len() != nt {
             return Err(BmfError::SampleShape {
                 detail: format!("{nt} system rows vs {} values", f.len()),
@@ -642,7 +762,7 @@ impl FoldSystem {
             .zip(&terms.g_mu)
             .map(|(fi, mu)| if nzm { fi - mu } else { *fi })
             .collect();
-        let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
+        let q = base.q();
         let h = Reflectors::new(&self.s, &self.h_tau, 1);
         q.apply_qt_in_place(&mut y, &mut [0.0])?;
         h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
@@ -654,12 +774,11 @@ impl FoldSystem {
         h.apply_q_in_place(x, &mut [0.0])?;
         // α_Z = R⁻¹(Q_Zᵀy − C[Z,N] H x), with R = (Rᵀ)ᵀ from `gz`.
         let mut alpha_z = vec![0.0; nz];
-        let c_zn = MatRef::strided(&self.c.as_slice()[nz..], nz, n, nt)?;
-        matvec_into(c_zn, x, &mut alpha_z)?;
+        matvec_transpose_into(self.c_nz.as_view(), x, &mut alpha_z)?;
         for (t, u) in alpha_z.iter_mut().zip(uz.iter()) {
             *t = u - *t;
         }
-        let rt = MatRef::strided(self.gz.as_slice(), nz, nz, nt)?;
+        let rt = MatRef::strided(base.gz.as_slice(), nz, nz, nt)?;
         bmf_linalg::solve_lower_transpose(rt, &mut alpha_z)?;
         // α_F = μ_F + A_F⁻¹ G_Fᵀ N H x, with N H x = Q [0; H x].
         uz.fill(0.0);
@@ -676,28 +795,50 @@ impl FoldSystem {
         }
         Ok((Vector::from(out), res))
     }
+}
 
-    /// Sweeps one `(prior pattern, fold)` pair: builds the system of
-    /// `kernel` for `fold` once, then evaluates every `(grid, kind)` cell
-    /// of every response in `responses` (all of that pattern) against it.
+/// One sweep worker's scratch: a fold base and a pattern system, reused
+/// across the `(base, fold)` tasks it claims, and the grid and prior
+/// families every cell evaluates.
+#[derive(Debug, Clone)]
+pub(crate) struct FoldWork<'a> {
+    grid: &'a [f64],
+    kinds: &'a [PriorKind],
+    base: FoldBase,
+    system: FoldSystem,
+}
+
+impl<'a> FoldWork<'a> {
+    /// Empty scratch for sweeps over `grid` and `kinds`.
+    pub(crate) fn new(grid: &'a [f64], kinds: &'a [PriorKind]) -> Self {
+        FoldWork {
+            grid,
+            kinds,
+            base: FoldBase::default(),
+            system: FoldSystem::default(),
+        }
+    }
+
+    /// Sweeps one `(base, fold)` pair: builds the fold's base of the
+    /// kernel `base` (missing columns `missing`) once, then for each
+    /// pattern `(terms, responses)` on it, in order, the pattern's system
+    /// and every `(grid, kind)` cell of its responses.
     ///
-    /// Returns `None` when the fold is unusable (see [`FoldSystem::build`]:
-    /// too few training rows, or a rank-deficient `G_Z`). A grid value
-    /// whose `T̂ + ηI` is singular to working precision (a pivot not
-    /// positive and finite, or a pivot ratio at the ladder's
-    /// `rcond_floor`) is blank for every family; a cell whose error is
-    /// not finite is blank. The result depends only on the inputs, never
-    /// on the scratch.
-    pub(crate) fn sweep(
+    /// Returns one table, `[response][kind][grid]` over the responses of
+    /// every pattern in order, or `None` when the fold is unusable (see
+    /// [`FoldBase::build`]: too few training rows, or a rank-deficient
+    /// `G_Z`). The result depends only on the inputs, never on the
+    /// scratch.
+    pub(crate) fn sweep<'p>(
         &mut self,
         g: &Matrix,
-        kernel: &SweepKernel,
+        base: &Matrix,
+        missing: &[usize],
+        patterns: impl Iterator<Item = (&'p PriorTerms, &'p [&'p Vector])> + Clone,
         fold: &Fold,
-        responses: &[&Vector],
-        grid: &[f64],
-        kinds: &[PriorKind],
     ) -> Result<Option<FoldErrors>> {
-        match self.build(g.as_view(), kernel, &fold.train, &fold.validate) {
+        let (train, val) = (&fold.train, &fold.validate);
+        match self.base.build(g.as_view(), base, missing, train, val) {
             Ok(()) => {}
             Err(
                 BmfError::NotEnoughSamples { .. }
@@ -705,20 +846,51 @@ impl FoldSystem {
             ) => return Ok(None),
             Err(e) => return Err(e),
         }
-        let (nz, n, nv) = (self.gz.nrows(), self.d.len(), fold.validate.len());
+        let cells = self.kinds.len() * self.grid.len();
+        let responses: usize = patterns.clone().map(|(_, r)| r.len()).sum();
+        let mut errors: FoldErrors = vec![None; responses * cells];
+        let mut rest = errors.as_mut_slice();
+        for (terms, responses) in patterns {
+            let (out, tail) = rest.split_at_mut(responses.len() * cells);
+            rest = tail;
+            self.system
+                .build(g.as_view(), &self.base, terms, train, val)?;
+            self.cells(terms, fold, responses, out)?;
+        }
+        Ok(Some(errors))
+    }
+
+    /// Evaluates every `(grid, kind)` cell of every response in
+    /// `responses` (all of the pattern `terms`) against the system,
+    /// built for `fold` on the base, into `errors`
+    /// (`[response][kind][grid]`, flat, all `None` on entry).
+    ///
+    /// A grid value whose `T̂ + ηI` is singular to working precision (a
+    /// pivot not positive and finite, or a pivot ratio at the ladder's
+    /// `rcond_floor`) is blank for every family; a cell whose error is
+    /// not finite is blank. The result depends only on the inputs, never
+    /// on the scratch.
+    fn cells(
+        &mut self,
+        terms: &PriorTerms,
+        fold: &Fold,
+        responses: &[&Vector],
+        errors: &mut [Option<f64>],
+    ) -> Result<()> {
+        let (base, sys, grid, kinds) = (&self.base, &mut self.system, self.grid, self.kinds);
+        let (nz, n, nv) = (base.gz.nrows(), sys.d.len(), fold.validate.len());
         let cells = kinds.len() * grid.len();
-        let mut errors: FoldErrors = vec![None; responses.len() * cells];
-        let (proj, r0) = (&mut self.proj, &mut self.r0);
+        let (proj, r0) = (&mut sys.proj, &mut sys.r0);
         proj.reset_zeros(kinds.len(), fold.train.len());
         r0.reset_zeros(kinds.len(), nv);
-        resize(&mut self.piv, n + n.saturating_sub(1));
-        resize(&mut self.x, n + nv);
-        let (piv, l) = self.piv.split_at_mut(n);
-        let (x, wx) = self.x.split_at_mut(n);
-        let wt = MatRef::from_row_major(&self.vt.as_slice()[nz * nv..], n, nv)?;
-        let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
-        let h = Reflectors::new(&self.s, &self.h_tau, 1);
-        let (g_mu, floor) = (&kernel.terms.g_mu, LadderPolicy::default().rcond_floor);
+        resize(&mut sys.piv, n + n.saturating_sub(1));
+        resize(&mut sys.x, n + nv);
+        let (piv, l) = sys.piv.split_at_mut(n);
+        let (x, wx) = sys.x.split_at_mut(n);
+        let wt = sys.wt.as_view();
+        let q = base.q();
+        let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
+        let (g_mu, floor) = (&terms.g_mu, LadderPolicy::default().rcond_floor);
         for (ri, f) in responses.iter().enumerate() {
             let val_norm = fold
                 .validate
@@ -737,15 +909,15 @@ impl FoldSystem {
                 }
                 q.apply_qt_in_place(y, &mut [0.0])?;
                 h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
-                let base = r0.row_mut(ki);
-                matvec_into(self.ev.as_view(), &proj.row(ki)[..nz], base)?;
-                for (b, &v) in base.iter_mut().zip(&fold.validate) {
+                let r = r0.row_mut(ki);
+                matvec_into(base.ev.as_view(), &proj.row(ki)[..nz], r)?;
+                for (b, &v) in r.iter_mut().zip(&fold.validate) {
                     *b += if nzm { g_mu[v] - f[v] } else { -f[v] };
                 }
             }
             for (gi, &eta) in grid.iter().enumerate() {
                 // Lengths are set above, so an error is a refused system.
-                if tridiagonal::ldl_shifted_into(&self.d, &self.e, eta, floor, piv, l).is_err() {
+                if tridiagonal::ldl_shifted_into(&sys.d, &sys.e, eta, floor, piv, l).is_err() {
                     continue;
                 }
                 for ki in 0..kinds.len() {
@@ -764,13 +936,13 @@ impl FoldSystem {
                 }
             }
         }
-        Ok(Some(errors))
+        Ok(())
     }
 }
 
 impl<'g> MapSweep<'g> {
-    /// Builds the sweep over a borrowed design-matrix view: the kernel
-    /// and the sample-space system over every row of `g`.
+    /// Builds the sweep over a borrowed design-matrix view: the base and
+    /// the sample-space system over every row of `g`.
     ///
     /// # Errors
     ///
@@ -779,9 +951,15 @@ impl<'g> MapSweep<'g> {
     /// rank deficient.
     pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
         let kernel = SweepKernel::new(g, prior)?;
-        let system = FoldSystem::full(g, &kernel)?;
+        let base = FoldBase::full(g, &kernel.base, &kernel.terms.missing)?;
+        let system = FoldSystem::full(g, &base, &kernel.terms)?;
         let terms = kernel.terms;
-        Ok(MapSweep { g, terms, system })
+        Ok(MapSweep {
+            g,
+            terms,
+            base: base.into_projection(),
+            system,
+        })
     }
 
     /// Solves the MAP system for one hyper-parameter value and response
@@ -807,7 +985,9 @@ impl<'g> MapSweep<'g> {
         crate::screen::finite_values("response values", f.as_slice())?;
         validate_hyper(hyper)?;
         let (g, terms) = (self.g, &self.terms);
-        let (alpha, _) = self.system.solve(g, terms, f.as_slice(), hyper, kind)?;
+        let (alpha, _) = self
+            .system
+            .solve(g, &self.base, terms, f.as_slice(), hyper, kind)?;
         Ok(alpha)
     }
 }
@@ -911,6 +1091,154 @@ mod tests {
         let mut rng = seeded(seed);
         let mut s = StandardNormal::new();
         Matrix::from_fn(k, m, |_, _| s.sample(&mut rng))
+    }
+
+    /// `B_F = G·diag(A_F⁻¹)·Gᵀ` straight from the precisions, with
+    /// `A⁻¹ = 0` on the missing columns.
+    fn direct_kernel(g: &Matrix, prior: &Prior) -> Matrix {
+        let a_inv: Vec<f64> = prior
+            .precisions(1.0)
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d } else { 0.0 })
+            .collect();
+        let mut out = Matrix::zeros(g.nrows(), g.nrows());
+        outer_gram_diag_into(g.as_view(), &a_inv, out.as_view_mut()).unwrap();
+        out
+    }
+
+    /// `Qᵀ M` for a row-major block `m` of `cols` columns, one
+    /// reflector at a time.
+    fn qt(q: &Reflectors<'_>, m: &mut Matrix) {
+        let mut w = vec![0.0; m.ncols()];
+        q.apply_qt_in_place(m.as_mut_slice(), &mut w).unwrap();
+    }
+
+    fn max_abs(m: &Matrix) -> f64 {
+        m.as_slice().iter().fold(0.0f64, |s, x| s.max(x.abs()))
+    }
+
+    /// The shared-base oracle: per (pattern, fold), and over every row,
+    /// a pattern's system built from its fold base (the congruence of
+    /// the floor gram shared by every floor-gram pattern with the same
+    /// missing columns, or of the prior's own kernel, plus the pattern's
+    /// rank-|S| term) equals the direct path, `C = Qᵀ·B_F(T,T)·Q` by one
+    /// reflector at a time with `B_F` from `outer_gram_diag_into`:
+    /// `S = C[N,N]` (as `H T̂ Hᵀ`), `C[N,Z]` and the validation block
+    /// `(QᵀB_F(T,V))[N,·] − C[N,Z]·Eᵀ` (as `H·Wᵀ`), each within
+    /// `1e-12·n·max|B_F(T,T)|`.
+    #[test]
+    fn kernel_oracle_shared_bases_match_direct_congruences() {
+        use crate::hyper::FoldPlan;
+        // (floor-gram patterns, own-kernel patterns) compared with a
+        // missing column.
+        let mut hits = [0usize; 2];
+        let mut worst = 0.0f64;
+        bmf_stat::prop::check("shared-base systems == direct congruences", 24, |rng| {
+            let k = 9 + rng.gen_index(24);
+            let m = 8 + rng.gen_index(56);
+            let g = Matrix::from_row_major(k, m, bmf_stat::prop::vec_in(rng, -2.0, 2.0, k * m))
+                .unwrap();
+            let z1: Vec<usize> = (0..1 + rng.gen_index(3))
+                .map(|_| rng.gen_index(m))
+                .collect();
+            let z2: Vec<usize> = (0..rng.gen_index(3)).map(|_| rng.gen_index(m)).collect();
+            let mut sparse = |z: &[usize]| {
+                let early = (0..m)
+                    .map(|j| {
+                        let v = if rng.gen_index(5) == 0 {
+                            rng.gen_range(-2.0..2.0)
+                        } else {
+                            0.0
+                        };
+                        (!z.contains(&j)).then_some(v)
+                    })
+                    .collect();
+                Prior::new(PriorKind::NonZeroMean, early)
+            };
+            // Two patterns on one floor gram, one on another set's, and
+            // a dense prior on its own kernel.
+            let (p1, p2, p3) = (sparse(&z1), sparse(&z1), sparse(&z2));
+            let dense: Vec<Option<f64>> = (0..m)
+                .map(|j| (!z1.contains(&j)).then_some(0.1 + (j % 7) as f64 * 0.4))
+                .collect();
+            let patterns = [p1, p2, p3, Prior::new(PriorKind::NonZeroMean, dense)];
+            let plan = FoldPlan::new(k, 3, rng.next_u64()).unwrap();
+            let all: Vec<usize> = (0..k).collect();
+            let mut splits: Vec<(&[usize], &[usize])> = plan
+                .folds
+                .iter()
+                .map(|f| (f.train.as_slice(), f.validate.as_slice()))
+                .collect();
+            splits.push((&all, &[]));
+            for prior in &patterns {
+                let kernel = SweepKernel::new(g.as_view(), prior).unwrap();
+                let direct = direct_kernel(&g, prior);
+                let (mut base, mut sys) = (FoldBase::default(), FoldSystem::default());
+                for &(train, val) in &splits {
+                    let missing = kernel.terms.missing();
+                    if base
+                        .build(g.as_view(), &kernel.base, missing, train, val)
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    sys.build(g.as_view(), &base, &kernel.terms, train, val)
+                        .unwrap();
+                    let (nt, nz) = (train.len(), missing.len());
+                    let n = nt - nz;
+                    let q = base.q();
+                    let mut c = Matrix::from_fn(nt, nt, |i, j| direct[(train[i], train[j])]);
+                    let scale = 1e-12 * n.max(1) as f64 * max_abs(&c).max(f64::MIN_POSITIVE);
+                    qt(&q, &mut c);
+                    let mut c = c.transpose();
+                    qt(&q, &mut c);
+                    let mut vt = Matrix::from_fn(nt, val.len(), |i, v| direct[(train[i], val[v])]);
+                    qt(&q, &mut vt);
+                    // S as H T̂ Hᵀ, and Wᵀ before its Hᵀ.
+                    let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
+                    let mut t_hat = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+                        0 => sys.d[i],
+                        1 => sys.e[i.min(j)],
+                        _ => 0.0,
+                    });
+                    let mut w = vec![0.0; n.max(val.len())];
+                    h.apply_q_in_place(t_hat.as_mut_slice(), &mut w[..n])
+                        .unwrap();
+                    let mut s_rec = t_hat.transpose();
+                    h.apply_q_in_place(s_rec.as_mut_slice(), &mut w[..n])
+                        .unwrap();
+                    let mut w_rec = sys.wt.clone();
+                    h.apply_q_in_place(w_rec.as_mut_slice(), &mut w[..val.len()])
+                        .unwrap();
+                    let mut err = 0.0f64;
+                    for i in 0..n {
+                        for j in 0..n {
+                            err = err.max((s_rec[(i, j)] - c[(nz + i, nz + j)]).abs());
+                        }
+                        for z in 0..nz {
+                            err = err.max((sys.c_nz[(i, z)] - c[(nz + i, z)]).abs());
+                        }
+                        for v in 0..val.len() {
+                            let mut want = vt[(nz + i, v)];
+                            for z in 0..nz {
+                                want -= c[(nz + i, z)] * base.ev[(v, z)];
+                            }
+                            err = err.max((w_rec[(i, v)] - want).abs());
+                        }
+                    }
+                    assert!(err <= scale, "{err:e} > {scale:e} (n = {n}, |Z| = {nz})");
+                    worst = worst.max(err / scale);
+                    if nz > 0 {
+                        hits[usize::from(!kernel.terms.uses_floor_gram())] += 1;
+                    }
+                }
+            }
+        });
+        assert!(
+            hits.iter().all(|&h| h > 0),
+            "a base kind went untested: {hits:?}"
+        );
+        assert!(worst > 0.0, "the oracle compared nothing");
     }
 
     #[test]

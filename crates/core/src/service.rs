@@ -857,7 +857,6 @@ impl FitService {
             });
         }
         drop(streams);
-        // bmf-lint: allow(no-lossy-cast-in-kernels) -- a drain's append latency is far below u64::MAX nanoseconds
         let ns = start.elapsed().as_nanos() as u64;
         report.append_ns = ns;
         self.counters.append_ns.fetch_add(ns, Ordering::Relaxed);

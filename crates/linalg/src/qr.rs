@@ -1,4 +1,5 @@
 use crate::triangular::solve_upper;
+use crate::view::MatRef;
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Householder QR factorization `A = Q R` for `m × n` matrices with `m ≥ n`.
@@ -129,8 +130,10 @@ pub fn qr_in_place(at: &mut Matrix, tau: &mut Vec<f64>) -> Result<()> {
 /// packed one per row of `packed`: reflector `k`'s head sits at index
 /// `k + offset`, its tail right of it. [`Qr`] packs with offset 0, the
 /// tridiagonal reduction with offset 1. The applications act on the
-/// rows of a row-major block (a vector is a one-column block), with one
-/// block row of scratch `w`, and allocate nothing.
+/// rows of a row-major block (a vector is a one-column block), one
+/// reflector at a time with one block row of scratch `w`; the two-sided
+/// [`Reflectors::congruence_in_place`] applies them all at once in
+/// compact-WY form. None allocates beyond the scratch it is given.
 #[derive(Debug, Clone, Copy)]
 pub struct Reflectors<'a> {
     /// One reflector per row, as in the type docs.
@@ -200,22 +203,132 @@ impl<'a> Reflectors<'a> {
         self.apply((0..self.tau.len()).rev(), m, w)
     }
 
-    /// `S := Qᵀ S Q` for a symmetric `S`: `Qᵀ S`, transposed to `S Q`,
-    /// then `Qᵀ (S Q)`. `w` has one entry per column of `S`.
+    /// `S := Qᵀ S Q` for an exactly symmetric `S` (`packed.ncols()`
+    /// square), in compact-WY form. With `V` the unit reflectors (a zero
+    /// reflector, `τ = 0`, as a zero column) and `T` upper triangular
+    /// from them (LAPACK `dlarft`, forward and columnwise),
+    /// `Q = I − V T Vᵀ`, and
+    ///
+    /// ```text
+    /// Y = S V,   X = Y T − ½·V·Tᵀ(Vᵀ Y)T,   QᵀSQ = S − X Vᵀ − V Xᵀ
+    /// ```
+    ///
+    /// `Y`, `VᵀY` and the rank-2r update (on the upper triangle, then
+    /// mirrored, so the result is exactly symmetric) run on the
+    /// register-tiled products of [`crate::view::sub_products_into`].
+    /// `scratch` is resized to `6·r·n + 4·r² + r` entries (r reflectors)
+    /// and reused across calls; nothing else is allocated. With no
+    /// reflector, or every `τ` zero, `S` keeps its bits.
     ///
     /// # Errors
     ///
-    /// [`LinalgError::DimensionMismatch`] on a shape mismatch.
-    pub fn congruence_in_place(&self, s: &mut Matrix, w: &mut [f64]) -> Result<()> {
-        self.apply_qt_in_place(s.as_mut_slice(), w)?;
-        for i in 0..s.nrows() {
-            for j in (i + 1)..s.ncols() {
-                let (a, b) = (s[(i, j)], s[(j, i)]);
-                s[(i, j)] = b;
-                s[(j, i)] = a;
+    /// [`LinalgError::DimensionMismatch`] when `S` is not
+    /// `packed.ncols()` square or the reflectors do not fit `packed`.
+    pub fn congruence_in_place(&self, s: &mut Matrix, scratch: &mut Vec<f64>) -> Result<()> {
+        let (rows, n, r) = (self.packed.nrows(), self.packed.ncols(), self.tau.len());
+        let heads_fit = r == 0 || r - 1 + self.offset < n;
+        if rows < r || !heads_fit || s.shape() != (n, n) {
+            return Err(LinalgError::DimensionMismatch {
+                op: "householder congruence",
+                lhs: (rows, n),
+                rhs: s.shape(),
+            });
+        }
+        if self.tau.iter().all(|&t| crate::fp::is_exact_zero(t)) {
+            return Ok(());
+        }
+        crate::view::resize(scratch, 6 * r * n + 4 * r * r + r);
+        let (vt, rest) = scratch.split_at_mut(r * n);
+        let (yt, rest) = rest.split_at_mut(r * n);
+        let (xv, rest) = rest.split_at_mut(2 * r * n);
+        let (vx, rest) = rest.split_at_mut(2 * r * n);
+        let (t, rest) = rest.split_at_mut(r * r);
+        let (vv, rest) = rest.split_at_mut(r * r);
+        let (m, rest) = rest.split_at_mut(r * r);
+        let (z, tmp) = rest.split_at_mut(r * r);
+        // Vᵀ, one explicit reflector per row: 1 at the head, the tail
+        // right of it (zero rows for zero reflectors).
+        for (k, row) in vt.chunks_exact_mut(n).enumerate() {
+            if crate::fp::is_exact_zero(self.tau[k]) {
+                continue;
+            }
+            let h = k + self.offset;
+            row[h] = 1.0;
+            row[h + 1..].copy_from_slice(&self.packed.row(k)[h + 1..]);
+        }
+        let all = 0..n;
+        let full = std::slice::from_ref(&all);
+        let vt_ref = MatRef::from_row_major(vt, r, n)?;
+        // Yᵀ = VᵀS (S symmetric), VᵀY and VᵀV.
+        crate::view::for_each_product(vt_ref, s.as_view(), full, 0..r, false, |k, i, v| {
+            yt[k * n + i] = v;
+        });
+        let yt_ref = MatRef::from_row_major(yt, r, n)?;
+        crate::view::for_each_product(vt_ref, yt_ref, full, 0..r, false, |a, b, v| {
+            m[a * r + b] = v;
+        });
+        crate::view::for_each_product(vt_ref, vt_ref, full, 0..r, true, |a, b, v| {
+            vv[a * r + b] = v;
+        });
+        // T column by column: T[k,k] = τ_k, T[..k,k] = −τ_k·T[..k,..k]·(VᵀV)[..k,k].
+        for k in 0..r {
+            let tau = self.tau[k];
+            t[k * r + k] = tau;
+            for l in 0..k {
+                tmp[l] = -tau * vv[l * r + k];
+            }
+            for l in 0..k {
+                let mut sum = 0.0;
+                for c in l..k {
+                    sum += t[l * r + c] * tmp[c];
+                }
+                t[l * r + k] = sum;
             }
         }
-        self.apply_qt_in_place(s.as_mut_slice(), w)
+        // Z = −½·Tᵀ(VᵀY)T, through `vv` as Tᵀ(VᵀY).
+        for a in 0..r {
+            for b in 0..r {
+                let mut sum = 0.0;
+                for c in 0..=a {
+                    sum += t[c * r + a] * m[c * r + b];
+                }
+                vv[a * r + b] = sum;
+            }
+        }
+        for a in 0..r {
+            for b in 0..r {
+                let mut sum = 0.0;
+                for c in 0..=b {
+                    sum += vv[a * r + c] * t[c * r + b];
+                }
+                z[a * r + b] = -0.5 * sum;
+            }
+        }
+        // Row i of [X V] and of [V X], X = Y T + V Z.
+        for i in 0..n {
+            let (x, v) = xv[2 * r * i..2 * r * (i + 1)].split_at_mut(r);
+            x.fill(0.0);
+            for a in 0..r {
+                let y = yt[a * n + i];
+                for (xb, &tb) in x[a..].iter_mut().zip(&t[a * r + a..(a + 1) * r]) {
+                    *xb += y * tb;
+                }
+            }
+            for a in 0..r {
+                let va = vt[a * n + i];
+                v[a] = va;
+                for (xb, &zb) in x.iter_mut().zip(&z[a * r..(a + 1) * r]) {
+                    *xb += va * zb;
+                }
+            }
+            let (vo, xo) = vx[2 * r * i..2 * r * (i + 1)].split_at_mut(r);
+            vo.copy_from_slice(v);
+            xo.copy_from_slice(x);
+        }
+        let xv = MatRef::from_row_major(xv, n, 2 * r)?;
+        let vx = MatRef::from_row_major(vx, n, 2 * r)?;
+        crate::view::sub_products_into(xv, vx, true, s.as_view_mut())?;
+        crate::view::mirror_upper_into(s.as_view_mut())
     }
 }
 

@@ -13,8 +13,11 @@
 //! call these kernels on dense views. The property tests in
 //! `tests/view_properties.rs` pin, with `f64::to_bits` comparisons, that a
 //! strided or row-subset view gives the same bits as its dense copy and
-//! that the blocked kernels equal scalar one-accumulator references. See
-//! DESIGN.md §9 for the memory model.
+//! that the blocked kernels equal their scalar references: a
+//! one-accumulator dot for `matvec_into` and `outer_gram_diag_into`,
+//! and the one two-lane reduction for the register-tiled products
+//! ([`gram_runs_band_into`], [`sub_products_into`]). See DESIGN.md §9
+//! for the memory model.
 //!
 //! # Aliasing rules
 //!
@@ -461,50 +464,19 @@ pub fn gram_into(a: MatRef<'_>, mut out: MatMut<'_>) -> Result<()> {
 /// Outer Gram matrix `out = a * D * aᵀ` for diagonal `D`, writing into a
 /// caller buffer (every element written, so no zero-fill is needed).
 ///
-/// Every entry is bit-identical to [`dot3`] of its two rows, which the
-/// sequential engine relies on when it grows the same matrix row by
-/// row: the upper triangle is [`outer_gram_diag_band_into`] over every
-/// row, mirrored into the lower one.
+/// Every entry of the upper triangle is one left-to-right [`dot3`] sum of
+/// its two rows, bit for bit, mirrored into the lower one: the sequential
+/// engine relies on that when it grows the same matrix row by row, and
+/// the Woodbury core of [`crate::woodbury`] is this kernel. Each row's
+/// entries are computed four at a time, one accumulator each, so the add
+/// chains overlap; no entry's sum is reassociated.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::DimensionMismatch`] when `diag.len() !=
 /// a.ncols()` (op `"outer_gram_diag"`) or `out` is not
 /// `a.nrows() × a.nrows()`.
-pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], out: MatMut<'_>) -> Result<()> {
-    let k = a.nrows();
-    if out.shape() != (k, k) {
-        return Err(LinalgError::DimensionMismatch {
-            op: "outer_gram_diag_into (out)",
-            lhs: (k, k),
-            rhs: out.shape(),
-        });
-    }
-    outer_gram_diag_band_into(a, diag, 0..k, out.data)?;
-    mirror_upper_into(out)
-}
-
-/// Rows `rows` of the upper triangle of `a * D * aᵀ`: entry `(i, j)`,
-/// `i ∈ rows`, `j ≥ i`, lands at `band[(i − rows.start)·K + j]` with
-/// `K = a.nrows()`; entries left of the diagonal are not written.
-///
-/// Each entry is one left-to-right [`dot3`] sum of its two rows, bit for
-/// bit, so a matrix assembled from any split of its rows into bands (on
-/// any number of threads) has the same bits. Each row's entries are
-/// computed four at a time, one accumulator each, so the add chains
-/// overlap; no entry's sum is reassociated.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::DimensionMismatch`] when `diag.len() !=
-/// a.ncols()` (op `"outer_gram_diag"`), or `rows` runs past `K` or
-/// `band` does not hold `rows.len()` rows of `K`.
-pub fn outer_gram_diag_band_into(
-    a: MatRef<'_>,
-    diag: &[f64],
-    rows: Range<usize>,
-    band: &mut [f64],
-) -> Result<()> {
+pub fn outer_gram_diag_into(a: MatRef<'_>, diag: &[f64], mut out: MatMut<'_>) -> Result<()> {
     if diag.len() != a.ncols() {
         return Err(LinalgError::DimensionMismatch {
             op: "outer_gram_diag",
@@ -513,16 +485,17 @@ pub fn outer_gram_diag_band_into(
         });
     }
     let k = a.nrows();
-    if rows.end > k || rows.start > rows.end || band.len() != rows.len() * k {
+    if out.shape() != (k, k) {
         return Err(LinalgError::DimensionMismatch {
-            op: "outer_gram_diag_band_into (band)",
-            lhs: (rows.len(), k),
-            rhs: (band.len(), rows.end),
+            op: "outer_gram_diag_into (out)",
+            lhs: (k, k),
+            rhs: out.shape(),
         });
     }
     let m = diag.len();
-    for (i, out) in rows.zip(band.chunks_exact_mut(k.max(1))) {
+    for i in 0..k {
         let ri = &a.row(i)[..m];
+        let row = out.row_mut(i);
         let mut j = i;
         while j + 4 <= k {
             let (r0, r1, r2, r3) = (
@@ -540,19 +513,222 @@ pub fn outer_gram_diag_band_into(
                 s[2] += p * r2[t] * d;
                 s[3] += p * r3[t] * d;
             }
-            out[j..j + 4].copy_from_slice(&s);
+            row[j..j + 4].copy_from_slice(&s);
             j += 4;
         }
-        for (o, j) in out[j..].iter_mut().zip(j..) {
+        for (o, j) in row[j..].iter_mut().zip(j..) {
             *o = dot3(ri, a.row(j), diag);
         }
     }
+    mirror_upper_into(out)
+}
+
+/// One entry of every tiled product in this crate: `Σ a[k]·b[k]` over the
+/// column ranges `runs`, in two lanes. Within each run, lane 0 takes the
+/// even positions and lane 1 the odd ones, each accumulated in order
+/// from `+0`; an odd run's last product joins lane 0; the entry is
+/// `lane 0 + lane 1`. [`for_each_product`]'s register tiles keep this
+/// order and association for every entry they hold, so an entry's bits
+/// depend on its two rows and the runs alone, never on the tile (or row
+/// band, or thread) that computed it.
+pub(crate) fn dot_runs(a: &[f64], b: &[f64], runs: &[Range<usize>]) -> f64 {
+    let mut lane = [0.0f64; 2];
+    for run in runs {
+        let (a, b) = (&a[run.start..run.end], &b[run.start..run.end]);
+        let len = a.len().min(b.len());
+        for t in 0..len / 2 {
+            lane[0] += a[2 * t] * b[2 * t];
+            lane[1] += a[2 * t + 1] * b[2 * t + 1];
+        }
+        if len % 2 == 1 {
+            lane[0] += a[len - 1] * b[len - 1];
+        }
+    }
+    lane[0] + lane[1]
+}
+
+/// Two rows of `P` against four rows of `Q`: the eight entries of
+/// [`dot_runs`], computed together so each loaded value feeds four (or
+/// two) products and sixteen independent add chains overlap. Plain
+/// multiplies and adds (no fused multiply-add), in `dot_runs`' order.
+#[inline(always)]
+fn tile_2x4(p: [&[f64]; 2], q: [&[f64]; 4], runs: &[Range<usize>]) -> [[f64; 4]; 2] {
+    let mut acc = [[[0.0f64; 2]; 4]; 2];
+    for run in runs {
+        let (lo, hi) = (run.start, run.end);
+        let len = hi - lo;
+        let p = [&p[0][lo..hi], &p[1][lo..hi]];
+        let q = [&q[0][lo..hi], &q[1][lo..hi], &q[2][lo..hi], &q[3][lo..hi]];
+        for t in 0..len / 2 {
+            let k = 2 * t;
+            let (p0, p1) = ([p[0][k], p[0][k + 1]], [p[1][k], p[1][k + 1]]);
+            for (b, qb) in q.iter().enumerate() {
+                let qk = [qb[k], qb[k + 1]];
+                acc[0][b][0] += p0[0] * qk[0];
+                acc[0][b][1] += p0[1] * qk[1];
+                acc[1][b][0] += p1[0] * qk[0];
+                acc[1][b][1] += p1[1] * qk[1];
+            }
+        }
+        if len % 2 == 1 {
+            let k = len - 1;
+            for (b, qb) in q.iter().enumerate() {
+                acc[0][b][0] += p[0][k] * qb[k];
+                acc[1][b][0] += p[1][k] * qb[k];
+            }
+        }
+    }
+    acc.map(|row| row.map(|lane| lane[0] + lane[1]))
+}
+
+/// Hands every entry `(i, j)` of `P Qᵀ` over the columns `runs` to
+/// `emit(i, j, value)`: `i ∈ rows`, and `j` over every row of `q`, or
+/// only `j ≥ i` with `upper`. Each value is [`dot_runs`] of row `i` of
+/// `p` and row `j` of `q`, bit for bit; the work runs in 2×4 register
+/// tiles, a diagonal entry or a ragged edge on its own. Callers check
+/// that both views hold every column of `runs`.
+pub(crate) fn for_each_product(
+    p: MatRef<'_>,
+    q: MatRef<'_>,
+    runs: &[Range<usize>],
+    rows: Range<usize>,
+    upper: bool,
+    mut emit: impl FnMut(usize, usize, f64),
+) {
+    let nq = q.nrows();
+    let mut i = rows.start;
+    while i < rows.end {
+        let pair = i + 1 < rows.end;
+        // With `upper`, the first column both rows of a pair share is
+        // i + 1; entry (i, i) goes alone.
+        let mut j = if upper { i } else { 0 };
+        if upper && pair && j < nq {
+            emit(i, j, dot_runs(p.row(i), q.row(j), runs));
+            j += 1;
+        }
+        if pair {
+            let pr = [p.row(i), p.row(i + 1)];
+            while j + 4 <= nq {
+                let qr = [q.row(j), q.row(j + 1), q.row(j + 2), q.row(j + 3)];
+                let tile = tile_2x4(pr, qr, runs);
+                for (a, row) in tile.iter().enumerate() {
+                    for (b, &v) in row.iter().enumerate() {
+                        emit(i + a, j + b, v);
+                    }
+                }
+                j += 4;
+            }
+            for j in j..nq {
+                emit(i, j, dot_runs(pr[0], q.row(j), runs));
+                emit(i + 1, j, dot_runs(pr[1], q.row(j), runs));
+            }
+            i += 2;
+        } else {
+            let pr = p.row(i);
+            for j in j..nq {
+                emit(i, j, dot_runs(pr, q.row(j), runs));
+            }
+            i += 1;
+        }
+    }
+}
+
+/// Whether `runs` lie in order within `0..cols` (each run's end past its
+/// start is allowed to be empty).
+fn runs_fit(runs: &[Range<usize>], cols: usize) -> bool {
+    let mut at = 0;
+    runs.iter().all(|r| {
+        let ok = r.start >= at && r.start <= r.end && r.end <= cols;
+        at = r.end;
+        ok
+    })
+}
+
+/// Rows `rows` of the upper triangle of the gram `Γ = A_R·A_Rᵀ` of the
+/// columns `runs` of `a` (ascending, disjoint ranges): entry `(i, j)`,
+/// `i ∈ rows`, `j ≥ i`, lands at `band[(i − rows.start)·K + j]` with
+/// `K = a.nrows()`; entries left of the diagonal are not written.
+///
+/// This is the floor gram of the batch engine (the finite columns of a
+/// design matrix, as runs between the missing ones), with no weight
+/// vector and no copy of `a`. Each entry is the fixed two-lane reduction
+/// of its two rows over the runs, whatever register tile holds it, so a
+/// matrix assembled from any split of its rows into bands (on any
+/// number of threads) has the same bits. It agrees with the
+/// one-accumulator [`dot3`] entry with unit weights to rounding, not bit
+/// for bit.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::DimensionMismatch`] when `runs` are not
+/// ascending ranges within `0..a.ncols()`, `rows` runs past `K`, or
+/// `band` does not hold `rows.len()` rows of `K`.
+pub fn gram_runs_band_into(
+    a: MatRef<'_>,
+    runs: &[Range<usize>],
+    rows: Range<usize>,
+    band: &mut [f64],
+) -> Result<()> {
+    let k = a.nrows();
+    if !runs_fit(runs, a.ncols())
+        || rows.end > k
+        || rows.start > rows.end
+        || band.len() != rows.len() * k
+    {
+        return Err(LinalgError::DimensionMismatch {
+            op: "gram_runs_band_into",
+            lhs: (rows.len(), k),
+            rhs: (band.len(), a.ncols()),
+        });
+    }
+    let start = rows.start;
+    for_each_product(a, a, runs, rows, true, |i, j, v| {
+        band[(i - start) * k + j] = v;
+    });
+    Ok(())
+}
+
+/// `out −= P·Qᵀ`: every entry, or with `upper` only the upper triangle
+/// (`j ≥ i`, `out` square; the strict lower triangle is not touched).
+/// Entry `(i, j)` subtracts the fixed two-lane reduction of row `i` of
+/// `p` against row `j` of `q` ([`gram_runs_band_into`]'s, over every
+/// column), computed in register tiles. The sample-space sweep's
+/// low-rank updates run on it.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::DimensionMismatch`] when `p` and `q` differ in
+/// column count or `out` is not `p.nrows() × q.nrows()`, and
+/// [`LinalgError::NotSquare`] for a non-square `out` with `upper`.
+pub fn sub_products_into(p: MatRef<'_>, q: MatRef<'_>, upper: bool, out: MatMut<'_>) -> Result<()> {
+    if p.ncols() != q.ncols() || out.shape() != (p.nrows(), q.nrows()) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "sub_products_into",
+            lhs: (p.nrows(), q.nrows()),
+            rhs: out.shape(),
+        });
+    }
+    let (rows, cols) = out.shape();
+    if upper && rows != cols {
+        return Err(LinalgError::NotSquare { rows, cols });
+    }
+    let all = 0..p.ncols();
+    for_each_product(
+        p,
+        q,
+        std::slice::from_ref(&all),
+        0..rows,
+        upper,
+        |i, j, v| {
+            out.data[i * cols + j] -= v;
+        },
+    );
     Ok(())
 }
 
 /// Copies the strict upper triangle of the square `out` onto its lower
 /// triangle, completing a matrix whose upper triangle was written by
-/// [`outer_gram_diag_band_into`].
+/// [`gram_runs_band_into`] or [`sub_products_into`].
 ///
 /// # Errors
 ///
@@ -572,10 +748,9 @@ pub fn mirror_upper_into(out: MatMut<'_>) -> Result<()> {
 
 /// Diagonally weighted dot product `Σᵢ a[i]·b[i]·diag[i]`, accumulated
 /// left to right from `+0`, each term `(a[i]·b[i])·diag[i]` — one entry
-/// of `A·D·Aᵀ`, which [`outer_gram_diag_band_into`] (and so
-/// [`outer_gram_diag_into`]) reproduces bit for bit in any split into
-/// row bands: its blocked loop keeps this order and association, its
-/// remainder calls this. The sequential fitting engine uses it to grow
+/// of `A·D·Aᵀ`, which [`outer_gram_diag_into`] reproduces bit for bit:
+/// its blocked loop keeps this order and association, its remainder
+/// calls this. The sequential fitting engine uses it to grow
 /// the Woodbury core one row at a time with entries bit-identical to the
 /// batch-assembled matrix.
 ///

@@ -1,8 +1,8 @@
 //! Property tests for the Householder kernels behind the sample-space
 //! cross-validation sweep: [`Qr`]'s reflector applications, the
-//! symmetric tridiagonal reduction, the shifted tridiagonal LDLᵀ solve
-//! and the implicit-QL eigenvalues, each against an explicit dense
-//! reference. The factorization itself is also pinned bit for bit to
+//! compact-WY congruence `QᵀSQ`, the symmetric tridiagonal reduction,
+//! the shifted tridiagonal LDLᵀ solve and the implicit-QL eigenvalues,
+//! each against an explicit dense reference. The factorization itself is also pinned bit for bit to
 //! the classic column-loop Householder QR, which every least-squares
 //! and OMP fit goes through.
 
@@ -71,8 +71,7 @@ fn qr_reflectors_match_explicit_q() {
         // The congruence of a symmetric matrix.
         let s = symmetric(rng, m);
         let mut c_s = s.clone();
-        refl.congruence_in_place(&mut c_s, &mut vec![0.0; m])
-            .unwrap();
+        refl.congruence_in_place(&mut c_s, &mut Vec::new()).unwrap();
         let want = q.transpose().matmul(&s).unwrap().matmul(&q).unwrap();
         assert!(max_abs_diff(&c_s, &want) < 1e-12);
         // A block of the wrong height is rejected.
@@ -81,6 +80,78 @@ fn qr_reflectors_match_explicit_q() {
             Err(LinalgError::DimensionMismatch { .. })
         ));
     });
+}
+
+fn frobenius(m: &Matrix) -> f64 {
+    m.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// Reflectors of `r` random columns over `n` rows, headed at `offset`
+/// (the QR of an `(n − offset) × r` block, shifted right), with a zero
+/// reflector (`τ = 0`) put in now and then.
+fn random_reflectors(rng: &mut Rng, n: usize, r: usize, offset: usize) -> (Matrix, Vec<f64>) {
+    let mut at = matrix(rng, r, n - offset);
+    let mut tau = Vec::new();
+    bmf_linalg::qr_in_place(&mut at, &mut tau).unwrap();
+    if r > 0 && rng.gen_bool(0.3) {
+        tau[rng.gen_index(r)] = 0.0;
+    }
+    let packed = Matrix::from_fn(
+        r,
+        n,
+        |k, j| if j < offset { 0.0 } else { at[(k, j - offset)] },
+    );
+    (packed, tau)
+}
+
+#[test]
+fn wy_congruence_matches_explicit_qt_s_q() {
+    let (mut with_zero, mut tiles) = (0, 0);
+    check("compact-WY QᵀSQ == explicit", DEFAULT_CASES, |rng| {
+        // n up to 40 covers full 2 × 4 tiles and every remainder; the
+        // rank-2r update's inner length 2r runs odd and even.
+        let n = 1 + rng.gen_index(40);
+        let offset = usize::from(n > 1 && rng.gen_bool(0.3));
+        let r = rng.gen_index(13.min(n - offset + 1));
+        let (packed, tau) = random_reflectors(rng, n, r, offset);
+        let refl = Reflectors::new(&packed, &tau, offset);
+        let s = symmetric(rng, n);
+        let mut got = s.clone();
+        let mut scratch = Vec::new();
+        refl.congruence_in_place(&mut got, &mut scratch).unwrap();
+        let q = explicit(&refl);
+        let want = q.transpose().matmul(&s).unwrap().matmul(&q).unwrap();
+        let err = max_abs_diff(&got, &want);
+        assert!(err <= 1e-12 * frobenius(&s), "{err:e} at n = {n}, r = {r}");
+        // One triangle, mirrored: exactly symmetric.
+        assert_eq!(got, got.transpose());
+        if tau.iter().all(|&t| t == 0.0) {
+            // No reflector at all, or only zero ones: the bits stay.
+            assert_eq!(got, s);
+        }
+        with_zero += usize::from(tau.contains(&0.0) && tau.iter().any(|&t| t != 0.0));
+        tiles += usize::from(n >= 6 && r >= 4);
+    });
+    assert!(with_zero > 0 && tiles > 0);
+    // |Z| = 0 leaves S bitwise untouched, signed zeros included.
+    let s = Matrix::from_fn(5, 5, |i, j| if i == j { -0.0 } else { (i + j) as f64 });
+    let mut got = s.clone();
+    let none = Matrix::zeros(0, 5);
+    Reflectors::new(&none, &[], 0)
+        .congruence_in_place(&mut got, &mut Vec::new())
+        .unwrap();
+    assert!(got
+        .as_slice()
+        .iter()
+        .zip(s.as_slice())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    // A matrix of the wrong size is refused.
+    let (packed, tau) = (Matrix::zeros(1, 4), [0.5]);
+    let mut wrong = Matrix::zeros(3, 3);
+    assert!(matches!(
+        Reflectors::new(&packed, &tau, 0).congruence_in_place(&mut wrong, &mut Vec::new()),
+        Err(LinalgError::DimensionMismatch { .. })
+    ));
 }
 
 /// The classic column-loop Householder QR: returns `R` row-major.

@@ -13,8 +13,11 @@
 //!   blocked `lu_factor_in_place` equal scalar references written out
 //!   below — one accumulator per entry, left to right, and the indexed
 //!   elimination loop;
-//! * `outer_gram_diag_band_into` over any split into row bands,
-//!   mirrored, equals the whole `outer_gram_diag_into` product.
+//! * the register-tiled products (`gram_runs_band_into`,
+//!   `sub_products_into`) equal their two-lane scalar reference entry by
+//!   entry, so the floor gram over any split into row bands, mirrored,
+//!   equals the whole gram; and that gram agrees with the
+//!   one-accumulator `dot3` entries within `1e-13·max|Γ|`.
 
 use bmf_linalg::woodbury::{solve_diag_plus_gram_into, WoodburyScratch};
 use bmf_linalg::{
@@ -489,22 +492,56 @@ fn outer_gram_diag_into_bitwise_equals_dot3_for_every_block_remainder() {
     );
 }
 
+/// The tiled products' per-entry reduction, written out: per run, even
+/// positions into lane 0 and odd ones into lane 1 (an odd run's last
+/// product into lane 0), each from `+0` in order; then lane 0 + lane 1.
+fn ref_dot_runs(a: &[f64], b: &[f64], runs: &[std::ops::Range<usize>]) -> f64 {
+    let mut lane = [0.0f64; 2];
+    for run in runs {
+        for (t, k) in run.clone().enumerate() {
+            lane[t % 2] += a[k] * b[k];
+        }
+    }
+    lane[0] + lane[1]
+}
+
+/// Random ascending runs over `0..cols`: the gaps are the "missing"
+/// columns, including runs of length one and adjacent gaps.
+fn random_runs(rng: &mut Rng, cols: usize) -> Vec<std::ops::Range<usize>> {
+    let missing: Vec<bool> = (0..cols).map(|_| rng.gen_bool(0.25)).collect();
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (j, &gone) in missing.iter().chain([&true]).enumerate() {
+        match (gone, start) {
+            (false, None) => start = Some(j),
+            (true, Some(s)) => {
+                runs.push(s..j);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    runs
+}
+
 #[test]
-fn outer_gram_diag_bands_bitwise_equal_the_whole_product() {
+fn gram_runs_bands_bitwise_equal_the_whole_gram() {
     check(
-        "outer_gram_diag_bands_bitwise_equal_the_whole_product",
+        "gram_runs_bands_bitwise_equal_the_whole_gram",
         DEFAULT_CASES,
         |rng| {
-            let k = rng.gen_index(14);
-            let cols = rng.gen_index(11);
+            // Every remainder of the 2 × 4 tile, at up to four whole
+            // tiles per row.
+            let k = rng.gen_index(20);
+            let cols = rng.gen_index(33);
             let m = matrix(rng, k, cols);
-            let diag: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.1..5.0)).collect();
-            let diag = with_zeros(rng, diag);
+            let runs = random_runs(rng, cols);
             let mut whole = Matrix::zeros(k, k);
-            view::outer_gram_diag_into(m.as_view(), &diag, whole.as_view_mut()).unwrap();
-            // Random cut points, each band written into its rows of one
-            // matrix, then the lower triangle mirrored.
-            let mut cuts: Vec<usize> = (0..rng.gen_index(4))
+            view::gram_runs_band_into(m.as_view(), &runs, 0..k, whole.as_mut_slice()).unwrap();
+            view::mirror_upper_into(whole.as_view_mut()).unwrap();
+            // Random cut points (odd band edges included), each band
+            // written into its rows of one matrix, then mirrored.
+            let mut cuts: Vec<usize> = (0..rng.gen_index(5))
                 .map(|_| rng.gen_index(k + 1))
                 .collect();
             cuts.extend([0, k]);
@@ -512,10 +549,60 @@ fn outer_gram_diag_bands_bitwise_equal_the_whole_product() {
             let mut banded = Matrix::from_fn(k, k, |_, _| f64::NAN);
             for w in cuts.windows(2) {
                 let band = &mut banded.as_mut_slice()[w[0] * k..w[1] * k];
-                view::outer_gram_diag_band_into(m.as_view(), &diag, w[0]..w[1], band).unwrap();
+                view::gram_runs_band_into(m.as_view(), &runs, w[0]..w[1], band).unwrap();
             }
             view::mirror_upper_into(banded.as_view_mut()).unwrap();
             assert_bits_eq(banded.as_slice(), whole.as_slice());
+            // Each entry is the two-lane reduction, bit for bit, and the
+            // one-accumulator weighted dot to rounding.
+            let mut ones = vec![0.0; cols];
+            for run in &runs {
+                ones[run.clone()].fill(1.0);
+            }
+            let scale = whole.as_slice().iter().fold(0.0f64, |s, x| s.max(x.abs()));
+            for i in 0..k {
+                for j in i..k {
+                    let want = ref_dot_runs(m.row(i), m.row(j), &runs);
+                    assert_eq!(whole[(i, j)].to_bits(), want.to_bits(), "({i}, {j})");
+                    let dot = dot3(m.row(i), m.row(j), &ones);
+                    assert!((whole[(i, j)] - dot).abs() <= 1e-13 * scale);
+                }
+            }
+            // Runs past the columns are refused.
+            let bad = 0..cols + 1;
+            let mut out = vec![0.0; k * k];
+            let bad = std::slice::from_ref(&bad);
+            assert!(view::gram_runs_band_into(m.as_view(), bad, 0..k, &mut out).is_err());
+        },
+    );
+}
+
+#[test]
+fn sub_products_into_bitwise_equals_two_lane_reference() {
+    check(
+        "sub_products_into_bitwise_equals_two_lane_reference",
+        DEFAULT_CASES,
+        |rng| {
+            let (rows, inner) = (rng.gen_index(13), rng.gen_index(21));
+            let upper = rng.gen_bool(0.5);
+            let cols = if upper { rows } else { rng.gen_index(13) };
+            let p = matrix(rng, rows, inner);
+            let q = matrix(rng, cols, inner);
+            let start = matrix(rng, rows, cols);
+            let mut out = start.clone();
+            view::sub_products_into(p.as_view(), q.as_view(), upper, out.as_view_mut()).unwrap();
+            let full = 0..inner;
+            let full = std::slice::from_ref(&full);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let want = if upper && j < i {
+                        start[(i, j)]
+                    } else {
+                        start[(i, j)] - ref_dot_runs(p.row(i), q.row(j), full)
+                    };
+                    assert_eq!(out[(i, j)].to_bits(), want.to_bits(), "({i}, {j})");
+                }
+            }
         },
     );
 }

@@ -18,7 +18,8 @@
 //!
 //! Inline suppressions take the form
 //! `// bmf-lint: allow(<rule>) -- <reason>` on the offending line or the
-//! line above; the reason string is mandatory.
+//! line above; the reason string is mandatory, and a suppression whose
+//! removal changes no finding is itself reported.
 //!
 //! ```
 //! use bmf_lint::lint_source;
@@ -109,22 +110,52 @@ impl Analysis {
     }
 }
 
-/// Runs every rule over the analysis, applies suppressions, and appends
-/// `malformed-suppression` findings. Sorted by `(file, line, col, rule)`.
-pub fn lint_analysis(analysis: &Analysis) -> Vec<Finding> {
+/// Runs `rules` over the analysis and drops what a well-formed
+/// suppression covers.
+fn surviving(analysis: &Analysis, rules: &[&dyn rules::Rule]) -> Vec<Finding> {
     let mut raw = Vec::new();
-    for rule in all_rules() {
+    for rule in rules {
         rule.check(analysis, &mut raw);
     }
-    let mut out: Vec<Finding> = raw
-        .into_iter()
+    raw.into_iter()
         .filter(|fi| {
             !analysis
                 .model_for(&fi.file)
                 .is_some_and(|m| m.suppressed(&fi.rule, fi.line))
         })
-        .collect();
+        .collect()
+}
 
+/// The well-formed suppressions of `file` (index `fi`) that cover no
+/// finding: removing one alone leaves its rule's findings unchanged.
+/// Each is checked on its own, never all at once: the reachability rules
+/// read suppressions to decide which sinks are live, so a run with every
+/// suppression off could drop a root's fn-line finding that a
+/// suppression really covers.
+fn dead_suppressions(analysis: &Analysis, file: &FileModel) -> Vec<u32> {
+    let key = |f: &Finding| (f.sort_key(), f.message.clone());
+    let mut dead = Vec::new();
+    for (si, s) in file.suppressions.iter().enumerate() {
+        let Some(&rule) = all_rules().iter().find(|r| r.id() == s.rule) else {
+            continue;
+        };
+        let with: Vec<_> = surviving(analysis, &[rule]).iter().map(key).collect();
+        file.ignored.set(Some(si));
+        let without: Vec<_> = surviving(analysis, &[rule]).iter().map(key).collect();
+        file.ignored.set(None);
+        if with == without {
+            dead.push(s.line);
+        }
+    }
+    dead
+}
+
+/// Runs every rule over the analysis, applies suppressions, and appends
+/// `malformed-suppression` findings: a suppression without its reason,
+/// naming an unknown rule, or covering no finding. Sorted by
+/// `(file, line, col, rule)`.
+pub fn lint_analysis(analysis: &Analysis) -> Vec<Finding> {
+    let mut out = surviving(analysis, all_rules());
     for f in &analysis.files {
         let malformed = f
             .malformed
@@ -141,7 +172,11 @@ pub fn lint_analysis(analysis: &Analysis) -> Vec<Finding> {
                     format!("suppression names unknown rule `{}`", s.rule),
                 )
             });
-        for (line, col, message) in malformed.chain(unknown) {
+        let dead = dead_suppressions(analysis, f).into_iter().map(|line| {
+            let message = "suppression covers no finding: removing it changes nothing";
+            (line, 1, message.to_string())
+        });
+        for (line, col, message) in malformed.chain(unknown).chain(dead) {
             out.push(Finding {
                 rule: "malformed-suppression".to_string(),
                 file: f.source.path.clone(),

@@ -20,6 +20,7 @@
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::SourceFile;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// How a call site names its callee.
@@ -168,6 +169,9 @@ pub struct FileModel {
     pub inner_attrs: Vec<String>,
     /// Well-formed inline suppressions.
     pub suppressions: Vec<Suppression>,
+    /// The index of one suppression [`FileModel::suppressed`] leaves
+    /// out, so the dead-suppression check can rerun a rule without it.
+    pub ignored: Cell<Option<usize>>,
     /// Ill-formed inline suppressions (reported as findings).
     pub malformed: Vec<MalformedSuppression>,
     /// Where this file's fn items sit in the item list passed to
@@ -216,6 +220,7 @@ impl FileModel {
             test_spans: Vec::new(),
             inner_attrs: Vec::new(),
             suppressions: Vec::new(),
+            ignored: Cell::new(None),
             malformed: Vec::new(),
             fns: start..start,
         };
@@ -239,11 +244,13 @@ impl FileModel {
         self.test_spans.iter().any(|&(s, e)| byte >= s && byte < e)
     }
 
-    /// True when a well-formed suppression for `rule` covers `line`.
+    /// True when a well-formed suppression for `rule` other than the
+    /// [`FileModel::ignored`] one covers `line`.
     pub fn suppressed(&self, rule: &str, line: u32) -> bool {
-        self.suppressions
-            .iter()
-            .any(|s| s.rule == rule && (s.line == line || s.line + 1 == line))
+        let ignored = self.ignored.get();
+        self.suppressions.iter().enumerate().any(|(i, s)| {
+            Some(i) != ignored && s.rule == rule && (s.line == line || s.line + 1 == line)
+        })
     }
 
     /// The text of the code token at code-index `ci`, or `""` past the end.
@@ -310,7 +317,14 @@ impl FileModel {
 
     /// Reads an `impl` header starting at code-index `ci`: the
     /// implemented-on type name and the code-index of the body `{`.
+    /// `impl` opens a block only at an item boundary — the file's first
+    /// token, or after `}`, `;`, `{`, `]` (an attribute) or `unsafe`;
+    /// anywhere else (`label: impl Into<String>`, `-> impl Iterator`) it
+    /// is a type, and yields nothing.
     fn impl_header(&self, ci: usize) -> Option<(String, usize)> {
+        if ci > 0 && !matches!(self.text(ci - 1), "}" | ";" | "{" | "]" | "unsafe") {
+            return None;
+        }
         let mut angle = 0i64;
         let mut before_for: Vec<&str> = Vec::new();
         let mut after_for: Vec<&str> = Vec::new();

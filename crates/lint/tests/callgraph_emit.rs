@@ -41,6 +41,52 @@ fn json_matches_pinned_golden() {
     assert_eq!(analyze().graph.to_json(), want);
 }
 
+/// `impl` in argument or return-type position is a type, not an `impl`
+/// block: the methods keep their own type's ids, so `Job::new(..)` and
+/// `Self::helper()` resolve.
+#[test]
+fn impl_in_type_position_keeps_the_real_ids() {
+    let src = concat!(
+        "pub struct Job;\n\n",
+        "impl Job {\n",
+        "    pub fn new(label: impl Into<String>) -> Self {\n",
+        "        let _ = label.into();\n",
+        "        Job\n",
+        "    }\n\n",
+        "    pub fn ids(&self) -> impl Iterator<Item = u32> {\n",
+        "        Self::helper()\n",
+        "    }\n\n",
+        "    fn helper() -> std::ops::Range<u32> {\n",
+        "        0..3\n",
+        "    }\n",
+        "}\n\n",
+        "pub fn make() -> Job {\n",
+        "    Job::new(\"x\")\n",
+        "}\n",
+    );
+    let graph = Analysis::build(vec![SourceFile {
+        path: "crates/core/src/batch.rs".to_string(),
+        text: src.to_string(),
+    }])
+    .graph;
+    let want = concat!(
+        "{\"version\":1,\"nodes\":[",
+        "{\"id\":\"core::batch::Job::helper\",\"file\":\"crates/core/src/batch.rs\",",
+        "\"line\":13,\"pub\":false},",
+        "{\"id\":\"core::batch::Job::ids\",\"file\":\"crates/core/src/batch.rs\",",
+        "\"line\":9,\"pub\":true},",
+        "{\"id\":\"core::batch::Job::new\",\"file\":\"crates/core/src/batch.rs\",",
+        "\"line\":4,\"pub\":true},",
+        "{\"id\":\"core::batch::make\",\"file\":\"crates/core/src/batch.rs\",",
+        "\"line\":18,\"pub\":true}",
+        "],\"edges\":[",
+        "[\"core::batch::Job::ids\",\"core::batch::Job::helper\"],",
+        "[\"core::batch::make\",\"core::batch::Job::new\"]",
+        "]}\n",
+    );
+    assert_eq!(graph.to_json(), want);
+}
+
 #[test]
 fn workspace_emits_are_byte_stable() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

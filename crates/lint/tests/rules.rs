@@ -115,6 +115,22 @@ fn positive_fixtures_fire_their_rule() {
     }
 }
 
+/// A well-formed suppression that covers no finding is reported where
+/// it sits; one that covers a finding is not.
+#[test]
+fn dead_suppressions_are_reported() {
+    let c = case("malformed-suppression");
+    let dead = |src: &str| -> Vec<u32> {
+        lint_source(c.label, src)
+            .iter()
+            .filter(|f| f.rule == "malformed-suppression" && f.message.contains("no finding"))
+            .map(|f| f.line)
+            .collect()
+    };
+    assert_eq!(dead(c.pos), vec![12]);
+    assert!(dead(c.neg).is_empty());
+}
+
 #[test]
 fn negative_fixtures_are_completely_clean() {
     for c in CASES {

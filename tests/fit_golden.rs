@@ -1,9 +1,15 @@
-//! Golden pin of the BMF-PS fit path: two seeded wide problems (K = 60
-//! samples, M = 400 linear terms), one whose priors leave 10 terms
-//! missing (sample-space final solve: the back-projection of the
-//! pattern's full-data system) and one fully informed (Woodbury
-//! Cholesky core), each fitted through `BmfFitter::fit` and through a
-//! 3-job `BatchFitter::fit` at one and two threads.
+//! Golden pin of the BMF-PS fit path: three seeded wide problems (K = 60
+//! samples, M = 400 linear terms), each fitted through `BmfFitter::fit`
+//! and through a 3-job `BatchFitter::fit` at one, two and five threads:
+//!
+//! * one whose dense priors each leave a different stride of 10 terms
+//!   missing (sample-space final solve: the back-projection of the
+//!   pattern's full-data system), so every pattern is its own base;
+//! * one fully informed (Woodbury Cholesky core);
+//! * one whose three OMP-like priors sit mostly on their floor and all
+//!   miss the same 10 columns, so the three patterns share one floor
+//!   gram and, in every fold, one base (the QR of the missing columns
+//!   and the gram's congruence).
 //!
 //! Every fit is folded into three FNV-1a hashes:
 //!
@@ -16,19 +22,22 @@
 //!
 //! The choice hashes were recorded before the kernels moved to one
 //! shared floor gram per point set and the missing-prior final solve to
-//! sample space, and held through that change, as did both hashes of
-//! the fully informed problem: its final solve kept the Woodbury core,
-//! and its dense priors keep forming their kernels directly (the floor
-//! gram serves priors whose entries mostly sit on the floor, as an OMP
-//! early model's do). The missing-prior full and pick hashes were
-//! re-pinned then, because the sample-space final solve moves those
-//! coefficients at rounding level. A change that alters any output bit
-//! or any work counter fails here.
+//! sample space, the shared-base problem's before the fold systems moved
+//! to one shared base per set of missing columns (the compact-WY
+//! congruence and the register-tiled floor gram); all have held since.
+//! Both hashes of the fully informed problem have held too: its dense
+//! priors miss no column, so no congruence runs and its systems keep
+//! their bits. The full and pick hashes of the other two problems were
+//! re-pinned with that last change, which moves their coefficients at
+//! rounding level (at most 5.3e-14 relative in norm, CV errors at most
+//! 4.6e-12 relative). A change that alters any output bit or any work
+//! counter fails here.
 //!
-//! Two oracles pin the final solve itself: every fit's coefficients
+//! Three oracles pin the final solve itself: every fit's coefficients
 //! equal `map_estimate`'s bit for bit (with sparsified priors too, which
-//! read the floor gram), and the missing-prior fast solver agrees with
-//! the direct one within 1e-10.
+//! read the floor gram), so do the shared-base batch's, whose patterns
+//! share their bases while `map_estimate` builds each alone, and the
+//! missing-prior fast solver agrees with the direct one within 1e-10.
 //!
 //! `BmfFitter::fit` is a one-job run of the batch engine, so serial ≡
 //! batch holds by construction: the three serial fits hash to the batch
@@ -52,9 +61,11 @@ const K: usize = 60;
 const VARS: usize = 399;
 const JOBS: usize = 3;
 const MISSING_PER_JOB: usize = 10;
+/// Columns every job of the shared-base problem misses.
+const SHARED_MISSING: usize = 10;
 
 /// Hash of the three fits of the missing-prior problem.
-const MISSING_BATCH: u64 = 0xb569_b04f_2416_a500;
+const MISSING_BATCH: u64 = 0xc299_5807_14bd_b520;
 /// Hash of the three fits of the fully informed problem.
 const INFORMED_BATCH: u64 = 0xa5f7_b6a6_a48f_0727;
 
@@ -62,7 +73,7 @@ const INFORMED_BATCH: u64 = 0xa5f7_b6a6_a48f_0727;
 /// chosen hyper-parameter and `FitCounters` only, leaving out every CV
 /// error. A sweep that moves the CV curves at rounding level, but picks
 /// the same (family, hyper-parameter) and does the same work, keeps them.
-const MISSING_BATCH_PICKS: u64 = 0x5e36_2cd3_a97d_a1b1;
+const MISSING_BATCH_PICKS: u64 = 0x51c4_7cba_cffb_0f07;
 const INFORMED_BATCH_PICKS: u64 = 0x69e2_5182_a166_c63c;
 
 /// Choice hashes: each fit's chosen family, hyper-parameter and
@@ -71,6 +82,13 @@ const INFORMED_BATCH_PICKS: u64 = 0x69e2_5182_a166_c63c;
 /// choices with the same work, keeps them.
 const MISSING_BATCH_CHOICES: u64 = 0x2744_9a3e_ea1c_7bed;
 const INFORMED_BATCH_CHOICES: u64 = 0x1955_6177_2bd4_c7f9;
+
+/// The three hashes of the shared-base problem (see
+/// [`shared_base_problem`]). Its choice hash was recorded before the
+/// fold systems moved to one shared base per set of missing columns.
+const SHARED_BATCH: u64 = 0x62a6_79b5_a293_b2f6;
+const SHARED_BATCH_PICKS: u64 = 0x3f3c_e8f4_06fe_8202;
+const SHARED_BATCH_CHOICES: u64 = 0xfca9_dc40_e4b3_abb3;
 
 struct Problem {
     points: Vec<Vec<f64>>,
@@ -115,6 +133,25 @@ fn problem(seed: u64, missing: usize) -> Problem {
         })
         .collect();
     Problem { points, jobs }
+}
+
+/// Three OMP-like priors over one point set: each keeps the intercept
+/// and every seventh term from its own offset, puts every other entry
+/// exactly on the floor (zero), and misses the same `SHARED_MISSING`
+/// columns, so the three patterns read one floor gram and share every
+/// fold's base.
+fn shared_base_problem(seed: u64) -> Problem {
+    let mut p = problem(seed, 0);
+    for (j, (early, _)) in p.jobs.iter_mut().enumerate() {
+        for (i, e) in early.iter_mut().enumerate() {
+            if i > 0 && i % 37 == 5 && i / 37 < SHARED_MISSING {
+                *e = None;
+            } else if i > 0 && i % 7 != j {
+                *e = e.map(|_| 0.0);
+            }
+        }
+    }
+    p
 }
 
 fn hash_outcome(mut h: u64, outcome: Option<&CvOutcome>) -> u64 {
@@ -222,7 +259,7 @@ fn batch_hash(p: &Problem, threads: usize) -> Hashes {
     hash_fits(&report.fits)
 }
 
-/// Checks the serial fits and the batch at one and two threads against
+/// Checks the serial fits and the batch at one, two and five threads against
 /// the problem's constants: the choice hash first, then the pick hash,
 /// so a fit whose (family, hyper-parameter) choice or work counters
 /// moved is reported as such, and a coefficient change is told apart
@@ -232,7 +269,7 @@ fn check(p: &Problem, (full, picks, choices): Hashes) {
     assert_eq!(serial_choices, choices, "serial BmfFitter::fit choice hash");
     assert_eq!(serial_picks, picks, "serial BmfFitter::fit pick hash");
     assert_eq!(serial_full, full, "serial BmfFitter::fit hash");
-    for threads in [1, 2] {
+    for threads in [1, 2, 5] {
         let (batch_full, batch_picks, batch_choices) = batch_hash(p, threads);
         assert_eq!(
             batch_choices, choices,
@@ -267,6 +304,22 @@ fn fully_informed_fits_match_golden_bits() {
     );
 }
 
+#[test]
+fn shared_base_fits_match_golden_bits() {
+    let p = shared_base_problem(0x5EED_0003);
+    for (early, _) in &p.jobs {
+        let missing: Vec<usize> = (0..early.len()).filter(|&i| early[i].is_none()).collect();
+        assert_eq!(missing.len(), SHARED_MISSING);
+        assert_eq!(
+            missing,
+            (0..SHARED_MISSING).map(|r| 37 * r + 5).collect::<Vec<_>>()
+        );
+        let above = early.iter().flatten().filter(|&&a| a != 0.0).count();
+        assert!(4 * above < early.len(), "{above} entries above the floor");
+    }
+    check(&p, (SHARED_BATCH, SHARED_BATCH_PICKS, SHARED_BATCH_CHOICES));
+}
+
 /// An OMP-like copy of `early`: every seventh term kept, the others
 /// exactly zero, so they sit on the prior floor and the kernel is formed
 /// from the shared floor gram.
@@ -290,43 +343,80 @@ fn final_solve_equals_map_estimate_bit_for_bit() {
     let basis = OrthonormalBasis::linear(VARS);
     for (seed, missing) in [(0x5EED_0001, MISSING_PER_JOB), (0x5EED_0002, 0)] {
         let p = problem(seed, missing);
+        let g = basis.design_matrix(p.points.iter().map(|x| x.as_slice()));
         let (early, values) = &p.jobs[0];
         for early in [early.clone(), sparsified(early)] {
             let fit = BmfFitter::new(basis.clone(), early.clone())
                 .unwrap()
                 .fit(&p.points, values)
                 .unwrap();
-            let g = basis.design_matrix(p.points.iter().map(|x| x.as_slice()));
-            let scale = response_scale(values);
-            let f = Vector::from_fn(values.len(), |i| values[i] / scale);
-            let prior = Prior::new(
-                PriorKind::NonZeroMean,
-                early.iter().map(|v| v.map(|a| a / scale)).collect(),
-            );
-            let alpha = map_estimate(
-                &g,
-                &f,
-                &prior.with_kind(fit.prior_kind),
-                &FitOptions::new().hyper(fit.hyper),
-            )
-            .unwrap();
-            let want: Vec<u64> = alpha.iter().map(|a| (a * scale).to_bits()).collect();
-            let got: Vec<u64> = fit.model.coeffs().iter().map(|c| c.to_bits()).collect();
-            assert_eq!(got, want, "missing = {missing}");
+            let want = map_estimate_bits(&g, &early, values, &fit);
+            assert_eq!(coeff_bits(&fit), want, "missing = {missing}");
             let batch = BatchFitter::new(basis.clone())
                 .with_options(FitOptions::new().threads(2))
                 .job(BatchJob::new("job", early, values.clone()))
                 .fit(&p.points)
                 .unwrap();
-            let banded: Vec<u64> = batch.fits[0]
-                .model
-                .coeffs()
-                .iter()
-                .map(|c| c.to_bits())
-                .collect();
+            let banded = coeff_bits(&batch.fits[0]);
             assert_eq!(banded, want, "two-thread batch, missing = {missing}");
         }
     }
+}
+
+/// On the shared-base problem, every fit of one batch, whose three
+/// patterns share each fold's base, equals `map_estimate` (which builds
+/// its pattern's base alone) at its chosen family and hyper-parameter,
+/// bit for bit, at 1, 2 and 5 threads.
+#[test]
+fn shared_base_batch_equals_map_estimate_bit_for_bit() {
+    let basis = OrthonormalBasis::linear(VARS);
+    let p = shared_base_problem(0x5EED_0003);
+    let g = basis.design_matrix(p.points.iter().map(|x| x.as_slice()));
+    let jobs: Vec<BatchJob> = p
+        .jobs
+        .iter()
+        .map(|(early, values)| BatchJob::new("job", early.clone(), values.clone()))
+        .collect();
+    for threads in [1, 2, 5] {
+        let report = BatchFitter::new(basis.clone())
+            .with_options(FitOptions::new().threads(threads))
+            .with_jobs(jobs.clone())
+            .fit(&p.points)
+            .unwrap();
+        for (j, (fit, (early, values))) in report.fits.iter().zip(&p.jobs).enumerate() {
+            let want = map_estimate_bits(&g, early, values, fit);
+            assert_eq!(coeff_bits(fit), want, "job {j} at {threads} threads");
+        }
+    }
+}
+
+fn coeff_bits(fit: &BmfFit) -> Vec<u64> {
+    fit.model.coeffs().iter().map(|c| c.to_bits()).collect()
+}
+
+/// The bits of `map_estimate`'s (fast solver) coefficients for one job
+/// at `fit`'s chosen family and hyper-parameter, in the normalized space
+/// the fit reports its hyper-parameter in, scaled back.
+fn map_estimate_bits(
+    g: &bmf_linalg::Matrix,
+    early: &[Option<f64>],
+    values: &[f64],
+    fit: &BmfFit,
+) -> Vec<u64> {
+    let scale = response_scale(values);
+    let f = Vector::from_fn(values.len(), |i| values[i] / scale);
+    let prior = Prior::new(
+        PriorKind::NonZeroMean,
+        early.iter().map(|v| v.map(|a| a / scale)).collect(),
+    );
+    let alpha = map_estimate(
+        g,
+        &f,
+        &prior.with_kind(fit.prior_kind),
+        &FitOptions::new().hyper(fit.hyper),
+    )
+    .unwrap();
+    alpha.iter().map(|a| (a * scale).to_bits()).collect()
 }
 
 /// The fast solver of a missing-prior problem agrees with the direct
