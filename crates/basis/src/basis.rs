@@ -99,20 +99,6 @@ impl OrthonormalBasis {
         &self.terms[m]
     }
 
-    /// Evaluates a single term at the point `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != self.num_vars()`.
-    pub fn evaluate_term(&self, m: usize, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.num_vars, "point dimension mismatch");
-        self.terms[m]
-            .pairs()
-            .iter()
-            .map(|&(v, d)| hermite_normalized(d as usize, x[v]))
-            .product()
-    }
-
     /// Evaluates every term at `x`, producing one design-matrix row
     /// `[g₁(x), …, g_M(x)]`.
     ///

@@ -250,11 +250,6 @@ impl ExpandedBasis {
         &self.basis
     }
 
-    /// Consumes self, returning the layout basis.
-    pub fn into_basis(self) -> OrthonormalBasis {
-        self.basis
-    }
-
     /// Layout-term indices that schematic term `m` expanded into.
     ///
     /// # Panics

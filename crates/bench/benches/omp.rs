@@ -1,7 +1,9 @@
 //! Bench: OMP baseline cost scaling in K and M, plus the Monte-Carlo
-//! engine and design-matrix assembly it feeds on. Runs on the in-tree
-//! timing harness; pass `--smoke` for a one-iteration CI run at reduced
-//! sizes.
+//! engine and design-matrix assembly it feeds on. The full run adds the
+//! shape of the `fit_wide` workload's early-stage models: K = 600,
+//! M = 1918 linear terms, `max_terms` 100 and no patience stop, so every
+//! fit runs all 100 greedy steps. Runs on the in-tree timing harness;
+//! pass `--smoke` for a one-iteration CI run at reduced sizes.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_bench::timing::Harness;
@@ -36,6 +38,24 @@ fn main() {
         let (g, f) = sparse_problem(k, m);
         h.bench(&format!("omp/fit/k{k}_m{m}"), || {
             fit_omp_design(&g, &f, &OmpConfig::default()).expect("omp")
+        });
+    }
+    if !h.is_smoke() {
+        // Noise keeps the residual above `min_relative_residual`, as the
+        // circuits' nonlinear terms do, so no early exit cuts the run short.
+        let (g, mut f) = sparse_problem(600, 1918);
+        let mut rng = seeded(6);
+        let mut s = StandardNormal::new();
+        for i in 0..f.len() {
+            f[i] += 0.05 * s.sample(&mut rng);
+        }
+        let cfg = OmpConfig {
+            max_terms: Some(100),
+            patience: usize::MAX,
+            ..OmpConfig::default()
+        };
+        h.bench("omp/fit_wide_early/k600_m1918", || {
+            fit_omp_design(&g, &f, &cfg).expect("omp")
         });
     }
 

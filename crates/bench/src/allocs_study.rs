@@ -1,7 +1,11 @@
 //! Allocation profile of the fitting stack (`repro allocs`).
 //!
 //! Measures heap-allocation events and peak bytes for one cross-validated
-//! [`BmfFitter`] fit and for a batch of fits sharing one sample set, then
+//! [`BmfFitter`] fit, for a batch of fits sharing one sample set, for a
+//! batch whose OMP-like priors sit mostly on their floor and miss the
+//! same columns (the floor gram, the shared fold bases and their
+//! congruence scratch, the missing-prior full-data systems), and for one
+//! [`fit_omp_design`] fit at the shape of an early-stage model, then
 //! writes `BENCH_allocs.json` (through [`crate::study`], into
 //! `$BMF_BENCH_OUT` or the workspace root) so the perf trajectory has
 //! checked-in baseline numbers. Run with the counting allocator
@@ -21,8 +25,10 @@ use std::path::Path;
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
 use bmf_core::fusion::BmfFitter;
+use bmf_core::omp::{fit_omp_design, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::BmfError;
+use bmf_linalg::{Matrix, Vector};
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::seeded;
 
@@ -89,7 +95,7 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
 
     // A batch of jobs over the same shared point set, single-threaded so
     // the numbers are schedule-independent.
-    let mut batch = BatchFitter::new(basis).with_options(options.threads(1));
+    let mut batch = BatchFitter::new(basis).with_options(options.clone().threads(1));
     for j in 0..jobs {
         let prior: Vec<Option<f64>> = early
             .iter()
@@ -104,6 +110,77 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
     let batch_wall = t1.elapsed().as_secs_f64();
     batched?;
 
+    // The `fit_wide` path: a batch whose priors, like OMP early models,
+    // keep a few entries above the floor, sit on it everywhere else and
+    // miss the same trailing columns.
+    let (early_vars, missing, floor_k): (usize, usize, usize) = match scale {
+        Scale::Ci => (24, 4, 32),
+        _ => (40, 8, 48),
+    };
+    let floor_jobs = 3;
+    let late_basis = OrthonormalBasis::linear(early_vars + missing);
+    let floor_points: Vec<Vec<f64>> = (0..floor_k)
+        .map(|_| normal.sample_vec(&mut rng, early_vars + missing))
+        .collect();
+    let floor_truth: Vec<f64> = (0..late_basis.len())
+        .map(|i| 1.5 / (1.0 + i as f64))
+        .collect();
+    let floor_values = study::linear_values(&floor_truth, &floor_points);
+    let mut floor_batch = BatchFitter::new(late_basis).with_options(options.threads(1));
+    for j in 0..floor_jobs {
+        let prior: Vec<Option<f64>> = floor_truth
+            .iter()
+            .enumerate()
+            .map(|(i, t)| match i {
+                i if i > early_vars => None,
+                i if i % 6 == 0 => Some(t * (1.0 + 0.05 * ((i + j) as f64).sin())),
+                _ => Some(0.0),
+            })
+            .collect();
+        let jvals: Vec<f64> = floor_values
+            .iter()
+            .map(|v| v * (1.0 + 0.02 * j as f64))
+            .collect();
+        floor_batch.push_job(BatchJob::new(format!("floor{j}"), prior, jvals));
+    }
+    floor_batch.fit(&floor_points)?;
+    let t2 = std::time::Instant::now();
+    let (floored, floor_stats) = alloc::measure(|| floor_batch.fit(&floor_points));
+    let floor_wall = t2.elapsed().as_secs_f64();
+    floored?;
+
+    // One early-stage OMP fit: every greedy step runs (no patience stop,
+    // noise above `min_relative_residual`), so the count covers the loop.
+    let (omp_k, omp_m, omp_terms): (usize, usize, usize) = match scale {
+        Scale::Ci => (200, 400, 30),
+        _ => (600, 1918, 100),
+    };
+    let g = Matrix::from_fn(omp_k, omp_m, |_, _| normal.sample(&mut rng));
+    let omp_truth: Vec<f64> = (0..omp_m)
+        .map(|j| {
+            if j % 97 == 0 {
+                1.0 / (1.0 + j as f64)
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let mut f = g.matvec(&Vector::from(omp_truth))?;
+    for i in 0..omp_k {
+        f[i] += 0.05 * normal.sample(&mut rng);
+    }
+    let omp_cfg = OmpConfig {
+        max_terms: Some(omp_terms),
+        patience: usize::MAX,
+        seed,
+        ..OmpConfig::default()
+    };
+    fit_omp_design(&g, &f, &omp_cfg)?;
+    let t3 = std::time::Instant::now();
+    let (omp, omp_stats) = alloc::measure(|| fit_omp_design(&g, &f, &omp_cfg));
+    let omp_wall = t3.elapsed().as_secs_f64();
+    omp?;
+
     let rows = [
         Row {
             name: "serial_cv_fit",
@@ -116,6 +193,18 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             fits: jobs,
             stats: batch_stats,
             wall_s: batch_wall,
+        },
+        Row {
+            name: "batch_floor_fit",
+            fits: floor_jobs,
+            stats: floor_stats,
+            wall_s: floor_wall,
+        },
+        Row {
+            name: "omp_fit",
+            fits: 1,
+            stats: omp_stats,
+            wall_s: omp_wall,
         },
     ];
 
@@ -130,6 +219,13 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             s.field("folds", folds);
             s.field("grid", grid);
             s.field("jobs", jobs);
+            s.field("floor_vars", early_vars);
+            s.field("floor_missing", missing);
+            s.field("floor_samples", floor_k);
+            s.field("floor_jobs", floor_jobs);
+            s.field("omp_samples", omp_k);
+            s.field("omp_terms", omp_m);
+            s.field("omp_max_terms", omp_terms);
         });
         for row in &rows {
             json.section(row.name, |s| {
@@ -155,7 +251,12 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
     }
     report.para(&format!(
         "Scenario: M = {m} terms, K = {k} samples, {folds} folds × {grid} grid points × \
-         both prior families; batch of {jobs} jobs on one shared sample set (1 thread)."
+         both prior families; batch of {jobs} jobs on one shared sample set (1 thread). \
+         `batch_floor_fit`: {floor_jobs} jobs over M = {} terms, K = {floor_k}, whose \
+         priors keep every sixth early entry, sit on their floor elsewhere and miss the \
+         last {missing} columns. `omp_fit`: one OMP fit, K = {omp_k}, M = {omp_m}, all \
+         {omp_terms} greedy steps.",
+        early_vars + missing + 1
     ));
     report.table(
         &[

@@ -60,8 +60,8 @@ pub fn fit_least_squares(
 }
 
 /// Solves the raw least-squares problem on an explicit design matrix,
-/// returning the coefficient vector. Used internally by OMP's active-set
-/// refits.
+/// returning the coefficient vector. Used internally by OMP's final
+/// refit of the chosen active set.
 ///
 /// # Errors
 ///

@@ -5,12 +5,16 @@
 //! the design matrix most correlated with the current residual. After each
 //! selection the coefficients of the active set are refit by least squares
 //! (that is the "orthogonal" part) and the residual is recomputed. The
+//! refit grows the active set's Householder QR by the new column instead
+//! of refactoring it, with the bits of a fresh factorization. The
 //! number of selected terms is chosen by holdout validation: iterate while
 //! the validation error keeps improving, then refit the best active set on
 //! all samples.
 
 use bmf_basis::basis::OrthonormalBasis;
-use bmf_linalg::{Matrix, Vector};
+use bmf_linalg::{
+    qr_append_in_place, solve_lower_transpose, view, MatRef, Matrix, Reflectors, Vector,
+};
 use bmf_stat::rng::seeded;
 
 use crate::least_squares::solve_least_squares;
@@ -95,39 +99,54 @@ pub fn fit_omp_design(g: &Matrix, f: &Vector, config: &OmpConfig) -> Result<OmpF
     let n_val = ((k as f64 * config.validation_fraction) as usize).min(k - 2);
     let (val_idx, train_idx) = order.split_at(n_val);
     let g_train = select_rows(g, train_idx);
-    let g_val = select_rows(g, val_idx);
-    let f_train = Vector::from_fn(train_idx.len(), |i| f[train_idx[i]]);
-    let f_val = Vector::from_fn(val_idx.len(), |i| f[val_idx[i]]);
+    let kt = train_idx.len();
+    let f_train = Vector::from_fn(kt, |i| f[train_idx[i]]);
+    let f_val = Vector::from_fn(n_val, |i| f[val_idx[i]]);
 
-    // Column norms over the training rows, for correlation normalization.
-    let col_norms: Vec<f64> = (0..m)
-        .map(|j| {
-            (0..g_train.nrows())
-                .map(|i| g_train[(i, j)] * g_train[(i, j)])
-                .sum::<f64>()
-                .sqrt()
-        })
-        .collect();
+    // Column norms over the training rows, for correlation normalization,
+    // accumulated row by row (each column's sum keeps its row order).
+    let mut col_norms = vec![-0.0; m];
+    for i in 0..kt {
+        for (s, x) in col_norms.iter_mut().zip(g_train.row(i)) {
+            *s += x * x;
+        }
+    }
+    for s in &mut col_norms {
+        *s = s.sqrt();
+    }
 
     let cap = config
         .max_terms
         .unwrap_or(usize::MAX)
-        .min(g_train.nrows().saturating_sub(1))
+        .min(kt.saturating_sub(1))
         .min(m)
         .max(1);
 
     let f_norm = f_train.norm2().max(f64::MIN_POSITIVE);
-    // Clone: the greedy loop shrinks the residual in place while the
-    // original responses stay available for the refits below.
+    let f_val_norm = f_val.norm2().max(f64::MIN_POSITIVE);
+    // The active set grows by one column per step: row t of `qrt` is the
+    // packed transposed QR's column t (`bmf_linalg::qr_append_in_place`),
+    // `qtf` is `Qᵀ f_train` under the reflectors made so far, and rows of
+    // `cols`/`cols_val` are the active columns over the training and
+    // validation rows. Clones: `qtf` and the residual are overwritten in
+    // place, while `f_train` stays for the residual updates.
+    let mut qrt = Matrix::zeros(cap, kt);
+    let mut tau = vec![0.0; cap];
+    let mut qtf = f_train.clone();
+    let mut cols = Matrix::zeros(cap, kt);
+    let mut cols_val = Matrix::zeros(cap, n_val);
+    let mut coef = vec![0.0; cap];
     let mut residual = f_train.clone();
-    let mut active: Vec<usize> = Vec::new();
+    let mut val_residual = Vector::zeros(n_val);
+    let mut corr = vec![0.0; m];
+    let mut active: Vec<usize> = Vec::with_capacity(cap);
     let mut in_active = vec![false; m];
     let mut best: Option<(f64, usize)> = None; // (val error, #terms)
     let mut stall = 0usize;
 
     while active.len() < cap {
         // Most correlated unselected column.
-        let corr = g_train.matvec_transpose(&residual)?;
+        view::matvec_transpose_into(g_train.as_view(), residual.as_slice(), &mut corr)?;
         let mut best_j = None;
         let mut best_c = 0.0;
         for j in 0..m {
@@ -141,28 +160,42 @@ pub fn fit_omp_design(g: &Matrix, f: &Vector, config: &OmpConfig) -> Result<OmpF
             }
         }
         let Some(j) = best_j else { break };
+        let t = active.len();
         active.push(j);
         in_active[j] = true;
 
-        // Orthogonal refit of the active set.
-        let ga = g_train.select_columns(&active);
-        let coef = match solve_least_squares(&ga, &f_train) {
-            Ok(c) => c,
-            Err(_) => {
-                // Numerically dependent column: drop it and stop growing.
-                in_active[j] = false;
-                active.pop();
-                break;
-            }
-        };
-        residual = f_train.sub(&ga.matvec(&coef)?)?;
+        // Orthogonal refit of the active set: append column j to the
+        // factor, bring Qᵀf up to date and back-substitute in Rᵀ.
+        for (i, x) in cols.row_mut(t).iter_mut().enumerate() {
+            *x = g_train[(i, j)];
+        }
+        for (x, &r) in cols_val.row_mut(t).iter_mut().zip(val_idx) {
+            *x = g[(r, j)];
+        }
+        qrt.row_mut(t).copy_from_slice(cols.row(t));
+        qr_append_in_place(&mut qrt.as_mut_slice()[..(t + 1) * kt], kt, &mut tau[..=t])?;
+        Reflectors::new(&qrt, &tau[..=t], 0).apply_one_in_place(
+            t,
+            qtf.as_mut_slice(),
+            &mut [0.0],
+        )?;
+        let coef = &mut coef[..=t];
+        coef.copy_from_slice(&qtf.as_slice()[..=t]);
+        if solve_lower_transpose(MatRef::strided(qrt.as_slice(), t + 1, t + 1, kt)?, coef).is_err()
+        {
+            // Numerically dependent column: drop it and stop growing.
+            in_active[j] = false;
+            active.pop();
+            break;
+        }
+        residual_into(&cols, coef, &f_train, residual.as_mut_slice());
 
         // Validation error with the current active set.
         let val_err = if val_idx.is_empty() {
             residual.norm2() / f_norm
         } else {
-            let pred = g_val.select_columns(&active).matvec(&coef)?;
-            pred.sub(&f_val)?.norm2() / f_val.norm2().max(f64::MIN_POSITIVE)
+            residual_into(&cols_val, coef, &f_val, val_residual.as_mut_slice());
+            val_residual.norm2() / f_val_norm
         };
         match best {
             Some((e, _)) if val_err >= e => {
@@ -196,6 +229,22 @@ pub fn fit_omp_design(g: &Matrix, f: &Vector, config: &OmpConfig) -> Result<OmpF
         selected: active,
         validation_error,
     })
+}
+
+/// `out = y − A c`, where row `j` of `cols` is column `j` of `A` (the
+/// first `c.len()` rows are read). `A c` sums each entry's terms in
+/// column order from −0.0, the bits of [`Matrix::matvec`] on `A`; the
+/// sign of `y − A c` does not change its norm.
+fn residual_into(cols: &Matrix, c: &[f64], y: &Vector, out: &mut [f64]) {
+    out.fill(-0.0);
+    for (j, &cj) in c.iter().enumerate() {
+        for (o, x) in out.iter_mut().zip(cols.row(j)) {
+            *o += x * cj;
+        }
+    }
+    for (o, &yi) in out.iter_mut().zip(y.as_slice()) {
+        *o = yi - *o;
+    }
 }
 
 /// Runs OMP over a basis and sample points, returning a fitted

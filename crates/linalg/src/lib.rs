@@ -56,7 +56,7 @@ pub use error::LinalgError;
 pub use fp::{is_exact_nonzero, is_exact_zero};
 pub use lu::{lu_factor_in_place, lu_solve_into, Lu};
 pub use matrix::Matrix;
-pub use qr::{qr_in_place, Qr, Reflectors};
+pub use qr::{qr_append_in_place, qr_in_place, Qr, Reflectors};
 pub use resilience::{
     factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, FactorKind, LadderPolicy,
     LadderScratch, Resilience,

@@ -101,11 +101,6 @@ impl KFold {
         Ok(KFold { n, k, order })
     }
 
-    /// Number of samples.
-    pub fn n_samples(&self) -> usize {
-        self.n
-    }
-
     /// Number of folds.
     pub fn n_folds(&self) -> usize {
         self.k
