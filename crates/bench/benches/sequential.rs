@@ -1,7 +1,7 @@
-//! Bench: the streaming posterior engine's incremental-vs-refit speedup
-//! curve and update latency; see `bmf_bench::sequential_study`. With
-//! `--features bench` the `--smoke` run also asserts the steady-state
-//! zero-allocation budget.
+//! Bench: the streaming posterior engine's per-sample streamed ≡ batch
+//! bitwise oracle and interleaved arrival replay; see
+//! `bmf_bench::sequential_study`. With `--features bench` the `--smoke`
+//! run also asserts the steady-state zero-allocation budget.
 //!
 //! ```text
 //! cargo bench -p bmf-bench --bench sequential             # full, k=128

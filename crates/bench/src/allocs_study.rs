@@ -15,10 +15,9 @@
 //! cargo run -p bmf-bench --features bench --release --bin repro -- allocs
 //! ```
 //!
-//! Without the `bench` feature the experiment still runs (wall time is
-//! reported) but every allocation figure is zero, so it writes no
-//! `BENCH_allocs.json`: an all-zero report would pass the trend gate
-//! as a huge improvement.
+//! Without the `bench` feature the experiment still runs but every
+//! allocation figure is zero, so it writes no `BENCH_allocs.json`: an
+//! all-zero report would pass the trend gate as a huge improvement.
 
 use std::path::Path;
 
@@ -35,14 +34,13 @@ use bmf_stat::rng::seeded;
 use crate::alloc::{self, AllocStats};
 use crate::report::Report;
 use crate::scale::Scale;
-use crate::study::{self, Fixed, ReportWriter};
+use crate::study::{self, ReportWriter};
 
 /// One measured configuration.
 struct Row {
     name: &'static str,
     fits: usize,
     stats: AllocStats,
-    wall_s: f64,
 }
 
 impl Row {
@@ -88,9 +86,7 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
     // setup is not charged to the measured fit).
     let fitter = BmfFitter::new(basis.clone(), early.clone())?.with_options(options.clone());
     fitter.fit(&points, &values)?;
-    let t0 = std::time::Instant::now();
     let (serial, serial_stats) = alloc::measure(|| fitter.fit(&points, &values));
-    let serial_wall = t0.elapsed().as_secs_f64();
     serial?;
 
     // A batch of jobs over the same shared point set, single-threaded so
@@ -105,9 +101,7 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
         batch.push_job(BatchJob::new(format!("job{j}"), prior, jvals));
     }
     batch.fit(&points)?;
-    let t1 = std::time::Instant::now();
     let (batched, batch_stats) = alloc::measure(|| batch.fit(&points));
-    let batch_wall = t1.elapsed().as_secs_f64();
     batched?;
 
     // The `fit_wide` path: a batch whose priors, like OMP early models,
@@ -144,9 +138,7 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
         floor_batch.push_job(BatchJob::new(format!("floor{j}"), prior, jvals));
     }
     floor_batch.fit(&floor_points)?;
-    let t2 = std::time::Instant::now();
     let (floored, floor_stats) = alloc::measure(|| floor_batch.fit(&floor_points));
-    let floor_wall = t2.elapsed().as_secs_f64();
     floored?;
 
     // One early-stage OMP fit: every greedy step runs (no patience stop,
@@ -176,9 +168,7 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
         ..OmpConfig::default()
     };
     fit_omp_design(&g, &f, &omp_cfg)?;
-    let t3 = std::time::Instant::now();
     let (omp, omp_stats) = alloc::measure(|| fit_omp_design(&g, &f, &omp_cfg));
-    let omp_wall = t3.elapsed().as_secs_f64();
     omp?;
 
     let rows = [
@@ -186,25 +176,21 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             name: "serial_cv_fit",
             fits: 1,
             stats: serial_stats,
-            wall_s: serial_wall,
         },
         Row {
             name: "batch_cv_fit",
             fits: jobs,
             stats: batch_stats,
-            wall_s: batch_wall,
         },
         Row {
             name: "batch_floor_fit",
             fits: floor_jobs,
             stats: floor_stats,
-            wall_s: floor_wall,
         },
         Row {
             name: "omp_fit",
             fits: 1,
             stats: omp_stats,
-            wall_s: omp_wall,
         },
     ];
 
@@ -233,7 +219,6 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
                 s.field("allocs", row.stats.count);
                 s.field("allocs_per_fit", row.allocs_per_fit());
                 s.field("peak_bytes", row.stats.peak_bytes);
-                s.field("wall_s", Fixed(row.wall_s, 6));
             });
         }
         study::write_report(out_dir, "allocs", &json.finish()?).map_err(|e| BmfError::Config {
@@ -265,7 +250,6 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             "allocs",
             "allocs/fit",
             "peak bytes",
-            "wall s",
         ],
         &rows
             .iter()
@@ -276,7 +260,6 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
                     r.stats.count.to_string(),
                     r.allocs_per_fit().to_string(),
                     r.stats.peak_bytes.to_string(),
-                    format!("{:.4}", r.wall_s),
                 ]
             })
             .collect::<Vec<_>>(),

@@ -10,9 +10,9 @@
 //!   fresh service through a [`FaultVfs`] injecting seeded transient
 //!   I/O errors at increasing rates; every read retries under a seeded
 //!   exponential-backoff [`RetryPolicy`], and the sweep records the
-//!   recovery success rate, retry counts, and virtual warm-start
-//!   latency percentiles per fault level. After every trial the
-//!   underlying disk must check clean (`fsck`).
+//!   recovery success rate, retry counts, and the backoff the policy
+//!   asked for per fault level. After every trial the underlying disk
+//!   must check clean (`fsck`).
 //! * **overload** — seeded open-loop traffic with deadline-stamped fit
 //!   requests hammers a service with a deliberately tiny admission
 //!   queue; the leg records how much load was shed (structured
@@ -24,10 +24,10 @@
 //!   clean. One unclean store is a benchmark failure, not a data
 //!   point.
 //!
-//! As for every study of [`crate::study`], wall time stays out of the
-//! report: `BENCH_chaos.json` is computed from counters, seeded draws,
-//! and virtual time only, so it is byte-identical across machines,
-//! runs, and `BMF_THREADS` settings.
+//! As for every study of [`crate::study`], the report holds no time:
+//! `BENCH_chaos.json` is computed from counters, seeded draws, and the
+//! traffic's own timestamps only, so it is byte-identical across
+//! machines, runs, and `BMF_THREADS` settings.
 //!
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`FitService`]: bmf_core::service::FitService
@@ -49,8 +49,7 @@ use bmf_stat::backoff::RetryPolicy;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
-use crate::persist_study::{IMPORT_NS, WARM_BYTES_PER_NS};
-use crate::study::{self, LatencySummary, ReportWriter};
+use crate::study::{self, ReportWriter};
 
 /// Store root inside the in-memory filesystem.
 const ROOT: &str = "chaos/store";
@@ -132,8 +131,9 @@ pub struct SweepLevel {
     pub read_retries: u64,
     /// Transient faults the VFS actually injected, summed.
     pub injected: u64,
-    /// Virtual warm-start latency over successful trials.
-    pub latency: LatencySummary,
+    /// Backoff the retry policy asked for, in ns, summed over the
+    /// recovered trials.
+    pub backoff_ns: u64,
 }
 
 /// Everything one chaos run produces.
@@ -228,11 +228,10 @@ fn seed_store(cfg: &ChaosConfig) -> Result<(Arc<MemVfs>, u64), BmfError> {
 }
 
 /// One warm-start trial through a faulty VFS. Returns
-/// `(recovered, open_retries, read_retries, virtual_ns, injected)`.
+/// `(recovered, open_retries, read_retries, backoff_ns, injected)`.
 fn sweep_trial(
     disk: &MemVfs,
     jobs: usize,
-    blob_bytes: u64,
     error_permille: u32,
     policy: &RetryPolicy,
     seed: u64,
@@ -264,15 +263,13 @@ fn sweep_trial(
 
     let mut recovered = false;
     let mut read_retries = 0u64;
-    let mut virtual_ns = 0u64;
+    let mut backoff_ns = 0u64;
     if let Some(store) = store {
         let service = FitService::new(ServiceConfig::default())?;
         if let Ok(report) = store.warm_start_with_retry(&service, policy, derive_seed(seed, 7)) {
             recovered = report.imported == jobs;
             read_retries = report.retries;
-            virtual_ns = report.imported as u64 * IMPORT_NS
-                + blob_bytes / WARM_BYTES_PER_NS
-                + report.backoff_ns;
+            backoff_ns = report.backoff_ns;
         }
     }
 
@@ -293,7 +290,7 @@ fn sweep_trial(
         recovered,
         open_retries,
         read_retries,
-        virtual_ns,
+        backoff_ns,
         faulty.injected_errors(),
     ))
 }
@@ -466,22 +463,20 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
             open_retries: 0,
             read_retries: 0,
             injected: 0,
-            latency: LatencySummary::default(),
+            backoff_ns: 0,
         };
-        let mut lat = Vec::with_capacity(cfg.trials);
         for t in 0..cfg.trials {
             let seed = derive_seed(cfg.seed, 10_000 + (li as u64) * 1_000 + t as u64);
-            let (ok, open_retries, read_retries, virtual_ns, injected) =
-                sweep_trial(&disk, cfg.jobs, blob_bytes, pm, &policy, seed)?;
+            let (ok, open_retries, read_retries, backoff_ns, injected) =
+                sweep_trial(&disk, cfg.jobs, pm, &policy, seed)?;
             if ok {
                 level.recovered += 1;
-                lat.push(virtual_ns);
+                level.backoff_ns += backoff_ns;
             }
             level.open_retries += open_retries;
             level.read_retries += read_retries;
             level.injected += injected;
         }
-        level.latency = LatencySummary::of(&mut lat);
         sweep.push(level);
     }
     // The fault-free level is the control: it must always recover.
@@ -542,9 +537,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
         row.field("open_retries", l.open_retries);
         row.field("read_retries", l.read_retries);
         row.field("injected_faults", l.injected);
-        row.field("warm_p50_ns", l.latency.p50_ns);
-        row.field("warm_p99_ns", l.latency.p99_ns);
-        row.field("warm_max_ns", l.latency.max_ns);
+        row.field("backoff_ns", l.backoff_ns);
     });
     report.section("overload", |s| {
         s.field("offered_fits", offered);
@@ -607,6 +600,7 @@ mod tests {
         assert_eq!(control.error_permille, 0);
         assert_eq!(control.recovered, control.trials);
         assert_eq!(control.injected, 0);
+        assert_eq!(control.backoff_ns, 0, "no fault, no retry, no backoff");
         let stressed = &out.sweep[1];
         assert!(stressed.injected > 0, "faults must actually inject");
         assert!(out.shed_fits > 0, "tiny queue must shed under burst load");
@@ -616,7 +610,7 @@ mod tests {
         study::assert_has_keys(
             &out.json,
             "scenario seed_store fault_sweep overload crash headline \
-             error_permille recovered read_retries warm_p99_ns shed_fits \
+             error_permille recovered read_retries backoff_ns shed_fits \
              shed_permille expired_fits points_tested recovered_clean \
              recovery_rate_permille",
         );

@@ -1,33 +1,29 @@
-//! Cold-start vs warm-start benchmark for the persistence layer
+//! Cold-start vs warm-start study of the persistence layer
 //! (`cargo bench -p bmf-bench --bench persist`).
 //!
-//! Measures the *work* of standing up a populated fitting service two
-//! ways:
+//! Stands up a populated fitting service two ways and counts the work
+//! of each:
 //!
 //! * **cold start** — fit every model from samples: the real batch
-//!   engine runs, and its schedule-independent counters are priced with
-//!   the same virtual cost model as the service bench
-//!   ([`BATCH_BASE_NS`], [`KERNEL_NS`], [`SOLVE_NS`], [`JOB_NS`]);
+//!   engine runs, and the report keeps its schedule-independent counters
+//!   (batches, kernels built, MAP solves, fits);
 //! * **warm start** — export every fitted model to a real
 //!   [`ArtifactStore`], then refill a fresh service from disk via
-//!   [`ArtifactStore::warm_start`], priced per import plus per decoded
-//!   byte.
+//!   [`ArtifactStore::warm_start`]. It must import every fitted model
+//!   and run no batch and no solve.
 //!
-//! Before pricing anything, the run *verifies* the warm-started service:
-//! every job's predictions must be bit-identical to the cold service on
-//! a probe set — a warm start that changed a single bit is a benchmark
-//! failure, not a data point.
+//! The run *verifies* the warm-started service: every job's predictions
+//! must be bit-identical to the cold service on a probe set — a warm
+//! start that changed a single bit is a benchmark failure, not a data
+//! point.
 //!
-//! As for every study of [`crate::study`], wall time stays out of the
-//! report: `BENCH_persist.json` is computed from counters and artifact
-//! byte sizes only, so it is byte-identical across machines, runs, and
+//! As for every study of [`crate::study`], the report holds no time:
+//! `BENCH_persist.json` is computed from counters and artifact byte
+//! sizes only, so it is byte-identical across machines, runs, and
 //! `BMF_THREADS` settings, and so is the artifact store the bench
-//! leaves in `persist-store/` next to it.
+//! leaves in `persist-store/` next to it. Wallbench's `stream_persist`
+//! times the store on a real disk.
 //!
-//! [`BATCH_BASE_NS`]: crate::service_load::BATCH_BASE_NS
-//! [`KERNEL_NS`]: crate::service_load::KERNEL_NS
-//! [`SOLVE_NS`]: crate::service_load::SOLVE_NS
-//! [`JOB_NS`]: crate::service_load::JOB_NS
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`ArtifactStore::warm_start`]: bmf_persist::store::ArtifactStore::warm_start
 
@@ -35,22 +31,13 @@ use std::path::Path;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::options::FitOptions;
-use bmf_core::service::{FitRequest, FitService, ServiceConfig};
+use bmf_core::service::{FitRequest, FitService, ServiceConfig, ServiceCounters};
 use bmf_core::BmfError;
 use bmf_persist::store::ArtifactStore;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
-use crate::service_load::{BATCH_BASE_NS, JOB_NS, KERNEL_NS, SOLVE_NS};
-use crate::study::{self, Fixed, ReportWriter};
-
-/// Virtual cost of installing one snapshot into the registry
-/// (validation screens plus shard insertion).
-pub const IMPORT_NS: u64 = 4_000;
-
-/// Virtual decode throughput: bytes of artifact processed per virtual
-/// nanosecond on the warm path (read, fingerprint, decode, screen).
-pub const WARM_BYTES_PER_NS: u64 = 2;
+use crate::study::{self, ReportWriter};
 
 /// Scenario configuration; use [`PersistConfig::full`] or
 /// [`PersistConfig::smoke`].
@@ -95,10 +82,11 @@ impl PersistConfig {
 pub struct PersistOutcome {
     /// The deterministic JSON report.
     pub json: String,
-    /// Virtual cost of the cold start (fit everything).
-    pub cold_ns: u64,
-    /// Virtual cost of the warm start (load everything).
-    pub warm_ns: u64,
+    /// Snapshots the warm start imported from the store.
+    pub imported: u64,
+    /// The warm-started service's counters after the verification
+    /// sweep.
+    pub warm: ServiceCounters,
     /// Bitwise-verified predictions.
     pub verified: u64,
 }
@@ -114,8 +102,8 @@ pub struct PersistOutcome {
 /// between the cold and warm services is reported as
 /// [`BmfError::Snapshot`] too — the persisted snapshot failed its
 /// round-trip contract. A run that verifies no prediction, or whose
-/// warm start is not cheaper than its cold start, fails its headline
-/// check.
+/// warm start misses a fitted model or runs a batch or a solve, fails
+/// its headline check.
 pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutcome, BmfError> {
     let r = cfg.num_vars;
     let samples = cfg.samples.max(r + 2);
@@ -156,10 +144,6 @@ pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutco
         }
     }
     let c = cold.counters();
-    let cold_ns = c.batches * BATCH_BASE_NS
-        + c.kernel_cache_misses * KERNEL_NS
-        + c.map_solves * SOLVE_NS
-        + c.fits_ok * JOB_NS;
 
     // Export everything to a fresh on-disk store.
     let _ = std::fs::remove_dir_all(store_dir);
@@ -189,13 +173,13 @@ pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutco
             verified += 1;
         }
     }
-    let warm_ns = imported * IMPORT_NS + total_bytes / WARM_BYTES_PER_NS;
+    let w = warm.counters();
 
     study::ensure("persist_study", verified > 0, "verified_predictions > 0")?;
     study::ensure(
         "persist_study",
-        0 < warm_ns && warm_ns < cold_ns,
-        "0 < warm_start.virtual_ns < cold_start.virtual_ns",
+        imported == c.fits_ok && w.batches == 0 && w.map_solves == 0,
+        "warm start imports every fit and runs no batch or solve",
     )?;
 
     let mut report = ReportWriter::default();
@@ -213,26 +197,20 @@ pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutco
         s.field("index_entries", index_entries);
     });
     report.section("cold_start", |s| {
-        s.field("virtual_ns", cold_ns);
         s.field("batches", c.batches);
         s.field("kernels", c.kernel_cache_misses);
         s.field("map_solves", c.map_solves);
         s.field("fits", c.fits_ok);
     });
     report.section("warm_start", |s| {
-        s.field("virtual_ns", warm_ns);
         s.field("imports", imported);
         s.field("verified_predictions", verified);
-    });
-    let speedup = cold_ns as f64 / warm_ns as f64;
-    report.section("headline", |s| {
-        s.field("warm_speedup", Fixed(speedup, 3));
     });
 
     Ok(PersistOutcome {
         json: report.finish()?,
-        cold_ns,
-        warm_ns,
+        imported,
+        warm: w,
         verified,
     })
 }
@@ -260,15 +238,17 @@ mod tests {
         assert_eq!(a.json, b.json);
         study::assert_has_keys(
             &a.json,
-            "scenario artifacts cold_start warm_start headline total_bytes \
-             virtual_ns imports verified_predictions warm_speedup",
+            "scenario artifacts cold_start warm_start total_bytes batches \
+             kernels map_solves imports verified_predictions",
         );
         assert!(
-            0 < a.warm_ns && a.warm_ns < a.cold_ns,
-            "warm {} ns must be positive and cheaper than cold {} ns",
-            a.warm_ns,
-            a.cold_ns
+            !a.json.contains("wall"),
+            "wall time must stay out of the JSON"
         );
         assert_eq!(a.verified, 3 * 4, "every job is verified on every probe");
+        assert_eq!(a.imported, 3, "every job is imported");
+        assert_eq!(a.warm.imports, 3);
+        assert_eq!(a.warm.batches, 0, "the warm service ran no batch");
+        assert_eq!(a.warm.map_solves, 0);
     }
 }

@@ -1,31 +1,25 @@
-//! Virtual-time study of the streaming posterior engine
+//! Study of the streaming posterior engine
 //! (`cargo bench -p bmf-bench --bench sequential`).
 //!
 //! Exercises the real [`bmf_core::sequential::SequentialBmf`] two ways
 //! and writes the deterministic report `BENCH_sequential.json` through
 //! [`crate::study`]:
 //!
-//! 1. **Speedup curve over K** — one stream absorbs `k_max` late-stage
+//! 1. **Bitwise oracle** — one stream absorbs `k_max` late-stage
 //!    samples; after every sample the study *also* refits the seen
 //!    prefix from scratch through the public batch estimator
-//!    ([`bmf_core::map_estimate`]) and asserts the streamed posterior
-//!    mean is bit-identical (`f64::to_bits`). Each arm is charged a
-//!    virtual cost from the fixed flop model below, so the emitted
-//!    incremental-vs-refit speedups move only when the *work profile*
-//!    changes, never with the wall clock, machine, or `BMF_THREADS`.
+//!    ([`bmf_core::map_estimate`]) and requires the streamed posterior
+//!    mean to be bit-identical (`f64::to_bits`).
 //! 2. **Arrival replay** — a seeded late-stage arrival stream
 //!    ([`bmf_circuits::traffic::generate_arrivals`], each event carrying
 //!    its simulated silicon cost) is replayed against one stream per
-//!    job on a single virtual server; update latencies are queueing
-//!    delay plus the incremental update cost in virtual nanoseconds.
+//!    job, interleaving their updates; every stream must end with a
+//!    finite posterior mean.
 //!
-//! Virtual cost model (per update on a stream holding `k` samples over
-//! `m` coefficients): the incremental path projects the new row against
-//! `k` cached rows, borders the Cholesky factor, and refreshes the
-//! posterior mean — `Θ(k·m + k²)` fused multiply-adds; a from-scratch
-//! refit rebuilds the `k×k` core Gram and refactorizes —
-//! `Θ(k²·m + k³/3)`. Both arms are charged [`FLOP_NS`] per unit plus a
-//! fixed dispatch base, from counts that depend only on `(k, m)`.
+//! Under the counting allocator the smoke run also proves the steady
+//! state allocation-free. The report holds counts only, so it is
+//! byte-identical across machines, runs, and `BMF_THREADS` settings;
+//! wallbench's `stream_persist` times the streaming path.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{generate_arrivals, ArrivalConfig};
@@ -39,33 +33,7 @@ use bmf_linalg::{Matrix, Vector};
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
-use crate::study::{self, Fixed, LatencySummary, ReportWriter};
-
-/// Virtual nanoseconds charged per fused multiply-add unit of posterior
-/// work.
-pub const FLOP_NS: u64 = 2;
-/// Fixed virtual dispatch cost of one incremental update (row caching,
-/// factor bordering bookkeeping).
-pub const UPDATE_BASE_NS: u64 = 300;
-/// Fixed virtual dispatch cost of one from-scratch refit (design-matrix
-/// assembly, solver setup and teardown). Kept close to the update base
-/// so the curve is driven by the superlinear refit work, not by fixed
-/// overheads that would mask it at small `k`.
-pub const REFIT_BASE_NS: u64 = 600;
-
-/// Virtual cost of absorbing sample `k` (1-based) into a stream of `m`
-/// coefficients and refreshing its posterior mean.
-pub fn incremental_update_ns(k: usize, m: usize) -> u64 {
-    let (k, m) = (k as u64, m as u64);
-    UPDATE_BASE_NS + FLOP_NS * (2 * k * m + 2 * k * k)
-}
-
-/// Virtual cost of refitting `k` samples over `m` coefficients from
-/// scratch through the batch Woodbury solver.
-pub fn refit_ns(k: usize, m: usize) -> u64 {
-    let (k, m) = (k as u64, m as u64);
-    REFIT_BASE_NS + FLOP_NS * (k * k * m + k * k * k / 3 + 2 * k * m)
-}
+use crate::study::{self, ReportWriter};
 
 /// Study configuration; use [`SeqStudyConfig::full`] or
 /// [`SeqStudyConfig::smoke`] and tweak fields as needed.
@@ -76,17 +44,12 @@ pub struct SeqStudyConfig {
     /// Variation variables (linear basis over these, so `vars + 1`
     /// coefficients).
     pub num_vars: usize,
-    /// Samples absorbed by the speedup-curve stream.
+    /// Samples absorbed by the bitwise-oracle stream.
     pub k_max: usize,
-    /// Sample counts at which the curve reports cumulative totals; must
-    /// be ascending and end at `k_max`.
-    pub curve_ks: Vec<usize>,
     /// Late-stage arrival events replayed against the per-job streams.
     pub arrivals: usize,
     /// Distinct jobs (one stream each) in the arrival replay.
     pub jobs: usize,
-    /// Mean exponential inter-arrival gap in virtual ns.
-    pub mean_interarrival_ns: f64,
     /// Assert the steady-state zero-allocation budget under the
     /// counting allocator (no-op unless the `bench` feature is on).
     pub assert_allocs: bool,
@@ -100,14 +63,8 @@ impl SeqStudyConfig {
             seed: 0x5E9B0F,
             num_vars: 15,
             k_max: 128,
-            curve_ks: vec![8, 16, 32, 64, 128],
             arrivals: 4_096,
             jobs: 8,
-            // Post-layout samples land every ~10 virtual ms — sparse
-            // enough that the virtual server never builds backlog, so
-            // the latency percentiles report update cost, not queueing
-            // collapse.
-            mean_interarrival_ns: 10_000_000.0,
             assert_allocs: false,
         }
     }
@@ -118,7 +75,6 @@ impl SeqStudyConfig {
         SeqStudyConfig {
             num_vars: 7,
             k_max: 32,
-            curve_ks: vec![8, 16, 32],
             arrivals: 512,
             jobs: 4,
             assert_allocs: true,
@@ -127,36 +83,17 @@ impl SeqStudyConfig {
     }
 }
 
-/// One point of the incremental-vs-refit speedup curve (cumulative
-/// virtual cost of streaming the first `k` samples).
-#[derive(Debug, Clone, Copy)]
-pub struct CurvePoint {
-    /// Samples absorbed so far.
-    pub k: usize,
-    /// Total virtual cost of the incremental path.
-    pub incremental_total_ns: u64,
-    /// Total virtual cost of refitting from scratch after every sample.
-    pub refit_total_ns: u64,
-    /// `refit_total_ns / incremental_total_ns` — how much posterior
-    /// throughput streaming buys at this depth.
-    pub speedup_x: f64,
-}
-
 /// Everything one study run produces.
 #[derive(Debug, Clone)]
 pub struct SeqStudyOutcome {
     /// The byte-deterministic report, ready to write to
     /// `BENCH_sequential.json`.
     pub json: String,
-    /// The speedup curve, one entry per configured `k`.
-    pub curve: Vec<CurvePoint>,
-    /// Update latency over the arrival replay, in virtual ns.
-    pub latency: LatencySummary,
     /// Streamed-vs-batch posterior means proven bit-identical, one per
-    /// absorbed curve sample.
+    /// absorbed oracle sample.
     pub bitwise_checks: u64,
-    /// Virtual posterior updates per second over the replay makespan.
-    pub updates_per_s: f64,
+    /// Arrival events replayed.
+    pub updates: usize,
     /// Simulated silicon cost carried by the replayed arrivals, in
     /// millihours.
     pub simulation_millihours: u64,
@@ -179,16 +116,16 @@ fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
 ///
 /// Propagates estimator errors and fails loudly (structured
 /// [`BmfError::Config`]) if any streamed posterior mean is not
-/// bit-identical to the batch refit of the same prefix, or if a
-/// headline check fails: no bitwise check, a zero update p99, or no
-/// speedup at the deepest curve point.
+/// bit-identical to the batch refit of the same prefix, if a replayed
+/// stream ends with a non-finite posterior mean, or if the oracle did
+/// not check every one of the `k_max` samples.
 pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, BmfError> {
     let basis = OrthonormalBasis::linear(cfg.num_vars.max(1));
     let m = basis.len();
     let hyper = 0.75;
     let options = FitOptions::new().hyper(hyper);
 
-    // ---- Part 1: speedup curve with an in-loop bitwise oracle. ----
+    // ---- Part 1: one stream with an in-loop bitwise oracle. ----
     let mut rng = seeded(derive_seed(cfg.seed, 1));
     let mut normal = StandardNormal::new();
     let truth: Vec<f64> = (0..m).map(|i| ((i as f64) * 0.37).cos() * 1.5).collect();
@@ -206,9 +143,6 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(cfg.k_max);
     let mut values: Vec<f64> = Vec::with_capacity(cfg.k_max);
 
-    let mut incr_total: u64 = 0;
-    let mut refit_total: u64 = 0;
-    let mut curve = Vec::with_capacity(cfg.curve_ks.len());
     let mut bitwise_checks: u64 = 0;
 
     for k in 1..=cfg.k_max {
@@ -218,8 +152,6 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
         seq.add_sample(&row, value, &mut ws)?;
         rows.push(row);
         values.push(value);
-        incr_total += incremental_update_ns(k, m);
-        refit_total += refit_ns(k, m);
 
         // Bitwise oracle: the streamed posterior mean must equal a
         // from-scratch batch fit of the seen prefix, bit for bit.
@@ -234,21 +166,11 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
             }
         }
         bitwise_checks += 1;
-
-        if cfg.curve_ks.contains(&k) {
-            curve.push(CurvePoint {
-                k,
-                incremental_total_ns: incr_total,
-                refit_total_ns: refit_total,
-                speedup_x: refit_total as f64 / incr_total.max(1) as f64,
-            });
-        }
     }
 
-    // ---- Part 2: arrival replay on a single virtual server. ----
+    // ---- Part 2: interleaved arrival replay, one stream per job. ----
     let arrival_cfg = ArrivalConfig {
         arrivals: cfg.arrivals,
-        mean_interarrival_ns: cfg.mean_interarrival_ns,
         jobs: cfg.jobs.max(1),
         ..ArrivalConfig::default()
     };
@@ -262,9 +184,6 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
     }
     let mut replay_rng = seeded(derive_seed(cfg.seed, 3));
     let mut row_buf = vec![0.0; m];
-    let mut latencies = Vec::with_capacity(events.len());
-    let mut busy_until_ns: u64 = 0;
-    let mut makespan_ns: u64 = 1;
     let mut simulation_millihours: u64 = 0;
 
     for ev in &events {
@@ -274,11 +193,6 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
         let value = row_buf.iter().zip(&truth).map(|(r, t)| r * t).sum::<f64>();
         stream.add_sample(&row_buf, value, &mut ws)?;
         simulation_millihours += ev.cost_millihours;
-
-        let cost = incremental_update_ns(stream.num_samples(), m);
-        busy_until_ns = busy_until_ns.max(ev.at_ns) + cost;
-        latencies.push(busy_until_ns - ev.at_ns);
-        makespan_ns = makespan_ns.max(busy_until_ns);
     }
     // Every replayed stream must end healthy: posterior means stay
     // finite after hundreds of interleaved updates.
@@ -291,23 +205,14 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
             });
         }
     }
-    let latency = LatencySummary::of(&mut latencies);
-    let updates_per_s = events.len() as f64 / (makespan_ns as f64 / 1e9);
-
     if cfg.assert_allocs {
         assert_steady_state_alloc_free(&basis, &prior, hyper)?;
     }
 
-    study::ensure("sequential_study", bitwise_checks > 0, "bitwise_checks > 0")?;
     study::ensure(
         "sequential_study",
-        latency.p99_ns > 0,
-        "latency_update.p99_ns > 0",
-    )?;
-    study::ensure(
-        "sequential_study",
-        curve.last().is_some_and(|p| p.speedup_x > 1.0),
-        "speedup > 1 at the deepest curve point",
+        bitwise_checks == cfg.k_max as u64,
+        "bitwise_checks == k_max",
     )?;
 
     let mut report = ReportWriter::default();
@@ -316,42 +221,19 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
         s.field("vars", cfg.num_vars.max(1));
         s.field("terms", m);
         s.field("k_max", cfg.k_max);
-        s.field("curve_points", curve.len());
         s.field("arrivals", cfg.arrivals);
         s.field("jobs", cfg.jobs.max(1));
     });
-    report.section("cost_model", |s| {
-        s.field("flop_ns", FLOP_NS);
-        s.field("update_base_ns", UPDATE_BASE_NS);
-        s.field("refit_base_ns", REFIT_BASE_NS);
-    });
-    for p in &curve {
-        report.section(&format!("curve_k{}", p.k), |s| {
-            s.field("incremental_total_ns", p.incremental_total_ns);
-            s.field("refit_total_ns", p.refit_total_ns);
-        });
-    }
-    // "throughput" in the key name tells the trend gate these regress
-    // downward: a shrinking speedup means streaming got more expensive.
-    report.section("speedup", |s| {
-        for p in &curve {
-            s.field(&format!("k{}_x_throughput", p.k), Fixed(p.speedup_x, 3));
-        }
-    });
-    report.section("latency_update", |s| latency.write(s));
     report.section("arrival_cost", |s| {
         s.field("simulation_millihours", simulation_millihours);
-        s.field("updates", latency.count);
+        s.field("updates", events.len());
     });
     report.scalar("bitwise_checks", bitwise_checks);
-    report.scalar("updates_per_s_throughput", Fixed(updates_per_s, 3));
 
     Ok(SeqStudyOutcome {
         json: report.finish()?,
-        curve,
-        latency,
         bitwise_checks,
-        updates_per_s,
+        updates: events.len(),
         simulation_millihours,
     })
 }
@@ -414,12 +296,11 @@ mod tests {
     use super::*;
 
     /// Unit-test scenario: small enough for the per-sample batch oracle
-    /// to stay cheap while still crossing every curve checkpoint.
+    /// to stay cheap.
     fn tiny() -> SeqStudyConfig {
         SeqStudyConfig {
             num_vars: 4,
             k_max: 16,
-            curve_ks: vec![4, 8, 16],
             arrivals: 128,
             jobs: 3,
             assert_allocs: true,
@@ -438,29 +319,8 @@ mod tests {
     fn every_curve_sample_is_bitwise_verified() {
         let out = run_sequential_study(&tiny()).expect("study run");
         assert_eq!(out.bitwise_checks, 16, "one oracle check per sample");
-        assert_eq!(out.curve.len(), 3);
-        assert_eq!(out.latency.count, 128, "every arrival must be timed");
-        assert!(out.latency.p50_ns > 0);
-        assert!(out.updates_per_s > 0.0);
+        assert_eq!(out.updates, 128, "every arrival must be replayed");
         assert!(out.simulation_millihours > 0);
-    }
-
-    #[test]
-    fn speedup_grows_with_stream_depth() {
-        let out = run_sequential_study(&tiny()).expect("study run");
-        for pair in out.curve.windows(2) {
-            assert!(
-                pair[1].speedup_x > pair[0].speedup_x,
-                "refit cost is superlinear in k, so speedup must grow: {:?}",
-                out.curve
-            );
-        }
-        let last = out.curve.last().expect("curve points");
-        assert!(
-            last.speedup_x > 2.0,
-            "streaming must clearly beat refitting at k=16, got {:.2}x",
-            last.speedup_x
-        );
     }
 
     #[test]
@@ -468,18 +328,12 @@ mod tests {
         let out = run_sequential_study(&tiny()).expect("study run");
         study::assert_has_keys(
             &out.json,
-            "scenario cost_model curve_k4 curve_k8 curve_k16 speedup \
-             k16_x_throughput latency_update p50_ns p99_ns max_ns arrival_cost \
-             simulation_millihours bitwise_checks updates_per_s_throughput",
+            "scenario k_max arrivals arrival_cost simulation_millihours updates \
+             bitwise_checks",
         );
-    }
-
-    #[test]
-    fn cost_model_is_superlinear_in_refit() {
-        assert!(refit_ns(64, 16) > incremental_update_ns(64, 16));
-        // Doubling k must more than double the refit arm's advantage.
-        let s32 = refit_ns(32, 16) as f64 / incremental_update_ns(32, 16) as f64;
-        let s64 = refit_ns(64, 16) as f64 / incremental_update_ns(64, 16) as f64;
-        assert!(s64 > s32);
+        assert!(
+            !out.json.contains("wall"),
+            "wall time must stay out of the JSON"
+        );
     }
 }

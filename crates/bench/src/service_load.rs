@@ -5,60 +5,33 @@
 //! ([`bmf_circuits::traffic`]) against a real
 //! [`bmf_core::service::FitService`]: fit requests are submitted,
 //! coalesced, and solved by the actual batch engine; predictions and
-//! evictions hit the actual registry. What is *simulated* is time:
-//! latencies are computed in **virtual nanoseconds** from the stream's
-//! arrival timestamps and a fixed cost model applied to the service's
-//! schedule-independent work counters, never from the wall clock. That
-//! is what makes the emitted `BENCH_service.json` byte-identical across
-//! machines, runs, and `BMF_THREADS` settings — the numbers move only
-//! when the *work* changes (more kernels built, worse coalescing, extra
-//! solves), which is exactly what a CI trend gate should detect.
+//! evictions hit the actual registry. The drain policy runs on the
+//! stream's own arrival timestamps: a drain fires when the queue reaches
+//! `max_coalesce` or when a request arrives after the oldest queued one
+//! has waited `coalesce_window_ns`.
 //!
-//! Virtual-time model:
-//!
-//! * fit requests wait in the coalescing queue; a drain fires when the
-//!   queue reaches `max_coalesce` or the oldest request has waited
-//!   `coalesce_window_ns`;
-//! * drained batches execute sequentially on a single virtual server,
-//!   each batch costing [`BATCH_BASE_NS`] plus per-kernel, per-solve,
-//!   and per-job terms taken from its real [`BatchSummary`] counters;
-//!   every request in a batch completes when its batch does, so fit
-//!   latency = queueing delay + executor backlog + batch cost;
-//! * predictions and evictions are served lock-light off the registry
-//!   and are charged flat costs (no queueing).
+//! `BENCH_service.json` holds what the service did: the traffic it
+//! served and its schedule-independent work counters (batches, kernels
+//! built and reused, MAP solves). They depend only on the scenario, so
+//! the report is byte-identical across machines, runs, and `BMF_THREADS`
+//! settings, and it moves only when the *work* changes (more kernels
+//! built, worse coalescing, extra solves), which is exactly what a CI
+//! trend gate should detect. How long that work takes is wallbench's
+//! `serve_mix` to measure.
 //!
 //! The report is written through [`crate::study`]. A run that serves no
-//! fit, or times a zero fit p99 or throughput, fails instead.
+//! fit, or that never coalesces two fits into one batch, fails instead.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{RequestKind, TrafficConfig, TrafficEvent};
 use bmf_core::hyper::log_grid;
 use bmf_core::options::FitOptions;
-use bmf_core::service::{FitRequest, FitService, ServiceConfig, Ticket};
+use bmf_core::service::{FitRequest, FitService, ServiceConfig};
 use bmf_core::BmfError;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
-use crate::study::{self, Fixed, LatencySummary, ReportWriter};
-
-/// Fixed virtual cost charged per coalesced batch run (dispatch, design
-/// matrix reuse, result installation).
-pub const BATCH_BASE_NS: u64 = 25_000;
-/// Virtual cost per Woodbury kernel actually factorized in a batch.
-pub const KERNEL_NS: u64 = 6_000;
-/// Virtual cost per MAP system solved in a batch.
-pub const SOLVE_NS: u64 = 1_200;
-/// Virtual per-job overhead within a batch (fold bookkeeping, model
-/// extraction).
-pub const JOB_NS: u64 = 2_000;
-/// Virtual base cost of a registry prediction.
-pub const PREDICT_BASE_NS: u64 = 300;
-/// Virtual per-basis-term cost of evaluating a prediction.
-pub const PREDICT_TERM_NS: u64 = 25;
-/// Virtual cost of a successful eviction.
-pub const EVICT_NS: u64 = 200;
-/// Virtual cost of a registry miss (predict or evict on an absent key).
-pub const MISS_NS: u64 = 150;
+use crate::study::{self, ReportWriter};
 
 /// Load-scenario configuration; use [`LoadConfig::full`] or
 /// [`LoadConfig::smoke`] and tweak fields as needed.
@@ -80,9 +53,11 @@ pub struct LoadConfig {
     pub fit_permille: u32,
     /// Evict share of traffic in permille (remainder is predictions).
     pub evict_permille: u32,
-    /// Mean exponential inter-arrival gap in virtual ns.
+    /// Mean exponential gap between the stream's arrival timestamps, in
+    /// ns.
     pub mean_interarrival_ns: f64,
-    /// Oldest-request wait that forces a drain.
+    /// Oldest-request wait, on the arrival timestamps, that forces a
+    /// drain.
     pub coalesce_window_ns: u64,
     /// Queue depth that forces a drain (also the service's per-batch
     /// coalescing cap).
@@ -124,12 +99,8 @@ pub struct LoadOutcome {
     /// The byte-deterministic report, ready to write to
     /// `BENCH_service.json`.
     pub json: String,
-    /// Latency over every request kind.
-    pub overall: LatencySummary,
-    /// Latency of fit requests (queueing + batch execution).
-    pub fit: LatencySummary,
-    /// Virtual requests per second over the stream makespan.
-    pub throughput_rps: f64,
+    /// Fit requests rejected at submission or drained to an error.
+    pub fit_errors: u64,
     /// Final service-wide counters.
     pub counters: bmf_core::service::ServiceCounters,
 }
@@ -149,8 +120,8 @@ struct JobPayload {
 /// # Errors
 ///
 /// Propagates service construction and point-registration errors and
-/// fails a run that serves no fit or reports a zero fit p99 or
-/// throughput; per-request failures are counted, not propagated.
+/// fails a run that serves no fit or runs a batch per fit (no
+/// coalescing); per-request failures are counted, not propagated.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
     let traffic = TrafficConfig {
         requests: cfg.requests,
@@ -225,36 +196,26 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         group_sets: &group_sets,
         window_ns: cfg.coalesce_window_ns.max(1),
         max_coalesce: cfg.max_coalesce.max(1),
-        predict_cost_ns: PREDICT_BASE_NS + PREDICT_TERM_NS * terms as u64,
-        pending: Vec::new(),
-        arrivals: std::collections::BTreeMap::new(),
-        server_busy_until_ns: 0,
-        lat_all: Vec::with_capacity(events.len()),
-        lat_fit: Vec::new(),
-        lat_predict: Vec::new(),
+        oldest_ns: None,
+        queued: 0,
         fit_errors: 0,
-        last_completion_ns: 0,
     };
 
     for (i, ev) in events.iter().enumerate() {
         engine.step(ev, &probes[i % probes.len()]);
     }
-    // Final timer-driven drain for whatever is still queued.
-    if let Some(&oldest) = engine.pending.first() {
-        engine.drain_at(oldest + engine.window_ns);
+    // Final drain for whatever is still queued.
+    if engine.queued > 0 {
+        engine.drain();
     }
 
-    let last_arrival = events.last().map_or(0, |e| e.at_ns);
-    let makespan_ns = engine.last_completion_ns.max(last_arrival).max(1);
-    let throughput_rps = events.len() as f64 / (makespan_ns as f64 / 1e9);
-
-    let overall = LatencySummary::of(&mut engine.lat_all);
-    let fit = LatencySummary::of(&mut engine.lat_fit);
-    let predict = LatencySummary::of(&mut engine.lat_predict);
     let counters = service.counters();
     study::ensure("service_load", counters.fits_ok > 0, "fits_ok > 0")?;
-    study::ensure("service_load", fit.p99_ns > 0, "latency_fit.p99_ns > 0")?;
-    study::ensure("service_load", throughput_rps > 0.0, "throughput_rps > 0")?;
+    study::ensure(
+        "service_load",
+        counters.batches < counters.fits_ok,
+        "batches < fits_ok",
+    )?;
 
     let mut report = ReportWriter::default();
     report.section("scenario", |s| {
@@ -290,52 +251,38 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         s.field("map_solves", counters.map_solves);
         s.field("degraded_fits", counters.degraded_fits);
     });
-    report.section("latency_overall", |s| overall.write(s));
-    report.section("latency_fit", |s| fit.write(s));
-    report.section("latency_predict", |s| predict.write(s));
-    report.scalar("throughput_rps", Fixed(throughput_rps, 3));
 
     Ok(LoadOutcome {
         json: report.finish()?,
-        overall,
-        fit,
-        throughput_rps,
+        fit_errors: engine.fit_errors,
         counters,
     })
 }
 
-/// The replay engine's mutable state; see the module docs for the
-/// virtual-time model.
+/// The replay engine's mutable state; see the module docs for the drain
+/// policy.
 struct Engine<'a> {
     service: &'a FitService,
     jobs: &'a [JobPayload],
     group_sets: &'a [(bmf_core::service::PointSetId, Vec<Vec<f64>>)],
     window_ns: u64,
     max_coalesce: usize,
-    predict_cost_ns: u64,
-    /// Arrival timestamps of queued fit requests, oldest first.
-    pending: Vec<u64>,
-    /// Arrival timestamp per outstanding ticket.
-    arrivals: std::collections::BTreeMap<Ticket, u64>,
-    server_busy_until_ns: u64,
-    lat_all: Vec<u64>,
-    lat_fit: Vec<u64>,
-    lat_predict: Vec<u64>,
+    /// Arrival timestamp of the oldest queued fit request.
+    oldest_ns: Option<u64>,
+    /// Fit requests queued since the last drain.
+    queued: usize,
     fit_errors: u64,
-    last_completion_ns: u64,
 }
 
 impl Engine<'_> {
     fn step(&mut self, ev: &TrafficEvent, probe: &[f64]) {
-        // Timer: drain when the oldest queued request's window expires
-        // before this event arrives.
-        while let Some(&oldest) = self.pending.first() {
-            let deadline = oldest + self.window_ns;
-            if ev.at_ns >= deadline {
-                self.drain_at(deadline);
-            } else {
-                break;
-            }
+        // Timer: drain when the oldest queued request's window expired
+        // before this event arrived.
+        if self
+            .oldest_ns
+            .is_some_and(|oldest| ev.at_ns >= oldest + self.window_ns)
+        {
+            self.drain();
         }
         let job = &self.jobs[ev.job % self.jobs.len().max(1)];
         match ev.kind {
@@ -348,33 +295,21 @@ impl Engine<'_> {
                     values: job.values.clone(),
                 };
                 match self.service.submit_fit(request) {
-                    Ok(ticket) => {
-                        self.pending.push(ev.at_ns);
-                        self.arrivals.insert(ticket, ev.at_ns);
-                        if self.pending.len() >= self.max_coalesce {
-                            self.drain_at(ev.at_ns);
+                    Ok(_) => {
+                        self.oldest_ns.get_or_insert(ev.at_ns);
+                        self.queued += 1;
+                        if self.queued >= self.max_coalesce {
+                            self.drain();
                         }
                     }
-                    Err(_) => {
-                        // Rejected at the boundary: charged like a miss.
-                        self.fit_errors += 1;
-                        self.record(ev.at_ns, MISS_NS, Kind::Fit);
-                    }
+                    Err(_) => self.fit_errors += 1,
                 }
             }
             RequestKind::Predict => {
-                let cost = match self.service.predict(&job.job_id, probe) {
-                    Ok(_) => self.predict_cost_ns,
-                    Err(_) => MISS_NS,
-                };
-                self.record(ev.at_ns, cost, Kind::Predict);
+                let _ = self.service.predict(&job.job_id, probe);
             }
             RequestKind::Evict => {
-                let cost = match self.service.evict(&job.job_id) {
-                    Ok(()) => EVICT_NS,
-                    Err(_) => MISS_NS,
-                };
-                self.record(ev.at_ns, cost, Kind::Other);
+                let _ = self.service.evict(&job.job_id);
             }
         }
     }
@@ -385,53 +320,18 @@ impl Engine<'_> {
         OrthonormalBasis::linear(self.group_sets[0].1[0].len())
     }
 
-    /// Drains the service queue at virtual time `now_ns`, runs the real
-    /// batch engine, and completes each drained ticket on the virtual
-    /// single-server executor.
-    fn drain_at(&mut self, now_ns: u64) {
-        self.pending.clear();
+    /// Drains the service queue through the real batch engine and
+    /// counts the fits that drained to an error.
+    fn drain(&mut self) {
+        self.oldest_ns = None;
+        self.queued = 0;
         let report = self.service.drain();
-        // Batches execute back to back; compute each batch's completion
-        // time once from its schedule-independent counters.
-        self.server_busy_until_ns = self.server_busy_until_ns.max(now_ns);
-        let mut batch_done_ns = Vec::with_capacity(report.batches.len());
-        for b in &report.batches {
-            let cost = BATCH_BASE_NS
-                + KERNEL_NS * b.counters.kernels_built as u64
-                + SOLVE_NS * b.counters.map_solves as u64
-                + JOB_NS * b.jobs as u64;
-            self.server_busy_until_ns += cost;
-            batch_done_ns.push(self.server_busy_until_ns);
-        }
-        for outcome in &report.outcomes {
-            let arrival = self.arrivals.remove(&outcome.ticket).unwrap_or(now_ns);
-            let done = match outcome.batch {
-                Some(i) => batch_done_ns.get(i).copied().unwrap_or(now_ns),
-                // Failed before producing a fit: rejected at batch entry.
-                None => now_ns + MISS_NS,
-            };
-            if outcome.result.is_err() {
-                self.fit_errors += 1;
-            }
-            self.record(arrival, done.saturating_sub(arrival), Kind::Fit);
-        }
+        self.fit_errors += report
+            .outcomes
+            .iter()
+            .filter(|outcome| outcome.result.is_err())
+            .count() as u64;
     }
-
-    fn record(&mut self, arrival_ns: u64, latency_ns: u64, kind: Kind) {
-        self.last_completion_ns = self.last_completion_ns.max(arrival_ns + latency_ns);
-        self.lat_all.push(latency_ns);
-        match kind {
-            Kind::Fit => self.lat_fit.push(latency_ns),
-            Kind::Predict => self.lat_predict.push(latency_ns),
-            Kind::Other => {}
-        }
-    }
-}
-
-enum Kind {
-    Fit,
-    Predict,
-    Other,
 }
 
 #[cfg(test)]
@@ -460,19 +360,22 @@ mod tests {
     #[test]
     fn load_run_serves_all_kinds() {
         let out = run_load(&tiny()).expect("load run");
-        assert!(out.counters.fits_ok > 0, "no fits served");
-        assert!(out.counters.predicts > 0, "no predictions served");
-        assert!(
-            out.counters.predict_misses > 0,
-            "cold-start predicts should miss"
-        );
+        let c = &out.counters;
+        assert!(c.fits_ok > 0, "no fits served");
+        assert!(c.predicts > 0, "no predictions served");
+        assert!(c.predict_misses > 0, "cold-start predicts should miss");
         assert_eq!(
-            out.overall.count, 2_000,
+            c.fits_ok
+                + out.fit_errors
+                + c.predicts
+                + c.predict_misses
+                + c.evictions
+                + c.evict_misses,
+            2_000,
             "every request must be accounted for"
         );
-        assert!(out.throughput_rps > 0.0);
         // Clean workload: every fit request is served, none rejected.
-        assert_eq!(out.counters.fits_ok, out.fit.count);
+        assert_eq!(out.fit_errors, 0);
     }
 
     #[test]
@@ -483,6 +386,16 @@ mod tests {
         };
         let err = run_load(&cfg).expect_err("a run that serves no fit must fail");
         assert!(err.to_string().contains("fits_ok > 0"), "{err}");
+    }
+
+    #[test]
+    fn a_run_without_coalescing_fails_its_headline_check() {
+        let cfg = LoadConfig {
+            max_coalesce: 1,
+            ..tiny()
+        };
+        let err = run_load(&cfg).expect_err("a batch per fit must fail");
+        assert!(err.to_string().contains("batches < fits_ok"), "{err}");
     }
 
     #[test]
@@ -504,9 +417,8 @@ mod tests {
         let out = run_load(&tiny()).expect("load run");
         study::assert_has_keys(
             &out.json,
-            "scenario traffic coalescing latency_overall latency_fit \
-             latency_predict throughput_rps p50_ns p99_ns p999_ns max_ns \
-             fits_ok batches",
+            "scenario traffic coalescing fits_ok fit_errors predicts batches \
+             kernel_cache_misses map_solves",
         );
         assert!(
             !out.json.contains("wall"),

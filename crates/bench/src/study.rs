@@ -7,33 +7,24 @@
 //!   parses — top-level scalars, one-line sections and arrays of
 //!   one-line rows — and refuses what the gate cannot read: NaN, ±inf,
 //!   or a key outside `[A-Za-z0-9_]`;
-//! * [`LatencySummary`] is the one order-statistic percentile summary;
 //! * [`out_dir`] is the one output directory;
 //! * [`bench_main`] is the one bench entry point.
 //!
-//! Reports carry no wall time: every number is a function of the
-//! study's configuration and of the work it did, so a report is
-//! byte-identical across machines, runs and `BMF_THREADS` settings.
+//! Reports hold only what the code did — counters, byte sizes, seeded
+//! draws and the results of checks — never a time, measured or modeled:
+//! every number is a function of the study's configuration, so a report
+//! is byte-identical across machines, runs and `BMF_THREADS` settings.
+//! Wall-clock numbers live in wallbench (`wallbench/`).
 //! `scripts/bench_smoke.sh` checks that by running each bench's
 //! `--smoke` at one thread and at the default pool and comparing the two
 //! output directories byte for byte.
 
-use std::fmt::{self, Display, Write as _};
+use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
 
 use bmf_core::BmfError;
 
 use crate::timing::Harness;
-
-/// A float printed with a fixed number of decimals: `Fixed(x, 3)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fixed(pub f64, pub usize);
-
-impl Display for Fixed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.*}", self.1, self.0)
-    }
-}
 
 /// Writes a report in the flat layout the trend gate parses, one entry
 /// at a time in output order. Values are written with `Display` and
@@ -157,52 +148,6 @@ impl Fields<'_> {
     }
 }
 
-/// Order-statistic percentiles of a latency sample, in nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Samples summarized.
-    pub count: u64,
-    /// Median.
-    pub p50_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// 99.9th percentile.
-    pub p999_ns: u64,
-    /// Worst case.
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    /// Sorts `samples` in place and summarizes them; an empty sample
-    /// summarizes to all zeros.
-    pub fn of(samples: &mut [u64]) -> Self {
-        samples.sort_unstable();
-        let pct = |num: u64, den: u64| -> u64 {
-            if samples.is_empty() {
-                0
-            } else {
-                samples[((samples.len() - 1) as u64 * num / den) as usize]
-            }
-        };
-        LatencySummary {
-            count: samples.len() as u64,
-            p50_ns: pct(50, 100),
-            p99_ns: pct(99, 100),
-            p999_ns: pct(999, 1000),
-            max_ns: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    /// Writes the summary as the fields of a latency section.
-    pub fn write(&self, s: &mut Fields<'_>) {
-        s.field("count", self.count)
-            .field("p50_ns", self.p50_ns)
-            .field("p99_ns", self.p99_ns)
-            .field("p999_ns", self.p999_ns)
-            .field("max_ns", self.max_ns);
-    }
-}
-
 /// Values of the linear model `truth[0] + Σᵢ xᵢ·truth[i+1]` at each
 /// point, the synthetic ground truth the studies fit.
 pub(crate) fn linear_values(truth: &[f64], points: &[Vec<f64>]) -> Vec<f64> {
@@ -309,18 +254,18 @@ mod tests {
         w.rows("sweep", [0u32, 20], |row, level| {
             row.field("level", level);
         });
-        w.scalar("rate", Fixed(2.0 / 3.0, 3));
+        w.scalar("rate", 0.5);
         assert_eq!(
             w.finish().expect("valid report"),
             "{\n  \"enabled\": true,\n  \"scenario\": { \"jobs\": 3, \"seed\": 7 },\n  \
              \"sweep\": [\n    { \"level\": 0 },\n    { \"level\": 20 }\n  ],\n  \
-             \"rate\": 0.667\n}\n"
+             \"rate\": 0.5\n}\n"
         );
     }
 
     #[test]
     fn refuses_what_the_gate_cannot_read() {
-        let refused = |key: &str, value: Fixed| {
+        let refused = |key: &str, value: f64| {
             let mut w = ReportWriter::default();
             w.rows("rows", [value], |row, v| {
                 row.field(key, v);
@@ -335,24 +280,12 @@ mod tests {
             err
         };
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = refused("speedup", Fixed(v, 3));
-            assert!(err.contains("rows.speedup"), "{err}");
+            let err = refused("ratio", v);
+            assert!(err.contains("rows.ratio"), "{err}");
         }
         for key in ["panic-reachability", "a.b", "", "p99 ns", "x\"y"] {
-            let err = refused(key, Fixed(1.0, 1));
+            let err = refused(key, 1.0);
             assert!(err.contains(&format!("`{key}`")), "{err}");
         }
-    }
-
-    #[test]
-    fn percentiles_are_order_statistics() {
-        let mut lat: Vec<u64> = (1..=1000).rev().collect();
-        let s = LatencySummary::of(&mut lat);
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50_ns, 500);
-        assert_eq!(s.p99_ns, 990);
-        assert_eq!(s.p999_ns, 999);
-        assert_eq!(s.max_ns, 1000);
-        assert_eq!(LatencySummary::of(&mut []), LatencySummary::default());
     }
 }

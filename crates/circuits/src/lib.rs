@@ -11,9 +11,8 @@
 //!   interdie and per-device mismatch variables as independent standard
 //!   normals (the paper's eq. 1 convention);
 //! * [`spice`] — a small modified-nodal-analysis (MNA) circuit solver
-//!   (DC, backward-Euler transient, Elmore delay) used for the
-//!   differential-pair offset example of §IV-A and for parasitic
-//!   delay modeling;
+//!   (DC, AC, Elmore delay) used for the differential-pair offset
+//!   example of §IV-A and for parasitic delay modeling;
 //! * [`ro`] — a behavioral ring-oscillator with per-stage device models
 //!   producing power / phase-noise / frequency metrics;
 //! * [`sram`] — a behavioral SRAM read path (wordline driver, bit cells,

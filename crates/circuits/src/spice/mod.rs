@@ -11,7 +11,6 @@
 //! * [`dc`] — DC operating-point solve via MNA + LU,
 //! * [`ac`] — small-signal AC analysis over the complex MNA system
 //!   (frequency sweeps, −3 dB bandwidth extraction),
-//! * [`tran`] — backward-Euler transient for linear RC networks,
 //! * [`elmore`] — Elmore delay of RC trees, used for parasitic
 //!   interconnect delay in the post-layout models.
 //!
@@ -36,4 +35,3 @@ pub mod circuit;
 pub mod dc;
 pub mod elmore;
 pub mod mosfet;
-pub mod tran;

@@ -34,7 +34,7 @@
 //! fold too small for the missing-prior block) when its `G_Z` is rank
 //! deficient; a grid value is blanked for both families when `T̂ + ηI`
 //! is singular to working precision (a pivot not positive and finite,
-//! or a pivot ratio at the ladder's `rcond_floor`); a family's cell is
+//! or a pivot ratio at the ladder's `RCOND_FLOOR`); a family's cell is
 //! blanked when its validation error is not finite.
 
 use bmf_linalg::{LinalgError, Matrix, Vector};
@@ -497,8 +497,8 @@ mod tests {
     /// below the kernel's scale on a rank-deficient `S`), no 1e-6
     /// agreement is possible from either side, so each cell is held to
     /// `1e-6 + 8ε·κ` relative. A cell may be blank only when
-    /// `κ ≥ 0.5/rcond_floor`: the sweep refuses `T̂ + ηI` when its pivot
-    /// ratio falls to `rcond_floor`, which needs `η ≲ rcond_floor·tr`.
+    /// `κ ≥ 0.5/RCOND_FLOOR`: the sweep refuses `T̂ + ηI` when its pivot
+    /// ratio falls to `RCOND_FLOOR`, which needs `η ≲ RCOND_FLOOR·tr`.
     fn check_against_reference(
         g: &Matrix,
         plan: &FoldPlan,
@@ -536,7 +536,7 @@ mod tests {
                         let kappa = 1.0 + trace / h;
                         let rounding = 8.0 * f64::EPSILON * kappa;
                         let Some(got) = cells[ki * grid.len() + gi] else {
-                            let floor = bmf_linalg::LadderPolicy::default().rcond_floor;
+                            let floor = bmf_linalg::resilience::RCOND_FLOOR;
                             assert!(kappa >= 0.5 / floor, "cell (h={h}, {kind:?}) blank");
                             continue;
                         };

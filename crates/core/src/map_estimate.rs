@@ -41,13 +41,14 @@
 
 use std::ops::Range;
 
+use bmf_linalg::resilience::RCOND_FLOOR;
 use bmf_linalg::view::{
     gram_runs_band_into, matvec_into, matvec_transpose_into, mirror_upper_into,
     outer_gram_diag_into, sub_products_into, MatRef,
 };
 use bmf_linalg::{
     factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, qr_in_place, solve_lower,
-    tridiagonal, view, woodbury, LadderPolicy, LinalgError, Matrix, Reflectors, Resilience, Vector,
+    tridiagonal, view, woodbury, LinalgError, Matrix, Reflectors, Resilience, Vector,
 };
 use bmf_stat::crossval::Fold;
 
@@ -214,12 +215,7 @@ pub(crate) fn map_estimate_ws(
             ws.core.reset_zeros(m, m);
             view::gram_into(g.as_view(), ws.core.as_view_mut())?;
             ws.core.add_diagonal_mut(&precisions)?;
-            let (kind, res) = factor_spd_ladder(
-                &mut ws.core,
-                &mut ws.perm,
-                &mut ws.ladder,
-                &LadderPolicy::default(),
-            )?;
+            let (kind, res) = factor_spd_ladder(&mut ws.core, &mut ws.perm, &mut ws.ladder)?;
             out.copy_from_slice(&ws.rhs);
             ladder_solve_in_place(kind, &ws.core, &ws.perm, &mut ws.ladder, &mut out)?;
             res
@@ -473,7 +469,7 @@ impl FoldBase {
     /// * [`BmfError::NotEnoughSamples`] when `train` has fewer rows than
     ///   there are missing columns.
     /// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when `G_Z(T)`
-    ///   is rank deficient: `min|R_jj| ≤ rcond_floor·max|R_jj|`, with the
+    ///   is rank deficient: `min|R_jj| ≤ RCOND_FLOOR·max|R_jj|`, with the
     ///   degradation ladder's floor.
     pub(crate) fn build(
         &mut self,
@@ -504,7 +500,7 @@ impl FoldBase {
             hi = hi.max(self.gz[(j, j)].abs());
         }
         // With nothing missing, lo stays ∞ and the check passes.
-        if lo <= LadderPolicy::default().rcond_floor * hi || lo.is_nan() {
+        if lo <= RCOND_FLOOR * hi || lo.is_nan() {
             let rcond = if hi > 0.0 { lo / hi } else { 0.0 };
             let op = "sample-space system (missing-prior columns)";
             return Err(LinalgError::Unsolvable { op, rcond }.into());
@@ -767,8 +763,7 @@ impl FoldSystem {
         q.apply_qt_in_place(&mut y, &mut [0.0])?;
         h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
         let (mut piv, mut l) = (vec![0.0; n], vec![0.0; n.saturating_sub(1)]);
-        let policy = LadderPolicy::default();
-        let res = factor_shifted_ldl_ladder(&self.d, &self.e, hyper, &mut piv, &mut l, &policy)?;
+        let res = factor_shifted_ldl_ladder(&self.d, &self.e, hyper, &mut piv, &mut l)?;
         let (uz, x) = y.split_at_mut(nz);
         tridiagonal::ldl_solve_in_place(&piv, &l, x)?;
         h.apply_q_in_place(x, &mut [0.0])?;
@@ -867,7 +862,7 @@ impl<'a> FoldWork<'a> {
     ///
     /// A grid value whose `T̂ + ηI` is singular to working precision (a
     /// pivot not positive and finite, or a pivot ratio at the ladder's
-    /// `rcond_floor`) is blank for every family; a cell whose error is
+    /// `RCOND_FLOOR`) is blank for every family; a cell whose error is
     /// not finite is blank. The result depends only on the inputs, never
     /// on the scratch.
     fn cells(
@@ -890,7 +885,7 @@ impl<'a> FoldWork<'a> {
         let wt = sys.wt.as_view();
         let q = base.q();
         let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
-        let (g_mu, floor) = (&terms.g_mu, LadderPolicy::default().rcond_floor);
+        let (g_mu, floor) = (&terms.g_mu, RCOND_FLOOR);
         for (ri, f) in responses.iter().enumerate() {
             let val_norm = fold
                 .validate

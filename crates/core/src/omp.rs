@@ -98,6 +98,7 @@ pub fn fit_omp_design(g: &Matrix, f: &Vector, config: &OmpConfig) -> Result<OmpF
     seeded(config.seed).shuffle(&mut order);
     let n_val = ((k as f64 * config.validation_fraction) as usize).min(k - 2);
     let (val_idx, train_idx) = order.split_at(n_val);
+    // A contiguous copy: each step's `Gᵀr` pass streams it faster than a `rows_view`.
     let g_train = select_rows(g, train_idx);
     let kt = train_idx.len();
     let f_train = Vector::from_fn(kt, |i| f[train_idx[i]]);

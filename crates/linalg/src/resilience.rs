@@ -13,13 +13,13 @@
 //! * **Rung 0** — plain Cholesky. Accepted whenever the factorization
 //!   succeeds, so inputs that solved before the ladder existed produce
 //!   bit-identical results.
-//! * **Rungs 1..=J** — restore the matrix and retry with a ridge
-//!   `initial_ridge_rel · scale · growth^(rung-1)` added to the diagonal,
-//!   where `scale` is the mean absolute diagonal of the original matrix.
+//! * **Rungs 1..=[`MAX_JITTER_RUNGS`]** — restore the matrix and retry
+//!   with a ridge `INITIAL_RIDGE_REL · scale · RIDGE_GROWTH^(rung-1)`
+//!   added to the diagonal, where `scale` is the mean absolute diagonal of
+//!   the original matrix.
 //! * **Final rung** — pivoted LU on the *un-ridged* matrix, accepted only
-//!   when the reciprocal-condition estimate clears
-//!   [`LadderPolicy::rcond_floor`]; otherwise the system is declared
-//!   [`LinalgError::Unsolvable`].
+//!   when the reciprocal-condition estimate clears [`RCOND_FLOOR`];
+//!   otherwise the system is declared [`LinalgError::Unsolvable`].
 //!
 //! [`factor_shifted_ldl_ladder`] climbs the same jitter rungs for
 //! `T + ηI` with a symmetric tridiagonal `T` (the sample-space final
@@ -40,34 +40,20 @@ use crate::triangular::{solve_lower, solve_lower_transpose};
 use crate::tridiagonal::ldl_shifted_into;
 use crate::{LinalgError, Matrix, Result};
 
-/// Tuning knobs for the degradation ladder.
+/// Number of jittered-Cholesky rungs tried before falling back to LU.
 ///
-/// The defaults span ridges from `1e-10·scale` to `1e-3·scale` over seven
-/// jitter rungs — wide enough to rescue rounding-level indefiniteness at
-/// rung 1 while keeping the worst-case perturbation visible in the report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderPolicy {
-    /// Number of jittered-Cholesky rungs tried before falling back to LU.
-    pub max_jitter_rungs: u32,
-    /// First ridge, relative to the mean absolute diagonal of the matrix.
-    pub initial_ridge_rel: f64,
-    /// Geometric growth factor between consecutive jitter rungs.
-    pub ridge_growth: f64,
-    /// Minimum reciprocal-condition estimate for the final LU rung to be
-    /// accepted instead of reporting [`LinalgError::Unsolvable`].
-    pub rcond_floor: f64,
-}
-
-impl Default for LadderPolicy {
-    fn default() -> Self {
-        LadderPolicy {
-            max_jitter_rungs: 7,
-            initial_ridge_rel: 1e-10,
-            ridge_growth: 10.0,
-            rcond_floor: 1e-14,
-        }
-    }
-}
+/// With [`INITIAL_RIDGE_REL`] and [`RIDGE_GROWTH`], the seven rungs span
+/// ridges from `1e-10·scale` to `1e-3·scale` — wide enough to rescue
+/// rounding-level indefiniteness at rung 1 while keeping the worst-case
+/// perturbation visible in the report.
+pub const MAX_JITTER_RUNGS: u32 = 7;
+/// First ridge, relative to the mean absolute diagonal of the matrix.
+pub const INITIAL_RIDGE_REL: f64 = 1e-10;
+/// Geometric growth factor between consecutive jitter rungs.
+pub const RIDGE_GROWTH: f64 = 10.0;
+/// Minimum reciprocal-condition estimate for the final LU rung to be
+/// accepted instead of reporting [`LinalgError::Unsolvable`].
+pub const RCOND_FLOOR: f64 = 1e-14;
 
 /// How one ladder invocation resolved: the rung accepted, the ridge added
 /// to the diagonal (0 unless a jitter rung won), and a cheap
@@ -75,8 +61,8 @@ impl Default for LadderPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resilience {
     /// Ladder rung that produced the accepted factorization: 0 for the
-    /// plain factorization, `1..=max_jitter_rungs` for jittered Cholesky,
-    /// `max_jitter_rungs + 1` for the LU fallback.
+    /// plain factorization, `1..=MAX_JITTER_RUNGS` for jittered Cholesky,
+    /// `MAX_JITTER_RUNGS + 1` for the LU fallback.
     pub rung: u32,
     /// Ridge actually added to the diagonal (absolute, not relative).
     pub ridge: f64,
@@ -223,12 +209,11 @@ fn add_ridge(a: &mut Matrix, ridge: f64) {
 ///   input; the ladder does not escalate on these.
 /// * [`LinalgError::Unsolvable`] — every rung failed, or the final LU
 ///   factorization's reciprocal-condition estimate fell below
-///   [`LadderPolicy::rcond_floor`].
+///   [`RCOND_FLOOR`].
 pub fn factor_spd_ladder(
     a: &mut Matrix,
     perm: &mut Vec<usize>,
     scratch: &mut LadderScratch,
-    policy: &LadderPolicy,
 ) -> Result<(FactorKind, Resilience)> {
     let (n, c) = a.shape();
     if n != c {
@@ -245,8 +230,8 @@ pub fn factor_spd_ladder(
     }
     if n > 0 {
         let scale = ridge_scale((0..n).map(|i| scratch.backup[i * n + i]), n);
-        let mut ridge = policy.initial_ridge_rel * scale;
-        for rung in 1..=policy.max_jitter_rungs {
+        let mut ridge = INITIAL_RIDGE_REL * scale;
+        for rung in 1..=MAX_JITTER_RUNGS {
             restore(a, scratch);
             add_ridge(a, ridge);
             match cholesky_in_place(a) {
@@ -262,7 +247,7 @@ pub fn factor_spd_ladder(
                         },
                     ));
                 }
-                Err(LinalgError::NotPositiveDefinite { .. }) => ridge *= policy.ridge_growth,
+                Err(LinalgError::NotPositiveDefinite { .. }) => ridge *= RIDGE_GROWTH,
                 Err(e) => return Err(e),
             }
         }
@@ -270,11 +255,11 @@ pub fn factor_spd_ladder(
     // Final rung: pivoted LU on the un-ridged matrix, gated on a
     // pivot-condition check so garbage factors are not silently accepted.
     restore(a, scratch);
-    let lu_rung = policy.max_jitter_rungs + 1;
+    let lu_rung = MAX_JITTER_RUNGS + 1;
     match lu_factor_in_place(a, perm) {
         Ok(_sign) => {
             let rcond = rcond_from_lu(a);
-            if rcond >= policy.rcond_floor {
+            if rcond >= RCOND_FLOOR {
                 Ok((
                     FactorKind::Lu,
                     Resilience {
@@ -300,11 +285,11 @@ pub fn factor_spd_ladder(
 }
 
 /// Factors the shifted symmetric tridiagonal `T + shift·I = L D Lᵀ`
-/// (see [`ldl_shifted_into`], with [`LadderPolicy::rcond_floor`] as its
-/// pivot-ratio gate) through the jitter rungs of the ladder: rung 0 is
-/// the plain factorization; when it is refused, rungs
-/// `1..=max_jitter_rungs` retry at `shift + ridge`, with
-/// `ridge = initial_ridge_rel · scale · ridge_growth^(rung−1)` and
+/// (see [`ldl_shifted_into`], with [`RCOND_FLOOR`] as its pivot-ratio
+/// gate) through the jitter rungs of the ladder: rung 0 is the plain
+/// factorization; when it is refused, rungs `1..=MAX_JITTER_RUNGS` retry
+/// at `shift + ridge`, with
+/// `ridge = INITIAL_RIDGE_REL · scale · RIDGE_GROWTH^(rung−1)` and
 /// `scale` the mean absolute diagonal of `T + shift·I` (1.0 when that is
 /// zero or not finite). There is no LU rung: a refused factorization
 /// means `T + shift·I` is singular to working precision, which a ridge
@@ -324,23 +309,21 @@ pub fn factor_shifted_ldl_ladder(
     shift: f64,
     piv: &mut [f64],
     l: &mut [f64],
-    policy: &LadderPolicy,
 ) -> Result<Resilience> {
-    let floor = policy.rcond_floor;
     let refused = |r: Result<()>| match r {
         Ok(()) => Ok(false),
         Err(LinalgError::NotPositiveDefinite { .. } | LinalgError::Unsolvable { .. }) => Ok(true),
         Err(e) => Err(e),
     };
-    if !refused(ldl_shifted_into(d, e, shift, floor, piv, l))? {
+    if !refused(ldl_shifted_into(d, e, shift, RCOND_FLOOR, piv, l))? {
         return Ok(Resilience::clean(pivot_ratio(piv)));
     }
     let n = d.len();
     if n > 0 {
         let scale = ridge_scale(d.iter().map(|x| x + shift), n);
-        let mut ridge = policy.initial_ridge_rel * scale;
-        for rung in 1..=policy.max_jitter_rungs {
-            if !refused(ldl_shifted_into(d, e, shift + ridge, floor, piv, l))? {
+        let mut ridge = INITIAL_RIDGE_REL * scale;
+        for rung in 1..=MAX_JITTER_RUNGS {
+            if !refused(ldl_shifted_into(d, e, shift + ridge, RCOND_FLOOR, piv, l))? {
                 return Ok(Resilience {
                     rung,
                     ridge,
@@ -348,7 +331,7 @@ pub fn factor_shifted_ldl_ladder(
                     lu_fallback: false,
                 });
             }
-            ridge *= policy.ridge_growth;
+            ridge *= RIDGE_GROWTH;
         }
     }
     Err(LinalgError::Unsolvable {
@@ -426,13 +409,7 @@ mod tests {
         let mut laddered = a;
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
-        let (kind, res) = factor_spd_ladder(
-            &mut laddered,
-            &mut perm,
-            &mut scratch,
-            &LadderPolicy::default(),
-        )
-        .unwrap();
+        let (kind, res) = factor_spd_ladder(&mut laddered, &mut perm, &mut scratch).unwrap();
         assert_eq!(kind, FactorKind::Cholesky);
         assert_eq!(res.rung, 0);
         assert_eq!(res.ridge, 0.0);
@@ -454,8 +431,7 @@ mod tests {
         let mut a = Matrix::from_fn(3, 3, |i, j| v[i] * v[j]);
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
-        let (kind, res) =
-            factor_spd_ladder(&mut a, &mut perm, &mut scratch, &LadderPolicy::default()).unwrap();
+        let (kind, res) = factor_spd_ladder(&mut a, &mut perm, &mut scratch).unwrap();
         assert_eq!(kind, FactorKind::Cholesky);
         assert!(res.is_degraded());
         assert!(res.rung >= 1);
@@ -474,13 +450,7 @@ mod tests {
         let mut factor = a.clone();
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
-        let (kind, res) = factor_spd_ladder(
-            &mut factor,
-            &mut perm,
-            &mut scratch,
-            &LadderPolicy::default(),
-        )
-        .unwrap();
+        let (kind, res) = factor_spd_ladder(&mut factor, &mut perm, &mut scratch).unwrap();
         assert!(res.is_degraded());
         let mut x = rhs.as_slice().to_vec();
         ladder_solve_in_place(kind, &factor, &perm, &mut scratch, &mut x).unwrap();
@@ -510,11 +480,10 @@ mod tests {
         // rung rather than Unsolvable.
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
-        let (kind, res) =
-            factor_spd_ladder(&mut a, &mut perm, &mut scratch, &LadderPolicy::default()).unwrap();
+        let (kind, res) = factor_spd_ladder(&mut a, &mut perm, &mut scratch).unwrap();
         assert_eq!(kind, FactorKind::Lu);
         assert!(res.lu_fallback);
-        assert_eq!(res.rung, LadderPolicy::default().max_jitter_rungs + 1);
+        assert_eq!(res.rung, MAX_JITTER_RUNGS + 1);
 
         // Truly unsolvable: indefinite AND exactly singular.
         let mut z = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, -1e6]]).unwrap();
@@ -524,8 +493,7 @@ mod tests {
         z[(1, 1)] = 1.0;
         z[(0, 0)] = -1.0;
         z[(0, 1)] = -1.0;
-        let err = factor_spd_ladder(&mut z, &mut perm, &mut scratch, &LadderPolicy::default())
-            .unwrap_err();
+        let err = factor_spd_ladder(&mut z, &mut perm, &mut scratch).unwrap_err();
         assert!(matches!(err, LinalgError::Unsolvable { .. }));
     }
 
@@ -535,8 +503,7 @@ mod tests {
         a[(1, 1)] = f64::NAN;
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
-        let err = factor_spd_ladder(&mut a, &mut perm, &mut scratch, &LadderPolicy::default())
-            .unwrap_err();
+        let err = factor_spd_ladder(&mut a, &mut perm, &mut scratch).unwrap_err();
         assert!(matches!(err, LinalgError::NonFinite { .. }));
     }
 
@@ -552,8 +519,7 @@ mod tests {
         let (mut piv, mut l) = (vec![0.0; 4], vec![0.0; 3]);
         ldl_shifted_into(&d, &e, 0.5, 1e-14, &mut piv, &mut l).unwrap();
         let (mut lpiv, mut ll) = (vec![f64::NAN; 4], vec![f64::NAN; 3]);
-        let policy = LadderPolicy::default();
-        let res = factor_shifted_ldl_ladder(&d, &e, 0.5, &mut lpiv, &mut ll, &policy).unwrap();
+        let res = factor_shifted_ldl_ladder(&d, &e, 0.5, &mut lpiv, &mut ll).unwrap();
         assert_eq!(res.rung, 0);
         assert_eq!(res.ridge, 0.0);
         assert!(!res.lu_fallback);
@@ -569,13 +535,12 @@ mod tests {
         // shift 0, and a ridge separates the eigenvalues from it.
         let (d, e) = unit_tridiagonal(&[1.0, 1.0]);
         let (mut piv, mut l) = (vec![0.0; 2], vec![0.0; 1]);
-        let policy = LadderPolicy::default();
-        let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy).unwrap();
+        let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l).unwrap();
         assert!(res.is_degraded());
         // The pivot ratio, ≈ 2·ridge, must clear the floor: rung 1's
         // 1e-10 does.
         assert_eq!(res.rung, 1);
-        assert_eq!(res.ridge, policy.initial_ridge_rel);
+        assert_eq!(res.ridge, INITIAL_RIDGE_REL);
         let mut x = vec![1.0, 1.0];
         ldl_solve_in_place(&piv, &l, &mut x).unwrap();
         assert!(x.iter().all(|v| v.is_finite()));
@@ -588,14 +553,13 @@ mod tests {
         // relative to the fallback scale 1.0.
         let (d, e) = (vec![0.0; 3], vec![0.0; 2]);
         let (mut piv, mut l) = (vec![0.0; 3], vec![0.0; 2]);
-        let policy = LadderPolicy::default();
-        let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy).unwrap();
+        let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l).unwrap();
         assert!(res.is_degraded());
-        assert_eq!(res.ridge, policy.initial_ridge_rel);
+        assert_eq!(res.ridge, INITIAL_RIDGE_REL);
         assert_eq!(res.rcond, 1.0);
         // A negative-definite T no bounded ridge repairs is unsolvable.
         let d = vec![-1.0; 3];
-        let err = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy).unwrap_err();
+        let err = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l).unwrap_err();
         assert!(matches!(err, LinalgError::Unsolvable { .. }));
     }
 
@@ -625,8 +589,7 @@ mod tests {
         let mut a = Matrix::zeros(0, 0);
         let mut perm = Vec::new();
         let mut scratch = LadderScratch::new();
-        let (kind, res) =
-            factor_spd_ladder(&mut a, &mut perm, &mut scratch, &LadderPolicy::default()).unwrap();
+        let (kind, res) = factor_spd_ladder(&mut a, &mut perm, &mut scratch).unwrap();
         assert_eq!(kind, FactorKind::Cholesky);
         assert_eq!(res.rung, 0);
     }

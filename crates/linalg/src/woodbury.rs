@@ -25,9 +25,7 @@
 //! in a reusable [`WoodburyScratch`], and writes the solution into a caller
 //! buffer, so repeated solves allocate nothing.
 
-use crate::resilience::{
-    factor_spd_ladder, ladder_solve_in_place, LadderPolicy, LadderScratch, Resilience,
-};
+use crate::resilience::{factor_spd_ladder, ladder_solve_in_place, LadderScratch, Resilience};
 use crate::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, resize, MatRef};
 use crate::{LinalgError, Matrix, Result};
 
@@ -174,12 +172,7 @@ pub fn solve_diag_plus_gram_into(
     for i in 0..k {
         ws.w[(i, i)] += 1.0 / c;
     }
-    let (kind, resilience) = factor_spd_ladder(
-        &mut ws.w,
-        &mut ws.perm,
-        &mut ws.ladder,
-        &LadderPolicy::default(),
-    )?;
+    let (kind, resilience) = factor_spd_ladder(&mut ws.w, &mut ws.perm, &mut ws.ladder)?;
     // t = D⁻¹ rhs
     ws.t.clear();
     ws.t.extend((0..m).map(|i| ws.dt_inv[i] * rhs[i]));

@@ -16,8 +16,8 @@
 
 use bmf_linalg::tridiagonal::ldl_solve_in_place;
 use bmf_linalg::{
-    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, LadderPolicy,
-    LadderScratch, Matrix, Vector,
+    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, LadderScratch, Matrix,
+    Vector,
 };
 use bmf_stat::prop::{check, DEFAULT_CASES};
 use bmf_stat::rng::Rng;
@@ -69,9 +69,8 @@ fn ladder_solve(a: &Matrix, b: &[f64]) -> (bmf_linalg::Resilience, Vec<f64>) {
     let mut f = a.clone();
     let mut perm = Vec::new();
     let mut scratch = LadderScratch::new();
-    let policy = LadderPolicy::default();
-    let (kind, res) = factor_spd_ladder(&mut f, &mut perm, &mut scratch, &policy)
-        .expect("ladder must factor PSD inputs");
+    let (kind, res) =
+        factor_spd_ladder(&mut f, &mut perm, &mut scratch).expect("ladder must factor PSD inputs");
     let mut x = b.to_vec();
     ladder_solve_in_place(kind, &f, &perm, &mut scratch, &mut x).expect("solve");
     (res, x)
@@ -185,16 +184,15 @@ fn ldl_ladder_handles_exactly_singular_tridiagonals() {
             if k + 1 < n {
                 e[k] = 0.0;
             }
-            let policy = LadderPolicy::default();
             let (mut piv, mut l) = (vec![0.0; n], vec![0.0; n - 1]);
-            let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l, &policy)
+            let res = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l)
                 .expect("a ridge must rescue an exactly singular tridiagonal");
             assert!(res.rung >= 1, "exact singularity cannot stay on rung 0");
             assert!(res.ridge > 0.0);
             assert!(!res.lu_fallback);
             // The rung, ridge and factor are a pure function of the input.
             let (mut piv2, mut l2) = (vec![f64::NAN; n], vec![f64::NAN; n - 1]);
-            let again = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv2, &mut l2, &policy)
+            let again = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv2, &mut l2)
                 .expect("same input, same outcome");
             assert_eq!(again, res);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

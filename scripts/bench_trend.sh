@@ -9,12 +9,14 @@
 # Array rows flatten to `section[i].key` (i counts from 0), so every row
 # is gated.
 #
-# Direction comes from the metric's own name (the part after the last
-# '.'): names matching a glob in HIGHER_IS_BETTER (success counts,
-# recovery rates, speedups, throughputs) regress downward, everything
-# else (latencies, allocation counts, solve counts) regresses upward. A
-# metric present in the baseline but missing from the fresh report
-# fails: a gated number must not silently disappear.
+# Every gated number is a deterministic count of what the code did, so
+# on an unchanged program the fresh report equals the baseline. Direction
+# comes from the metric's own name (the part after the last '.'): names
+# matching a glob in HIGHER_IS_BETTER (success counts, recovery rates,
+# verified results) regress downward, everything else (allocation
+# counts, solve counts, retries) regresses upward. A metric present in
+# the baseline but missing from the fresh report fails: a gated number
+# must not silently disappear.
 #
 # The `scenario` block is the run's configuration, not a metric. Two
 # reports are only comparable when their scenarios match exactly, so the
@@ -22,21 +24,12 @@
 # never gates scenario keys themselves.
 #
 # Usage:
-#   scripts/bench_trend.sh <fresh.json> <committed.json> [--ignore k1,k2]
-#
-# `--ignore` entries match a flattened key exactly ("serial_cv_fit.wall_s")
-# or by component ("wall_s" ignores every section's wall_s).
+#   scripts/bench_trend.sh <fresh.json> <committed.json>
 set -euo pipefail
 
-[[ $# -ge 2 ]] || { echo "usage: $0 <fresh.json> <committed.json> [--ignore k1,k2]" >&2; exit 2; }
+[[ $# -eq 2 ]] || { echo "usage: $0 <fresh.json> <committed.json>" >&2; exit 2; }
 fresh="$1"
 committed="$2"
-shift 2
-ignore=""
-if [[ "${1:-}" == "--ignore" ]]; then
-    [[ $# -ge 2 ]] || { echo "--ignore needs a key list" >&2; exit 2; }
-    ignore="$2"
-fi
 
 [[ -f "$fresh" ]] || { echo "FAIL: fresh report $fresh not found" >&2; exit 1; }
 [[ -f "$committed" ]] || { echo "FAIL: committed baseline $committed not found" >&2; exit 1; }
@@ -51,8 +44,6 @@ HIGHER_IS_BETTER=(
     verified_predictions
     bitwise_checks
     fits_ok
-    '*speedup*'
-    '*throughput*'
 )
 
 higher_is_better() {
@@ -135,15 +126,6 @@ while read -r key base; do
     [[ -n "$key" ]] || continue
     # Scenario keys were matched above; they are not metrics.
     [[ "$key" != scenario.* ]] || continue
-    skip=0
-    IFS=',' read -ra ignored <<< "$ignore"
-    for ig in ${ignored[@]+"${ignored[@]}"}; do
-        if [[ "$key" == "$ig" || "$key" == *".$ig" ]]; then
-            skip=1
-            break
-        fi
-    done
-    [[ $skip -eq 0 ]] || continue
 
     new=$(awk -v k="$key" '$1 == k { print $2; exit }' <<< "$fresh_flat")
     if [[ -z "$new" ]]; then
