@@ -110,16 +110,6 @@ impl FingerExpansion {
         })
     }
 
-    /// Creates an expansion with the same finger count for every variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w == 0`.
-    pub fn uniform(num_vars: usize, w: usize) -> Self {
-        // bmf-lint: allow(panic-reachability) -- w > 0 is checked by the only caller (uniform constructor contract)
-        FingerExpansion::new(vec![w; num_vars]).expect("w > 0 enforced by caller contract")
-    }
-
     /// Number of schematic variables.
     pub fn num_schematic_vars(&self) -> usize {
         self.fingers.len()
@@ -423,7 +413,7 @@ mod tests {
 
     #[test]
     fn single_finger_expansion_is_identity_shaped() {
-        let exp = FingerExpansion::uniform(3, 1);
+        let exp = FingerExpansion::new(vec![1; 3]).unwrap();
         let schematic = OrthonormalBasis::linear(3);
         let e = exp.expand_basis(&schematic).unwrap();
         assert_eq!(e.basis().len(), schematic.len());

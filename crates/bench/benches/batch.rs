@@ -12,7 +12,6 @@
 //! one-iteration CI run at a reduced size.
 
 use bmf_basis::basis::OrthonormalBasis;
-use bmf_bench::alloc;
 use bmf_bench::timing::Harness;
 use bmf_core::batch::{BatchFitter, BatchJob};
 use bmf_core::fusion::BmfFitter;
@@ -88,42 +87,9 @@ fn fit_batch(s: &Setup) -> usize {
     report.fits.iter().map(|f| f.model.coeffs().len()).sum()
 }
 
-/// Allocation budget per cross-validated batch fit, asserted in `--smoke`
-/// runs with the counting allocator installed. `repro allocs` measures
-/// ~49 allocations per fit of its 8-job batch (BENCH_allocs.json); the
-/// budget leaves headroom for shape variation while still failing loudly
-/// if per-grid-point allocations creep back in (the pre-view baseline
-/// was ~2342 per fit).
-const SMOKE_ALLOC_BUDGET_PER_FIT: u64 = 256;
-
-fn smoke_alloc_guard(num_vars: usize, samples: usize) {
-    let n = 8;
-    let s = setup(num_vars, samples, n);
-    // Single-threaded so the count is schedule-independent.
-    let mut batch = BatchFitter::new(s.basis.clone()).with_options(s.options.clone().threads(1));
-    for job in &s.jobs {
-        batch.push_job(job.clone());
-    }
-    batch.fit(&s.points).expect("warmup fit");
-    let (fit, stats) = alloc::measure(|| batch.fit(&s.points));
-    fit.expect("guarded fit");
-    let per_fit = stats.count / n as u64;
-    println!(
-        "batch/allocs/{n}                          {per_fit} allocs/fit (budget {SMOKE_ALLOC_BUDGET_PER_FIT})"
-    );
-    assert!(
-        per_fit <= SMOKE_ALLOC_BUDGET_PER_FIT,
-        "allocation regression: {per_fit} allocs per batch fit exceeds budget \
-         {SMOKE_ALLOC_BUDGET_PER_FIT}"
-    );
-}
-
 fn main() {
     let h = Harness::from_cli();
     let (num_vars, samples) = if h.is_smoke() { (12, 24) } else { (40, 80) };
-    if h.is_smoke() && alloc::counting_enabled() {
-        smoke_alloc_guard(num_vars, samples);
-    }
     for &n in &[1usize, 8, 64] {
         let s = setup(num_vars, samples, n);
         h.bench(&format!("batch/loop/{n}"), || fit_loop(&s));

@@ -2,8 +2,7 @@
 //! and crash-point recovery; see `bmf_bench::chaos_study`.
 //!
 //! ```text
-//! cargo bench -p bmf-bench --bench chaos             # full sweep
-//! cargo bench -p bmf-bench --bench chaos -- --smoke  # CI-sized
+//! cargo bench -p bmf-bench --bench chaos
 //! ```
 //!
 //! `bmf_bench::study::bench_main` runs it: the report `BENCH_chaos.json`
@@ -14,12 +13,7 @@ use bmf_bench::chaos_study::{run_chaos, ChaosConfig};
 use bmf_bench::study;
 
 fn main() {
-    study::bench_main("chaos", |smoke| {
-        let cfg = if smoke {
-            ChaosConfig::smoke()
-        } else {
-            ChaosConfig::full()
-        };
-        run_chaos(&cfg).map(|out| out.json)
+    study::bench_main("chaos", || {
+        run_chaos(&ChaosConfig::full()).map(|out| out.json)
     });
 }

@@ -2,8 +2,7 @@
 //! deterministic counters; see `bmf_bench::lint_study`.
 //!
 //! ```text
-//! cargo bench -p bmf-bench --bench lint             # full
-//! cargo bench -p bmf-bench --bench lint -- --smoke  # CI
+//! cargo bench -p bmf-bench --bench lint
 //! ```
 //!
 //! `bmf_bench::study::bench_main` runs it: the report `BENCH_lint.json`
@@ -14,12 +13,7 @@ use bmf_bench::lint_study::{run_lint_study, LintStudyConfig};
 use bmf_bench::study;
 
 fn main() {
-    study::bench_main("lint", |smoke| {
-        let cfg = if smoke {
-            LintStudyConfig::smoke()
-        } else {
-            LintStudyConfig::full()
-        };
-        run_lint_study(&cfg).map(|out| out.json)
+    study::bench_main("lint", || {
+        run_lint_study(&LintStudyConfig::full()).map(|out| out.json)
     });
 }

@@ -1,11 +1,9 @@
 //! Bench: the streaming posterior engine's per-sample streamed ≡ batch
-//! bitwise oracle and interleaved arrival replay; see
-//! `bmf_bench::sequential_study`. With `--features bench` the `--smoke`
-//! run also asserts the steady-state zero-allocation budget.
+//! bitwise oracle (k = 128) and interleaved arrival replay; see
+//! `bmf_bench::sequential_study`.
 //!
 //! ```text
-//! cargo bench -p bmf-bench --bench sequential             # full, k=128
-//! cargo bench -p bmf-bench --bench sequential -- --smoke  # CI, k=32
+//! cargo bench -p bmf-bench --bench sequential
 //! ```
 //!
 //! `bmf_bench::study::bench_main` runs it: the report `BENCH_sequential.json`
@@ -16,12 +14,7 @@ use bmf_bench::sequential_study::{run_sequential_study, SeqStudyConfig};
 use bmf_bench::study;
 
 fn main() {
-    study::bench_main("sequential", |smoke| {
-        let cfg = if smoke {
-            SeqStudyConfig::smoke()
-        } else {
-            SeqStudyConfig::full()
-        };
-        run_sequential_study(&cfg).map(|out| out.json)
+    study::bench_main("sequential", || {
+        run_sequential_study(&SeqStudyConfig::full()).map(|out| out.json)
     });
 }

@@ -1,10 +1,9 @@
 //! Bench: the fitting service under a deterministic open-loop load of
-//! one million mixed fit/predict/evict requests (20k under `--smoke`);
-//! see `bmf_bench::service_load`.
+//! one million mixed fit/predict/evict requests; see
+//! `bmf_bench::service_load`.
 //!
 //! ```text
-//! cargo bench -p bmf-bench --bench service             # full, 1M requests
-//! cargo bench -p bmf-bench --bench service -- --smoke  # CI, 20k requests
+//! cargo bench -p bmf-bench --bench service
 //! ```
 //!
 //! `bmf_bench::study::bench_main` runs it: the report `BENCH_service.json`
@@ -15,12 +14,7 @@ use bmf_bench::service_load::{run_load, LoadConfig};
 use bmf_bench::study;
 
 fn main() {
-    study::bench_main("service", |smoke| {
-        let cfg = if smoke {
-            LoadConfig::smoke()
-        } else {
-            LoadConfig::full()
-        };
-        run_load(&cfg).map(|out| out.json)
+    study::bench_main("service", || {
+        run_load(&LoadConfig::full()).map(|out| out.json)
     });
 }

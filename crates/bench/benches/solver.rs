@@ -3,72 +3,21 @@
 //! 600× claim. Runs on the in-tree timing harness; pass `--smoke` for a
 //! one-iteration CI run at reduced sizes.
 
-use bmf_bench::alloc;
+use bmf_bench::allocs_study::map_problem;
 use bmf_bench::timing::Harness;
 use bmf_core::map_estimate::{map_estimate, SolverKind};
 use bmf_core::options::FitOptions;
-use bmf_core::prior::{Prior, PriorKind};
-use bmf_linalg::{Matrix, Vector};
-use bmf_stat::normal::StandardNormal;
-use bmf_stat::rng::seeded;
-
-fn problem(k: usize, m: usize, seed: u64) -> (Matrix, Vector, Prior) {
-    let mut rng = seeded(seed);
-    let mut s = StandardNormal::new();
-    let g = Matrix::from_fn(k, m, |_, _| s.sample(&mut rng));
-    let truth: Vec<f64> = (0..m).map(|j| 1.0 / (1.0 + j as f64).powf(1.1)).collect();
-    let f = g
-        .matvec(&Vector::from(truth.clone()))
-        .expect("shapes match");
-    let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &truth);
-    (g, f, prior)
-}
-
-/// Allocation budget for one standalone MAP solve (either solver),
-/// asserted in `--smoke` runs with the counting allocator installed. A
-/// one-shot `map_estimate` allocates its workspace and result once; the
-/// budget fails loudly if per-element or per-iteration allocations
-/// reappear inside the kernels.
-const SMOKE_ALLOC_BUDGET_PER_SOLVE: u64 = 64;
-
-fn smoke_alloc_guard(k: usize, m: usize) {
-    for (name, opts) in [
-        ("fast", FitOptions::new().hyper(1.0)),
-        (
-            "direct",
-            FitOptions::new().hyper(1.0).solver(SolverKind::Direct),
-        ),
-    ] {
-        let (g, f, prior) = problem(k, m, 42);
-        map_estimate(&g, &f, &prior, &opts).expect("warmup solve");
-        let (solve, stats) = alloc::measure(|| map_estimate(&g, &f, &prior, &opts));
-        solve.expect("guarded solve");
-        println!(
-            "map_solver/allocs/{name}/{m}                {} allocs/solve (budget {SMOKE_ALLOC_BUDGET_PER_SOLVE})",
-            stats.count
-        );
-        assert!(
-            stats.count <= SMOKE_ALLOC_BUDGET_PER_SOLVE,
-            "allocation regression: {} allocs per {name} solve exceeds budget \
-             {SMOKE_ALLOC_BUDGET_PER_SOLVE}",
-            stats.count
-        );
-    }
-}
 
 fn main() {
     let h = Harness::from_cli();
     let k = 100;
-    if h.is_smoke() && alloc::counting_enabled() {
-        smoke_alloc_guard(k, 100);
-    }
     let sizes: &[usize] = if h.is_smoke() {
         &[100, 250]
     } else {
         &[250, 500, 1000, 2000]
     };
     for &m in sizes {
-        let (g, f, prior) = problem(k, m, 42);
+        let (g, f, prior) = map_problem(k, m, 42).expect("shapes match");
         h.bench(&format!("map_solver/fast/{m}"), || {
             map_estimate(&g, &f, &prior, &FitOptions::new().hyper(1.0)).expect("solve")
         });

@@ -8,13 +8,12 @@
 //! relaxed atomics (~2 ns overhead per event — negligible next to an
 //! actual heap allocation).
 //!
-//! Without the feature the same API compiles to zeros, so benches can
-//! unconditionally call [`measure`] and only assert budgets when
-//! [`counting_enabled`] is true.
+//! Without the feature the same API compiles to zeros, so `repro allocs`
+//! runs in every build and writes its report only when
+//! [`counting_enabled`] is true:
 //!
 //! ```text
-//! cargo bench -p bmf-bench --features bench --bench batch -- --smoke
-//! cargo run   -p bmf-bench --features bench --bin repro -- allocs
+//! cargo run -p bmf-bench --features bench --bin repro -- allocs
 //! ```
 #![allow(unsafe_code)]
 
@@ -101,9 +100,8 @@ pub fn stats() -> AllocStats {
 ///
 /// Peak tracking is reset at entry, so concurrent allocations from other
 /// threads during the region are attributed to it; measure on a quiet
-/// process (the benches and the `repro allocs` experiment are
-/// single-threaded at measurement points, or deliberately include their
-/// worker pool in the measurement).
+/// process (the `repro allocs` experiment is single-threaded at its
+/// measurement points).
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
     let count0 = COUNT.load(Ordering::Relaxed);
     let live0 = CURRENT.load(Ordering::Relaxed);

@@ -4,28 +4,34 @@
 //! [`BmfFitter`] fit, for a batch of fits sharing one sample set, for a
 //! batch whose OMP-like priors sit mostly on their floor and miss the
 //! same columns (the floor gram, the shared fold bases and their
-//! congruence scratch, the missing-prior full-data systems), and for one
-//! [`fit_omp_design`] fit at the shape of an early-stage model, then
-//! writes `BENCH_allocs.json` (through [`crate::study`], into
-//! `$BMF_BENCH_OUT` or the workspace root) so the perf trajectory has
-//! checked-in baseline numbers. Run with the counting allocator
-//! installed:
+//! congruence scratch, the missing-prior full-data systems), for one
+//! [`fit_omp_design`] fit at the shape of an early-stage model, for one
+//! standalone [`map_estimate`] solve per solver, and for the streaming
+//! steady state of [`SequentialBmf`], which must not allocate at all. It
+//! then writes `BENCH_allocs.json` (through [`crate::study`], into
+//! `$BMF_BENCH_OUT` or the workspace root), which `scripts/bench_check.sh`
+//! requires to equal the committed baseline. Run with the counting
+//! allocator installed:
 //!
 //! ```text
 //! cargo run -p bmf-bench --features bench --release --bin repro -- allocs
 //! ```
 //!
 //! Without the `bench` feature the experiment still runs but every
-//! allocation figure is zero, so it writes no `BENCH_allocs.json`: an
-//! all-zero report would pass the trend gate as a huge improvement.
+//! allocation figure is zero, so it writes no `BENCH_allocs.json`: zeros
+//! there would say nothing about the code.
 
 use std::path::Path;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
 use bmf_core::fusion::BmfFitter;
+use bmf_core::map_estimate::{map_estimate, SolverKind};
 use bmf_core::omp::{fit_omp_design, OmpConfig};
 use bmf_core::options::FitOptions;
+use bmf_core::prior::{Prior, PriorKind};
+use bmf_core::sequential::SequentialBmf;
+use bmf_core::workspace::SeqWorkspace;
 use bmf_core::BmfError;
 use bmf_linalg::{Matrix, Vector};
 use bmf_stat::normal::StandardNormal;
@@ -35,6 +41,12 @@ use crate::alloc::{self, AllocStats};
 use crate::report::Report;
 use crate::scale::Scale;
 use crate::study::{self, ReportWriter};
+
+/// Streamed updates before the steady state is measured.
+const SEQ_WARMUP: usize = 4;
+
+/// Streamed updates measured in the steady state.
+const SEQ_UPDATES: usize = 28;
 
 /// One measured configuration.
 struct Row {
@@ -171,6 +183,16 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
     let (omp, omp_stats) = alloc::measure(|| fit_omp_design(&g, &f, &omp_cfg));
     omp?;
 
+    let fast_stats = map_solve(SolverKind::Fast)?;
+    let direct_stats = map_solve(SolverKind::Direct)?;
+    let seq_prior = Prior::from_coeffs(PriorKind::NonZeroMean, &truth);
+    let seq_stats = seq_steady_state(&OrthonormalBasis::linear(num_vars), &seq_prior)?;
+    study::ensure(
+        "allocs",
+        seq_stats.count == 0,
+        "seq_steady_state allocs == 0",
+    )?;
+
     let rows = [
         Row {
             name: "serial_cv_fit",
@@ -191,6 +213,21 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             name: "omp_fit",
             fits: 1,
             stats: omp_stats,
+        },
+        Row {
+            name: "map_solve_fast",
+            fits: 1,
+            stats: fast_stats,
+        },
+        Row {
+            name: "map_solve_direct",
+            fits: 1,
+            stats: direct_stats,
+        },
+        Row {
+            name: "seq_steady_state",
+            fits: SEQ_UPDATES,
+            stats: seq_stats,
         },
     ];
 
@@ -240,7 +277,10 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
          `batch_floor_fit`: {floor_jobs} jobs over M = {} terms, K = {floor_k}, whose \
          priors keep every sixth early entry, sit on their floor elsewhere and miss the \
          last {missing} columns. `omp_fit`: one OMP fit, K = {omp_k}, M = {omp_m}, all \
-         {omp_terms} greedy steps.",
+         {omp_terms} greedy steps. `map_solve_fast` and `map_solve_direct`: one MAP \
+         solve each, K = M = 100. `seq_steady_state`: {SEQ_UPDATES} streamed updates \
+         (counted as fits) after `reserve` and {SEQ_WARMUP} warm-up updates; it must \
+         read 0.",
         early_vars + missing + 1
     ));
     report.table(
@@ -268,6 +308,65 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
         report.para("Raw numbers written to `BENCH_allocs.json`.");
     }
     Ok(report)
+}
+
+/// The MAP problem the solver bench times: a K × M Gaussian design, a
+/// power-law truth `1/(1+j)^1.1`, its exact responses, and a nonzero-mean
+/// prior centred on the truth.
+///
+/// # Errors
+///
+/// None in practice: `G·truth` has matching shapes by construction.
+pub fn map_problem(k: usize, m: usize, seed: u64) -> Result<(Matrix, Vector, Prior), BmfError> {
+    let mut rng = seeded(seed);
+    let mut normal = StandardNormal::new();
+    let g = Matrix::from_fn(k, m, |_, _| normal.sample(&mut rng));
+    let truth: Vec<f64> = (0..m).map(|j| 1.0 / (1.0 + j as f64).powf(1.1)).collect();
+    let f = g.matvec(&Vector::from(truth.clone()))?;
+    let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &truth);
+    Ok((g, f, prior))
+}
+
+/// One standalone MAP solve of [`map_problem`] at K = M = 100 with
+/// `solver`, after a warm-up solve: `map_estimate` allocates its
+/// workspace and result once, so a per-element or per-iteration
+/// allocation in a kernel shows.
+fn map_solve(solver: SolverKind) -> Result<AllocStats, BmfError> {
+    let (g, f, prior) = map_problem(100, 100, 42)?;
+    let options = FitOptions::new().hyper(1.0).solver(solver);
+    map_estimate(&g, &f, &prior, &options)?;
+    let (solve, stats) = alloc::measure(|| map_estimate(&g, &f, &prior, &options));
+    solve?;
+    Ok(stats)
+}
+
+/// The allocations of [`SEQ_UPDATES`] streamed updates, each followed by
+/// a coefficient and a predictive-variance refresh, after
+/// [`SequentialBmf::reserve`] and [`SEQ_WARMUP`] warm-up updates: the
+/// streaming steady state, which allocates nothing.
+fn seq_steady_state(basis: &OrthonormalBasis, prior: &Prior) -> Result<AllocStats, BmfError> {
+    let m = basis.len();
+    let total = SEQ_WARMUP + SEQ_UPDATES;
+    let mut rng = seeded(0xA110C);
+    let mut normal = StandardNormal::new();
+    let rows: Vec<Vec<f64>> = (0..total)
+        .map(|_| basis.row(&normal.sample_vec(&mut rng, basis.num_vars())))
+        .collect();
+    let mut seq = SequentialBmf::new(prior, 0.75)?;
+    seq.reserve(total);
+    let mut ws = SeqWorkspace::for_problem(total, m);
+    let mut out = vec![0.0; m];
+    let mut update = |row: &[f64]| -> Result<(), BmfError> {
+        seq.add_sample(row, 1.0, &mut ws)?;
+        seq.coefficients_into(&mut ws, &mut out)?;
+        seq.predictive_variance(row, &mut ws)?;
+        Ok(())
+    };
+    let (warmup, measured) = rows.split_at(SEQ_WARMUP);
+    warmup.iter().try_for_each(|row| update(row))?;
+    let (result, stats) = alloc::measure(|| measured.iter().try_for_each(|row| update(row)));
+    result?;
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //!
 //! * **fault sweep** — a store of fitted models is warm-started into a
 //!   fresh service through a [`FaultVfs`] injecting seeded transient
-//!   I/O errors at increasing rates; every read retries under a seeded
-//!   exponential-backoff [`RetryPolicy`], and the sweep records the
-//!   recovery success rate, retry counts, and the backoff the policy
+//!   I/O errors at increasing rates; every read retries on a seeded
+//!   exponential [`Backoff`] schedule, and the sweep records the
+//!   recovery success rate, retry counts, and the backoff the schedule
 //!   asked for per fault level. After every trial the underlying disk
 //!   must check clean (`fsck`).
 //! * **overload** — seeded open-loop traffic with deadline-stamped fit
@@ -32,7 +32,7 @@
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`FitService`]: bmf_core::service::FitService
 //! [`FaultVfs`]: bmf_persist::vfs::FaultVfs
-//! [`RetryPolicy`]: bmf_stat::backoff::RetryPolicy
+//! [`Backoff`]: bmf_stat::backoff::Backoff
 
 use std::sync::Arc;
 
@@ -45,7 +45,6 @@ use bmf_core::snapshot::ModelSnapshot;
 use bmf_core::BmfError;
 use bmf_persist::store::ArtifactStore;
 use bmf_persist::vfs::{FaultPlan, FaultVfs, MemVfs, Vfs};
-use bmf_stat::backoff::RetryPolicy;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
@@ -60,7 +59,7 @@ const ROOT: &str = "chaos/store";
 const MAX_OPEN_ATTEMPTS: u32 = 8;
 
 /// Chaos-scenario configuration; use [`ChaosConfig::full`] or
-/// [`ChaosConfig::smoke`].
+/// [`ChaosConfig::smoke`] (the unit tests' scale).
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Models in the seed store the fault sweep warm-starts from.
@@ -103,7 +102,7 @@ impl ChaosConfig {
         }
     }
 
-    /// CI-sized scenario, same shape.
+    /// Unit-test scenario, same shape.
     pub fn smoke() -> Self {
         ChaosConfig {
             jobs: 6,
@@ -131,7 +130,7 @@ pub struct SweepLevel {
     pub read_retries: u64,
     /// Transient faults the VFS actually injected, summed.
     pub injected: u64,
-    /// Backoff the retry policy asked for, in ns, summed over the
+    /// Backoff the retry schedule asked for, in ns, summed over the
     /// recovered trials.
     pub backoff_ns: u64,
 }
@@ -233,7 +232,6 @@ fn sweep_trial(
     disk: &MemVfs,
     jobs: usize,
     error_permille: u32,
-    policy: &RetryPolicy,
     seed: u64,
 ) -> Result<(bool, u64, u64, u64, u64), BmfError> {
     let trial_disk = clone_durable(disk)?;
@@ -266,7 +264,7 @@ fn sweep_trial(
     let mut backoff_ns = 0u64;
     if let Some(store) = store {
         let service = FitService::new(ServiceConfig::default())?;
-        if let Ok(report) = store.warm_start_with_retry(&service, policy, derive_seed(seed, 7)) {
+        if let Ok(report) = store.warm_start_with_retry(&service, derive_seed(seed, 7)) {
             recovered = report.imported == jobs;
             read_retries = report.retries;
             backoff_ns = report.backoff_ns;
@@ -452,7 +450,6 @@ fn crash_leg(cfg: &ChaosConfig) -> Result<(u64, usize, usize), BmfError> {
 /// warm start.
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
     let (disk, blob_bytes) = seed_store(cfg)?;
-    let policy = RetryPolicy::default();
 
     let mut sweep = Vec::with_capacity(cfg.fault_permilles.len());
     for (li, &pm) in cfg.fault_permilles.iter().enumerate() {
@@ -468,7 +465,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
         for t in 0..cfg.trials {
             let seed = derive_seed(cfg.seed, 10_000 + (li as u64) * 1_000 + t as u64);
             let (ok, open_retries, read_retries, backoff_ns, injected) =
-                sweep_trial(&disk, cfg.jobs, pm, &policy, seed)?;
+                sweep_trial(&disk, cfg.jobs, pm, seed)?;
             if ok {
                 level.recovered += 1;
                 level.backoff_ns += backoff_ns;

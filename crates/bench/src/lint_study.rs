@@ -10,10 +10,9 @@
 //! JSON report carries **counters** (files, lines, fn items, graph
 //! nodes/edges by strength, sinks, findings per catalog rule). Every
 //! number is a pure function of the workspace source state, so the
-//! report is byte-identical across runs and `BMF_THREADS` settings, and
-//! the trend gate (`scripts/bench_trend.sh`) only fires when the
-//! analyzer's *work profile* actually changes — e.g. the call graph
-//! suddenly doubling.
+//! report is byte-identical across runs and `BMF_THREADS` settings. Any
+//! edit under `crates/*/src` moves its file, line and call-graph counts,
+//! so such a change regenerates the committed report.
 //!
 //! Any finding fails the study, as it fails the CI lint job.
 
@@ -25,31 +24,19 @@ use bmf_lint::{analyze_workspace, lint_analysis, Analysis};
 
 use crate::study::{workspace_root, ReportWriter};
 
-/// Study configuration; use [`LintStudyConfig::full`] or
-/// [`LintStudyConfig::smoke`].
+/// Study configuration; use [`LintStudyConfig::full`].
 #[derive(Debug, Clone)]
 pub struct LintStudyConfig {
     /// Workspace root to analyze (defaults to this repository).
     pub root: PathBuf,
-    /// Whether this is the smoke scenario (recorded in the report).
-    pub smoke: bool,
 }
 
 impl LintStudyConfig {
-    /// The full-scale scenario behind the committed `BENCH_lint.json`:
-    /// one analysis pass over the workspace.
+    /// The scenario behind the committed `BENCH_lint.json`: one
+    /// analysis pass over the workspace.
     pub fn full() -> Self {
         LintStudyConfig {
             root: workspace_root(),
-            smoke: false,
-        }
-    }
-
-    /// CI smoke scenario: the same pass, recorded as a smoke run.
-    pub fn smoke() -> Self {
-        LintStudyConfig {
-            smoke: true,
-            ..LintStudyConfig::full()
         }
     }
 }
@@ -123,7 +110,7 @@ pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<LintStudyOutcome, String>
         ));
     }
     Ok(LintStudyOutcome {
-        json: render_json(cfg, &c).map_err(|e| e.to_string())?,
+        json: render_json(&c).map_err(|e| e.to_string())?,
         counters: c,
     })
 }
@@ -154,10 +141,9 @@ fn count_structure(analysis: &Analysis) -> LintCounters {
     c
 }
 
-fn render_json(cfg: &LintStudyConfig, c: &LintCounters) -> Result<String, bmf_core::BmfError> {
+fn render_json(c: &LintCounters) -> Result<String, bmf_core::BmfError> {
     let mut report = ReportWriter::default();
     report.section("scenario", |s| {
-        s.field("smoke", u64::from(cfg.smoke));
         s.field("rules", all_rules().len());
     });
     report.section("workspace", |s| {
@@ -178,7 +164,7 @@ fn render_json(cfg: &LintStudyConfig, c: &LintCounters) -> Result<String, bmf_co
         s.field("alloc", c.alloc_sinks);
         s.field("vfs_ops", c.vfs_ops);
     });
-    // Rule ids use `-`, which the trend gate cannot parse in a key.
+    // Rule ids use `-`, which a report key cannot hold.
     report.section("rule_findings", |s| {
         for (rule, n) in all_rules().iter().zip(&c.rule_findings) {
             s.field(&rule.id().replace('-', "_"), n);
@@ -220,10 +206,7 @@ mod tests {
             "#![forbid(unsafe_code)]\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
         )
         .expect("write temp source");
-        let cfg = LintStudyConfig {
-            root: root.clone(),
-            smoke: true,
-        };
+        let cfg = LintStudyConfig { root: root.clone() };
         let outcome = run_lint_study(&cfg);
         let _ = std::fs::remove_dir_all(&root);
         let err = outcome.expect_err("a finding must fail the study");

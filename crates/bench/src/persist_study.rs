@@ -40,7 +40,7 @@ use bmf_stat::rng::{derive_seed, seeded};
 use crate::study::{self, ReportWriter};
 
 /// Scenario configuration; use [`PersistConfig::full`] or
-/// [`PersistConfig::smoke`].
+/// [`PersistConfig::smoke`] (the unit tests' scale).
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
     /// Distinct models to fit, persist, and warm-start.
@@ -67,7 +67,7 @@ impl PersistConfig {
         }
     }
 
-    /// CI-sized scenario, same shape.
+    /// Unit-test scenario, same shape.
     pub fn smoke() -> Self {
         PersistConfig {
             jobs: 8,

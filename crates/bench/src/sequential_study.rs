@@ -16,10 +16,10 @@
 //!    job, interleaving their updates; every stream must end with a
 //!    finite posterior mean.
 //!
-//! Under the counting allocator the smoke run also proves the steady
-//! state allocation-free. The report holds counts only, so it is
-//! byte-identical across machines, runs, and `BMF_THREADS` settings;
-//! wallbench's `stream_persist` times the streaming path.
+//! The report holds counts only, so it is byte-identical across
+//! machines, runs, and `BMF_THREADS` settings; wallbench's
+//! `stream_persist` times the streaming path, and `repro allocs`
+//! (`seq_steady_state`) proves its steady state allocation-free.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{generate_arrivals, ArrivalConfig};
@@ -35,8 +35,8 @@ use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::study::{self, ReportWriter};
 
-/// Study configuration; use [`SeqStudyConfig::full`] or
-/// [`SeqStudyConfig::smoke`] and tweak fields as needed.
+/// Study configuration; use [`SeqStudyConfig::full`] and tweak fields as
+/// needed.
 #[derive(Debug, Clone)]
 pub struct SeqStudyConfig {
     /// Master seed for sample points, truths, and the arrival stream.
@@ -50,9 +50,6 @@ pub struct SeqStudyConfig {
     pub arrivals: usize,
     /// Distinct jobs (one stream each) in the arrival replay.
     pub jobs: usize,
-    /// Assert the steady-state zero-allocation budget under the
-    /// counting allocator (no-op unless the `bench` feature is on).
-    pub assert_allocs: bool,
 }
 
 impl SeqStudyConfig {
@@ -65,20 +62,6 @@ impl SeqStudyConfig {
             k_max: 128,
             arrivals: 4_096,
             jobs: 8,
-            assert_allocs: false,
-        }
-    }
-
-    /// CI-sized scenario: same shape, smaller stream, and the
-    /// allocation budget asserted when the counting allocator is in.
-    pub fn smoke() -> Self {
-        SeqStudyConfig {
-            num_vars: 7,
-            k_max: 32,
-            arrivals: 512,
-            jobs: 4,
-            assert_allocs: true,
-            ..SeqStudyConfig::full()
         }
     }
 }
@@ -205,10 +188,6 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
             });
         }
     }
-    if cfg.assert_allocs {
-        assert_steady_state_alloc_free(&basis, &prior, hyper)?;
-    }
-
     study::ensure(
         "sequential_study",
         bitwise_checks == cfg.k_max as u64,
@@ -238,59 +217,6 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
     })
 }
 
-/// Proves the streaming steady state allocation-free: after
-/// [`SequentialBmf::reserve`] and one warm-up update, absorbing further
-/// samples and refreshing coefficients performs zero heap allocations.
-/// A no-op report when the counting allocator is not installed.
-fn assert_steady_state_alloc_free(
-    basis: &OrthonormalBasis,
-    prior: &Prior,
-    hyper: f64,
-) -> Result<(), BmfError> {
-    const WARMUP: usize = 4;
-    const MEASURED: usize = 28;
-    let m = basis.len();
-    let total = WARMUP + MEASURED;
-
-    let mut rng = seeded(0xA110C);
-    let mut normal = StandardNormal::new();
-    let rows: Vec<Vec<f64>> = (0..total)
-        .map(|_| basis.row(&normal.sample_vec(&mut rng, basis.num_vars())))
-        .collect();
-
-    let mut seq = SequentialBmf::new(prior, hyper)?;
-    seq.reserve(total);
-    let mut ws = SeqWorkspace::for_problem(total, m);
-    let mut out = vec![0.0; m];
-    for row in rows.iter().take(WARMUP) {
-        seq.add_sample(row, 1.0, &mut ws)?;
-        seq.coefficients_into(&mut ws, &mut out)?;
-        seq.predictive_variance(row, &mut ws)?;
-    }
-
-    let (result, delta) = crate::alloc::measure(|| -> Result<(), BmfError> {
-        for row in rows.iter().skip(WARMUP) {
-            seq.add_sample(row, 1.0, &mut ws)?;
-            seq.coefficients_into(&mut ws, &mut out)?;
-            seq.predictive_variance(row, &mut ws)?;
-        }
-        Ok(())
-    });
-    result?;
-    if crate::alloc::counting_enabled() {
-        assert_eq!(
-            delta.count, 0,
-            "steady-state streaming must not allocate: {MEASURED} updates performed \
-             {} allocations ({} peak bytes)",
-            delta.count, delta.peak_bytes
-        );
-        println!(
-            "sequential/allocs                        0 allocations over {MEASURED} steady-state updates"
-        );
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +229,6 @@ mod tests {
             k_max: 16,
             arrivals: 128,
             jobs: 3,
-            assert_allocs: true,
             ..SeqStudyConfig::full()
         }
     }

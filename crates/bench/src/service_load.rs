@@ -15,9 +15,9 @@
 //! built and reused, MAP solves). They depend only on the scenario, so
 //! the report is byte-identical across machines, runs, and `BMF_THREADS`
 //! settings, and it moves only when the *work* changes (more kernels
-//! built, worse coalescing, extra solves), which is exactly what a CI
-//! trend gate should detect. How long that work takes is wallbench's
-//! `serve_mix` to measure.
+//! built, worse coalescing, extra solves), which is exactly what
+//! `scripts/bench_check.sh` rejects. How long that work takes is
+//! wallbench's `serve_mix` to measure.
 //!
 //! The report is written through [`crate::study`]. A run that serves no
 //! fit, or that never coalesces two fits into one batch, fails instead.
@@ -34,7 +34,8 @@ use bmf_stat::rng::{derive_seed, seeded};
 use crate::study::{self, ReportWriter};
 
 /// Load-scenario configuration; use [`LoadConfig::full`] or
-/// [`LoadConfig::smoke`] and tweak fields as needed.
+/// [`LoadConfig::smoke`] (the unit tests' scale) and tweak fields as
+/// needed.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Total requests to replay.
@@ -83,7 +84,7 @@ impl LoadConfig {
         }
     }
 
-    /// CI-sized scenario (2% of full traffic, same shape): proves the
+    /// Unit-test scenario (2% of full traffic, same shape): runs the
     /// whole engine end to end in a couple of seconds.
     pub fn smoke() -> Self {
         LoadConfig {
@@ -145,7 +146,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         .threads(0); // consult BMF_THREADS; results are thread-invariant
     let (folds, grid) = (options.folds, options.grid.len());
     let service = FitService::new(ServiceConfig {
-        shards: 8,
         max_coalesce: cfg.max_coalesce.max(1),
         options,
         ..ServiceConfig::default()

@@ -3,10 +3,11 @@
 //! The service, persist, sequential, chaos and lint benches and
 //! `repro allocs` all report through this module:
 //!
-//! * [`ReportWriter`] writes the flat JSON layout `scripts/bench_trend.sh`
-//!   parses — top-level scalars, one-line sections and arrays of
-//!   one-line rows — and refuses what the gate cannot read: NaN, ±inf,
-//!   or a key outside `[A-Za-z0-9_]`;
+//! * [`ReportWriter`] writes the flat JSON layout — top-level scalars,
+//!   one-line sections and arrays of one-line rows, so a report's diff
+//!   shows each changed counter on its own line — and refuses NaN, ±inf
+//!   and keys outside `[A-Za-z0-9_]`, which keeps the file valid JSON
+//!   without escaping;
 //! * [`out_dir`] is the one output directory;
 //! * [`bench_main`] is the one bench entry point.
 //!
@@ -15,9 +16,9 @@
 //! every number is a function of the study's configuration, so a report
 //! is byte-identical across machines, runs and `BMF_THREADS` settings.
 //! Wall-clock numbers live in wallbench (`wallbench/`).
-//! `scripts/bench_smoke.sh` checks that by running each bench's
-//! `--smoke` at one thread and at the default pool and comparing the two
-//! output directories byte for byte.
+//! `scripts/bench_check.sh` regenerates every committed report at one
+//! thread and at the default pool and requires both to equal the
+//! baseline byte for byte.
 
 use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
@@ -26,10 +27,10 @@ use bmf_core::BmfError;
 
 use crate::timing::Harness;
 
-/// Writes a report in the flat layout the trend gate parses, one entry
-/// at a time in output order. Values are written with `Display` and
-/// must read as a finite number or a boolean; the first refused key or
-/// value is returned by [`ReportWriter::finish`].
+/// Writes a report in the flat layout, one entry at a time in output
+/// order. Values are written with `Display` and must read as a finite
+/// number or a boolean; the first refused key or value is returned by
+/// [`ReportWriter::finish`].
 #[derive(Debug, Default)]
 pub struct ReportWriter {
     out: String,
@@ -58,8 +59,7 @@ impl ReportWriter {
         self.object(key, fill);
     }
 
-    /// An array with one one-line row per item, each filled by `fill`;
-    /// the gate reads its fields as `key[i].field`.
+    /// An array with one one-line row per item, each filled by `fill`.
     pub fn rows<T>(
         &mut self,
         key: &str,
@@ -112,8 +112,7 @@ impl ReportWriter {
     fn key(&mut self, key: &str) {
         if key.is_empty() || !key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_') {
             self.refuse(format!(
-                "key `{key}` has a character outside [A-Za-z0-9_] (or none), \
-                 which the trend gate cannot parse"
+                "key `{key}` has a character outside [A-Za-z0-9_] (or none)"
             ));
         }
         let _ = write!(self.out, "\"{key}\": ");
@@ -123,7 +122,7 @@ impl ReportWriter {
         let text = value.to_string();
         if !matches!(text.as_str(), "true" | "false") && !text.parse().is_ok_and(f64::is_finite) {
             self.refuse(format!(
-                "`{key}` is {text}, which the trend gate cannot compare"
+                "`{key}` is {text}, not a finite number or a boolean"
             ));
         }
         self.out.push_str(&text);
@@ -204,20 +203,18 @@ pub(crate) fn write_report(dir: &Path, name: &str, json: &str) -> std::io::Resul
     Ok(path)
 }
 
-/// The `main` of a study bench binary: parses `--smoke` (and the
-/// harness's name filter), runs the study, prints its report to stdout
-/// and the wall time to stderr, writes `BENCH_<name>.json` into
-/// [`out_dir`], and exits with status 1 on any error.
+/// The `main` of a study bench binary: honours the harness's name
+/// filter, runs the study at its full configuration, prints its report
+/// to stdout and the wall time to stderr, writes `BENCH_<name>.json`
+/// into [`out_dir`], and exits with status 1 on any error.
 ///
-/// `run` gets `true` under `--smoke` and returns the rendered report.
-pub fn bench_main<E: Display>(name: &str, run: impl FnOnce(bool) -> Result<String, E>) {
-    let harness = Harness::from_cli();
-    if !harness.selected(name) {
+/// `run` returns the rendered report.
+pub fn bench_main<E: Display>(name: &str, run: impl FnOnce() -> Result<String, E>) {
+    if !Harness::from_cli().selected(name) {
         return;
     }
     let started = std::time::Instant::now();
-    let json =
-        run(harness.is_smoke()).unwrap_or_else(|e| exit_with(&format!("{name} study failed: {e}")));
+    let json = run().unwrap_or_else(|e| exit_with(&format!("{name} study failed: {e}")));
     print!("{json}");
     let wall_s = started.elapsed().as_secs_f64();
     eprintln!("{name}: {wall_s:.3} s wall (not in the report)");

@@ -4,7 +4,7 @@
 //! fully offline. The harness keeps the parts of Criterion the solver
 //! benches actually relied on — warmup, repeated samples, and a robust
 //! (median) location estimate — and adds a `--smoke` mode so CI can prove
-//! every bench binary still runs without paying full measurement time.
+//! every timing bench still runs without paying full measurement time.
 //!
 //! # Usage
 //!

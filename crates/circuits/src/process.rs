@@ -108,11 +108,6 @@ impl VarSpace {
     pub fn group(&self, name: &str) -> Option<&VarGroup> {
         self.groups.iter().find(|g| g.name == name)
     }
-
-    /// The group containing variable `idx`, if any.
-    pub fn group_of(&self, idx: usize) -> Option<&VarGroup> {
-        self.groups.iter().find(|g| g.range.contains(&idx))
-    }
 }
 
 /// A linear sensitivity map: a sparse list of `(variable, weight)` pairs
@@ -198,9 +193,6 @@ mod tests {
         vs.alloc("m1", 2);
         assert_eq!(vs.group("m1").unwrap().range, 4..6);
         assert!(vs.group("missing").is_none());
-        assert_eq!(vs.group_of(5).unwrap().name, "m1");
-        assert_eq!(vs.group_of(0).unwrap().name, "interdie");
-        assert!(vs.group_of(99).is_none());
     }
 
     #[test]

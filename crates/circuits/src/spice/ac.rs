@@ -14,16 +14,10 @@ use super::circuit::{Circuit, Element, Node};
 /// Node phasors at one frequency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcSolution {
-    freq_hz: f64,
     voltages: Vec<C64>,
 }
 
 impl AcSolution {
-    /// The analysis frequency in hertz.
-    pub fn frequency(&self) -> f64 {
-        self.freq_hz
-    }
-
     /// Phasor voltage at `node` (ground is exactly 0).
     ///
     /// # Panics
@@ -40,11 +34,6 @@ impl AcSolution {
     /// Magnitude of the node voltage in dB (20·log₁₀|V|).
     pub fn magnitude_db(&self, node: Node) -> f64 {
         20.0 * self.voltage(node).abs().max(1e-300).log10()
-    }
-
-    /// Phase of the node voltage in degrees.
-    pub fn phase_deg(&self, node: Node) -> f64 {
-        self.voltage(node).arg().to_degrees()
     }
 }
 
@@ -68,7 +57,6 @@ pub fn solve_ac(circuit: &Circuit, freq_hz: f64) -> Result<AcSolution, LinalgErr
     let dim = n + m;
     if dim == 0 {
         return Ok(AcSolution {
-            freq_hz,
             voltages: Vec::new(),
         });
     }
@@ -146,37 +134,8 @@ pub fn solve_ac(circuit: &Circuit, freq_hz: f64) -> Result<AcSolution, LinalgErr
 
     let x = a.solve(&rhs)?;
     Ok(AcSolution {
-        freq_hz,
         voltages: x[..n].to_vec(),
     })
-}
-
-/// Sweeps logarithmically spaced frequencies from `f_lo` to `f_hi`.
-///
-/// # Errors
-///
-/// Propagates the first solver failure.
-///
-/// # Panics
-///
-/// Panics when `f_lo` or `f_hi` is non-positive, `f_hi <= f_lo`, or
-/// `points < 2`.
-pub fn ac_sweep(
-    circuit: &Circuit,
-    f_lo: f64,
-    f_hi: f64,
-    points: usize,
-) -> Result<Vec<AcSolution>, LinalgError> {
-    assert!(f_lo > 0.0 && f_hi > f_lo, "need 0 < f_lo < f_hi");
-    assert!(points >= 2, "need at least two sweep points");
-    let llo = f_lo.ln();
-    let lhi = f_hi.ln();
-    (0..points)
-        .map(|i| {
-            let f = (llo + (lhi - llo) * i as f64 / (points - 1) as f64).exp();
-            solve_ac(circuit, f)
-        })
-        .collect()
 }
 
 /// Finds the −3 dB bandwidth of the transfer to `node`: the frequency at
@@ -235,7 +194,7 @@ mod tests {
         // At f = fc: |H| = 1/sqrt(2), phase = -45 deg.
         let s = solve_ac(&ckt, fc).unwrap();
         assert!((s.voltage(vout).abs() - 1.0 / 2.0f64.sqrt()).abs() < 1e-6);
-        assert!((s.phase_deg(vout) + 45.0).abs() < 1e-3);
+        assert!((s.voltage(vout).arg().to_degrees() + 45.0).abs() < 1e-3);
         // Deep in the stopband the slope is -20 dB/dec.
         let d1 = solve_ac(&ckt, 100.0 * fc).unwrap().magnitude_db(vout);
         let d2 = solve_ac(&ckt, 1000.0 * fc).unwrap().magnitude_db(vout);
@@ -268,18 +227,6 @@ mod tests {
         ckt.resistor(vin, vout, 1_000.0);
         ckt.resistor(vout, Circuit::GND, 1_000.0);
         assert_eq!(bandwidth_3db(&ckt, vout, 1.0, 1e6).unwrap(), None);
-    }
-
-    #[test]
-    fn sweep_is_monotone_for_lowpass() {
-        let (ckt, vout) = rc_lowpass(1_000.0, 1e-9);
-        let sweep = ac_sweep(&ckt, 1e3, 1e8, 25).unwrap();
-        let mags: Vec<f64> = sweep.iter().map(|s| s.voltage(vout).abs()).collect();
-        for w in mags.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12, "low-pass must be monotone");
-        }
-        assert_eq!(sweep.len(), 25);
-        assert!(sweep[0].frequency() < sweep[24].frequency());
     }
 
     #[test]

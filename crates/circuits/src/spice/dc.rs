@@ -9,11 +9,10 @@ use bmf_linalg::{LinalgError, Matrix, Vector};
 
 use super::circuit::{Circuit, Element, Node};
 
-/// A DC solution: node voltages and voltage-source branch currents.
+/// A DC solution: node voltages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcSolution {
     voltages: Vec<f64>,
-    branch_currents: Vec<f64>,
 }
 
 impl DcSolution {
@@ -28,16 +27,6 @@ impl DcSolution {
         } else {
             self.voltages[node.0 - 1]
         }
-    }
-
-    /// Current through the `i`-th voltage source (in insertion order),
-    /// flowing from its `plus` terminal through the source to `minus`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn branch_current(&self, i: usize) -> f64 {
-        self.branch_currents[i]
     }
 }
 
@@ -54,7 +43,6 @@ pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, LinalgError> {
     if dim == 0 {
         return Ok(DcSolution {
             voltages: Vec::new(),
-            branch_currents: Vec::new(),
         });
     }
     let mut a = Matrix::zeros(dim, dim);
@@ -119,7 +107,6 @@ pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, LinalgError> {
     let xs = x.as_slice();
     Ok(DcSolution {
         voltages: xs[..n].to_vec(),
-        branch_currents: xs[n..].to_vec(),
     })
 }
 
@@ -151,10 +138,6 @@ mod tests {
         c.resistor(vout, Circuit::GND, 1_000.0);
         let s = solve_dc(&c).unwrap();
         assert!((s.voltage(vout) - 1.0).abs() < 1e-9);
-        // Source current: 3V over 3k = 1 mA flowing out of plus terminal
-        // (MNA convention: current flows plus -> through source -> minus,
-        // so the branch current is -1 mA).
-        assert!((s.branch_current(0) + 1e-3).abs() < 1e-9);
     }
 
     #[test]

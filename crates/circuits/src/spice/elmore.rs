@@ -123,15 +123,6 @@ impl RcTree {
         self.segments.is_empty()
     }
 
-    /// Total capacitance hanging at or below segment `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn downstream_capacitance(&self, i: usize) -> f64 {
-        self.downstream_cap[i]
-    }
-
     /// Elmore delay from the root driver to segment `i`'s node, in
     /// seconds.
     ///
@@ -206,7 +197,6 @@ mod tests {
             seg(Some(0), 200.0, 3e-12),
         ])
         .unwrap();
-        assert!((t.downstream_capacitance(0) - 6e-12).abs() < 1e-20);
         // Delay to node 2: R0*(C0+C1+C2) + R2*C2.
         let expect = 50.0 * 6e-12 + 200.0 * 3e-12;
         assert!((t.delay(2) - expect).abs() < 1e-16);

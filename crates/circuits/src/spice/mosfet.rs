@@ -47,16 +47,6 @@ impl MosfetModel {
         }
     }
 
-    /// A PMOS with the given threshold magnitude and k.
-    pub fn pmos(vth: f64, k: f64) -> Self {
-        MosfetModel {
-            polarity: Polarity::Pmos,
-            vth,
-            k,
-            lambda: 0.02,
-        }
-    }
-
     /// Drain current and partial derivatives `(i_d, g_m, g_ds)` at the
     /// given terminal voltages (drain/gate/source potentials).
     ///
@@ -371,7 +361,10 @@ mod tests {
     #[test]
     fn pmos_mirrors_nmos() {
         let n = MosfetModel::nmos(0.4, 1e-3);
-        let p = MosfetModel::pmos(0.4, 1e-3);
+        let p = MosfetModel {
+            polarity: Polarity::Pmos,
+            ..n
+        };
         let (idn, ..) = n.evaluate(1.0, 1.2, 0.0);
         // PMOS with mirrored voltages conducts the mirrored current.
         let (idp, ..) = p.evaluate(-1.0, -1.2, 0.0);
@@ -460,7 +453,10 @@ mod tests {
                         drain: out,
                         gate: input,
                         source: vdd,
-                        model: MosfetModel::pmos(0.4, 1e-3),
+                        model: MosfetModel {
+                            polarity: Polarity::Pmos,
+                            ..MosfetModel::nmos(0.4, 1e-3)
+                        },
                     },
                 ],
             }

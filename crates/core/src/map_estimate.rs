@@ -222,7 +222,6 @@ pub(crate) fn map_estimate_ws(
         }
         SolverKind::Fast => woodbury::solve_diag_plus_gram_into(
             &precisions,
-            1.0,
             g.as_view(),
             &ws.rhs,
             &mut ws.woodbury,

@@ -242,32 +242,6 @@ impl Prior {
             }
         }
     }
-
-    /// Log prior density at `coeffs` up to an additive constant (used for
-    /// diagnostics and tested against the closed forms of eq. 17/20).
-    ///
-    /// Missing-prior coefficients contribute zero (their density is flat).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `coeffs.len() != self.len()`.
-    pub fn log_density(&self, coeffs: &[f64], hyper: f64) -> f64 {
-        assert_eq!(coeffs.len(), self.len(), "coefficient count mismatch");
-        let precisions = self.precisions(hyper);
-        let mut lp = 0.0;
-        for m in 0..self.len() {
-            if bmf_linalg::is_exact_zero(precisions[m]) {
-                continue;
-            }
-            let mean = match self.kind {
-                PriorKind::ZeroMean => 0.0,
-                PriorKind::NonZeroMean => self.early[m].unwrap_or(0.0),
-            };
-            let d = coeffs[m] - mean;
-            lp -= 0.5 * precisions[m] * d * d;
-        }
-        lp
-    }
 }
 
 #[cfg(test)]
@@ -358,16 +332,6 @@ mod tests {
         let p = Prior::new(PriorKind::NonZeroMean, vec![Some(1.0), None]);
         let rhs = p.rhs_contribution(1.0);
         assert_eq!(rhs[1], 0.0);
-    }
-
-    #[test]
-    fn log_density_peaks_at_prior_mean() {
-        let p = Prior::from_coeffs(PriorKind::NonZeroMean, &[1.0, -2.0]);
-        let at_mean = p.log_density(&[1.0, -2.0], 1.0);
-        let off = p.log_density(&[1.5, -2.0], 1.0);
-        assert!(at_mean > off);
-        let pz = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0, -2.0]);
-        assert!(pz.log_density(&[0.0, 0.0], 1.0) > pz.log_density(&[0.5, 0.0], 1.0));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! All scratch lives in a caller-owned [`SeqWorkspace`]; with the
 //! workspace and estimator sized up front ([`SequentialBmf::reserve`]),
 //! the steady-state `add_sample`/`coefficients_into` path performs zero
-//! heap allocations (asserted under the counting allocator by the
-//! sequential bench's `--smoke` run).
+//! heap allocations (counted under the counting allocator by `repro
+//! allocs`, whose `seq_steady_state` row must read 0).
 //!
 //! Beyond plain updating, the engine supports the BMFMC-style active
 //! loop: [`SequentialBmf::suggest_next`] ranks candidate points by

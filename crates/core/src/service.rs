@@ -113,8 +113,9 @@ use crate::snapshot::ModelSnapshot;
 use crate::workspace::SeqWorkspace;
 use crate::{BmfError, Result};
 
-/// Number of registry shards used by [`ServiceConfig::default`].
-pub const DEFAULT_SHARDS: usize = 8;
+/// Number of model-registry shards. More shards spread predict-path
+/// lock traffic across independent mutexes.
+pub const SHARDS: usize = 8;
 
 /// Maximum fit requests coalesced into one batch run by
 /// [`ServiceConfig::default`].
@@ -131,9 +132,6 @@ pub const DEFAULT_APPEND_CAPACITY: usize = 65_536;
 /// Configuration for a [`FitService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Model-registry shard count (clamped to at least 1). More shards
-    /// spread predict-path lock traffic across independent mutexes.
-    pub shards: usize,
     /// Upper bound on fit requests coalesced into a single batch run
     /// (clamped to at least 1). Bounds per-drain latency under bursts.
     pub max_coalesce: usize,
@@ -153,7 +151,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            shards: DEFAULT_SHARDS,
             max_coalesce: DEFAULT_MAX_COALESCE,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             append_capacity: DEFAULT_APPEND_CAPACITY,
@@ -438,8 +435,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl FitService {
     /// Creates a service.
     ///
-    /// `shards`, `max_coalesce`, `queue_capacity`, and `append_capacity`
-    /// are clamped to at least 1.
+    /// `max_coalesce`, `queue_capacity`, and `append_capacity` are
+    /// clamped to at least 1.
     ///
     /// # Errors
     ///
@@ -448,13 +445,10 @@ impl FitService {
     pub fn new(config: ServiceConfig) -> Result<Self> {
         config.options.validate()?;
         let mut config = config;
-        config.shards = config.shards.max(1);
         config.max_coalesce = config.max_coalesce.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         config.append_capacity = config.append_capacity.max(1);
-        let shards = (0..config.shards)
-            .map(|_| Mutex::new(BTreeMap::new()))
-            .collect();
+        let shards = (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect();
         Ok(FitService {
             config,
             point_sets: Mutex::new(BTreeMap::new()),

@@ -44,8 +44,9 @@ pub(crate) struct MapScratch {
 /// `suggest_next` call on a stream, buffers grow to the high-water mark
 /// (`O(M + K)`) and are reused thereafter. With
 /// [`SeqWorkspace::for_problem`] sized up front, steady-state streaming
-/// performs zero heap allocations per absorbed sample — asserted under
-/// the counting allocator by the sequential bench's `--smoke` run.
+/// performs zero heap allocations per absorbed sample — counted under
+/// the counting allocator by `repro allocs` (`seq_steady_state`, which
+/// must read 0).
 #[derive(Debug, Clone, Default)]
 pub struct SeqWorkspace {
     /// New core column `G D⁻¹ g_newᵀ` (length K).

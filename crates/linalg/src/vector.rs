@@ -38,13 +38,6 @@ impl Vector {
         Vector { data: vec![0.0; n] }
     }
 
-    /// Creates a vector filled with `value`.
-    pub fn filled(n: usize, value: f64) -> Self {
-        Vector {
-            data: vec![value; n],
-        }
-    }
-
     /// Creates a vector from a generator function over indices `0..n`.
     ///
     /// ```
@@ -108,11 +101,6 @@ impl Vector {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Maximum absolute element, or `0.0` for an empty vector.
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
@@ -159,20 +147,6 @@ impl Vector {
         let mut out = self.clone();
         out.axpy(-1.0, other)?;
         Ok(out)
-    }
-
-    /// Multiplies every element by `alpha` in place.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Returns a copy scaled by `alpha`.
-    pub fn scaled(&self, alpha: f64) -> Vector {
-        let mut out = self.clone();
-        out.scale_mut(alpha);
-        out
     }
 
     /// Element-wise product (Hadamard).
@@ -316,7 +290,6 @@ mod tests {
     fn norms() {
         let v = Vector::from(vec![-3.0, 4.0]);
         assert_eq!(v.norm2(), 5.0);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(v.norm_inf(), 4.0);
     }
 

@@ -3,11 +3,11 @@
 //! The BMF MAP estimate (eq. 30/35) solves
 //!
 //! ```text
-//! (D + c · GᵀG) x = rhs,        D = diag(d₁ … d_M),  G ∈ ℝ^{K×M},  K ≪ M
+//! (D + GᵀG) x = rhs,        D = diag(d₁ … d_M),  G ∈ ℝ^{K×M},  K ≪ M
 //! ```
 //!
 //! where `D` holds the prior precisions (`σ_m⁻²` in the zero-mean case,
-//! `η·α_{E,m}⁻²` in the nonzero-mean case with `c = 1`). A direct solver
+//! `η·α_{E,m}⁻²` in the nonzero-mean case). A direct solver
 //! factorizes the M × M matrix at Θ(M³) cost; the Woodbury identity
 //! (eq. 53–58) reduces this to one K × K factorization plus Θ(K²M) work —
 //! the paper reports up to 600× speed-ups from exactly this identity, with
@@ -15,7 +15,7 @@
 //!
 //! [`solve_diag_plus_gram_into`] covers the plain §IV-C case, every prior
 //! precision strictly positive (eq. 53/56): the K × K core
-//! `c⁻¹I + G D⁻¹ Gᵀ` is SPD and Cholesky-factorized. A zero precision
+//! `I + G D⁻¹ Gᵀ` is SPD and Cholesky-factorized. A zero precision
 //! (the *missing prior knowledge* case of §IV-B, eq. 50–52) leaves `D⁻¹`
 //! undefined and is refused; `bmf-core` solves that case in sample space,
 //! with the missing columns profiled out by a QR of `G_Z`.
@@ -29,7 +29,7 @@ use crate::resilience::{factor_spd_ladder, ladder_solve_in_place, LadderScratch,
 use crate::view::{matvec_into, matvec_transpose_into, outer_gram_diag_into, resize, MatRef};
 use crate::{LinalgError, Matrix, Result};
 
-fn validate(prior_precision: &[f64], c: f64, g: MatRef<'_>, rhs: &[f64]) -> Result<()> {
+fn validate(prior_precision: &[f64], g: MatRef<'_>, rhs: &[f64]) -> Result<()> {
     let (_k, m) = g.shape();
     if prior_precision.len() != m {
         return Err(LinalgError::DimensionMismatch {
@@ -44,9 +44,6 @@ fn validate(prior_precision: &[f64], c: f64, g: MatRef<'_>, rhs: &[f64]) -> Resu
             lhs: (rhs.len(), 1),
             rhs: (m, 1),
         });
-    }
-    if c <= 0.0 || !c.is_finite() {
-        return Err(LinalgError::NonFinite { op: "woodbury (c)" });
     }
     if prior_precision.iter().any(|d| !d.is_finite() || *d < 0.0) {
         return Err(LinalgError::NonFinite {
@@ -89,7 +86,7 @@ impl WoodburyScratch {
     }
 }
 
-/// Solves `(D + c·GᵀG) x = rhs` with `D = diag(prior_precision)`, every
+/// Solves `(D + GᵀG) x = rhs` with `D = diag(prior_precision)`, every
 /// precision strictly positive, writing the solution into `out`.
 ///
 /// `G` is read through a borrowed [`MatRef`] (which may be a
@@ -103,7 +100,7 @@ impl WoodburyScratch {
 /// The Sherman–Morrison–Woodbury identity
 ///
 /// ```text
-/// x = D⁻¹ rhs − D⁻¹ Gᵀ (c⁻¹ I + G D⁻¹ Gᵀ)⁻¹ G D⁻¹ rhs
+/// x = D⁻¹ rhs − D⁻¹ Gᵀ (I + G D⁻¹ Gᵀ)⁻¹ G D⁻¹ rhs
 /// ```
 ///
 /// at Θ(K²M + K³) cost versus Θ(M³) for the direct factorization. The
@@ -119,8 +116,8 @@ impl WoodburyScratch {
 ///
 /// * [`LinalgError::DimensionMismatch`] when `prior_precision`, `rhs` or
 ///   `out` does not have one entry per column of `G`.
-/// * [`LinalgError::NonFinite`] when `c ≤ 0`, or any precision is
-///   negative or not finite.
+/// * [`LinalgError::NonFinite`] when any precision is negative or not
+///   finite.
 /// * [`LinalgError::Singular`] at the first precision that is exactly
 ///   zero (a missing prior: `D` is singular, so the identity does not
 ///   apply).
@@ -138,9 +135,9 @@ impl WoodburyScratch {
 /// let rhs = vec![1.0, 1.0, 1.0];
 /// let mut ws = WoodburyScratch::new();
 /// let mut x = vec![0.0; 3];
-/// solve_diag_plus_gram_into(&d, 0.5, g.as_view(), &rhs, &mut ws, &mut x)?;
+/// solve_diag_plus_gram_into(&d, g.as_view(), &rhs, &mut ws, &mut x)?;
 /// // Verify against the explicit M x M system.
-/// let mut h = g.gram().scaled(0.5);
+/// let mut h = g.gram();
 /// h.add_diagonal_mut(&d)?;
 /// let direct = h.cholesky()?.solve(&Vector::from(rhs))?;
 /// assert!(Vector::from(x).sub(&direct)?.norm2() < 1e-10);
@@ -149,13 +146,12 @@ impl WoodburyScratch {
 /// ```
 pub fn solve_diag_plus_gram_into(
     prior_precision: &[f64],
-    c: f64,
     g: MatRef<'_>,
     rhs: &[f64],
     ws: &mut WoodburyScratch,
     out: &mut [f64],
 ) -> Result<Resilience> {
-    validate(prior_precision, c, g, rhs)?;
+    validate(prior_precision, g, rhs)?;
     let (k, m) = g.shape();
     if out.len() != m {
         return Err(LinalgError::DimensionMismatch {
@@ -166,11 +162,11 @@ pub fn solve_diag_plus_gram_into(
     }
     ws.dt_inv.clear();
     ws.dt_inv.extend(prior_precision.iter().map(|d| 1.0 / d));
-    // Core c⁻¹I + G D⁻¹ Gᵀ, factorized in place.
+    // Core I + G D⁻¹ Gᵀ, factorized in place.
     ws.w.reset_zeros(k, k);
     outer_gram_diag_into(g, &ws.dt_inv, ws.w.as_view_mut())?;
     for i in 0..k {
-        ws.w[(i, i)] += 1.0 / c;
+        ws.w[(i, i)] += 1.0;
     }
     let (kind, resilience) = factor_spd_ladder(&mut ws.w, &mut ws.perm, &mut ws.ladder)?;
     // t = D⁻¹ rhs
@@ -208,11 +204,10 @@ mod tests {
     }
 
     /// One solve on a fresh scratch.
-    fn solve(d: &[f64], c: f64, g: &Matrix, rhs: &Vector) -> Result<Vector> {
+    fn solve(d: &[f64], g: &Matrix, rhs: &Vector) -> Result<Vector> {
         let mut out = vec![0.0; rhs.len()];
         solve_diag_plus_gram_into(
             d,
-            c,
             g.as_view(),
             rhs.as_slice(),
             &mut WoodburyScratch::new(),
@@ -221,8 +216,8 @@ mod tests {
         Ok(Vector::from(out))
     }
 
-    fn direct_solve(d: &[f64], c: f64, g: &Matrix, rhs: &Vector) -> Vector {
-        let mut h = g.gram().scaled(c);
+    fn direct_solve(d: &[f64], g: &Matrix, rhs: &Vector) -> Vector {
+        let mut h = g.gram();
         h.add_diagonal_mut(d).unwrap();
         h.lu().unwrap().solve(rhs).unwrap()
     }
@@ -232,8 +227,8 @@ mod tests {
         let g = pseudo_random_matrix(6, 20, 42);
         let d: Vec<f64> = (0..20).map(|i| 0.5 + 0.1 * i as f64).collect();
         let rhs = Vector::from_fn(20, |i| (i as f64).sin());
-        let fast = solve(&d, 2.0, &g, &rhs).unwrap();
-        let direct = direct_solve(&d, 2.0, &g, &rhs);
+        let fast = solve(&d, &g, &rhs).unwrap();
+        let direct = direct_solve(&d, &g, &rhs);
         assert!(fast.sub(&direct).unwrap().norm2() < 1e-9 * direct.norm2().max(1.0));
     }
 
@@ -244,12 +239,12 @@ mod tests {
         let d = vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0]; // 3 zeros > K = 2
         let rhs = Vector::zeros(6);
         assert!(matches!(
-            solve(&d, 1.0, &g, &rhs),
+            solve(&d, &g, &rhs),
             Err(LinalgError::Singular { pivot: 1 })
         ));
         let d = vec![1.0, 0.5, 2.0, 1.0, 1.0, 0.0]; // one zero, K = 2
         assert!(matches!(
-            solve(&d, 1.0, &g, &rhs),
+            solve(&d, &g, &rhs),
             Err(LinalgError::Singular { pivot: 5 })
         ));
     }
@@ -257,14 +252,7 @@ mod tests {
     #[test]
     fn negative_precision_rejected() {
         let g = pseudo_random_matrix(2, 3, 3);
-        assert!(solve(&[1.0, -1.0, 1.0], 1.0, &g, &Vector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn non_positive_c_rejected() {
-        let g = pseudo_random_matrix(2, 3, 3);
-        assert!(solve(&[1.0; 3], 0.0, &g, &Vector::zeros(3)).is_err());
-        assert!(solve(&[1.0; 3], -1.0, &g, &Vector::zeros(3)).is_err());
+        assert!(solve(&[1.0, -1.0, 1.0], &g, &Vector::zeros(3)).is_err());
     }
 
     #[test]
@@ -273,8 +261,8 @@ mod tests {
         let g = pseudo_random_matrix(3, 40, 1234);
         let d: Vec<f64> = (0..40).map(|i| 0.2 + 0.01 * i as f64).collect();
         let rhs = Vector::from_fn(40, |i| ((i * 7 % 11) as f64) / 11.0);
-        let fast = solve(&d, 3.0, &g, &rhs).unwrap();
-        let direct = direct_solve(&d, 3.0, &g, &rhs);
+        let fast = solve(&d, &g, &rhs).unwrap();
+        let direct = direct_solve(&d, &g, &rhs);
         assert!(fast.sub(&direct).unwrap().norm2() < 1e-9 * direct.norm2().max(1.0));
     }
 }

@@ -25,12 +25,11 @@ fn vector(rng: &mut Rng, n: usize) -> Vector {
     Vector::from((0..n).map(|_| elem(rng)).collect::<Vec<f64>>())
 }
 
-/// `(D + c·GᵀG) x = rhs` through the Woodbury solver on a fresh scratch.
-fn woodbury_solve(d: &[f64], c: f64, g: &Matrix, rhs: &Vector) -> Result<Vector, LinalgError> {
+/// `(D + GᵀG) x = rhs` through the Woodbury solver on a fresh scratch.
+fn woodbury_solve(d: &[f64], g: &Matrix, rhs: &Vector) -> Result<Vector, LinalgError> {
     let mut out = vec![0.0; rhs.len()];
     solve_diag_plus_gram_into(
         d,
-        c,
         g.as_view(),
         rhs.as_slice(),
         &mut WoodburyScratch::new(),
@@ -167,9 +166,8 @@ fn woodbury_matches_direct() {
         let g = matrix(rng, 3, 10);
         let d: Vec<f64> = (0..10).map(|_| rng.gen_range(0.1..5.0)).collect();
         let rhs = vector(rng, 10);
-        let c = rng.gen_range(0.1..10.0);
-        let fast = woodbury_solve(&d, c, &g, &rhs).unwrap();
-        let mut h = g.gram().scaled(c);
+        let fast = woodbury_solve(&d, &g, &rhs).unwrap();
+        let mut h = g.gram();
         h.add_diagonal_mut(&d).unwrap();
         let direct = h.cholesky().unwrap().solve(&rhs).unwrap();
         let scale = direct.norm2().max(1.0);

@@ -257,11 +257,11 @@ fn lu_in_place_bitwise_equals_owned_solve() {
     );
 }
 
-/// One Woodbury solve (`c = 1`) on a fresh scratch: the reference a
+/// One Woodbury solve on a fresh scratch: the reference a
 /// reused scratch and a row-subset view must reproduce bit for bit.
 fn woodbury_fresh(d: &[f64], g: MatRef<'_>, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let mut out = vec![f64::NAN; rhs.len()];
-    solve_diag_plus_gram_into(d, 1.0, g, rhs, &mut WoodburyScratch::new(), &mut out)?;
+    solve_diag_plus_gram_into(d, g, rhs, &mut WoodburyScratch::new(), &mut out)?;
     Ok(out)
 }
 
@@ -291,8 +291,7 @@ fn woodbury_into_bitwise_equals_owned_with_reused_scratch() {
             let fresh = woodbury_fresh(&d, g.as_view(), &rhs);
             out.clear();
             out.resize(m, f64::NAN);
-            let reused =
-                solve_diag_plus_gram_into(&d, 1.0, g.as_view(), &rhs, &mut scratch, &mut out);
+            let reused = solve_diag_plus_gram_into(&d, g.as_view(), &rhs, &mut scratch, &mut out);
             match (fresh, reused) {
                 (Ok(a), Ok(_res)) => assert_bits_eq(&out, &a),
                 (Err(_), Err(_)) => {}
@@ -320,8 +319,7 @@ fn woodbury_into_on_row_subset_equals_owned_on_copy() {
 
             let on_copy = woodbury_fresh(&d, copied.as_view(), &rhs).unwrap();
             let mut out = vec![f64::NAN; m];
-            solve_diag_plus_gram_into(&d, 1.0, g.rows_view(&idx), &rhs, &mut scratch, &mut out)
-                .unwrap();
+            solve_diag_plus_gram_into(&d, g.rows_view(&idx), &rhs, &mut scratch, &mut out).unwrap();
             assert_bits_eq(&out, &on_copy);
         },
     );

@@ -1,9 +1,9 @@
 //! Store integrity checking and repair.
 //!
-//! [`check`] walks an [`ArtifactStore`] and reports every structural
-//! issue without touching a byte; [`repair`] removes what cannot be
-//! salvaged and rewrites the index crash-safely, leaving a store that
-//! checks clean. Both are deterministic: issues are discovered and
+//! [`ArtifactStore::check`] walks a store and reports every structural
+//! issue without touching a byte; [`ArtifactStore::repair`] removes what
+//! cannot be salvaged and rewrites the index crash-safely, leaving a
+//! store that checks clean. Both are deterministic: issues are discovered and
 //! reported in sorted order, so the same store state yields the same
 //! report, byte for byte, anywhere.
 //!
@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use crate::store::{ArtifactId, ArtifactStore, IndexEntry, StoreStats};
 use crate::Result;
 
-/// One structural problem found by [`check`].
+/// One structural problem found by [`ArtifactStore::check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreIssue {
@@ -79,10 +79,11 @@ impl StoreCheck {
     }
 }
 
-/// What [`repair`] did.
+/// What [`ArtifactStore::repair`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairReport {
-    /// The issues found before repairing (the [`check`] view).
+    /// The issues found before repairing (the
+    /// [`check`](ArtifactStore::check) view).
     pub found: Vec<StoreIssue>,
     /// Orphan and corrupt blobs removed.
     pub removed_blobs: usize,
@@ -92,128 +93,121 @@ pub struct RepairReport {
     pub stats: StoreStats,
 }
 
-/// Checks a store without modifying it; see the [module docs](self).
-///
-/// # Errors
-///
-/// [`PersistError::Io`](crate::PersistError::Io) when listing or
-/// reading fails; index corruption surfaces as
-/// [`PersistError::Corrupt`](crate::PersistError::Corrupt) (recovery at
-/// open repairs crash damage, so that means external damage).
-pub fn check(store: &ArtifactStore) -> Result<StoreCheck> {
-    check_inner(store)
-}
+impl ArtifactStore {
+    /// Checks the store without modifying it; see the
+    /// [module docs](self).
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Io`](crate::PersistError::Io) when listing or
+    /// reading fails; index corruption surfaces as
+    /// [`PersistError::Corrupt`](crate::PersistError::Corrupt) (recovery
+    /// at open repairs crash damage, so that means external damage).
+    pub fn check(&self) -> Result<StoreCheck> {
+        let entries = self.index()?;
+        let (blobs, foreign) = self.list_blobs()?;
+        let referenced: BTreeSet<u64> = entries.iter().map(|e| e.id.value()).collect();
+        let present: BTreeSet<u64> = blobs.iter().map(|(id, _)| id.value()).collect();
 
-/// Repairs a store in place: removes orphan and corrupt blobs, drops
-/// index entries whose artifact is missing or corrupt, and rewrites the
-/// index through the crash-safe corridor (a crash mid-repair leaves a
-/// valid store; re-open and repair again). Foreign files are reported
-/// but never touched.
-///
-/// # Errors
-///
-/// As [`check`], plus write failures during the repair itself.
-pub fn repair(store: &ArtifactStore) -> Result<RepairReport> {
-    repair_inner(store)
-}
-
-fn check_inner(store: &ArtifactStore) -> Result<StoreCheck> {
-    let entries = store.index_inner()?;
-    let (blobs, foreign) = store.list_blobs()?;
-    let referenced: BTreeSet<u64> = entries.iter().map(|e| e.id.value()).collect();
-    let present: BTreeSet<u64> = blobs.iter().map(|(id, _)| id.value()).collect();
-
-    let mut stats = StoreStats {
-        index_entries: entries.len(),
-        ..StoreStats::default()
-    };
-    let mut orphans = Vec::new();
-    let mut corrupt = Vec::new();
-    for (id, name) in &blobs {
-        let path = store.rpath(name);
-        let bytes = store
-            .vfs()
-            .len(&path)
-            .map_err(|e| crate::PersistError::Io {
+        let mut stats = StoreStats {
+            index_entries: entries.len(),
+            ..StoreStats::default()
+        };
+        let mut orphans = Vec::new();
+        let mut corrupt = Vec::new();
+        for (id, name) in &blobs {
+            let path = self.rpath(name);
+            let bytes = self.vfs().len(&path).map_err(|e| crate::PersistError::Io {
                 path: path.clone(),
                 detail: e.to_string(),
             })?;
-        stats.blobs += 1;
-        stats.blob_bytes += bytes;
-        if !referenced.contains(&id.value()) {
-            stats.orphan_blobs += 1;
-            orphans.push(StoreIssue::OrphanBlob { id: *id, bytes });
-        }
-        if let Err(e) = store.get(*id) {
-            corrupt.push(StoreIssue::CorruptBlob {
-                id: *id,
-                detail: e.to_string(),
-            });
-        }
-    }
-    let dangling: Vec<StoreIssue> = entries
-        .iter()
-        .filter(|e| !present.contains(&e.id.value()))
-        .map(|e| StoreIssue::DanglingEntry {
-            seq: e.seq,
-            id: e.id,
-            job_id: e.job_id.clone(),
-        })
-        .collect();
-
-    let mut issues = orphans;
-    issues.extend(dangling);
-    issues.extend(corrupt);
-    issues.extend(
-        foreign
-            .into_iter()
-            .map(|name| StoreIssue::ForeignFile { name }),
-    );
-    Ok(StoreCheck { issues, stats })
-}
-
-fn repair_inner(store: &ArtifactStore) -> Result<RepairReport> {
-    let found = check_inner(store)?;
-    let mut removed_blobs = 0;
-    let mut bad_blobs: BTreeSet<u64> = BTreeSet::new();
-    for issue in &found.issues {
-        match issue {
-            StoreIssue::OrphanBlob { id, .. } | StoreIssue::CorruptBlob { id, .. }
-                if bad_blobs.insert(id.value()) =>
-            {
-                store.remove_blob(*id)?;
-                removed_blobs += 1;
+            stats.blobs += 1;
+            stats.blob_bytes += bytes;
+            if !referenced.contains(&id.value()) {
+                stats.orphan_blobs += 1;
+                orphans.push(StoreIssue::OrphanBlob { id: *id, bytes });
             }
-            _ => {}
+            if let Err(e) = self.get(*id) {
+                corrupt.push(StoreIssue::CorruptBlob {
+                    id: *id,
+                    detail: e.to_string(),
+                });
+            }
         }
-    }
-    // Keep only entries whose artifact is present and verified; then
-    // renumber and rewrite through the crash-safe corridor.
-    let entries = store.index_inner()?;
-    let mut kept: Vec<IndexEntry> = Vec::new();
-    let mut dropped = 0usize;
-    for e in entries {
-        let gone = bad_blobs.contains(&e.id.value()) || !store.contains(e.id);
-        if gone {
-            dropped += 1;
-        } else {
-            kept.push(IndexEntry {
-                seq: kept.len() as u64,
+        let dangling: Vec<StoreIssue> = entries
+            .iter()
+            .filter(|e| !present.contains(&e.id.value()))
+            .map(|e| StoreIssue::DanglingEntry {
+                seq: e.seq,
                 id: e.id,
-                job_id: e.job_id,
-            });
+                job_id: e.job_id.clone(),
+            })
+            .collect();
+
+        let mut issues = orphans;
+        issues.extend(dangling);
+        issues.extend(corrupt);
+        issues.extend(
+            foreign
+                .into_iter()
+                .map(|name| StoreIssue::ForeignFile { name }),
+        );
+        Ok(StoreCheck { issues, stats })
+    }
+
+    /// Repairs the store in place: removes orphan and corrupt blobs,
+    /// drops index entries whose artifact is missing or corrupt, and
+    /// rewrites the index through the crash-safe corridor (a crash
+    /// mid-repair leaves a valid store; re-open and repair again).
+    /// Foreign files are reported but never touched.
+    ///
+    /// # Errors
+    ///
+    /// As [`check`](Self::check), plus write failures during the repair
+    /// itself.
+    pub fn repair(&self) -> Result<RepairReport> {
+        let found = self.check()?;
+        let mut removed_blobs = 0;
+        let mut bad_blobs: BTreeSet<u64> = BTreeSet::new();
+        for issue in &found.issues {
+            match issue {
+                StoreIssue::OrphanBlob { id, .. } | StoreIssue::CorruptBlob { id, .. }
+                    if bad_blobs.insert(id.value()) =>
+                {
+                    self.remove_blob(*id)?;
+                    removed_blobs += 1;
+                }
+                _ => {}
+            }
         }
+        // Keep only entries whose artifact is present and verified; then
+        // renumber and rewrite through the crash-safe corridor.
+        let entries = self.index()?;
+        let mut kept: Vec<IndexEntry> = Vec::new();
+        let mut dropped = 0usize;
+        for e in entries {
+            let gone = bad_blobs.contains(&e.id.value()) || !self.contains(e.id);
+            if gone {
+                dropped += 1;
+            } else {
+                kept.push(IndexEntry {
+                    seq: kept.len() as u64,
+                    id: e.id,
+                    job_id: e.job_id,
+                });
+            }
+        }
+        if dropped > 0 || removed_blobs > 0 {
+            self.rewrite_index(&kept)?;
+        }
+        let stats = self.stats()?;
+        Ok(RepairReport {
+            found: found.issues,
+            removed_blobs,
+            dropped_entries: dropped,
+            stats,
+        })
     }
-    if dropped > 0 || removed_blobs > 0 {
-        store.rewrite_index(&kept)?;
-    }
-    let stats = store.stats()?;
-    Ok(RepairReport {
-        found: found.issues,
-        removed_blobs,
-        dropped_entries: dropped,
-        stats,
-    })
 }
 
 #[cfg(test)]
@@ -226,7 +220,7 @@ mod tests {
     fn empty_store_checks_clean() {
         let vfs = Arc::new(MemVfs::new());
         let store = ArtifactStore::open_with("m/s", vfs).unwrap();
-        let report = check(&store).unwrap();
+        let report = store.check().unwrap();
         assert!(report.is_clean());
         assert_eq!(report.stats, StoreStats::default());
     }
@@ -236,14 +230,14 @@ mod tests {
         let vfs = Arc::new(MemVfs::new());
         let store = ArtifactStore::open_with("m/s", Arc::clone(&vfs) as _).unwrap();
         vfs.write("m/s/notes.txt", b"human file").unwrap();
-        let report = check(&store).unwrap();
+        let report = store.check().unwrap();
         assert_eq!(
             report.issues,
             vec![StoreIssue::ForeignFile {
                 name: "notes.txt".into()
             }]
         );
-        let repaired = repair(&store).unwrap();
+        let repaired = store.repair().unwrap();
         assert_eq!(repaired.removed_blobs, 0);
         assert_eq!(repaired.dropped_entries, 0);
         assert_eq!(vfs.read("m/s/notes.txt").unwrap(), b"human file");

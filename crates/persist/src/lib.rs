@@ -25,7 +25,7 @@
 //!   [`MemVfs`](vfs::MemVfs) (an in-memory disk with an explicit
 //!   crash-durability model) and [`FaultVfs`](vfs::FaultVfs) (seeded
 //!   error, short-write, and crash-point injection) under test;
-//! * [`fsck`] — [`check`](fsck::check)/[`repair`](fsck::repair):
+//! * [`fsck`] — [`check`](store::ArtifactStore::check)/[`repair`](store::ArtifactStore::repair):
 //!   structural integrity passes detecting orphan blobs, dangling index
 //!   entries, and fingerprint mismatches, with crash-safe repair.
 //!

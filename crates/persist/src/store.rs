@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use bmf_core::service::FitService;
 use bmf_core::snapshot::ModelSnapshot;
-use bmf_stat::backoff::RetryPolicy;
+use bmf_stat::backoff::Backoff;
 use bmf_stat::fnv::fnv1a;
 use bmf_stat::rng::derive_seed;
 
@@ -199,7 +199,7 @@ impl ArtifactStore {
             .vfs
             .create_dir_all(&root_s)
             .map_err(|e| io_err(&root_s, &e))?;
-        store.recover_inner()?;
+        store.recover()?;
         Ok(store)
     }
 
@@ -220,7 +220,43 @@ impl ArtifactStore {
     /// the store on disk is still valid: re-opening it runs recovery,
     /// which rolls the interrupted publication forward or back.
     pub fn put(&self, snapshot: &ModelSnapshot) -> Result<ArtifactId> {
-        self.put_inner(snapshot)
+        let bytes = encode_snapshot(snapshot)?;
+        let id = ArtifactId(artifact_fingerprint(&bytes)?);
+        let blob = self.blob_path(id);
+        let root = self.root_str();
+        if !self.vfs.exists(&blob).map_err(|e| io_err(&blob, &e))? {
+            // Deterministic temp name: content-addressed, so two
+            // writers racing on the same id write identical bytes.
+            let tmp = format!("{blob}.tmp");
+            self.vfs.write(&tmp, &bytes).map_err(|e| io_err(&tmp, &e))?;
+            self.vfs.sync_file(&tmp).map_err(|e| io_err(&tmp, &e))?;
+            self.vfs
+                .rename(&tmp, &blob)
+                .map_err(|e| io_err(&blob, &e))?;
+            self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
+        }
+        let seq = self.index()?.len() as u64;
+        let line = format_index_line(seq, id, &snapshot.job_id);
+        // Write-ahead intent: the exact line, durable before the index
+        // append, so recovery can finish (or cleanly abandon) the
+        // publication from either side of the commit point.
+        let intent = self.rpath(INTENT_FILE);
+        self.vfs
+            .write(&intent, line.as_bytes())
+            .map_err(|e| io_err(&intent, &e))?;
+        self.vfs
+            .sync_file(&intent)
+            .map_err(|e| io_err(&intent, &e))?;
+        self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
+        // Commit point: the synced index append.
+        let index = self.rpath(INDEX_FILE);
+        self.vfs
+            .append(&index, line.as_bytes())
+            .map_err(|e| io_err(&index, &e))?;
+        self.vfs.sync_file(&index).map_err(|e| io_err(&index, &e))?;
+        self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
+        self.vfs.remove(&intent).map_err(|e| io_err(&intent, &e))?;
+        Ok(id)
     }
 
     /// Loads and fully verifies the artifact stored under `id`:
@@ -234,7 +270,16 @@ impl ArtifactStore {
     /// content does not hash to `id`; the [`decode_snapshot`] conditions
     /// otherwise.
     pub fn get(&self, id: ArtifactId) -> Result<ModelSnapshot> {
-        self.get_inner(id)
+        let path = self.blob_path(id);
+        let bytes = self.vfs.read(&path).map_err(|e| io_err(&path, &e))?;
+        let actual = artifact_fingerprint(&bytes)?;
+        if actual != id.value() {
+            return Err(PersistError::FingerprintMismatch {
+                expected: id.value(),
+                actual,
+            });
+        }
+        decode_snapshot(&bytes)
     }
 
     /// `true` when an artifact file for `id` exists (without verifying
@@ -258,7 +303,35 @@ impl ArtifactStore {
     /// [`open`](Self::open) repairs torn tails, so a corrupt line here
     /// means damage a crash cannot explain).
     pub fn index(&self) -> Result<Vec<IndexEntry>> {
-        self.index_inner()
+        let path = self.rpath(INDEX_FILE);
+        let raw = match self.vfs.read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(io_err(&path, &e)),
+        };
+        let text = String::from_utf8(raw).map_err(|e| PersistError::Corrupt {
+            offset: e.utf8_error().valid_up_to(),
+            detail: "index is not valid UTF-8".into(),
+        })?;
+        let mut entries = Vec::new();
+        for line in text.lines() {
+            if line.is_empty() {
+                continue;
+            }
+            let entry = parse_index_line(entries.len(), line)?;
+            if entry.seq != entries.len() as u64 {
+                return Err(PersistError::Corrupt {
+                    offset: entries.len(),
+                    detail: format!(
+                        "index line {}: sequence number {} out of order",
+                        entries.len(),
+                        entry.seq
+                    ),
+                });
+            }
+            entries.push(entry);
+        }
+        Ok(entries)
     }
 
     /// Aggregate store shape: blob count and bytes, index entries, and
@@ -268,7 +341,22 @@ impl ArtifactStore {
     ///
     /// Propagates [`index`](Self::index) and listing failures.
     pub fn stats(&self) -> Result<StoreStats> {
-        self.stats_inner()
+        let entries = self.index()?;
+        let referenced: BTreeSet<u64> = entries.iter().map(|e| e.id.value()).collect();
+        let (blobs, _foreign) = self.list_blobs()?;
+        let mut stats = StoreStats {
+            index_entries: entries.len(),
+            ..StoreStats::default()
+        };
+        for (id, name) in &blobs {
+            let path = self.rpath(name);
+            stats.blobs += 1;
+            stats.blob_bytes += self.vfs.len(&path).map_err(|e| io_err(&path, &e))?;
+            if !referenced.contains(&id.value()) {
+                stats.orphan_blobs += 1;
+            }
+        }
+        Ok(stats)
     }
 
     /// Compacts the store: keeps only the newest publication per job
@@ -285,27 +373,41 @@ impl ArtifactStore {
     ///
     /// Propagates index and filesystem failures.
     pub fn compact(&self) -> Result<CompactReport> {
-        self.compact_inner()
-    }
-
-    /// Runs an integrity check without modifying anything; see
-    /// [`fsck::check`](crate::fsck::check).
-    ///
-    /// # Errors
-    ///
-    /// Propagates index and filesystem failures.
-    pub fn check(&self) -> Result<crate::fsck::StoreCheck> {
-        crate::fsck::check(self)
-    }
-
-    /// Checks and repairs the store; see
-    /// [`fsck::repair`](crate::fsck::repair).
-    ///
-    /// # Errors
-    ///
-    /// Propagates index and filesystem failures.
-    pub fn repair(&self) -> Result<crate::fsck::RepairReport> {
-        crate::fsck::repair(self)
+        let entries = self.index()?;
+        let mut newest: BTreeMap<&str, usize> = BTreeMap::new();
+        for (i, e) in entries.iter().enumerate() {
+            newest.insert(e.job_id.as_str(), i);
+        }
+        let mut kept = Vec::with_capacity(newest.len());
+        for (i, e) in entries.iter().enumerate() {
+            if newest.get(e.job_id.as_str()) == Some(&i) {
+                kept.push(IndexEntry {
+                    seq: kept.len() as u64,
+                    id: e.id,
+                    job_id: e.job_id.clone(),
+                });
+            }
+        }
+        let dropped = entries.len() - kept.len();
+        self.rewrite_index(&kept)?;
+        // GC strictly after the new index is durable: a crash here
+        // leaves orphans, never a dangling entry.
+        let referenced: BTreeSet<u64> = kept.iter().map(|e| e.id.value()).collect();
+        let (blobs, _foreign) = self.list_blobs()?;
+        let mut removed = 0;
+        for (id, _name) in &blobs {
+            if !referenced.contains(&id.value()) {
+                self.remove_blob(*id)?;
+                removed += 1;
+            }
+        }
+        let root = self.root_str();
+        self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
+        Ok(CompactReport {
+            entries_kept: kept.len(),
+            entries_dropped: dropped,
+            blobs_removed: removed,
+        })
     }
 
     /// Warm-starts a service from the store: loads every indexed
@@ -318,16 +420,24 @@ impl ArtifactStore {
     /// Propagates [`get`](Self::get) and
     /// [`FitService::import_snapshot`] failures.
     pub fn warm_start(&self, service: &FitService) -> Result<usize> {
-        self.warm_start_inner(service)
+        let mut imported = 0;
+        for entry in self.index()? {
+            let snapshot = self.get(entry.id)?;
+            service
+                .import_snapshot(snapshot)
+                .map_err(PersistError::Model)?;
+            imported += 1;
+        }
+        Ok(imported)
     }
 
     /// [`warm_start`](Self::warm_start) with seeded
     /// retry-and-exponential-backoff around every store read: transient
     /// [`PersistError::Io`] failures (the kind a fault-injecting
-    /// [`Vfs`] produces) are retried per `policy`, with jitter drawn
-    /// deterministically from `seed` (one derived stream per index
-    /// entry), and the accrued *virtual* backoff reported — no real
-    /// time passes.
+    /// [`Vfs`] produces) are retried on a [`Backoff`] schedule, with
+    /// jitter drawn deterministically from `seed` (one derived stream
+    /// per index entry), and the accrued *virtual* backoff reported — no
+    /// real time passes.
     ///
     /// # Errors
     ///
@@ -337,10 +447,22 @@ impl ArtifactStore {
     pub fn warm_start_with_retry(
         &self,
         service: &FitService,
-        policy: &RetryPolicy,
         seed: u64,
     ) -> Result<WarmStartReport> {
-        self.warm_start_with_retry_inner(service, policy, seed)
+        let mut report = WarmStartReport::default();
+        // The index read gets its own retry stream, labelled past any
+        // possible entry sequence number.
+        let entries = retrying(derive_seed(seed, u64::MAX), &mut report, || self.index())?;
+        for entry in entries {
+            let snapshot = retrying(derive_seed(seed, entry.seq), &mut report, || {
+                self.get(entry.id)
+            })?;
+            service
+                .import_snapshot(snapshot)
+                .map_err(PersistError::Model)?;
+            report.imported += 1;
+        }
+        Ok(report)
     }
 
     /// Publishes every model a service currently holds, in sorted
@@ -352,7 +474,13 @@ impl ArtifactStore {
     /// Propagates [`FitService::export_model`] and
     /// [`put`](Self::put) failures.
     pub fn export_service(&self, service: &FitService) -> Result<Vec<ArtifactId>> {
-        self.export_service_inner(service)
+        let job_ids = service.job_ids();
+        let mut ids = Vec::with_capacity(job_ids.len());
+        for job_id in job_ids {
+            let snapshot = service.export_model(&job_id).map_err(PersistError::Model)?;
+            ids.push(self.put(&snapshot)?);
+        }
+        Ok(ids)
     }
 
     // ---- internals -----------------------------------------------------
@@ -423,96 +551,11 @@ impl ArtifactStore {
         self.vfs.remove(&path).map_err(|e| io_err(&path, &e))
     }
 
-    fn put_inner(&self, snapshot: &ModelSnapshot) -> Result<ArtifactId> {
-        let bytes = encode_snapshot(snapshot)?;
-        let id = ArtifactId(artifact_fingerprint(&bytes)?);
-        let blob = self.blob_path(id);
-        let root = self.root_str();
-        if !self.vfs.exists(&blob).map_err(|e| io_err(&blob, &e))? {
-            // Deterministic temp name: content-addressed, so two
-            // writers racing on the same id write identical bytes.
-            let tmp = format!("{blob}.tmp");
-            self.vfs.write(&tmp, &bytes).map_err(|e| io_err(&tmp, &e))?;
-            self.vfs.sync_file(&tmp).map_err(|e| io_err(&tmp, &e))?;
-            self.vfs
-                .rename(&tmp, &blob)
-                .map_err(|e| io_err(&blob, &e))?;
-            self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
-        }
-        let seq = self.index_inner()?.len() as u64;
-        let line = format_index_line(seq, id, &snapshot.job_id);
-        // Write-ahead intent: the exact line, durable before the index
-        // append, so recovery can finish (or cleanly abandon) the
-        // publication from either side of the commit point.
-        let intent = self.rpath(INTENT_FILE);
-        self.vfs
-            .write(&intent, line.as_bytes())
-            .map_err(|e| io_err(&intent, &e))?;
-        self.vfs
-            .sync_file(&intent)
-            .map_err(|e| io_err(&intent, &e))?;
-        self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
-        // Commit point: the synced index append.
-        let index = self.rpath(INDEX_FILE);
-        self.vfs
-            .append(&index, line.as_bytes())
-            .map_err(|e| io_err(&index, &e))?;
-        self.vfs.sync_file(&index).map_err(|e| io_err(&index, &e))?;
-        self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
-        self.vfs.remove(&intent).map_err(|e| io_err(&intent, &e))?;
-        Ok(id)
-    }
-
-    fn get_inner(&self, id: ArtifactId) -> Result<ModelSnapshot> {
-        let path = self.blob_path(id);
-        let bytes = self.vfs.read(&path).map_err(|e| io_err(&path, &e))?;
-        let actual = artifact_fingerprint(&bytes)?;
-        if actual != id.value() {
-            return Err(PersistError::FingerprintMismatch {
-                expected: id.value(),
-                actual,
-            });
-        }
-        decode_snapshot(&bytes)
-    }
-
-    pub(crate) fn index_inner(&self) -> Result<Vec<IndexEntry>> {
-        let path = self.rpath(INDEX_FILE);
-        let raw = match self.vfs.read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(io_err(&path, &e)),
-        };
-        let text = String::from_utf8(raw).map_err(|e| PersistError::Corrupt {
-            offset: e.utf8_error().valid_up_to(),
-            detail: "index is not valid UTF-8".into(),
-        })?;
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let entry = parse_index_line(entries.len(), line)?;
-            if entry.seq != entries.len() as u64 {
-                return Err(PersistError::Corrupt {
-                    offset: entries.len(),
-                    detail: format!(
-                        "index line {}: sequence number {} out of order",
-                        entries.len(),
-                        entry.seq
-                    ),
-                });
-            }
-            entries.push(entry);
-        }
-        Ok(entries)
-    }
-
     /// Crash recovery, run by [`open_with`](Self::open_with): sweeps
     /// `.tmp` files, truncates a torn index tail, and resolves a
     /// leftover write-ahead intent. Idempotent, and itself crash-safe —
     /// re-opening after a crash mid-recovery just recovers again.
-    fn recover_inner(&self) -> Result<()> {
+    fn recover(&self) -> Result<()> {
         let root = self.root_str();
         let names = self.vfs.list(&root).map_err(|e| io_err(&root, &e))?;
         for name in &names {
@@ -627,120 +670,17 @@ impl ArtifactStore {
         self.vfs.remove(&intent).map_err(|e| io_err(&intent, &e))?;
         Ok(())
     }
-
-    fn stats_inner(&self) -> Result<StoreStats> {
-        let entries = self.index_inner()?;
-        let referenced: BTreeSet<u64> = entries.iter().map(|e| e.id.value()).collect();
-        let (blobs, _foreign) = self.list_blobs()?;
-        let mut stats = StoreStats {
-            index_entries: entries.len(),
-            ..StoreStats::default()
-        };
-        for (id, name) in &blobs {
-            let path = self.rpath(name);
-            stats.blobs += 1;
-            stats.blob_bytes += self.vfs.len(&path).map_err(|e| io_err(&path, &e))?;
-            if !referenced.contains(&id.value()) {
-                stats.orphan_blobs += 1;
-            }
-        }
-        Ok(stats)
-    }
-
-    fn compact_inner(&self) -> Result<CompactReport> {
-        let entries = self.index_inner()?;
-        let mut newest: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, e) in entries.iter().enumerate() {
-            newest.insert(e.job_id.as_str(), i);
-        }
-        let mut kept = Vec::with_capacity(newest.len());
-        for (i, e) in entries.iter().enumerate() {
-            if newest.get(e.job_id.as_str()) == Some(&i) {
-                kept.push(IndexEntry {
-                    seq: kept.len() as u64,
-                    id: e.id,
-                    job_id: e.job_id.clone(),
-                });
-            }
-        }
-        let dropped = entries.len() - kept.len();
-        self.rewrite_index(&kept)?;
-        // GC strictly after the new index is durable: a crash here
-        // leaves orphans, never a dangling entry.
-        let referenced: BTreeSet<u64> = kept.iter().map(|e| e.id.value()).collect();
-        let (blobs, _foreign) = self.list_blobs()?;
-        let mut removed = 0;
-        for (id, _name) in &blobs {
-            if !referenced.contains(&id.value()) {
-                self.remove_blob(*id)?;
-                removed += 1;
-            }
-        }
-        let root = self.root_str();
-        self.vfs.sync_dir(&root).map_err(|e| io_err(&root, &e))?;
-        Ok(CompactReport {
-            entries_kept: kept.len(),
-            entries_dropped: dropped,
-            blobs_removed: removed,
-        })
-    }
-
-    fn warm_start_inner(&self, service: &FitService) -> Result<usize> {
-        let mut imported = 0;
-        for entry in self.index_inner()? {
-            let snapshot = self.get_inner(entry.id)?;
-            service
-                .import_snapshot(snapshot)
-                .map_err(PersistError::Model)?;
-            imported += 1;
-        }
-        Ok(imported)
-    }
-
-    fn warm_start_with_retry_inner(
-        &self,
-        service: &FitService,
-        policy: &RetryPolicy,
-        seed: u64,
-    ) -> Result<WarmStartReport> {
-        let mut report = WarmStartReport::default();
-        // The index read gets its own retry stream, labelled past any
-        // possible entry sequence number.
-        let entries = retrying(policy, derive_seed(seed, u64::MAX), &mut report, || {
-            self.index_inner()
-        })?;
-        for entry in entries {
-            let snapshot = retrying(policy, derive_seed(seed, entry.seq), &mut report, || {
-                self.get_inner(entry.id)
-            })?;
-            service
-                .import_snapshot(snapshot)
-                .map_err(PersistError::Model)?;
-            report.imported += 1;
-        }
-        Ok(report)
-    }
-
-    fn export_service_inner(&self, service: &FitService) -> Result<Vec<ArtifactId>> {
-        let job_ids = service.job_ids();
-        let mut ids = Vec::with_capacity(job_ids.len());
-        for job_id in job_ids {
-            let snapshot = service.export_model(&job_id).map_err(PersistError::Model)?;
-            ids.push(self.put_inner(&snapshot)?);
-        }
-        Ok(ids)
-    }
 }
 
-/// Runs `op`, retrying transient [`PersistError::Io`] failures per the
-/// policy with virtual-time backoff; accounting lands in `report`.
+/// Runs `op`, retrying transient [`PersistError::Io`] failures on a
+/// [`Backoff`] schedule seeded by `seed`, with virtual-time backoff;
+/// accounting lands in `report`.
 fn retrying<T>(
-    policy: &RetryPolicy,
     seed: u64,
     report: &mut WarmStartReport,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
-    let mut backoff = policy.schedule(seed);
+    let mut backoff = Backoff::new(seed);
     loop {
         match op() {
             Ok(v) => return Ok(v),

@@ -528,12 +528,6 @@ impl FaultVfs {
         }
     }
 
-    /// The shared filesystem underneath (the "disk" that survives a
-    /// simulated crash).
-    pub fn disk(&self) -> std::sync::Arc<MemVfs> {
-        std::sync::Arc::clone(&self.inner)
-    }
-
     /// Total VFS operations attempted so far (including faulted ones).
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::SeqCst)

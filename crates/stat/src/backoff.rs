@@ -5,123 +5,75 @@
 //! The right client response is retry-with-backoff — but a naive
 //! implementation reads the wall clock or a global RNG for its jitter,
 //! and every byte-reproducibility contract in this workspace dies with
-//! it. This module keeps the policy *pure*: delays are a function of
-//! `(policy, seed, attempt)` only, drawn from the in-tree
+//! it. This module keeps the schedule *pure*: delays are a function of
+//! `(seed, attempt)` only, drawn from the in-tree
 //! [`rng`](crate::rng) stream, so a retried chaos run produces the same
 //! schedule, the same counters, and the same report bytes every time.
 //!
 //! Delays are *virtual* nanoseconds. Nothing here sleeps; callers charge
-//! the returned delay to their own virtual clock (the same discipline as
-//! the service load harness), which keeps retry storms visible in
-//! latency percentiles without making benchmarks wall-clock dependent.
+//! the returned delay to their own accounting (the chaos study sums it
+//! per fault level), which keeps retry storms visible without making
+//! benchmarks wall-clock dependent.
 //!
 //! ```
-//! use bmf_stat::backoff::RetryPolicy;
+//! use bmf_stat::backoff::Backoff;
 //!
-//! let policy = RetryPolicy::default();
-//! let mut schedule = policy.schedule(42);
+//! let mut schedule = Backoff::new(42);
 //! let first = schedule.next_delay_ns().unwrap();
 //! // Same seed, same schedule: retries are reproducible.
-//! let mut again = policy.schedule(42);
+//! let mut again = Backoff::new(42);
 //! assert_eq!(again.next_delay_ns(), Some(first));
 //! ```
 
 use crate::rng::{seeded, Rng};
 
-/// Shape of a retry schedule: how many attempts, how the delay grows,
-/// and how much seeded jitter decorrelates concurrent retriers.
-///
-/// The base delay doubles on every retry (capped at
-/// [`max_delay_ns`](RetryPolicy::max_delay_ns)), then gains a uniform
-/// jitter drawn from the schedule's own RNG stream:
-/// `delay = base · 2^attempt · (1 + jitter)` with
-/// `jitter ∈ [0, jitter_permille/1000)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt (0 = never retry).
-    pub max_retries: u32,
-    /// Delay before the first retry, in virtual nanoseconds (clamped to
-    /// ≥ 1 so the schedule always advances a virtual clock).
-    pub base_delay_ns: u64,
-    /// Upper bound on the un-jittered delay, in virtual nanoseconds.
-    pub max_delay_ns: u64,
-    /// Jitter magnitude in permille of the delay (clamped to ≤ 1000):
-    /// 250 means each delay is stretched by up to +25%.
-    pub jitter_permille: u32,
-}
+/// Retries allowed after the first attempt.
+pub const MAX_RETRIES: u32 = 6;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 6,
-            base_delay_ns: 100_000,   // 100 µs virtual
-            max_delay_ns: 50_000_000, // 50 ms virtual cap
-            jitter_permille: 250,
-        }
-    }
-}
+/// Delay before the first retry, in virtual nanoseconds. It doubles on
+/// every retry, so the sixth waits 3.2 ms before jitter.
+pub const BASE_DELAY_NS: u64 = 100_000;
 
-impl RetryPolicy {
-    /// The policy after clamping, as [`schedule`](Self::schedule) uses it.
-    pub fn clamped(&self) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: self.max_retries,
-            base_delay_ns: self.base_delay_ns.max(1),
-            max_delay_ns: self.max_delay_ns.max(self.base_delay_ns.max(1)),
-            jitter_permille: self.jitter_permille.min(1000),
-        }
-    }
+/// Jitter magnitude in permille of the delay: each delay is stretched by
+/// up to +25 %, which decorrelates concurrent retriers.
+pub const JITTER_PERMILLE: u64 = 250;
 
-    /// Starts a fresh deterministic schedule for one retried operation.
-    /// Same `(policy, seed)`, same delays — callers derive per-operation
-    /// seeds with [`derive_seed`](crate::rng::derive_seed) so concurrent
-    /// retriers stay decorrelated.
-    pub fn schedule(&self, seed: u64) -> Backoff {
-        Backoff {
-            policy: self.clamped(),
-            rng: seeded(seed),
-            attempt: 0,
-        }
-    }
-}
-
-/// One operation's live retry schedule; see [`RetryPolicy::schedule`].
+/// One operation's live retry schedule:
+/// `delay = BASE_DELAY_NS · 2^attempt · (1 + jitter)` with
+/// `jitter ∈ [0, JITTER_PERMILLE/1000)` drawn from the schedule's own RNG
+/// stream, for at most [`MAX_RETRIES`] retries.
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    policy: RetryPolicy,
     rng: Rng,
     attempt: u32,
 }
 
 impl Backoff {
+    /// Starts a fresh deterministic schedule for one retried operation.
+    /// Same seed, same delays — callers derive per-operation seeds with
+    /// [`derive_seed`](crate::rng::derive_seed) so concurrent retriers
+    /// stay decorrelated.
+    pub fn new(seed: u64) -> Self {
+        Backoff {
+            rng: seeded(seed),
+            attempt: 0,
+        }
+    }
+
     /// The delay to wait (in virtual nanoseconds) before the next retry,
     /// or `None` when the retry budget is exhausted and the operation's
     /// last error should be surfaced to the caller.
     pub fn next_delay_ns(&mut self) -> Option<u64> {
-        if self.attempt >= self.policy.max_retries {
+        if self.attempt >= MAX_RETRIES {
             return None;
         }
-        let doubled = self
-            .policy
-            .base_delay_ns
-            .saturating_mul(1u64.checked_shl(self.attempt).unwrap_or(u64::MAX))
-            .min(self.policy.max_delay_ns);
-        // Uniform jitter in [0, jitter_permille/1000) of the delay, in
+        let doubled = BASE_DELAY_NS << self.attempt;
+        // Uniform jitter in [0, JITTER_PERMILLE/1000) of the delay, in
         // integer arithmetic off one RNG draw so the stream advances
         // exactly once per retry.
-        let jitter_span = (doubled / 1000).saturating_mul(u64::from(self.policy.jitter_permille));
-        let jitter = if jitter_span == 0 {
-            0
-        } else {
-            self.rng.next_u64() % jitter_span
-        };
+        let jitter = self.rng.next_u64() % (doubled / 1000 * JITTER_PERMILLE);
         self.attempt += 1;
-        Some(doubled.saturating_add(jitter).max(1))
-    }
-
-    /// Retries consumed so far.
-    pub fn retries(&self) -> u32 {
-        self.attempt
+        Some(doubled + jitter)
     }
 }
 
@@ -131,75 +83,27 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_per_seed() {
-        let policy = RetryPolicy::default();
-        let mut a = policy.schedule(7);
-        let mut b = policy.schedule(7);
-        let mut c = policy.schedule(8);
+        let mut a = Backoff::new(7);
+        let mut b = Backoff::new(7);
+        let mut c = Backoff::new(8);
         let da: Vec<_> = std::iter::from_fn(|| a.next_delay_ns()).collect();
         let db: Vec<_> = std::iter::from_fn(|| b.next_delay_ns()).collect();
         let dc: Vec<_> = std::iter::from_fn(|| c.next_delay_ns()).collect();
         assert_eq!(da, db);
         assert_ne!(da, dc);
-        assert_eq!(da.len(), policy.max_retries as usize);
-    }
-
-    #[test]
-    fn delays_grow_exponentially_up_to_the_cap() {
-        let policy = RetryPolicy {
-            max_retries: 10,
-            base_delay_ns: 1_000,
-            max_delay_ns: 16_000,
-            jitter_permille: 0,
-        };
-        let mut s = policy.schedule(1);
-        let delays: Vec<_> = std::iter::from_fn(|| s.next_delay_ns()).collect();
-        assert_eq!(
-            delays,
-            vec![1_000, 2_000, 4_000, 8_000, 16_000, 16_000, 16_000, 16_000, 16_000, 16_000]
-        );
-        assert_eq!(s.retries(), 10);
+        assert_eq!(da.len(), MAX_RETRIES as usize);
     }
 
     #[test]
     fn jitter_stays_within_its_permille_band() {
-        let policy = RetryPolicy {
-            max_retries: 1,
-            base_delay_ns: 1_000_000,
-            max_delay_ns: 1_000_000,
-            jitter_permille: 250,
-        };
         for seed in 0..200 {
-            let mut s = policy.schedule(seed);
-            let d = s.next_delay_ns().expect("one retry");
-            assert!((1_000_000..1_250_000).contains(&d), "delay {d} out of band");
+            let mut s = Backoff::new(seed);
+            for attempt in 0..MAX_RETRIES {
+                let d = s.next_delay_ns().expect("within budget");
+                let doubled = BASE_DELAY_NS << attempt;
+                let band = doubled..doubled + doubled / 1000 * JITTER_PERMILLE;
+                assert!(band.contains(&d), "delay {d} out of {band:?}");
+            }
         }
-    }
-
-    #[test]
-    fn zero_retries_never_delays() {
-        let policy = RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.schedule(3).next_delay_ns(), None);
-    }
-
-    #[test]
-    fn degenerate_policies_are_clamped_total() {
-        let policy = RetryPolicy {
-            max_retries: 80, // shift overflow territory
-            base_delay_ns: 0,
-            max_delay_ns: 0,
-            jitter_permille: 5_000,
-        };
-        let mut s = policy.schedule(5);
-        let mut last = 0;
-        for _ in 0..80 {
-            let d = s.next_delay_ns().expect("within budget");
-            assert!(d >= 1);
-            last = d;
-        }
-        assert_eq!(s.next_delay_ns(), None);
-        assert!(last >= 1);
     }
 }

@@ -51,17 +51,6 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     fi
 done
 
-# --- 3. Invariant lint: bmf-lint over the whole workspace ------------------
-# Replaces the old awk panic-scan with the token-level in-tree linter
-# (crates/lint). It enforces panic-freedom of the fitting stack plus the
-# determinism, float-comparison, cast, allocation, and screening rules
-# described in DESIGN.md §11 and §16. Any finding fails; an inline
-# `// bmf-lint: allow(<rule>) -- <reason>` is the only way to accept one.
-if ! cargo run -q -p bmf-lint --offline --locked -- --root .; then
-    echo "FAIL: bmf-lint reported findings (above)" >&2
-    fail=1
-fi
-
 if [[ $fail -ne 0 ]]; then
     echo "hermeticity check FAILED" >&2
     exit 1
