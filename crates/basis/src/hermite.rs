@@ -48,30 +48,6 @@ pub fn hermite_normalized(n: usize, x: f64) -> f64 {
     hermite(n, x) / factorial_sqrt(n)
 }
 
-/// Evaluates `he₀(x) … he_max(x)` in one recurrence pass.
-///
-/// Cheaper than `max+1` independent calls when building basis rows with
-/// high-order terms.
-pub fn hermite_normalized_all(max: usize, x: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(max + 1);
-    let mut prev = 1.0;
-    out.push(1.0);
-    if max == 0 {
-        return out;
-    }
-    let mut cur = x;
-    out.push(x);
-    let mut norm = 1.0f64; // sqrt(n!)
-    for k in 1..max {
-        let next = x * cur - k as f64 * prev;
-        prev = cur;
-        cur = next;
-        norm *= ((k + 1) as f64).sqrt();
-        out.push(cur / norm);
-    }
-    out
-}
-
 /// Derivative of the orthonormal Hermite polynomial:
 /// `heₙ'(x) = √n · heₙ₋₁(x)` (from `Heₙ' = n·Heₙ₋₁`).
 ///
@@ -127,20 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn all_matches_individual() {
-        let x = -0.85;
-        let all = hermite_normalized_all(6, x);
-        assert_eq!(all.len(), 7);
-        for (n, v) in all.iter().enumerate() {
-            assert!(
-                (v - hermite_normalized(n, x)).abs() < 1e-12,
-                "n={n}: {v} vs {}",
-                hermite_normalized(n, x)
-            );
-        }
-    }
-
-    #[test]
     fn monte_carlo_orthonormality() {
         // E[heᵢ heⱼ] should be δᵢⱼ under the standard normal measure.
         let mut rng = seeded(2024);
@@ -150,7 +112,7 @@ mod tests {
         let mut acc = vec![vec![0.0f64; max + 1]; max + 1];
         for _ in 0..n {
             let x = sampler.sample(&mut rng);
-            let h = hermite_normalized_all(max, x);
+            let h: Vec<f64> = (0..=max).map(|i| hermite_normalized(i, x)).collect();
             for i in 0..=max {
                 for j in i..=max {
                     acc[i][j] += h[i] * h[j];

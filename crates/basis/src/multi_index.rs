@@ -95,25 +95,6 @@ impl MultiIndex {
     pub fn max_var(&self) -> Option<usize> {
         self.pairs.last().map(|&(v, _)| v)
     }
-
-    /// Remaps variable indices through `f`, preserving degrees.
-    ///
-    /// Used by the multifinger expansion to move a schematic term onto
-    /// layout variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` maps two variables of this index to the same target.
-    pub fn map_vars<F: FnMut(usize) -> usize>(&self, mut f: F) -> MultiIndex {
-        let remapped: Vec<(usize, u32)> = self.pairs.iter().map(|&(v, d)| (f(v), d)).collect();
-        let out = MultiIndex::from_pairs(&remapped);
-        assert_eq!(
-            out.pairs.len(),
-            self.pairs.len(),
-            "variable remap must be injective on this index"
-        );
-        out
-    }
 }
 
 impl fmt::Display for MultiIndex {
@@ -215,20 +196,6 @@ mod tests {
         assert!(MultiIndex::from_pairs(&[(0, 1), (4, 1)]).is_multilinear());
         assert!(!MultiIndex::from_pairs(&[(0, 2)]).is_multilinear());
         assert!(MultiIndex::constant().is_multilinear());
-    }
-
-    #[test]
-    fn map_vars_relabels() {
-        let m = MultiIndex::from_pairs(&[(0, 1), (2, 2)]);
-        let mapped = m.map_vars(|v| v + 10);
-        assert_eq!(mapped.pairs(), &[(10, 1), (12, 2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "injective")]
-    fn map_vars_rejects_collisions() {
-        let m = MultiIndex::from_pairs(&[(0, 1), (1, 1)]);
-        let _ = m.map_vars(|_| 5);
     }
 
     #[test]

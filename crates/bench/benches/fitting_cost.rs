@@ -8,11 +8,12 @@ use bmf_bench::timing::Harness;
 use bmf_circuits::ro::{RingOscillator, RoConfig, RoMetric};
 use bmf_circuits::sim::monte_carlo;
 use bmf_circuits::stage::{CircuitPerformance, Stage};
-use bmf_core::hyper::{cross_validate_both, log_grid, CvConfig};
+use bmf_core::hyper::{log_grid, CvConfig};
 use bmf_core::map_estimate::{map_estimate, SolverKind};
 use bmf_core::omp::{fit_omp_design, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::prior::{Prior, PriorKind};
+use bmf_core::select::{select_prior, PriorSelection};
 use bmf_linalg::{Matrix, Vector};
 
 struct Setup {
@@ -66,17 +67,12 @@ fn main() {
             fit_omp_design(&s.g, &s.f, &OmpConfig::default()).expect("omp")
         });
         h.bench(&format!("fitting_cost/bmf_ps_fast/{k}"), || {
-            let (zm, nzm) = cross_validate_both(&s.g, &s.f, &s.prior, &s.cv).expect("cv");
-            let (kind, hyper) = if zm.best_error <= nzm.best_error {
-                (PriorKind::ZeroMean, zm.best_hyper)
-            } else {
-                (PriorKind::NonZeroMean, nzm.best_hyper)
-            };
+            let ps = select_prior(&s.g, &s.f, &s.prior, PriorSelection::Auto, &s.cv).expect("cv");
             map_estimate(
                 &s.g,
                 &s.f,
-                &s.prior.with_kind(kind),
-                &FitOptions::new().hyper(hyper),
+                &s.prior.with_kind(ps.kind),
+                &FitOptions::new().hyper(ps.hyper),
             )
             .expect("map")
         });

@@ -23,13 +23,13 @@ use bmf_circuits::sim::monte_carlo;
 use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_circuits::synthetic::{SyntheticCircuit, SyntheticConfig};
 use bmf_core::fusion::BmfFitter;
-use bmf_core::hyper::{cross_validate_hyper, log_grid, CvConfig};
+use bmf_core::hyper::{log_grid, CvConfig};
 use bmf_core::map_estimate::{map_estimate, SolverKind};
 use bmf_core::omp::{fit_omp, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::prior::{Prior, PriorKind};
-use bmf_core::select::PriorSelection;
-use bmf_core::Result;
+use bmf_core::select::{select_prior, PriorSelection};
+use bmf_core::{BmfError, Result};
 use bmf_linalg::{Matrix, Vector};
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
@@ -302,26 +302,17 @@ pub fn baseline_comparison(scale: Scale, seed: u64) -> Result<Report> {
             None
         };
 
-        let (zm, nzm) = bmf_core::hyper::cross_validate_both(
-            &g,
-            &f,
-            &prior,
-            &CvConfig {
-                folds: 5,
-                grid: scale.hyper_grid(),
-                seed: derive_seed(seed, 4),
-            },
-        )?;
-        let (kind, hyper) = if zm.best_error <= nzm.best_error {
-            (PriorKind::ZeroMean, zm.best_hyper)
-        } else {
-            (PriorKind::NonZeroMean, nzm.best_hyper)
+        let cv = CvConfig {
+            folds: 5,
+            grid: scale.hyper_grid(),
+            seed: derive_seed(seed, 4),
         };
+        let ps = select_prior(&g, &f, &prior, PriorSelection::Auto, &cv)?;
         let alpha = map_estimate(
             &g,
             &f,
-            &prior.with_kind(kind),
-            &FitOptions::new().hyper(hyper),
+            &prior.with_kind(ps.kind),
+            &FitOptions::new().hyper(ps.hyper),
         )?;
         let bmf_err = score(&alpha)?;
 
@@ -386,7 +377,13 @@ pub fn hyper_sensitivity(scale: Scale, seed: u64) -> Result<Report> {
         grid: grid.clone(),
         seed: derive_seed(seed, 3),
     };
-    let outcome = cross_validate_hyper(&g, &f, &prior, &cv)?;
+    let selection = select_prior(&g, &f, &prior, PriorSelection::Fixed(prior.kind()), &cv)?;
+    let outcome = selection
+        .zero_mean
+        .or(selection.nonzero_mean)
+        .ok_or(BmfError::Internal {
+            detail: "cross-validation produced no outcome for the prior's family",
+        })?;
 
     let mut r = Report::new(
         "ablation-eta",

@@ -12,11 +12,11 @@ use std::time::Instant;
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::sim::{monte_carlo, CostLedger};
 use bmf_circuits::stage::{CircuitPerformance, Stage};
-use bmf_core::hyper::{cross_validate_both, CvConfig};
+use bmf_core::hyper::CvConfig;
 use bmf_core::map_estimate::map_estimate;
 use bmf_core::omp::{fit_omp_design, OmpConfig};
 use bmf_core::options::FitOptions;
-use bmf_core::prior::PriorKind;
+use bmf_core::select::{select_prior, PriorSelection};
 use bmf_core::Result;
 use bmf_linalg::Vector;
 use bmf_stat::rng::derive_seed;
@@ -115,17 +115,12 @@ pub fn run_cost_comparison(
         seed: derive_seed(seed, 4),
     };
     let t0 = Instant::now();
-    let (zm, nzm) = cross_validate_both(&g_bmf, &f_bmf, &prior, &cv)?;
-    let (kind, hyper) = if zm.best_error <= nzm.best_error {
-        (PriorKind::ZeroMean, zm.best_hyper)
-    } else {
-        (PriorKind::NonZeroMean, nzm.best_hyper)
-    };
+    let ps = select_prior(&g_bmf, &f_bmf, &prior, PriorSelection::Auto, &cv)?;
     let alpha = map_estimate(
         &g_bmf,
         &f_bmf,
-        &prior.with_kind(kind),
-        &FitOptions::new().hyper(hyper),
+        &prior.with_kind(ps.kind),
+        &FitOptions::new().hyper(ps.hyper),
     )?;
     bmf_ledger.charge_fitting_seconds(t0.elapsed().as_secs_f64());
     let bmf_err = g_test.matvec(&alpha)?.sub(&f_test)?.norm2() / test_norm;

@@ -13,11 +13,12 @@ use bmf_circuits::ro::{RingOscillator, RoMetric};
 use bmf_circuits::sim::monte_carlo;
 use bmf_circuits::sram::SramReadPath;
 use bmf_circuits::stage::{CircuitPerformance, Stage};
-use bmf_core::hyper::{cross_validate_both, CvConfig};
+use bmf_core::hyper::CvConfig;
 use bmf_core::map_estimate::{map_estimate, SolverKind};
 use bmf_core::omp::{fit_omp_design, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::prior::PriorKind;
+use bmf_core::select::{select_prior, PriorSelection};
 use bmf_core::Result;
 use bmf_stat::histogram::Histogram;
 use bmf_stat::normal::Normal;
@@ -249,17 +250,12 @@ pub fn fitting_cost_sweep(
         let omp_s = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cv)?;
-        let (kind, hyper) = if zm.best_error <= nzm.best_error {
-            (PriorKind::ZeroMean, zm.best_hyper)
-        } else {
-            (PriorKind::NonZeroMean, nzm.best_hyper)
-        };
+        let ps = select_prior(&g, &f, &prior, PriorSelection::Auto, &cv)?;
         let _ = map_estimate(
             &g,
             &f,
-            &prior.with_kind(kind),
-            &FitOptions::new().hyper(hyper),
+            &prior.with_kind(ps.kind),
+            &FitOptions::new().hyper(ps.hyper),
         )?;
         let bmf_fast_s = t0.elapsed().as_secs_f64();
 
@@ -267,8 +263,8 @@ pub fn fitting_cost_sweep(
         let _ = map_estimate(
             &g,
             &f,
-            &prior.with_kind(kind),
-            &FitOptions::new().hyper(hyper),
+            &prior.with_kind(ps.kind),
+            &FitOptions::new().hyper(ps.hyper),
         )?;
         let fast_solve_s = t0.elapsed().as_secs_f64();
 
@@ -277,8 +273,8 @@ pub fn fitting_cost_sweep(
             let _ = map_estimate(
                 &g,
                 &f,
-                &prior.with_kind(kind),
-                &FitOptions::new().hyper(hyper).solver(SolverKind::Direct),
+                &prior.with_kind(ps.kind),
+                &FitOptions::new().hyper(ps.hyper).solver(SolverKind::Direct),
             )?;
             Some(t0.elapsed().as_secs_f64())
         } else {

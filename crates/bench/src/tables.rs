@@ -12,12 +12,13 @@
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::sim::monte_carlo;
 use bmf_circuits::stage::{CircuitPerformance, Stage};
-use bmf_core::hyper::{cross_validate_both, CvConfig};
+use bmf_core::hyper::CvConfig;
 use bmf_core::map_estimate::map_estimate;
 use bmf_core::omp::{fit_omp_design, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::prior::{Prior, PriorKind};
-use bmf_core::Result;
+use bmf_core::select::{select_prior, PriorSelection};
+use bmf_core::{BmfError, Result};
 use bmf_linalg::{Matrix, Vector};
 use bmf_stat::rng::derive_seed;
 
@@ -273,7 +274,12 @@ fn run_cell(
     let omp_fit = fit_omp_design(g, f, omp_cfg)?;
     let omp = score(&Vector::from(omp_fit.coeffs))?;
 
-    let (zm_cv, nzm_cv) = cross_validate_both(g, f, prior, cv)?;
+    let sel = select_prior(g, f, prior, PriorSelection::Auto, cv)?;
+    let (Some(zm_cv), Some(nzm_cv)) = (&sel.zero_mean, &sel.nonzero_mean) else {
+        return Err(BmfError::Internal {
+            detail: "BMF-PS cross-validated fewer than both prior families",
+        });
+    };
     let alpha_zm = map_estimate(
         g,
         f,
@@ -291,10 +297,9 @@ fn run_cell(
     // BMF-PS keeps whichever prior cross-validated better (on training
     // data only; the test set stays untouched, matching §V's note that
     // PS is not guaranteed to pick the test-set winner).
-    let ps = if zm_cv.best_error <= nzm_cv.best_error {
-        zm
-    } else {
-        nzm
+    let ps = match sel.kind {
+        PriorKind::ZeroMean => zm,
+        PriorKind::NonZeroMean => nzm,
     };
     Ok(CellErrors { omp, zm, nzm, ps })
 }

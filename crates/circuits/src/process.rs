@@ -162,13 +162,6 @@ impl Sensitivity {
     pub fn variance(&self) -> f64 {
         self.weights.iter().map(|&(_, w)| w * w).sum()
     }
-
-    /// Scales every weight by `factor` (systematic layout shift).
-    pub fn scale_weights(&mut self, factor: f64) {
-        for (_, w) in &mut self.weights {
-            *w *= factor;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,14 +214,6 @@ mod tests {
         let s = Sensitivity::new(2.0, vec![(0, 0.5), (2, -0.25)]);
         assert_eq!(s.eval(&[1.0, 9.0, 4.0]), 2.0 + 0.5 - 1.0);
         assert!((s.variance() - (0.25 + 0.0625)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sensitivity_scaling() {
-        let mut s = Sensitivity::new(1.0, vec![(0, 2.0)]);
-        s.scale_weights(0.5);
-        assert_eq!(s.eval(&[1.0]), 2.0);
-        assert_eq!(s.offset, 1.0);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! commercial simulator would have spent — while fitting cost is measured
 //! as real wall-clock by the harness.
 //!
-//! Sampling is deterministic and *stable under parallelism*: each sample's
-//! variation vector is generated from a seed derived from `(master seed,
-//! sample index)`, so [`monte_carlo`] and [`monte_carlo_par`] produce
-//! identical sample sets.
+//! Sampling is deterministic: each sample's variation vector is generated
+//! from a seed derived from `(master seed, sample index)`, so a sample
+//! does not depend on how many are drawn — a larger `k` extends a
+//! smaller one.
 
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
@@ -122,72 +122,6 @@ pub fn monte_carlo(
     })
 }
 
-/// Parallel variant of [`monte_carlo`] fanning chunks out over scoped
-/// threads. Produces a bit-identical result to the sequential version.
-///
-/// # Errors
-///
-/// Propagates the lowest-indexed [`CircuitError`] any sample evaluation
-/// produces (workers stop at their first error; the sequential and
-/// parallel variants report the same error for the same inputs).
-pub fn monte_carlo_par(
-    circuit: &dyn CircuitPerformance,
-    stage: Stage,
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<SampleSet, CircuitError> {
-    let threads = threads.max(1);
-    if threads == 1 || k < 2 * threads {
-        return monte_carlo(circuit, stage, k, seed);
-    }
-    let n = circuit.num_vars(stage);
-    let chunk = k.div_ceil(threads);
-    let mut results: Vec<ChunkResult> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(k);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                (lo..hi)
-                    .map(|i| {
-                        let x = sample_point(n, seed, i as u64);
-                        let f = circuit.evaluate(stage, &x)?;
-                        Ok((x, f))
-                    })
-                    .collect::<Result<Vec<_>, CircuitError>>()
-            }));
-        }
-        for h in handles {
-            // bmf-lint: allow(panic-reachability) -- re-raising a worker panic on join is the only sane propagation
-            results.push(h.join().expect("sampler thread panicked"));
-        }
-    });
-
-    let mut points = Vec::with_capacity(k);
-    let mut values = Vec::with_capacity(k);
-    for chunk in results {
-        for (x, f) in chunk? {
-            points.push(x);
-            values.push(f);
-        }
-    }
-    Ok(SampleSet {
-        stage,
-        points,
-        values,
-        cost_hours: k as f64 * circuit.sim_cost_hours(stage),
-    })
-}
-
-/// One worker's output: its chunk of `(point, value)` samples, or the
-/// first evaluation error it hit.
-type ChunkResult = Result<Vec<(Vec<f64>, f64)>, CircuitError>;
-
 fn sample_point(n: usize, seed: u64, index: u64) -> Vec<f64> {
     let mut rng = seeded(derive_seed(seed, index));
     let mut sampler = StandardNormal::new();
@@ -269,14 +203,6 @@ mod tests {
         let small = monte_carlo(&c, Stage::PostLayout, 4, 7).unwrap();
         let big = monte_carlo(&c, Stage::PostLayout, 10, 7).unwrap();
         assert_eq!(&big.points[..4], &small.points[..]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let c = Sum { vars: 4 };
-        let seq = monte_carlo(&c, Stage::Schematic, 23, 5).unwrap();
-        let par = monte_carlo_par(&c, Stage::Schematic, 23, 5, 4).unwrap();
-        assert_eq!(seq, par);
     }
 
     #[test]

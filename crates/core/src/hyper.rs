@@ -48,8 +48,9 @@ use crate::{BmfError, Result};
 /// Cross-validation configuration.
 ///
 /// This is the cross-validation slice of
-/// [`FitOptions`](crate::options::FitOptions); the standalone
-/// `cross_validate_*` entry points keep accepting it directly.
+/// [`FitOptions`](crate::options::FitOptions); the standalone entry
+/// points [`cross_validate_both`] and [`crate::select::select_prior`]
+/// take it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CvConfig {
     /// Number of folds (the paper's `N`).
@@ -245,44 +246,24 @@ fn outcomes<const N: usize>(outcomes: Vec<CvOutcome>) -> Result<[CvOutcome; N]> 
     })
 }
 
-/// Cross-validates the MAP hyper-parameter on an explicit design matrix,
-/// using the prior family `prior` carries.
-///
-/// # Errors
-///
-/// * [`BmfError::Config`] for an empty or non-positive grid (`"grid"`),
-///   or fewer than 2 folds (`"folds"`).
-/// * [`BmfError::NotEnoughSamples`] when `K < folds`, or when no fold is
-///   usable. A fold with fewer training rows than missing-prior
-///   coefficients, or whose missing-prior columns are rank deficient over
-///   its training rows, is skipped, not an error.
-/// * [`BmfError::Linalg`] when the usable folds solved no cell.
-pub fn cross_validate_hyper(
-    g: &Matrix,
-    f: &Vector,
-    prior: &Prior,
-    config: &CvConfig,
-) -> Result<CvOutcome> {
-    let [out] = outcomes(cross_validate(g, f, prior, config, &[prior.kind()])?)?;
-    Ok(out)
-}
-
 /// Cross-validates *both* prior families over the grid in one pass,
 /// sharing the per-fold row selections and the expensive Woodbury
 /// kernels (which depend only on the prior precisions, identical for the
 /// two families).
 ///
-/// Returns `(zero_mean, nonzero_mean)` outcomes. This is what BMF-PS uses
-/// internally. The kernel, each fold's sample-space system and the
-/// per-`(fold, grid value)` factorization are shared by the two
-/// families; only the projection and the O(n·n_v) validation run once
-/// per family. It therefore costs one [`cross_validate_hyper`] call plus
-/// the second family's cells — well under calling it twice.
+/// Returns `(zero_mean, nonzero_mean)` outcomes: the two families that
+/// [`crate::select::select_prior`] cross-validates under
+/// [`crate::select::PriorSelection::Auto`] before it keeps the better.
+/// The kernel, each fold's sample-space system and the per-`(fold, grid
+/// value)` factorization are shared by the two families; only the
+/// projection and the O(n·n_v) validation run once per family. It
+/// therefore costs one family's sweep plus the second family's cells —
+/// well under two sweeps.
 ///
 /// # Errors
 ///
-/// Same conditions as [`cross_validate_hyper`]; the [`BmfError::Linalg`]
-/// case applies when either family solved no cell.
+/// Same conditions as [`crate::select::select_prior`]; the
+/// [`BmfError::Linalg`] case applies when either family solved no cell.
 pub fn cross_validate_both(
     g: &Matrix,
     f: &Vector,
@@ -301,6 +282,7 @@ mod tests {
     use crate::fusion::BmfFitter;
     use crate::map_estimate::{map_estimate_with_report, FoldWork, SolverKind, SweepKernel};
     use crate::options::FitOptions;
+    use crate::select::{select_prior, PriorSelection};
     use bmf_basis::basis::OrthonormalBasis;
     use bmf_basis::multi_index::MultiIndex;
     use bmf_linalg::view::matvec_into;
@@ -311,6 +293,11 @@ mod tests {
         let mut rng = seeded(seed);
         let mut s = StandardNormal::new();
         Matrix::from_fn(k, m, |_, _| s.sample(&mut rng))
+    }
+
+    /// Cross-validates only the family `prior` carries.
+    fn fixed(prior: &Prior) -> PriorSelection {
+        PriorSelection::Fixed(prior.kind())
     }
 
     #[test]
@@ -337,19 +324,19 @@ mod tests {
             grid: log_grid(1e-3, 1e3, 13),
             seed: 3,
         };
-        let out_good = cross_validate_hyper(&g, &f, &good, &cfg).unwrap();
+        let out_good = select_prior(&g, &f, &good, fixed(&good), &cfg).unwrap();
 
         let garbage: Vec<f64> = truth.iter().map(|t| -t * 3.0 + 0.7).collect();
         let bad = Prior::from_coeffs(PriorKind::NonZeroMean, &garbage);
-        let out_bad = cross_validate_hyper(&g, &f, &bad, &cfg).unwrap();
+        let out_bad = select_prior(&g, &f, &bad, fixed(&bad), &cfg).unwrap();
 
         assert!(
-            out_good.best_hyper > out_bad.best_hyper,
+            out_good.hyper > out_bad.hyper,
             "good prior should be trusted more: {} vs {}",
-            out_good.best_hyper,
-            out_bad.best_hyper
+            out_good.hyper,
+            out_bad.hyper
         );
-        assert!(out_good.best_error < out_bad.best_error);
+        assert!(out_good.cv_error < out_bad.cv_error);
     }
 
     #[test]
@@ -359,12 +346,13 @@ mod tests {
         let truth: Vec<f64> = (0..m).map(|i| (i as f64 * 0.3).sin()).collect();
         let f = g.matvec(&Vector::from(truth.clone())).unwrap();
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &truth);
-        let out = cross_validate_hyper(&g, &f, &prior, &CvConfig::default()).unwrap();
-        let min = out
+        let out = select_prior(&g, &f, &prior, fixed(&prior), &CvConfig::default()).unwrap();
+        let zm = out.zero_mean.unwrap();
+        let min = zm
             .errors
             .iter()
             .fold(f64::INFINITY, |acc, &(_, e)| acc.min(e));
-        assert!((out.best_error - min).abs() < 1e-15);
+        assert!((zm.best_error - min).abs() < 1e-15);
     }
 
     #[test]
@@ -373,8 +361,8 @@ mod tests {
         let f = Vector::from_fn(10, |i| i as f64);
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 8]);
         let cfg = CvConfig::default();
-        let a = cross_validate_hyper(&g, &f, &prior, &cfg).unwrap();
-        let b = cross_validate_hyper(&g, &f, &prior, &cfg).unwrap();
+        let a = select_prior(&g, &f, &prior, fixed(&prior), &cfg).unwrap();
+        let b = select_prior(&g, &f, &prior, fixed(&prior), &cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -388,7 +376,7 @@ mod tests {
             ..CvConfig::default()
         };
         assert!(matches!(
-            cross_validate_hyper(&g, &f, &prior, &empty),
+            select_prior(&g, &f, &prior, fixed(&prior), &empty),
             Err(BmfError::Config {
                 parameter: "grid",
                 ..
@@ -399,7 +387,7 @@ mod tests {
             ..CvConfig::default()
         };
         assert!(matches!(
-            cross_validate_hyper(&g, &f, &prior, &one_fold),
+            select_prior(&g, &f, &prior, fixed(&prior), &one_fold),
             Err(BmfError::Config {
                 parameter: "folds",
                 ..
@@ -410,7 +398,7 @@ mod tests {
             ..CvConfig::default()
         };
         assert!(matches!(
-            cross_validate_hyper(&g, &f, &prior, &neg),
+            select_prior(&g, &f, &prior, fixed(&prior), &neg),
             Err(BmfError::Config {
                 parameter: "grid",
                 ..
@@ -431,14 +419,13 @@ mod tests {
             seed: 5,
         };
         let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cfg).unwrap();
-        let zm_solo =
-            cross_validate_hyper(&g, &f, &prior.with_kind(PriorKind::ZeroMean), &cfg).unwrap();
-        let nzm_solo =
-            cross_validate_hyper(&g, &f, &prior.with_kind(PriorKind::NonZeroMean), &cfg).unwrap();
-        assert_eq!(zm.best_hyper, zm_solo.best_hyper);
-        assert!((zm.best_error - zm_solo.best_error).abs() < 1e-12);
-        assert_eq!(nzm.best_hyper, nzm_solo.best_hyper);
-        assert!((nzm.best_error - nzm_solo.best_error).abs() < 1e-12);
+        let solo = |kind| select_prior(&g, &f, &prior, PriorSelection::Fixed(kind), &cfg).unwrap();
+        let zm_solo = solo(PriorKind::ZeroMean);
+        let nzm_solo = solo(PriorKind::NonZeroMean);
+        assert_eq!(zm.best_hyper, zm_solo.hyper);
+        assert!((zm.best_error - zm_solo.cv_error).abs() < 1e-12);
+        assert_eq!(nzm.best_hyper, nzm_solo.hyper);
+        assert!((nzm.best_error - nzm_solo.cv_error).abs() < 1e-12);
     }
 
     #[test]
@@ -451,7 +438,7 @@ mod tests {
             ..CvConfig::default()
         };
         assert!(matches!(
-            cross_validate_hyper(&g, &f, &prior, &cfg),
+            select_prior(&g, &f, &prior, fixed(&prior), &cfg),
             Err(BmfError::NotEnoughSamples { .. })
         ));
     }
@@ -629,7 +616,12 @@ mod tests {
             assert_eq!(rows.as_slice(), g.as_slice());
             let fit = BmfFitter::new(basis, prior.early_values().to_vec())
                 .unwrap()
-                .with_options(FitOptions::from(&cfg))
+                .with_options(
+                    FitOptions::new()
+                        .folds(cfg.folds)
+                        .grid(cfg.grid)
+                        .seed(cfg.seed),
+                )
                 .fit(&points, f.as_slice());
             let job = JobRef {
                 label: "",

@@ -21,9 +21,11 @@
 //!   the *direct* M×M Cholesky solver and the *fast* Woodbury low-rank
 //!   solver of §IV-C (eq. 53–58), which are numerically identical;
 //! * [`hyper`] — N-fold cross-validation for the hyper-parameter
-//!   (`σ₀` or `η`, §IV-D);
-//! * [`select`] — prior selection (BMF-PS): cross-validate both priors
-//!   and keep the better one;
+//!   (`σ₀` or `η`, §IV-D): [`hyper::cross_validate_both`] sweeps the
+//!   grid for both prior families in one pass;
+//! * [`select`] — prior selection (BMF-PS): [`select::select_prior`]
+//!   cross-validates one family or both and applies the one rule the
+//!   fitting engine uses — the lower CV error wins, zero-mean on a tie;
 //! * [`fusion::BmfFitter`] — the top-level Algorithm 1;
 //! * [`options::FitOptions`] — one configuration type shared by every
 //!   fitting entry point;

@@ -158,9 +158,9 @@ pub fn map_estimate_with_report(
 /// positive it is the Woodbury identity on the K × K core, whose entries
 /// are the `dot3` sums [`crate::sequential::SequentialBmf`] grows row by
 /// row. With a missing prior it is the sample-space solve of the batch
-/// engine's final solve ([`FoldSystem::solve`] on the full-data
-/// system of the prior's kernel), so an engine fit's coefficients equal
-/// this function's bit for bit.
+/// engine's final solve ([`FoldSystem::solve`] on the [`MapSweep`]
+/// full-data system of the prior's kernel), so an engine fit's
+/// coefficients equal this function's bit for bit.
 pub(crate) fn map_estimate_ws(
     g: &Matrix,
     f: &Vector,
@@ -190,13 +190,11 @@ pub(crate) fn map_estimate_ws(
         });
     }
     if solver == SolverKind::Fast && missing > 0 {
-        let kernel = SweepKernel::new(g.as_view(), prior)?;
-        let base = FoldBase::full(g.as_view(), &kernel.base, kernel.terms.missing())?;
-        let system = FoldSystem::full(g.as_view(), &base, &kernel.terms)?;
-        return system.solve(
-            g.as_view(),
-            &base,
-            &kernel.terms,
+        let sweep = MapSweep::from_view(g.as_view(), prior)?;
+        return sweep.system.solve(
+            sweep.g,
+            &sweep.base,
+            &sweep.terms,
             f.as_slice(),
             hyper,
             prior.kind(),
@@ -986,90 +984,6 @@ impl<'g> MapSweep<'g> {
     }
 }
 
-/// The diagonal of the posterior covariance `(D + GᵀG)⁻¹` computed
-/// *without* forming the M × M inverse, via the Woodbury identity:
-///
-/// ```text
-/// Σ_mm = 1/d_m − (1/d_m²)·g_mᵀ (I + G D⁻¹ Gᵀ)⁻¹ g_m
-/// ```
-///
-/// where `g_m` is the m-th design column. Cost Θ(K²M + K³) — the same
-/// order as one fast MAP solve — versus Θ(M³) for
-/// [`posterior_covariance`]. Multiplying by the noise variance `σ₀²`
-/// yields the coefficient posterior variances of eq. 28/31, i.e.
-/// credible intervals for every fitted coefficient.
-///
-/// # Errors
-///
-/// * The structural conditions of [`map_estimate`], and
-///   [`BmfError::Config`] when `hyper` is not positive and finite.
-/// * [`BmfError::Config`] when the prior has missing entries (the
-///   Woodbury identity needs `D⁻¹`, and the sample-space solver yields
-///   coefficients, not variances — use [`posterior_covariance`] at
-///   small M).
-pub fn posterior_variance_diag(g: &Matrix, prior: &Prior, hyper: f64) -> Result<Vec<f64>> {
-    validate_hyper(hyper)?;
-    let (k, m) = g.shape();
-    if prior.len() != m {
-        return Err(BmfError::PriorShape {
-            basis_terms: m,
-            prior_entries: prior.len(),
-        });
-    }
-    if prior.num_zero_precision() > 0 {
-        return Err(BmfError::config(
-            "prior",
-            "fast posterior variances require strictly positive prior precisions everywhere",
-        ));
-    }
-    crate::screen::finite_matrix("design matrix", g)?;
-    crate::screen::finite_prior(prior)?;
-    let precisions = prior.precisions(hyper);
-    let d_inv: Vec<f64> = precisions.iter().map(|d| 1.0 / d).collect();
-    let mut core = g.outer_gram_diag(&d_inv)?;
-    core.add_diagonal_mut(&vec![1.0; k])?;
-    let chol = core.cholesky()?;
-    // For every column m: s_m = g_mᵀ core⁻¹ g_m. Solve core⁻¹ against all
-    // columns at once by passing G itself (k × m): X = core⁻¹ G, then
-    // s_m = Σ_i G[i][m]·X[i][m].
-    let x = chol.solve_matrix(g)?;
-    let mut out = Vec::with_capacity(m);
-    for j in 0..m {
-        let mut s = 0.0;
-        for i in 0..k {
-            s += g[(i, j)] * x[(i, j)];
-        }
-        out.push(d_inv[j] - d_inv[j] * d_inv[j] * s);
-    }
-    Ok(out)
-}
-
-/// The posterior covariance `Σ_L = (D + GᵀG)⁻¹` (eq. 28/31, up to the
-/// common `σ₀²` scale), computed explicitly via the direct solver.
-///
-/// Exposed for diagnostics (coefficient uncertainty); the fast solver
-/// never forms it. Expensive: Θ(M³).
-///
-/// # Errors
-///
-/// Same conditions as [`map_estimate`], including
-/// [`BmfError::Config`] when `hyper` is not positive and finite.
-pub fn posterior_covariance(g: &Matrix, prior: &Prior, hyper: f64) -> Result<Matrix> {
-    validate_hyper(hyper)?;
-    let m = g.ncols();
-    if prior.len() != m {
-        return Err(BmfError::PriorShape {
-            basis_terms: m,
-            prior_entries: prior.len(),
-        });
-    }
-    crate::screen::finite_matrix("design matrix", g)?;
-    crate::screen::finite_prior(prior)?;
-    let mut h = g.gram();
-    h.add_diagonal_mut(&prior.precisions(hyper))?;
-    Ok(h.cholesky()?.inverse()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1398,54 +1312,5 @@ mod tests {
             .unwrap();
         let b = map_estimate(&g, &f, &prior, &opts(0.7, SolverKind::Fast)).unwrap();
         assert!(a.sub(&b).unwrap().norm2() < 1e-9 * b.norm2().max(1.0));
-    }
-
-    #[test]
-    fn fast_variance_diag_matches_explicit_inverse() {
-        let g = random_design(6, 10, 21);
-        let prior = Prior::from_coeffs(
-            PriorKind::ZeroMean,
-            &(0..10).map(|i| 0.4 + 0.1 * i as f64).collect::<Vec<_>>(),
-        );
-        let fast = posterior_variance_diag(&g, &prior, 1.7).unwrap();
-        let full = posterior_covariance(&g, &prior, 1.7).unwrap();
-        for j in 0..10 {
-            assert!(
-                (fast[j] - full[(j, j)]).abs() < 1e-9 * full[(j, j)].abs().max(1e-12),
-                "j={j}: {} vs {}",
-                fast[j],
-                full[(j, j)]
-            );
-            assert!(fast[j] > 0.0);
-        }
-    }
-
-    #[test]
-    fn fast_variance_rejects_missing_priors() {
-        let g = random_design(4, 5, 22);
-        let prior = Prior::new(
-            PriorKind::ZeroMean,
-            vec![Some(1.0), Some(1.0), None, Some(1.0), Some(1.0)],
-        );
-        assert!(matches!(
-            posterior_variance_diag(&g, &prior, 1.0),
-            Err(BmfError::Config { .. })
-        ));
-    }
-
-    #[test]
-    fn posterior_covariance_is_spd_and_shrinks_with_data() {
-        let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 6]);
-        let g_small = random_design(2, 6, 9);
-        let g_big = random_design(30, 6, 9);
-        let c_small = posterior_covariance(&g_small, &prior, 1.0).unwrap();
-        let c_big = posterior_covariance(&g_big, &prior, 1.0).unwrap();
-        for i in 0..6 {
-            assert!(c_small[(i, i)] > 0.0);
-            assert!(
-                c_big[(i, i)] < c_small[(i, i)],
-                "more data must shrink posterior variance"
-            );
-        }
     }
 }

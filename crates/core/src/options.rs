@@ -194,7 +194,8 @@ impl FitOptions {
     }
 
     /// The cross-validation slice of these options as a [`CvConfig`]
-    /// (used by the standalone `cross_validate_*` entry points).
+    /// (what the standalone [`crate::hyper::cross_validate_both`] and
+    /// [`crate::select::select_prior`] take).
     pub fn cv_config(&self) -> CvConfig {
         CvConfig {
             folds: self.folds,
@@ -202,17 +203,6 @@ impl FitOptions {
             // per entry point, never in a solve loop.
             grid: self.grid.clone(),
             seed: self.seed,
-        }
-    }
-}
-
-impl From<&CvConfig> for FitOptions {
-    fn from(cv: &CvConfig) -> Self {
-        FitOptions {
-            folds: cv.folds,
-            grid: cv.grid.clone(),
-            seed: cv.seed,
-            ..FitOptions::default()
         }
     }
 }
@@ -361,7 +351,10 @@ mod tests {
             grid: vec![0.1, 1.0, 10.0],
             seed: 9,
         };
-        let opts = FitOptions::from(&cv);
+        let opts = FitOptions::new()
+            .folds(cv.folds)
+            .grid(cv.grid.clone())
+            .seed(cv.seed);
         assert_eq!(opts.cv_config(), cv);
     }
 }

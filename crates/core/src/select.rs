@@ -40,12 +40,19 @@ pub struct SelectionOutcome {
 /// Selects the prior family and hyper-parameter by cross-validation.
 ///
 /// `prior` supplies the early-coefficient values; its own `kind` is
-/// ignored when `selection` is [`PriorSelection::Auto`].
+/// ignored when `selection` is [`PriorSelection::Auto`]. With
+/// [`PriorSelection::Fixed`] only that family is cross-validated, and the
+/// outcome picks its best hyper-parameter.
 ///
 /// # Errors
 ///
-/// Propagates the conditions of
-/// [`crate::hyper::cross_validate_hyper`].
+/// * [`BmfError::Config`] for an empty or non-positive grid (`"grid"`),
+///   or fewer than 2 folds (`"folds"`).
+/// * [`BmfError::NotEnoughSamples`] when `K < folds`, or when no fold is
+///   usable. A fold with fewer training rows than missing-prior
+///   coefficients, or whose missing-prior columns are rank deficient over
+///   its training rows, is skipped, not an error.
+/// * [`BmfError::Linalg`] when the usable folds solved no cell.
 pub fn select_prior(
     g: &Matrix,
     f: &Vector,

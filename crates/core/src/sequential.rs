@@ -444,7 +444,7 @@ mod tests {
     use super::*;
     use crate::map_estimate::{map_estimate, SolverKind};
     use crate::prior::PriorKind;
-    use bmf_linalg::Matrix;
+    use bmf_linalg::{Cholesky, Matrix};
     use bmf_stat::normal::StandardNormal;
     use bmf_stat::rng::seeded;
 
@@ -610,8 +610,9 @@ mod tests {
 
     #[test]
     fn predictive_variance_matches_posterior_diag() {
-        // For a unit candidate e_j, gᵀΣg is exactly Σ_jj — cross-check
-        // against the batch posterior variance diagonal.
+        // For a unit candidate e_j, gᵀΣg is exactly Σ_jj, the j-th
+        // diagonal entry of (D + GᵀG)⁻¹: solve the dense posterior
+        // precision against e_j.
         let m = 5;
         let early: Vec<f64> = (0..m).map(|i| 1.0 + 0.3 * i as f64).collect();
         let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &early);
@@ -622,15 +623,17 @@ mod tests {
             seq.add_sample(row, (i as f64).sin(), &mut ws).unwrap();
         }
         let g = Matrix::from_rows(&rows.iter().map(|r| r.as_slice()).collect::<Vec<_>>()).unwrap();
-        let diag = crate::map_estimate::posterior_variance_diag(&g, &prior, 1.3).unwrap();
+        let mut precision = g.gram();
+        precision.add_diagonal_mut(&prior.precisions(1.3)).unwrap();
+        let chol = Cholesky::new(&precision).unwrap();
         for j in 0..m {
             let mut e = vec![0.0; m];
             e[j] = 1.0;
             let v = seq.predictive_variance(&e, &mut ws).unwrap();
+            let sigma_jj = chol.solve(&Vector::from(e)).unwrap()[j];
             assert!(
-                (v - diag[j]).abs() < 1e-10 * diag[j].abs().max(1e-12),
-                "j={j}: {v} vs {}",
-                diag[j]
+                (v - sigma_jj).abs() < 1e-10 * sigma_jj.abs().max(1e-12),
+                "j={j}: {v} vs {sigma_jj}"
             );
         }
     }

@@ -13,16 +13,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob, BatchReport};
 use bmf_core::fusion::BmfFitter;
-use bmf_core::hyper::{cross_validate_hyper, CvConfig};
+use bmf_core::hyper::CvConfig;
 use bmf_core::lasso::{fit_lasso, LassoConfig};
 use bmf_core::least_squares::fit_least_squares;
-use bmf_core::map_estimate::{
-    map_estimate, map_estimate_with_report, posterior_covariance, posterior_variance_diag,
-    SolverKind,
-};
+use bmf_core::map_estimate::{map_estimate, map_estimate_with_report, SolverKind};
 use bmf_core::omp::{fit_omp, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::prior::{Prior, PriorKind};
+use bmf_core::select::{select_prior, PriorSelection};
 use bmf_core::sequential::SequentialBmf;
 use bmf_core::workspace::SeqWorkspace;
 use bmf_core::BmfError;
@@ -309,48 +307,15 @@ fn cross_validation_screens_non_finite_inputs() {
     let mut inj = FaultInjector::new(17);
     inj.poison_nan(f.as_mut_slice());
     let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 4]);
-    let res = no_panic("cross_validate_hyper with NaN response", || {
-        cross_validate_hyper(&g, &f, &prior, &CvConfig::default())
+    let res = no_panic("select_prior with NaN response", || {
+        let selection = PriorSelection::Fixed(prior.kind());
+        select_prior(&g, &f, &prior, selection, &CvConfig::default())
     });
     assert!(matches!(res, Err(BmfError::NonFiniteInput { .. })));
     let res = no_panic("map_estimate with NaN response", || {
         map_estimate(&g, &f, &prior, &FitOptions::new().hyper(1.0))
     });
     assert!(matches!(res, Err(BmfError::NonFiniteInput { .. })));
-}
-
-#[test]
-fn posterior_entry_points_reject_bad_hyper() {
-    let g = Matrix::from_fn(6, 4, |i, j| ((i * 4 + j) as f64 * 0.37).sin());
-    let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0, 0.5, -0.25, 2.0]);
-    for hyper in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let res = no_panic("posterior_variance_diag with bad hyper", || {
-            posterior_variance_diag(&g, &prior, hyper)
-        });
-        assert!(
-            matches!(
-                res,
-                Err(BmfError::Config {
-                    parameter: "hyper",
-                    ..
-                })
-            ),
-            "hyper {hyper}: {res:?}"
-        );
-        let res = no_panic("posterior_covariance with bad hyper", || {
-            posterior_covariance(&g, &prior, hyper)
-        });
-        assert!(
-            matches!(
-                res,
-                Err(BmfError::Config {
-                    parameter: "hyper",
-                    ..
-                })
-            ),
-            "hyper {hyper}: {res:?}"
-        );
-    }
 }
 
 fn degraded_batch(threads: usize) -> BatchReport {

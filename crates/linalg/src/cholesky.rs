@@ -3,12 +3,8 @@ use crate::view::MatRef;
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Overwrites the square matrix `a` with its lower Cholesky factor `L`
-/// (upper triangle zeroed), allocating nothing.
-///
-/// Bit-identical to [`Cholesky::new`] on the same input: the
-/// out-of-place factorization only ever reads positions the in-place one
-/// has either not yet touched (the lower triangle of `a`, each read once
-/// before being overwritten) or already replaced with final `L` values.
+/// (upper triangle zeroed), allocating nothing: row by row, through the
+/// one row kernel that [`GrowingCholesky::push_row`] grows a factor by.
 ///
 /// # Errors
 ///
@@ -22,103 +18,50 @@ pub fn cholesky_in_place(a: &mut Matrix) -> Result<()> {
     if !a.is_finite() {
         return Err(LinalgError::NonFinite { op: "cholesky" });
     }
+    let data = a.as_mut_slice();
     for i in 0..n {
-        for j in 0..=i {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= a[(i, k)] * a[(j, k)];
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
-                }
-                a[(i, j)] = s.sqrt();
-            } else {
-                a[(i, j)] = s / a[(j, j)];
-            }
-        }
-    }
-    // The factorization never reads above the diagonal; zero it so the
-    // stored factor matches the owned convention (full square, zero
-    // upper triangle).
-    for i in 0..n {
-        for j in (i + 1)..n {
-            a[(i, j)] = 0.0;
-        }
+        let (done, rest) = data.split_at_mut(i * n);
+        let (row, diag_and_upper) = rest[..n].split_at_mut(i);
+        let l = MatRef::strided(done, i, i, n)?;
+        diag_and_upper[0] = cholesky_row_in_place(l, row, diag_and_upper[0])?;
+        diag_and_upper[1..].fill(0.0);
     }
     Ok(())
 }
 
-/// Computes one new factor row for a rank-one *row growth* of a Cholesky
-/// factorization, allocating nothing.
+/// Row `i` of a Cholesky factorization, in place. On entry `l` holds the
+/// factor's rows `0..i` (only their lower triangle is read), `row` holds
+/// `A[i, 0..i]` and `d` is `A[i][i]`; on exit `row` holds `L[i, 0..i]`
+/// and the return is `L[i][i]`. First the forward substitution against
+/// the rows above (`s = a[i][j]; s -= L[i][k]·L[j][k] …; s / L[j][j]`),
+/// then the diagonal as a running subtraction from the corner. Θ(i²).
 ///
-/// Given the factor `L` of an `n × n` SPD matrix `A` (as a borrowed,
-/// possibly strided view — only the lower triangle is read), the border
-/// column `w` and corner `d` of the extended matrix
-///
-/// ```text
-/// [ A   w ]
-/// [ wᵀ  d ]
-/// ```
-///
-/// this writes the new factor row into `out_row` and returns the new
-/// diagonal entry, in Θ(n²).
-///
-/// **Bit-identity:** the forward substitution and the diagonal use the
-/// exact sequential-subtraction accumulation of [`cholesky_in_place`]'s
-/// row loop (`s = a[(n,j)]; s -= l[(n,k)] · l[(j,k)] …`), so by induction
-/// a factor grown one row at a time is bit-identical to a fresh
-/// factorization of the full extended matrix.
+/// [`cholesky_in_place`] is this kernel's loop over the rows and
+/// [`GrowingCholesky::push_row`] calls it once per row, so a grown factor
+/// equals a fresh factorization of the bordered matrix by construction.
 ///
 /// # Errors
 ///
-/// * [`LinalgError::DimensionMismatch`] when `w.len()` or `out_row.len()`
-///   differs from `l`'s dimension, or `l` is not square.
-/// * [`LinalgError::NonFinite`] when `w` or `d` contain NaN or ±∞ —
-///   screened up front so contaminated inputs are not misreported as a
-///   loss of positive definiteness.
-/// * [`LinalgError::NotPositiveDefinite`] when the extended matrix is not
-///   positive definite (`out_row` then holds the substituted row; the
-///   caller's factor is untouched).
-pub fn cholesky_extend_row_into(
-    l: MatRef<'_>,
-    w: &[f64],
-    d: f64,
-    out_row: &mut [f64],
-) -> Result<f64> {
-    let (n, c) = l.shape();
-    if n != c {
-        return Err(LinalgError::NotSquare { rows: n, cols: c });
-    }
-    if w.len() != n || out_row.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cholesky extend",
-            lhs: (n, n),
-            rhs: (w.len(), 1),
-        });
-    }
-    if !d.is_finite() || w.iter().any(|x| !x.is_finite()) {
-        return Err(LinalgError::NonFinite {
-            op: "cholesky extend",
-        });
-    }
-    // Row n of the extended factorization, exactly as cholesky_in_place
-    // would compute it: forward substitution against the existing rows...
-    for j in 0..n {
+/// [`LinalgError::NotPositiveDefinite`] when the pivot is ≤ 0; `row` then
+/// holds the substituted row.
+fn cholesky_row_in_place(l: MatRef<'_>, row: &mut [f64], d: f64) -> Result<f64> {
+    for j in 0..row.len() {
         let lrow = l.row(j);
-        let mut s = w[j];
-        for k in 0..j {
-            s -= out_row[k] * lrow[k];
+        let mut s = row[j];
+        for (r, lk) in row[..j].iter().zip(lrow) {
+            s -= r * lk;
         }
-        out_row[j] = s / lrow[j];
+        row[j] = s / lrow[j];
     }
-    // ...then the diagonal as a running subtraction from the corner.
     let mut s = d;
-    for &v in out_row.iter() {
+    for v in row.iter() {
         s -= v * v;
     }
     if s <= 0.0 {
-        return Err(LinalgError::NotPositiveDefinite { pivot: n, value: s });
+        return Err(LinalgError::NotPositiveDefinite {
+            pivot: row.len(),
+            value: s,
+        });
     }
     Ok(s.sqrt())
 }
@@ -127,12 +70,12 @@ pub fn cholesky_extend_row_into(
 /// per-step allocation.
 ///
 /// The factor lives in one flat buffer with row stride equal to the
-/// current *capacity*, so absorbing a new sample writes the new row into
-/// pre-zeroed space in place ([`cholesky_extend_row_into`]); the buffer
-/// is re-laid-out only when the dimension outgrows the capacity
-/// (capacity doubling, amortized Θ(1) reallocations). With
-/// [`GrowingCholesky::reserve`] called up front, steady-state growth
-/// performs **zero** heap allocations.
+/// current *capacity*, so absorbing a new sample factors the new row
+/// into pre-zeroed space in place, with the row kernel of
+/// [`cholesky_in_place`]; the buffer is re-laid-out only when the
+/// dimension outgrows the capacity (capacity doubling, amortized Θ(1)
+/// reallocations). With [`GrowingCholesky::reserve`] called up front,
+/// steady-state growth performs **zero** heap allocations.
 ///
 /// The stored factor is bit-identical to [`cholesky_in_place`] applied to
 /// the full bordered matrix, and [`GrowingCholesky::solve_in_place`] is
@@ -190,8 +133,13 @@ impl GrowingCholesky {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`cholesky_extend_row_into`] (dimension,
-    /// non-finite screen, loss of positive definiteness).
+    /// * [`LinalgError::DimensionMismatch`] when `w.len()` differs from
+    ///   the factor dimension.
+    /// * [`LinalgError::NonFinite`] when `w` or `d` contain NaN or ±∞ —
+    ///   screened up front so contaminated inputs are not misreported as a
+    ///   loss of positive definiteness.
+    /// * [`LinalgError::NotPositiveDefinite`] when the extended matrix is
+    ///   not positive definite.
     pub fn push_row(&mut self, w: &[f64], d: f64) -> Result<()> {
         let n = self.n;
         if w.len() != n {
@@ -201,6 +149,11 @@ impl GrowingCholesky {
                 rhs: (w.len(), 1),
             });
         }
+        if !d.is_finite() || w.iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::NonFinite {
+                op: "cholesky extend",
+            });
+        }
         if n == self.cap {
             self.relayout((self.cap * 2).max(4));
         }
@@ -208,9 +161,10 @@ impl GrowingCholesky {
         // Split so the existing factor (rows 0..n) is borrowed immutably
         // while row n is written: row n starts exactly at n * cap.
         let (head, tail) = self.data.split_at_mut(n * cap);
+        let (row, diag) = tail[..=n].split_at_mut(n);
+        row.copy_from_slice(w);
         let l = MatRef::strided(head, n, n, cap.max(1))?;
-        let diag = cholesky_extend_row_into(l, w, d, &mut tail[..n])?;
-        tail[n] = diag;
+        diag[0] = cholesky_row_in_place(l, row, d)?;
         self.n = n + 1;
         Ok(())
     }
@@ -336,44 +290,6 @@ impl Cholesky {
         solve_lower_transpose(l, x)
     }
 
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `B.nrows()` differs
-    /// from the factor dimension.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.nrows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky solve_matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.ncols());
-        for j in 0..b.ncols() {
-            let x = self.solve(&b.col(j))?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Computes `A⁻¹` explicitly.
-    ///
-    /// Prefer [`Cholesky::solve`] where possible; the explicit inverse is
-    /// exposed because the MAP posterior covariance Σ_L (eq. 28/31) is
-    /// itself an inverse that callers may want to inspect.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the underlying triangular solves.
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
     /// Log-determinant of `A`, computed as `2 Σ log L[i][i]`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
@@ -408,14 +324,6 @@ mod tests {
         let x = a.cholesky().unwrap().solve(&b).unwrap();
         let r = a.matvec(&x).unwrap().sub(&b).unwrap();
         assert!(r.norm2() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let inv = a.cholesky().unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.sub(&Matrix::identity(3)).unwrap().norm_frobenius() < 1e-10);
     }
 
     #[test]
@@ -463,16 +371,6 @@ mod tests {
         let l1 = a.cholesky().unwrap();
         let l2 = sym.cholesky().unwrap();
         assert!(l1.factor().sub(l2.factor()).unwrap().norm_frobenius().abs() < 1e-14);
-    }
-
-    #[test]
-    fn solve_matrix_solves_each_column() {
-        let a = spd3();
-        let chol = a.cholesky().unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let x = chol.solve_matrix(&b).unwrap();
-        let r = a.matmul(&x).unwrap().sub(&b).unwrap();
-        assert!(r.norm_frobenius() < 1e-11);
     }
 
     /// SplitMix64 — enough randomness for SPD test matrices without

@@ -11,7 +11,8 @@
 //! * [`Matrix`] / [`Vector`] — dense row-major `f64` storage with the usual
 //!   BLAS-1/2/3 style operations,
 //! * [`Cholesky`] — SPD factorization and solves (the paper's "conventional
-//!   solver"),
+//!   solver"), on one row kernel that [`GrowingCholesky`] also grows a
+//!   factor by, one row at a time,
 //! * [`Lu`] — partially pivoted LU for general square systems (used by the
 //!   mini-SPICE MNA solver),
 //! * [`Qr`] — Householder QR for overdetermined least squares, and
@@ -51,7 +52,7 @@ pub mod tridiagonal;
 pub mod view;
 pub mod woodbury;
 
-pub use cholesky::{cholesky_extend_row_into, cholesky_in_place, Cholesky, GrowingCholesky};
+pub use cholesky::{cholesky_in_place, Cholesky, GrowingCholesky};
 pub use error::LinalgError;
 pub use fp::{is_exact_nonzero, is_exact_zero};
 pub use lu::{lu_factor_in_place, lu_solve_into, Lu};
@@ -61,7 +62,7 @@ pub use resilience::{
     factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, FactorKind, LadderScratch,
     Resilience,
 };
-pub use triangular::{solve_lower, solve_lower_transpose, solve_upper};
+pub use triangular::{solve_lower, solve_lower_transpose};
 pub use vector::Vector;
 pub use view::{dot3, MatMut, MatRef};
 

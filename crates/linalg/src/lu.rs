@@ -80,24 +80,6 @@ impl Lu {
     pub fn det(&self) -> f64 {
         (0..self.dim()).fold(self.sign, |acc, i| acc * self.lu[(i, i)])
     }
-
-    /// Computes `A⁻¹` explicitly by solving against the identity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Lu::solve`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.dim();
-        let mut out = Matrix::zeros(n, n);
-        for j in 0..n {
-            let e = Vector::from_fn(n, |i| if i == j { 1.0 } else { 0.0 });
-            let x = self.solve(&e)?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Pivots per panel of [`lu_factor_in_place`]'s blocked elimination.
@@ -339,14 +321,6 @@ mod tests {
     fn singular_matrix_rejected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
         assert!(matches!(a.lu(), Err(LinalgError::Singular { .. })));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = a.lu().unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.sub(&Matrix::identity(2)).unwrap().norm_frobenius() < 1e-12);
     }
 
     #[test]

@@ -205,16 +205,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `j >= self.ncols()`.
-    pub fn col(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        Vector::from_fn(self.rows, |i| self[(i, j)])
-    }
-
     /// Copies the diagonal into a new [`Vector`].
     pub fn diagonal(&self) -> Vector {
         let n = self.rows.min(self.cols);
@@ -341,13 +331,6 @@ impl Matrix {
         for a in &mut self.data {
             *a *= alpha;
         }
-    }
-
-    /// Returns a copy scaled by `alpha`.
-    pub fn scaled(&self, alpha: f64) -> Matrix {
-        let mut out = self.clone();
-        out.scale_mut(alpha);
-        out
     }
 
     /// Adds `diag[i]` to each diagonal element in place.
@@ -581,7 +564,9 @@ mod tests {
     fn add_sub_scale() {
         let m = sample();
         let two = m.add(&m).unwrap();
-        assert_eq!(two, m.scaled(2.0));
+        let mut scaled = m.clone();
+        scaled.scale_mut(2.0);
+        assert_eq!(two, scaled);
         assert_eq!(two.sub(&m).unwrap(), m);
     }
 
@@ -597,7 +582,7 @@ mod tests {
     #[test]
     fn col_and_diagonal_extraction() {
         let m = sample();
-        assert_eq!(m.col(1).as_slice(), &[2.0, 5.0]);
+        assert_eq!(m.transpose().row(1), &[2.0, 5.0]);
         assert_eq!(m.diagonal().as_slice(), &[1.0, 5.0]);
     }
 

@@ -95,17 +95,6 @@ impl Resilience {
     pub fn is_degraded(&self) -> bool {
         self.rung > 0
     }
-
-    /// Pointwise worst case of two outcomes: max rung/ridge, min rcond.
-    /// Used to aggregate per-solve outcomes into per-fit reports.
-    pub fn worst(self, other: Resilience) -> Resilience {
-        Resilience {
-            rung: self.rung.max(other.rung),
-            ridge: self.ridge.max(other.ridge),
-            rcond: self.rcond.min(other.rcond),
-            lu_fallback: self.lu_fallback || other.lu_fallback,
-        }
-    }
 }
 
 /// Which factorization the ladder settled on, deciding how the packed
@@ -561,27 +550,6 @@ mod tests {
         let d = vec![-1.0; 3];
         let err = factor_shifted_ldl_ladder(&d, &e, 0.0, &mut piv, &mut l).unwrap_err();
         assert!(matches!(err, LinalgError::Unsolvable { .. }));
-    }
-
-    #[test]
-    fn worst_aggregates_pointwise() {
-        let a = Resilience {
-            rung: 2,
-            ridge: 1e-8,
-            rcond: 1e-3,
-            lu_fallback: false,
-        };
-        let b = Resilience {
-            rung: 1,
-            ridge: 1e-6,
-            rcond: 1e-9,
-            lu_fallback: true,
-        };
-        let w = a.worst(b);
-        assert_eq!(w.rung, 2);
-        assert_eq!(w.ridge, 1e-6);
-        assert_eq!(w.rcond, 1e-9);
-        assert!(w.lu_fallback);
     }
 
     #[test]

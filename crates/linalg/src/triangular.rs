@@ -1,8 +1,8 @@
 //! Forward and backward substitution for triangular systems.
 //!
 //! One in-place kernel per direction, each over a borrowed [`MatRef`]
-//! factor (dense, strided or row-subset): [`solve_lower`],
-//! [`solve_upper`] and [`solve_lower_transpose`]. They are the inner
+//! factor (dense, strided or row-subset): [`solve_lower`] and
+//! [`solve_lower_transpose`]. They are the inner
 //! sweeps of [`crate::Cholesky`], [`crate::GrowingCholesky`], [`crate::Qr`]
 //! and [`crate::ladder_solve_in_place`]; an owned matrix passes its
 //! [`crate::Matrix::as_view`]. Only the relevant triangle of the factor is
@@ -70,32 +70,6 @@ pub fn solve_lower(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
-/// Solves `U x = b` in place (backward substitution), where `U` is upper
-/// triangular, allocating nothing.
-///
-/// Only the upper triangle of `u` (including the diagonal) is read.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower`].
-pub fn solve_upper(u: MatRef<'_>, x: &mut [f64]) -> Result<()> {
-    check_square(u, x.len(), "solve_upper")?;
-    let n = x.len();
-    for i in (0..n).rev() {
-        let row = u.row(i);
-        let mut s = x[i];
-        for j in (i + 1)..n {
-            s -= row[j] * x[j];
-        }
-        let d = row[i];
-        if d.abs() < PIVOT_TOL {
-            return Err(LinalgError::Singular { pivot: i });
-        }
-        x[i] = s / d;
-    }
-    Ok(())
-}
-
 /// Solves `Lᵀ x = b` in place reading only the lower triangle of `l`,
 /// allocating nothing.
 ///
@@ -127,6 +101,26 @@ pub fn solve_lower_transpose(l: MatRef<'_>, x: &mut [f64]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::{Matrix, Vector};
+
+    /// Backward substitution `U x = b`, reading only the upper triangle:
+    /// the explicit-transpose reference for [`solve_lower_transpose`].
+    fn solve_upper(u: MatRef<'_>, x: &mut [f64]) -> Result<()> {
+        check_square(u, x.len(), "solve_upper")?;
+        let n = x.len();
+        for i in (0..n).rev() {
+            let row = u.row(i);
+            let mut s = x[i];
+            for j in (i + 1)..n {
+                s -= row[j] * x[j];
+            }
+            let d = row[i];
+            if d.abs() < PIVOT_TOL {
+                return Err(LinalgError::Singular { pivot: i });
+            }
+            x[i] = s / d;
+        }
+        Ok(())
+    }
 
     type Kernel = fn(MatRef<'_>, &mut [f64]) -> Result<()>;
 

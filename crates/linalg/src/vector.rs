@@ -149,29 +149,6 @@ impl Vector {
         Ok(out)
     }
 
-    /// Element-wise product (Hadamard).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn hadamard(&self, other: &Vector) -> Result<Vector> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hadamard",
-                lhs: (self.len(), 1),
-                rhs: (other.len(), 1),
-            });
-        }
-        Ok(Vector {
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        })
-    }
-
     /// Arithmetic mean, or `0.0` for an empty vector.
     pub fn mean(&self) -> f64 {
         if self.data.is_empty() {
@@ -307,13 +284,6 @@ mod tests {
         let b = Vector::from(vec![0.5, -0.5]);
         let c = a.add(&b).unwrap().sub(&b).unwrap();
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn hadamard_elementwise() {
-        let a = Vector::from(vec![1.0, 2.0, 3.0]);
-        let b = Vector::from(vec![2.0, 0.5, -1.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[2.0, 1.0, -3.0]);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   blocked `lu_factor_in_place` equal scalar references written out
 //!   below — one accumulator per entry, left to right, and the indexed
 //!   elimination loop;
+//! * the one Cholesky row kernel equals the indexed Cholesky loop, both
+//!   as `cholesky_in_place` and as a `GrowingCholesky` grown row by row,
+//!   on positive definite, near-singular and refused inputs;
 //! * the register-tiled products (`gram_runs_band_into`,
 //!   `sub_products_into`) equal their two-lane scalar reference entry by
 //!   entry, so the floor gram over any split into row bands, mirrored,
@@ -22,7 +25,8 @@
 use bmf_linalg::woodbury::{solve_diag_plus_gram_into, WoodburyScratch};
 use bmf_linalg::{
     cholesky_in_place, dot3, is_exact_zero, lu_factor_in_place, lu_solve_into, solve_lower,
-    solve_lower_transpose, view, Cholesky, LinalgError, Lu, MatRef, Matrix, Vector,
+    solve_lower_transpose, view, Cholesky, GrowingCholesky, LinalgError, Lu, MatRef, Matrix,
+    Vector,
 };
 use bmf_stat::prop::{check, DEFAULT_CASES};
 use bmf_stat::rng::Rng;
@@ -196,21 +200,136 @@ fn strided_views_bitwise_equal_dense_copies() {
     );
 }
 
+/// The indexed Cholesky loop, written out: row by row, each entry
+/// `s = a[i][j]; s -= a[i][k]·a[j][k] …`, over `a[j][j]` below the
+/// diagonal and its square root on it, then the upper triangle zeroed.
+/// On a refused pivot `a` keeps its partial factor.
+fn indexed_cholesky(a: &mut Matrix) -> Result<(), LinalgError> {
+    let n = a.nrows();
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = a[(i, j)];
+            for k in 0..j {
+                s -= a[(i, k)] * a[(j, k)];
+            }
+            if i == j {
+                if s <= 0.0 {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
+                }
+                a[(i, j)] = s.sqrt();
+            } else {
+                a[(i, j)] = s / a[(j, j)];
+            }
+        }
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            a[(i, j)] = 0.0;
+        }
+    }
+    Ok(())
+}
+
+/// The refused pivot of a factorization: its index and the bits of its
+/// value. Any other outcome fails the test.
+#[track_caller]
+fn refused_pivot(res: Result<(), LinalgError>) -> Option<(usize, u64)> {
+    match res {
+        Ok(()) => None,
+        Err(LinalgError::NotPositiveDefinite { pivot, value }) => Some((pivot, value.to_bits())),
+        Err(e) => panic!("unexpected error {e:?}"),
+    }
+}
+
+/// A symmetric matrix through its lower triangle, finite junk above it:
+/// `BᵀB + δI` with `B` of `rows × n`. Positive definite for `δ > 0`;
+/// singular in exact arithmetic for `rows < n, δ = 0`, so its pivots
+/// sit at the rounding level; and refused at pivot `p` after
+/// `a[p][p]` is pushed below zero.
+fn lower_triangle_input(rng: &mut Rng, n: usize) -> Matrix {
+    let (rows, delta) = match rng.gen_index(3) {
+        0 => (n + 1 + rng.gen_index(3), 1.0),
+        1 => (rng.gen_index(n + 1), 0.0),
+        _ => (n + 1, 1e-3),
+    };
+    let mut a = matrix(rng, rows, n).gram();
+    a.add_diagonal_mut(&vec![delta; n]).unwrap();
+    if n > 0 && rng.gen_bool(0.3) {
+        let p = rng.gen_index(n);
+        a[(p, p)] = -rng.gen_range(0.0..5.0);
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            a[(i, j)] = 100.0 * elem(rng);
+        }
+    }
+    a
+}
+
+/// `a`'s first `p` rows, lower triangle only: a partial factor as a
+/// `p × p` factor.
+fn leading_factor(a: &Matrix, p: usize) -> Matrix {
+    Matrix::from_fn(p, p, |i, j| if j <= i { a[(i, j)] } else { 0.0 })
+}
+
 #[test]
-fn cholesky_in_place_bitwise_equals_owned_factor() {
+fn cholesky_row_kernel_bitwise_equals_indexed_loop() {
     check(
-        "cholesky_in_place_bitwise_equals_owned_factor",
+        "cholesky_row_kernel_bitwise_equals_indexed_loop",
+        4 * DEFAULT_CASES,
+        |rng| {
+            let n = rng.gen_index(41);
+            let a = lower_triangle_input(rng, n);
+            let mut reference = a.clone();
+            let refused = refused_pivot(indexed_cholesky(&mut reference));
+
+            // The whole-matrix factorization: the same bits, or the same
+            // refused pivot with the same value.
+            let mut in_place = a.clone();
+            assert_eq!(refused_pivot(cholesky_in_place(&mut in_place)), refused);
+            if refused.is_none() {
+                assert_bits_eq(in_place.as_slice(), reference.as_slice());
+            }
+
+            // A factor grown one row at a time, through the 4 → 8 → 16 →
+            // 32 relayouts and on a buffer reserved up front: the same
+            // bits after every row, and a refused row leaves the factor
+            // as it was.
+            let mut reserved = GrowingCholesky::new();
+            reserved.reserve(n);
+            for mut grow in [GrowingCholesky::new(), reserved] {
+                let rows = refused.map_or(n, |(p, _)| p);
+                for i in 0..rows {
+                    grow.push_row(&a.row(i)[..i], a[(i, i)]).unwrap();
+                }
+                let grown = grow.factor_view().unwrap().to_matrix();
+                assert_bits_eq(
+                    grown.as_slice(),
+                    leading_factor(&reference, rows).as_slice(),
+                );
+                if let Some((p, value)) = refused {
+                    let res = grow.push_row(&a.row(p)[..p], a[(p, p)]);
+                    assert_eq!(refused_pivot(res), Some((p, value)));
+                    assert_eq!(grow.dim(), p);
+                    let after = grow.factor_view().unwrap().to_matrix();
+                    assert_bits_eq(after.as_slice(), grown.as_slice());
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn strided_factor_solve_bitwise_equals_owned_solve() {
+    check(
+        "strided_factor_solve_bitwise_equals_owned_solve",
         DEFAULT_CASES,
         |rng| {
             let n = 1 + rng.gen_index(5);
             let b = matrix(rng, n + 1, n);
             let mut a = b.gram();
             a.add_diagonal_mut(&vec![1.0; n]).unwrap();
-
             let owned = Cholesky::new(&a).unwrap();
-            let mut in_place = a.clone();
-            cholesky_in_place(&mut in_place).unwrap();
-            assert_bits_eq(in_place.as_slice(), owned.factor().as_slice());
 
             // The triangular kernels over a strided copy of the factor
             // (the layout of a capacity-padded growing factor, garbage in
@@ -220,7 +339,7 @@ fn cholesky_in_place_bitwise_equals_owned_factor() {
             let stride = n + rng.gen_index(3);
             let mut padded = vec_random(rng, n * stride);
             for i in 0..n {
-                padded[i * stride..i * stride + n].copy_from_slice(in_place.row(i));
+                padded[i * stride..i * stride + n].copy_from_slice(owned.factor().row(i));
             }
             let l = MatRef::strided(&padded, n, n, stride).unwrap();
             let mut x = rhs;

@@ -101,11 +101,6 @@ impl KFold {
         Ok(KFold { n, k, order })
     }
 
-    /// Number of folds.
-    pub fn n_folds(&self) -> usize {
-        self.k
-    }
-
     /// Returns all K folds.
     pub fn folds(&self) -> Vec<Fold> {
         self.iter().collect()
@@ -125,7 +120,7 @@ impl KFold {
     ///
     /// # Panics
     ///
-    /// Panics when `i >= self.n_folds()`.
+    /// Panics when `i` is not below the fold count.
     pub fn fold(&self, i: usize) -> Fold {
         assert!(i < self.k, "fold index {i} out of range ({})", self.k);
         // Fold sizes differ by at most 1: the first (n % k) folds get one

@@ -13,7 +13,7 @@
 //!   `erf`, Φ, Φ⁻¹ (Acklam's rational approximation), and a [`normal::Normal`]
 //!   distribution type,
 //! * [`histogram`] — fixed-width binning with ASCII rendering,
-//! * [`summary`] — mean/variance/skewness/kurtosis and quantiles,
+//! * [`summary`] — mean/variance/skewness and quantiles,
 //! * [`crossval`] — seeded K-fold index splitting,
 //! * [`prop`] — the in-tree property-test harness (seeded cases with
 //!   failure-seed reporting),

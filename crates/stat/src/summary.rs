@@ -5,8 +5,7 @@
 //! substrate (the reproduction checks that, e.g., ring-oscillator frequency
 //! spreads a few percent around nominal like the paper's histograms do).
 
-/// Moment summary of a sample: count, mean, variance, skewness, excess
-/// kurtosis, extrema.
+/// Moment summary of a sample: count, mean, variance, skewness, extrema.
 ///
 /// Central moments are accumulated in one pass with Welford/Chan-style
 /// updates, so the summary is numerically stable for large samples with
@@ -28,7 +27,6 @@ pub struct Summary {
     mean: f64,
     m2: f64,
     m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -41,7 +39,6 @@ impl Summary {
             mean: 0.0,
             m2: 0.0,
             m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -63,11 +60,8 @@ impl Summary {
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
@@ -108,16 +102,6 @@ impl Summary {
         }
     }
 
-    /// Excess kurtosis `g₂` (0 when degenerate).
-    pub fn excess_kurtosis(&self) -> f64 {
-        if self.n < 4 || is_exact_zero(self.m2) {
-            0.0
-        } else {
-            let n = self.n as f64;
-            n * self.m4 / (self.m2 * self.m2) - 3.0
-        }
-    }
-
     /// Minimum observed value (`+∞` when empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -151,23 +135,16 @@ impl Summary {
         let delta = other.mean - self.mean;
         let d2 = delta * delta;
         let d3 = d2 * delta;
-        let d4 = d2 * d2;
 
         let m2 = self.m2 + other.m2 + d2 * na * nb / n;
         let m3 = self.m3
             + other.m3
             + d3 * na * nb * (na - nb) / (n * n)
             + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + d4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * d2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
 
         self.mean = (na * self.mean + nb * other.mean) / n;
         self.m2 = m2;
         self.m3 = m3;
-        self.m4 = m4;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -261,14 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn kurtosis_of_uniformish_sample_is_negative() {
-        let xs: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        // Uniform excess kurtosis is -1.2.
-        let k = Summary::from_slice(&xs).excess_kurtosis();
-        assert!((k + 1.2).abs() < 0.05, "k={k}");
-    }
-
-    #[test]
     fn merge_equals_combined() {
         let xs: Vec<f64> = (0..50)
             .map(|i| (i as f64 * 0.7).sin() * 3.0 + 1.0)
@@ -282,7 +251,6 @@ mod tests {
         assert!((sa.mean() - all.mean()).abs() < 1e-12);
         assert!((sa.variance() - all.variance()).abs() < 1e-10);
         assert!((sa.skewness() - all.skewness()).abs() < 1e-8);
-        assert!((sa.excess_kurtosis() - all.excess_kurtosis()).abs() < 1e-8);
     }
 
     #[test]
