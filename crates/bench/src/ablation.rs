@@ -15,8 +15,6 @@
 //! * [`missing_prior_study`] — §IV-B's infinite-variance handling vs
 //!   naively ignoring the new basis functions.
 
-use std::time::Instant;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::diffpair::{DiffPair, DiffPairConfig};
 use bmf_circuits::sim::monte_carlo;
@@ -30,12 +28,14 @@ use bmf_core::options::FitOptions;
 use bmf_core::prior::{Prior, PriorKind};
 use bmf_core::select::{select_prior, PriorSelection};
 use bmf_core::{BmfError, Result};
-use bmf_linalg::{Matrix, Vector};
+use bmf_linalg::Vector;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
 
+use crate::allocs_study::map_problem;
 use crate::report::{pct, secs, Report};
 use crate::scale::Scale;
+use crate::timing::median_secs;
 
 /// Ablation: prior family accuracy vs early/late coefficient shift.
 ///
@@ -500,30 +500,23 @@ pub fn solver_scaling(scale: Scale, seed: u64) -> Result<Report> {
         "Fast low-rank MAP solver vs conventional Cholesky (paper §IV-C / Fig. 5)",
     );
     r.para(&format!(
-        "K = {k} samples; one MAP solve each. The fast solver factorizes only a \
-         K×K core, so its cost is flat in M while Cholesky grows as M³; both return \
-         the same coefficients to rounding error.",
+        "K = {k} samples; each time is the median of five runs of one MAP solve. \
+         The fast solver factorizes only a K×K core, so its cost is flat in M while \
+         Cholesky grows as M³; both return the same coefficients to rounding error.",
     ));
     let mut rows = Vec::new();
     for (i, &m) in sizes.iter().enumerate() {
-        let mut rng = seeded(derive_seed(seed, i as u64));
-        let mut sampler = StandardNormal::new();
-        let g = Matrix::from_fn(k, m, |_, _| sampler.sample(&mut rng));
-        let truth: Vec<f64> = (0..m).map(|j| 1.0 / (1.0 + j as f64).powf(1.1)).collect();
-        let f = g.matvec(&Vector::from(truth.clone()))?;
-        let prior = Prior::from_coeffs(PriorKind::NonZeroMean, &truth);
-
-        let t0 = Instant::now();
-        let fast = map_estimate(&g, &f, &prior, &FitOptions::new().hyper(1.0))?;
-        let fast_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let direct = map_estimate(
-            &g,
-            &f,
-            &prior,
-            &FitOptions::new().hyper(1.0).solver(SolverKind::Direct),
-        )?;
-        let direct_s = t0.elapsed().as_secs_f64();
+        let (g, f, prior) = map_problem(k, m, derive_seed(seed, i as u64))?;
+        let (fast, fast_s) =
+            median_secs(|| map_estimate(&g, &f, &prior, &FitOptions::new().hyper(1.0)))?;
+        let (direct, direct_s) = median_secs(|| {
+            map_estimate(
+                &g,
+                &f,
+                &prior,
+                &FitOptions::new().hyper(1.0).solver(SolverKind::Direct),
+            )
+        })?;
         let diff = fast.sub(&direct)?.norm_inf();
         rows.push(vec![
             m.to_string(),

@@ -310,14 +310,18 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
     Ok(report)
 }
 
-/// The MAP problem the solver bench times: a K × M Gaussian design, a
-/// power-law truth `1/(1+j)^1.1`, its exact responses, and a nonzero-mean
-/// prior centred on the truth.
+/// The MAP problem that `repro solver` times and `repro allocs` counts: a
+/// K × M Gaussian design, a power-law truth `1/(1+j)^1.1`, its exact
+/// responses, and a nonzero-mean prior centred on the truth.
 ///
 /// # Errors
 ///
 /// None in practice: `G·truth` has matching shapes by construction.
-pub fn map_problem(k: usize, m: usize, seed: u64) -> Result<(Matrix, Vector, Prior), BmfError> {
+pub(crate) fn map_problem(
+    k: usize,
+    m: usize,
+    seed: u64,
+) -> Result<(Matrix, Vector, Prior), BmfError> {
     let mut rng = seeded(seed);
     let mut normal = StandardNormal::new();
     let g = Matrix::from_fn(k, m, |_, _| normal.sample(&mut rng));

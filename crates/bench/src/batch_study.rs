@@ -7,8 +7,6 @@
 //! kernel-cache hits), so the report shows *where* the saving comes from
 //! and not just that it exists.
 
-use std::time::Instant;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
 use bmf_core::fusion::BmfFitter;
@@ -19,6 +17,7 @@ use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::report::{secs, Report};
 use crate::scale::Scale;
+use crate::timing::median_secs;
 
 /// One synthetic batch problem: shared points plus per-job responses.
 struct Problem {
@@ -92,43 +91,35 @@ pub fn batch_throughput(scale: Scale, seed: u64) -> Result<Report> {
          scenario). The serial loop re-evaluates the design matrix and CV fold \
          plan per job; the batch engine evaluates them once, shares Woodbury \
          kernels between jobs with matching normalized priors, and fans the \
-         per-job work out over {threads} worker thread(s). Models are \
-         bit-identical on both paths; the speedup scales with the core count \
-         and the kernel-cache hit rate."
+         per-job work out over {threads} worker thread(s). Each time is the \
+         median of five runs. Models are bit-identical on both paths; the \
+         speedup scales with the core count and the kernel-cache hit rate."
     ));
     let mut rows = Vec::new();
     for &n in job_counts {
         let p = problem(scale, seed, n);
 
-        let started = Instant::now();
-        let mut serial_first: Option<Vec<u64>> = None;
-        for job in &p.jobs {
-            let fit = BmfFitter::new(p.basis.clone(), job.prior.clone())?
-                .with_options(p.options.clone())
-                .fit(&p.points, &job.values)?;
-            if serial_first.is_none() {
-                serial_first = Some(fit.model.coeffs().iter().map(|c| c.to_bits()).collect());
+        let (serial_first, loop_s) = median_secs(|| {
+            let mut first = None;
+            for job in &p.jobs {
+                let fit = BmfFitter::new(p.basis.clone(), job.prior.clone())?
+                    .with_options(p.options.clone())
+                    .fit(&p.points, &job.values)?;
+                first.get_or_insert(fit.model);
             }
-        }
-        let loop_s = started.elapsed().as_secs_f64();
+            Ok(first)
+        })?;
 
         let mut batch = BatchFitter::new(p.basis.clone()).with_options(p.options.clone());
         for job in &p.jobs {
             batch.push_job(job.clone());
         }
-        let started = Instant::now();
-        let report = batch.fit(&p.points)?;
-        let batch_s = started.elapsed().as_secs_f64();
+        let (report, batch_s) = median_secs(|| batch.fit(&p.points))?;
 
-        let batch_first: Vec<u64> = report.fits[0]
-            .model
-            .coeffs()
-            .iter()
-            .map(|c| c.to_bits())
-            .collect();
+        let bits = |coeffs: &[f64]| coeffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            serial_first.as_deref(),
-            Some(batch_first.as_slice()),
+            serial_first.map(|m| bits(m.coeffs())),
+            Some(bits(report.fits[0].model.coeffs())),
             "batch and serial paths must agree bit-for-bit"
         );
 

@@ -7,8 +7,6 @@
 //! cost rows reproduce in shape *and* value; the error rows reproduce in
 //! shape only.
 
-use std::time::Instant;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::sim::{monte_carlo, CostLedger};
 use bmf_circuits::stage::{CircuitPerformance, Stage};
@@ -25,6 +23,7 @@ use crate::earlyfit::fit_early_model;
 use crate::report::{pct, secs, Report};
 use crate::scale::Scale;
 use crate::tables::row_prefix;
+use crate::timing::median_secs;
 
 /// Measured cost summary for one method.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,9 +93,8 @@ pub fn run_cost_comparison(
     let f_omp = crate::tables::scaled_values(&train.values[..k_omp], norm);
     let mut omp_ledger = CostLedger::new();
     omp_ledger.charge_samples(&train);
-    let t0 = Instant::now();
-    let omp_fit = fit_omp_design(&g_full, &f_omp, &OmpConfig::default())?;
-    omp_ledger.charge_fitting_seconds(t0.elapsed().as_secs_f64());
+    let (omp_fit, omp_s) = median_secs(|| fit_omp_design(&g_full, &f_omp, &OmpConfig::default()))?;
+    omp_ledger.charge_fitting_seconds(omp_s);
     let omp_err = g_test
         .matvec(&Vector::from(omp_fit.coeffs))?
         .sub(&f_test)?
@@ -114,15 +112,16 @@ pub fn run_cost_comparison(
         grid: scale.hyper_grid(),
         seed: derive_seed(seed, 4),
     };
-    let t0 = Instant::now();
-    let ps = select_prior(&g_bmf, &f_bmf, &prior, PriorSelection::Auto, &cv)?;
-    let alpha = map_estimate(
-        &g_bmf,
-        &f_bmf,
-        &prior.with_kind(ps.kind),
-        &FitOptions::new().hyper(ps.hyper),
-    )?;
-    bmf_ledger.charge_fitting_seconds(t0.elapsed().as_secs_f64());
+    let (alpha, bmf_s) = median_secs(|| {
+        let ps = select_prior(&g_bmf, &f_bmf, &prior, PriorSelection::Auto, &cv)?;
+        map_estimate(
+            &g_bmf,
+            &f_bmf,
+            &prior.with_kind(ps.kind),
+            &FitOptions::new().hyper(ps.hyper),
+        )
+    })?;
+    bmf_ledger.charge_fitting_seconds(bmf_s);
     let bmf_err = g_test.matvec(&alpha)?.sub(&f_test)?.norm2() / test_norm;
 
     Ok(CostComparison {
@@ -154,7 +153,8 @@ pub fn render_cost_table(
     let mut r = Report::new(id, title);
     r.para(
         "Measured (paper) — simulation cost uses the simulated per-sample cost ledger \
-         calibrated to the paper's testbed; fitting cost is wall-clock on this machine.",
+         calibrated to the paper's testbed; fitting cost is wall-clock on this machine, \
+         the median of five runs.",
     );
     r.table(
         &["", "OMP", "BMF-PS (fast solver)"],

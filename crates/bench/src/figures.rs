@@ -6,8 +6,6 @@
 //! (Figs. 4 and 7), and fitting-cost tables for the solver comparisons
 //! (Figs. 5 and 8).
 
-use std::time::Instant;
-
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::ro::{RingOscillator, RoMetric};
 use bmf_circuits::sim::monte_carlo;
@@ -28,6 +26,7 @@ use crate::earlyfit::fit_early_model;
 use crate::report::{secs, Report};
 use crate::scale::Scale;
 use crate::tables::row_prefix;
+use crate::timing::median_secs;
 
 /// Fig. 1 / Fig. 2: prior-distribution illustrations for one small and one
 /// large early-stage coefficient.
@@ -245,38 +244,32 @@ pub fn fitting_cost_sweep(
         let g = row_prefix(&g_full, k);
         let f = crate::tables::scaled_values(&train.values[..k], norm);
 
-        let t0 = Instant::now();
-        let _ = fit_omp_design(&g, &f, &OmpConfig::default())?;
-        let omp_s = t0.elapsed().as_secs_f64();
+        let (_, omp_s) = median_secs(|| fit_omp_design(&g, &f, &OmpConfig::default()))?;
 
-        let t0 = Instant::now();
-        let ps = select_prior(&g, &f, &prior, PriorSelection::Auto, &cv)?;
-        let _ = map_estimate(
-            &g,
-            &f,
-            &prior.with_kind(ps.kind),
-            &FitOptions::new().hyper(ps.hyper),
-        )?;
-        let bmf_fast_s = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let _ = map_estimate(
-            &g,
-            &f,
-            &prior.with_kind(ps.kind),
-            &FitOptions::new().hyper(ps.hyper),
-        )?;
-        let fast_solve_s = t0.elapsed().as_secs_f64();
-
-        let direct_s = if include_direct {
-            let t0 = Instant::now();
-            let _ = map_estimate(
+        let (ps, bmf_fast_s) = median_secs(|| {
+            let ps = select_prior(&g, &f, &prior, PriorSelection::Auto, &cv)?;
+            map_estimate(
                 &g,
                 &f,
                 &prior.with_kind(ps.kind),
-                &FitOptions::new().hyper(ps.hyper).solver(SolverKind::Direct),
+                &FitOptions::new().hyper(ps.hyper),
             )?;
-            Some(t0.elapsed().as_secs_f64())
+            Ok(ps)
+        })?;
+        let chosen = prior.with_kind(ps.kind);
+        let solve = |solver| {
+            median_secs(|| {
+                map_estimate(
+                    &g,
+                    &f,
+                    &chosen,
+                    &FitOptions::new().hyper(ps.hyper).solver(solver),
+                )
+            })
+        };
+        let (_, fast_solve_s) = solve(SolverKind::Fast)?;
+        let direct_s = if include_direct {
+            Some(solve(SolverKind::Direct)?.1)
         } else {
             None
         };
@@ -296,10 +289,11 @@ pub fn render_cost_figure(id: &str, title: &str, rows: &[CostRow], m: usize) -> 
     let mut r = Report::new(id, title);
     r.para(&format!(
         "Fitting cost in wall-clock seconds (M = {m} basis functions). \
-         `MAP direct` and `MAP fast` time a single posterior solve with the conventional \
-         M×M Cholesky vs the low-rank update of §IV-C; `BMF-PS (fast)` is the complete \
-         pipeline (both-prior cross-validation + final solve). The paper reports up to \
-         600× between the two solvers at its scale.",
+         Each time is the median of five runs: `MAP direct` and `MAP fast` time one \
+         posterior solve with the conventional M×M Cholesky vs the low-rank update of \
+         §IV-C; `BMF-PS (fast)` is the complete pipeline (both-prior cross-validation \
+         + final solve). The paper reports up to 600× between the two solvers at its \
+         scale.",
     ));
     let table_rows: Vec<Vec<String>> = rows
         .iter()

@@ -11,7 +11,9 @@
 //!
 //! Each experiment prints a Markdown report (paper value next to measured
 //! value where the paper reports one) and writes it to
-//! `reports/<id>.md`.
+//! `reports/<id>.md`. Every wall time in a report is the median of five
+//! timed runs, taken by one sampler (`timing.rs`); the study benches and
+//! `repro allocs` report deterministic counters only ([`study`]).
 
 // `deny` rather than `forbid` so the counting allocator (src/alloc.rs)
 // can locally allow the `unsafe impl GlobalAlloc` it needs; everything
@@ -35,4 +37,4 @@ pub mod sequential_study;
 pub mod service_load;
 pub mod study;
 pub mod tables;
-pub mod timing;
+mod timing;

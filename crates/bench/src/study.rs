@@ -25,8 +25,6 @@ use std::path::{Path, PathBuf};
 
 use bmf_core::BmfError;
 
-use crate::timing::Harness;
-
 /// Writes a report in the flat layout, one entry at a time in output
 /// order. Values are written with `Display` and must read as a finite
 /// number or a boolean; the first refused key or value is returned by
@@ -203,16 +201,13 @@ pub(crate) fn write_report(dir: &Path, name: &str, json: &str) -> std::io::Resul
     Ok(path)
 }
 
-/// The `main` of a study bench binary: honours the harness's name
-/// filter, runs the study at its full configuration, prints its report
-/// to stdout and the wall time to stderr, writes `BENCH_<name>.json`
-/// into [`out_dir`], and exits with status 1 on any error.
+/// The `main` of a study bench binary: runs the study at its full
+/// configuration, prints its report to stdout and the wall time to
+/// stderr, writes `BENCH_<name>.json` into [`out_dir`], and exits with
+/// status 1 on any error.
 ///
 /// `run` returns the rendered report.
 pub fn bench_main<E: Display>(name: &str, run: impl FnOnce() -> Result<String, E>) {
-    if !Harness::from_cli().selected(name) {
-        return;
-    }
     let started = std::time::Instant::now();
     let json = run().unwrap_or_else(|e| exit_with(&format!("{name} study failed: {e}")));
     print!("{json}");

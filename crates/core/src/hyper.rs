@@ -12,7 +12,7 @@
 //! ([`crate::batch`]); the entry points here run them with one prior
 //! pattern on one worker. Three layers of work-sharing keep it cheap:
 //!
-//! * a [`FoldPlan`] computes the per-fold row index tables **once**,
+//! * a `FoldPlan` computes the per-fold row index tables **once**,
 //!   reused across every grid point, both prior families, and every job
 //!   of a batch fit;
 //! * each base — for a prior mostly on its floor, one Θ(K²M) floor gram

@@ -34,9 +34,9 @@
 //! `Γ = G·diag(1_F)·Gᵀ` of the finite columns, and the prior adds
 //! `G_S·diag(a⁻¹_S − c₀)·G_Sᵀ` over its entries above the floor
 //! (DESIGN.md §8). The sample-space systems are built from a base every
-//! such prior with the same missing columns shares ([`FoldBase`]: the
+//! such prior with the same missing columns shares (`FoldBase`: the
 //! QR of the missing columns and `QᵀΓQ` by a compact-WY congruence), and
-//! each prior adds only its rank-|S| term ([`FoldSystem`]); a dense
+//! each prior adds only its rank-|S| term (`FoldSystem`); a dense
 //! prior's kernel is formed directly and is its own base.
 
 use std::ops::Range;

@@ -152,7 +152,7 @@ impl Prior {
 
     /// Number of coefficients contributing zero prior precision: missing
     /// entries, plus — when the prior *scale* is degenerate (every early
-    /// coefficient zero or sub-epsilon, see [`Prior::floor`]) — all
+    /// coefficient zero or sub-epsilon, see `Prior::floor`) — all
     /// present entries, which are then routed through the missing-prior
     /// path of §IV-B. This — not [`Prior::num_missing`] — is what the
     /// solvers must compare against the sample budget, since every

@@ -95,11 +95,11 @@ const STRIP: usize = 16;
 /// nothing beyond growing `perm` to dimension `n` once.
 ///
 /// Bit-identical to [`Lu::new`] on the same input, and to the unblocked
-/// indexed elimination: the factorization runs in panels of [`PANEL`]
+/// indexed elimination: the factorization runs in panels of `PANEL`
 /// pivots, eliminating within the panel's columns pivot by pivot and
 /// then applying the panel's pivots to the columns right of it, one row
 /// strip at a time in pivot order; the last panel takes the whole
-/// remainder once fewer than [`PANEL`] + [`STRIP`] columns are left.
+/// remainder once fewer than `PANEL` + `STRIP` columns are left.
 /// Every element still receives the same `x -= m·u` updates in the same
 /// order (an exactly-zero multiplier skips its whole row update, as
 /// before), so pivots, `perm`, the sign and the factors are unchanged.

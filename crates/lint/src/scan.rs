@@ -29,7 +29,7 @@ pub enum Callee {
     /// `foo(..)` or `a::b::foo(..)` — normalized path segments, last one
     /// the function name. `crate`/`self`/`super` prefixes are stripped
     /// and `bmf_x` crate roots are rewritten to the short crate name
-    /// used by [`crate::rules::crate_of`].
+    /// used by `rules::crate_of`.
     Path(Vec<String>),
     /// `.foo(..)` — a method call resolved by name (and, when the
     /// receiver is literally `self`, by the surrounding impl type).

@@ -15,7 +15,7 @@
 //! each term as its sorted `(variable, degree)` pairs), coefficient
 //! bits, [`FitOptions`], prior kind, hyper-parameter, cross-validation
 //! error, the full [`SelectionOutcome`], and the
-//! [`ResilienceReport`](bmf_core::fusion::ResilienceReport). Every
+//! [`ResilienceReport`]. Every
 //! integer is little-endian, every f64 is its exact bit pattern, and
 //! enums are single-byte tags — so encoding is injective on snapshot
 //! values and `encode(decode(bytes)) == bytes` for every valid
