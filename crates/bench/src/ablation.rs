@@ -7,7 +7,8 @@
 //!   coefficient agreement degrades (§III-A2's "which prior when"),
 //! * [`hyper_sensitivity`] — error vs hyper-parameter, motivating the
 //!   cross-validation of §IV-D,
-//! * [`fold_sensitivity`] — CV fold-count robustness,
+//! * [`selection_rule`] — the engines' leave-one-out selection against
+//!   the 5-fold rule it replaced, on the paper's four error tables,
 //! * [`solver_scaling`] — direct vs fast MAP solver across M (the §IV-C
 //!   600× claim) including an exactness check,
 //! * [`prior_mapping_study`] — the multifinger differential pair of
@@ -15,26 +16,34 @@
 //! * [`missing_prior_study`] — §IV-B's infinite-variance handling vs
 //!   naively ignoring the new basis functions.
 
+use std::time::Instant;
+
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::diffpair::{DiffPair, DiffPairConfig};
+use bmf_circuits::ro::{RingOscillator, RoMetric};
 use bmf_circuits::sim::monte_carlo;
+use bmf_circuits::sram::SramReadPath;
 use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_circuits::synthetic::{SyntheticCircuit, SyntheticConfig};
 use bmf_core::fusion::BmfFitter;
 use bmf_core::hyper::{log_grid, CvConfig};
-use bmf_core::map_estimate::{map_estimate, SolverKind};
+use bmf_core::map_estimate::{map_estimate, MapSweep, SolverKind};
 use bmf_core::omp::{fit_omp, OmpConfig};
 use bmf_core::options::FitOptions;
 use bmf_core::prior::{Prior, PriorKind};
 use bmf_core::select::{select_prior, PriorSelection};
 use bmf_core::{BmfError, Result};
+use bmf_linalg::view::matvec_into;
 use bmf_linalg::Vector;
+use bmf_stat::crossval::KFold;
 use bmf_stat::normal::StandardNormal;
 use bmf_stat::rng::{derive_seed, seeded};
+use bmf_stat::summary::quantile;
 
 use crate::allocs_study::map_problem;
 use crate::report::{pct, secs, Report};
 use crate::scale::Scale;
+use crate::tables::{table_cells, TableCell};
 use crate::timing::median_secs;
 
 /// Ablation: prior family accuracy vs early/late coefficient shift.
@@ -429,56 +438,196 @@ pub fn hyper_sensitivity(scale: Scale, seed: u64) -> Result<Report> {
     Ok(r)
 }
 
-/// Ablation: BMF-PS error vs the cross-validation fold count.
+/// One table cell's BMF-PS pick under each selection rule: the family,
+/// the hyper-parameter, the held-out error of the fit at them, and the
+/// selection's wall time.
+struct Picks {
+    loo: (PriorKind, f64, f64),
+    kfold: (PriorKind, f64, f64),
+    secs: [f64; 2],
+}
+
+/// The 5-fold rule the fitting engines used before leave-one-out, by
+/// brute force: the cell's seeded split of its K rows into
+/// `cell.cv.folds` folds, and per fold one [`MapSweep`] on the training
+/// rows whose every `(grid, family)` solve is scored on the validation
+/// rows (eq. 59); the fold errors are averaged per cell, each family keeps
+/// its best grid value, and BMF-PS's rule picks (zero-mean unless
+/// nonzero-mean is strictly lower). A fold whose training rows cannot
+/// identify the missing-prior columns is skipped, as the engine skipped
+/// it.
+fn kfold_pick(cell: &TableCell<'_>) -> Result<(PriorKind, f64)> {
+    let (g, f, grid) = (cell.g, cell.f, &cell.cv.grid);
+    let kfold = KFold::new(g.nrows(), cell.cv.folds, cell.cv.seed).map_err(|_| {
+        BmfError::NotEnoughSamples {
+            available: g.nrows(),
+            required: cell.cv.folds,
+            context: "cross-validation folds",
+        }
+    })?;
+    let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
+    let prior = cell.prior.with_kind(PriorKind::NonZeroMean);
+    let mut sums = vec![(0.0, 0usize); kinds.len() * grid.len()];
+    for fold in kfold.iter() {
+        let Ok(sweep) = MapSweep::from_view(g.rows_view(&fold.train), &prior) else {
+            continue;
+        };
+        let f_train: Vector = fold.train.iter().map(|&i| f[i]).collect();
+        let f_val: Vector = fold.validate.iter().map(|&i| f[i]).collect();
+        let mut pred = vec![0.0; fold.validate.len()];
+        let cells = kinds
+            .iter()
+            .flat_map(|&k| grid.iter().map(move |&h| (k, h)));
+        for ((kind, h), sum) in cells.zip(&mut sums) {
+            let Ok(alpha) = sweep.solve_with_kind(&f_train, h, kind) else {
+                continue;
+            };
+            matvec_into(g.rows_view(&fold.validate), alpha.as_slice(), &mut pred)?;
+            let diff: f64 = pred
+                .iter()
+                .zip(f_val.iter())
+                .map(|(p, y)| (p - y) * (p - y))
+                .sum();
+            let err = diff.sqrt() / f_val.norm2().max(f64::MIN_POSITIVE);
+            if err.is_finite() {
+                *sum = (sum.0 + err, sum.1 + 1);
+            }
+        }
+    }
+    let best = |family: &[(f64, usize)]| {
+        let means = grid.iter().zip(family).filter(|(_, s)| s.1 > 0);
+        means
+            .map(|(&h, s)| (h, s.0 / s.1 as f64))
+            .fold(None, |b: Option<(f64, f64)>, c| match b {
+                Some(b) if b.1 <= c.1 => Some(b),
+                _ => Some(c),
+            })
+    };
+    let (zm, nzm) = sums.split_at(grid.len());
+    match (best(zm), best(nzm)) {
+        (Some(z), Some(n)) if z.1 > n.1 => Ok((PriorKind::NonZeroMean, n.0)),
+        (Some(z), _) => Ok((PriorKind::ZeroMean, z.0)),
+        (None, Some(n)) => Ok((PriorKind::NonZeroMean, n.0)),
+        (None, None) => Err(BmfError::Internal {
+            detail: "the 5-fold reference solved no cell",
+        }),
+    }
+}
+
+/// Ablation: the engines' exact leave-one-out selection against the
+/// 5-fold rule it replaced, on the paper's four error tables.
+///
+/// Per table (I–III: the RO's power, phase noise and frequency; V: the
+/// SRAM read delay, each built as `repro table1`…`table5` builds it) and
+/// K, every repeat of the table's sweep picks BMF-PS's (family, η) twice:
+/// by leave-one-out ([`select_prior`]) and by the 5-fold rule, as
+/// brute-force refits on each fold's training rows (`kfold_pick`). Each
+/// pick is fitted on the K rows and scored on the table's held-out set.
 ///
 /// # Errors
 ///
 /// Propagates fitting errors.
-pub fn fold_sensitivity(scale: Scale, seed: u64) -> Result<Report> {
-    let (early_vars, k) = match scale {
-        Scale::Ci => (60, 30),
-        _ => (300, 60),
-    };
-    let cfg = SyntheticConfig {
-        early_vars,
-        extra_late_vars: 5,
-        ..SyntheticConfig::default()
-    };
-    let circuit = SyntheticCircuit::new(cfg, seed);
-    let late_vars = circuit.num_vars(Stage::PostLayout);
-    let basis = OrthonormalBasis::linear(late_vars);
-    let mut early: Vec<Option<f64>> = circuit
-        .true_early_coeffs()
-        .iter()
-        .map(|&a| Some(a))
-        .collect();
-    early.extend(std::iter::repeat_n(None, late_vars - early_vars));
-    let train = monte_carlo(&circuit, Stage::PostLayout, k, derive_seed(seed, 1))
-        .expect("simulation succeeds");
-    let test = monte_carlo(&circuit, Stage::PostLayout, 300, derive_seed(seed, 2))
-        .expect("simulation succeeds");
-
-    let mut r = Report::new("ablation-kfold", "BMF-PS error vs cross-validation folds");
-    let mut rows = Vec::new();
-    for folds in [2usize, 3, 5, 8] {
-        let fit = BmfFitter::new(basis.clone(), early.clone())?
-            .with_options(FitOptions::new().folds(folds).seed(derive_seed(seed, 3)))
-            .fit(&train.points, &train.values)?;
-        let err = fit
-            .model
-            .relative_error(test.point_slices(), &test.values)?;
-        rows.push(vec![
-            folds.to_string(),
-            pct(err),
-            format!("{}", fit.prior_kind),
-            format!("{:.1e}", fit.hyper),
-        ]);
-    }
-    r.table(
-        &["folds", "test error (%)", "chosen prior", "chosen hyper"],
-        &rows,
+pub fn selection_rule(scale: Scale, seed: u64) -> Result<Report> {
+    let ro = RingOscillator::new(scale.ro_config(), seed);
+    let sram = SramReadPath::new(scale.sram_config(), seed);
+    let (power, noise, freq) = (
+        ro.metric(RoMetric::Power),
+        ro.metric(RoMetric::PhaseNoise),
+        ro.metric(RoMetric::Frequency),
     );
-    r.para("The fold count barely moves the result — 5 folds (the default) is safe.");
+    let delay = sram.read_delay();
+    let tables: [(&str, &dyn CircuitPerformance); 4] = [
+        ("I (RO power)", &power),
+        ("II (RO phase noise)", &noise),
+        ("III (RO frequency)", &freq),
+        ("V (SRAM read delay)", &delay),
+    ];
+    let mut r = Report::new(
+        "ablation-select",
+        "Hyper-parameter selection: exact leave-one-out vs the 5-fold rule",
+    );
+    r.para(&format!(
+        "Scale `{scale}`, {} repeats per K, the tables' own data and {}-point grid. \
+         Per repeat, BMF-PS picks its prior family and η by the engines' exact \
+         leave-one-out (LOO) and by the 5-fold rule they used before (seeded folds as \
+         the tables' `CvConfig` splits them; brute-force refits on each fold's training \
+         rows, each `(η, family)` scored on its validation rows). Errors are relative \
+         L2 (eq. 59) on the held-out set, in percent, averaged over the repeats; `same \
+         pick` counts the repeats whose (family, η) agree; the picks shown are the first \
+         repeat's. Selection times are medians over the repeats of one single-threaded \
+         selection each; the 5-fold time is that of the brute-force reference, which \
+         builds a kernel per fold, not of the engine path it replaces.",
+        scale.repeats(),
+        scale.hyper_grid().len(),
+    ));
+    let show = |(kind, hyper, _): (PriorKind, f64, f64)| format!("{kind} {hyper:.1e}");
+    let (mut within, mut rows_total, mut worst) = (0, 0, (0.0f64, "I (RO power)", 0));
+    for (name, circuit) in tables {
+        let (cells, _) = table_cells(circuit, scale, seed, |cell| {
+            let t0 = Instant::now();
+            let loo = select_prior(cell.g, cell.f, cell.prior, PriorSelection::Auto, cell.cv)?;
+            let loo_s = t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            let (kind, hyper) = kfold_pick(cell)?;
+            let kfold_s = t0.elapsed().as_secs_f64();
+            Ok(Picks {
+                loo: (loo.kind, loo.hyper, cell.score_map(loo.kind, loo.hyper)?),
+                kfold: (kind, hyper, cell.score_map(kind, hyper)?),
+                secs: [loo_s, kfold_s],
+            })
+        })?;
+        let mut rows = Vec::new();
+        for (k, reps) in scale.k_values().into_iter().zip(&cells) {
+            let mean =
+                |f: fn(&Picks) -> f64| reps.iter().fold(0.0, |s, p| s + f(p)) / reps.len() as f64;
+            let (loo, kfold) = (mean(|p| p.loo.2), mean(|p| p.kfold.2));
+            let change = (loo - kfold) / kfold;
+            rows_total += 1;
+            within += usize::from(change.abs() <= 0.01);
+            if rows_total == 1 || change.abs() > worst.0.abs() {
+                worst = (change, name, k);
+            }
+            let same = reps
+                .iter()
+                .filter(|p| p.loo.0 == p.kfold.0 && p.loo.1.to_bits() == p.kfold.1.to_bits())
+                .count();
+            let median =
+                |i: usize| quantile(&reps.iter().map(|p| p.secs[i]).collect::<Vec<_>>(), 0.5);
+            rows.push(vec![
+                k.to_string(),
+                pct(loo),
+                pct(kfold),
+                format!("{:+.2}%", 100.0 * change),
+                format!("{same}/{}", reps.len()),
+                show(reps[0].loo),
+                show(reps[0].kfold),
+                secs(median(0)),
+                secs(median(1)),
+            ]);
+        }
+        r.para(&format!("**Table {name}**"));
+        r.table(
+            &[
+                "K",
+                "LOO error (%)",
+                "5-fold error (%)",
+                "change",
+                "same pick",
+                "LOO pick",
+                "5-fold pick",
+                "LOO select (s)",
+                "5-fold select (s)",
+            ],
+            &rows,
+        );
+    }
+    let (change, table, k) = worst;
+    r.para(&format!(
+        "LOO's held-out error lies within 1 % relative of the 5-fold rule's on \
+         **{within} of {rows_total}** rows; the largest change is {:+.2} % \
+         (Table {table}, K = {k}).",
+        100.0 * change,
+    ));
     Ok(r)
 }
 
@@ -855,9 +1004,14 @@ mod tests {
     }
 
     #[test]
-    fn fold_sensitivity_runs() {
-        let r = fold_sensitivity(Scale::Ci, 4).unwrap();
-        assert!(r.body.contains("| 5 |"));
+    fn selection_rule_runs() {
+        let r = selection_rule(Scale::Ci, 4).unwrap();
+        for table in ["I (RO power)", "II", "III", "V (SRAM read delay)"] {
+            assert!(r.body.contains(&format!("**Table {table}")), "{}", r.body);
+        }
+        // Two K rows per table, each comparing both rules.
+        assert_eq!(r.body.matches("\n| 40 |").count(), 4, "{}", r.body);
+        assert!(r.body.contains("within 1 % relative"));
     }
 
     #[test]

@@ -70,8 +70,8 @@ impl Row {
 /// a [`BmfError::Config`] so the repro driver surfaces it.
 pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Report, BmfError> {
     // Representative late-stage shape: M = vars + 1 coefficients, K
-    // samples a few times the fold count, Auto prior selection over the
-    // default 17-point grid.
+    // samples about twice M, Auto prior selection over the default
+    // 17-point grid.
     let (num_vars, k, jobs): (usize, usize, usize) = match scale {
         Scale::Ci => (12, 24, 4),
         _ => (16, 32, 8),
@@ -91,8 +91,8 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
         .enumerate()
         .map(|(i, t)| Some(t * (1.0 + 0.05 * ((i * 3) as f64).sin())))
         .collect();
-    let options = FitOptions::new().folds(5).seed(seed);
-    let (folds, grid) = (options.folds, options.grid.len());
+    let options = FitOptions::new();
+    let grid = options.grid.len();
 
     // One cross-validated serial fit (warm up once so one-time lazy
     // setup is not charged to the measured fit).
@@ -239,7 +239,6 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             s.field("vars", num_vars);
             s.field("terms", m);
             s.field("samples", k);
-            s.field("folds", folds);
             s.field("grid", grid);
             s.field("jobs", jobs);
             s.field("floor_vars", early_vars);
@@ -272,7 +271,7 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
         );
     }
     report.para(&format!(
-        "Scenario: M = {m} terms, K = {k} samples, {folds} folds × {grid} grid points × \
+        "Scenario: M = {m} terms, K = {k} samples, leave-one-out over {grid} grid points × \
          both prior families; batch of {jobs} jobs on one shared sample set (1 thread). \
          `batch_floor_fit`: {floor_jobs} jobs over M = {} terms, K = {floor_k}, whose \
          priors keep every sixth early entry, sit on their floor elsewhere and miss the \

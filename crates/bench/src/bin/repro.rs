@@ -39,7 +39,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("missing", "missing-prior case study"),
     ("ablation-prior", "prior family vs early/late shift"),
     ("ablation-eta", "error vs hyper-parameter"),
-    ("ablation-kfold", "CV fold sensitivity"),
+    ("ablation-select", "LOO vs 5-fold hyper-parameter selection"),
     ("ablation-baselines", "OMP vs LASSO vs LS vs BMF-PS"),
     ("nonlinear", "BMF with a degree-2 Hermite basis"),
     ("batch", "batch fitting vs serial loop throughput"),
@@ -211,7 +211,7 @@ fn run_experiment(id: &str, scale: Scale, seed: u64) -> Result<Report, String> {
         "missing" => ablation::missing_prior_study(scale, seed).map_err(err),
         "ablation-prior" => ablation::prior_quality_sweep(scale, seed).map_err(err),
         "ablation-eta" => ablation::hyper_sensitivity(scale, seed).map_err(err),
-        "ablation-kfold" => ablation::fold_sensitivity(scale, seed).map_err(err),
+        "ablation-select" => ablation::selection_rule(scale, seed).map_err(err),
         "ablation-baselines" => ablation::baseline_comparison(scale, seed).map_err(err),
         "nonlinear" => ablation::nonlinear_study(scale, seed).map_err(err),
         "batch" => bmf_bench::batch_study::batch_throughput(scale, seed).map_err(err),

@@ -71,14 +71,18 @@ pub fn pct(e: f64) -> String {
     format!("{:.4}", e * 100.0)
 }
 
-/// Formats seconds with sensible precision.
+/// Formats seconds with sensible precision: three significant digits
+/// below a millisecond, so a time of microseconds does not read `0.0000`.
 pub fn secs(s: f64) -> String {
     if s >= 100.0 {
         format!("{s:.0}")
     } else if s >= 1.0 {
         format!("{s:.2}")
-    } else {
+    } else if s >= 1e-3 || s.is_nan() || s <= 0.0 {
         format!("{s:.4}")
+    } else {
+        let decimals = (2.0 - s.log10().floor()) as usize;
+        format!("{s:.decimals$}")
     }
 }
 
@@ -114,5 +118,10 @@ mod tests {
         assert_eq!(secs(140.31), "140");
         assert_eq!(secs(7.42), "7.42");
         assert_eq!(secs(0.0123), "0.0123");
+        assert_eq!(secs(0.00123), "0.0012");
+        assert_eq!(secs(0.000123), "0.000123");
+        assert_eq!(secs(4.2e-5), "0.0000420");
+        assert_eq!(secs(9.87e-7), "0.000000987");
+        assert_eq!(secs(0.0), "0.0000");
     }
 }

@@ -139,12 +139,8 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
 
     let basis = OrthonormalBasis::linear(cfg.num_vars.max(1));
     let terms = basis.len();
-    let options = FitOptions::new()
-        .folds(4)
-        .grid(log_grid(1e-3, 1e3, 9))
-        .seed(derive_seed(cfg.seed, 2))
-        .threads(0); // consult BMF_THREADS; results are thread-invariant
-    let (folds, grid) = (options.folds, options.grid.len());
+    let options = FitOptions::new().grid(log_grid(1e-3, 1e3, 9)).threads(0); // consult BMF_THREADS; results are thread-invariant
+    let grid = options.grid.len();
     let service = FitService::new(ServiceConfig {
         max_coalesce: cfg.max_coalesce.max(1),
         options,
@@ -226,7 +222,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         s.field("samples", cfg.samples.max(terms));
         s.field("jobs", traffic.jobs);
         s.field("groups", traffic.groups);
-        s.field("folds", folds);
         s.field("grid", grid);
         s.field("max_coalesce", cfg.max_coalesce.max(1));
         s.field("coalesce_window_ns", cfg.coalesce_window_ns.max(1));

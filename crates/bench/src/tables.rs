@@ -254,46 +254,56 @@ struct CellErrors {
     ps: f64,
 }
 
-/// Fits the four methods on `(g, f)` and scores them against
-/// `(g_test, f_test)`.
-fn run_cell(
-    g: &Matrix,
-    f: &Vector,
-    prior: &Prior,
-    g_test: &Matrix,
-    f_test: &Vector,
-    cv: &CvConfig,
-    omp_cfg: &OmpConfig,
-) -> Result<CellErrors> {
-    let test_norm = f_test.norm2();
-    let score = |alpha: &Vector| -> Result<f64> {
-        let pred = g_test.matvec(alpha)?;
-        Ok(pred.sub(f_test)?.norm2() / test_norm)
+/// One (repeat, K) cell of an error table, in the normalized response
+/// space: the first K training rows, the scaled prior, the held-out set,
+/// the cross-validation configuration and the repeat's seed.
+pub(crate) struct TableCell<'a> {
+    pub(crate) g: &'a Matrix,
+    pub(crate) f: &'a Vector,
+    pub(crate) prior: &'a Prior,
+    pub(crate) g_test: &'a Matrix,
+    pub(crate) f_test: &'a Vector,
+    pub(crate) cv: &'a CvConfig,
+    pub(crate) rep_seed: u64,
+}
+
+impl TableCell<'_> {
+    /// Relative held-out error (eq. 59) of the coefficients `alpha`.
+    pub(crate) fn score(&self, alpha: &Vector) -> Result<f64> {
+        let pred = self.g_test.matvec(alpha)?;
+        Ok(pred.sub(self.f_test)?.norm2() / self.f_test.norm2())
+    }
+
+    /// The held-out error of the MAP fit at `kind` and `hyper`.
+    pub(crate) fn score_map(&self, kind: PriorKind, hyper: f64) -> Result<f64> {
+        let prior = self.prior.with_kind(kind);
+        self.score(&map_estimate(
+            self.g,
+            self.f,
+            &prior,
+            &FitOptions::new().hyper(hyper),
+        )?)
+    }
+}
+
+/// Fits the four methods on the cell's training rows and scores them
+/// against its held-out set.
+fn run_cell(cell: &TableCell<'_>) -> Result<CellErrors> {
+    let omp_cfg = OmpConfig {
+        seed: derive_seed(cell.rep_seed, 2),
+        ..OmpConfig::default()
     };
+    let omp_fit = fit_omp_design(cell.g, cell.f, &omp_cfg)?;
+    let omp = cell.score(&Vector::from(omp_fit.coeffs))?;
 
-    let omp_fit = fit_omp_design(g, f, omp_cfg)?;
-    let omp = score(&Vector::from(omp_fit.coeffs))?;
-
-    let sel = select_prior(g, f, prior, PriorSelection::Auto, cv)?;
+    let sel = select_prior(cell.g, cell.f, cell.prior, PriorSelection::Auto, cell.cv)?;
     let (Some(zm_cv), Some(nzm_cv)) = (&sel.zero_mean, &sel.nonzero_mean) else {
         return Err(BmfError::Internal {
             detail: "BMF-PS cross-validated fewer than both prior families",
         });
     };
-    let alpha_zm = map_estimate(
-        g,
-        f,
-        &prior.with_kind(PriorKind::ZeroMean),
-        &FitOptions::new().hyper(zm_cv.best_hyper),
-    )?;
-    let alpha_nzm = map_estimate(
-        g,
-        f,
-        &prior.with_kind(PriorKind::NonZeroMean),
-        &FitOptions::new().hyper(nzm_cv.best_hyper),
-    )?;
-    let zm = score(&alpha_zm)?;
-    let nzm = score(&alpha_nzm)?;
+    let zm = cell.score_map(PriorKind::ZeroMean, zm_cv.best_hyper)?;
+    let nzm = cell.score_map(PriorKind::NonZeroMean, nzm_cv.best_hyper)?;
     // BMF-PS keeps whichever prior cross-validated better (on training
     // data only; the test set stays untouched, matching §V's note that
     // PS is not guaranteed to pick the test-set winner).
@@ -304,16 +314,19 @@ fn run_cell(
     Ok(CellErrors { omp, zm, nzm, ps })
 }
 
-/// Runs the full error table for one circuit metric.
+/// Runs `cell` on every (repeat, K) cell of `circuit`'s error table,
+/// repeat-major, and returns its results per K in repeat order, with the
+/// early-stage model's validation error.
 ///
 /// # Errors
 ///
-/// Propagates fitting errors from any cell.
-pub fn run_error_table(
+/// Propagates fitting errors from the early model and any cell.
+pub(crate) fn table_cells<T>(
     circuit: &dyn CircuitPerformance,
     scale: Scale,
     seed: u64,
-) -> Result<ErrorTable> {
+    mut cell: impl FnMut(&TableCell<'_>) -> Result<T>,
+) -> Result<(Vec<Vec<T>>, f64)> {
     let (early, _sch_set) = fit_early_model(circuit, scale, derive_seed(seed, 1))?;
     let late_vars = circuit.num_vars(Stage::PostLayout);
     let basis = OrthonormalBasis::linear(late_vars);
@@ -321,15 +334,14 @@ pub fn run_error_table(
 
     let k_values = scale.k_values();
     let k_max = *k_values.last().expect("non-empty K sweep");
-    let repeats = scale.repeats();
     let cv = CvConfig {
         folds: scale.folds(),
         grid: scale.hyper_grid(),
         seed: derive_seed(seed, 2),
     };
 
-    let mut sums = vec![[0.0f64; 4]; k_values.len()];
-    for rep in 0..repeats {
+    let mut out: Vec<Vec<T>> = k_values.iter().map(|_| Vec::new()).collect();
+    for rep in 0..scale.repeats() {
         let rep_seed = derive_seed(seed, 100 + rep as u64);
         let train = monte_carlo(circuit, Stage::PostLayout, k_max, derive_seed(rep_seed, 0))
             .expect("simulation succeeds");
@@ -349,36 +361,51 @@ pub fn run_error_table(
         let f_test = scaled_values(&test.values, norm);
         let prior = scaled_prior(&prior_raw, norm);
 
-        for (ki, &k) in k_values.iter().enumerate() {
+        for (&k, out) in k_values.iter().zip(&mut out) {
             let g = row_prefix(&g_full, k);
             let f = scaled_values(&train.values[..k], norm);
-            let omp_cfg = OmpConfig {
-                seed: derive_seed(rep_seed, 2),
-                ..OmpConfig::default()
-            };
-            let cell = run_cell(&g, &f, &prior, &g_test, &f_test, &cv, &omp_cfg)?;
-            sums[ki][0] += cell.omp;
-            sums[ki][1] += cell.zm;
-            sums[ki][2] += cell.nzm;
-            sums[ki][3] += cell.ps;
+            out.push(cell(&TableCell {
+                g: &g,
+                f: &f,
+                prior: &prior,
+                g_test: &g_test,
+                f_test: &f_test,
+                cv: &cv,
+                rep_seed,
+            })?);
         }
     }
+    Ok((out, early.validation_error))
+}
 
-    let rows = k_values
-        .iter()
-        .zip(&sums)
-        .map(|(&k, s)| ErrorRow {
-            k,
-            omp: s[0] / repeats as f64,
-            zm: s[1] / repeats as f64,
-            nzm: s[2] / repeats as f64,
-            ps: s[3] / repeats as f64,
+/// Runs the full error table for one circuit metric.
+///
+/// # Errors
+///
+/// Propagates fitting errors from any cell.
+pub fn run_error_table(
+    circuit: &dyn CircuitPerformance,
+    scale: Scale,
+    seed: u64,
+) -> Result<ErrorTable> {
+    let (cells, early_error) = table_cells(circuit, scale, seed, run_cell)?;
+    let repeats = scale.repeats() as f64;
+    let rows = scale
+        .k_values()
+        .into_iter()
+        .zip(&cells)
+        .map(|(k, reps)| {
+            let mean = |f: fn(&CellErrors) -> f64| reps.iter().fold(0.0, |s, c| s + f(c)) / repeats;
+            ErrorRow {
+                k,
+                omp: mean(|c| c.omp),
+                zm: mean(|c| c.zm),
+                nzm: mean(|c| c.nzm),
+                ps: mean(|c| c.ps),
+            }
         })
         .collect();
-    Ok(ErrorTable {
-        rows,
-        early_error: early.validation_error,
-    })
+    Ok(ErrorTable { rows, early_error })
 }
 
 /// Renders a measured table against the paper's reference values.

@@ -9,41 +9,38 @@
 //!
 //! * the design matrix `G` (Θ(K·M·basis) to evaluate) is identical for
 //!   every job;
-//! * the cross-validation fold row-selections depend only on `(K, folds,
-//!   seed)`;
 //! * the floor gram `Γ = G·diag(1_F)·Gᵀ`, Θ(K²M), depends only on the
 //!   points and the prior's *missing columns*: one per finite-column set
 //!   serves every prior pattern with that set whose entries mostly sit
 //!   on the prior floor, as an OMP early model's do, since such a
 //!   pattern's Woodbury kernel is `c₀·Γ + G_S·diag(a⁻¹_S − c₀)·G_Sᵀ`
 //!   over its few entries above the floor `c₀`;
-//! * each fold's *base* — the QR of the fold's missing columns and the
-//!   congruence `QᵀΓQ` — depends only on the gram and the fold, so every
-//!   pattern on the gram shares it and adds only its own rank-|S| term;
-//!   a dense prior's kernel `G·diag(A⁻¹)·Gᵀ` is its own base;
-//! * each fold's sample-space system depends only on the *normalized
-//!   prior values*: jobs whose priors coincide after normalization share
-//!   it exactly.
+//! * the *base* — the QR of the missing columns, the congruence `QᵀΓQ`
+//!   and `Nᵀ` — depends only on the gram and the missing columns, so
+//!   every pattern on the gram shares it and adds only its own rank-|S|
+//!   term; a dense prior's kernel `G·diag(A⁻¹)·Gᵀ` is its own base;
+//! * each pattern's full-data sample-space system, which both the
+//!   leave-one-out selection and the final solve read, depends only on
+//!   the *normalized prior values*: jobs whose priors coincide after
+//!   normalization share it exactly.
 //!
 //! [`BatchFitter`] evaluates the design matrix once, builds each floor
 //! gram once (in row bands every worker shares) and each dense pattern's
-//! kernel once, and dispatches the remaining work — one sweep per
-//! `(base, fold)` that builds the fold's base once, then each pattern's
-//! sample-space system from it, and evaluates every `(hyper, family)`
-//! cell of every job of the pattern against that system (one sweep per
-//! `(pattern, fold)` where the base misses no column and so costs only a
-//! gather); one full-data base and system per missing-prior base; then
-//! per-job reduction and the final solve (the pattern's full-data
-//! back-projection, or the Woodbury solve of a fully informed prior) —
-//! across a scoped worker pool.
+//! kernel once, and dispatches the selection as one schedule of tasks
+//! over a scoped worker pool: per base its QR, congruence and blocks of
+//! `Nᵀ`; per pattern its system; per pattern and fixed-size block of rows
+//! the block's leave-one-out sums for every `(hyper, family)` cell of
+//! every job of the pattern (see [`crate::hyper`]). Then, per job, the
+//! reduction and the final solve (the pattern's full-data
+//! back-projection, or the Woodbury solve of a fully informed prior).
 //!
 //! # Determinism
 //!
 //! Results are **bit-identical for every thread count**, including 1.
 //! Workers only compute pure functions of their task inputs and write
-//! into per-task slots; every reduction (fold error accumulation, error
-//! propagation, counter totals) happens after the join, in a fixed
-//! order. This engine is the only one:
+//! into per-task slots; the row blocks have a fixed size, and every
+//! reduction (the blocks' leave-one-out sums, error propagation, counter
+//! totals) happens after the join, in a fixed order. This engine is the only one:
 //! [`BmfFitter::fit`](crate::fusion::BmfFitter::fit) is a one-job call of
 //! it on one worker, so a one-job batch equals a single fit by
 //! construction.
@@ -62,7 +59,7 @@
 //! let bw: Vec<f64> = points.iter().map(|p| 2.0 - 0.3 * p[1]).collect();
 //!
 //! let report = BatchFitter::new(basis)
-//!     .with_options(FitOptions::new().folds(4).threads(2))
+//!     .with_options(FitOptions::new().threads(2))
 //!     .job(BatchJob::new("gain", vec![Some(1.0), Some(0.5), Some(0.0)], gain))
 //!     .job(BatchJob::new("bw", vec![Some(2.0), Some(0.0), Some(-0.3)], bw))
 //!     .fit(&points)?;
@@ -74,7 +71,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bmf_basis::basis::OrthonormalBasis;
@@ -82,9 +79,9 @@ use bmf_linalg::view::{gram_runs_band_into, mirror_upper_into};
 use bmf_linalg::{Matrix, Vector};
 
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
-use crate::hyper::{reduce_outcomes, FoldErrors, FoldPlan};
+use crate::hyper::{reduce_outcomes, CvOutcome};
 use crate::map_estimate::{
-    finite_runs, map_estimate_ws, FoldBase, FoldSystem, FoldWork, PriorTerms, SolverKind,
+    finite_runs, map_estimate_ws, FoldBase, FoldSystem, LooSolves, PriorTerms, SolverKind,
 };
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
@@ -125,21 +122,18 @@ impl BatchJob {
 /// Wall-clock time spent in each phase of a batch fit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Design-matrix evaluation, fold planning, and response
-    /// normalization (runs once, serially).
+    /// Design-matrix evaluation and response normalization (runs once,
+    /// serially).
     pub prepare: Duration,
     /// Kernel builds (parallel): the floor gram of each finite-column
     /// set, one row band per worker, and one task per dense prior
-    /// pattern forming its own kernel over all K rows; every fold then
-    /// indexes them.
+    /// pattern forming its own kernel over all K rows.
     pub kernels: Duration,
-    /// Cross-validation sweeps (parallel; one task per `(base, fold)`
-    /// pair, which builds the fold's base once, then each pattern's
-    /// sample-space system from it, and covers every `(hyper, family)`
-    /// cell of every job of those patterns — one per `(pattern, fold)`
-    /// on a base that misses no column), plus, for the fast solver, one
-    /// task per missing-prior base building its full-data base and each
-    /// pattern's full-data system.
+    /// Leave-one-out selection (parallel; one schedule of tasks): per
+    /// base the QR of its missing columns, its congruence and blocks of
+    /// `Nᵀ`; per pattern its full-data system; per pattern and block of
+    /// rows the block's sums for every `(hyper, family)` cell of every
+    /// job of the pattern.
     pub sweep: Duration,
     /// Per-job reduction, prior selection, and the final full-data MAP
     /// solve (parallel; one task per job): the back-projection of the
@@ -293,9 +287,9 @@ pub(crate) type Pattern<'a> = (&'a Prior, Vec<&'a Vector>);
 /// The fitting engine: every cross-validated fit runs through here —
 /// [`BatchFitter::fit`], [`BmfFitter::fit`] (one job on one worker) and
 /// the service's coalesced runs and isolation refits. Screens the jobs,
-/// then runs phase 1 (design matrix, fold plan, normalization and
-/// grouping by prior pattern), [`sweep`], and per job the reduction,
-/// the prior choice and the final full-data solve.
+/// then runs phase 1 (design matrix, normalization and grouping by
+/// prior pattern), [`sweep`], and per job the reduction, the prior choice
+/// and the final full-data solve.
 pub(crate) fn fit_jobs(
     basis: &OrthonormalBasis,
     points: &[Vec<f64>],
@@ -330,18 +324,16 @@ pub(crate) fn fit_jobs(
         crate::screen::finite_early("prior early coefficients", job.prior)?;
     }
 
-    // Phase 1 (serial): shared design matrix, fold plan, and per-job
-    // normalization.
+    // Phase 1 (serial): shared design matrix and per-job normalization.
     let t0 = Instant::now();
     let g = basis.design_matrix(points.iter().map(|p| p.as_slice()));
-    let plan = FoldPlan::new(g.nrows(), options.folds, options.seed)?;
-    let num_folds = plan.folds.len();
     let prepared: Vec<PreparedJob> = jobs.iter().map(PreparedJob::new).collect();
 
     // Group jobs by normalized prior bit-pattern, in first-occurrence
-    // order: jobs in one group share the Woodbury kernel and every fold
-    // system exactly (same `A`, same means). Job `j` is response
-    // `place[j].1` of pattern `place[j].0`; response 0 owns the pattern.
+    // order: jobs in one group share the Woodbury kernel and the
+    // pattern's system exactly (same `A`, same means). Job `j` is
+    // response `place[j].1` of pattern `place[j].0`; response 0 owns the
+    // pattern.
     let mut place = Vec::with_capacity(prepared.len());
     let mut patterns: Vec<Pattern<'_>> = Vec::new();
     for p in &prepared {
@@ -360,58 +352,38 @@ pub(crate) fn fit_jobs(
         ..PhaseTimings::default()
     };
     let kinds = kinds_for(options.selection);
-    let full = options.solver == SolverKind::Fast;
-    let swept = sweep(&g, &plan, &patterns, &options.grid, kinds, full, threads)?;
+    let swept = sweep(&g, &patterns, &options.grid, kinds, threads)?;
     (timings.kernels, timings.sweep) = (swept.kernels_time, swept.sweep_time);
 
-    // Phase 4 (parallel): per-job reduction (fold-major, fixed order),
-    // prior selection, and the final full-data solve.
+    // Phase 4 (parallel): per-job reduction (block order), prior
+    // selection, and the final full-data solve.
     let t3 = Instant::now();
-    let per_job = kinds.len() * options.grid.len();
     let fits: Vec<Result<BmfFit>> =
-        run_indexed_with(threads, prepared.len(), MapScratch::default, |ws, j| {
+        run_indexed_with(threads, prepared.len(), MapScratch::default, |ws, j, _| {
             let job = &prepared[j];
             let (pi, slot) = place[j];
-            let job_cells = |fi: usize| {
-                let (task, first) = swept.cells_at[pi * num_folds + fi];
-                let r = first + slot;
-                swept.errors[task]
-                    .as_deref()
-                    .map(|e| &e[r * per_job..(r + 1) * per_job])
+            let loo = ok(&swept.loo[pi])?;
+            let outcomes = loo.outcomes(slot, &options.grid, kinds.len())?;
+            // One solve per solved cell; the first job of each pattern
+            // built its system, later jobs reused it.
+            let built = usize::from(slot == 0);
+            let mut counters = FitCounters {
+                map_solves: outcomes.iter().map(|o| o.errors.len()).sum(),
+                kernels_built: built,
+                kernel_cache_misses: built,
+                kernel_cache_hits: 1 - built,
+                ..FitCounters::default()
             };
-            let mut counters = FitCounters::default();
-            for fi in 0..num_folds {
-                // Kernel accounting, one per usable fold: the first job
-                // of each pattern built its kernels; later jobs reused
-                // them from the cache.
-                if let Some(cells) = job_cells(fi) {
-                    counters.map_solves += cells.iter().flatten().count();
-                    if slot == 0 {
-                        counters.kernels_built += 1;
-                        counters.kernel_cache_misses += 1;
-                    } else {
-                        counters.kernel_cache_hits += 1;
-                    }
-                }
-            }
-            let outcomes = reduce_outcomes(
-                &options.grid,
-                kinds.len(),
-                (0..num_folds).map(job_cells),
-                job.f.len(),
-                num_folds,
-            )?;
             let selection = decide(options.selection, outcomes)?;
             // A missing prior back-projects its pattern's full-data
             // system, as `map_estimate`'s fast solver does; any other
             // final solve is `map_estimate`'s own.
-            let (alpha, final_res) = match &swept.full[pi] {
-                Some(system) => {
-                    let (base, system) = system.as_ref().map_err(Clone::clone)?;
+            let (alpha, final_res) = match (&loo.full, options.solver) {
+                (Some((base, system)), SolverKind::Fast) => {
                     let (f, hyper, terms) = (job.f.as_slice(), selection.hyper, &swept.terms[pi]);
                     system.solve(g.as_view(), base, terms, f, hyper, selection.kind)?
                 }
-                None => {
+                _ => {
                     let chosen = job.prior.with_kind(selection.kind);
                     map_estimate_ws(&g, &job.f, &chosen, selection.hyper, options.solver, ws)?
                 }
@@ -461,30 +433,45 @@ pub(crate) fn fit_jobs(
     })
 }
 
-/// A pattern's full-data system, with the full-data base (the QR of its
-/// missing columns) it shares with the other patterns on its base.
-pub(crate) type FullSystem = (Arc<FoldBase>, FoldSystem);
+/// Rows per block of the leave-one-out cells. The size is fixed, so the
+/// blocks, and the order their sums are added in, do not depend on the
+/// pool.
+const LOO_BLOCK: usize = 32;
+
+/// One prior pattern's leave-one-out tables.
+pub(crate) struct Loo {
+    /// Per grid value: whether `T̂ + ηI` factorized.
+    solved: Vec<bool>,
+    /// Rows, and the rows one held out needs (`|Z| + 1`).
+    rows: (usize, usize),
+    /// Per block of rows, in block order: per response `[rows held out,
+    /// Σf², then per family and grid value Σe²]` (`FoldSystem::loo_block`).
+    blocks: Vec<Vec<f64>>,
+    /// The full-data system when the prior misses a column, for the fast
+    /// final solve, with the projection (the QR of the missing columns)
+    /// it shares with the other patterns on its base.
+    pub(crate) full: Option<(Arc<FoldBase>, FoldSystem)>,
+}
+
+impl Loo {
+    /// The leave-one-out outcomes of response `r`, one per family.
+    pub(crate) fn outcomes(&self, r: usize, grid: &[f64], kinds: usize) -> Result<Vec<CvOutcome>> {
+        let width = 2 + kinds * grid.len();
+        let blocks = self.blocks.iter().map(|b| &b[r * width..(r + 1) * width]);
+        reduce_outcomes(grid, kinds, &self.solved, self.rows, blocks)
+    }
+}
 
 /// What [`sweep`] leaves for the final solves.
 pub(crate) struct Swept {
-    /// The error tables, one per `(base, fold)` sweep task in task order,
-    /// each over the responses of the task's patterns in order; `None`
-    /// for a fold unusable for the base.
-    pub(crate) errors: Vec<Option<FoldErrors>>,
-    /// Per `(pattern, fold)` (`[pattern · folds + fold]`): the task whose
-    /// table holds the pattern's cells, and the pattern's first response
-    /// in it.
-    pub(crate) cells_at: Vec<(usize, usize)>,
+    /// Per pattern: its leave-one-out tables, or the error that stopped
+    /// its base or system.
+    pub(crate) loo: Vec<Result<Loo>>,
     /// Each pattern's hyper-independent prior quantities.
     pub(crate) terms: Vec<PriorTerms>,
-    /// Each pattern's full-data system when it was asked for and the
-    /// prior misses a column, with the projection of the full-data base
-    /// it was built on (the build's error, for that pattern's jobs to
-    /// report), `None` otherwise.
-    pub(crate) full: Vec<Option<Result<FullSystem>>>,
     /// Wall time of the kernel phase.
     pub(crate) kernels_time: Duration,
-    /// Wall time of the sweep phase.
+    /// Wall time of the selection phase.
     pub(crate) sweep_time: Duration,
 }
 
@@ -494,38 +481,50 @@ pub(crate) struct Swept {
 struct Base<'a> {
     missing: &'a [usize],
     floor: bool,
-    /// The patterns built on it, in pattern order.
-    patterns: Vec<usize>,
+    /// The first pattern built on it.
+    first: usize,
 }
 
-/// One task of the sweep phase.
-enum SweepTask {
-    /// A `(base, fold)` sweep over some of the base's patterns.
-    Cells(Option<FoldErrors>),
-    /// A base's full-data systems, one per pattern of the base.
-    Full(Vec<Result<FullSystem>>),
+/// One task of the selection phase: what it leaves for the tasks after
+/// it.
+enum Step {
+    /// A base's kernel turned into its congruence `QᵀBQ`.
+    Congruence(Result<Matrix>),
+    /// One block of a base's `Nᵀ` columns, with its usable rows.
+    Block(Result<(Vec<f64>, Vec<bool>)>),
+    /// A pattern's full-data system and per-grid-value solves.
+    System(Result<(FoldSystem, LooSolves)>),
+    /// One block of a pattern's leave-one-out sums.
+    Sums(Result<Vec<f64>>),
 }
 
-/// The engine's kernel and sweep phases, which the cross-validation
+/// A borrowed result, its error cloned.
+fn ok<T>(r: &Result<T>) -> Result<&T> {
+    r.as_ref().map_err(Clone::clone)
+}
+
+/// The engine's kernel and selection phases, which the cross-validation
 /// entry points also call with one pattern. Patterns are grouped into
 /// bases: the floor gram of each finite-column set serves every pattern
 /// that uses the floor gram with those missing columns, and any other
 /// pattern is its own base, its own kernel. Phase 2 builds each floor
 /// gram in row bands that every worker shares, and each own kernel as
-/// one task; phase 3 runs one sweep per `(base, fold)`, which builds the
-/// fold's base once ([`FoldBase`]: the QR of the missing columns and the
-/// base's congruence) and then each pattern's system from it, every
-/// worker reusing its own [`FoldWork`] (one sweep per `(pattern, fold)`
-/// on a base that misses no column). With `full` set, phase 3 also
-/// builds, per base whose patterns miss a column, the full-data base and
-/// each pattern's full-data system, for the fast final solve.
+/// one task. Phase 3 selects by leave-one-out on each pattern's
+/// full-data system (see [`crate::hyper`]): each base's QR of its
+/// missing columns ([`FoldBase::new`]) on the calling thread, then one
+/// schedule over the pool in which a task waits for the earlier tasks it
+/// reads — per base its congruence and, per fixed-size block of rows,
+/// that block of `Nᵀ` ([`FoldBase::n_block`]); per pattern its system
+/// and per-grid-value solves ([`FoldSystem::full`],
+/// [`FoldSystem::loo_solves`]); per pattern and block the block of `Ψ`
+/// and its sums ([`FoldSystem::loo_block`]). A worker takes the next
+/// task while another builds a congruence or reduces a system, so both
+/// workers of a two-thread pool stay busy.
 pub(crate) fn sweep(
     g: &Matrix,
-    plan: &FoldPlan,
     patterns: &[Pattern<'_>],
     grid: &[f64],
     kinds: &[PriorKind],
-    full: bool,
     threads: usize,
 ) -> Result<Swept> {
     let t1 = Instant::now();
@@ -534,20 +533,21 @@ pub(crate) fn sweep(
     });
     let terms = first_error(terms)?;
     let mut bases: Vec<Base<'_>> = Vec::new();
+    let mut base_of = Vec::with_capacity(terms.len());
     for (pi, t) in terms.iter().enumerate() {
         let floor = t.uses_floor_gram();
         let shared = bases
             .iter()
             .position(|b| floor && b.floor && b.missing == t.missing());
-        let bi = shared.unwrap_or_else(|| {
+        base_of.push(shared.unwrap_or_else(|| {
+            let missing = t.missing();
             bases.push(Base {
-                missing: t.missing(),
+                missing,
                 floor,
-                patterns: Vec::new(),
+                first: pi,
             });
             bases.len() - 1
-        });
-        bases[bi].patterns.push(pi);
+        }));
     }
     let sets: Vec<&[usize]> = bases
         .iter()
@@ -557,106 +557,121 @@ pub(crate) fn sweep(
     let mut grams = floor_grams(g, &sets, threads)?.into_iter();
     let own = run_indexed(threads, bases.len(), |bi| {
         let base = &bases[bi];
-        match base.patterns.first() {
-            Some(&pi) if !base.floor => terms[pi].own_kernel(g.as_view()).map(Some),
-            _ => Ok(None),
-        }
+        (!base.floor)
+            .then(|| terms[base.first].own_kernel(g.as_view()))
+            .transpose()
     });
-    let kernels: Vec<Matrix> = first_error(own)?
+    let kernels: Vec<Mutex<Matrix>> = first_error(own)?
         .into_iter()
-        .map(|own| own.or_else(|| grams.next()))
+        .map(|own| own.or_else(|| grams.next()).map(Mutex::new))
         .collect::<Option<_>>()
         .ok_or(BmfError::Internal {
             detail: "a sweep base has no kernel",
         })?;
     let kernels_time = t1.elapsed();
 
-    // Full-data systems first: each is a fold's work over every row, so
-    // starting them early balances the pool.
     let t2 = Instant::now();
-    let num_folds = plan.folds.len();
-    let needs_full: Vec<usize> = (0..bases.len())
-        .filter(|&bi| full && !bases[bi].missing.is_empty())
+    let k = g.nrows();
+    let blocks: Vec<Range<usize>> = (0..k)
+        .step_by(LOO_BLOCK)
+        .map(|start| start..k.min(start + LOO_BLOCK))
         .collect();
-    // One task per (base, fold) builds the fold's base once for all of
-    // the base's patterns. A base whose patterns miss no column costs
-    // only a gather (no QR, no congruence), so there each pattern gets a
-    // task of its own, which keeps a batch of many such patterns
-    // balanced across the pool.
-    let mut chunks: Vec<(usize, usize, Range<usize>)> = Vec::new();
-    let mut cells_at = vec![(0, 0); patterns.len() * num_folds];
-    for (bi, base) in bases.iter().enumerate() {
-        let len = base.patterns.len();
-        let step = if base.missing.is_empty() {
-            1
-        } else {
-            len.max(1)
-        };
-        for fi in 0..num_folds {
-            for start in (0..len).step_by(step) {
-                let range = start..(start + step).min(len);
-                let mut first = 0;
-                for &pi in &base.patterns[range.clone()] {
-                    cells_at[pi * num_folds + fi] = (chunks.len(), first);
-                    first += patterns[pi].1.len();
-                }
-                chunks.push((bi, fi, range));
-            }
-        }
-    }
-    let tasks = run_indexed_with(
-        threads,
-        needs_full.len() + chunks.len(),
-        || FoldWork::new(grid, kinds),
-        |work, task| {
-            if let Some(&bi) = needs_full.get(task) {
-                let (base, kernel) = (&bases[bi], &kernels[bi]);
-                let systems = match FoldBase::full(g.as_view(), kernel, base.missing) {
-                    Ok(full) => {
-                        let systems: Vec<Result<FoldSystem>> = base
-                            .patterns
-                            .iter()
-                            .map(|&pi| FoldSystem::full(g.as_view(), &full, &terms[pi]))
-                            .collect();
-                        let full = Arc::new(full.into_projection());
-                        let with_base = |s: FoldSystem| (Arc::clone(&full), s);
-                        systems.into_iter().map(|s| s.map(with_base)).collect()
-                    }
-                    Err(e) => base.patterns.iter().map(|_| Err(e.clone())).collect(),
-                };
-                return Ok(SweepTask::Full(systems));
-            }
-            let (bi, fi, range) = &chunks[task - needs_full.len()];
-            let base = &bases[*bi];
-            let on_base = base.patterns[range.clone()]
-                .iter()
-                .map(|&pi| (&terms[pi], patterns[pi].1.as_slice()));
-            work.sweep(g, &kernels[*bi], base.missing, on_base, &plan.folds[*fi])
-                .map(SweepTask::Cells)
-        },
-    );
-    drop(kernels);
-    let mut swept = Swept {
-        errors: Vec::with_capacity(chunks.len()),
-        cells_at,
-        terms: Vec::new(),
-        full: (0..patterns.len()).map(|_| None).collect(),
-        kernels_time,
-        sweep_time: Duration::ZERO,
+    let (nb, np, nbase) = (blocks.len(), patterns.len(), bases.len());
+    let projections: Vec<Result<FoldBase>> = bases
+        .iter()
+        .map(|b| FoldBase::new(g.as_view(), b.missing))
+        .collect();
+    // The schedule's sections, in task order.
+    let (nblk, sys, sums) = (nbase, (1 + nb) * nbase, (1 + nb) * nbase + np);
+    let lost = || BmfError::Internal {
+        detail: "a selection task lost its input",
     };
-    for (task, done) in first_error(tasks)?.into_iter().enumerate() {
-        match done {
-            SweepTask::Full(systems) => {
-                for (&pi, system) in bases[needs_full[task]].patterns.iter().zip(systems) {
-                    swept.full[pi] = Some(system);
+    let steps = run_indexed_with(threads, sums + np * nb, Vec::new, |scratch, task, done| {
+        if task < nblk {
+            return Step::Congruence(ok(&projections[task]).and_then(|base| {
+                let mut kernel = kernels[task].lock().map_err(|_| lost())?;
+                let mut kernel = std::mem::take(&mut *kernel);
+                base.congruence(&mut kernel)?;
+                Ok(kernel)
+            }));
+        }
+        if task < sys {
+            let (bi, b) = ((task - nblk) / nb, (task - nblk) % nb);
+            let base = ok(&projections[bi]);
+            return Step::Block(base.and_then(|base| base.n_block(blocks[b].clone(), scratch)));
+        }
+        if task < sums {
+            let (pi, bi) = (task - sys, base_of[task - sys]);
+            let (t, f) = (&terms[pi], &patterns[pi].1);
+            return Step::System(ok(&projections[bi]).and_then(|base| {
+                let Some(Step::Congruence(cb)) = done.wait(bi) else {
+                    return Err(lost());
+                };
+                let system = FoldSystem::full(g.as_view(), base, ok(cb)?, t)?;
+                let solves = system.loo_solves(base, t, f, grid, kinds)?;
+                Ok((system, solves))
+            }));
+        }
+        let (pi, b) = ((task - sums) / nb, (task - sums) % nb);
+        let (Some(Step::System(system)), Some(Step::Block(block))) =
+            (done.wait(sys + pi), done.wait(nblk + base_of[pi] * nb + b))
+        else {
+            return Step::Sums(Err(lost()));
+        };
+        Step::Sums(ok(system).and_then(|(system, solves)| {
+            let (n_block, usable) = ok(block)?;
+            let (cols, responses) = (blocks[b].clone(), &patterns[pi].1);
+            let block = (n_block.as_slice(), usable.as_slice());
+            system.loo_block(solves, block, cols, responses, kinds.len(), scratch)
+        }))
+    });
+    // A base that misses a column keeps its projection for the final
+    // solves of its patterns.
+    let projections: Vec<Option<Result<Arc<FoldBase>>>> = projections
+        .into_iter()
+        .zip(&bases)
+        .map(|(p, base)| (!base.missing.is_empty()).then(|| p.map(Arc::new)))
+        .collect();
+    let mut steps = steps.into_iter().skip(sys);
+    let systems: Vec<Step> = steps.by_ref().take(np).collect();
+    let loo = systems
+        .into_iter()
+        .enumerate()
+        .map(|(pi, system)| {
+            // Take every block of the pattern before any error returns.
+            let (mut blocks, mut failed) = (Vec::with_capacity(nb), None);
+            for step in steps.by_ref().take(nb) {
+                match step {
+                    Step::Sums(Ok(sums)) => blocks.push(sums),
+                    Step::Sums(Err(e)) => failed = failed.or(Some(e)),
+                    _ => failed = failed.or_else(|| Some(lost())),
                 }
             }
-            SweepTask::Cells(cells) => swept.errors.push(cells),
-        }
-    }
-    swept.terms = terms;
-    swept.sweep_time = t2.elapsed();
-    Ok(swept)
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            let Step::System(system) = system else {
+                return Err(lost());
+            };
+            let (system, solves) = system?;
+            let full = match &projections[base_of[pi]] {
+                Some(base) => Some((Arc::clone(ok(base)?), system)),
+                None => None,
+            };
+            Ok(Loo {
+                solved: solves.solved,
+                rows: (k, terms[pi].missing().len() + 1),
+                blocks,
+                full,
+            })
+        })
+        .collect();
+    Ok(Swept {
+        loo,
+        terms,
+        kernels_time,
+        sweep_time: t2.elapsed(),
+    })
 }
 
 /// The floor gram `Γ = G·diag(1_F)·Gᵀ` of every finite-column set, each
@@ -749,74 +764,114 @@ impl PreparedJob {
 }
 
 /// Runs `n` independent tasks on a scoped worker pool and returns their
-/// results in task order.
+/// results in task order (see [`run_indexed_with`]).
+fn run_indexed<T, F>(threads: usize, n: usize, task: F) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    run_indexed_with(threads, n, || (), |(), i, _| task(i))
+}
+
+/// The results of a [`run_indexed_with`] run so far, which a task may
+/// wait on; `failed` is set when a worker unwinds, so no task waits for a
+/// result that will never come.
+pub(crate) struct Done<T> {
+    slots: Vec<OnceLock<T>>,
+    failed: Mutex<bool>,
+    woken: Condvar,
+}
+
+impl<T> Done<T> {
+    /// Waits for the result of task `i`, which must come before the
+    /// waiting task; `None` when there is no task `i` or a worker
+    /// unwound.
+    pub(crate) fn wait(&self, i: usize) -> Option<&T> {
+        let slot = self.slots.get(i)?;
+        let mut failed = self.failed.lock().ok()?;
+        while slot.get().is_none() && !*failed {
+            failed = self.woken.wait(failed).ok()?;
+        }
+        slot.get()
+    }
+
+    /// Wakes every waiting task, marking the run failed when the calling
+    /// worker unwinds.
+    fn wake(&self) {
+        if let Ok(mut failed) = self.failed.lock() {
+            *failed |= std::thread::panicking();
+        }
+        self.woken.notify_all();
+    }
+}
+
+/// Wakes the waiting tasks when a worker unwinds.
+struct Unwinding<'a, T>(&'a Done<T>);
+
+impl<T> Drop for Unwinding<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.wake();
+        }
+    }
+}
+
+/// Runs `n` tasks on a scoped worker pool and returns their results in
+/// task order. `init` runs once on each worker (and once on the serial
+/// path), and its state is passed to every task that worker claims, so
+/// scratch buffers are reused across tasks without cross-thread sharing.
+/// A task may wait for the result of any task before it
+/// ([`Done::wait`]).
 ///
 /// Work-stealing is a shared atomic cursor: idle workers pull the next
 /// unclaimed index, so an expensive task never blocks the queue behind
-/// it. Each worker stashes `(index, result)` pairs locally; the merge
-/// into ordered slots happens after the join. Task results therefore
-/// depend only on the task index — never on the schedule — which is what
-/// makes the batch engine bit-identical across thread counts.
-fn run_indexed<T, F>(threads: usize, n: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_with(threads, n, || (), |(), i| task(i))
-}
-
-/// [`run_indexed`] with per-worker mutable state: `init` runs once on
-/// each worker (and once on the serial path) and the resulting state is
-/// passed to every task that worker claims. Used to give each sweep
-/// worker its own [`FoldSystem`] and each solve worker its own
-/// [`MapScratch`], so scratch buffers are reused across tasks without
-/// any cross-thread sharing. Determinism is unaffected: every
-/// workspace-filling kernel fully overwrites its output, so a task's
-/// result never depends on which worker (or how warm a workspace) ran
-/// it.
+/// it. Indices are claimed in order, so a task waits only on claimed
+/// tasks, and the lowest unfinished one waits on none: the schedule
+/// cannot deadlock. Task results depend only on the task index and the
+/// results it reads — never on the schedule or on how warm a worker's
+/// state is (every workspace-filling kernel fully overwrites its output)
+/// — which is what makes the batch engine bit-identical across thread
+/// counts.
 fn run_indexed_with<S, T, I, F>(threads: usize, n: usize, init: I, task: F) -> Vec<T>
 where
-    T: Send,
+    T: Send + Sync,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, usize, &Done<T>) -> T + Sync,
 {
-    let workers = threads.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| task(&mut state, i)).collect();
-    }
+    let done = Done {
+        slots: (0..n).map(|_| OnceLock::new()).collect(),
+        failed: Mutex::new(false),
+        woken: Condvar::new(),
+    };
     let cursor = AtomicUsize::new(0);
-    let mut collected: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, task(&mut state, i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // A worker can only panic if a task panicked; re-raise the
-            // original payload on the caller's thread instead of masking
-            // it behind a generic join error.
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, value) in collected.drain(..).flatten() {
-        slots[i] = Some(value);
+    let work = || {
+        let _unwinding = Unwinding(&done);
+        let mut state = init();
+        let mut i = cursor.fetch_add(1, Ordering::Relaxed);
+        while let Some(slot) = done.slots.get(i) {
+            // Each index is claimed once, so its slot is still empty.
+            let _ = slot.set(task(&mut state, i, &done));
+            done.wake();
+            i = cursor.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    let workers = threads.clamp(1, n.max(1));
+    if workers <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            for h in handles {
+                // A worker can only panic if a task panicked; re-raise
+                // the original payload on the caller's thread instead of
+                // masking it behind a generic join error.
+                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            }
+        });
     }
-    slots
+    done.slots
         .into_iter()
+        .map(OnceLock::into_inner)
         // The atomic cursor hands out each index in 0..n exactly once, so
         // every slot is filled by construction.
         // bmf-lint: allow(panic-reachability) -- the atomic cursor fills every slot; an empty one is unreachable by construction

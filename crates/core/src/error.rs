@@ -27,8 +27,8 @@ pub enum BmfError {
         prior_entries: usize,
     },
     /// Not enough samples for the requested operation (e.g. fewer samples
-    /// than cross-validation folds, or fewer than the number of
-    /// missing-prior coefficients).
+    /// than missing-prior coefficients, or none that leave-one-out can
+    /// hold out).
     NotEnoughSamples {
         /// Samples available.
         available: usize,

@@ -6,9 +6,9 @@
 //!    optionally through the multifinger prior mapping of §IV-A (step 2)
 //!    and with missing-prior entries for late-only basis functions (step 3);
 //! 2. take the K late-stage samples (step 4);
-//! 3. select the prior family and hyper-parameter by N-fold
-//!    cross-validation (§IV-D), then solve the MAP estimate with the fast
-//!    low-rank solver (step 5).
+//! 3. select the prior family and hyper-parameter by cross-validation
+//!    (§IV-D; exact leave-one-out, the N-fold rule at N = K), then solve
+//!    the MAP estimate with the fast low-rank solver (step 5).
 //!
 //! [`BmfFitter::fit`] runs this flow as a one-job call of the batch
 //! engine ([`crate::batch`]) on one worker, so a single fit and every job
@@ -31,28 +31,29 @@ use crate::{BmfError, Result};
 
 /// Lightweight work counters accumulated during a fit.
 ///
-/// Counting is exact, not sampled: every MAP solve and every usable
-/// cross-validation fold increments its counter. Cache accounting: a
-/// *hit* is a fold whose kernels another job of the batch with the same
-/// prior already built, a *miss* is one whose kernels this job had to
-/// build. A single fit is a one-job batch, so it counts misses only.
+/// Counting is exact, not sampled: every MAP solve and every prior
+/// pattern's system increments its counter. Cache accounting: a *hit*
+/// is a job whose pattern's system another job of the batch with the
+/// same prior already built, a *miss* is one whose system this job had
+/// to build. A single fit is a one-job batch, so it counts one miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitCounters {
-    /// MAP systems solved: one per solved `(fold, grid, kind)` CV cell
-    /// (blank cells do not count) plus the final full-data solve.
+    /// MAP systems solved: one per solved `(grid, kind)` leave-one-out
+    /// cell (blank cells do not count; each cell solves the pattern's
+    /// full-data system at one η, which gives every held-out residual)
+    /// plus the final full-data solve.
     pub map_solves: usize,
-    /// Fold kernels built: one per usable cross-validation fold (in a
-    /// batch, charged to the first job of each prior pattern; the final
-    /// full-data solve is not counted). The fitting engines build one
-    /// kernel set per prior over all K rows, which every fold reads
-    /// through its training rows; the count stays one per fold, so it
-    /// does not depend on how kernels are shared.
+    /// Sample-space systems built for the leave-one-out selection: one
+    /// per prior pattern, over all K rows, charged in a batch to the
+    /// first job of the pattern. A missing prior's final solve
+    /// back-projects the same system, so it is not counted again.
     pub kernels_built: usize,
-    /// Kernel-cache hits (kernels reused from another job of the batch).
+    /// Kernel-cache hits: jobs that reused their pattern's system, built
+    /// for an earlier job of the batch (at most one per job).
     pub kernel_cache_hits: usize,
-    /// Kernel-cache misses (kernels this job had to build). A single
-    /// [`BmfFitter::fit`] counts one per usable fold, like
-    /// [`FitCounters::kernels_built`].
+    /// Kernel-cache misses: jobs that built their pattern's system (at
+    /// most one per job; a single [`BmfFitter::fit`] counts one, like
+    /// [`FitCounters::kernels_built`]).
     pub kernel_cache_misses: usize,
     /// Final full-data solves that left rung 0 of the degradation
     /// ladder; CV cells never enter it (DESIGN.md §10).
@@ -289,8 +290,8 @@ impl BmfFitter {
     /// * [`BmfError::SampleShape`] when points/values disagree in count or
     ///   a point has the wrong dimension for the basis (screened before
     ///   the design matrix is built).
-    /// * [`BmfError::NotEnoughSamples`] when K is too small for the folds
-    ///   or the missing-prior block.
+    /// * [`BmfError::NotEnoughSamples`] when K is too small for the
+    ///   missing-prior block, or leaves no row to hold out.
     /// * [`BmfError::NonFiniteInput`] when a point, value, or prior
     ///   coefficient is NaN/±∞.
     /// * [`BmfError::Linalg`] on numerical failure the degradation ladder
@@ -391,9 +392,9 @@ mod tests {
             .relative_error(test.iter().map(|p| p.as_slice()), &test_vals)
             .unwrap();
         assert!(err < 0.05, "BMF error too high: {err}");
-        // The fit accounts for its own work: at least one kernel per
-        // usable fold plus the final solve.
-        assert!(fit.counters.kernels_built >= 4);
+        // The fit accounts for its own work: one system for the prior
+        // pattern, and a solve per leave-one-out cell plus the final one.
+        assert_eq!(fit.counters.kernels_built, 1);
         assert!(fit.counters.map_solves > fit.counters.kernels_built);
     }
 

@@ -1,44 +1,45 @@
-//! Hyper-parameter selection by N-fold cross-validation (§IV-D).
+//! Hyper-parameter selection by cross-validation (§IV-D).
 //!
 //! The hyper-parameter (`σ₀²` for the zero-mean prior, `η = σ₀²/λ²` for
 //! the nonzero-mean prior) controls how strongly the prior is weighted
 //! against the late-stage data. Following the paper, it is chosen from a
-//! grid by N-fold cross-validation: split the K training samples into N
-//! non-overlapping groups; fit on N−1 groups, estimate the relative error
-//! (eq. 59) on the held-out group; average over the N rotations; pick the
-//! grid value with the smallest mean error.
+//! grid by N-fold cross-validation: hold samples out, fit on the rest,
+//! score the held-out predictions by the relative error of eq. 59, and
+//! pick the grid value with the smallest error. The paper leaves N open;
+//! the fitting engines take N = K, exact leave-one-out, scored as eq. 59
+//! over all K held-out predictions, with no fold plan and no seed.
 //!
-//! The sweep is the kernel and sweep phases of the batch engine
-//! ([`crate::batch`]); the entry points here run them with one prior
-//! pattern on one worker. Three layers of work-sharing keep it cheap:
+//! Leave-one-out needs no refit. A prior pattern's sample-space system
+//! over every row ([`crate::map_estimate::MapSweep`]) profiles the
+//! missing-prior columns out with `Q = [Q_Z N]` and reduces the kernel
+//! left over, `S = NᵀBN = H T̂ Hᵀ`, once; it is the system the final
+//! solve back-projects. With `Π(η) = N(S + ηI)⁻¹Nᵀ = Ψᵀ(T̂ + ηI)⁻¹Ψ`
+//! and `Ψ = HᵀNᵀ`, row i's held-out residual is `[Πy]_i / Π_ii`
+//! (Allen's PRESS; Rasmussen & Williams 2006, eq. 5.12), `y = f − Gμ`
+//! (`f` for zero-mean). The sweep is the kernel and selection phases of
+//! the batch engine ([`crate::batch`]); the entry points here run them
+//! with one prior pattern on one worker. The work is shared three ways:
 //!
-//! * a `FoldPlan` computes the per-fold row index tables **once**,
-//!   reused across every grid point, both prior families, and every job
-//!   of a batch fit;
 //! * each base — for a prior mostly on its floor, one Θ(K²M) floor gram
 //!   per set of missing columns; for a dense prior, its own kernel
-//!   `B_F` — and each pattern's K-vector `Gμ` are built **once** over
-//!   every row of the design matrix; each entry depends on its rows
-//!   alone, so a fold reads its sub-blocks through its row tables;
-//! * each `(base, fold)` pair then profiles the fold's missing-prior
-//!   columns out once (a Householder QR and a compact-WY congruence of
-//!   the base), and each pattern on the base adds its rank-|S| term to
-//!   get its sample-space system (see
-//!   [`crate::map_estimate::MapSweep`]), reduced to a tridiagonal `T̂`
-//!   once. Every `(grid, family)` cell is an O(n) factorization of
-//!   `T̂ + ηI` — shared by both families — plus an `n_v × n` product;
-//!   no cell touches an M-length vector.
+//!   `B_F` — is built **once**, with its QR of the missing columns, its
+//!   congruence `QᵀBQ` and `Nᵀ`;
+//! * each pattern's system is reduced to `T̂` **once**, and `Ψ` is formed
+//!   once, block of rows by block of rows;
+//! * every `(grid, family)` cell is one O(n) LDLᵀ of `T̂ + ηI` — shared by
+//!   both families — which gives every `Π_ii`, plus `Πy = Ψᵀx`: O(nK) per
+//!   grid value, no cell touches an M-length vector.
 //!
 //! `T̂ + ηI` is symmetric positive definite for every η > 0, so the
-//! cells run outside the degradation ladder. A fold is skipped (like a
-//! fold too small for the missing-prior block) when its `G_Z` is rank
-//! deficient; a grid value is blanked for both families when `T̂ + ηI`
-//! is singular to working precision (a pivot not positive and finite,
-//! or a pivot ratio at the ladder's `RCOND_FLOOR`); a family's cell is
-//! blanked when its validation error is not finite.
+//! cells run outside the degradation ladder. A row is skipped when
+//! deleting it leaves `G_Z` rank deficient (one minus its leverage,
+//! `1 − ‖Q_Zᵀe_i‖²`, at most `RCOND_FLOOR`), as a refit without it
+//! would be unsolvable; a grid value is blanked for both families when
+//! `T̂ + ηI` is singular to working precision (a pivot not positive and
+//! finite, or a pivot ratio at the ladder's `RCOND_FLOOR`); a family's
+//! cell is blanked when its error is not finite.
 
 use bmf_linalg::{LinalgError, Matrix, Vector};
-use bmf_stat::crossval::{Fold, KFold};
 
 use crate::batch::sweep;
 use crate::options::{validate_folds, validate_grid};
@@ -53,11 +54,13 @@ use crate::{BmfError, Result};
 /// take it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CvConfig {
-    /// Number of folds (the paper's `N`).
+    /// Number of folds (the paper's `N`). Validated (at least 2), but
+    /// the selection is leave-one-out and does not read it.
     pub folds: usize,
     /// Candidate hyper-parameter values. Must be positive.
     pub grid: Vec<f64>,
-    /// Seed for the fold shuffle.
+    /// Seed of a fold shuffle; leave-one-out has none and does not read
+    /// it.
     pub seed: u64,
 }
 
@@ -95,97 +98,61 @@ pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// Outcome of a cross-validation sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CvOutcome {
-    /// The grid value with the lowest mean validation error.
+    /// The grid value with the lowest leave-one-out error.
     pub best_hyper: f64,
-    /// The corresponding mean validation error.
+    /// The corresponding leave-one-out error (eq. 59).
     pub best_error: f64,
-    /// Mean validation error for every grid value, in grid order.
+    /// Leave-one-out error for every solved grid value, in grid order.
     pub errors: Vec<(f64, f64)>,
 }
 
-/// The per-fold row selections for one `(K, folds, seed)` triple, as
-/// indices into the shared design matrix: the fitting engines read `G`
-/// (and the pattern kernels) through these tables instead of
-/// materializing per-fold copies.
-#[derive(Debug, Clone)]
-pub(crate) struct FoldPlan {
-    pub(crate) folds: Vec<Fold>,
-}
-
-impl FoldPlan {
-    /// Splits `k` sample rows into `folds` seeded folds.
-    pub(crate) fn new(k: usize, folds: usize, seed: u64) -> Result<Self> {
-        let kfold = KFold::new(k, folds, seed).map_err(|_| BmfError::NotEnoughSamples {
-            available: k,
-            required: folds,
-            context: "cross-validation folds",
-        })?;
-        Ok(FoldPlan {
-            folds: kfold.folds(),
-        })
-    }
-}
-
-/// Validation errors of one sweep: per response, per prior family, per
-/// grid value (`[response][kind][grid]`, flat), `None` where the cell
-/// was blanked. A fold skipped as unusable is `None` at the fold level
-/// (see [`crate::map_estimate::FoldWork::sweep`]).
-pub(crate) type FoldErrors = Vec<Option<f64>>;
-
-/// Reduces per-fold error tables into one [`CvOutcome`] per prior family.
+/// Reduces one response's leave-one-out sums into one [`CvOutcome`] per
+/// prior family.
 ///
-/// Each item is one fold's cells for one response (`[kind][grid]`,
-/// flat), or `None` for a skipped fold. Accumulation runs fold-major in
-/// fold order, so the result is independent of the schedule that
-/// produced the tables.
+/// Each item of `blocks` is one block of rows' sums, in block order: the
+/// rows held out, `Σf_i²`, then per family and grid value `Σe_i²` over
+/// those rows (see `FoldSystem::loo_block`). `solved` marks the grid
+/// values whose `T̂ + ηI` factorized; a cell is `sqrt(Σe²) / sqrt(Σf²)`,
+/// eq. 59 over every row held out.
 ///
 /// # Errors
 ///
-/// * [`BmfError::NotEnoughSamples`] when no fold was usable.
-/// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when the usable
-///   folds solved no cell of some family.
-pub(crate) fn reduce_outcomes<'a, I>(
+/// * [`BmfError::NotEnoughSamples`] when no row could be held out, with
+///   the `available` samples and the `required` the caller states.
+/// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when some
+///   family solved no cell.
+pub(crate) fn reduce_outcomes<'a>(
     grid: &[f64],
     num_kinds: usize,
-    fold_errors: I,
-    available: usize,
-    required: usize,
-) -> Result<Vec<CvOutcome>>
-where
-    I: IntoIterator<Item = Option<&'a [Option<f64>]>>,
-{
-    let mut sums = vec![0.0f64; num_kinds * grid.len()];
-    let mut counts = vec![0usize; num_kinds * grid.len()];
-    let mut usable = false;
-    for fe in fold_errors.into_iter().flatten() {
-        usable = true;
-        for ((sum, count), cell) in sums.iter_mut().zip(counts.iter_mut()).zip(fe) {
-            if let Some(err) = cell {
-                *sum += err;
-                *count += 1;
-            }
-        }
-    }
-    if !usable {
+    solved: &[bool],
+    (available, required): (usize, usize),
+    blocks: impl Iterator<Item = &'a [f64]> + Clone,
+) -> Result<Vec<CvOutcome>> {
+    let total = |i: usize| {
+        blocks
+            .clone()
+            .fold(0.0, |s, b| s + b.get(i).unwrap_or(&0.0))
+    };
+    if total(0) < 1.0 {
         return Err(BmfError::NotEnoughSamples {
             available,
             required,
-            context: "cross-validation (all folds degenerate)",
+            context: "leave-one-out (no row can be held out)",
         });
     }
+    let norm = total(1).sqrt().max(f64::MIN_POSITIVE);
     let mut outcomes = Vec::with_capacity(num_kinds);
     for ki in 0..num_kinds {
         let mut errors = Vec::with_capacity(grid.len());
         let mut best: Option<(f64, f64)> = None;
-        for (gi, &h) in grid.iter().enumerate() {
-            let (sum, count) = (sums[ki * grid.len() + gi], counts[ki * grid.len() + gi]);
-            if count == 0 {
+        for (gi, (&h, &ok)) in grid.iter().zip(solved).enumerate() {
+            let err = total(2 + ki * grid.len() + gi).sqrt() / norm;
+            if !ok || !err.is_finite() {
                 continue;
             }
-            let mean = sum / count as f64;
-            errors.push((h, mean));
-            if best.is_none_or(|(_, e)| mean < e) {
-                best = Some((h, mean));
+            errors.push((h, err));
+            if best.is_none_or(|(_, e)| err < e) {
+                best = Some((h, err));
             }
         }
         let (best_hyper, best_error) = best.ok_or(BmfError::Linalg(LinalgError::Unsolvable {
@@ -201,9 +168,8 @@ where
     Ok(outcomes)
 }
 
-/// Validates the inputs, plans the folds and sweeps `kinds` through the
-/// batch engine's kernel and sweep phases, with one pattern on one
-/// worker.
+/// Validates the inputs and sweeps `kinds` through the batch engine's
+/// kernel and selection phases, with one pattern on one worker.
 pub(crate) fn cross_validate(
     g: &Matrix,
     f: &Vector,
@@ -222,21 +188,17 @@ pub(crate) fn cross_validate(
     crate::screen::finite_matrix("design matrix", g)?;
     crate::screen::finite_values("response values", f.as_slice())?;
     crate::screen::finite_prior(prior)?;
-    let plan = FoldPlan::new(k, config.folds, config.seed)?;
     // The kernel is built from the nonzero-mean view so prior means are
     // cached; zero-mean cells reuse it with the mean dropped (the
     // precisions — and thus the kernel — are identical for both
     // families).
     let prior = prior.with_kind(PriorKind::NonZeroMean);
     let patterns = [(&prior, vec![f])];
-    let swept = sweep(g, &plan, &patterns, &config.grid, kinds, false, 1)?;
-    reduce_outcomes(
-        &config.grid,
-        kinds.len(),
-        swept.errors.iter().map(Option::as_deref),
-        k,
-        plan.folds.len(),
-    )
+    let swept = sweep(g, &patterns, &config.grid, kinds, 1)?;
+    let loo = swept.loo.into_iter().next().ok_or(BmfError::Internal {
+        detail: "the sweep returned no pattern",
+    })??;
+    loo.outcomes(0, &config.grid, kinds.len())
 }
 
 /// The outcomes of [`cross_validate`], one per family, in `kinds` order.
@@ -247,18 +209,16 @@ fn outcomes<const N: usize>(outcomes: Vec<CvOutcome>) -> Result<[CvOutcome; N]> 
 }
 
 /// Cross-validates *both* prior families over the grid in one pass,
-/// sharing the per-fold row selections and the expensive Woodbury
-/// kernels (which depend only on the prior precisions, identical for the
-/// two families).
+/// sharing the prior pattern's system, `Ψ` and the per-grid-value
+/// factorization of `T̂ + ηI` (which depend only on the prior
+/// precisions, identical for the two families).
 ///
 /// Returns `(zero_mean, nonzero_mean)` outcomes: the two families that
 /// [`crate::select::select_prior`] cross-validates under
 /// [`crate::select::PriorSelection::Auto`] before it keeps the better.
-/// The kernel, each fold's sample-space system and the per-`(fold, grid
-/// value)` factorization are shared by the two families; only the
-/// projection and the O(n·n_v) validation run once per family. It
-/// therefore costs one family's sweep plus the second family's cells —
-/// well under two sweeps.
+/// Only the projection of the response, its O(n) solve per grid value
+/// and the O(nK) `Πy` run once per family, so both cost well under two
+/// sweeps.
 ///
 /// # Errors
 ///
@@ -280,14 +240,13 @@ mod tests {
     use super::*;
     use crate::batch::{JobRef, PreparedJob};
     use crate::fusion::BmfFitter;
-    use crate::map_estimate::{map_estimate_with_report, FoldWork, SolverKind, SweepKernel};
+    use crate::map_estimate::MapSweep;
     use crate::options::FitOptions;
     use crate::select::{select_prior, PriorSelection};
     use bmf_basis::basis::OrthonormalBasis;
     use bmf_basis::multi_index::MultiIndex;
-    use bmf_linalg::view::matvec_into;
     use bmf_stat::normal::StandardNormal;
-    use bmf_stat::rng::seeded;
+    use bmf_stat::rng::{seeded, Rng};
 
     fn design(k: usize, m: usize, seed: u64) -> Matrix {
         let mut rng = seeded(seed);
@@ -367,6 +326,22 @@ mod tests {
     }
 
     #[test]
+    fn folds_and_seed_are_not_read() {
+        let g = design(10, 8, 4);
+        let f = Vector::from_fn(10, |i| i as f64);
+        let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 8]);
+        let cfg = CvConfig::default();
+        let a = select_prior(&g, &f, &prior, fixed(&prior), &cfg).unwrap();
+        let other = CvConfig {
+            folds: 3,
+            seed: 99,
+            ..cfg
+        };
+        let b = select_prior(&g, &f, &prior, fixed(&prior), &other).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn config_validation() {
         let g = design(10, 4, 5);
         let f = Vector::zeros(10);
@@ -429,130 +404,167 @@ mod tests {
     }
 
     #[test]
-    fn too_few_samples_for_folds() {
-        let g = design(3, 4, 6);
-        let f = Vector::zeros(3);
+    fn no_row_to_hold_out_is_not_enough_samples() {
+        let f = Vector::from_fn(5, |i| i as f64);
+        let all = |m| Prior::from_coeffs(PriorKind::ZeroMean, &vec![0.0; m]);
+        // Five missing columns over five rows leave no row to hold out;
+        // six over five cannot be profiled out at all.
+        for m in [5, 6] {
+            let prior = all(m);
+            assert_eq!(prior.num_zero_precision(), m);
+            assert!(matches!(
+                select_prior(
+                    &design(5, m, 6),
+                    &f,
+                    &prior,
+                    fixed(&prior),
+                    &CvConfig::default()
+                ),
+                Err(BmfError::NotEnoughSamples { .. })
+            ));
+        }
+        // Three rows under a prior on every column are enough: each
+        // held-out row is predicted from the other two.
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[1.0; 4]);
-        let cfg = CvConfig {
-            folds: 5,
-            ..CvConfig::default()
-        };
-        assert!(matches!(
-            select_prior(&g, &f, &prior, fixed(&prior), &cfg),
-            Err(BmfError::NotEnoughSamples { .. })
-        ));
+        let g = design(3, 4, 6);
+        let f = Vector::from(vec![0.5, -1.0, 0.25]);
+        assert!(select_prior(&g, &f, &prior, fixed(&prior), &CvConfig::default()).is_ok());
     }
 
-    /// The independent reference for one cell: `map_estimate` with the
-    /// direct solver on the fold's gathered training rows, validated on
-    /// its validation rows. `None` when the reference failed or left
-    /// rung 0 of the degradation ladder.
-    fn reference_cell(
+    /// The eq. 59 error of `K` refits, one without each row: per row `i`,
+    /// [`MapSweep::from_view`] on the other rows and
+    /// [`MapSweep::solve_with_kind`], then row i's prediction error.
+    /// Rows whose refit cannot be built (the missing-prior columns of
+    /// the other rows rank deficient) are skipped, as are cells whose
+    /// refit is refused. Returns per family and grid value the error, and
+    /// the rows held out.
+    fn refits(
         g: &Matrix,
-        fold: &Fold,
-        f: &Vector,
-        prior: &Prior,
-        hyper: f64,
-        kind: PriorKind,
-    ) -> Option<f64> {
-        let g_train = g.rows_view(&fold.train).to_matrix();
-        let f_train: Vector = fold.train.iter().map(|&i| f[i]).collect();
-        let opts = FitOptions::new().hyper(hyper).solver(SolverKind::Direct);
-        let (alpha, res) =
-            map_estimate_with_report(&g_train, &f_train, &prior.with_kind(kind), &opts).ok()?;
-        if res.rung > 0 {
-            return None;
-        }
-        let mut pred = vec![0.0; fold.validate.len()];
-        matvec_into(g.rows_view(&fold.validate), alpha.as_slice(), &mut pred).unwrap();
-        let (mut s, mut v2) = (0.0, 0.0);
-        for (p, &i) in pred.iter().zip(&fold.validate) {
-            s += (p - f[i]) * (p - f[i]);
-            v2 += f[i] * f[i];
-        }
-        Some(s.sqrt() / v2.sqrt().max(f64::MIN_POSITIVE))
-    }
-
-    /// Sweeps every fold of `plan` on its own and checks each cell
-    /// against [`reference_cell`]; returns the per-fold tables and the
-    /// number of cells compared at the 1e-6 tolerance.
-    ///
-    /// The sweep solves the dual (sample-space) system `T̂ + ηI`, whose
-    /// condition number is bounded by `κ = 1 + tr(B_F(T,T))/η`; the
-    /// reference solves the primal one. Where `κ` is so large that
-    /// rounding alone moves the dual solution by more than 1e-6 (η far
-    /// below the kernel's scale on a rank-deficient `S`), no 1e-6
-    /// agreement is possible from either side, so each cell is held to
-    /// `1e-6 + 8ε·κ` relative. A cell may be blank only when
-    /// `κ ≥ 0.5/RCOND_FLOOR`: the sweep refuses `T̂ + ηI` when its pivot
-    /// ratio falls to `RCOND_FLOOR`, which needs `η ≲ RCOND_FLOOR·tr`.
-    fn check_against_reference(
-        g: &Matrix,
-        plan: &FoldPlan,
         f: &Vector,
         prior: &Prior,
         grid: &[f64],
-    ) -> (Vec<Option<FoldErrors>>, usize) {
+    ) -> (Vec<Vec<Option<f64>>>, usize) {
+        let k = g.nrows();
         let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
-        let kernel =
-            SweepKernel::new(g.as_view(), &prior.with_kind(PriorKind::NonZeroMean)).unwrap();
-        let a = prior.precisions(1.0);
-        let mut work = FoldWork::new(grid, &kinds);
-        let mut compared = 0;
-        let tables: Vec<Option<FoldErrors>> = plan
-            .folds
-            .iter()
-            .map(|fold| {
-                let responses = [f];
-                let pattern = std::iter::once((&kernel.terms, &responses[..]));
-                let (base, missing) = (&kernel.base, kernel.terms.missing());
-                let cells = work.sweep(g, base, missing, pattern, fold);
-                let cells = cells.unwrap()?;
-                let trace: f64 = fold
-                    .train
-                    .iter()
-                    .flat_map(|&i| (0..g.ncols()).map(move |j| (i, j)))
-                    .filter(|&(_, j)| a[j] > 0.0)
-                    .map(|(i, j)| g[(i, j)] * g[(i, j)] / a[j])
-                    .sum();
-                for (ki, &kind) in kinds.iter().enumerate() {
-                    for (gi, &h) in grid.iter().enumerate() {
-                        let Some(want) = reference_cell(g, fold, f, prior, h, kind) else {
-                            continue;
-                        };
-                        let kappa = 1.0 + trace / h;
-                        let rounding = 8.0 * f64::EPSILON * kappa;
-                        let Some(got) = cells[ki * grid.len() + gi] else {
-                            let floor = bmf_linalg::resilience::RCOND_FLOOR;
-                            assert!(kappa >= 0.5 / floor, "cell (h={h}, {kind:?}) blank");
-                            continue;
-                        };
-                        assert!(
-                            (got - want).abs() <= (1e-6 + rounding) * want.abs(),
-                            "cell (h={h}, {kind:?}): {got} vs reference {want}"
-                        );
-                        if rounding < 1e-6 {
-                            compared += 1;
-                        }
-                    }
+        // Built from the nonzero-mean view; zero-mean solves drop the mean.
+        let prior = prior.with_kind(PriorKind::NonZeroMean);
+        let mut sums = vec![vec![Some(0.0); grid.len()]; 2];
+        let (mut f2, mut held) = (0.0, 0);
+        for i in 0..k {
+            let train: Vec<usize> = (0..k).filter(|&r| r != i).collect();
+            let Ok(sweep) = MapSweep::from_view(g.rows_view(&train), &prior) else {
+                continue;
+            };
+            let f_train: Vector = train.iter().map(|&r| f[r]).collect();
+            held += 1;
+            f2 += f[i] * f[i];
+            for (ki, &kind) in kinds.iter().enumerate() {
+                for (gi, &h) in grid.iter().enumerate() {
+                    let cell = &mut sums[ki][gi];
+                    let alpha = sweep.solve_with_kind(&f_train, h, kind);
+                    *cell = cell.zip(alpha.ok()).map(|(s, a)| {
+                        let pred: f64 = g.row(i).iter().zip(a.iter()).map(|(x, c)| x * c).sum();
+                        s + (pred - f[i]) * (pred - f[i])
+                    });
                 }
-                Some(cells)
+            }
+        }
+        let norm = f2.sqrt().max(f64::MIN_POSITIVE);
+        let cells = sums
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|s| s.map(|s| s.sqrt() / norm))
+                    .collect()
             })
             .collect();
-        (tables, compared)
+        (cells, held)
+    }
+
+    /// Checks every leave-one-out cell of `cross_validate_both` against
+    /// [`refits`], and returns the rows held out and the cells compared
+    /// at the 1e-6 tolerance.
+    ///
+    /// The cells solve the dual (sample-space) system `T̂ + ηI`, whose
+    /// condition number is bounded by `κ = 1 + tr(B_F)/η`. Where `κ` is so
+    /// large that rounding alone moves the solution by more than 1e-6
+    /// (η far below the kernel's scale on a rank-deficient `S`), no 1e-6
+    /// agreement is possible from either side, so each cell is held to
+    /// `1e-6 + 8ε·κ` relative. A cell may be blank only when
+    /// `κ ≥ 0.5/RCOND_FLOOR`: the cells refuse `T̂ + ηI` when its pivot
+    /// ratio falls to `RCOND_FLOOR`, which needs `η ≲ RCOND_FLOOR·tr`.
+    fn check_against_refits(g: &Matrix, f: &Vector, prior: &Prior, grid: &[f64]) -> (usize, usize) {
+        let cfg = CvConfig {
+            grid: grid.to_vec(),
+            ..CvConfig::default()
+        };
+        let (zm, nzm) = cross_validate_both(g, f, prior, &cfg).unwrap();
+        let (want, held) = refits(g, f, prior, grid);
+        let a = prior.precisions(1.0);
+        let trace: f64 = (0..g.nrows())
+            .flat_map(|i| (0..g.ncols()).map(move |j| (i, j)))
+            .filter(|&(_, j)| a[j] > 0.0)
+            .map(|(i, j)| g[(i, j)] * g[(i, j)] / a[j])
+            .sum();
+        let mut compared = 0;
+        for (outcome, want) in [zm, nzm].iter().zip(&want) {
+            for (&h, want) in grid.iter().zip(want) {
+                let kappa = 1.0 + trace / h;
+                let rounding = 8.0 * f64::EPSILON * kappa;
+                let got = outcome
+                    .errors
+                    .iter()
+                    .find(|&&(x, _)| x == h)
+                    .map(|&(_, e)| e);
+                let (Some(got), Some(want)) = (got, *want) else {
+                    let floor = bmf_linalg::resilience::RCOND_FLOOR;
+                    assert!(
+                        kappa >= 0.5 / floor,
+                        "cell h={h} blank: {got:?} vs {want:?}"
+                    );
+                    continue;
+                };
+                assert!(
+                    (got - want).abs() <= (1e-6 + rounding) * want.abs(),
+                    "cell h={h}: {got} vs refits {want}"
+                );
+                compared += usize::from(rounding < 1e-6);
+            }
+        }
+        (held, compared)
+    }
+
+    /// A random prior over `m` columns: dense (its own kernel) or mostly
+    /// on its floor (the floor gram), each with up to two missing columns.
+    fn random_prior(rng: &mut Rng, m: usize) -> Prior {
+        let floor = rng.gen_bool(0.5);
+        let mut early: Vec<Option<f64>> = (0..m)
+            .map(|_| {
+                let v = rng.gen_range(-1.0..1.0);
+                Some(if floor && rng.gen_index(4) > 0 {
+                    0.0
+                } else {
+                    v
+                })
+            })
+            .collect();
+        for _ in 0..rng.gen_index(3) {
+            let z = rng.gen_index(m);
+            early[z] = None;
+        }
+        Prior::new(PriorKind::ZeroMean, early)
     }
 
     #[test]
-    fn sample_space_sweep_matches_direct_map_estimates() {
+    fn loo_cells_match_refits_without_each_row() {
         // 1e-310 is below every pivot's rounding on duplicated rows, so
         // T̂ + ηI is singular to working precision there.
         let grid = [1e-310, 1e-14, 1e-3, 1.0, 1e3];
-        let kinds = [PriorKind::ZeroMean, PriorKind::NonZeroMean];
         let (mut compared, mut blanked, mut accounted) = (0, 0, 0);
-        let mut missing_accounted = 0;
-        let (mut with_missing, mut without_missing) = (0, 0);
-        bmf_stat::prop::check("sample-space sweep == direct solves", 24, |rng| {
-            let k = 12 + rng.gen_index(10);
+        // Dense priors, floor-gram priors, and those with a missing column.
+        let mut kinds = [0usize; 3];
+        bmf_stat::prop::check("leave-one-out cells == K refits", 24, |rng| {
+            let k = 8 + rng.gen_index(10);
             let m = 6 + rng.gen_index(18);
             let mut g = design(k, m, rng.next_u64());
             let duplicated = rng.gen_bool(0.5);
@@ -564,64 +576,37 @@ mod tests {
                 }
             }
             let f = Vector::from(bmf_stat::prop::vec_in(rng, -1.0, 1.0, k));
-            let mut early: Vec<Option<f64>> = bmf_stat::prop::vec_in(rng, -1.0, 1.0, m)
-                .into_iter()
-                .map(Some)
-                .collect();
-            for _ in 0..rng.gen_index(3) {
-                let z = rng.gen_index(m);
-                early[z] = None;
-            }
-            let prior = Prior::new(PriorKind::ZeroMean, early);
-            if prior.num_zero_precision() > 0 {
-                with_missing += 1;
-            } else {
-                without_missing += 1;
-            }
-            let cfg = CvConfig {
-                folds: 3 + rng.gen_index(2),
-                grid: grid.to_vec(),
-                seed: rng.next_u64(),
-            };
-            let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cfg).unwrap();
-            let plan = FoldPlan::new(k, cfg.folds, cfg.seed).unwrap();
-            let (tables, n) = check_against_reference(&g, &plan, &f, &prior, &grid);
+            let prior = random_prior(rng, m);
+            let terms = crate::map_estimate::PriorTerms::new(g.as_view(), &prior).unwrap();
+            kinds[usize::from(terms.uses_floor_gram())] += 1;
+            kinds[2] += usize::from(prior.num_zero_precision() > 0);
+            let (held, n) = check_against_refits(&g, &f, &prior, &grid);
+            assert_eq!(held, k, "a row was skipped");
             compared += n;
-            let mut sums = [[0.0f64; 5]; 2];
-            let mut counts = [[0usize; 5]; 2];
-            for cells in tables.iter().flatten() {
-                for ki in 0..kinds.len() {
-                    for gi in 0..grid.len() {
-                        if let Some(err) = cells[ki * grid.len() + gi] {
-                            sums[ki][gi] += err;
-                            counts[ki][gi] += 1;
-                        }
-                    }
-                }
-                // At η = 1e-310 on duplicated rows a failed factorization
-                // blanks both families together.
-                if duplicated {
-                    assert_eq!(cells[0].is_none(), cells[grid.len()].is_none());
-                    blanked += usize::from(cells[0].is_none());
-                }
-            }
+            let (zm, nzm) = cross_validate_both(
+                &g,
+                &f,
+                &prior,
+                &CvConfig {
+                    grid: grid.to_vec(),
+                    ..CvConfig::default()
+                },
+            )
+            .unwrap();
+            // A failed factorization blanks both families together.
+            let blank = |o: &CvOutcome| o.errors.iter().all(|&(h, _)| h != grid[0]);
+            assert_eq!(blank(&zm), blank(&nzm));
+            blanked += usize::from(duplicated && blank(&zm));
+
             // The engine's counters for a one-job fit of these inputs:
             // one MAP solve per solved cell plus the final solve, and one
-            // kernel build, a cache miss, per usable fold. The expected
-            // counts come from the engine's own sweep of the normalized
-            // job. `m` linear terms over the rows of `g` evaluate to `g`.
+            // system built, a cache miss. `m` linear terms over the rows
+            // of `g` evaluate to `g`.
             let basis = OrthonormalBasis::from_terms(m, (0..m).map(MultiIndex::linear).collect());
             let points: Vec<Vec<f64>> = (0..k).map(|i| g.row(i).to_vec()).collect();
-            let rows = basis.design_matrix(points.iter().map(Vec::as_slice));
-            assert_eq!(rows.as_slice(), g.as_slice());
             let fit = BmfFitter::new(basis, prior.early_values().to_vec())
                 .unwrap()
-                .with_options(
-                    FitOptions::new()
-                        .folds(cfg.folds)
-                        .grid(cfg.grid)
-                        .seed(cfg.seed),
-                )
+                .with_options(FitOptions::new().grid(grid.to_vec()))
                 .fit(&points, f.as_slice());
             let job = JobRef {
                 label: "",
@@ -629,16 +614,18 @@ mod tests {
                 values: f.as_slice(),
             };
             let normalized = PreparedJob::new(&job);
-            let patterns = [(&normalized.prior, vec![&normalized.f])];
-            let engine = sweep(&g, &plan, &patterns, &grid, &kinds, false, 1);
-            let engine = engine.unwrap().errors;
-            let usable = engine.iter().flatten().count();
-            let solved = engine.iter().flatten().flatten().flatten().count();
+            let config = CvConfig {
+                grid: grid.to_vec(),
+                ..CvConfig::default()
+            };
+            let (zm, nzm) =
+                cross_validate_both(&g, &normalized.f, &normalized.prior, &config).unwrap();
+            let solved = zm.errors.len() + nzm.errors.len();
             match fit {
                 Ok(fit) => {
                     assert_eq!(fit.counters.map_solves, solved + 1);
-                    assert_eq!(fit.counters.kernels_built, usable);
-                    assert_eq!(fit.counters.kernel_cache_misses, usable);
+                    assert_eq!(fit.counters.kernels_built, 1);
+                    assert_eq!(fit.counters.kernel_cache_misses, 1);
                     assert_eq!(fit.counters.kernel_cache_hits, 0);
                     // One final solve, on the rung the report names.
                     let rung = fit.resilience.rung;
@@ -646,11 +633,8 @@ mod tests {
                     assert_eq!(fit.counters.ladder_escalations, rung as usize);
                     assert_eq!(fit.counters.max_ladder_rung, rung);
                     accounted += 1;
-                    if prior.num_zero_precision() > 0 {
-                        missing_accounted += 1;
-                    }
                 }
-                // When CV picks η = 1e-310, which the sample-space cells
+                // When the selection picks η = 1e-310, which the cells
                 // solve, the Woodbury final solve of a strictly positive
                 // prior can overflow: a structured error, with no
                 // counters to check. A missing prior's final solve runs
@@ -661,32 +645,14 @@ mod tests {
                     assert!(matches!(e, BmfError::Linalg(_)), "{e:?}");
                 }
             }
-
-            // The public sweep's per-grid means equal the per-fold cells
-            // reduced fold-major.
-            for (ki, outcome) in [&zm, &nzm].into_iter().enumerate() {
-                let want: Vec<(u64, u64)> = grid
-                    .iter()
-                    .enumerate()
-                    .filter(|&(gi, _)| counts[ki][gi] > 0)
-                    .map(|(gi, &h)| {
-                        let mean = sums[ki][gi] / counts[ki][gi] as f64;
-                        (h.to_bits(), mean.to_bits())
-                    })
-                    .collect();
-                let got: Vec<(u64, u64)> = outcome
-                    .errors
-                    .iter()
-                    .map(|&(h, e)| (h.to_bits(), e.to_bits()))
-                    .collect();
-                assert_eq!(got, want);
-            }
         });
-        assert!(compared > 0, "no cell was compared with the reference");
+        assert!(compared > 0, "no cell was compared with the refits");
         assert!(blanked > 0, "no failed factorization was exercised");
         assert!(accounted > 0, "no one-job fit was accounted");
-        assert!(missing_accounted > 0, "no missing-prior fit was accounted");
-        assert!(with_missing > 0 && without_missing > 0);
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "a prior kind went untested: {kinds:?}"
+        );
     }
 
     /// A seeded 12-row problem over `m` columns whose first `missing`
@@ -701,80 +667,67 @@ mod tests {
     }
 
     #[test]
-    fn edge_shapes_match_direct_map_estimates() {
+    fn edge_shapes_match_refits() {
         let grid = [1e-3, 1.0, 1e3];
-        // 3 folds of 12 rows train on 8: |Z| = 8 leaves n = 0, |Z| = 7
-        // leaves n = 1.
-        let plan = FoldPlan::new(12, 3, 5).unwrap();
-        assert!(plan.folds.iter().all(|fold| fold.train.len() == 8));
-        for (m, missing) in [(14, 8), (14, 7), (20, 0)] {
+        // |Z| = 11 of 12 rows leaves each refit n = 0, |Z| = 10 leaves
+        // n = 1; then no missing column, and no finite-prior column.
+        for (m, missing) in [(14, 11), (14, 10), (20, 0), (5, 5)] {
             let (g, f, prior) = edge_problem(m, missing, m as u64);
-            let (tables, compared) = check_against_reference(&g, &plan, &f, &prior, &grid);
-            assert!(tables.iter().all(Option::is_some));
-            assert_eq!(compared, 3 * 2 * grid.len(), "m={m}, missing={missing}");
+            let (held, compared) = check_against_refits(&g, &f, &prior, &grid);
+            assert_eq!(
+                (held, compared),
+                (12, 2 * grid.len()),
+                "m={m}, missing={missing}"
+            );
         }
         // With n = 0 every grid value gives the same (interpolating) fit.
-        let (g, f, prior) = edge_problem(14, 8, 14);
-        let (tables, _) = check_against_reference(&g, &plan, &f, &prior, &grid);
-        for family in tables
-            .iter()
-            .flatten()
-            .flat_map(|cells| cells.chunks(grid.len()))
-        {
-            assert!(family.iter().all(|c| *c == family[0]));
+        let (g, f, prior) = edge_problem(14, 11, 14);
+        let (zm, nzm) = cross_validate_both(&g, &f, &prior, &CvConfig::default()).unwrap();
+        for outcome in [zm, nzm] {
+            let e0 = outcome.errors[0].1;
+            assert!(outcome
+                .errors
+                .iter()
+                .all(|&(_, e)| (e - e0).abs() <= 1e-9 * e0));
         }
-        // An all-zero prior has no finite-prior column at all.
-        let g = design(12, 5, 9);
-        let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[0.0; 5]);
-        assert_eq!(prior.num_zero_precision(), 5);
-        let f = Vector::from_fn(12, |i| i as f64 - 4.0);
-        let (tables, compared) = check_against_reference(&g, &plan, &f, &prior, &grid);
-        assert!(tables.iter().all(Option::is_some));
-        assert_eq!(compared, 3 * 2 * grid.len());
     }
 
     #[test]
-    fn rank_deficient_fold_is_skipped() {
-        // The missing column is zero everywhere except on fold 0's
-        // validation rows, so fold 0's training rows cannot identify it.
+    fn rank_deficient_row_is_skipped() {
+        // The missing column is zero everywhere except on row 4, so no
+        // refit without row 4 can identify it: that row is skipped, and
+        // every other row is held out and matches its refit.
         let (k, m) = (15, 8);
-        let cfg = CvConfig {
-            folds: 3,
-            grid: log_grid(1e-2, 1e2, 5),
-            seed: 11,
-        };
-        let plan = FoldPlan::new(k, cfg.folds, cfg.seed).unwrap();
         let mut g = design(k, m, 12);
-        for i in 0..k {
-            if !plan.folds[0].validate.contains(&i) {
-                g[(i, 0)] = 0.0;
-            }
+        for i in (0..k).filter(|&i| i != 4) {
+            g[(i, 0)] = 0.0;
         }
         let f = Vector::from_fn(k, |i| (i as f64).cos());
         let mut early: Vec<Option<f64>> = (0..m).map(|j| Some(1.0 / (1.0 + j as f64))).collect();
         early[0] = None;
         let prior = Prior::new(PriorKind::ZeroMean, early);
-        let (tables, compared) = check_against_reference(&g, &plan, &f, &prior, &cfg.grid);
-        assert!(tables[0].is_none());
-        assert!(tables[1..].iter().all(Option::is_some));
-        assert!(compared > 0);
-        let (zm, nzm) = cross_validate_both(&g, &f, &prior, &cfg).unwrap();
-        assert_eq!(zm.errors.len(), cfg.grid.len());
-        assert_eq!(nzm.errors.len(), cfg.grid.len());
+        let grid = log_grid(1e-2, 1e2, 5);
+        let (held, compared) = check_against_refits(&g, &f, &prior, &grid);
+        assert_eq!(held, k - 1);
+        assert_eq!(compared, 2 * grid.len());
+        let patterns = [(&prior.with_kind(PriorKind::NonZeroMean), vec![&f])];
+        let swept = sweep(&g, &patterns, &grid, &[PriorKind::ZeroMean], 1).unwrap();
+        let loo = swept.loo.into_iter().next().unwrap().unwrap();
+        let zm = loo.outcomes(0, &grid, 1).unwrap();
+        assert_eq!(zm[0].errors.len(), grid.len());
+        assert!(zm[0].errors.iter().all(|(_, e)| e.is_finite()));
     }
 
     #[test]
     fn unsolvable_grid_is_a_linalg_error() {
-        // Every fold is usable, but η = 1e-310 lies below the rounding of
-        // each fold's singular T̂ (6 columns, 8 training rows): no cell
-        // solves, which is a linear-algebra failure, not a sample
-        // shortage.
+        // η = 1e-310 lies below the rounding of the singular T̂ of 12 rows
+        // over 6 columns: no cell solves, which is a linear-algebra
+        // failure, not a sample shortage.
         let f = Vector::from_fn(12, |i| (i as f64).sin());
         let prior = Prior::from_coeffs(PriorKind::ZeroMean, &[0.5; 6]);
         let cfg = CvConfig {
-            folds: 3,
             grid: vec![1e-310],
-            seed: 1,
+            ..CvConfig::default()
         };
         for seed in 0..20 {
             let g = design(12, 6, seed);
@@ -791,51 +744,33 @@ mod tests {
     #[test]
     fn reduce_outcomes_reports_why_nothing_was_solved() {
         let grid = [1.0, 2.0];
-        // No usable fold at all.
-        let none: Vec<Option<&[Option<f64>]>> = vec![None, None, None];
+        // No row could be held out.
+        let none = [0.0, 0.0, 0.0, 0.0];
         assert!(matches!(
-            reduce_outcomes(&grid, 2, none, 12, 3),
+            reduce_outcomes(&grid, 1, &[true, true], (12, 13), [&none[..]].into_iter()),
             Err(BmfError::NotEnoughSamples {
                 available: 12,
-                required: 3,
+                required: 13,
                 ..
             })
         ));
-        // Usable folds whose cells all failed for one family.
-        let cells = [Some(0.5), Some(0.25), None, None];
-        let usable: Vec<Option<&[Option<f64>]>> = vec![Some(&cells[..]), None, Some(&cells[..])];
+        // Three rows, Σf² = 4; zero-mean Σe² = 1 and 0.25, nonzero-mean
+        // not finite.
+        let block = [3.0, 4.0, 1.0, 0.25, f64::NAN, f64::INFINITY];
         assert!(matches!(
-            reduce_outcomes(&grid, 2, usable, 12, 3),
+            reduce_outcomes(&grid, 2, &[true, true], (12, 1), [&block[..]].into_iter()),
             Err(BmfError::Linalg(LinalgError::Unsolvable {
                 op: "cross-validation sweep",
                 ..
             }))
         ));
-        // The solved family alone reduces fine.
-        let one: Vec<Option<&[Option<f64>]>> = vec![Some(&cells[..2]), None];
-        let out = reduce_outcomes(&grid, 1, one, 12, 2).unwrap();
+        // Two blocks sum in order; an unsolved grid value is blank.
+        let half = [1.0, 2.0, 0.5, 0.125];
+        let two = [&half[..], &half[..]];
+        let out = reduce_outcomes(&grid, 1, &[true, true], (12, 1), two.into_iter()).unwrap();
         assert_eq!(out[0].errors, vec![(1.0, 0.5), (2.0, 0.25)]);
         assert_eq!(out[0].best_hyper, 2.0);
-    }
-
-    #[test]
-    fn fold_plan_selects_each_row_once_as_validation() {
-        let g = design(13, 4, 8);
-        let plan = FoldPlan::new(13, 5, 3).unwrap();
-        let mut seen = [false; 13];
-        for fold in &plan.folds {
-            let g_train = g.rows_view(&fold.train);
-            let g_val = g.rows_view(&fold.validate);
-            assert_eq!(g_train.nrows(), fold.train.len());
-            assert_eq!(g_val.nrows(), fold.validate.len());
-            for (i, &row) in fold.validate.iter().enumerate() {
-                assert!(!seen[row], "row {row} validated twice");
-                seen[row] = true;
-                for j in 0..4 {
-                    assert_eq!(g_val.get(i, j), g[(row, j)]);
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
+        let out = reduce_outcomes(&grid, 1, &[true, false], (12, 1), two.into_iter()).unwrap();
+        assert_eq!(out[0].errors, vec![(1.0, 0.5)]);
     }
 }

@@ -20,7 +20,7 @@
 //! * [`map_estimate`] — the MAP posterior solve (eq. 28–35), with both
 //!   the *direct* M×M Cholesky solver and the *fast* Woodbury low-rank
 //!   solver of §IV-C (eq. 53–58), which are numerically identical;
-//! * [`hyper`] — N-fold cross-validation for the hyper-parameter
+//! * [`hyper`] — cross-validation (exact leave-one-out) for the hyper-parameter
 //!   (`σ₀` or `η`, §IV-D): [`hyper::cross_validate_both`] sweeps the
 //!   grid for both prior families in one pass;
 //! * [`select`] — prior selection (BMF-PS): [`select::select_prior`]

@@ -37,7 +37,10 @@
 //! such prior with the same missing columns shares (`FoldBase`: the
 //! QR of the missing columns and `QᵀΓQ` by a compact-WY congruence), and
 //! each prior adds only its rank-|S| term (`FoldSystem`); a dense
-//! prior's kernel is formed directly and is its own base.
+//! prior's kernel is formed directly and is its own base. The same
+//! full-data system gives the exact leave-one-out errors the fitting
+//! engines select the hyper-parameter by (`FoldSystem::loo_block`,
+//! [`crate::hyper`]).
 
 use std::ops::Range;
 
@@ -47,12 +50,10 @@ use bmf_linalg::view::{
     outer_gram_diag_into, sub_products_into, MatRef,
 };
 use bmf_linalg::{
-    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, qr_in_place, solve_lower,
-    tridiagonal, view, woodbury, LinalgError, Matrix, Reflectors, Resilience, Vector,
+    factor_shifted_ldl_ladder, factor_spd_ladder, ladder_solve_in_place, qr_in_place, tridiagonal,
+    view, woodbury, LinalgError, Matrix, Reflectors, Resilience, Vector,
 };
-use bmf_stat::crossval::Fold;
 
-use crate::hyper::FoldErrors;
 use crate::options::{validate_hyper, FitOptions};
 use crate::prior::{Prior, PriorKind};
 use crate::workspace::{resize, MapScratch};
@@ -250,7 +251,7 @@ pub struct MapSweep<'g> {
 }
 
 /// A prior's hyper-independent quantities over every row of a design
-/// matrix: what its fold systems add to their shared base, and what the
+/// matrix: what its system adds to its shared base, and what the
 /// back-projection of [`FoldSystem::solve`] reads besides the system.
 #[derive(Debug, Clone)]
 pub(crate) struct PriorTerms {
@@ -349,8 +350,8 @@ impl PriorTerms {
     /// B_F = c₀·Γ + G_S·diag(a⁻¹_S − c₀)·G_Sᵀ,   S = {m : a⁻¹_m > c₀}
     /// ```
     ///
-    /// and each fold system adds the prior's rank-|S| term to the
-    /// shared base's. Otherwise the base is the prior's own kernel
+    /// and the prior's system adds its rank-|S| term to the shared
+    /// base's. Otherwise the base is the prior's own kernel
     /// ([`PriorTerms::own_kernel`]), with `c₀ = 1` and `S = ∅`.
     pub(crate) fn uses_floor_gram(&self) -> bool {
         self.floor
@@ -400,8 +401,7 @@ pub(crate) fn finite_runs(m: usize, missing: &[usize]) -> Vec<Range<usize>> {
 
 /// One prior's base over every row of a design matrix, plus the prior's
 /// [`PriorTerms`]: the floor gram of its finite columns, or its own
-/// kernel. Any number of [`FoldBase`]s read it through their own row
-/// tables.
+/// kernel, which its [`FoldBase`]'s congruence turns into `QᵀBQ`.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepKernel {
     pub(crate) terms: PriorTerms,
@@ -433,68 +433,49 @@ impl SweepKernel {
     }
 }
 
-/// What every prior pattern with the same base shares in one fold: for
-/// training rows `T` and validation rows `V`, with `B` the base (a floor
-/// gram or a prior's own kernel) and `Z` the missing columns,
-///
-/// * `gz`/`gz_tau`: the QR of `G_Z(T)`, stored transposed (`Rᵀ` in the
-///   leading lower triangle), whose `Q = [Q_Z N]`;
-/// * `cb`: `QᵀB(T,T)Q`, by the compact-WY congruence;
-/// * `vb`: `QᵀB(T,V)`;
-/// * `ev`: `E = G_Z(V) R⁻¹`.
-///
-/// A pattern's [`FoldSystem`] adds its own rank-|S| term to these.
+/// What every prior pattern with the same base shares: the Householder
+/// QR of the missing columns `G_Z` over every row of a design matrix,
+/// stored transposed (`Rᵀ` in the leading lower triangle), whose
+/// `Q = [Q_Z N]` profiles them out. A pattern's [`FoldSystem`] adds its
+/// own rank-|S| term to the base's congruence `C = QᵀBQ`
+/// ([`FoldBase::congruence`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FoldBase {
     gz: Matrix,
     gz_tau: Vec<f64>,
-    cb: Matrix,
-    vb: Matrix,
-    ev: Matrix,
-    /// Scratch: one row, and the congruence's.
-    w: Vec<f64>,
-    wy: Vec<f64>,
 }
 
 impl FoldBase {
-    /// Builds the base of the kernel `base` (over every row of `g`) with
-    /// missing columns `missing` for training rows `train` and validation
-    /// rows `val`.
+    /// Factors the missing columns `missing` of `g` over every row.
     ///
     /// # Errors
     ///
-    /// * [`BmfError::NotEnoughSamples`] when `train` has fewer rows than
+    /// * [`BmfError::NotEnoughSamples`] when `g` has fewer rows than
     ///   there are missing columns.
-    /// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when `G_Z(T)`
-    ///   is rank deficient: `min|R_jj| ≤ RCOND_FLOOR·max|R_jj|`, with the
+    /// * [`BmfError::Linalg`] ([`LinalgError::Unsolvable`]) when `G_Z` is
+    ///   rank deficient: `min|R_jj| ≤ RCOND_FLOOR·max|R_jj|`, with the
     ///   degradation ladder's floor.
-    pub(crate) fn build(
-        &mut self,
-        g: MatRef<'_>,
-        base: &Matrix,
-        missing: &[usize],
-        train: &[usize],
-        val: &[usize],
-    ) -> Result<()> {
-        let (nt, nv, nz) = (train.len(), val.len(), missing.len());
-        if nz > nt {
+    pub(crate) fn new(g: MatRef<'_>, missing: &[usize]) -> Result<Self> {
+        let (k, nz) = (g.nrows(), missing.len());
+        if nz > k {
             return Err(BmfError::NotEnoughSamples {
-                available: nt,
+                available: k,
                 required: nz,
                 context: "missing-prior coefficients",
             });
         }
-        self.gz.reset_zeros(nz, nt);
+        let mut gz = Matrix::zeros(nz, k);
         for (zi, &z) in missing.iter().enumerate() {
-            for (x, &ri) in self.gz.row_mut(zi).iter_mut().zip(train) {
+            for (ri, x) in gz.row_mut(zi).iter_mut().enumerate() {
                 *x = g.get(ri, z);
             }
         }
-        qr_in_place(&mut self.gz, &mut self.gz_tau)?;
+        let mut gz_tau = Vec::new();
+        qr_in_place(&mut gz, &mut gz_tau)?;
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
         for j in 0..nz {
-            lo = lo.min(self.gz[(j, j)].abs());
-            hi = hi.max(self.gz[(j, j)].abs());
+            lo = lo.min(gz[(j, j)].abs());
+            hi = hi.max(gz[(j, j)].abs());
         }
         // With nothing missing, lo stays ∞ and the check passes.
         if lo <= RCOND_FLOOR * hi || lo.is_nan() {
@@ -502,45 +483,51 @@ impl FoldBase {
             let op = "sample-space system (missing-prior columns)";
             return Err(LinalgError::Unsolvable { op, rcond }.into());
         }
-        gather(base.as_view(), train, train, &mut self.cb);
-        gather(base.as_view(), train, val, &mut self.vb);
-        let q = Reflectors::new(&self.gz, &self.gz_tau, 0);
-        q.congruence_in_place(&mut self.cb, &mut self.wy)?;
-        resize(&mut self.w, nv);
-        q.apply_qt_in_place(self.vb.as_mut_slice(), &mut self.w)?;
-        // E = G_Z(V) R⁻¹, row by row against Rᵀ (gz's leading lower
-        // triangle).
-        let rt = MatRef::strided(self.gz.as_slice(), nz, nz, nt)?;
-        self.ev.reset_zeros(nv, nz);
-        for (r, &rv) in val.iter().enumerate() {
-            let row = self.ev.row_mut(r);
-            for (x, &z) in row.iter_mut().zip(missing) {
-                *x = g.get(rv, z);
-            }
-            solve_lower(rt, row)?;
-        }
-        Ok(())
+        Ok(FoldBase { gz, gz_tau })
     }
 
-    /// Builds the base over every row of `g`, with no validation rows.
+    /// Turns the kernel `base` (over every row) into its congruence
+    /// `C = QᵀBQ`, by the compact-WY congruence.
     ///
     /// # Errors
     ///
-    /// As for [`FoldBase::build`].
-    pub(crate) fn full(g: MatRef<'_>, base: &Matrix, missing: &[usize]) -> Result<Self> {
-        let rows: Vec<usize> = (0..g.nrows()).collect();
-        let mut full = FoldBase::default();
-        full.build(g, base, missing, &rows, &[])?;
-        Ok(full)
+    /// [`BmfError::Linalg`] when `base` is not K × K.
+    pub(crate) fn congruence(&self, base: &mut Matrix) -> Result<()> {
+        Ok(self.q().congruence_in_place(base, &mut Vec::new())?)
     }
 
-    /// Keeps only what [`FoldSystem::solve`] reads: the QR of `G_Z`.
-    pub(crate) fn into_projection(self) -> Self {
-        FoldBase {
-            gz: self.gz,
-            gz_tau: self.gz_tau,
-            ..FoldBase::default()
+    /// The columns `cols` of `Nᵀ` (`n × |cols|`, row-major), and per
+    /// column whether deleting that row leaves `G_Z` of full rank:
+    /// `‖Nᵀe_i‖² = 1 − ‖Q_Zᵀe_i‖²` (one minus the row's leverage) above
+    /// `RCOND_FLOOR`. With no missing column `Nᵀ` is the identity and
+    /// every row usable; both are returned empty, allocating nothing.
+    /// `cols` lies within the rows; `w` is scratch.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::Linalg`] when the reflectors do not fit the block.
+    pub(crate) fn n_block(
+        &self,
+        cols: Range<usize>,
+        w: &mut Vec<f64>,
+    ) -> Result<(Vec<f64>, Vec<bool>)> {
+        let (nz, k, b) = (self.gz.nrows(), self.gz.ncols(), cols.len());
+        if nz == 0 {
+            return Ok((Vec::new(), Vec::new()));
         }
+        let mut block = vec![0.0; k * b];
+        for (c, i) in cols.enumerate() {
+            if let Some(x) = block.get_mut(i * b + c) {
+                *x = 1.0;
+            }
+        }
+        resize(w, b);
+        self.q().apply_qt_in_place(&mut block, w)?;
+        block.drain(..nz * b);
+        let usable = (0..b)
+            .map(|c| block.iter().skip(c).step_by(b).map(|x| x * x).sum::<f64>() > RCOND_FLOOR)
+            .collect();
+        Ok((block, usable))
     }
 
     /// The missing-column reflectors `Q`.
@@ -549,25 +536,18 @@ impl FoldBase {
     }
 }
 
-/// The sample-space system ([`MapSweep`]) of one prior pattern in one
-/// fold, built from the fold's [`FoldBase`] into reusable buffers,
-/// `n = |T| − |Z|`. With `U = QᵀG_S(T)` and `D = diag(a⁻¹_S − c₀)`
-/// (`c₀ = 1`, `S = ∅` on a prior's own kernel):
+/// The sample-space system ([`MapSweep`]) of one prior pattern over
+/// every row of a design matrix, built from its base's [`FoldBase`] and
+/// congruence `C`, `n = K − |Z|`. With `U = QᵀG_S` and
+/// `D = diag(a⁻¹_S − c₀)` (`c₀ = 1`, `S = ∅` on a prior's own kernel):
 ///
-/// * `s`/`h_tau`/`d`/`e`: `S = c₀·cb[N,N] + U_N D U_Nᵀ` reduced to
+/// * `s`/`h_tau`/`d`/`e`: `S = c₀·C[N,N] + U_N D U_Nᵀ` reduced to
 ///   `T̂ = (d, e)`, `H`'s reflectors packed in `s`;
-/// * `c_nz`: `C[N,Z] = c₀·cb[N,Z] + U_N D U_Zᵀ`;
-/// * `wt`: `Wᵀ = Hᵀ(c₀·vb[N,·] + U_N D G_S(V)ᵀ − C[N,Z]·Eᵀ)`.
+/// * `c_nz`: `C[N,Z] = c₀·C[N,Z] + U_N D U_Zᵀ`.
 ///
-/// A validation prediction is `(Gμ)_V + E·Q_Zᵀy + W·x`: no cell touches
-/// an M-length vector. The cell scratch: per family, the projected
-/// response `[Q_Zᵀy; HᵀNᵀy]` (`proj`) and the η-independent residual
-/// `(Gμ)_V + E·Q_Zᵀy − f_V` (`r0`); the LDLᵀ pivots and multipliers
-/// (`piv`); the solution `x` and `W·x` (`x`).
-///
-/// Over every row with no validation rows ([`FoldSystem::full`]) it is
-/// the full-data system the final solve of a missing-prior fit
-/// back-projects ([`FoldSystem::solve`]).
+/// The final solve of a missing-prior fit back-projects it
+/// ([`FoldSystem::solve`]), and the leave-one-out cells of every prior
+/// pattern read it ([`FoldSystem::loo_solves`], [`FoldSystem::loo_block`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FoldSystem {
     c_nz: Matrix,
@@ -575,28 +555,6 @@ pub(crate) struct FoldSystem {
     h_tau: Vec<f64>,
     d: Vec<f64>,
     e: Vec<f64>,
-    wt: Matrix,
-    /// `U`, then `−U·D` (`nud`), and `G_S(V)` (`gsv`).
-    u: Matrix,
-    nud: Matrix,
-    gsv: Matrix,
-    /// One row of scratch.
-    w: Vec<f64>,
-    proj: Matrix,
-    r0: Matrix,
-    piv: Vec<f64>,
-    x: Vec<f64>,
-}
-
-/// `out = src[rows, cols]`.
-fn gather(src: MatRef<'_>, rows: &[usize], cols: &[usize], out: &mut Matrix) {
-    out.reset_zeros(rows.len(), cols.len());
-    for (i, &r) in rows.iter().enumerate() {
-        let row = src.row(r);
-        for (x, &c) in out.row_mut(i).iter_mut().zip(cols) {
-            *x = row[c];
-        }
-    }
 }
 
 /// Rows `rows` of the row-major `m` as a view.
@@ -606,112 +564,248 @@ fn rows_of(m: &Matrix, rows: Range<usize>) -> Result<MatRef<'_>> {
     Ok(MatRef::from_row_major(data, rows.len(), c)?)
 }
 
+/// The η-dependent half of a pattern's leave-one-out cells
+/// ([`FoldSystem::loo_solves`]): per grid value, whether `T̂ + ηI`
+/// factorized, and one chunk of its reciprocal LDLᵀ pivots, its
+/// multipliers shifted one on (`l_{j−1}` at `j`, 0 at 0) and, per
+/// response and prior family in that order, `x = (T̂ + ηI)⁻¹HᵀNᵀy`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LooSolves {
+    /// Per grid value: whether `T̂ + ηI` factorized.
+    pub(crate) solved: Vec<bool>,
+    /// Per grid value, one chunk as in the type docs.
+    chunks: Vec<f64>,
+}
+
 impl FoldSystem {
-    /// Builds the system of the prior `terms` on the fold base `base`,
-    /// which was built for training rows `train` and validation rows
-    /// `val`.
+    /// Builds the system of the prior `terms` over every row of `g` on
+    /// its base's projection `base` and congruence `cb`.
     ///
     /// # Errors
     ///
-    /// [`BmfError::Linalg`] when `base` does not match the rows.
-    pub(crate) fn build(
-        &mut self,
+    /// [`BmfError::Linalg`] when `base` or `cb` does not match `g`.
+    pub(crate) fn full(
         g: MatRef<'_>,
         base: &FoldBase,
+        cb: &Matrix,
         terms: &PriorTerms,
-        train: &[usize],
-        val: &[usize],
-    ) -> Result<()> {
-        let (nt, nv, nz, ns) = (train.len(), val.len(), base.gz.nrows(), terms.support.len());
+    ) -> Result<Self> {
+        let (nt, nz, ns) = (g.nrows(), base.gz.nrows(), terms.support.len());
         let n = nt - nz;
         let c0 = terms.c0;
-        // U = Qᵀ G_S(T), then −U·D.
-        gather(g, train, &terms.support, &mut self.u);
-        gather(g, val, &terms.support, &mut self.gsv);
-        resize(&mut self.w, ns);
-        base.q()
-            .apply_qt_in_place(self.u.as_mut_slice(), &mut self.w)?;
-        self.nud.reset_zeros(nt, ns);
-        let nud_rows = self.nud.as_mut_slice().chunks_exact_mut(ns.max(1));
-        for (x, u) in nud_rows.zip(self.u.as_slice().chunks_exact(ns.max(1))) {
+        // U = Qᵀ G_S, then −U·D.
+        let mut u = Matrix::from_fn(nt, ns, |i, j| g.get(i, terms.support[j]));
+        let mut w = vec![0.0; ns];
+        base.q().apply_qt_in_place(u.as_mut_slice(), &mut w)?;
+        let mut nud = Matrix::zeros(nt, ns);
+        let nud_rows = nud.as_mut_slice().chunks_exact_mut(ns.max(1));
+        for (x, u) in nud_rows.zip(u.as_slice().chunks_exact(ns.max(1))) {
             for ((x, u), d) in x.iter_mut().zip(u).zip(&terms.excess) {
                 *x = -(u * d);
             }
         }
-        // c₀ times the base: S = c₀·cb[N,N] on the upper triangle,
-        // C[N,Z] = c₀·cb[N,Z] and Wᵀ = c₀·vb[N,·]; then the pattern's
-        // U_N D U_Nᵀ, U_N D U_Zᵀ and U_N D G_S(V)ᵀ, and Wᵀ's −C[N,Z]·Eᵀ.
-        self.s.reset_zeros(n, n);
-        self.c_nz.reset_zeros(n, nz);
-        self.wt.reset_zeros(n, nv);
+        // c₀ times the base: S = c₀·C[N,N] on the upper triangle and
+        // C[N,Z] = c₀·C[N,Z]; then the pattern's U_N D U_Nᵀ and U_N D U_Zᵀ.
+        let mut sys = FoldSystem {
+            s: Matrix::zeros(n, n),
+            c_nz: Matrix::zeros(n, nz),
+            ..FoldSystem::default()
+        };
         for j in 0..n {
-            let (cz, cn) = base.cb.row(nz + j).split_at(nz);
+            let (cz, cn) = cb.row(nz + j).split_at(nz);
             let scaled = |out: &mut [f64], src: &[f64]| {
                 for (x, &b) in out.iter_mut().zip(src) {
                     *x = c0 * b;
                 }
             };
-            scaled(&mut self.s.row_mut(j)[j..], &cn[j..]);
-            scaled(self.c_nz.row_mut(j), cz);
-            scaled(self.wt.row_mut(j), base.vb.row(nz + j));
+            scaled(&mut sys.s.row_mut(j)[j..], &cn[j..]);
+            scaled(sys.c_nz.row_mut(j), cz);
         }
         if ns > 0 {
-            let nud_n = rows_of(&self.nud, nz..nt)?;
-            sub_products_into(nud_n, rows_of(&self.u, nz..nt)?, true, self.s.as_view_mut())?;
-            sub_products_into(
-                nud_n,
-                rows_of(&self.u, 0..nz)?,
-                false,
-                self.c_nz.as_view_mut(),
-            )?;
-            sub_products_into(nud_n, self.gsv.as_view(), false, self.wt.as_view_mut())?;
+            let nud_n = rows_of(&nud, nz..nt)?;
+            sub_products_into(nud_n, rows_of(&u, nz..nt)?, true, sys.s.as_view_mut())?;
+            let c_nz = sys.c_nz.as_view_mut();
+            sub_products_into(nud_n, rows_of(&u, 0..nz)?, false, c_nz)?;
         }
-        mirror_upper_into(self.s.as_view_mut())?;
-        if nz > 0 {
-            sub_products_into(
-                self.c_nz.as_view(),
-                base.ev.as_view(),
-                false,
-                self.wt.as_view_mut(),
-            )?;
-        }
+        mirror_upper_into(sys.s.as_view_mut())?;
         tridiagonal::tridiagonalize_in_place(
-            &mut self.s,
-            &mut self.d,
-            &mut self.e,
-            &mut self.h_tau,
-            &mut self.w,
+            &mut sys.s,
+            &mut sys.d,
+            &mut sys.e,
+            &mut sys.h_tau,
+            &mut w,
         )?;
-        // The reduction resized `w` to n; the rows of Wᵀ are nv long.
-        resize(&mut self.w, nv);
-        let h = Reflectors::new(&self.s, &self.h_tau, 1);
-        h.apply_qt_in_place(self.wt.as_mut_slice(), &mut self.w)?;
-        Ok(())
+        Ok(sys)
     }
 
-    /// Builds the system of `terms` on the full-data base `base` (from
-    /// [`FoldBase::full`]), and keeps only what [`FoldSystem::solve`]
-    /// reads: `C[N,Z]`, and `H` with `T̂`.
+    /// The η-dependent half of the leave-one-out cells of `responses`
+    /// (all of the prior `terms`, on the projection `base`): per grid
+    /// value the LDLᵀ of `T̂ + ηI`, shared by every family, and per
+    /// response and family `x = (T̂ + ηI)⁻¹HᵀNᵀy`, `y = f − Gμ` (`f` for
+    /// zero-mean). A grid value whose `T̂ + ηI` is singular to working
+    /// precision (a pivot not positive and finite, or a pivot ratio at
+    /// the ladder's `RCOND_FLOOR`) is left unsolved.
     ///
     /// # Errors
     ///
-    /// As for [`FoldSystem::build`].
-    pub(crate) fn full(g: MatRef<'_>, base: &FoldBase, terms: &PriorTerms) -> Result<Self> {
-        let rows: Vec<usize> = (0..g.nrows()).collect();
-        let mut sys = FoldSystem::default();
-        sys.build(g, base, terms, &rows, &[])?;
-        Ok(FoldSystem {
-            c_nz: sys.c_nz,
-            s: sys.s,
-            h_tau: sys.h_tau,
-            d: sys.d,
-            e: sys.e,
-            ..FoldSystem::default()
-        })
+    /// [`BmfError::Linalg`] when a response is not one value per row.
+    pub(crate) fn loo_solves(
+        &self,
+        base: &FoldBase,
+        terms: &PriorTerms,
+        responses: &[&Vector],
+        grid: &[f64],
+        kinds: &[PriorKind],
+    ) -> Result<LooSolves> {
+        let (nz, n) = (base.gz.nrows(), self.d.len());
+        let (q, h) = (base.q(), Reflectors::new(&self.s, &self.h_tau, 1));
+        let width = (2 + responses.len() * kinds.len()) * n;
+        let mut out = LooSolves {
+            solved: vec![false; grid.len()],
+            chunks: vec![0.0; grid.len() * width],
+        };
+        let LooSolves { solved, chunks } = &mut out;
+        let Some((first, rest)) = chunks.split_at_mut_checked(width).filter(|_| n > 0) else {
+            return Ok(out);
+        };
+        // The projections HᵀNᵀy, in the first grid value's chunk.
+        let mut proj = first[2 * n..].chunks_exact_mut(n);
+        let mut y = vec![0.0; terms.g_mu.len()];
+        for f in responses {
+            for &kind in kinds {
+                let nzm = kind == PriorKind::NonZeroMean;
+                for ((yi, fi), mu) in y.iter_mut().zip(f.iter()).zip(&terms.g_mu) {
+                    *yi = if nzm { fi - mu } else { *fi };
+                }
+                q.apply_qt_in_place(&mut y, &mut [0.0])?;
+                h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
+                if let Some(x) = proj.next() {
+                    x.copy_from_slice(&y[nz..]);
+                }
+            }
+        }
+        // The pivots land where their reciprocals go. Lengths are set
+        // above, so a factorization error is a refused system.
+        let factor = |eta: f64, chunk: &mut [f64]| -> Result<bool> {
+            let (piv, rest) = chunk.split_at_mut(n);
+            let (l, x) = rest.split_at_mut(n);
+            let l = &mut l[1..];
+            if tridiagonal::ldl_shifted_into(&self.d, &self.e, eta, RCOND_FLOOR, piv, l).is_err() {
+                return Ok(false);
+            }
+            for x in x.chunks_exact_mut(n) {
+                tridiagonal::ldl_solve_in_place(piv, l, x)?;
+            }
+            for p in piv.iter_mut() {
+                *p = 1.0 / *p;
+            }
+            Ok(true)
+        };
+        // Later grid values solve a copy of the projections; the first
+        // solves them in place, last.
+        for ((chunk, &eta), solved) in rest
+            .chunks_exact_mut(width)
+            .zip(&grid[1..])
+            .zip(&mut solved[1..])
+        {
+            chunk[2 * n..].copy_from_slice(&first[2 * n..]);
+            *solved = factor(eta, chunk)?;
+        }
+        solved[0] = factor(grid[0], first)?;
+        Ok(out)
+    }
+
+    /// The leave-one-out sums of one block of rows, `cols`, given the
+    /// block's columns of `Nᵀ` (`n_block`, from [`FoldBase::n_block`])
+    /// and which of its rows are usable. The block's columns of
+    /// `Ψ = HᵀNᵀ` are formed once; then per solved grid value one pass
+    /// over them gives, per row i, `Π_ii = ψ_iᵀ(T̂ + ηI)⁻¹ψ_i` (by the
+    /// LDLᵀ) and, per response and family, `[Πy]_i = ψ_iᵀx`, whose ratio
+    /// is row i's held-out residual (`Π = N(S + ηI)⁻¹Nᵀ`; Allen's PRESS).
+    ///
+    /// Returns per response `[rows held out, Σf_i², then per family and
+    /// grid value Σ([Πy]_i/Π_ii)²]` over the usable rows (an empty
+    /// `n_block` and `usable`, for no missing column, stand for the
+    /// identity's columns and every row), 0 where the grid value is
+    /// unsolved. The result depends only on the inputs, never on
+    /// `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// [`BmfError::Linalg`] when `n_block` does not match the system.
+    pub(crate) fn loo_block(
+        &self,
+        solves: &LooSolves,
+        (n_block, usable): (&[f64], &[bool]),
+        cols: Range<usize>,
+        responses: &[&Vector],
+        kinds: usize,
+        scratch: &mut Vec<f64>,
+    ) -> Result<Vec<f64>> {
+        let (n, b, grid) = (self.d.len(), cols.len(), solves.solved.len());
+        let cells = responses.len() * kinds;
+        let width = 2 + kinds * grid;
+        resize(scratch, (n + 3 + cells) * b);
+        let (psi, rest) = scratch.split_at_mut(n * b);
+        let (z, rest) = rest.split_at_mut(b);
+        let (pii, rest) = rest.split_at_mut(b);
+        let (w, py) = rest.split_at_mut(b);
+        if n_block.is_empty() {
+            // No missing column: Nᵀ's columns are the identity's.
+            psi.fill(0.0);
+            for (c, i) in cols.clone().enumerate() {
+                if let Some(x) = psi.get_mut(i * b + c) {
+                    *x = 1.0;
+                }
+            }
+        } else {
+            psi.copy_from_slice(n_block);
+        }
+        Reflectors::new(&self.s, &self.h_tau, 1).apply_qt_in_place(psi, w)?;
+        let usable = || usable.iter().copied().chain(std::iter::repeat(true));
+        let mut out = vec![0.0; responses.len() * width];
+        for (sums, f) in out.chunks_exact_mut(width).zip(responses) {
+            let f = &f.as_slice()[cols.clone()];
+            for (x, _) in f.iter().zip(usable()).filter(|&(_, u)| u) {
+                sums[0] += 1.0;
+                sums[1] += x * x;
+            }
+        }
+        let chunks = solves.chunks.chunks_exact((2 + cells) * n.max(1));
+        for (gi, chunk) in chunks.enumerate().filter(|&(gi, _)| solves.solved[gi]) {
+            let (inv, rest) = chunk.split_at(n);
+            let (shifted, x) = rest.split_at(n);
+            z.fill(0.0);
+            pii.fill(0.0);
+            py.fill(0.0);
+            for (j, row) in psi.chunks_exact(b.max(1)).enumerate() {
+                let (lj, ij) = (shifted[j], inv[j]);
+                for ((zc, pc), &r) in z.iter_mut().zip(pii.iter_mut()).zip(row) {
+                    *zc = r - lj * *zc;
+                    *pc += *zc * *zc * ij;
+                }
+                for (c, py) in py.chunks_exact_mut(b.max(1)).enumerate() {
+                    let xj = x[c * n + j];
+                    for (p, &r) in py.iter_mut().zip(row) {
+                        *p += r * xj;
+                    }
+                }
+            }
+            for (c, py) in py.chunks_exact(b.max(1)).enumerate() {
+                let mut s = 0.0;
+                for ((p, d), u) in py.iter().zip(pii.iter()).zip(usable()) {
+                    if u {
+                        s += (p / d) * (p / d);
+                    }
+                }
+                out[(c / kinds) * width + 2 + (c % kinds) * grid + gi] = s;
+            }
+        }
+        Ok(out)
     }
 
     /// Solves the full-data MAP system of a [`FoldSystem::full`] system on
-    /// the full-data `base` for the response `f` at `hyper`, with the
+    /// its projection `base` for the response `f` at `hyper`, with the
     /// prior family `kind` (zero-mean drops the prior mean of `terms`,
     /// which must be the prior the system was built from), returning the
     /// M coefficients:
@@ -789,149 +883,6 @@ impl FoldSystem {
     }
 }
 
-/// One sweep worker's scratch: a fold base and a pattern system, reused
-/// across the `(base, fold)` tasks it claims, and the grid and prior
-/// families every cell evaluates.
-#[derive(Debug, Clone)]
-pub(crate) struct FoldWork<'a> {
-    grid: &'a [f64],
-    kinds: &'a [PriorKind],
-    base: FoldBase,
-    system: FoldSystem,
-}
-
-impl<'a> FoldWork<'a> {
-    /// Empty scratch for sweeps over `grid` and `kinds`.
-    pub(crate) fn new(grid: &'a [f64], kinds: &'a [PriorKind]) -> Self {
-        FoldWork {
-            grid,
-            kinds,
-            base: FoldBase::default(),
-            system: FoldSystem::default(),
-        }
-    }
-
-    /// Sweeps one `(base, fold)` pair: builds the fold's base of the
-    /// kernel `base` (missing columns `missing`) once, then for each
-    /// pattern `(terms, responses)` on it, in order, the pattern's system
-    /// and every `(grid, kind)` cell of its responses.
-    ///
-    /// Returns one table, `[response][kind][grid]` over the responses of
-    /// every pattern in order, or `None` when the fold is unusable (see
-    /// [`FoldBase::build`]: too few training rows, or a rank-deficient
-    /// `G_Z`). The result depends only on the inputs, never on the
-    /// scratch.
-    pub(crate) fn sweep<'p>(
-        &mut self,
-        g: &Matrix,
-        base: &Matrix,
-        missing: &[usize],
-        patterns: impl Iterator<Item = (&'p PriorTerms, &'p [&'p Vector])> + Clone,
-        fold: &Fold,
-    ) -> Result<Option<FoldErrors>> {
-        let (train, val) = (&fold.train, &fold.validate);
-        match self.base.build(g.as_view(), base, missing, train, val) {
-            Ok(()) => {}
-            Err(
-                BmfError::NotEnoughSamples { .. }
-                | BmfError::Linalg(LinalgError::Unsolvable { .. }),
-            ) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        let cells = self.kinds.len() * self.grid.len();
-        let responses: usize = patterns.clone().map(|(_, r)| r.len()).sum();
-        let mut errors: FoldErrors = vec![None; responses * cells];
-        let mut rest = errors.as_mut_slice();
-        for (terms, responses) in patterns {
-            let (out, tail) = rest.split_at_mut(responses.len() * cells);
-            rest = tail;
-            self.system
-                .build(g.as_view(), &self.base, terms, train, val)?;
-            self.cells(terms, fold, responses, out)?;
-        }
-        Ok(Some(errors))
-    }
-
-    /// Evaluates every `(grid, kind)` cell of every response in
-    /// `responses` (all of the pattern `terms`) against the system,
-    /// built for `fold` on the base, into `errors`
-    /// (`[response][kind][grid]`, flat, all `None` on entry).
-    ///
-    /// A grid value whose `T̂ + ηI` is singular to working precision (a
-    /// pivot not positive and finite, or a pivot ratio at the ladder's
-    /// `RCOND_FLOOR`) is blank for every family; a cell whose error is
-    /// not finite is blank. The result depends only on the inputs, never
-    /// on the scratch.
-    fn cells(
-        &mut self,
-        terms: &PriorTerms,
-        fold: &Fold,
-        responses: &[&Vector],
-        errors: &mut [Option<f64>],
-    ) -> Result<()> {
-        let (base, sys, grid, kinds) = (&self.base, &mut self.system, self.grid, self.kinds);
-        let (nz, n, nv) = (base.gz.nrows(), sys.d.len(), fold.validate.len());
-        let cells = kinds.len() * grid.len();
-        let (proj, r0) = (&mut sys.proj, &mut sys.r0);
-        proj.reset_zeros(kinds.len(), fold.train.len());
-        r0.reset_zeros(kinds.len(), nv);
-        resize(&mut sys.piv, n + n.saturating_sub(1));
-        resize(&mut sys.x, n + nv);
-        let (piv, l) = sys.piv.split_at_mut(n);
-        let (x, wx) = sys.x.split_at_mut(n);
-        let wt = sys.wt.as_view();
-        let q = base.q();
-        let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
-        let (g_mu, floor) = (&terms.g_mu, RCOND_FLOOR);
-        for (ri, f) in responses.iter().enumerate() {
-            let val_norm = fold
-                .validate
-                .iter()
-                .map(|&i| f[i] * f[i])
-                .sum::<f64>()
-                .sqrt()
-                .max(f64::MIN_POSITIVE);
-            // Per family: y = f_T − (Gμ)_T (f_T for zero-mean), projected,
-            // and the η-independent residual (Gμ)_V + E·Q_Zᵀy − f_V.
-            for (ki, &kind) in kinds.iter().enumerate() {
-                let nzm = kind == PriorKind::NonZeroMean;
-                let y = proj.row_mut(ki);
-                for (yi, &t) in y.iter_mut().zip(&fold.train) {
-                    *yi = if nzm { f[t] - g_mu[t] } else { f[t] };
-                }
-                q.apply_qt_in_place(y, &mut [0.0])?;
-                h.apply_qt_in_place(&mut y[nz..], &mut [0.0])?;
-                let r = r0.row_mut(ki);
-                matvec_into(base.ev.as_view(), &proj.row(ki)[..nz], r)?;
-                for (b, &v) in r.iter_mut().zip(&fold.validate) {
-                    *b += if nzm { g_mu[v] - f[v] } else { -f[v] };
-                }
-            }
-            for (gi, &eta) in grid.iter().enumerate() {
-                // Lengths are set above, so an error is a refused system.
-                if tridiagonal::ldl_shifted_into(&sys.d, &sys.e, eta, floor, piv, l).is_err() {
-                    continue;
-                }
-                for ki in 0..kinds.len() {
-                    x.copy_from_slice(&proj.row(ki)[nz..]);
-                    tridiagonal::ldl_solve_in_place(piv, l, x)?;
-                    matvec_transpose_into(wt, x, wx)?;
-                    let mut s = 0.0;
-                    for (a, b) in r0.row(ki).iter().zip(wx.iter()) {
-                        let d = a + b;
-                        s += d * d;
-                    }
-                    let err = s.sqrt() / val_norm;
-                    if err.is_finite() {
-                        errors[ri * cells + ki * grid.len() + gi] = Some(err);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 impl<'g> MapSweep<'g> {
     /// Builds the sweep over a borrowed design-matrix view: the base and
     /// the sample-space system over every row of `g`.
@@ -942,14 +893,17 @@ impl<'g> MapSweep<'g> {
     /// [`BmfError::Linalg`] when the missing-prior columns of `g` are
     /// rank deficient.
     pub fn from_view(g: MatRef<'g>, prior: &Prior) -> Result<Self> {
-        let kernel = SweepKernel::new(g, prior)?;
-        let base = FoldBase::full(g, &kernel.base, &kernel.terms.missing)?;
-        let system = FoldSystem::full(g, &base, &kernel.terms)?;
-        let terms = kernel.terms;
+        let SweepKernel {
+            terms,
+            base: mut cb,
+        } = SweepKernel::new(g, prior)?;
+        let base = FoldBase::new(g, &terms.missing)?;
+        base.congruence(&mut cb)?;
+        let system = FoldSystem::full(g, &base, &cb, &terms)?;
         Ok(MapSweep {
             g,
             terms,
-            base: base.into_projection(),
+            base,
             system,
         })
     }
@@ -1025,23 +979,23 @@ mod tests {
         m.as_slice().iter().fold(0.0f64, |s, x| s.max(x.abs()))
     }
 
-    /// The shared-base oracle: per (pattern, fold), and over every row,
-    /// a pattern's system built from its fold base (the congruence of
-    /// the floor gram shared by every floor-gram pattern with the same
-    /// missing columns, or of the prior's own kernel, plus the pattern's
-    /// rank-|S| term) equals the direct path, `C = Qᵀ·B_F(T,T)·Q` by one
-    /// reflector at a time with `B_F` from `outer_gram_diag_into`:
-    /// `S = C[N,N]` (as `H T̂ Hᵀ`), `C[N,Z]` and the validation block
-    /// `(QᵀB_F(T,V))[N,·] − C[N,Z]·Eᵀ` (as `H·Wᵀ`), each within
-    /// `1e-12·n·max|B_F(T,T)|`.
+    /// The shared-base oracle of the full-data systems: a pattern's
+    /// system over every row,
+    /// built on its base (the congruence of the floor gram shared by
+    /// every floor-gram pattern with the same missing columns, or of the
+    /// prior's own kernel, plus the pattern's rank-|S| term), equals the
+    /// direct path, `C = Qᵀ·B_F·Q` by one reflector at a time with `B_F`
+    /// from `outer_gram_diag_into`: `S = C[N,N]` (as `H T̂ Hᵀ`) and
+    /// `C[N,Z]`, each within `1e-12·n·max|B_F|`. Each block of `Nᵀ` equals
+    /// the trailing rows of `Qᵀ` applied to the identity's columns, and
+    /// marks a row usable exactly when its leverage is below one.
     #[test]
     fn kernel_oracle_shared_bases_match_direct_congruences() {
-        use crate::hyper::FoldPlan;
         // (floor-gram patterns, own-kernel patterns) compared with a
         // missing column.
         let mut hits = [0usize; 2];
         let mut worst = 0.0f64;
-        bmf_stat::prop::check("shared-base systems == direct congruences", 24, |rng| {
+        bmf_stat::prop::check("full-data systems == direct congruences", 24, |rng| {
             let k = 9 + rng.gen_index(24);
             let m = 8 + rng.gen_index(56);
             let g = Matrix::from_row_major(k, m, bmf_stat::prop::vec_in(rng, -2.0, 2.0, k * m))
@@ -1070,75 +1024,72 @@ mod tests {
                 .map(|j| (!z1.contains(&j)).then_some(0.1 + (j % 7) as f64 * 0.4))
                 .collect();
             let patterns = [p1, p2, p3, Prior::new(PriorKind::NonZeroMean, dense)];
-            let plan = FoldPlan::new(k, 3, rng.next_u64()).unwrap();
-            let all: Vec<usize> = (0..k).collect();
-            let mut splits: Vec<(&[usize], &[usize])> = plan
-                .folds
-                .iter()
-                .map(|f| (f.train.as_slice(), f.validate.as_slice()))
-                .collect();
-            splits.push((&all, &[]));
             for prior in &patterns {
-                let kernel = SweepKernel::new(g.as_view(), prior).unwrap();
+                let SweepKernel {
+                    terms,
+                    base: mut cb,
+                } = SweepKernel::new(g.as_view(), prior).unwrap();
+                let missing = terms.missing();
+                let Ok(base) = FoldBase::new(g.as_view(), missing) else {
+                    continue;
+                };
+                base.congruence(&mut cb).unwrap();
+                let sys = FoldSystem::full(g.as_view(), &base, &cb, &terms).unwrap();
                 let direct = direct_kernel(&g, prior);
-                let (mut base, mut sys) = (FoldBase::default(), FoldSystem::default());
-                for &(train, val) in &splits {
-                    let missing = kernel.terms.missing();
-                    if base
-                        .build(g.as_view(), &kernel.base, missing, train, val)
-                        .is_err()
-                    {
+                let nz = missing.len();
+                let n = k - nz;
+                let q = base.q();
+                let mut c = direct.clone();
+                let scale = 1e-12 * n.max(1) as f64 * max_abs(&c).max(f64::MIN_POSITIVE);
+                qt(&q, &mut c);
+                let mut c = c.transpose();
+                qt(&q, &mut c);
+                // S as H T̂ Hᵀ.
+                let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
+                let mut t_hat = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+                    0 => sys.d[i],
+                    1 => sys.e[i.min(j)],
+                    _ => 0.0,
+                });
+                let mut w = vec![0.0; n];
+                h.apply_q_in_place(t_hat.as_mut_slice(), &mut w).unwrap();
+                let mut s_rec = t_hat.transpose();
+                h.apply_q_in_place(s_rec.as_mut_slice(), &mut w).unwrap();
+                let mut err = 0.0f64;
+                for i in 0..n {
+                    for j in 0..n {
+                        err = err.max((s_rec[(i, j)] - c[(nz + i, nz + j)]).abs());
+                    }
+                    for z in 0..nz {
+                        err = err.max((sys.c_nz[(i, z)] - c[(nz + i, z)]).abs());
+                    }
+                }
+                assert!(err <= scale, "{err:e} > {scale:e} (n = {n}, |Z| = {nz})");
+                worst = worst.max(err / scale);
+                // Nᵀ in two blocks of columns, against Qᵀ·I one column
+                // at a time; a row is usable iff 1 − leverage > floor.
+                // With no missing column both come back empty.
+                let mut qt_i = Matrix::identity(k);
+                qt(&q, &mut qt_i);
+                let cut = k / 2;
+                for cols in [0..cut, cut..k] {
+                    let (block, usable) = base.n_block(cols.clone(), &mut Vec::new()).unwrap();
+                    if nz == 0 {
+                        assert!(block.is_empty() && usable.is_empty());
                         continue;
                     }
-                    sys.build(g.as_view(), &base, &kernel.terms, train, val)
-                        .unwrap();
-                    let (nt, nz) = (train.len(), missing.len());
-                    let n = nt - nz;
-                    let q = base.q();
-                    let mut c = Matrix::from_fn(nt, nt, |i, j| direct[(train[i], train[j])]);
-                    let scale = 1e-12 * n.max(1) as f64 * max_abs(&c).max(f64::MIN_POSITIVE);
-                    qt(&q, &mut c);
-                    let mut c = c.transpose();
-                    qt(&q, &mut c);
-                    let mut vt = Matrix::from_fn(nt, val.len(), |i, v| direct[(train[i], val[v])]);
-                    qt(&q, &mut vt);
-                    // S as H T̂ Hᵀ, and Wᵀ before its Hᵀ.
-                    let h = Reflectors::new(&sys.s, &sys.h_tau, 1);
-                    let mut t_hat = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
-                        0 => sys.d[i],
-                        1 => sys.e[i.min(j)],
-                        _ => 0.0,
-                    });
-                    let mut w = vec![0.0; n.max(val.len())];
-                    h.apply_q_in_place(t_hat.as_mut_slice(), &mut w[..n])
-                        .unwrap();
-                    let mut s_rec = t_hat.transpose();
-                    h.apply_q_in_place(s_rec.as_mut_slice(), &mut w[..n])
-                        .unwrap();
-                    let mut w_rec = sys.wt.clone();
-                    h.apply_q_in_place(w_rec.as_mut_slice(), &mut w[..val.len()])
-                        .unwrap();
-                    let mut err = 0.0f64;
-                    for i in 0..n {
+                    for (c, i) in cols.enumerate() {
+                        let mut nn = 0.0;
                         for j in 0..n {
-                            err = err.max((s_rec[(i, j)] - c[(nz + i, nz + j)]).abs());
+                            let want = qt_i[(nz + j, i)];
+                            assert!((block[j * usable.len() + c] - want).abs() <= 1e-13);
+                            nn += want * want;
                         }
-                        for z in 0..nz {
-                            err = err.max((sys.c_nz[(i, z)] - c[(nz + i, z)]).abs());
-                        }
-                        for v in 0..val.len() {
-                            let mut want = vt[(nz + i, v)];
-                            for z in 0..nz {
-                                want -= c[(nz + i, z)] * base.ev[(v, z)];
-                            }
-                            err = err.max((w_rec[(i, v)] - want).abs());
-                        }
+                        assert_eq!(usable[c], nn > RCOND_FLOOR);
                     }
-                    assert!(err <= scale, "{err:e} > {scale:e} (n = {n}, |Z| = {nz})");
-                    worst = worst.max(err / scale);
-                    if nz > 0 {
-                        hits[usize::from(!kernel.terms.uses_floor_gram())] += 1;
-                    }
+                }
+                if nz > 0 {
+                    hits[usize::from(!terms.uses_floor_gram())] += 1;
                 }
             }
         });

@@ -33,10 +33,11 @@ pub const THREADS_ENV: &str = "BMF_THREADS";
 
 /// Unified configuration for every fitting entry point.
 ///
-/// Defaults reproduce the paper's setup: 5-fold cross-validation over a
-/// 17-point logarithmic hyper-parameter grid, automatic prior selection
-/// (BMF-PS), the fast Woodbury solver, and one worker thread per
-/// available core for batch fits.
+/// Defaults reproduce the paper's setup: cross-validation (exact
+/// leave-one-out, the paper's N-fold rule at N = K) over a 17-point
+/// logarithmic hyper-parameter grid, automatic prior selection (BMF-PS),
+/// the fast Woodbury solver, and one worker thread per available core
+/// for batch fits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FitOptions {
     /// Prior-family policy (default [`PriorSelection::Auto`], i.e.
@@ -44,11 +45,14 @@ pub struct FitOptions {
     pub selection: PriorSelection,
     /// MAP solver (default [`SolverKind::Fast`]).
     pub solver: SolverKind,
-    /// Cross-validation fold count (the paper's `N`; default 5).
+    /// Cross-validation fold count (the paper's `N`; default 5). Kept,
+    /// validated and persisted, but the leave-one-out selection does not
+    /// read it.
     pub folds: usize,
     /// Candidate hyper-parameter values; must be positive and finite.
     pub grid: Vec<f64>,
-    /// Seed for the cross-validation fold shuffle.
+    /// Seed of a cross-validation fold shuffle. Kept and persisted, but
+    /// leave-one-out has no shuffle and does not read it.
     pub seed: u64,
     /// Worker threads of the batch engine
     /// ([`BatchFitter`](crate::batch::BatchFitter) and the service's
@@ -160,11 +164,14 @@ impl FitOptions {
     }
 
     /// A content fingerprint over every field, FNV-1a chained with f64s
-    /// hashed by exact bit pattern. Two options values fingerprint
-    /// equally iff they configure bit-identical fits, which is what the
-    /// persistence layer's round-trip tests (and any cache keyed on a
-    /// fitting configuration) need: `a == b` implies
-    /// `a.content_fingerprint() == b.content_fingerprint()`.
+    /// hashed by exact bit pattern. The contract is one way: `a == b`
+    /// implies `a.content_fingerprint() == b.content_fingerprint()`,
+    /// which is what the persistence layer's round-trip tests rely on.
+    /// The converse does not hold: options that differ only in fields a
+    /// fit does not read (`threads`, since fits are bit-identical at any
+    /// pool size; `hyper` for the cross-validating fitters; `folds` and
+    /// `seed`, which the leave-one-out selection ignores) fingerprint
+    /// differently yet configure bit-identical fits.
     pub fn content_fingerprint(&self) -> u64 {
         use crate::prior::PriorKind;
         use bmf_stat::fnv::fnv1a_u64;

@@ -4,8 +4,8 @@
 //! how faithful the early-stage model is — and the paper shows the winner
 //! flips between metrics (Tables I vs III) and even between sample counts
 //! (Table V). BMF-PS settles it empirically: cross-validate *both* priors
-//! over their hyper-parameter grids and keep the one with the lower
-//! estimated error.
+//! over their hyper-parameter grids (exact leave-one-out, see
+//! [`crate::hyper`]) and keep the one with the lower estimated error.
 
 use bmf_linalg::{Matrix, Vector};
 
@@ -47,12 +47,14 @@ pub struct SelectionOutcome {
 /// # Errors
 ///
 /// * [`BmfError::Config`] for an empty or non-positive grid (`"grid"`),
-///   or fewer than 2 folds (`"folds"`).
-/// * [`BmfError::NotEnoughSamples`] when `K < folds`, or when no fold is
-///   usable. A fold with fewer training rows than missing-prior
-///   coefficients, or whose missing-prior columns are rank deficient over
-///   its training rows, is skipped, not an error.
-/// * [`BmfError::Linalg`] when the usable folds solved no cell.
+///   or fewer than 2 folds (`"folds"`, validated though the
+///   leave-one-out selection does not read it).
+/// * [`BmfError::NotEnoughSamples`] when there are more missing-prior
+///   coefficients than samples, or no row can be held out. A row whose
+///   deletion leaves the missing-prior columns rank deficient is
+///   skipped, not an error.
+/// * [`BmfError::Linalg`] when the missing-prior columns are rank
+///   deficient over every row, or no cell of some family solved.
 pub fn select_prior(
     g: &Matrix,
     f: &Vector,

@@ -1,11 +1,10 @@
 //! Reusable solve workspaces for the fitting stack (DESIGN.md §9).
 //!
-//! Cross-validation solves the same MAP system hundreds of times per fit
-//! (`folds × grid × families` cells plus the final full-data solve), so
-//! every solve writes into caller-owned scratch instead of allocating
-//! its own right-hand side and intermediates. The batch engine
-//! (`crate::batch`) gives each sweep worker one fold system
-//! (`FoldSystem`, in `map_estimate`) and each solve worker one
+//! A fit solves many MAP systems (a batch's final solves, a stream's
+//! updates), so every solve writes into caller-owned scratch instead of
+//! allocating its own right-hand side and intermediates. The batch
+//! engine (`crate::batch`) gives each selection worker one scratch
+//! buffer for its blocks of leave-one-out rows and each solve worker one
 //! `MapScratch`; a [`SeqWorkspace`] serves one stream of the sequential
 //! estimator.
 //!

@@ -164,20 +164,19 @@ fn jobs_sharing_a_prior_hit_the_kernel_cache() {
     // Same prior, sign-flipped response: identical RMS, so the normalized
     // prior — and therefore every Woodbury kernel — coincides exactly.
     let flipped: Vec<f64> = values.iter().map(|v| -v).collect();
-    let folds = 4usize;
     let report = BatchFitter::new(OrthonormalBasis::linear(r))
-        .with_options(FitOptions::new().folds(folds))
         .job(BatchJob::new("a", early.clone(), values))
         .job(BatchJob::new("b", early, flipped))
         .fit(&points)
         .unwrap();
-    assert_eq!(report.counters.kernel_cache_misses, folds);
-    assert_eq!(report.counters.kernel_cache_hits, folds);
-    assert_eq!(report.counters.kernels_built, folds);
+    // One full-data system for the shared pattern.
+    assert_eq!(report.counters.kernel_cache_misses, 1);
+    assert_eq!(report.counters.kernel_cache_hits, 1);
+    assert_eq!(report.counters.kernels_built, 1);
     // Per-job attribution: the first job built, the second reused.
-    assert_eq!(report.fits[0].counters.kernel_cache_misses, folds);
+    assert_eq!(report.fits[0].counters.kernel_cache_misses, 1);
     assert_eq!(report.fits[0].counters.kernel_cache_hits, 0);
-    assert_eq!(report.fits[1].counters.kernel_cache_hits, folds);
+    assert_eq!(report.fits[1].counters.kernel_cache_hits, 1);
     assert_eq!(report.fits[1].counters.kernel_cache_misses, 0);
 }
 
@@ -185,13 +184,10 @@ fn jobs_sharing_a_prior_hit_the_kernel_cache() {
 fn distinct_priors_build_distinct_kernels() {
     let (r, k, n) = (6, 12, 3);
     let points = sample_points(k, r, 31);
-    let folds = 3usize;
     let (batch, _, _) = make_batch(r, n, &points);
-    let report = batch
-        .with_options(FitOptions::new().folds(folds))
-        .fit(&points)
-        .unwrap();
-    assert_eq!(report.counters.kernels_built, n * folds);
+    let report = batch.fit(&points).unwrap();
+    // One full-data system per prior pattern.
+    assert_eq!(report.counters.kernels_built, n);
     assert_eq!(report.counters.kernel_cache_hits, 0);
 }
 

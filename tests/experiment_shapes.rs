@@ -1,6 +1,8 @@
 //! Integration test: the experiment harness reproduces the paper's
 //! qualitative shapes at CI scale — the same checks EXPERIMENTS.md quotes
-//! at default scale.
+//! at default scale. BMF-PS stays below OMP at every K on all four error
+//! tables (RO power, phase noise and frequency, SRAM read delay), which
+//! pins the prior and hyper-parameter selection rule on each.
 
 use bmf_bench::costs::run_cost_comparison;
 use bmf_bench::scale::Scale;
@@ -38,6 +40,33 @@ fn ro_error_table_shape() {
         last.k,
         last.omp
     );
+}
+
+/// BMF-PS below OMP at every K on one RO metric's ci-scale table.
+fn ps_beats_omp(metric: RoMetric) {
+    let scale = Scale::Ci;
+    let ro = RingOscillator::new(scale.ro_config(), 1);
+    let view = ro.metric(metric);
+    let table = run_error_table(&view, scale, 7).expect("table");
+    for row in &table.rows {
+        assert!(
+            row.ps < row.omp,
+            "{metric:?} K={}: PS {} !< OMP {}",
+            row.k,
+            row.ps,
+            row.omp
+        );
+    }
+}
+
+#[test]
+fn ro_phase_noise_table_shape() {
+    ps_beats_omp(RoMetric::PhaseNoise);
+}
+
+#[test]
+fn ro_frequency_table_shape() {
+    ps_beats_omp(RoMetric::Frequency);
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! * one fully informed (Woodbury Cholesky core);
 //! * one whose three OMP-like priors sit mostly on their floor and all
 //!   miss the same 10 columns, so the three patterns share one floor
-//!   gram and, in every fold, one base (the QR of the missing columns
-//!   and the gram's congruence).
+//!   gram and one base (the QR of the missing columns and the gram's
+//!   congruence).
 //!
 //! Every fit is folded into three FNV-1a hashes:
 //!
@@ -20,18 +20,16 @@
 //! * the choice hash: the chosen family, the hyper-parameter bits and
 //!   every `FitCounters` field, with no coefficient and no CV error.
 //!
-//! The choice hashes were recorded before the kernels moved to one
-//! shared floor gram per point set and the missing-prior final solve to
-//! sample space, the shared-base problem's before the fold systems moved
-//! to one shared base per set of missing columns (the compact-WY
-//! congruence and the register-tiled floor gram); all have held since.
-//! Both hashes of the fully informed problem have held too: its dense
-//! priors miss no column, so no congruence runs and its systems keep
-//! their bits. The full and pick hashes of the other two problems were
-//! re-pinned with that last change, which moves their coefficients at
-//! rounding level (at most 5.3e-14 relative in norm, CV errors at most
-//! 4.6e-12 relative). A change that alters any output bit or any work
-//! counter fails here.
+//! Every hash was re-pinned once when the hyper-parameter selection
+//! moved from five per-fold systems to exact leave-one-out on each prior
+//! pattern's full-data system: the CV curves are leave-one-out errors,
+//! each fit builds one system per pattern (one kernel build or cache hit
+//! instead of one per fold), and two of the nine fits pick another η
+//! (the fully informed problem's first job 1e-3 → 3.16e-3, the
+//! shared-base problem's second 0.316 → 1). The seven fits whose
+//! (family, η) held kept their coefficients bit for bit, since the final
+//! solves did not change. A change that alters any output bit or any
+//! work counter fails here.
 //!
 //! Three oracles pin the final solve itself: every fit's coefficients
 //! equal `map_estimate`'s bit for bit (with sparsified priors too, which
@@ -42,8 +40,8 @@
 //! `BmfFitter::fit` is a one-job run of the batch engine, so serial ≡
 //! batch holds by construction: the three serial fits hash to the batch
 //! constants, kernel-cache misses included (a single fit counts one miss
-//! per usable fold, as the first job of each prior pattern in a batch
-//! does).
+//! for its pattern's system, as the first job of each prior pattern in a
+//! batch does).
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
@@ -65,30 +63,29 @@ const MISSING_PER_JOB: usize = 10;
 const SHARED_MISSING: usize = 10;
 
 /// Hash of the three fits of the missing-prior problem.
-const MISSING_BATCH: u64 = 0xc299_5807_14bd_b520;
+const MISSING_BATCH: u64 = 0x1a9d_1c33_f5f1_7cd0;
 /// Hash of the three fits of the fully informed problem.
-const INFORMED_BATCH: u64 = 0xa5f7_b6a6_a48f_0727;
+const INFORMED_BATCH: u64 = 0x263b_2f1d_5c7b_7e1e;
 
 /// Pick hashes: the same fits over their coefficients, chosen family,
 /// chosen hyper-parameter and `FitCounters` only, leaving out every CV
 /// error. A sweep that moves the CV curves at rounding level, but picks
 /// the same (family, hyper-parameter) and does the same work, keeps them.
-const MISSING_BATCH_PICKS: u64 = 0x51c4_7cba_cffb_0f07;
-const INFORMED_BATCH_PICKS: u64 = 0x69e2_5182_a166_c63c;
+const MISSING_BATCH_PICKS: u64 = 0xe9bc_769d_33cf_5d2f;
+const INFORMED_BATCH_PICKS: u64 = 0x9ecf_76bb_bb8e_8786;
 
 /// Choice hashes: each fit's chosen family, hyper-parameter and
 /// `FitCounters`, with no coefficient and no CV error. A change that
 /// moves coefficients or CV curves at rounding level, but makes the same
 /// choices with the same work, keeps them.
-const MISSING_BATCH_CHOICES: u64 = 0x2744_9a3e_ea1c_7bed;
-const INFORMED_BATCH_CHOICES: u64 = 0x1955_6177_2bd4_c7f9;
+const MISSING_BATCH_CHOICES: u64 = 0x564f_73f2_dd5d_c335;
+const INFORMED_BATCH_CHOICES: u64 = 0xcca1_67c5_ced3_d77e;
 
 /// The three hashes of the shared-base problem (see
-/// [`shared_base_problem`]). Its choice hash was recorded before the
-/// fold systems moved to one shared base per set of missing columns.
-const SHARED_BATCH: u64 = 0x62a6_79b5_a293_b2f6;
-const SHARED_BATCH_PICKS: u64 = 0x3f3c_e8f4_06fe_8202;
-const SHARED_BATCH_CHOICES: u64 = 0xfca9_dc40_e4b3_abb3;
+/// [`shared_base_problem`]).
+const SHARED_BATCH: u64 = 0xaef0_fce8_7325_9945;
+const SHARED_BATCH_PICKS: u64 = 0x7a61_9b00_bbbe_fb6d;
+const SHARED_BATCH_CHOICES: u64 = 0x8dee_73b6_b5bb_5944;
 
 struct Problem {
     points: Vec<Vec<f64>>,
@@ -138,8 +135,8 @@ fn problem(seed: u64, missing: usize) -> Problem {
 /// Three OMP-like priors over one point set: each keeps the intercept
 /// and every seventh term from its own offset, puts every other entry
 /// exactly on the floor (zero), and misses the same `SHARED_MISSING`
-/// columns, so the three patterns read one floor gram and share every
-/// fold's base.
+/// columns, so the three patterns read one floor gram and share one
+/// base.
 fn shared_base_problem(seed: u64) -> Problem {
     let mut p = problem(seed, 0);
     for (j, (early, _)) in p.jobs.iter_mut().enumerate() {
@@ -364,7 +361,7 @@ fn final_solve_equals_map_estimate_bit_for_bit() {
 }
 
 /// On the shared-base problem, every fit of one batch, whose three
-/// patterns share each fold's base, equals `map_estimate` (which builds
+/// patterns share one base, equals `map_estimate` (which builds
 /// its pattern's base alone) at its chosen family and hyper-parameter,
 /// bit for bit, at 1, 2 and 5 threads.
 #[test]
