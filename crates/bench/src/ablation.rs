@@ -107,12 +107,7 @@ pub fn prior_quality_sweep(scale: Scale, seed: u64) -> Result<Report> {
             PriorSelection::Auto,
         ] {
             let fit = BmfFitter::new(basis.clone(), early.clone())?
-                .with_options(
-                    FitOptions::new()
-                        .selection(sel)
-                        .folds(5)
-                        .seed(derive_seed(seed, 7)),
-                )
+                .with_options(FitOptions::new().selection(sel))
                 .fit(&train.points, &train.values)?;
             errs.push(
                 fit.model
@@ -178,12 +173,7 @@ pub fn prior_quality_sweep(scale: Scale, seed: u64) -> Result<Report> {
             PriorSelection::Auto,
         ] {
             let fit = BmfFitter::new(basis.clone(), early.clone())?
-                .with_options(
-                    FitOptions::new()
-                        .selection(sel)
-                        .folds(5)
-                        .seed(derive_seed(seed, 8)),
-                )
+                .with_options(FitOptions::new().selection(sel))
                 .fit(&train.points, &train.values)?;
             errs.push(
                 fit.model
@@ -312,9 +302,8 @@ pub fn baseline_comparison(scale: Scale, seed: u64) -> Result<Report> {
         };
 
         let cv = CvConfig {
-            folds: 5,
             grid: scale.hyper_grid(),
-            seed: derive_seed(seed, 4),
+            ..CvConfig::default()
         };
         let ps = select_prior(&g, &f, &prior, PriorSelection::Auto, &cv)?;
         let alpha = map_estimate(
@@ -382,9 +371,8 @@ pub fn hyper_sensitivity(scale: Scale, seed: u64) -> Result<Report> {
 
     let grid = log_grid(1e-4, 1e4, 13);
     let cv = CvConfig {
-        folds: 5,
         grid: grid.clone(),
-        seed: derive_seed(seed, 3),
+        ..CvConfig::default()
     };
     let selection = select_prior(&g, &f, &prior, PriorSelection::Fixed(prior.kind()), &cv)?;
     let outcome = selection
@@ -447,9 +435,12 @@ struct Picks {
     secs: [f64; 2],
 }
 
+/// Folds of the rule the fitting engines used before leave-one-out.
+const KFOLD_FOLDS: usize = 5;
+
 /// The 5-fold rule the fitting engines used before leave-one-out, by
 /// brute force: the cell's seeded split of its K rows into
-/// `cell.cv.folds` folds, and per fold one [`MapSweep`] on the training
+/// [`KFOLD_FOLDS`] folds, and per fold one [`MapSweep`] on the training
 /// rows whose every `(grid, family)` solve is scored on the validation
 /// rows (eq. 59); the fold errors are averaged per cell, each family keeps
 /// its best grid value, and BMF-PS's rule picks (zero-mean unless
@@ -458,10 +449,10 @@ struct Picks {
 /// it.
 fn kfold_pick(cell: &TableCell<'_>) -> Result<(PriorKind, f64)> {
     let (g, f, grid) = (cell.g, cell.f, &cell.cv.grid);
-    let kfold = KFold::new(g.nrows(), cell.cv.folds, cell.cv.seed).map_err(|_| {
+    let kfold = KFold::new(g.nrows(), KFOLD_FOLDS, cell.cv.seed).map_err(|_| {
         BmfError::NotEnoughSamples {
             available: g.nrows(),
-            required: cell.cv.folds,
+            required: KFOLD_FOLDS,
             context: "cross-validation folds",
         }
     })?;
@@ -729,9 +720,7 @@ pub fn nonlinear_study(scale: Scale, seed: u64) -> Result<Report> {
     let test_vals: Vec<f64> = test.iter().map(|p| eval(p)).collect();
 
     // BMF on the quadratic basis.
-    let fit2 = BmfFitter::new(basis2.clone(), early)?
-        .with_options(FitOptions::new().folds(5).seed(derive_seed(seed, 3)))
-        .fit(&train, &train_vals)?;
+    let fit2 = BmfFitter::new(basis2.clone(), early)?.fit(&train, &train_vals)?;
     let bmf2_err = fit2
         .model
         .relative_error(test.iter().map(|p| p.as_slice()), &test_vals)?;
@@ -745,9 +734,7 @@ pub fn nonlinear_study(scale: Scale, seed: u64) -> Result<Report> {
     // BMF on the *linear* basis: shows the model-order floor.
     let basis1 = OrthonormalBasis::linear(vars);
     let early1: Vec<Option<f64>> = truth[..=vars].iter().map(|&t| Some(t * 1.05)).collect();
-    let fit1 = BmfFitter::new(basis1, early1)?
-        .with_options(FitOptions::new().folds(5).seed(derive_seed(seed, 4)))
-        .fit(&train, &train_vals)?;
+    let fit1 = BmfFitter::new(basis1, early1)?.fit(&train, &train_vals)?;
     let bmf1_err = fit1
         .model
         .relative_error(test.iter().map(|p| p.as_slice()), &test_vals)?;
@@ -843,8 +830,7 @@ pub fn prior_mapping_study(scale: Scale, seed: u64) -> Result<Report> {
     let test = monte_carlo(&vos, Stage::PostLayout, 300, derive_seed(seed, 3))
         .expect("simulation succeeds");
 
-    let fitter = BmfFitter::from_mapped_early_model(&expanded, &alpha_e, vec![])?
-        .with_options(FitOptions::new().folds(3).seed(derive_seed(seed, 4)));
+    let fitter = BmfFitter::from_mapped_early_model(&expanded, &alpha_e, vec![])?;
     let fit = fitter.fit(&lay.points, &lay.values)?;
     let bmf_err = fit
         .model
@@ -916,9 +902,7 @@ pub fn missing_prior_study(scale: Scale, seed: u64) -> Result<Report> {
         .map(|&a| Some(a))
         .collect();
     early.extend(std::iter::repeat_n(None, extra));
-    let with_missing = BmfFitter::new(basis, early)?
-        .with_options(FitOptions::new().folds(5).seed(derive_seed(seed, 3)))
-        .fit(&train.points, &train.values)?;
+    let with_missing = BmfFitter::new(basis, early)?.fit(&train.points, &train.values)?;
     let err_missing = with_missing
         .model
         .relative_error(test.point_slices(), &test.values)?;
@@ -935,9 +919,7 @@ pub fn missing_prior_study(scale: Scale, seed: u64) -> Result<Report> {
         .iter()
         .map(|&a| Some(a))
         .collect();
-    let naive = BmfFitter::new(trunc_basis, trunc_early)?
-        .with_options(FitOptions::new().folds(5).seed(derive_seed(seed, 3)))
-        .fit(&trunc_points, &train.values)?;
+    let naive = BmfFitter::new(trunc_basis, trunc_early)?.fit(&trunc_points, &train.values)?;
     let naive_model = naive.model;
     let trunc_test: Vec<Vec<f64>> = test
         .points

@@ -8,9 +8,11 @@
 //! relaxed atomics (~2 ns overhead per event — negligible next to an
 //! actual heap allocation).
 //!
-//! Without the feature the same API compiles to zeros, so `repro allocs`
-//! runs in every build and writes its report only when
-//! [`counting_enabled`] is true:
+//! Without the feature the counters stay at zero unless a binary installs
+//! [`CountingAllocator`] itself, as the allocs golden test
+//! (`tests/allocs_golden.rs`) does; [`counting_enabled`] tells the two
+//! apart at run time, so `repro allocs` runs in every build and flags a
+//! report of zeros:
 //!
 //! ```text
 //! cargo run -p bmf-bench --features bench --bin repro -- allocs
@@ -32,9 +34,13 @@ pub struct AllocStats {
     pub peak_bytes: u64,
 }
 
-/// Whether the counting allocator is installed in this build.
-pub const fn counting_enabled() -> bool {
-    cfg!(feature = "bench")
+/// Whether the counting allocator is this binary's global allocator,
+/// by the `bench` feature or by the binary's own `#[global_allocator]`:
+/// one probe allocation, which only the installed counter counts.
+pub fn counting_enabled() -> bool {
+    let before = COUNT.load(Ordering::Relaxed);
+    drop(std::hint::black_box(Box::new(0u8)));
+    COUNT.load(Ordering::Relaxed) != before
 }
 
 static COUNT: AtomicU64 = AtomicU64::new(0);
@@ -100,8 +106,8 @@ pub fn stats() -> AllocStats {
 ///
 /// Peak tracking is reset at entry, so concurrent allocations from other
 /// threads during the region are attributed to it; measure on a quiet
-/// process (the `repro allocs` experiment is single-threaded at its
-/// measurement points).
+/// process (the allocation study is single-threaded at its measurement
+/// points, and its golden test is the only test in its binary).
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
     let count0 = COUNT.load(Ordering::Relaxed);
     let live0 = CURRENT.load(Ordering::Relaxed);

@@ -3,25 +3,22 @@
 //! Measures heap-allocation events and peak bytes for one cross-validated
 //! [`BmfFitter`] fit, for a batch of fits sharing one sample set, for a
 //! batch whose OMP-like priors sit mostly on their floor and miss the
-//! same columns (the floor gram, the shared fold bases and their
-//! congruence scratch, the missing-prior full-data systems), for one
-//! [`fit_omp_design`] fit at the shape of an early-stage model, for one
-//! standalone [`map_estimate`] solve per solver, and for the streaming
-//! steady state of [`SequentialBmf`], which must not allocate at all. It
-//! then writes `BENCH_allocs.json` (through [`crate::study`], into
-//! `$BMF_BENCH_OUT` or the workspace root), which `scripts/bench_check.sh`
-//! requires to equal the committed baseline. Run with the counting
-//! allocator installed:
+//! same columns (the floor gram, the shared missing-column projections
+//! and their congruence scratch, the missing-prior full-data systems),
+//! for one [`fit_omp_design`] fit at the shape of an early-stage model,
+//! for one standalone [`map_estimate`] solve per solver, and for the
+//! streaming steady state of [`SequentialBmf`], which must not allocate
+//! at all. It renders the Markdown report and the counter report
+//! (through [`crate::study`]); at the default scale and seed the counter
+//! report is the committed `BENCH_allocs.json`, the golden file of
+//! `tests/allocs_golden.rs`. Run with the counting allocator installed:
 //!
 //! ```text
 //! cargo run -p bmf-bench --features bench --release --bin repro -- allocs
 //! ```
 //!
 //! Without the `bench` feature the experiment still runs but every
-//! allocation figure is zero, so it writes no `BENCH_allocs.json`: zeros
-//! there would say nothing about the code.
-
-use std::path::Path;
+//! allocation figure is zero, and the Markdown report says so.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::batch::{BatchFitter, BatchJob};
@@ -61,14 +58,24 @@ impl Row {
     }
 }
 
-/// Runs the allocation study and, when the counting allocator is
-/// installed, writes `BENCH_allocs.json` into `out_dir`.
+/// What one run of the allocation study produces.
+#[derive(Debug, Clone)]
+pub struct AllocsOutcome {
+    /// The Markdown report `repro allocs` writes.
+    pub report: Report,
+    /// The deterministic counter report: `BENCH_allocs.json` at the
+    /// default scale and `repro`'s default seed, with the counting
+    /// allocator installed.
+    pub json: String,
+}
+
+/// Runs the allocation study and renders both of its reports.
 ///
 /// # Errors
 ///
-/// Propagates fitting errors; IO failure writing the JSON is reported as
-/// a [`BmfError::Config`] so the repro driver surfaces it.
-pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Report, BmfError> {
+/// Propagates fitting errors, and fails when the streaming steady state
+/// allocates.
+pub fn allocation_study(scale: Scale, seed: u64) -> Result<AllocsOutcome, BmfError> {
     // Representative late-stage shape: M = vars + 1 coefficients, K
     // samples about twice M, Auto prior selection over the default
     // 17-point grid.
@@ -232,35 +239,29 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
     ];
 
     let counting = alloc::counting_enabled();
-    if counting {
-        let mut json = ReportWriter::default();
-        json.scalar("counting_enabled", counting);
-        json.section("scenario", |s| {
-            s.field("vars", num_vars);
-            s.field("terms", m);
-            s.field("samples", k);
-            s.field("grid", grid);
-            s.field("jobs", jobs);
-            s.field("floor_vars", early_vars);
-            s.field("floor_missing", missing);
-            s.field("floor_samples", floor_k);
-            s.field("floor_jobs", floor_jobs);
-            s.field("omp_samples", omp_k);
-            s.field("omp_terms", omp_m);
-            s.field("omp_max_terms", omp_terms);
+    let mut json = ReportWriter::default();
+    json.scalar("counting_enabled", counting);
+    json.section("scenario", |s| {
+        s.field("vars", num_vars);
+        s.field("terms", m);
+        s.field("samples", k);
+        s.field("grid", grid);
+        s.field("jobs", jobs);
+        s.field("floor_vars", early_vars);
+        s.field("floor_missing", missing);
+        s.field("floor_samples", floor_k);
+        s.field("floor_jobs", floor_jobs);
+        s.field("omp_samples", omp_k);
+        s.field("omp_terms", omp_m);
+        s.field("omp_max_terms", omp_terms);
+    });
+    for row in &rows {
+        json.section(row.name, |s| {
+            s.field("fits", row.fits);
+            s.field("allocs", row.stats.count);
+            s.field("allocs_per_fit", row.allocs_per_fit());
+            s.field("peak_bytes", row.stats.peak_bytes);
         });
-        for row in &rows {
-            json.section(row.name, |s| {
-                s.field("fits", row.fits);
-                s.field("allocs", row.stats.count);
-                s.field("allocs_per_fit", row.allocs_per_fit());
-                s.field("peak_bytes", row.stats.peak_bytes);
-            });
-        }
-        study::write_report(out_dir, "allocs", &json.finish()?).map_err(|e| BmfError::Config {
-            parameter: "allocs-out",
-            detail: format!("writing BENCH_allocs.json: {e}"),
-        })?;
     }
 
     let mut report = Report::new("allocs", "Heap allocations per cross-validated fit");
@@ -304,9 +305,15 @@ pub fn allocation_study(scale: Scale, seed: u64, out_dir: &Path) -> Result<Repor
             .collect::<Vec<_>>(),
     );
     if counting {
-        report.para("Raw numbers written to `BENCH_allocs.json`.");
+        report.para(
+            "At the default scale and seed these counts are the committed \
+             `BENCH_allocs.json`, which `crates/bench/tests/allocs_golden.rs` pins.",
+        );
     }
-    Ok(report)
+    Ok(AllocsOutcome {
+        report,
+        json: json.finish()?,
+    })
 }
 
 /// The MAP problem that `repro solver` times and `repro allocs` counts: a
@@ -370,28 +377,4 @@ fn seq_steady_state(basis: &OrthonormalBasis, prior: &Prior) -> Result<AllocStat
     let (result, stats) = alloc::measure(|| measured.iter().try_for_each(|row| update(row)));
     result?;
     Ok(stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn writes_the_json_only_when_counting() {
-        let dir = std::env::temp_dir().join(format!("bmf-allocs-study-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let report = allocation_study(Scale::Ci, 7, &dir).expect("allocation study");
-        let written = dir.join("BENCH_allocs.json").exists();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(
-            written,
-            alloc::counting_enabled(),
-            "an all-zero report from a build without the counting allocator \
-             must not be written"
-        );
-        assert_eq!(
-            report.body.contains("not written"),
-            !alloc::counting_enabled()
-        );
-    }
 }

@@ -64,7 +64,7 @@ fn problem(scale: Scale, seed: u64, num_jobs: usize) -> Problem {
         basis: OrthonormalBasis::linear(num_vars),
         points,
         jobs,
-        options: FitOptions::new().folds(5).seed(derive_seed(seed, 3)),
+        options: FitOptions::new(),
     }
 }
 

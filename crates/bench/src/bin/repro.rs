@@ -215,10 +215,9 @@ fn run_experiment(id: &str, scale: Scale, seed: u64) -> Result<Report, String> {
         "ablation-baselines" => ablation::baseline_comparison(scale, seed).map_err(err),
         "nonlinear" => ablation::nonlinear_study(scale, seed).map_err(err),
         "batch" => bmf_bench::batch_study::batch_throughput(scale, seed).map_err(err),
-        "allocs" => {
-            bmf_bench::allocs_study::allocation_study(scale, seed, &bmf_bench::study::out_dir())
-                .map_err(err)
-        }
+        "allocs" => bmf_bench::allocs_study::allocation_study(scale, seed)
+            .map(|out| out.report)
+            .map_err(err),
         other => Err(format!("unknown experiment '{other}'\n{}", usage())),
     }
 }

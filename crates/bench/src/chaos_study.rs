@@ -1,5 +1,5 @@
-//! Chaos soak for the persistence and serving layers
-//! (`cargo bench -p bmf-bench --bench chaos`).
+//! Chaos soak for the persistence and serving layers, the study behind
+//! `BENCH_chaos.json`.
 //!
 //! Three adversarial legs run against the *real* engine — the actual
 //! [`ArtifactStore`] write-ahead protocol, the actual
@@ -58,8 +58,7 @@ const ROOT: &str = "chaos/store";
 /// full crash-recovery pass).
 const MAX_OPEN_ATTEMPTS: u32 = 8;
 
-/// Chaos-scenario configuration; use [`ChaosConfig::full`] or
-/// [`ChaosConfig::smoke`] (the unit tests' scale).
+/// Chaos-scenario configuration; use [`ChaosConfig::full`].
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Models in the seed store the fault sweep warm-starts from.
@@ -101,56 +100,26 @@ impl ChaosConfig {
             seed: 0xC7A0_5EED,
         }
     }
-
-    /// Unit-test scenario, same shape.
-    pub fn smoke() -> Self {
-        ChaosConfig {
-            jobs: 6,
-            trials: 3,
-            fault_permilles: vec![0, 60, 250],
-            requests: 6_000,
-            crash_stride: 3,
-            ..ChaosConfig::full()
-        }
-    }
 }
 
 /// Per-fault-level sweep results.
 #[derive(Debug, Clone)]
-pub struct SweepLevel {
+struct SweepLevel {
     /// Injected transient-error rate, permille per op.
-    pub error_permille: u32,
+    error_permille: u32,
     /// Warm-start trials run.
-    pub trials: usize,
+    trials: usize,
     /// Trials that imported the full model fleet.
-    pub recovered: usize,
+    recovered: usize,
     /// Store-open attempts beyond the first, summed over trials.
-    pub open_retries: u64,
+    open_retries: u64,
     /// Read retries inside `warm_start_with_retry`, summed.
-    pub read_retries: u64,
+    read_retries: u64,
     /// Transient faults the VFS actually injected, summed.
-    pub injected: u64,
+    injected: u64,
     /// Backoff the retry schedule asked for, in ns, summed over the
     /// recovered trials.
-    pub backoff_ns: u64,
-}
-
-/// Everything one chaos run produces.
-#[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// The byte-deterministic report, ready for `BENCH_chaos.json`.
-    pub json: String,
-    /// Per-level fault-sweep results.
-    pub sweep: Vec<SweepLevel>,
-    /// Overload leg: fit submissions shed at admission.
-    pub shed_fits: u64,
-    /// Overload leg: fits served.
-    pub fits_ok: u64,
-    /// Crash leg: op indices tested.
-    pub crash_points: usize,
-    /// Crash leg: recoveries that ended fsck-clean (must equal
-    /// `crash_points`).
-    pub crash_recovered: usize,
+    backoff_ns: u64,
 }
 
 fn persist_err(e: bmf_persist::PersistError) -> BmfError {
@@ -440,7 +409,8 @@ fn crash_leg(cfg: &ChaosConfig) -> Result<(u64, usize, usize), BmfError> {
     Ok((total, tested, recovered))
 }
 
-/// Runs all three chaos legs and assembles the deterministic report.
+/// Runs all three chaos legs and assembles the deterministic report,
+/// `BENCH_chaos.json` at [`ChaosConfig::full`].
 ///
 /// # Errors
 ///
@@ -448,7 +418,7 @@ fn crash_leg(cfg: &ChaosConfig) -> Result<(u64, usize, usize), BmfError> {
 /// any leg is an error, never a data point. So is a run that tests no
 /// crash point, sheds nothing, serves no overload fit, or recovers no
 /// warm start.
-pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
+pub fn run_chaos(cfg: &ChaosConfig) -> Result<String, BmfError> {
     let (disk, blob_bytes) = seed_store(cfg)?;
 
     let mut sweep = Vec::with_capacity(cfg.fault_permilles.len());
@@ -556,20 +526,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, BmfError> {
         s.field("shed_permille", shed_permille);
         s.field("crash_points_clean", crash_recovered);
     });
-
-    Ok(ChaosOutcome {
-        json: report.finish()?,
-        sweep,
-        shed_fits: counters.shed_fits,
-        fits_ok: counters.fits_ok,
-        crash_points: crash_tested,
-        crash_recovered,
-    })
+    report.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::counter;
 
     fn tiny() -> ChaosConfig {
         ChaosConfig {
@@ -578,7 +541,7 @@ mod tests {
             fault_permilles: vec![0, 120],
             requests: 1_200,
             crash_stride: 7,
-            ..ChaosConfig::smoke()
+            ..ChaosConfig::full()
         }
     }
 
@@ -586,33 +549,48 @@ mod tests {
     fn chaos_run_is_byte_deterministic() {
         let a = run_chaos(&tiny()).expect("chaos run");
         let b = run_chaos(&tiny()).expect("chaos run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn chaos_run_exercises_every_leg() {
-        let out = run_chaos(&tiny()).expect("chaos run");
-        assert_eq!(out.sweep.len(), 2);
-        let control = &out.sweep[0];
-        assert_eq!(control.error_permille, 0);
-        assert_eq!(control.recovered, control.trials);
-        assert_eq!(control.injected, 0);
-        assert_eq!(control.backoff_ns, 0, "no fault, no retry, no backoff");
-        let stressed = &out.sweep[1];
-        assert!(stressed.injected > 0, "faults must actually inject");
-        assert!(out.shed_fits > 0, "tiny queue must shed under burst load");
-        assert!(out.fits_ok > 0, "accepted fits must still be served");
-        assert!(out.crash_points > 0);
-        assert_eq!(out.crash_recovered, out.crash_points);
+        let json = run_chaos(&tiny()).expect("chaos run");
+        let sweep: Vec<&str> = json
+            .lines()
+            .filter(|line| line.contains("\"error_permille\""))
+            .collect();
+        assert_eq!(sweep.len(), 2);
+        let control = |key| counter(sweep[0], key);
+        assert_eq!(control("error_permille"), 0);
+        assert_eq!(control("recovered"), control("trials"));
+        assert_eq!(control("injected_faults"), 0);
+        assert_eq!(control("backoff_ns"), 0, "no fault, no retry, no backoff");
+        assert!(
+            counter(sweep[1], "injected_faults") > 0,
+            "faults must actually inject"
+        );
+        assert!(
+            counter(&json, "shed_fits") > 0,
+            "tiny queue must shed under burst load"
+        );
+        assert!(
+            counter(&json, "fits_ok") > 0,
+            "accepted fits must still be served"
+        );
+        assert!(counter(&json, "points_tested") > 0);
+        assert_eq!(
+            counter(&json, "recovered_clean"),
+            counter(&json, "points_tested")
+        );
         study::assert_has_keys(
-            &out.json,
+            &json,
             "scenario seed_store fault_sweep overload crash headline \
              error_permille recovered read_retries backoff_ns shed_fits \
              shed_permille expired_fits points_tested recovered_clean \
              recovery_rate_permille",
         );
         assert!(
-            !out.json.contains("wall"),
+            !json.contains("wall"),
             "wall time must stay out of the JSON"
         );
     }

@@ -108,9 +108,8 @@ pub fn run_cost_comparison(
     let mut bmf_ledger = CostLedger::new();
     bmf_ledger.charge_samples(&bmf_train);
     let cv = CvConfig {
-        folds: scale.folds(),
         grid: scale.hyper_grid(),
-        seed: derive_seed(seed, 4),
+        ..CvConfig::default()
     };
     let (alpha, bmf_s) = median_secs(|| {
         let ps = select_prior(&g_bmf, &f_bmf, &prior, PriorSelection::Auto, &cv)?;

@@ -234,9 +234,8 @@ pub fn fitting_cost_sweep(
     let prior = crate::tables::scaled_prior(&prior_raw, norm);
     let g_full = basis.design_matrix(train.point_slices());
     let cv = CvConfig {
-        folds: scale.folds(),
         grid: scale.hyper_grid(),
-        seed: derive_seed(seed, 3),
+        ..CvConfig::default()
     };
 
     let mut rows = Vec::new();

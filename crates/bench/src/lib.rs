@@ -12,8 +12,12 @@
 //! Each experiment prints a Markdown report (paper value next to measured
 //! value where the paper reports one) and writes it to
 //! `reports/<id>.md`. Every wall time in a report is the median of five
-//! timed runs, taken by one sampler (`timing.rs`); the study benches and
-//! `repro allocs` report deterministic counters only ([`study`]).
+//! timed runs, taken by one sampler (`timing.rs`).
+//!
+//! The counter studies (service, persist, sequential, chaos, lint,
+//! allocs) report deterministic counters only ([`study`]); each
+//! committed `BENCH_<name>.json` is the golden file of one test in
+//! `crates/bench/tests/`.
 
 // `deny` rather than `forbid` so the counting allocator (src/alloc.rs)
 // can locally allow the `unsafe impl GlobalAlloc` it needs; everything

@@ -1,18 +1,17 @@
-//! Deterministic study of the flow-aware analyzer
-//! (`cargo bench -p bmf-bench --bench lint`).
+//! Deterministic study of the flow-aware analyzer, the study behind
+//! `BENCH_lint.json`.
 //!
 //! Runs the real `bmf-lint` pipeline — workspace discovery, one
 //! structural model per file, call-graph resolution, every catalog rule —
-//! over this repository and writes the deterministic report
-//! `BENCH_lint.json` through [`crate::study`].
+//! over this repository and renders the deterministic report through
+//! [`crate::study`].
 //!
-//! Wall time is machine-dependent, so it is printed to stderr only; the
-//! JSON report carries **counters** (files, lines, fn items, graph
-//! nodes/edges by strength, sinks, findings per catalog rule). Every
-//! number is a pure function of the workspace source state, so the
-//! report is byte-identical across runs and `BMF_THREADS` settings. Any
-//! edit under `crates/*/src` moves its file, line and call-graph counts,
-//! so such a change regenerates the committed report.
+//! The report carries **counters** (files, lines, fn items, graph
+//! nodes/edges by strength, sinks, findings per catalog rule), never a
+//! time. Every number is a pure function of the workspace source state,
+//! so the report is byte-identical across runs and `BMF_THREADS`
+//! settings. Any edit under `crates/*/src` moves its file, line and
+//! call-graph counts, so such a change regenerates the committed report.
 //!
 //! Any finding fails the study, as it fails the CI lint job.
 
@@ -22,72 +21,64 @@ use bmf_lint::rules::all_rules;
 use bmf_lint::scan::SinkKind;
 use bmf_lint::{analyze_workspace, lint_analysis, Analysis};
 
-use crate::study::{workspace_root, ReportWriter};
+use crate::study::ReportWriter;
 
 /// Study configuration; use [`LintStudyConfig::full`].
 #[derive(Debug, Clone)]
 pub struct LintStudyConfig {
-    /// Workspace root to analyze (defaults to this repository).
+    /// Workspace root to analyze.
     pub root: PathBuf,
 }
 
 impl LintStudyConfig {
     /// The scenario behind the committed `BENCH_lint.json`: one
-    /// analysis pass over the workspace.
+    /// analysis pass over the workspace this crate was built in, found
+    /// at compile time, so the run does not depend on its working
+    /// directory.
     pub fn full() -> Self {
         LintStudyConfig {
-            root: workspace_root(),
+            root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
         }
     }
 }
 
 /// Deterministic counters extracted from one analysis pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LintCounters {
+struct LintCounters {
     /// Source files analyzed.
-    pub files: u64,
+    files: u64,
     /// Total source lines across those files.
-    pub lines: u64,
+    lines: u64,
     /// Fn items (call-graph nodes).
-    pub fn_items: u64,
+    fn_items: u64,
     /// Of those, `pub` functions (the roots `panic-reachability` walks
     /// back to).
-    pub pub_fns: u64,
+    pub_fns: u64,
     /// Call sites recorded across all bodies.
-    pub call_sites: u64,
+    call_sites: u64,
     /// Resolved `(caller, callee)` edges (deduplicated).
-    pub edges: u64,
+    edges: u64,
     /// Edges from structural resolution (paths, bare names, narrowed
     /// `self.m(..)`).
-    pub strong_edges: u64,
+    strong_edges: u64,
     /// Panic-family sinks recorded (before suppression).
-    pub panic_sinks: u64,
+    panic_sinks: u64,
     /// Allocation sinks recorded (before suppression).
-    pub alloc_sinks: u64,
+    alloc_sinks: u64,
     /// VFS operations recorded (the durability automaton's alphabet).
-    pub vfs_ops: u64,
+    vfs_ops: u64,
     /// Findings per catalog rule, in catalog order.
-    pub rule_findings: Vec<u64>,
-}
-
-/// Everything one study run produces.
-#[derive(Debug, Clone)]
-pub struct LintStudyOutcome {
-    /// The byte-deterministic report, ready to write to
-    /// `BENCH_lint.json`.
-    pub json: String,
-    /// The extracted counters.
-    pub counters: LintCounters,
+    rule_findings: Vec<u64>,
 }
 
 /// Runs the configured study against the real analyzer and returns the
-/// deterministic report.
+/// deterministic report, `BENCH_lint.json` at [`LintStudyConfig::full`].
 ///
 /// # Errors
 ///
 /// Returns a description when the workspace cannot be read or any rule
 /// reports a finding.
-pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<LintStudyOutcome, String> {
+pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<String, String> {
     let analysis = analyze_workspace(&cfg.root)?;
     let findings = lint_analysis(&analysis);
     let mut c = count_structure(&analysis);
@@ -109,10 +100,7 @@ pub fn run_lint_study(cfg: &LintStudyConfig) -> Result<LintStudyOutcome, String>
             by_rule.join(", ")
         ));
     }
-    Ok(LintStudyOutcome {
-        json: render_json(&c).map_err(|e| e.to_string())?,
-        counters: c,
-    })
+    render_json(&c).map_err(|e| e.to_string())
 }
 
 fn count_structure(analysis: &Analysis) -> LintCounters {
@@ -176,6 +164,7 @@ fn render_json(c: &LintCounters) -> Result<String, bmf_core::BmfError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::counter;
 
     fn cfg() -> LintStudyConfig {
         LintStudyConfig::full()
@@ -185,15 +174,19 @@ mod tests {
     fn study_is_byte_deterministic() {
         let a = run_lint_study(&cfg()).expect("study run");
         let b = run_lint_study(&cfg()).expect("study run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn workspace_stays_burned_down() {
         // Any finding fails the run itself, so Ok here certifies that the
         // workspace lints clean under every catalog rule.
-        let out = run_lint_study(&cfg()).expect("workspace must stay clean");
-        assert_eq!(out.counters.rule_findings, vec![0; all_rules().len()]);
+        let json = run_lint_study(&cfg()).expect("workspace must stay clean");
+        let findings: Vec<u64> = all_rules()
+            .iter()
+            .map(|rule| counter(&json, &rule.id().replace('-', "_")))
+            .collect();
+        assert_eq!(findings, vec![0; all_rules().len()]);
     }
 
     #[test]
@@ -218,29 +211,32 @@ mod tests {
 
     #[test]
     fn counters_reflect_a_real_workspace() {
-        let out = run_lint_study(&cfg()).expect("study run");
-        let c = &out.counters;
+        let json = run_lint_study(&cfg()).expect("study run");
+        let c = |key| counter(&json, key);
         assert!(
-            c.files > 20,
+            c("files") > 20,
             "expected a real workspace, got {} files",
-            c.files
+            c("files")
         );
-        assert!(c.fn_items > 100);
-        assert!(c.pub_fns > 0 && c.pub_fns < c.fn_items);
-        assert!(c.call_sites > 0);
-        assert!(c.edges > 0);
+        assert!(c("fn_items") > 100);
+        assert!(c("pub_fns") > 0 && c("pub_fns") < c("fn_items"));
+        assert!(c("call_sites") > 0);
+        assert!(c("edges") > 0);
         assert!(
-            c.strong_edges <= c.edges,
+            c("strong_edges") <= c("edges"),
             "strong edges are a subset of all edges"
         );
-        assert!(c.vfs_ops > 0, "the persist store must contribute VFS ops");
+        assert!(
+            c("vfs_ops") > 0,
+            "the persist store must contribute VFS ops"
+        );
     }
 
     #[test]
     fn json_has_the_gated_keys() {
-        let out = run_lint_study(&cfg()).expect("study run");
+        let json = run_lint_study(&cfg()).expect("study run");
         crate::study::assert_has_keys(
-            &out.json,
+            &json,
             "scenario rules workspace files graph strong_edges sinks alloc \
              rule_findings no_float_eq panic_reachability alloc_reachability \
              screen_reachability durability_ordering",

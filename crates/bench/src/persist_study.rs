@@ -1,5 +1,5 @@
-//! Cold-start vs warm-start study of the persistence layer
-//! (`cargo bench -p bmf-bench --bench persist`).
+//! Cold-start vs warm-start study of the persistence layer, the study
+//! behind `BENCH_persist.json`.
 //!
 //! Stands up a populated fitting service two ways and counts the work
 //! of each:
@@ -20,9 +20,9 @@
 //! As for every study of [`crate::study`], the report holds no time:
 //! `BENCH_persist.json` is computed from counters and artifact byte
 //! sizes only, so it is byte-identical across machines, runs, and
-//! `BMF_THREADS` settings, and so is the artifact store the bench
-//! leaves in `persist-store/` next to it. Wallbench's `stream_persist`
-//! times the store on a real disk.
+//! `BMF_THREADS` settings, and so is the artifact store the study
+//! leaves behind; the golden test pins both. Wallbench's
+//! `stream_persist` times the store on a real disk.
 //!
 //! [`ArtifactStore`]: bmf_persist::store::ArtifactStore
 //! [`ArtifactStore::warm_start`]: bmf_persist::store::ArtifactStore::warm_start
@@ -31,7 +31,7 @@ use std::path::Path;
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_core::options::FitOptions;
-use bmf_core::service::{FitRequest, FitService, ServiceConfig, ServiceCounters};
+use bmf_core::service::{FitRequest, FitService, ServiceConfig};
 use bmf_core::BmfError;
 use bmf_persist::store::ArtifactStore;
 use bmf_stat::normal::StandardNormal;
@@ -39,8 +39,7 @@ use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::study::{self, ReportWriter};
 
-/// Scenario configuration; use [`PersistConfig::full`] or
-/// [`PersistConfig::smoke`] (the unit tests' scale).
+/// Scenario configuration; use [`PersistConfig::full`].
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
     /// Distinct models to fit, persist, and warm-start.
@@ -66,34 +65,12 @@ impl PersistConfig {
             seed: 0xC0FFEE,
         }
     }
-
-    /// Unit-test scenario, same shape.
-    pub fn smoke() -> Self {
-        PersistConfig {
-            jobs: 8,
-            probes: 8,
-            ..PersistConfig::full()
-        }
-    }
-}
-
-/// Result of one persist-bench run.
-#[derive(Debug)]
-pub struct PersistOutcome {
-    /// The deterministic JSON report.
-    pub json: String,
-    /// Snapshots the warm start imported from the store.
-    pub imported: u64,
-    /// The warm-started service's counters after the verification
-    /// sweep.
-    pub warm: ServiceCounters,
-    /// Bitwise-verified predictions.
-    pub verified: u64,
 }
 
 /// Runs the cold-fit / export / warm-start / verify cycle, with the
 /// artifact store recreated from scratch in `store_dir`, and returns
-/// the deterministic report.
+/// the deterministic report, `BENCH_persist.json` at
+/// [`PersistConfig::full`].
 ///
 /// # Errors
 ///
@@ -104,7 +81,7 @@ pub struct PersistOutcome {
 /// round-trip contract. A run that verifies no prediction, or whose
 /// warm start misses a fitted model or runs a batch or a solve, fails
 /// its headline check.
-pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutcome, BmfError> {
+pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<String, BmfError> {
     let r = cfg.num_vars;
     let samples = cfg.samples.max(r + 2);
     let mut rng = seeded(derive_seed(cfg.seed, 1));
@@ -206,49 +183,5 @@ pub fn run_persist(cfg: &PersistConfig, store_dir: &Path) -> Result<PersistOutco
         s.field("imports", imported);
         s.field("verified_predictions", verified);
     });
-
-    Ok(PersistOutcome {
-        json: report.finish()?,
-        imported,
-        warm: w,
-        verified,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> PersistConfig {
-        PersistConfig {
-            jobs: 3,
-            num_vars: 4,
-            samples: 10,
-            probes: 4,
-            ..PersistConfig::smoke()
-        }
-    }
-
-    #[test]
-    fn persist_run_is_byte_deterministic_and_sane() {
-        let dir = std::env::temp_dir().join(format!("bmf-persist-study-{}", std::process::id()));
-        let a = run_persist(&tiny(), &dir.join("a")).expect("persist run");
-        let b = run_persist(&tiny(), &dir.join("b")).expect("persist run");
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(a.json, b.json);
-        study::assert_has_keys(
-            &a.json,
-            "scenario artifacts cold_start warm_start total_bytes batches \
-             kernels map_solves imports verified_predictions",
-        );
-        assert!(
-            !a.json.contains("wall"),
-            "wall time must stay out of the JSON"
-        );
-        assert_eq!(a.verified, 3 * 4, "every job is verified on every probe");
-        assert_eq!(a.imported, 3, "every job is imported");
-        assert_eq!(a.warm.imports, 3);
-        assert_eq!(a.warm.batches, 0, "the warm service ran no batch");
-        assert_eq!(a.warm.map_solves, 0);
-    }
+    report.finish()
 }

@@ -123,11 +123,6 @@ impl Scale {
         }
     }
 
-    /// Cross-validation fold count (the paper's N-fold selection).
-    pub fn folds(self) -> usize {
-        5
-    }
-
     /// Hyper-parameter grid for cross-validation.
     pub fn hyper_grid(self) -> Vec<f64> {
         let n = match self {
@@ -174,22 +169,22 @@ mod tests {
 
     #[test]
     fn missing_priors_stay_identifiable() {
-        // Smallest CV training fold at the smallest K must cover the
-        // missing-prior block (see map_estimate docs).
+        // Leave-one-out refits on K − 1 rows, which must still cover the
+        // missing-prior block (see map_estimate docs): missing < K at the
+        // smallest K.
         for scale in [Scale::Ci, Scale::Default] {
             let k_min = *scale.k_values().first().unwrap();
-            let train_min = k_min - k_min.div_ceil(scale.folds());
             let ro = scale.ro_config();
             let ro_missing = ro.post_layout_vars() - ro.schematic_vars();
             assert!(
-                ro_missing <= train_min,
-                "{scale}: RO missing {ro_missing} > fold train {train_min}"
+                ro_missing < k_min,
+                "{scale}: RO missing {ro_missing} >= smallest K {k_min}"
             );
             let sram = scale.sram_config();
             let sram_missing = sram.post_layout_vars() - sram.schematic_vars();
             assert!(
-                sram_missing <= train_min,
-                "{scale}: SRAM missing {sram_missing} > fold train {train_min}"
+                sram_missing < k_min,
+                "{scale}: SRAM missing {sram_missing} >= smallest K {k_min}"
             );
         }
     }

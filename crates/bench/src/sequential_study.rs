@@ -1,9 +1,8 @@
-//! Study of the streaming posterior engine
-//! (`cargo bench -p bmf-bench --bench sequential`).
+//! Study of the streaming posterior engine, the study behind
+//! `BENCH_sequential.json`.
 //!
 //! Exercises the real [`bmf_core::sequential::SequentialBmf`] two ways
-//! and writes the deterministic report `BENCH_sequential.json` through
-//! [`crate::study`]:
+//! and renders the deterministic report through [`crate::study`]:
 //!
 //! 1. **Bitwise oracle** — one stream absorbs `k_max` late-stage
 //!    samples; after every sample the study *also* refits the seen
@@ -18,8 +17,9 @@
 //!
 //! The report holds counts only, so it is byte-identical across
 //! machines, runs, and `BMF_THREADS` settings; wallbench's
-//! `stream_persist` times the streaming path, and `repro allocs`
-//! (`seq_steady_state`) proves its steady state allocation-free.
+//! `stream_persist` times the streaming path, and the allocation study
+//! ([`crate::allocs_study`], `seq_steady_state`) proves its steady state
+//! allocation-free.
 
 use bmf_basis::basis::OrthonormalBasis;
 use bmf_circuits::traffic::{generate_arrivals, ArrivalConfig};
@@ -66,22 +66,6 @@ impl SeqStudyConfig {
     }
 }
 
-/// Everything one study run produces.
-#[derive(Debug, Clone)]
-pub struct SeqStudyOutcome {
-    /// The byte-deterministic report, ready to write to
-    /// `BENCH_sequential.json`.
-    pub json: String,
-    /// Streamed-vs-batch posterior means proven bit-identical, one per
-    /// absorbed oracle sample.
-    pub bitwise_checks: u64,
-    /// Arrival events replayed.
-    pub updates: usize,
-    /// Simulated silicon cost carried by the replayed arrivals, in
-    /// millihours.
-    pub simulation_millihours: u64,
-}
-
 fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
     BmfError::Config {
         parameter: "sequential_study",
@@ -93,7 +77,8 @@ fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
 }
 
 /// Runs the configured study against the real streaming estimator and
-/// returns the deterministic report.
+/// returns the deterministic report, `BENCH_sequential.json` at
+/// [`SeqStudyConfig::full`].
 ///
 /// # Errors
 ///
@@ -102,7 +87,7 @@ fn bitwise_mismatch(k: usize, i: usize, streamed: f64, batch: f64) -> BmfError {
 /// bit-identical to the batch refit of the same prefix, if a replayed
 /// stream ends with a non-finite posterior mean, or if the oracle did
 /// not check every one of the `k_max` samples.
-pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, BmfError> {
+pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<String, BmfError> {
     let basis = OrthonormalBasis::linear(cfg.num_vars.max(1));
     let m = basis.len();
     let hyper = 0.75;
@@ -208,13 +193,7 @@ pub fn run_sequential_study(cfg: &SeqStudyConfig) -> Result<SeqStudyOutcome, Bmf
         s.field("updates", events.len());
     });
     report.scalar("bitwise_checks", bitwise_checks);
-
-    Ok(SeqStudyOutcome {
-        json: report.finish()?,
-        bitwise_checks,
-        updates: events.len(),
-        simulation_millihours,
-    })
+    report.finish()
 }
 
 #[cfg(test)]
@@ -237,27 +216,35 @@ mod tests {
     fn study_is_byte_deterministic() {
         let a = run_sequential_study(&tiny()).expect("study run");
         let b = run_sequential_study(&tiny()).expect("study run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn every_curve_sample_is_bitwise_verified() {
-        let out = run_sequential_study(&tiny()).expect("study run");
-        assert_eq!(out.bitwise_checks, 16, "one oracle check per sample");
-        assert_eq!(out.updates, 128, "every arrival must be replayed");
-        assert!(out.simulation_millihours > 0);
+        let json = run_sequential_study(&tiny()).expect("study run");
+        assert_eq!(
+            study::counter(&json, "bitwise_checks"),
+            16,
+            "one oracle check per sample"
+        );
+        assert_eq!(
+            study::counter(&json, "updates"),
+            128,
+            "every arrival must be replayed"
+        );
+        assert!(study::counter(&json, "simulation_millihours") > 0);
     }
 
     #[test]
     fn json_has_the_gated_keys() {
-        let out = run_sequential_study(&tiny()).expect("study run");
+        let json = run_sequential_study(&tiny()).expect("study run");
         study::assert_has_keys(
-            &out.json,
+            &json,
             "scenario k_max arrivals arrival_cost simulation_millihours updates \
              bitwise_checks",
         );
         assert!(
-            !out.json.contains("wall"),
+            !json.contains("wall"),
             "wall time must stay out of the JSON"
         );
     }

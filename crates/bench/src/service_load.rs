@@ -1,5 +1,5 @@
-//! Deterministic load generator for the fitting service
-//! (`cargo bench -p bmf-bench --bench service`).
+//! Deterministic load generator for the fitting service, the study
+//! behind `BENCH_service.json`.
 //!
 //! Replays a seeded open-loop request stream
 //! ([`bmf_circuits::traffic`]) against a real
@@ -15,11 +15,11 @@
 //! built and reused, MAP solves). They depend only on the scenario, so
 //! the report is byte-identical across machines, runs, and `BMF_THREADS`
 //! settings, and it moves only when the *work* changes (more kernels
-//! built, worse coalescing, extra solves), which is exactly what
-//! `scripts/bench_check.sh` rejects. How long that work takes is
-//! wallbench's `serve_mix` to measure.
+//! built, worse coalescing, extra solves), which is exactly what its
+//! golden test (`crates/bench/tests/golden_reports.rs`) rejects. How long
+//! that work takes is wallbench's `serve_mix` to measure.
 //!
-//! The report is written through [`crate::study`]. A run that serves no
+//! The report is rendered through [`crate::study`]. A run that serves no
 //! fit, or that never coalesces two fits into one batch, fails instead.
 
 use bmf_basis::basis::OrthonormalBasis;
@@ -33,9 +33,8 @@ use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::study::{self, ReportWriter};
 
-/// Load-scenario configuration; use [`LoadConfig::full`] or
-/// [`LoadConfig::smoke`] (the unit tests' scale) and tweak fields as
-/// needed.
+/// Load-scenario configuration; use [`LoadConfig::full`] and tweak
+/// fields as needed.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Total requests to replay.
@@ -83,27 +82,6 @@ impl LoadConfig {
             max_coalesce: 64,
         }
     }
-
-    /// Unit-test scenario (2% of full traffic, same shape): runs the
-    /// whole engine end to end in a couple of seconds.
-    pub fn smoke() -> Self {
-        LoadConfig {
-            requests: 20_000,
-            ..LoadConfig::full()
-        }
-    }
-}
-
-/// Everything one load run produces.
-#[derive(Debug, Clone)]
-pub struct LoadOutcome {
-    /// The byte-deterministic report, ready to write to
-    /// `BENCH_service.json`.
-    pub json: String,
-    /// Fit requests rejected at submission or drained to an error.
-    pub fit_errors: u64,
-    /// Final service-wide counters.
-    pub counters: bmf_core::service::ServiceCounters,
 }
 
 /// One job's fixed payload: its truth never changes across refits, so a
@@ -116,14 +94,15 @@ struct JobPayload {
 }
 
 /// Replays the configured traffic against a fresh [`FitService`] and
-/// returns the deterministic report.
+/// returns the deterministic report, `BENCH_service.json` at
+/// [`LoadConfig::full`].
 ///
 /// # Errors
 ///
 /// Propagates service construction and point-registration errors and
 /// fails a run that serves no fit or runs a batch per fit (no
 /// coalescing); per-request failures are counted, not propagated.
-pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
+pub fn run_load(cfg: &LoadConfig) -> Result<String, BmfError> {
     let traffic = TrafficConfig {
         requests: cfg.requests,
         mean_interarrival_ns: cfg.mean_interarrival_ns,
@@ -247,11 +226,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, BmfError> {
         s.field("degraded_fits", counters.degraded_fits);
     });
 
-    Ok(LoadOutcome {
-        json: report.finish()?,
-        fit_errors: engine.fit_errors,
-        counters,
-    })
+    report.finish()
 }
 
 /// The replay engine's mutable state; see the module docs for the drain
@@ -333,15 +308,15 @@ impl Engine<'_> {
 mod tests {
     use super::*;
 
-    /// Unit-test scenario: dense fits and a short window so drains,
-    /// coalescing, and warm predictions all happen within 2k requests.
+    /// Unit-test scenario: dense fits and a short window so drains and
+    /// coalescing happen within 2k requests.
     fn tiny() -> LoadConfig {
         LoadConfig {
             requests: 2_000,
             fit_permille: 300,
             evict_permille: 50,
             coalesce_window_ns: 100_000,
-            ..LoadConfig::smoke()
+            ..LoadConfig::full()
         }
     }
 
@@ -349,28 +324,28 @@ mod tests {
     fn load_run_is_byte_deterministic() {
         let a = run_load(&tiny()).expect("load run");
         let b = run_load(&tiny()).expect("load run");
-        assert_eq!(a.json, b.json);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn load_run_serves_all_kinds() {
-        let out = run_load(&tiny()).expect("load run");
-        let c = &out.counters;
-        assert!(c.fits_ok > 0, "no fits served");
-        assert!(c.predicts > 0, "no predictions served");
-        assert!(c.predict_misses > 0, "cold-start predicts should miss");
+        let json = run_load(&tiny()).expect("load run");
+        let c = |key| study::counter(&json, key);
+        assert!(c("fits_ok") > 0, "no fits served");
+        assert!(c("predicts") > 0, "no predictions served");
+        assert!(c("predict_misses") > 0, "cold-start predicts should miss");
         assert_eq!(
-            c.fits_ok
-                + out.fit_errors
-                + c.predicts
-                + c.predict_misses
-                + c.evictions
-                + c.evict_misses,
+            c("fits_ok")
+                + c("fit_errors")
+                + c("predicts")
+                + c("predict_misses")
+                + c("evictions")
+                + c("evict_misses"),
             2_000,
             "every request must be accounted for"
         );
         // Clean workload: every fit request is served, none rejected.
-        assert_eq!(out.fit_errors, 0);
+        assert_eq!(c("fit_errors"), 0);
     }
 
     #[test]
@@ -395,28 +370,28 @@ mod tests {
 
     #[test]
     fn coalescing_actually_happens() {
-        let out = run_load(&tiny()).expect("load run");
+        let json = run_load(&tiny()).expect("load run");
         assert!(
-            out.counters.coalesced_fits > 0,
+            study::counter(&json, "coalesced_fits") > 0,
             "window {}ns should coalesce concurrent fits",
-            LoadConfig::full().coalesce_window_ns
+            tiny().coalesce_window_ns
         );
         assert!(
-            out.counters.kernel_cache_hits > 0,
-            "coalesced jobs share kernels"
+            study::counter(&json, "kernel_cache_hits") > 0,
+            "coalesced jobs share pattern systems"
         );
     }
 
     #[test]
     fn json_has_the_gated_keys() {
-        let out = run_load(&tiny()).expect("load run");
+        let json = run_load(&tiny()).expect("load run");
         study::assert_has_keys(
-            &out.json,
+            &json,
             "scenario traffic coalescing fits_ok fit_errors predicts batches \
              kernel_cache_misses map_solves",
         );
         assert!(
-            !out.json.contains("wall"),
+            !json.contains("wall"),
             "wall time must stay out of the JSON"
         );
     }

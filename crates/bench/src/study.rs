@@ -1,27 +1,23 @@
-//! One harness for the deterministic bench studies.
+//! One report layout for the deterministic counter studies.
 //!
-//! The service, persist, sequential, chaos and lint benches and
-//! `repro allocs` all report through this module:
-//!
-//! * [`ReportWriter`] writes the flat JSON layout — top-level scalars,
-//!   one-line sections and arrays of one-line rows, so a report's diff
-//!   shows each changed counter on its own line — and refuses NaN, ±inf
-//!   and keys outside `[A-Za-z0-9_]`, which keeps the file valid JSON
-//!   without escaping;
-//! * [`out_dir`] is the one output directory;
-//! * [`bench_main`] is the one bench entry point.
+//! The service, persist, sequential, chaos, lint and allocation studies
+//! all render their reports with [`ReportWriter`]: top-level scalars,
+//! one-line sections and arrays of one-line rows, so a report's diff
+//! shows each changed counter on its own line. It refuses NaN, ±inf and
+//! keys outside `[A-Za-z0-9_]`, which keeps the file valid JSON without
+//! escaping.
 //!
 //! Reports hold only what the code did — counters, byte sizes, seeded
 //! draws and the results of checks — never a time, measured or modeled:
 //! every number is a function of the study's configuration, so a report
 //! is byte-identical across machines, runs and `BMF_THREADS` settings.
-//! Wall-clock numbers live in wallbench (`wallbench/`).
-//! `scripts/bench_check.sh` regenerates every committed report at one
-//! thread and at the default pool and requires both to equal the
-//! baseline byte for byte.
+//! Wall-clock numbers live in wallbench (`wallbench/`). Each committed
+//! `BENCH_<name>.json` is the golden file of one test in
+//! `crates/bench/tests/`, which runs the study at its full configuration
+//! and requires the fresh report to equal the committed one byte for
+//! byte.
 
 use std::fmt::{Display, Write as _};
-use std::path::{Path, PathBuf};
 
 use bmf_core::BmfError;
 
@@ -156,7 +152,7 @@ pub(crate) fn linear_values(truth: &[f64], points: &[Vec<f64>]) -> Vec<f64> {
 }
 
 /// Fails a study run whose headline check does not hold, so a bad run
-/// fails the bench binary instead of writing a report.
+/// fails instead of rendering a report.
 ///
 /// # Errors
 ///
@@ -172,63 +168,36 @@ pub(crate) fn ensure(study: &'static str, ok: bool, check: &str) -> Result<(), B
     })
 }
 
-/// The workspace root, two levels above this crate's manifest (cargo
-/// runs bench and test binaries from the package directory), or the
-/// current directory when run outside cargo.
-pub(crate) fn workspace_root() -> PathBuf {
-    match std::env::var_os("CARGO_MANIFEST_DIR") {
-        Some(m) => PathBuf::from(m).join("../.."),
-        None => PathBuf::from("."),
-    }
-}
-
-/// The directory every `BENCH_*.json` is written to: `$BMF_BENCH_OUT`
-/// when set, otherwise the workspace root, so a plain `cargo bench`
-/// rewrites the committed baselines.
-pub fn out_dir() -> PathBuf {
-    std::env::var_os("BMF_BENCH_OUT").map_or_else(workspace_root, PathBuf::from)
-}
-
-/// Writes `json` to `<dir>/BENCH_<name>.json`, creating `dir`.
-///
-/// # Errors
-///
-/// The IO error of creating the directory or writing the file.
-pub(crate) fn write_report(dir: &Path, name: &str, json: &str) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
-
-/// The `main` of a study bench binary: runs the study at its full
-/// configuration, prints its report to stdout and the wall time to
-/// stderr, writes `BENCH_<name>.json` into [`out_dir`], and exits with
-/// status 1 on any error.
-///
-/// `run` returns the rendered report.
-pub fn bench_main<E: Display>(name: &str, run: impl FnOnce() -> Result<String, E>) {
-    let started = std::time::Instant::now();
-    let json = run().unwrap_or_else(|e| exit_with(&format!("{name} study failed: {e}")));
-    print!("{json}");
-    let wall_s = started.elapsed().as_secs_f64();
-    eprintln!("{name}: {wall_s:.3} s wall (not in the report)");
-    let path = write_report(&out_dir(), name, &json)
-        .unwrap_or_else(|e| exit_with(&format!("{name}: writing the report: {e}")));
-    eprintln!("{name}: report written to {}", path.display());
-}
-
-fn exit_with(message: &str) -> ! {
-    eprintln!("{message}");
-    std::process::exit(1)
-}
-
 /// Asserts that every whitespace-separated key is present, quoted, in a
 /// report.
 #[cfg(test)]
 pub(crate) fn assert_has_keys(json: &str, keys: &str) {
     for key in keys.split_whitespace() {
         assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
+    }
+}
+
+/// The unsigned counter `"key": n` that appears exactly once in
+/// `report`, a whole report or one of its lines; the study tests read a
+/// run's counts back out of its report with it.
+#[cfg(test)]
+pub(crate) fn counter(report: &str, key: &str) -> u64 {
+    let pattern = format!("\"{key}\": ");
+    let values: Vec<u64> = report
+        .match_indices(&pattern)
+        .map(|(at, _)| {
+            let rest = &report[at + pattern.len()..];
+            let digits = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..digits]
+                .parse()
+                .unwrap_or_else(|_| panic!("`{key}` is not a counter in {report}"))
+        })
+        .collect();
+    match values[..] {
+        [value] => value,
+        _ => panic!("`{key}` appears {} times in {report}", values.len()),
     }
 }
 

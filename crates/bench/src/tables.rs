@@ -335,9 +335,9 @@ pub(crate) fn table_cells<T>(
     let k_values = scale.k_values();
     let k_max = *k_values.last().expect("non-empty K sweep");
     let cv = CvConfig {
-        folds: scale.folds(),
         grid: scale.hyper_grid(),
         seed: derive_seed(seed, 2),
+        ..CvConfig::default()
     };
 
     let mut out: Vec<Vec<T>> = k_values.iter().map(|_| Vec::new()).collect();

@@ -84,9 +84,9 @@ impl RoConfig {
     /// The default experiment shape (~2 000 post-layout variables): large
     /// enough to show every BMF effect, small enough for repeated sweeps
     /// on one core. The parasitic count (50) is kept below the smallest
-    /// cross-validation training-fold size at K = 100 so the exact
-    /// infinite-variance missing priors stay identifiable. See DESIGN.md
-    /// §2 for the scaling argument.
+    /// K (100), so every leave-one-out training set of K − 1 rows keeps
+    /// the exact infinite-variance missing priors identifiable. See
+    /// DESIGN.md §2 for the scaling argument.
     pub fn default_shape() -> Self {
         RoConfig {
             stages: 25,

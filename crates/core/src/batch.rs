@@ -81,7 +81,8 @@ use bmf_linalg::{Matrix, Vector};
 use crate::fusion::{response_scale, BmfFit, FitCounters, ResilienceReport};
 use crate::hyper::{reduce_outcomes, CvOutcome};
 use crate::map_estimate::{
-    finite_runs, map_estimate_ws, FoldBase, FoldSystem, LooSolves, PriorTerms, SolverKind,
+    finite_runs, map_estimate_ws, LooSolves, MissingProjection, PatternSystem, PriorTerms,
+    SolverKind,
 };
 use crate::model::PerformanceModel;
 use crate::options::{validate_folds, validate_grid, FitOptions};
@@ -445,12 +446,12 @@ pub(crate) struct Loo {
     /// Rows, and the rows one held out needs (`|Z| + 1`).
     rows: (usize, usize),
     /// Per block of rows, in block order: per response `[rows held out,
-    /// Σf², then per family and grid value Σe²]` (`FoldSystem::loo_block`).
+    /// Σf², then per family and grid value Σe²]` (`PatternSystem::loo_block`).
     blocks: Vec<Vec<f64>>,
     /// The full-data system when the prior misses a column, for the fast
     /// final solve, with the projection (the QR of the missing columns)
     /// it shares with the other patterns on its base.
-    pub(crate) full: Option<(Arc<FoldBase>, FoldSystem)>,
+    pub(crate) full: Option<(Arc<MissingProjection>, PatternSystem)>,
 }
 
 impl Loo {
@@ -493,7 +494,7 @@ enum Step {
     /// One block of a base's `Nᵀ` columns, with its usable rows.
     Block(Result<(Vec<f64>, Vec<bool>)>),
     /// A pattern's full-data system and per-grid-value solves.
-    System(Result<(FoldSystem, LooSolves)>),
+    System(Result<(PatternSystem, LooSolves)>),
     /// One block of a pattern's leave-one-out sums.
     Sums(Result<Vec<f64>>),
 }
@@ -511,13 +512,13 @@ fn ok<T>(r: &Result<T>) -> Result<&T> {
 /// gram in row bands that every worker shares, and each own kernel as
 /// one task. Phase 3 selects by leave-one-out on each pattern's
 /// full-data system (see [`crate::hyper`]): each base's QR of its
-/// missing columns ([`FoldBase::new`]) on the calling thread, then one
-/// schedule over the pool in which a task waits for the earlier tasks it
-/// reads — per base its congruence and, per fixed-size block of rows,
-/// that block of `Nᵀ` ([`FoldBase::n_block`]); per pattern its system
-/// and per-grid-value solves ([`FoldSystem::full`],
-/// [`FoldSystem::loo_solves`]); per pattern and block the block of `Ψ`
-/// and its sums ([`FoldSystem::loo_block`]). A worker takes the next
+/// missing columns ([`MissingProjection::new`]) on the calling thread,
+/// then one schedule over the pool in which a task waits for the earlier
+/// tasks it reads — per base its congruence and, per fixed-size block of
+/// rows, that block of `Nᵀ` ([`MissingProjection::n_block`]); per
+/// pattern its system and per-grid-value solves ([`PatternSystem::full`],
+/// [`PatternSystem::loo_solves`]); per pattern and block the block of `Ψ`
+/// and its sums ([`PatternSystem::loo_block`]). A worker takes the next
 /// task while another builds a congruence or reduces a system, so both
 /// workers of a two-thread pool stay busy.
 pub(crate) fn sweep(
@@ -577,9 +578,9 @@ pub(crate) fn sweep(
         .map(|start| start..k.min(start + LOO_BLOCK))
         .collect();
     let (nb, np, nbase) = (blocks.len(), patterns.len(), bases.len());
-    let projections: Vec<Result<FoldBase>> = bases
+    let projections: Vec<Result<MissingProjection>> = bases
         .iter()
-        .map(|b| FoldBase::new(g.as_view(), b.missing))
+        .map(|b| MissingProjection::new(g.as_view(), b.missing))
         .collect();
     // The schedule's sections, in task order.
     let (nblk, sys, sums) = (nbase, (1 + nb) * nbase, (1 + nb) * nbase + np);
@@ -607,7 +608,7 @@ pub(crate) fn sweep(
                 let Some(Step::Congruence(cb)) = done.wait(bi) else {
                     return Err(lost());
                 };
-                let system = FoldSystem::full(g.as_view(), base, ok(cb)?, t)?;
+                let system = PatternSystem::full(g.as_view(), base, ok(cb)?, t)?;
                 let solves = system.loo_solves(base, t, f, grid, kinds)?;
                 Ok((system, solves))
             }));
@@ -627,7 +628,7 @@ pub(crate) fn sweep(
     });
     // A base that misses a column keeps its projection for the final
     // solves of its patterns.
-    let projections: Vec<Option<Result<Arc<FoldBase>>>> = projections
+    let projections: Vec<Option<Result<Arc<MissingProjection>>>> = projections
         .into_iter()
         .zip(&bases)
         .map(|(p, base)| (!base.missing.is_empty()).then(|| p.map(Arc::new)))

@@ -111,7 +111,7 @@ pub struct CvOutcome {
 ///
 /// Each item of `blocks` is one block of rows' sums, in block order: the
 /// rows held out, `Σf_i²`, then per family and grid value `Σe_i²` over
-/// those rows (see `FoldSystem::loo_block`). `solved` marks the grid
+/// those rows (see `PatternSystem::loo_block`). `solved` marks the grid
 /// values whose `T̂ + ηI` factorized; a cell is `sqrt(Σe²) / sqrt(Σf²)`,
 /// eq. 59 over every row held out.
 ///

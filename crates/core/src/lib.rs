@@ -62,7 +62,6 @@
 //! let values: Vec<f64> = points.iter().map(|p| truth(p)).collect();
 //!
 //! let fit = BmfFitter::new(basis, early.iter().map(|&a| Some(a)).collect())?
-//!     .with_options(bmf_core::options::FitOptions::new().seed(7))
 //!     .fit(&points, &values)?;
 //! // Five samples suffice because the prior carries the structure.
 //! let pred = fit.model.predict(&[1.0, 0.0, 0.0]);

@@ -34,13 +34,13 @@
 //! `Γ = G·diag(1_F)·Gᵀ` of the finite columns, and the prior adds
 //! `G_S·diag(a⁻¹_S − c₀)·G_Sᵀ` over its entries above the floor
 //! (DESIGN.md §8). The sample-space systems are built from a base every
-//! such prior with the same missing columns shares (`FoldBase`: the
-//! QR of the missing columns and `QᵀΓQ` by a compact-WY congruence), and
-//! each prior adds only its rank-|S| term (`FoldSystem`); a dense
-//! prior's kernel is formed directly and is its own base. The same
-//! full-data system gives the exact leave-one-out errors the fitting
-//! engines select the hyper-parameter by (`FoldSystem::loo_block`,
-//! [`crate::hyper`]).
+//! such prior with the same missing columns shares (`MissingProjection`:
+//! the QR of the missing columns, which turns `Γ` into `QᵀΓQ` by a
+//! compact-WY congruence), and each prior pattern adds only its rank-|S|
+//! term (`PatternSystem`, its full-data system); a dense prior's kernel
+//! is formed directly and is its own base. The same full-data system
+//! gives the exact leave-one-out errors the fitting engines select the
+//! hyper-parameter by (`PatternSystem::loo_block`, [`crate::hyper`]).
 
 use std::ops::Range;
 
@@ -159,7 +159,7 @@ pub fn map_estimate_with_report(
 /// positive it is the Woodbury identity on the K × K core, whose entries
 /// are the `dot3` sums [`crate::sequential::SequentialBmf`] grows row by
 /// row. With a missing prior it is the sample-space solve of the batch
-/// engine's final solve ([`FoldSystem::solve`] on the [`MapSweep`]
+/// engine's final solve ([`PatternSystem::solve`] on the [`MapSweep`]
 /// full-data system of the prior's kernel), so an engine fit's
 /// coefficients equal this function's bit for bit.
 pub(crate) fn map_estimate_ws(
@@ -245,14 +245,14 @@ pub struct MapSweep<'g> {
     g: MatRef<'g>,
     terms: PriorTerms,
     /// The base's projection over every row of `g`.
-    base: FoldBase,
+    base: MissingProjection,
     /// The system over every row of `g`, with no validation rows.
-    system: FoldSystem,
+    system: PatternSystem,
 }
 
 /// A prior's hyper-independent quantities over every row of a design
 /// matrix: what its system adds to its shared base, and what the
-/// back-projection of [`FoldSystem::solve`] reads besides the system.
+/// back-projection of [`PatternSystem::solve`] reads besides the system.
 #[derive(Debug, Clone)]
 pub(crate) struct PriorTerms {
     /// `1/α_E,m²` for finite-prior columns, 0 for missing.
@@ -401,7 +401,8 @@ pub(crate) fn finite_runs(m: usize, missing: &[usize]) -> Vec<Range<usize>> {
 
 /// One prior's base over every row of a design matrix, plus the prior's
 /// [`PriorTerms`]: the floor gram of its finite columns, or its own
-/// kernel, which its [`FoldBase`]'s congruence turns into `QᵀBQ`.
+/// kernel, which its [`MissingProjection`]'s congruence turns into
+/// `QᵀBQ`.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepKernel {
     pub(crate) terms: PriorTerms,
@@ -436,16 +437,16 @@ impl SweepKernel {
 /// What every prior pattern with the same base shares: the Householder
 /// QR of the missing columns `G_Z` over every row of a design matrix,
 /// stored transposed (`Rᵀ` in the leading lower triangle), whose
-/// `Q = [Q_Z N]` profiles them out. A pattern's [`FoldSystem`] adds its
-/// own rank-|S| term to the base's congruence `C = QᵀBQ`
-/// ([`FoldBase::congruence`]).
+/// `Q = [Q_Z N]` profiles them out. A pattern's [`PatternSystem`] adds
+/// its own rank-|S| term to the base's congruence `C = QᵀBQ`
+/// ([`MissingProjection::congruence`]).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FoldBase {
+pub(crate) struct MissingProjection {
     gz: Matrix,
     gz_tau: Vec<f64>,
 }
 
-impl FoldBase {
+impl MissingProjection {
     /// Factors the missing columns `missing` of `g` over every row.
     ///
     /// # Errors
@@ -483,7 +484,7 @@ impl FoldBase {
             let op = "sample-space system (missing-prior columns)";
             return Err(LinalgError::Unsolvable { op, rcond }.into());
         }
-        Ok(FoldBase { gz, gz_tau })
+        Ok(MissingProjection { gz, gz_tau })
     }
 
     /// Turns the kernel `base` (over every row) into its congruence
@@ -537,8 +538,9 @@ impl FoldBase {
 }
 
 /// The sample-space system ([`MapSweep`]) of one prior pattern over
-/// every row of a design matrix, built from its base's [`FoldBase`] and
-/// congruence `C`, `n = K − |Z|`. With `U = QᵀG_S` and
+/// every row of a design matrix, its full-data system, built from its
+/// base's [`MissingProjection`] and congruence `C`, `n = K − |Z|`. With
+/// `U = QᵀG_S` and
 /// `D = diag(a⁻¹_S − c₀)` (`c₀ = 1`, `S = ∅` on a prior's own kernel):
 ///
 /// * `s`/`h_tau`/`d`/`e`: `S = c₀·C[N,N] + U_N D U_Nᵀ` reduced to
@@ -546,10 +548,11 @@ impl FoldBase {
 /// * `c_nz`: `C[N,Z] = c₀·C[N,Z] + U_N D U_Zᵀ`.
 ///
 /// The final solve of a missing-prior fit back-projects it
-/// ([`FoldSystem::solve`]), and the leave-one-out cells of every prior
-/// pattern read it ([`FoldSystem::loo_solves`], [`FoldSystem::loo_block`]).
+/// ([`PatternSystem::solve`]), and the leave-one-out cells of every
+/// prior pattern read it ([`PatternSystem::loo_solves`],
+/// [`PatternSystem::loo_block`]).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FoldSystem {
+pub(crate) struct PatternSystem {
     c_nz: Matrix,
     s: Matrix,
     h_tau: Vec<f64>,
@@ -565,7 +568,7 @@ fn rows_of(m: &Matrix, rows: Range<usize>) -> Result<MatRef<'_>> {
 }
 
 /// The η-dependent half of a pattern's leave-one-out cells
-/// ([`FoldSystem::loo_solves`]): per grid value, whether `T̂ + ηI`
+/// ([`PatternSystem::loo_solves`]): per grid value, whether `T̂ + ηI`
 /// factorized, and one chunk of its reciprocal LDLᵀ pivots, its
 /// multipliers shifted one on (`l_{j−1}` at `j`, 0 at 0) and, per
 /// response and prior family in that order, `x = (T̂ + ηI)⁻¹HᵀNᵀy`.
@@ -577,7 +580,7 @@ pub(crate) struct LooSolves {
     chunks: Vec<f64>,
 }
 
-impl FoldSystem {
+impl PatternSystem {
     /// Builds the system of the prior `terms` over every row of `g` on
     /// its base's projection `base` and congruence `cb`.
     ///
@@ -586,7 +589,7 @@ impl FoldSystem {
     /// [`BmfError::Linalg`] when `base` or `cb` does not match `g`.
     pub(crate) fn full(
         g: MatRef<'_>,
-        base: &FoldBase,
+        base: &MissingProjection,
         cb: &Matrix,
         terms: &PriorTerms,
     ) -> Result<Self> {
@@ -606,10 +609,10 @@ impl FoldSystem {
         }
         // c₀ times the base: S = c₀·C[N,N] on the upper triangle and
         // C[N,Z] = c₀·C[N,Z]; then the pattern's U_N D U_Nᵀ and U_N D U_Zᵀ.
-        let mut sys = FoldSystem {
+        let mut sys = PatternSystem {
             s: Matrix::zeros(n, n),
             c_nz: Matrix::zeros(n, nz),
-            ..FoldSystem::default()
+            ..PatternSystem::default()
         };
         for j in 0..n {
             let (cz, cn) = cb.row(nz + j).split_at(nz);
@@ -651,7 +654,7 @@ impl FoldSystem {
     /// [`BmfError::Linalg`] when a response is not one value per row.
     pub(crate) fn loo_solves(
         &self,
-        base: &FoldBase,
+        base: &MissingProjection,
         terms: &PriorTerms,
         responses: &[&Vector],
         grid: &[f64],
@@ -716,12 +719,13 @@ impl FoldSystem {
     }
 
     /// The leave-one-out sums of one block of rows, `cols`, given the
-    /// block's columns of `Nᵀ` (`n_block`, from [`FoldBase::n_block`])
-    /// and which of its rows are usable. The block's columns of
-    /// `Ψ = HᵀNᵀ` are formed once; then per solved grid value one pass
-    /// over them gives, per row i, `Π_ii = ψ_iᵀ(T̂ + ηI)⁻¹ψ_i` (by the
-    /// LDLᵀ) and, per response and family, `[Πy]_i = ψ_iᵀx`, whose ratio
-    /// is row i's held-out residual (`Π = N(S + ηI)⁻¹Nᵀ`; Allen's PRESS).
+    /// block's columns of `Nᵀ` (`n_block`, from
+    /// [`MissingProjection::n_block`]) and which of its rows are usable.
+    /// The block's columns of `Ψ = HᵀNᵀ` are formed once; then per solved
+    /// grid value one pass over them gives, per row i,
+    /// `Π_ii = ψ_iᵀ(T̂ + ηI)⁻¹ψ_i` (by the LDLᵀ) and, per response and
+    /// family, `[Πy]_i = ψ_iᵀx`, whose ratio is row i's held-out residual
+    /// (`Π = N(S + ηI)⁻¹Nᵀ`; Allen's PRESS).
     ///
     /// Returns per response `[rows held out, Σf_i², then per family and
     /// grid value Σ([Πy]_i/Π_ii)²]` over the usable rows (an empty
@@ -804,8 +808,8 @@ impl FoldSystem {
         Ok(out)
     }
 
-    /// Solves the full-data MAP system of a [`FoldSystem::full`] system on
-    /// its projection `base` for the response `f` at `hyper`, with the
+    /// Solves the full-data MAP system of a [`PatternSystem::full`] system
+    /// on its projection `base` for the response `f` at `hyper`, with the
     /// prior family `kind` (zero-mean drops the prior mean of `terms`,
     /// which must be the prior the system was built from), returning the
     /// M coefficients:
@@ -830,7 +834,7 @@ impl FoldSystem {
     pub(crate) fn solve(
         &self,
         g: MatRef<'_>,
-        base: &FoldBase,
+        base: &MissingProjection,
         terms: &PriorTerms,
         f: &[f64],
         hyper: f64,
@@ -897,9 +901,9 @@ impl<'g> MapSweep<'g> {
             terms,
             base: mut cb,
         } = SweepKernel::new(g, prior)?;
-        let base = FoldBase::new(g, &terms.missing)?;
+        let base = MissingProjection::new(g, &terms.missing)?;
         base.congruence(&mut cb)?;
-        let system = FoldSystem::full(g, &base, &cb, &terms)?;
+        let system = PatternSystem::full(g, &base, &cb, &terms)?;
         Ok(MapSweep {
             g,
             terms,
@@ -1030,11 +1034,11 @@ mod tests {
                     base: mut cb,
                 } = SweepKernel::new(g.as_view(), prior).unwrap();
                 let missing = terms.missing();
-                let Ok(base) = FoldBase::new(g.as_view(), missing) else {
+                let Ok(base) = MissingProjection::new(g.as_view(), missing) else {
                     continue;
                 };
                 base.congruence(&mut cb).unwrap();
-                let sys = FoldSystem::full(g.as_view(), &base, &cb, &terms).unwrap();
+                let sys = PatternSystem::full(g.as_view(), &base, &cb, &terms).unwrap();
                 let direct = direct_kernel(&g, prior);
                 let nz = missing.len();
                 let n = k - nz;

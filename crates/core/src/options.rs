@@ -14,11 +14,9 @@
 //! use bmf_core::map_estimate::SolverKind;
 //!
 //! let opts = FitOptions::new()
-//!     .folds(4)
-//!     .seed(7)
 //!     .threads(2)
 //!     .solver(SolverKind::Direct);
-//! assert_eq!(opts.folds, 4);
+//! assert_eq!(opts.threads, 2);
 //! ```
 
 use crate::hyper::{log_grid, CvConfig};
@@ -101,7 +99,7 @@ impl FitOptions {
         self
     }
 
-    /// Sets the cross-validation fold count.
+    /// Sets the cross-validation fold count, which no selection reads.
     pub fn folds(mut self, folds: usize) -> Self {
         self.folds = folds;
         self
@@ -113,7 +111,7 @@ impl FitOptions {
         self
     }
 
-    /// Sets the cross-validation shuffle seed.
+    /// Sets the cross-validation shuffle seed, which no selection reads.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -22,8 +22,8 @@
 //!   batch engine;
 //! * a **coalescer** groups queued requests that share a registered point
 //!   set and basis into one batch-engine run, so the shared design
-//!   matrix, fold plan, and Woodbury kernel cache are paid once per
-//!   group instead of once per request;
+//!   matrix, missing-column projections and per-pattern sample-space
+//!   systems are paid once per group instead of once per request;
 //! * **admission control** bounds both queues
 //!   ([`ServiceConfig::queue_capacity`] /
 //!   [`ServiceConfig::append_capacity`]): a submission past the bound is
@@ -143,7 +143,7 @@ pub struct ServiceConfig {
     /// Admission bound on the streaming-append queue (clamped to at
     /// least 1); same shedding discipline as `queue_capacity`.
     pub append_capacity: usize,
-    /// Fitting configuration shared by every coalesced batch (folds,
+    /// Fitting configuration shared by every coalesced batch (selection,
     /// grid, solver, worker threads, ...).
     pub options: FitOptions,
 }
@@ -304,10 +304,12 @@ pub struct ServiceCounters {
     pub max_batch: u64,
     /// Single-request refits forced by a whole-batch failure.
     pub isolation_refits: u64,
-    /// Woodbury kernels reused across coalesced jobs (from the batch
-    /// engine's shared kernel cache).
+    /// Jobs that reused their prior pattern's sample-space system, built
+    /// for an earlier job of the same batch (summed
+    /// [`FitCounters::kernel_cache_hits`]).
     pub kernel_cache_hits: u64,
-    /// Woodbury kernels that had to be built.
+    /// Jobs that built their prior pattern's sample-space system (summed
+    /// [`FitCounters::kernel_cache_misses`]).
     pub kernel_cache_misses: u64,
     /// MAP systems solved across all batch runs.
     pub map_solves: u64,
@@ -1023,7 +1025,7 @@ impl FitService {
     /// Coalesces and runs a drained request list; see [`drain`](Self::drain).
     fn serve(&self, pending: Vec<Pending>) -> DrainReport {
         // Group by (point set, basis): every request in a group shares
-        // the batch engine's design matrix, fold plan, and kernel cache.
+        // the batch engine's design matrix and its pattern systems.
         // BTreeMap fixes the processing order by content, not arrival.
         let mut groups: BTreeMap<(u64, u64), Vec<Pending>> = BTreeMap::new();
         for p in pending {

@@ -164,7 +164,7 @@ pub const ALLOC_REACHABILITY: ReachRule = ReachRule {
                direct or through calls",
     explain: "`*_into`/`*_in_place` functions and `GrowingCholesky` methods advertise \
               `writes into caller-provided storage, allocates nothing` — the contract \
-              behind the ~20x allocation reduction pinned by the alloc-budget benches. \
+              behind the ~20x allocation reduction pinned by `BENCH_allocs.json`. \
               An allocating construct (`Vec::new`, `vec!`, `format!`, `.to_vec()`, \
               `.clone()`, `.collect()`, `.push(..)`, ...) written in a kernel is reported \
               where it is written; a kernel that delegates to an allocating helper is \

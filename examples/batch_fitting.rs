@@ -4,11 +4,11 @@
 //! from the same post-layout simulations — the expensive part (the
 //! simulations) is shared, so the fitting should share its work too.
 //! This example fits all three ring-oscillator metrics through one
-//! [`BatchFitter`]: the design matrix is evaluated once, the
-//! cross-validation fold plan is built once, and the per-job work runs on
-//! the worker pool. A serial `BmfFitter` loop over the same jobs produces
-//! bit-identical models — the batch engine changes the cost, never the
-//! numbers.
+//! [`BatchFitter`]: the design matrix is evaluated once, priors that miss
+//! the same columns share one projection of them, and the per-job work
+//! runs on the worker pool. A serial `BmfFitter` loop over the same jobs
+//! produces bit-identical models — the batch engine changes the cost,
+//! never the numbers.
 //!
 //! ```text
 //! cargo run --release --example batch_fitting
@@ -21,7 +21,6 @@ use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_core::batch::{BatchFitter, BatchJob};
 use bmf_core::fusion::BmfFitter;
 use bmf_core::least_squares::fit_least_squares;
-use bmf_core::options::FitOptions;
 
 const METRICS: [RoMetric; 3] = [RoMetric::Power, RoMetric::PhaseNoise, RoMetric::Frequency];
 
@@ -35,8 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One shared late-stage sample set: the variation points depend only
     // on the seed and the variable space, so every metric is "measured"
     // at the same Monte-Carlo points — exactly the batch scenario.
-    let mut batch = BatchFitter::new(OrthonormalBasis::linear(lay_vars))
-        .with_options(FitOptions::new().seed(3));
+    let mut batch = BatchFitter::new(OrthonormalBasis::linear(lay_vars));
     let mut shared_points: Option<Vec<Vec<f64>>> = None;
     for metric in METRICS {
         let perf = ro.metric(metric);
@@ -105,7 +103,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         prior.extend(std::iter::repeat_n(None, lay_vars - sch_vars));
         let late = monte_carlo(&perf, Stage::PostLayout, k_late, 2).expect("simulation succeeds");
         let serial = BmfFitter::new(OrthonormalBasis::linear(lay_vars), prior)?
-            .with_options(FitOptions::new().seed(3))
             .fit(&late.points, &late.values)?;
         assert!(
             serial

@@ -13,7 +13,6 @@ use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_core::applications::worst_case_corner;
 use bmf_core::fusion::BmfFitter;
 use bmf_core::omp::{fit_omp, OmpConfig};
-use bmf_core::options::FitOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mirror = CurrentMirror::new(MirrorConfig::default(), 2026);
@@ -49,9 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let test = monte_carlo(&iout, Stage::PostLayout, 300, 3).expect("simulation succeeds");
     let mut prior: Vec<Option<f64>> = early.model.coeffs().iter().map(|&a| Some(a)).collect();
     prior.extend(std::iter::repeat_n(None, lay_vars - sch_vars));
-    let fit = BmfFitter::new(OrthonormalBasis::linear(lay_vars), prior)?
-        .with_options(FitOptions::new().seed(8))
-        .fit(&lay.points, &lay.values)?;
+    let fit =
+        BmfFitter::new(OrthonormalBasis::linear(lay_vars), prior)?.fit(&lay.points, &lay.values)?;
     let err = fit
         .model
         .relative_error(test.point_slices(), &test.values)?;

@@ -11,7 +11,6 @@ use bmf_circuits::sim::monte_carlo;
 use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_circuits::synthetic::{SyntheticCircuit, SyntheticConfig};
 use bmf_core::fusion::BmfFitter;
-use bmf_core::options::FitOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let early_vars = 60;
@@ -43,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut with_missing = known.clone();
     with_missing.extend(std::iter::repeat_n(None, extra));
     let fit = BmfFitter::new(OrthonormalBasis::linear(late_vars), with_missing)?
-        .with_options(FitOptions::new().seed(3))
         .fit(&train.points, &train.values)?;
     let err_flat = fit
         .model
@@ -69,9 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|p| p[..early_vars].to_vec())
         .collect();
-    let fit_naive = BmfFitter::new(OrthonormalBasis::linear(early_vars), known)?
-        .with_options(FitOptions::new().seed(3))
-        .fit(&trunc, &train.values)?;
+    let fit_naive =
+        BmfFitter::new(OrthonormalBasis::linear(early_vars), known)?.fit(&trunc, &train.values)?;
     let trunc_test: Vec<Vec<f64>> = test
         .points
         .iter()

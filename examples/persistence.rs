@@ -8,7 +8,6 @@
 //! ```
 
 use bmf_basis::basis::OrthonormalBasis;
-use bmf_core::options::FitOptions;
 use bmf_core::service::{FitRequest, FitService, ServiceConfig};
 use bmf_persist::artifact::encode_snapshot;
 use bmf_persist::store::ArtifactStore;
@@ -22,10 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let points: Vec<Vec<f64>> = (0..16).map(|_| normal.sample_vec(&mut rng, r)).collect();
 
     // --- Process 1: fit a few performance models through the service.
-    let service = FitService::new(ServiceConfig {
-        options: FitOptions::new().folds(4).seed(7),
-        ..ServiceConfig::default()
-    })?;
+    let service = FitService::new(ServiceConfig::default())?;
     let ps = service.register_points(points.clone())?;
     for (j, name) in ["gain", "bandwidth", "psrr"].iter().enumerate() {
         let truth: Vec<f64> = (0..=r).map(|i| ((i + 3 * j) as f64 * 0.47).cos()).collect();

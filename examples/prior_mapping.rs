@@ -12,7 +12,6 @@ use bmf_circuits::sim::monte_carlo;
 use bmf_circuits::stage::Stage;
 use bmf_core::fusion::BmfFitter;
 use bmf_core::omp::{fit_omp, OmpConfig};
-use bmf_core::options::FitOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dp = DiffPair::new(DiffPairConfig::default());
@@ -45,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lay = monte_carlo(&vos, Stage::PostLayout, k, 2).expect("simulation succeeds");
     let test = monte_carlo(&vos, Stage::PostLayout, 400, 3).expect("simulation succeeds");
     let fit = BmfFitter::from_mapped_early_model(&expanded, alpha_e, vec![])?
-        .with_options(FitOptions::new().folds(4).seed(11))
         .fit(&lay.points, &lay.values)?;
     let bmf_err = fit
         .model

@@ -16,7 +16,6 @@ use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_circuits::synthetic::{SyntheticCircuit, SyntheticConfig};
 use bmf_core::fusion::BmfFitter;
 use bmf_core::omp::{fit_omp, OmpConfig};
-use bmf_core::options::FitOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The "circuit": 80 schematic variables, 8 extra post-layout
@@ -54,9 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prior: Vec<Option<f64>> = early_fit.model.coeffs().iter().map(|&a| Some(a)).collect();
     prior.extend(std::iter::repeat_n(None, late_vars - early_vars));
 
-    let fit = BmfFitter::new(late_basis.clone(), prior)?
-        .with_options(FitOptions::new().seed(7))
-        .fit(&lay.points, &lay.values)?;
+    let fit = BmfFitter::new(late_basis.clone(), prior)?.fit(&lay.points, &lay.values)?;
     let bmf_err = fit
         .model
         .relative_error(test.point_slices(), &test.values)?;

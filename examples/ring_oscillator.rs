@@ -12,7 +12,6 @@ use bmf_circuits::sim::{monte_carlo, CostLedger};
 use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_core::fusion::BmfFitter;
 use bmf_core::omp::{fit_omp, OmpConfig};
-use bmf_core::options::FitOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A mid-size RO (run `repro table1 --scale default` for the full
@@ -60,7 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let started = std::time::Instant::now();
         let fit = BmfFitter::new(OrthonormalBasis::linear(lay_vars), prior)?
-            .with_options(FitOptions::new().seed(5))
             .fit(&lay.points, &lay.values)?;
         ledger.charge_fitting_seconds(started.elapsed().as_secs_f64());
 

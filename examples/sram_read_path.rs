@@ -12,7 +12,6 @@ use bmf_circuits::sram::{SramConfig, SramReadPath};
 use bmf_circuits::stage::{CircuitPerformance, Stage};
 use bmf_core::fusion::BmfFitter;
 use bmf_core::omp::{fit_omp, OmpConfig};
-use bmf_core::options::FitOptions;
 use bmf_stat::histogram::Histogram;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -71,9 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prior: Vec<Option<f64>> = early.model.coeffs().iter().map(|&a| Some(a)).collect();
     prior.extend(std::iter::repeat_n(None, lay_vars - sch_vars));
 
-    let fit = BmfFitter::new(OrthonormalBasis::linear(lay_vars), prior)?
-        .with_options(FitOptions::new().seed(9))
-        .fit(&lay.points, &lay.values)?;
+    let fit =
+        BmfFitter::new(OrthonormalBasis::linear(lay_vars), prior)?.fit(&lay.points, &lay.values)?;
     let bmf_err = fit
         .model
         .relative_error(test.point_slices(), &test.values)?;
