@@ -11,9 +11,14 @@
 //! Sampling is deterministic: each sample's variation vector is generated
 //! from a seed derived from `(master seed, sample index)`, so a sample
 //! does not depend on how many are drawn — a larger `k` extends a
-//! smaller one.
+//! smaller one. Nor does it depend on the pool size: a draw runs in
+//! fixed-size chunks of samples on the workspace's worker pool
+//! ([`bmf_stat::pool`]), every sample from its own seed, and the chunks
+//! are joined in index order, so the points, the values and the error
+//! returned are the same bits at any `BMF_THREADS`.
 
 use bmf_stat::normal::StandardNormal;
+use bmf_stat::pool::{default_threads, run_indexed};
 use bmf_stat::rng::{derive_seed, seeded};
 
 use crate::error::CircuitError;
@@ -70,7 +75,7 @@ impl SampleSet {
         }
     }
 
-    /// Selects the samples at `indices` (used by cross-validation folds).
+    /// Selects the samples at `indices`, in that order.
     ///
     /// # Panics
     ///
@@ -94,25 +99,70 @@ impl SampleSet {
 ///
 /// Each sample's variation vector is standard normal, generated from
 /// `derive_seed(seed, index)`; the ledger is charged
-/// `k · circuit.sim_cost_hours(stage)`.
+/// `k · circuit.sim_cost_hours(stage)`. A draw of more than one chunk
+/// (2¹⁶ normals) runs on the default pool
+/// ([`bmf_stat::pool::default_threads`]), with the same bits as one
+/// worker.
 ///
 /// # Errors
 ///
-/// Propagates the first [`CircuitError`] any sample evaluation produces.
+/// Returns the [`CircuitError`] of the lowest-index sample whose
+/// evaluation fails.
 pub fn monte_carlo(
     circuit: &dyn CircuitPerformance,
     stage: Stage,
     k: usize,
     seed: u64,
 ) -> Result<SampleSet, CircuitError> {
+    // Resolving the default pool reads the environment and the CPU
+    // affinity; a one-task draw does not need it.
+    let one_task = k <= samples_per_task(circuit.num_vars(stage));
+    let threads = if one_task { 1 } else { default_threads() };
+    monte_carlo_on(threads, circuit, stage, k, seed)
+}
+
+/// Normal draws per pool task, about a millisecond of sampling: a task
+/// draws `NORMALS_PER_TASK / num_vars` samples (at least one), so a draw
+/// that fits in one task, such as 2 000 samples of 12 variables, runs on
+/// the calling thread and spawns nothing.
+const NORMALS_PER_TASK: usize = 1 << 16;
+
+/// Samples of `n` variables per pool task.
+fn samples_per_task(n: usize) -> usize {
+    (NORMALS_PER_TASK / n.max(1)).max(1)
+}
+
+/// [`monte_carlo`] on a pool of `threads` workers.
+pub(crate) fn monte_carlo_on(
+    threads: usize,
+    circuit: &dyn CircuitPerformance,
+    stage: Stage,
+    k: usize,
+    seed: u64,
+) -> Result<SampleSet, CircuitError> {
     let n = circuit.num_vars(stage);
-    let mut points = Vec::with_capacity(k);
-    let mut values = Vec::with_capacity(k);
-    for i in 0..k {
-        let x = sample_point(n, seed, i as u64);
-        let f = circuit.evaluate(stage, &x)?;
-        points.push(x);
-        values.push(f);
+    let per_task = samples_per_task(n);
+    let chunks = run_indexed(threads, k.div_ceil(per_task), |c| {
+        let range = c * per_task..k.min((c + 1) * per_task);
+        let mut points = Vec::with_capacity(range.len());
+        let mut values = Vec::with_capacity(range.len());
+        for i in range {
+            let x = sample_point(n, seed, i as u64);
+            values.push(circuit.evaluate(stage, &x)?);
+            points.push(x);
+        }
+        Ok((points, values))
+    });
+    // The first chunk's vectors grow into the whole set, so a one-task
+    // draw moves nothing.
+    let mut chunks = chunks.into_iter();
+    let (mut points, mut values) = chunks.next().transpose()?.unwrap_or_default();
+    points.reserve_exact(k - points.len());
+    values.reserve_exact(k - values.len());
+    for chunk in chunks {
+        let (p, v) = chunk?;
+        points.extend(p);
+        values.extend(v);
     }
     Ok(SampleSet {
         stage,
@@ -181,6 +231,108 @@ mod tests {
             match stage {
                 Stage::Schematic => 0.001,
                 Stage::PostLayout => 0.014,
+            }
+        }
+    }
+
+    /// Fails every sample whose first variable exceeds `limit`, naming
+    /// that variable's bits, so two failures never render alike.
+    struct Picky {
+        vars: usize,
+        limit: f64,
+    }
+    impl CircuitPerformance for Picky {
+        fn name(&self) -> &str {
+            "picky"
+        }
+        fn num_vars(&self, _stage: Stage) -> usize {
+            self.vars
+        }
+        fn evaluate(&self, _stage: Stage, x: &[f64]) -> Result<f64, CircuitError> {
+            if x[0] > self.limit {
+                return Err(CircuitError::Solver {
+                    circuit: self.name().to_string(),
+                    detail: format!("{:016x}", x[0].to_bits()),
+                });
+            }
+            Ok(x.iter().sum())
+        }
+        fn sim_cost_hours(&self, _stage: Stage) -> f64 {
+            0.001
+        }
+    }
+
+    /// The serial loop the pooled draw replaced: one sample per index, in
+    /// index order, stopping at the first failure.
+    fn serial_reference(
+        c: &dyn CircuitPerformance,
+        stage: Stage,
+        k: usize,
+        seed: u64,
+    ) -> Result<SampleSet, CircuitError> {
+        let n = c.num_vars(stage);
+        let mut points = Vec::new();
+        let mut values = Vec::new();
+        for i in 0..k {
+            let x = sample_point(n, seed, i as u64);
+            values.push(c.evaluate(stage, &x)?);
+            points.push(x);
+        }
+        Ok(SampleSet {
+            stage,
+            points,
+            values,
+            cost_hours: k as f64 * c.sim_cost_hours(stage),
+        })
+    }
+
+    fn bits(s: &SampleSet) -> (Vec<Vec<u64>>, Vec<u64>, u64) {
+        (
+            s.points
+                .iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect(),
+            s.values.iter().map(|x| x.to_bits()).collect(),
+            s.cost_hours.to_bits(),
+        )
+    }
+
+    /// Draws of one task (40 samples of 5 variables: the calling thread
+    /// only) and of five (90 samples of 3 000 variables, 21 per task).
+    const SHAPES: [(usize, usize); 2] = [(5, 40), (3_000, 90)];
+
+    #[test]
+    fn pool_size_keeps_every_bit() {
+        for (vars, k) in SHAPES {
+            let c = Sum { vars };
+            let want = serial_reference(&c, Stage::Schematic, k, 11).unwrap();
+            for threads in [1, 2, 5] {
+                let got = monte_carlo_on(threads, &c, Stage::Schematic, k, 11).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{k} × {vars} at {threads} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_returns_the_lowest_index_error() {
+        let (seed, limit) = (5, 1.0);
+        for (vars, k) in SHAPES {
+            // Failures must fall in more than one task, so a later task's
+            // error could come back first if the join were not in order.
+            let per_task = samples_per_task(vars);
+            let failing_tasks: Vec<usize> = (0..k)
+                .filter(|&i| sample_point(vars, seed, i as u64)[0] > limit)
+                .map(|i| i / per_task)
+                .collect();
+            assert!(failing_tasks.len() >= 2, "{k} × {vars}: too few failures");
+            if k > per_task {
+                assert!(failing_tasks.first() != failing_tasks.last());
+            }
+            let c = Picky { vars, limit };
+            let want = serial_reference(&c, Stage::PostLayout, k, seed).unwrap_err();
+            for threads in [1, 2, 5] {
+                let got = monte_carlo_on(threads, &c, Stage::PostLayout, k, seed).unwrap_err();
+                assert_eq!(got, want, "{k} × {vars} at {threads} workers");
             }
         }
     }

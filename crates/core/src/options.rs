@@ -26,8 +26,9 @@ use crate::{BmfError, Result};
 
 /// Environment variable consulted when [`FitOptions::threads`] is `0`
 /// (auto): set `BMF_THREADS=<n>` to pin the worker count for a whole test
-/// or CI run without touching code.
-pub const THREADS_ENV: &str = "BMF_THREADS";
+/// or CI run without touching code. The fallback lives with the pool it
+/// sizes ([`bmf_stat::pool::default_threads`]).
+pub use bmf_stat::pool::THREADS_ENV;
 
 /// Unified configuration for every fitting entry point.
 ///
@@ -149,16 +150,7 @@ impl FitOptions {
         if self.threads > 0 {
             return self.threads;
         }
-        if let Ok(raw) = std::env::var(THREADS_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        bmf_stat::pool::default_threads()
     }
 
     /// A content fingerprint over every field, FNV-1a chained with f64s

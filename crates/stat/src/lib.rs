@@ -23,7 +23,10 @@
 //! * [`backoff`] — deterministic retry policies with seeded exponential
 //!   backoff (virtual-time delays) for transient storage errors,
 //! * [`fnv`] — the shared FNV-1a content fingerprint used by the
-//!   service registry and the persistence layer.
+//!   service registry and the persistence layer,
+//! * [`pool`] — the workspace's one scoped worker pool, whose results
+//!   come back in task order at any pool size (the batch fitting engine
+//!   and the Monte-Carlo engine run on it).
 //!
 //! # Example
 //!
@@ -50,6 +53,7 @@ pub mod fnv;
 pub mod histogram;
 pub mod kstest;
 pub mod normal;
+pub mod pool;
 pub mod prop;
 pub mod rng;
 pub mod summary;
